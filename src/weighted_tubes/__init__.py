@@ -59,6 +59,7 @@ from .expmap import (
     g_potential,
     grad_g_check,
     make_offset,
+    make_offsets,
     mu_closest_point,
     normal_frame,
     w_bound,

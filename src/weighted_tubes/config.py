@@ -1,5 +1,6 @@
 """Named tolerances and sampling densities, with scene-overridable defaults."""
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import SceneError
@@ -52,9 +53,11 @@ class Tolerances:
             current = getattr(self, key)
             try:
                 value = type(current)(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SceneError(f"bad value for tolerance {key!r}: {value!r}") from exc
-            if isinstance(value, (int, float)) and value <= 0:
+            if not math.isfinite(value):
+                raise SceneError(f"tolerance {key!r} must be finite, got {value!r}")
+            if value <= 0:
                 raise SceneError(f"tolerance {key!r} must be positive")
             clean[key] = value
         return replace(self, **clean)

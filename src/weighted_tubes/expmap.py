@@ -65,24 +65,81 @@ def w_bound(weight, s):
         return np.where(d1 > 0.0, 1.0 / np.where(d1 > 0, d1, 1.0), np.inf)
 
 
+def _rowdot(a, b):
+    """Row-wise dot products of (m, n) arrays.
+
+    Each row goes through the same vector-dot kernel as a 1-D `a @ b`, so
+    the rows reproduce the scalar path's dots and norms bit for bit (a
+    row-wise `np.sum(a * b, axis=-1)` does not).
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _rownorm(a):
+    """Row-wise Euclidean norms, bit-identical to 1-D `np.linalg.norm`."""
+    return np.sqrt(_rowdot(a, a))
+
+
+def _first_fault(checks):
+    """(row, error) for the first row failing any check, else None.
+
+    `checks` lists (mask, make_error) in the order a single row is checked;
+    make_error builds the exception for a row index.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not np.any(bad):
+        return None
+    k = int(np.argmax(bad))
+    return k, next(make_error(k) for mask, make_error in checks if mask[k])
+
+
+def _offset_rows(curve, weight, s, v, R, w_tol=1e-12):
+    """Row-wise offsets: (unit normals, admissible bounds, first fault).
+
+    Each row is projected into the normal space at its foot and normalized;
+    the fault is (row, OutOfWError) for the first row whose direction is
+    tangent or whose height is negative or above 1/|mu'|, else None.
+    """
+    t = curve.tangent(s)
+    v = v - _rowdot(v, t)[:, None] * t
+    nv = _rownorm(v)
+    v = v / np.where(nv > 0.0, nv, 1.0)[:, None]
+    bound = w_bound(weight, s)
+    fault = _first_fault([
+        (nv <= 1e-14, lambda k: OutOfWError("direction is tangent to the curve at s")),
+        (R < 0, lambda k: OutOfWError("height R must be nonnegative")),
+        (R > bound * (1.0 + w_tol), lambda k: OutOfWError(
+            f"R={float(R[k])} exceeds admissible bound {float(bound[k])} at s={float(s[k])}"
+        )),
+    ])
+    return v, bound, fault
+
+
+def make_offsets(curve, weight, s, v, R, w_tol=1e-12):
+    """Row-wise make_offset over s (m,), v (m, n), R (m,): the unit normals.
+
+    Raises OutOfWError for the first row that fails a check.
+    """
+    s = np.asarray(s, dtype=float)
+    v, _, fault = _offset_rows(
+        curve, weight, s, np.asarray(v, dtype=float), np.asarray(R, dtype=float), w_tol
+    )
+    if fault is not None:
+        raise fault[1]
+    return v
+
+
 def make_offset(curve, weight, s, v, R, w_tol=1e-12):
     """Project v into the normal space at s, normalize, and range-check R."""
-    s = float(s)
-    t = curve.tangent(s)
-    v = np.asarray(v, dtype=float)
-    v = v - (v @ t) * t
-    nv = np.linalg.norm(v)
-    if nv <= 1e-14:
-        raise OutOfWError("direction is tangent to the curve at s")
-    v = v / nv
-    R = float(R)
-    if R < 0:
-        raise OutOfWError("height R must be nonnegative")
-    bound = float(w_bound(weight, s))
-    if R > bound * (1.0 + w_tol):
-        raise OutOfWError(f"R={R} exceeds admissible bound {bound} at s={s}")
+    s, R = float(s), float(R)
+    rows, bound, fault = _offset_rows(
+        curve, weight, np.array([s]), np.asarray(v, dtype=float)[None, :], np.array([R]), w_tol
+    )
+    if fault is not None:
+        raise fault[1]
+    bound = float(bound[0])
     boundary = np.isfinite(bound) and abs(R - bound) <= w_tol * max(1.0, bound)
-    return NormalOffset(s, v, R, boundary)
+    return NormalOffset(s, rows[0], R, boundary)
 
 
 def exp_mu(curve, weight, s, v, R):
@@ -184,34 +241,52 @@ def f_second_critical(curve, weight, s, p, grad_tol=None):
     test for p, and OutOfWError when the recovered height exceeds the
     admissible bound.
     """
-    s = float(np.asarray(curve.wrap(s)))
-    p = np.asarray(p, dtype=float)
+    values, fault = _f_second_critical_rows(
+        curve, weight, np.array([float(s)]), np.asarray(p, dtype=float)[None, :], grad_tol
+    )
+    if fault is not None:
+        raise fault[1]
+    return float(values[0])
+
+
+def _f_second_critical_rows(curve, weight, s, p, grad_tol=None):
+    """Row-wise f_second_critical over feet s (m,) and points p (m, n).
+
+    Returns (values, fault); the fault is (row, error) for the first row
+    failing the recovered-height or the criticality check, else None.
+    """
+    s = curve.wrap(s)
     g = curve.point(s)
-    mu = float(weight.mu(s))
-    d1 = float(weight.d1(s))
-    d2 = float(weight.d2(s))
-    R = float(np.linalg.norm(p - g)) / mu
-    bound = float(w_bound(weight, s))
-    if R > bound * (1.0 + 1e-12):
-        raise OutOfWError(f"recovered height {R} exceeds admissible bound {bound}")
+    mu = np.asarray(weight.mu(s), dtype=float)
+    d1 = np.asarray(weight.d1(s), dtype=float)
+    d2 = np.asarray(weight.d2(s), dtype=float)
+    diff = p - g
+    dist = _rownorm(diff)
+    R = dist / mu
+    bound = w_bound(weight, s)
     if grad_tol is None:
-        grad_tol = 1e-8 * 2.0 / mu**2 * max(1.0, R) * max(1.0, curve.length)
-    fp = float(f_prime(curve, weight, s, p))
-    if abs(fp) > grad_tol:
-        raise NotCriticalFootError(f"foot not critical: |F'|={abs(fp)} > {grad_tol}")
+        grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
+    fp = np.abs(f_prime(curve, weight, s, p))
+    fault = _first_fault([
+        (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
+            f"recovered height {float(R[k])} exceeds admissible bound {float(bound[k])}"
+        )),
+        (fp > grad_tol, lambda k: NotCriticalFootError(
+            f"foot not critical: |F'|={float(fp[k])} > "
+            f"{float(np.broadcast_to(grad_tol, fp.shape)[k])}"
+        )),
+    ])
     g2 = curve.second_derivative(s)
-    kap = float(np.linalg.norm(g2))
-    cosb = 1.0
-    if R > 0 and kap > curve.kappa_tol:
-        u = (p - g) / np.linalg.norm(p - g)
-        t = curve.tangent(s)
-        un = u - (u @ t) * t
-        nun = np.linalg.norm(un)
-        if nun > 1e-14:
-            cosb = float(g2 @ un / (kap * nun))
+    kap = _rownorm(g2)
+    t = curve.tangent(s)
+    u = diff / np.where(dist > 0.0, dist, 1.0)[:, None]
+    un = u - _rowdot(u, t)[:, None] * t
+    nun = _rownorm(un)
+    tilted = (R > 0) & (kap > curve.kappa_tol) & (nun > 1e-14)
+    cosb = np.where(tilted, _rowdot(g2, un) / np.where(tilted, kap * nun, 1.0), 1.0)
     musq2 = 2.0 * (d1**2 + mu * d2)  # (mu^2)''
-    root = np.sqrt(max(0.0, 1.0 - (d1 * R) ** 2))
-    return (2.0 / mu**2) * (1.0 - kap * R * mu * root * cosb - 0.5 * R**2 * musq2)
+    root = np.sqrt(np.maximum(0.0, 1.0 - (d1 * R) ** 2))
+    return (2.0 / mu**2) * (1.0 - kap * R * mu * root * cosb - 0.5 * R**2 * musq2), fault
 
 
 def f_second_at_offset(curve, weight, s, v, R):

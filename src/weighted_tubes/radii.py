@@ -353,14 +353,16 @@ def _search_component_pair(pairs, i, j, tol):
         active = alive & (res > 0.1 * tol.tol_dc)
         if not np.any(active):
             break
-        _, gs_p, gt_p = _sigma_and_grad(c1, w1, c2, w2, s + h1, t)
-        _, gs_m, gt_m = _sigma_and_grad(c1, w1, c2, w2, s - h1, t)
-        j11 = (gs_p - gs_m) / (2 * h1)
-        j21 = (gt_p - gt_m) / (2 * h1)
-        _, gs_p, gt_p = _sigma_and_grad(c1, w1, c2, w2, s, t + h2)
-        _, gs_m, gt_m = _sigma_and_grad(c1, w1, c2, w2, s, t - h2)
-        j12 = (gs_p - gs_m) / (2 * h2)
-        j22 = (gt_p - gt_m) / (2 * h2)
+        s_p, s_m, span1 = _stencil(c1, s, h1)
+        _, gs_p, gt_p = _sigma_and_grad(c1, w1, c2, w2, s_p, t)
+        _, gs_m, gt_m = _sigma_and_grad(c1, w1, c2, w2, s_m, t)
+        j11 = (gs_p - gs_m) / span1
+        j21 = (gt_p - gt_m) / span1
+        t_p, t_m, span2 = _stencil(c2, t, h2)
+        _, gs_p, gt_p = _sigma_and_grad(c1, w1, c2, w2, s, t_p)
+        _, gs_m, gt_m = _sigma_and_grad(c1, w1, c2, w2, s, t_m)
+        j12 = (gs_p - gs_m) / span2
+        j22 = (gt_p - gt_m) / span2
         det = j11 * j22 - j12 * j21
         bad = np.abs(det) < 1e-300
         alive &= ~bad
@@ -385,6 +387,20 @@ def _search_component_pair(pairs, i, j, tol):
         if cand is not None:
             out.append(cand)
     return out
+
+
+def _stencil(curve, s, h):
+    """Central-difference feet s + h, s - h and their spread.
+
+    On open arcs the feet are clipped into [s_min, s_max] and the spread is
+    the clipped one; wherever nothing is clipped it stays 2 h.
+    """
+    if curve.closed:
+        return s + h, s - h, 2 * h
+    hi = np.minimum(s + h, curve.s_max)
+    lo = np.maximum(s - h, curve.s_min)
+    clipped = (s + h > curve.s_max) | (s - h < curve.s_min)
+    return hi, lo, np.where(clipped, hi - lo, 2 * h)
 
 
 def _grid_local_minima(mat, per_rows, per_cols):

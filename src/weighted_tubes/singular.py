@@ -16,10 +16,18 @@ from scipy.optimize import brentq
 
 from .config import DEFAULT_TOLERANCES
 from .errors import OutOfWError
-from .expmap import exp_mu, exp_mu_batch, f_second_at_offset, make_offset, normal_frame
+from .expmap import (
+    _f_second_critical_rows,
+    _offset_rows,
+    _rownorm,
+    exp_mu,
+    exp_mu_batch,
+    f_second_at_offset,
+    make_offset,
+    normal_frame,
+)
+from .radii import _bracket, _extrema_indices, _pairs
 from .util import golden_min
-
-from .radii import _extrema_indices, _pairs
 
 
 @dataclass(frozen=True)
@@ -67,31 +75,29 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
     The zero set of g = mu'' + kappa^2 mu / 4 is located three ways: flat
     runs at machine level (a continuum; grid samples are reported), sign
     changes (bisection), and near-zero local minima of |g| (refined; this is
-    what catches isolated touching zeros). Each point is cross-checked
-    against the second-derivative criterion at its offset.
+    what catches isolated touching zeros). The detectors only collect
+    candidate feet; one array pass per component then builds the points and
+    cross-checks each against the second-derivative criterion at its offset
+    (see `_graph_points`).
     """
     pairs = _pairs(pairs)
     out = []
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(tol.singular_samples)
         g = _sng_condition(curve, weight, sg)
-        kap = curve.curvature(sg)
         scale = max(1.0, float(np.max(np.abs(g))))
         flat_tol = tol.flat_factor * scale
         flat = np.abs(g) <= flat_tol
+        feet = []
         # Flat runs (length >= 3 samples) are continua: report the samples.
         runs = _runs(flat, curve.closed)
         in_flat_run = np.zeros(len(sg), dtype=bool)
         for lo, hi in runs:
-            idx = np.arange(lo, hi)
+            idx = np.arange(lo, hi) % len(sg)
             if len(idx) < 3:
                 continue
-            in_flat_run[idx % len(sg)] = True
-            for k in idx:
-                k = k % len(sg)
-                cand = _make_graph_point(pairs, ci, float(sg[k]), ur, tol)
-                if cand is not None:
-                    out.append(cand)
+            in_flat_run[idx] = True
+            feet.extend(sg[idx])
         # Sign changes away from flat runs.
         nxt = np.roll(g, -1)
         cross = (g * nxt < 0.0) & ~in_flat_run & ~np.roll(in_flat_run, -1)
@@ -102,12 +108,9 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
             a, b = float(sg[k]), float(sg[k] + curve.length / tol.singular_samples)
             if not curve.closed:
                 b = float(sg[k + 1])
-            root = brentq(
-                lambda s: float(_sng_condition(curve, weight, s)), a, b, xtol=1e-14
+            feet.append(
+                brentq(lambda s: float(_sng_condition(curve, weight, s)), a, b, xtol=1e-14)
             )
-            cand = _make_graph_point(pairs, ci, root, ur, tol)
-            if cand is not None:
-                out.append(cand)
         # Isolated near-zero touching points. The gate allows for the value
         # a quadratic touching zero attains one grid step away, estimated
         # from the discrete second difference.
@@ -118,14 +121,14 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
             curv_gap = abs(g[(k + 1) % n_g] - 2.0 * g[k] + g[(k - 1) % n_g])
             if in_flat_run[k] or absg[k] > tol.tol_sng + curv_gap:
                 continue
-            lo, hi = _neighborhood(curve, sg, k)
+            lo, hi = _bracket(curve, sg, k)
             s_ref, v_ref = golden_min(
                 lambda s: float(np.abs(_sng_condition(curve, weight, s))), lo, hi, tol=1e-13
             )
             if v_ref <= tol.tol_sng:
-                cand = _make_graph_point(pairs, ci, s_ref, ur, tol)
-                if cand is not None:
-                    out.append(cand)
+                feet.append(s_ref)
+        if feet:
+            out.extend(_graph_points(curve, weight, ci, np.array(feet, dtype=float), ur, tol))
     return _dedup_points(pairs, out, tol)
 
 
@@ -153,34 +156,49 @@ def _runs(mask, periodic):
     return runs
 
 
-def _neighborhood(curve, sg, i):
-    n = len(sg)
-    if curve.closed:
-        step = curve.length / n
-        return float(sg[i] - step), float(sg[i] + step)
-    return float(sg[max(i - 1, 0)]), float(sg[min(i + 1, n - 1)])
+def _graph_points(curve, weight, ci, s, ur, tol):
+    """Singular-graph points over candidate feet s, kept in order, built in
+    one array pass.
 
-
-def _make_graph_point(pairs, ci, s, ur, tol):
-    curve, weight = pairs[ci]
-    s = float(np.asarray(curve.wrap(s)))
-    kap = float(curve.curvature(s))
-    if kap <= curve.kappa_tol:
-        return None
-    height = float(_graph_height(curve, weight, s))
-    if not np.isfinite(height) or not (0.0 < height < ur):
-        return None
-    frame = curve.frame(s)
-    if frame.principal_normal is None:
-        return None
-    location = exp_mu(curve, weight, s, frame.principal_normal, height)
-    mu = float(weight.mu(s))
-    hess = f_second_at_offset(curve, weight, s, frame.principal_normal, height)
+    A foot is dropped where kappa <= kappa_tol, where the graph height R(s)
+    is undefined or outside (0, ur), and where the map's second derivative
+    at exp(s, n, R), n the principal normal, leaves the tol_hess band. A
+    direction tangent to the curve, a height above 1/|mu'|, a recovered
+    height above it, or a foot that is not critical for its image raises
+    the scalar checks' error for the first offending foot.
+    """
+    s = curve.wrap(s)
+    height = _graph_height(curve, weight, s)
+    d2 = curve.second_derivative(curve.wrap(s))
+    kap = _rownorm(d2)
+    keep = (
+        (curve.curvature(s) > curve.kappa_tol)
+        & np.isfinite(height)
+        & (height > 0.0)
+        & (height < ur)
+        & (kap > curve.kappa_tol)
+    )
+    s, height = s[keep], height[keep]
+    if not len(s):
+        return []
+    normal = d2[keep] / kap[keep][:, None]
+    v, _, fault = _offset_rows(curve, weight, s, normal, height)
+    location = exp_mu_batch(curve, weight, s, v, height)
+    # The criterion re-projects the offset's normal before mapping it.
+    v, _, _ = _offset_rows(curve, weight, s, v, height)
+    hess, hess_fault = _f_second_critical_rows(
+        curve, weight, s, exp_mu_batch(curve, weight, s, v, height)
+    )
+    faults = [f for f in (fault, hess_fault) if f is not None]
+    if faults:
+        raise min(faults, key=lambda f: f[0])[1]
+    mu = np.asarray(weight.mu(s), dtype=float)
     tol_hess = tol.tol_hess_factor * 2.0 / mu**2 * max(1.0, ur**2)
-    if abs(hess) > tol_hess:
-        return None
-    resid = float(np.abs(_sng_condition(curve, weight, s)))
-    return SingularGraphPoint(ci, s, height, location, resid)
+    resid = np.abs(_sng_condition(curve, weight, s))
+    return [
+        SingularGraphPoint(ci, float(s[k]), float(height[k]), location[k], float(resid[k]))
+        for k in np.nonzero(np.abs(hess) <= tol_hess)[0]
+    ]
 
 
 def _dedup_points(pairs, points, tol):
@@ -386,7 +404,7 @@ def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
         for k in _extrema_indices(absg, curve.closed, "min", 64):
             curv_gap = abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])
             if absg[k] <= tol.tol_sng + curv_gap:
-                lo, hi = _neighborhood(curve, sg, k)
+                lo, hi = _bracket(curve, sg, k)
                 s_ref, v_ref = golden_min(
                     lambda s: float(np.abs(_sng_condition(curve, weight, s))), lo, hi, tol=1e-13
                 )

@@ -6,7 +6,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import OutOfWError, WeightedTubesError
-from .expmap import exp_mu, g_potential, normal_frame, w_bound
+from .expmap import exp_mu, exp_mu_batch, g_potential, make_offsets, normal_frame, w_bound
 from .radii import _pairs, radii_report
 from .weights import OffsetWeight
 
@@ -80,8 +80,10 @@ def tube_boundary(pairs, R, s_samples=256, dir_samples=16, tol=DEFAULT_TOLERANCE
     the ambient potential confirms boundary membership (G >= R^2 - band);
     the rest land in the overlap list, a diagnostic that fills up once R
     exceeds the almost-injectivity height. Feet whose admissible bound is
-    below R contribute nothing. Returns (boundary_rows, overlap_rows), rows
-    being (component, s, point, G).
+    below R contribute nothing. The directions come from each foot's normal
+    frame; all (foot, direction) rows of a component are then mapped in one
+    array pass. Returns (boundary_rows, overlap_rows), rows being
+    (component, s, point, G).
     """
     pairs = _pairs(pairs)
     if R <= 0:
@@ -93,19 +95,19 @@ def tube_boundary(pairs, R, s_samples=256, dir_samples=16, tol=DEFAULT_TOLERANCE
         sg = curve.grid(s_samples)
         bounds = w_bound(weight, sg)
         feet = sg[bounds * (1.0 - tol.w_margin) > R]
-        pts = []
-        meta = []
-        for s in feet:
-            frame = normal_frame(curve, float(s))
-            for v in _directions(frame, curve.ambient_dim, dir_samples):
-                pts.append(exp_mu(curve, weight, float(s), v, R))
-                meta.append(float(s))
-        if not pts:
+        if not len(feet):
             continue
-        pts = np.asarray(pts)
+        dirs = [
+            _directions(normal_frame(curve, float(s)), curve.ambient_dim, dir_samples)
+            for s in feet
+        ]
+        s_rows = np.repeat(feet, len(dirs[0]))
+        heights = np.full(len(s_rows), float(R))
+        v = make_offsets(curve, weight, s_rows, np.concatenate(dirs), heights)
+        pts = exp_mu_batch(curve, weight, s_rows, v, heights)
         vals, _, _ = g_potential(pairs, pts, samples=tol.closest_samples)
         for k in range(len(pts)):
-            row = (ci, meta[k], pts[k], float(vals[k]))
+            row = (ci, float(s_rows[k]), pts[k], float(vals[k]))
             if vals[k] >= R * R - band:
                 boundary.append(row)
             else:

@@ -72,6 +72,15 @@ class TestErrors:
         proc = run_cli("report", "--scene", str(bad), check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "scene, override",
+        [("example4", "delta_band_factor=inf"), ("example2_stadium", "tol_dc=nan")],
+    )
+    def test_non_finite_tolerance_exit_2(self, scene, override):
+        proc = run_cli("report", "--scene", scene, "--tol-override", override, check=False)
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+
     def test_numeric_failure_exit_3(self, tmp_path):
         proc = run_cli(
             "fibers", "--scene", "example1a", "--s-values", "1.0", "--r-max", "100.0",

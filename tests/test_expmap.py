@@ -25,6 +25,7 @@ from weighted_tubes import (
     fiber_geometry,
     grad_g_check,
     make_offset,
+    make_offsets,
     mu_closest_point,
     normal_frame,
     w_bound,
@@ -77,6 +78,31 @@ class TestExpMap:
         curve, weight = arc1a
         with pytest.raises(OutOfWError):
             make_offset(curve, weight, 0.3, curve.tangent(0.3), 0.5)
+
+
+class TestOffsetRows:
+    def test_rows_match_make_offset(self, arc1a):
+        curve, weight = arc1a
+        s = np.linspace(-1.4, 1.4, 9)
+        v = -curve.point(s) + 0.3 * curve.tangent(s)
+        R = np.linspace(0.1, 1.5, 9)
+        rows = make_offsets(curve, weight, s, v, R)
+        for k in range(len(s)):
+            assert np.array_equal(rows[k], make_offset(curve, weight, s[k], v[k], R[k]).v)
+
+    def test_height_above_bound_rejected(self, arc1a):
+        curve, weight = arc1a
+        s = np.array([0.0, 1.0, -0.5])
+        R = np.array([1.0, 1.01 * float(w_bound(weight, 1.0)), 1.0])
+        with pytest.raises(OutOfWError, match="exceeds admissible bound"):
+            make_offsets(curve, weight, s, -curve.point(s), R)
+
+    def test_tangent_row_rejected(self, arc1a):
+        curve, weight = arc1a
+        s = np.array([0.2, 0.3])
+        v = np.stack([-curve.point(0.2), curve.tangent(0.3)])
+        with pytest.raises(OutOfWError, match="tangent"):
+            make_offsets(curve, weight, s, v, np.array([0.5, 0.5]))
 
 
 class TestFiberGeometry:

@@ -245,6 +245,25 @@ class TestReports:
         assert rep.air == pytest.approx(2 * np.sqrt(2.0), abs=1e-6)
         assert rep.dcsd_half == np.inf
 
+    def test_open_unit_arc_reaches_its_endpoints(self):
+        # Pair seeds at the ends of an open arc longer than pi: the Newton
+        # stencil is clipped into the domain instead of leaving it.
+        rep = radii_report([(CircleArcCurve(0.0, 5.0), ConstantWeight(1.0))])
+        assert rep.dir == pytest.approx(1.0, abs=1e-6)
+        assert rep.air == pytest.approx(1.0, abs=1e-6)
+
+    def test_newton_stencil_clipped_on_open_arcs(self):
+        from weighted_tubes.radii import _stencil
+
+        h = 1e-3
+        s = np.array([0.0, 2.5, 5.0 - 0.5 * h])
+        hi, lo, spread = _stencil(CircleArcCurve(0.0, 5.0), s, h)
+        assert np.array_equal(hi, [h, 2.5 + h, 5.0])
+        assert np.array_equal(lo, [0.0, 2.5 - h, 5.0 - 1.5 * h])
+        assert np.array_equal(spread, [h, 2 * h, 5.0 - (5.0 - 1.5 * h)])
+        hi, lo, spread = _stencil(CircleArcCurve(0.0, 2 * np.pi, closed=True), s, h)
+        assert np.array_equal(hi, s + h) and np.array_equal(lo, s - h) and spread == 2 * h
+
     def test_ordering_invariant(self, scenes):
         for name, scene in scenes.items():
             if "family" in name:

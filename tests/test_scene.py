@@ -77,6 +77,17 @@ class TestValidation:
         with pytest.raises(SceneError, match="positive"):
             parse_scene(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("tol_dc", float("nan")),
+        ("delta_band_factor", float("inf")),
+        ("focal_samples", float("inf")),
+    ])
+    def test_non_finite_tolerance(self, key, value):
+        doc = minimal_doc()
+        doc["tolerances"] = {key: value}
+        with pytest.raises(SceneError):
+            parse_scene(doc)
+
     def test_mismatched_weights(self):
         doc = minimal_doc()
         doc["weights"] = []

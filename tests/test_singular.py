@@ -75,6 +75,27 @@ class TestSingularSet:
             assert val > 1e-6
 
 
+@pytest.mark.parametrize("name", ["example1a", "example1b", "example4", "example2_stadium"])
+def test_graph_points_match_the_scalar_map(scenes, name):
+    """Each batched point agrees with exp_mu / f_second_at_offset evaluated
+    one foot at a time along the principal normal."""
+    from weighted_tubes import exp_mu, f_second_at_offset, radii_report
+
+    scene = scenes[name]
+    tol = scene.tolerances
+    ur = radii_report(scene.pairs, tol).ur
+    points = singular_set(scene.pairs, ur, tol)
+    assert points
+    for p in points:
+        curve, weight = scene.pairs[p.component]
+        normal = curve.frame(p.s).principal_normal
+        assert np.max(np.abs(exp_mu(curve, weight, p.s, normal, p.R) - p.location)) <= 1e-12
+        hess = f_second_at_offset(curve, weight, p.s, normal, p.R)
+        band = tol.tol_hess_factor * 2.0 / float(weight.mu(p.s)) ** 2 * max(1.0, ur**2)
+        assert abs(hess) <= band + 1e-12
+        assert 0.0 < p.R < ur
+
+
 class TestIsSingular:
     def test_half_circle_collapse_height(self):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()

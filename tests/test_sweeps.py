@@ -130,6 +130,26 @@ class TestTubeBoundary:
             _, overlap = tube_boundary(pairs, R, s_samples=64)
             assert overlap == []
 
+    @pytest.mark.parametrize("name", ["ellipse_mu1", "example1b"])
+    def test_rows_match_the_scalar_map(self, scenes, name):
+        from weighted_tubes import exp_mu, normal_frame, radii_report
+        from weighted_tubes.sweeps import _directions
+
+        scene = scenes[name]
+        curve, weight = scene.pairs[0]
+        R = 0.5 * radii_report(scene.pairs, scene.tolerances).dir
+        boundary, overlap = tube_boundary(scene.pairs, R, s_samples=32, tol=scene.tolerances)
+        assert overlap == []
+        expected = [
+            (float(s), exp_mu(curve, weight, float(s), v, R))
+            for s in curve.grid(32)
+            for v in _directions(normal_frame(curve, float(s)), curve.ambient_dim, 16)
+        ]
+        assert len(boundary) == len(expected)
+        for (_, s, p, _), (s_ref, p_ref) in zip(boundary, expected):
+            assert s == s_ref
+            assert np.max(np.abs(p - p_ref)) <= 1e-12
+
     def test_overlap_empty_below_dir_on_all_scenes(self, scenes):
         from weighted_tubes import radii_report
 
