@@ -92,7 +92,9 @@ def _load(args):
     scene = load_scene(args.scene)
     overrides = _parse_overrides(args.tol_override)
     if overrides:
-        scene.tolerances = scene.tolerances.with_overrides(overrides)
+        scene.tolerances = scene.tolerances.with_overrides(overrides).require_grid_budget(
+            scene.ambient_dim
+        )
     return scene
 
 

@@ -5,6 +5,9 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import SceneError
 
+# Largest N x N x ambient_dim float64 array the pair search may allocate.
+GRID_BUDGET_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -61,6 +64,17 @@ class Tolerances:
                 raise SceneError(f"tolerance {key!r} must be positive")
             clean[key] = value
         return replace(self, **clean)
+
+    def require_grid_budget(self, ambient_dim):
+        """Raise SceneError when the pair search's N x N x ambient_dim float64
+        temporary would exceed GRID_BUDGET_BYTES; returns self."""
+        need = self.pair_grid**2 * int(ambient_dim) * 8
+        if need > GRID_BUDGET_BYTES:
+            raise SceneError(
+                f"pair_grid={self.pair_grid} needs {need} bytes per grid array in "
+                f"{ambient_dim} dimensions, above the {GRID_BUDGET_BYTES}-byte budget"
+            )
+        return self
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -288,16 +288,20 @@ class _RawCurve(ArclengthCurve):
     def t_of_s(self, s):
         # Newton is pushed to the roundoff floor: second differences of
         # downstream quantities divide by h^2 and would amplify any slack.
+        # Each foot stops on its own residual, so its value does not depend
+        # on the other feet of the call.
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.asarray(self._t_of_s(np.clip(s, 0.0, self.length)), dtype=float)
         tol = 4e-16 * self.length
+        k = np.arange(len(t))
         for _ in range(6):
-            resid = self._s_of_t(t) - s
-            if np.max(np.abs(resid)) <= tol:
+            resid = self._s_of_t(t[k]) - s[k]
+            going = ~(np.abs(resid) <= tol)
+            k, resid = k[going], resid[going]
+            if not len(k):
                 break
-            speed = np.linalg.norm(self._raw(t, 1), axis=-1)
-            t = t - resid / speed
-            t = np.clip(t, self._t0, self._t1)
+            speed = np.linalg.norm(self._raw(t[k], 1), axis=-1)
+            t[k] = np.clip(t[k] - resid / speed, self._t0, self._t1)
         return t
 
     def _t_cached(self, s):

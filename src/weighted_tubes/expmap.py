@@ -19,6 +19,7 @@ from .errors import (
     NotCriticalFootError,
     OutOfWError,
 )
+from .util import as_pairs, golden_min
 
 PLANE = "PLANE"
 SPHERE = "SPHERE"
@@ -143,20 +144,18 @@ def make_offset(curve, weight, s, v, R, w_tol=1e-12):
 
 
 def exp_mu(curve, weight, s, v, R):
-    """Evaluate the map at foot s, unit normal v, height(s) R (scalar or array)."""
+    """Evaluate the map at foot s, unit normal v, height(s) R (scalar or
+    array): the rows of exp_mu_batch at one range-checked offset."""
     s = float(s)
     off = make_offset(curve, weight, s, v, R if np.ndim(R) == 0 else np.max(R))
-    g = curve.point(s)
-    t = curve.tangent(s)
-    mu = float(weight.mu(s))
-    d1 = float(weight.d1(s))
     R = np.asarray(R, dtype=float)
-    rad = np.sqrt(np.clip(1.0 - (d1 * R) ** 2, 0.0, None))
-    return g - (mu * d1) * (R**2)[..., None] * t + (mu * R * rad)[..., None] * off.v
+    rows = exp_mu_batch(curve, weight, np.array([s]), off.v[None, :], R.ravel())
+    return rows.reshape(R.shape + off.v.shape)
 
 
 def exp_mu_batch(curve, weight, s, v, R):
-    """Vectorized map over matched arrays s (m,), v (m,n), R (m,)."""
+    """Vectorized map over matched arrays s (m,), v (m,n), R (m,); s and v
+    may also be single rows, shared by every height."""
     s = np.asarray(s, dtype=float)
     R = np.asarray(R, dtype=float)
     g = curve.point(s)
@@ -328,12 +327,6 @@ class ClosestPoint:
     ties: list = field(default_factory=list)
 
 
-def _as_pairs(pairs):
-    if isinstance(pairs, (list, tuple)) and pairs and isinstance(pairs[0], (list, tuple)):
-        return list(pairs)
-    return [tuple(pairs)]
-
-
 def mu_closest_point(pairs, p, samples=2048, newton_iters=30, tie_rel=1e-9):
     """Weighted closest point via dense grid plus Newton polish.
 
@@ -341,7 +334,7 @@ def mu_closest_point(pairs, p, samples=2048, newton_iters=30, tie_rel=1e-9):
     within tie_rel (relative) at separated parameters are reported as ties
     and flip `unique` to False.
     """
-    pairs = _as_pairs(pairs)
+    pairs = as_pairs(pairs)
     p = np.asarray(p, dtype=float)
     best = None
     candidates = []
@@ -392,14 +385,12 @@ def _polish_minimum(curve, weight, p, s0, bracket, iters):
             s = s_new
             break
         s = s_new
-    from .util import golden_min
-
     if not curve.closed:
         lo = max(lo, curve.s_min)
         hi = min(hi, curve.s_max)
-    sg, vg = golden_min(lambda x: float(f_value(curve, weight, x, p)), lo, hi, tol=1e-13)
+    sg, vg = golden_min(lambda x: f_value(curve, weight, x, p), lo, hi, tol=1e-13)
     vn = float(f_value(curve, weight, s, p))
-    return (s, vn) if vn <= vg else (sg, vg)
+    return (s, vn) if vn <= vg[0] else (float(sg[0]), float(vg[0]))
 
 
 def g_potential(pairs, points, samples=2048, refine_iters=40):
@@ -408,7 +399,7 @@ def g_potential(pairs, points, samples=2048, refine_iters=40):
     Refinement is a fixed-iteration golden section per point (branch-free,
     deterministic); returns (values, component_index, s_values).
     """
-    pairs = _as_pairs(pairs)
+    pairs = as_pairs(pairs)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
     best_v = np.full(m, np.inf)
@@ -459,7 +450,7 @@ def grad_g_check(pairs, p, h=1e-6, tie_rel=1e-9, samples=2048):
     p, and lower_bound = 2 |p - q| / mu(q)^2. Raises NonUniqueFootError on
     tied feet.
     """
-    pairs = _as_pairs(pairs)
+    pairs = as_pairs(pairs)
     p = np.asarray(p, dtype=float)
     cp = mu_closest_point(pairs, p, samples=samples, tie_rel=tie_rel)
     if not cp.unique:

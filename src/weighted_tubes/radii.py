@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
+from .curves import ABSENT
 from .errors import NumericError
-from .util import golden_max, golden_min
-
-ABSENT = None
+from .util import as_pairs, golden_max, golden_min
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,6 @@ class RadiiReport:
     tir: float
     air: float
     witnesses: dict = field(default_factory=dict)
-
-
-def _pairs(pairs):
-    if isinstance(pairs, (list, tuple)) and pairs and isinstance(pairs[0], (list, tuple)):
-        return list(pairs)
-    return [tuple(pairs)]
 
 
 def _abc(curve, weight, s):
@@ -147,73 +140,73 @@ def delta_lambda(curve, weight, s, tol=DEFAULT_TOLERANCES):
 def focal_radii(pairs, tol=DEFAULT_TOLERANCES):
     """Global focal radii over all components.
 
-    Dense profiles plus golden-section refinement of the best local minima;
-    local maxima of the discriminant are refined separately so isolated
-    touching zeros (which only the closed band sees) are not lost between
-    grid nodes.
+    Dense profiles plus golden-section refinement, per component one
+    row-wise call for each family of brackets: the best local minima of the
+    closed-band profile, those of the open-band profile, the local maxima of
+    the discriminant (so isolated touching zeros, which only the closed band
+    sees, are not lost between grid nodes) and the local maxima of |mu'|.
+    The discriminant and slope maxima serve both profiles. Each profile's
+    candidates are its grid minimum, its refined minima, the refined
+    discriminant maxima its band admits and the slope maxima, in that
+    order; the first smallest one is the witness.
     """
-    pairs = _pairs(pairs)
-    best0 = (np.inf, None)
-    bestm = (np.inf, None)
+    pairs = as_pairs(pairs)
+    best = [(np.inf, None), (np.inf, None)]  # closed band, open band
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(tol.focal_samples)
         a, b, c, disc, lam = _abc(curve, weight, sg)
         band = _band(np.max(a**2), tol)
         r0, rm = _radius_profiles(b, disc, lam, band)
 
-        def prof(s, which):
-            aa, bb, cc, dd, ll = _abc(curve, weight, float(s))
-            rr0, rrm = _radius_profiles(
-                np.asarray(bb), np.asarray(dd), np.asarray(ll), band
-            )
-            return float(rr0) if which == 0 else float(rrm)
+        def radius(s, which):
+            _, bb, _, dd, ll = _abc(curve, weight, s)
+            return _radius_profiles(bb, dd, ll, band)[which]
 
-        for which, profile, current in ((0, r0, best0), (1, rm, bestm)):
+        # Isolated touching zeros of the discriminant.
+        s_d, d_val = golden_max(
+            lambda s: _abc(curve, weight, s)[3],
+            *_bracket(curve, sg, _extrema_indices(disc, curve.closed, "max", 8)),
+            tol=1e-13,
+        )
+        lam_d = _abc(curve, weight, s_d)[4]
+        # Slope maxima (the max |mu'|^2 term applies unconditionally).
+        s_b, b_val = golden_max(
+            lambda s: np.abs(weight.d1(s)),
+            *_bracket(curve, sg, _extrema_indices(b, curve.closed, "max", 4)),
+            tol=1e-13,
+        )
+        slope = [(1.0 / float(v), float(x)) for v, x in zip(b_val, s_b) if v > 0]
+        for which, profile, in_band in ((0, r0, d_val >= -band), (1, rm, d_val > band)):
             i_min = int(np.argmin(profile))
+            idx = [i_min] + _extrema_indices(profile, curve.closed, "min", 8)
+            s_ref, v_ref = golden_min(
+                lambda s: radius(s, which), *_bracket(curve, sg, idx), tol=1e-12
+            )
             cands = [(float(profile[i_min]), float(sg[i_min]))]
-            for i in [i_min] + _extrema_indices(profile, curve.closed, "min", 8):
-                lo, hi = _bracket(curve, sg, i)
-                s_ref, v_ref = golden_min(lambda s: prof(s, which), lo, hi, tol=1e-12)
-                cands.append((v_ref, s_ref))
-            # Isolated touching zeros of the discriminant.
-            for i in _extrema_indices(disc, curve.closed, "max", 8):
-                lo, hi = _bracket(curve, sg, i)
-                s_d, d_val = golden_max(
-                    lambda s: float(_abc(curve, weight, float(s))[3]), lo, hi, tol=1e-13
-                )
-                ok = d_val >= -band if which == 0 else d_val > band
-                if ok:
-                    _, _, _, _, lam_d = _abc(curve, weight, s_d)
-                    lam_d = float(lam_d)
-                    if lam_d > 0:
-                        cands.append((1.0 / np.sqrt(lam_d), float(s_d)))
-            # Slope maxima (the max |mu'|^2 term applies unconditionally).
-            for i in _extrema_indices(b, curve.closed, "max", 4):
-                lo, hi = _bracket(curve, sg, i)
-                s_b, b_val = golden_max(
-                    lambda s: float(np.abs(weight.d1(float(s)))), lo, hi, tol=1e-13
-                )
-                if b_val > 0:
-                    cands.append((1.0 / b_val, float(s_b)))
+            cands += [(float(v), float(x)) for v, x in zip(v_ref, s_ref)]
+            cands += [
+                (float(1.0 / np.sqrt(lv)), float(x))
+                for ok, lv, x in zip(in_band, lam_d, s_d)
+                if ok and lv > 0
+            ]
+            cands += slope
             v_best, s_best = min(cands, key=lambda t: t[0])
-            if v_best < current[0]:
-                if which == 0:
-                    best0 = (v_best, FocalWitness(ci, s_best, v_best))
-                else:
-                    bestm = (v_best, FocalWitness(ci, s_best, v_best))
-    focrad0 = best0[0]
-    focradminus = max(bestm[0], focrad0)  # the open band can only be larger
-    return focrad0, focradminus, {"focrad0": best0[1], "focradminus": bestm[1]}
+            if v_best < best[which][0]:
+                best[which] = (v_best, FocalWitness(ci, s_best, v_best))
+    focrad0 = best[0][0]
+    focradminus = max(best[1][0], focrad0)  # the open band can only be larger
+    return focrad0, focradminus, {"focrad0": best[0][1], "focradminus": best[1][1]}
 
 
-def _bracket(curve, sg, i):
+def _bracket(curve, sg, idx):
+    """Brackets (lo, hi) around the grid indices idx: one grid step either
+    side, clamped to the ends on open arcs."""
+    idx = np.asarray(idx, dtype=int)
     n = len(sg)
     if curve.closed:
         step = curve.length / n
-        return float(sg[i] - step), float(sg[i] + step)
-    lo = sg[max(i - 1, 0)]
-    hi = sg[min(i + 1, n - 1)]
-    return float(lo), float(hi)
+        return sg[idx] - step, sg[idx] + step
+    return sg[np.maximum(idx - 1, 0)], sg[np.minimum(idx + 1, n - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +263,20 @@ def lemma3_roots(a, b, c, residual_tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def _sigma_and_grad(c1, w1, c2, w2, s, t):
-    """sigma(s, t) and its analytic gradient, vectorized over matched arrays."""
-    g1, g2 = c1.point(s), c2.point(t)
-    t1, t2 = c1.tangent(s), c2.tangent(t)
-    m1 = np.asarray(w1.mu(s), dtype=float)
-    m2 = np.asarray(w2.mu(t), dtype=float)
-    dm1 = np.asarray(w1.d1(s), dtype=float)
-    dm2 = np.asarray(w2.d1(t), dtype=float)
+def _feet(curve, weight, s):
+    """(point, tangent, mu, mu') at the feet s: one evaluation per foot array."""
+    return (
+        curve.point(s),
+        curve.tangent(s),
+        np.asarray(weight.mu(s), dtype=float),
+        np.asarray(weight.d1(s), dtype=float),
+    )
+
+
+def _sigma_and_grad(feet1, feet2):
+    """sigma and its analytic gradient from matched foot data (see _feet)."""
+    g1, t1, m1, dm1 = feet1
+    g2, t2, m2, dm2 = feet2
     diff = g1 - g2
     e = np.sum(diff * diff, axis=-1)
     msum = m1 + m2
@@ -292,12 +291,14 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES):
 
     Seeds are discrete local minima of sigma and of |grad sigma| over an
     N x N parameter grid per component pair (same-component grids exclude a
-    diagonal band of arclength width delta_min). Newton uses the analytic
-    gradient with a finite-difference Jacobian; non-converged seeds are
-    dropped, converged ones are deduplicated and verified against the
-    critical-angle law at both feet.
+    diagonal band of arclength width delta_min). Newton runs on all seeds of
+    a component pair at once, with the analytic gradient and a central
+    finite-difference Jacobian; each iteration evaluates the foot arrays s,
+    s +- h, t and t +- h once each and combines them into the five gradients
+    it needs. Non-converged seeds are dropped, converged ones are
+    deduplicated and verified against the critical-angle law at both feet.
     """
-    pairs = _pairs(pairs)
+    pairs = as_pairs(pairs)
     found = []
     for i in range(len(pairs)):
         for j in range(i, len(pairs)):
@@ -312,12 +313,8 @@ def _search_component_pair(pairs, i, j, tol):
     sg1 = c1.grid(n)
     sg2 = c2.grid(n)
     # Broadcast the 1-D grid evaluations into the sigma matrix directly.
-    g1, g2 = c1.point(sg1), c2.point(sg2)
-    t1, t2 = c1.tangent(sg1), c2.tangent(sg2)
-    m1 = np.asarray(w1.mu(sg1), dtype=float)
-    m2 = np.asarray(w2.mu(sg2), dtype=float)
-    dm1 = np.asarray(w1.d1(sg1), dtype=float)
-    dm2 = np.asarray(w2.d1(sg2), dtype=float)
+    g1, t1, m1, dm1 = _feet(c1, w1, sg1)
+    g2, t2, m2, dm2 = _feet(c2, w2, sg2)
     diff = g1[:, None, :] - g2[None, :, :]
     e = np.einsum("ijk,ijk->ij", diff, diff)
     msum = m1[:, None] + m2[None, :]
@@ -348,19 +345,20 @@ def _search_component_pair(pairs, i, j, tol):
     max_step1 = 2.0 * c1.length / n
     max_step2 = 2.0 * c2.length / n
     for _ in range(tol.newton_max_iter):
-        sig, gs, gt = _sigma_and_grad(c1, w1, c2, w2, s, t)
+        at_s, at_t = _feet(c1, w1, s), _feet(c2, w2, t)
+        sig, gs, gt = _sigma_and_grad(at_s, at_t)
         res = np.hypot(gs, gt) / np.maximum(1.0, sig)
         active = alive & (res > 0.1 * tol.tol_dc)
         if not np.any(active):
             break
         s_p, s_m, span1 = _stencil(c1, s, h1)
-        _, gs_p, gt_p = _sigma_and_grad(c1, w1, c2, w2, s_p, t)
-        _, gs_m, gt_m = _sigma_and_grad(c1, w1, c2, w2, s_m, t)
+        _, gs_p, gt_p = _sigma_and_grad(_feet(c1, w1, s_p), at_t)
+        _, gs_m, gt_m = _sigma_and_grad(_feet(c1, w1, s_m), at_t)
         j11 = (gs_p - gs_m) / span1
         j21 = (gt_p - gt_m) / span1
         t_p, t_m, span2 = _stencil(c2, t, h2)
-        _, gs_p, gt_p = _sigma_and_grad(c1, w1, c2, w2, s, t_p)
-        _, gs_m, gt_m = _sigma_and_grad(c1, w1, c2, w2, s, t_m)
+        _, gs_p, gt_p = _sigma_and_grad(at_s, _feet(c2, w2, t_p))
+        _, gs_m, gt_m = _sigma_and_grad(at_s, _feet(c2, w2, t_m))
         j12 = (gs_p - gs_m) / span2
         j22 = (gt_p - gt_m) / span2
         det = j11 * j22 - j12 * j21
@@ -377,7 +375,7 @@ def _search_component_pair(pairs, i, j, tol):
             s = np.clip(s, c1.s_min, c1.s_max)
         if not c2.closed:
             t = np.clip(t, c2.s_min, c2.s_max)
-    sig, gs, gt = _sigma_and_grad(c1, w1, c2, w2, s, t)
+    sig, gs, gt = _sigma_and_grad(_feet(c1, w1, s), _feet(c2, w2, t))
     res = np.hypot(gs, gt) / np.maximum(1.0, sig)
     out = []
     for k in range(len(seeds)):
@@ -496,7 +494,7 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES):
     """Full radii report; the topological radius comes from collapse arcs."""
     from . import singular
 
-    pairs = _pairs(pairs)
+    pairs = as_pairs(pairs)
     focrad0, focradminus, focal_wit = focal_radii(pairs, tol)
     dc_pairs = find_double_critical_pairs(pairs, tol)
     dc = dcsd_half(dc_pairs)

@@ -84,6 +84,7 @@ def parse_scene(doc):
     if not isinstance(weights, list) or len(weights) != len(comps):
         raise SceneError("weights must match components one-to-one")
     toler = DEFAULT_TOLERANCES.with_overrides(doc.get("tolerances", {}) or {})
+    toler.require_grid_budget(dim)
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise SceneError("seed must be an integer")

@@ -26,8 +26,8 @@ from .expmap import (
     make_offset,
     normal_frame,
 )
-from .radii import _bracket, _extrema_indices, _pairs
-from .util import golden_min
+from .radii import _bracket, _extrema_indices
+from .util import as_pairs, golden_min
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
     cross-checks each against the second-derivative criterion at its offset
     (see `_graph_points`).
     """
-    pairs = _pairs(pairs)
+    pairs = as_pairs(pairs)
     out = []
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(tol.singular_samples)
@@ -111,25 +111,35 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
             feet.append(
                 brentq(lambda s: float(_sng_condition(curve, weight, s)), a, b, xtol=1e-14)
             )
-        # Isolated near-zero touching points. The gate allows for the value
-        # a quadratic touching zero attains one grid step away, estimated
-        # from the discrete second difference.
-        absg = np.abs(g)
-        local = _extrema_indices(absg, curve.closed, "min", 64)
-        n_g = len(sg)
-        for k in local:
-            curv_gap = abs(g[(k + 1) % n_g] - 2.0 * g[k] + g[(k - 1) % n_g])
-            if in_flat_run[k] or absg[k] > tol.tol_sng + curv_gap:
-                continue
-            lo, hi = _bracket(curve, sg, k)
-            s_ref, v_ref = golden_min(
-                lambda s: float(np.abs(_sng_condition(curve, weight, s))), lo, hi, tol=1e-13
-            )
-            if v_ref <= tol.tol_sng:
-                feet.append(s_ref)
+        # Isolated near-zero touching points.
+        feet.extend(_touching_zeros(curve, weight, sg, g, tol, skip=in_flat_run))
         if feet:
             out.extend(_graph_points(curve, weight, ci, np.array(feet, dtype=float), ur, tol))
     return _dedup_points(pairs, out, tol)
+
+
+def _touching_zeros(curve, weight, sg, g, tol, skip=None):
+    """Refined near-zero local minima of |g| on the grid sg, in grid order.
+
+    The gate allows for the value a quadratic touching zero attains one grid
+    step away, estimated from the discrete second difference; grid indices
+    marked in `skip` are left out. All gated minima are refined in one
+    golden-section call and kept where |g| <= tol_sng.
+    """
+    absg = np.abs(g)
+    n = len(sg)
+    local = [
+        k for k in _extrema_indices(absg, curve.closed, "min", 64)
+        if not (skip is not None and skip[k])
+        and absg[k] <= tol.tol_sng + abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])
+    ]
+    if not local:
+        return []
+    lo, hi = _bracket(curve, sg, local)
+    s_ref, v_ref = golden_min(
+        lambda s: np.abs(_sng_condition(curve, weight, s)), lo, hi, tol=1e-13
+    )
+    return [float(x) for x in s_ref[v_ref <= tol.tol_sng]]
 
 
 def _runs(mask, periodic):
@@ -285,7 +295,7 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES):
     shorter than ell_min are ignored. Each run is fitted (mean curvature,
     mean height, least-squares phase) and the common image is verified.
     """
-    pairs = _pairs(pairs)
+    pairs = as_pairs(pairs)
     arcs = []
     for ci, (curve, weight) in enumerate(pairs):
         n = tol.singular_samples
@@ -378,7 +388,7 @@ def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
     zeros cannot separate the two radii. Witnesses are (component, s, |g'|)
     rows, with s = None marking a whole flat run.
     """
-    pairs = _pairs(pairs)
+    pairs = as_pairs(pairs)
     witnesses = []
     for ci, (curve, weight) in enumerate(pairs):
         n = tol.singular_samples
@@ -400,16 +410,7 @@ def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
             zeros.append(
                 brentq(lambda s: float(_sng_condition(curve, weight, s)), float(sg[k]), float(b), xtol=1e-14)
             )
-        absg = np.abs(g)
-        for k in _extrema_indices(absg, curve.closed, "min", 64):
-            curv_gap = abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])
-            if absg[k] <= tol.tol_sng + curv_gap:
-                lo, hi = _bracket(curve, sg, k)
-                s_ref, v_ref = golden_min(
-                    lambda s: float(np.abs(_sng_condition(curve, weight, s))), lo, hi, tol=1e-13
-                )
-                if v_ref <= tol.tol_sng:
-                    zeros.append(s_ref)
+        zeros.extend(_touching_zeros(curve, weight, sg, g, tol))
         h = 1e-7 * max(1.0, curve.length / (2 * np.pi))
         for z in zeros:
             if float(curve.curvature(z)) <= curve.kappa_tol:

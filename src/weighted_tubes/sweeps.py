@@ -7,7 +7,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .errors import OutOfWError, WeightedTubesError
 from .expmap import exp_mu, exp_mu_batch, g_potential, make_offsets, normal_frame, w_bound
-from .radii import _pairs, radii_report
+from .radii import radii_report
+from .util import as_pairs
 from .weights import OffsetWeight
 
 
@@ -23,7 +24,7 @@ class SweepRow:
 
 def family_weights(pairs, kind, t):
     """Weights for family parameter t: 'offset' adds t, 'fixed' ignores it."""
-    pairs = _pairs(pairs)
+    pairs = as_pairs(pairs)
     if kind == "offset":
         return [(c, OffsetWeight(w, t)) for c, w in pairs]
     if kind == "fixed":
@@ -85,7 +86,7 @@ def tube_boundary(pairs, R, s_samples=256, dir_samples=16, tol=DEFAULT_TOLERANCE
     array pass. Returns (boundary_rows, overlap_rows), rows being
     (component, s, point, G).
     """
-    pairs = _pairs(pairs)
+    pairs = as_pairs(pairs)
     if R <= 0:
         raise WeightedTubesError("tube height R must be positive")
     band = tol.tube_tol_factor * R * R

@@ -1,40 +1,64 @@
-"""Small numeric helpers: 1-D searches, quadrature nodes, number formatting."""
+"""Small helpers: 1-D searches, quadrature nodes, number formatting, pair lists."""
 
 import numpy as np
+
+
+def as_pairs(pairs):
+    """A list of (curve, weight) pairs from one pair or a list of them."""
+    if isinstance(pairs, (list, tuple)) and pairs and isinstance(pairs[0], (list, tuple)):
+        return list(pairs)
+    return [tuple(pairs)]
+
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_min(f, a, b, tol=1e-12, maxiter=200):
-    """Golden-section minimum of f on [a, b]; returns (x, f(x)).
+    """Row-wise golden-section minima of f over the brackets [a, b].
 
-    Endpoints are included in the final comparison, so boundary minima
-    are reported exactly at the boundary.
+    a and b are arrays of bracket ends (scalars make one row) and f maps an
+    array of abscissae to an array of values. Every row follows the scalar
+    golden-section sequence: a reversed bracket is swapped, the left interior
+    point is kept when f1 <= f2, and a row stops once (b - a) <= tol; all
+    rows share one maxiter. Each iteration calls f once, on the rows still
+    active. The endpoints take part in the final pick over (a, b, x1, x2),
+    which keeps the first value unless a later one is strictly smaller (the
+    rule of Python's min, so ties and nan resolve as in a scalar loop), and
+    boundary minima are reported exactly at the boundary. Returns arrays
+    (x, f(x)).
     """
-    a = float(a)
-    b = float(b)
-    if b < a:
-        a, b = b, a
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = np.where(b < a, b, a), np.where(b < a, a, b)
+    if not len(a):
+        return a, b
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    it = 0
-    while (b - a) > tol and it < maxiter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        it += 1
-    cands = [(a, f(a)), (b, f(b)), (x1, f1), (x2, f2)]
-    return min(cands, key=lambda p: p[1])
+    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2])), dtype=float), 2)
+    active = (b - a) > tol
+    for _ in range(maxiter):
+        k = np.nonzero(active)[0]
+        if not len(k):
+            break
+        left = f1[k] <= f2[k]
+        kl, kr = k[left], k[~left]
+        b[kl], x2[kl], f2[kl] = x2[kl], x1[kl], f1[kl]
+        a[kr], x1[kr], f1[kr] = x1[kr], x2[kr], f2[kr]
+        xn = np.where(left, b[k] - _GOLDEN * (b[k] - a[k]), a[k] + _GOLDEN * (b[k] - a[k]))
+        fn = np.asarray(f(xn), dtype=float)
+        x1[kl], f1[kl] = xn[left], fn[left]
+        x2[kr], f2[kr] = xn[~left], fn[~left]
+        active[k] = (b[k] - a[k]) > tol
+    fa, fb = np.split(np.asarray(f(np.concatenate([a, b])), dtype=float), 2)
+    x, fx = a, fa
+    for xc, fc in ((b, fb), (x1, f1), (x2, f2)):
+        better = fc < fx
+        x, fx = np.where(better, xc, x), np.where(better, fc, fx)
+    return x, fx
 
 
 def golden_max(f, a, b, tol=1e-12, maxiter=200):
-    """Golden-section maximum of f on [a, b]; returns (x, f(x))."""
+    """Row-wise golden-section maxima of f over [a, b]; returns (x, f(x))."""
     x, fx = golden_min(lambda s: -f(s), a, b, tol=tol, maxiter=maxiter)
     return x, -fx
 

@@ -81,6 +81,14 @@ class TestErrors:
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
 
+    def test_oversized_pair_grid_exit_2(self):
+        # 200000^2 x 2 float64 would be 640 GB; the budget check rejects it
+        # before any grid is built.
+        proc = run_cli("report", "--scene", "example4", "--tol-override", "pair_grid=200000",
+                       check=False)
+        assert proc.returncode == 2
+        assert "pair_grid=200000" in proc.stderr and "budget" in proc.stderr
+
     def test_numeric_failure_exit_3(self, tmp_path):
         proc = run_cli(
             "fibers", "--scene", "example1a", "--s-values", "1.0", "--r-max", "100.0",

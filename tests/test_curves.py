@@ -204,3 +204,28 @@ class TestFactories:
         s = np.linspace(-np.pi / 2, np.pi / 2, 21)
         pts = ch.point(s - (-np.pi / 2) + ch.s_min)
         assert np.max(np.abs(pts - arc.point(s))) <= 1e-8
+
+
+class TestArclengthInversionPerFoot:
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            EllipseCurve(2.0, 1.0),
+            FourierCurve(
+                [[0.0, 1.0, 0.0, 0.05, 0.02], [0.0, 0.0, 1.0, -0.03, 0.04], [0.0, 0.0, 0.0, 0.15, 0.1]]
+            ),
+        ],
+        ids=["ellipse", "fourier_3d"],
+    )
+    def test_each_foot_alone_equals_its_batch_value(self, curve):
+        # Each foot stops Newton on its own residual, so no foot depends on
+        # the others evaluated with it. Feet just off the table's knots start
+        # within tolerance but off zero residual, so they need no step when
+        # alone and would move under a step taken for the random feet.
+        rng = np.random.default_rng(5)
+        knots = curve._s_grid[1:-1]
+        near = knots[:: len(knots) // 128] * (1.0 + 1e-13)
+        s = np.concatenate([rng.uniform(0.0, curve.length, 1024 - len(near)), near])
+        batch = curve.t_of_s(s)
+        alone = np.array([curve.t_of_s(np.array([x]))[0] for x in s])
+        np.testing.assert_array_equal(alone, batch)

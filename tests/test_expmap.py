@@ -285,3 +285,23 @@ class TestNormalFrames:
         batch = exp_mu_batch(curve, weight, s, v, R)
         for k in range(8):
             assert np.allclose(batch[k], exp_mu(curve, weight, s[k], v[k], R[k]))
+
+
+class TestScalarMapRows:
+    def test_scalar_map_is_the_batch_row_bit_for_bit(self, scenes):
+        # At this singular-graph foot of example1b, squaring mu' R through
+        # C pow() (a NumPy scalar ** 2) lands one ulp away from the array
+        # square; the scalar map is the one-row batch, so they agree.
+        from weighted_tubes.singular import _graph_height
+
+        curve, weight = scenes["example1b"].pairs[0]
+        s = 0.67428571428571438
+        R = float(_graph_height(curve, weight, s))
+        off = make_offset(curve, weight, s, curve.frame(s).principal_normal, R)
+        x = np.float64(float(weight.d1(s)) * R)
+        assert x**2 != x * x
+        batch = exp_mu_batch(curve, weight, np.array([s]), off.v[None, :], np.array([R]))
+        np.testing.assert_array_equal(exp_mu(curve, weight, s, off.v, R), batch[0])
+        heights = np.array([0.25 * R, 0.5 * R, R])
+        rows = exp_mu_batch(curve, weight, np.full(3, s), np.tile(off.v, (3, 1)), heights)
+        np.testing.assert_array_equal(exp_mu(curve, weight, s, off.v, heights), rows)

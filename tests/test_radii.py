@@ -17,6 +17,7 @@ from weighted_tubes import (
     radii_report,
 )
 from weighted_tubes.config import DEFAULT_TOLERANCES
+from weighted_tubes.weights import FourierWeight
 
 
 def scan_roots(a, b, c, n=1_000_000, t_hi=None):
@@ -273,3 +274,91 @@ class TestReports:
             assert rep.lr == min(rep.dcsd_half, rep.focrad0)
             assert rep.ur == min(rep.dcsd_half, rep.focradminus)
             assert rep.dir == rep.lr and rep.air == rep.ur
+
+
+# Values computed by the scalar golden-section refinement and the pair
+# search before they were batched; the batched code must reproduce them.
+# focal_radii per bundled scene: (focrad0, focradminus, focrad0 witness
+# (component, s, value), focradminus witness), 17 digits.
+FOCAL_PINS = {
+    "circle_mu1": (1.0, 1.0, (0, 0.0, 1.0), (0, 0.0, 1.0)),
+    "ellipse_mu1": (0.5, 0.5, (0, 0.0, 0.5), (0, 0.0, 0.5)),
+    "example1a": (2.0, 2.8284271247461903, (0, -1.5707963267948966, 2.0), (0, -1.5707963267948966, 2.8284271247461903)),
+    "example1b": (2.0, 3.5420643933754508, (0, -1.2, 2.0), (0, -1.2, 3.5420643933754508)),
+    "example2_stadium": (2.0, 4.140313876743611, (0, 0.0, 2.0), (0, 2.131129589929578, 4.140313876743611)),
+    "example3_family": (2.0, 4.140313876743611, (0, 0.0, 2.0), (0, 2.131129589929578, 4.140313876743611)),
+    "example4": (2.0, 4.0, (0, -1.0536623757080799e-08, 2.0), (0, -1.0, 4.0)),
+    "example6_family": (2.0, 4.0, (0, -1.0536623757080799e-08, 2.0), (0, -1.0, 4.0)),
+}
+STADIUM_PAIRS = (  # (s1, s2, ratio)
+    (0.0, 64.54003177342173, 33.50279546973922),
+    (15.631682785001745, 79.87946054797717, 79.17414234541558),
+    (20.061471027790684, 84.30924879082461, 79.17414234541558),
+    (20.459714929497984, 84.70749269255981, 79.17414234541558),
+    (22.690476440498113, 86.93825420346617, 79.17414234541558),
+    (23.656020794857433, 87.90379855783657, 79.17414234541558),
+    (25.62189941340677, 89.86967717634592, 79.17414234541558),
+    (26.65192415260038, 90.89970191558668, 79.17414234541558),
+    (26.805384631193185, 91.0531623940894, 79.17414234541558),
+    (28.154434807541925, 92.40221257060341, 79.17414234541558),
+    (29.855013318245437, 94.1027910811947, 79.17414234541558),
+    (30.130036739446883, 94.37781450262891, 79.17414234541558),
+    (32.189091303822124, 96.43686906667902, 79.17414234541558),
+    (33.11492926671147, 97.36270702962834, 79.17414234541558),
+    (35.59821487292615, 99.84599263596596, 79.17414234541558),
+    (36.68904214935565, 100.93681991258875, 79.17414234541558),
+    (38.178302913483776, 102.42608067647006, 79.17414234541558),
+    (41.176431894107175, 105.4242096570787, 79.17414234541558),
+    (42.83169503119488, 107.07947279311416, 79.17414234541558),
+    (43.972568871698726, 108.22034663466847, 79.17414234541558),
+    (45.886515454301865, 110.13429321727628, 79.17414234541558),
+    (46.172490017764495, 110.42026778076341, 79.17414234541558),
+    (51.72056670835395, 115.96834447134113, 79.17414234541558),
+    (56.262293655567355, 120.51007141857454, 79.17414234541558),
+    (13.110691906357111, 77.3584696693744, 79.17414234541559),
+    (14.116472778007402, 78.36425054097924, 79.17414234541559),
+    (17.7551930125386, 82.00297077550852, 79.17414234541559),
+    (18.442169095776347, 82.6899468587373, 79.17414234541559),
+    (24.08563898952296, 88.33341675247978, 79.17414234541559),
+    (40.78125355414173, 105.02903131714207, 79.17414234541559),
+    (48.62159636078551, 112.86937412377065, 79.17414234541559),
+    (49.200007400677805, 113.44778516366651, 79.17414234541559),
+    (50.716457702168114, 114.96423546511438, 79.17414234541559),
+    (57.33395685487286, 121.58173461784746, 79.1741423454162),
+    (7.49797743112588, 71.7457551941005, 79.17414234541715),
+    (6.902082957824493, 71.14999200224872, 79.18509467691345),
+    (57.93007154459472, 122.17798058901897, 79.18509467691345),
+)
+ELLIPSE_MU1_PAIRS = (  # (s1, s2, ratio)
+    (2.422112055136919, 7.266336165410756, 1.0),
+    (0.0, 4.844224110273838, 2.0),
+)
+
+
+class TestPinnedRefinement:
+    @pytest.mark.parametrize("name", sorted(FOCAL_PINS))
+    def test_focal_radii_and_witnesses(self, scenes, name):
+        scene = scenes[name]
+        f0, fm, wit = focal_radii(scene.pairs, scene.tolerances)
+        got = [(w.component, w.s, w.value) for w in (wit["focrad0"], wit["focradminus"])]
+        assert (f0, fm, *got) == FOCAL_PINS[name]
+
+    @pytest.mark.parametrize("lift, expected", [
+        (None, (0.8917639782626274, 4.38593406057843)),
+        ([0.0, 0.0, 0.0, 0.12, 0.05], (0.8368238170713791, 0.21003493140273505)),
+    ])
+    def test_focal_radii_refined_minimum_on_fourier_curves(self, lift, expected):
+        coeffs = [[0.0, 1.0, 0.0, 0.01, 0.005], [0.0, 0.0, 1.0, 0.004, -0.008]]
+        curve = FourierCurve(coeffs + ([lift] if lift else []))
+        weight = FourierWeight([1.0, 0.05, 0.03, 0.02, -0.01], period=curve.length)
+        f0, fm, wit = focal_radii([(curve, weight)])
+        assert (f0, wit["focrad0"].s) == expected
+        assert (fm, wit["focradminus"].s) == expected
+
+    @pytest.mark.parametrize("name, expected", [
+        ("example2_stadium", STADIUM_PAIRS), ("ellipse_mu1", ELLIPSE_MU1_PAIRS),
+    ])
+    def test_double_critical_pairs(self, scenes, name, expected):
+        scene = scenes[name]
+        found = find_double_critical_pairs(scene.pairs, scene.tolerances)
+        assert [(p.s1, p.s2, p.ratio) for p in found] == list(expected)

@@ -88,6 +88,18 @@ class TestValidation:
         with pytest.raises(SceneError):
             parse_scene(doc)
 
+    @pytest.mark.parametrize("dim, largest", [(2, 8192), (3, 6688)])
+    def test_pair_grid_memory_budget(self, dim, largest):
+        # One N x N x ambient_dim float64 array may take at most 1 GiB.
+        doc = minimal_doc()
+        doc["ambient_dim"] = dim
+        doc["components"][0]["params"]["ambient_dim"] = dim
+        doc["tolerances"] = {"pair_grid": largest}
+        assert parse_scene(doc).tolerances.pair_grid == largest
+        doc["tolerances"] = {"pair_grid": largest + 1}
+        with pytest.raises(SceneError, match="budget"):
+            parse_scene(doc)
+
     def test_mismatched_weights(self):
         doc = minimal_doc()
         doc["weights"] = []

@@ -1,0 +1,142 @@
+import numpy as np
+import pytest
+
+from weighted_tubes.util import golden_max, golden_min
+
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_golden_min(f, a, b, tol=1e-12, maxiter=200):
+    """One-bracket golden-section oracle; returns (x, f(x), iterations)."""
+    a = float(a)
+    b = float(b)
+    if b < a:
+        a, b = b, a
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    it = 0
+    while (b - a) > tol and it < maxiter:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = f(x2)
+        it += 1
+    cands = [(a, f(a)), (b, f(b)), (x1, f1), (x2, f2)]
+    x, fx = min(cands, key=lambda p: p[1])
+    return x, fx, it
+
+
+def double_well(x):
+    # Products only: `** 2` on a Python float goes through C pow(), which
+    # can round differently from the array path's square.
+    y = x * x - 1.0
+    return y * y + 0.3 * x
+
+
+def plateaus(x):
+    # Piecewise constant: f1 == f2 whenever both points share a step.
+    return np.floor(np.asarray(x) * 4.0) / 4.0 + 0.0 * x
+
+
+def monotone(x):
+    return 3.0 * x + 1.0
+
+
+def holes(x):
+    # A minimum at 0.2 and nan above 0.5.
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0.5, np.nan, (x - 0.2) ** 2)
+
+
+def cliff(x):
+    # Decreasing up to a nan wall at x = 1.
+    x = np.asarray(x, dtype=float)
+    return np.where(x >= 1.0, np.nan, -x)
+
+
+def counted(f):
+    sizes = []
+
+    def g(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return g, sizes
+
+
+def random_brackets(rng, m):
+    a = rng.uniform(-2.0, 2.0, m)
+    width = 10.0 ** rng.uniform(-13.0, 0.5, m)
+    b = a + width
+    flip = rng.random(m) < 0.3  # reversed brackets
+    return np.where(flip, b, a), np.where(flip, a, b)
+
+
+@pytest.mark.parametrize("f", [double_well, plateaus, monotone, holes, cliff])
+@pytest.mark.parametrize("tol, maxiter", [(1e-12, 200), (1e-6, 200), (1e-14, 7)])
+def test_rows_follow_the_scalar_sequence(f, tol, maxiter):
+    rng = np.random.default_rng(7)
+    a, b = random_brackets(rng, 200)
+    g, sizes = counted(f)
+    with np.errstate(invalid="ignore"):
+        x, fx = golden_min(g, a, b, tol=tol, maxiter=maxiter)
+        oracle = [scalar_golden_min(f, ai, bi, tol=tol, maxiter=maxiter) for ai, bi in zip(a, b)]
+    np.testing.assert_array_equal(x, [o[0] for o in oracle])
+    np.testing.assert_array_equal(fx, [o[1] for o in oracle])
+    # One call for the start, one per iteration on the active rows, one for
+    # the endpoints.
+    iters = np.array([o[2] for o in oracle])
+    assert len(set(iters)) > 1 or maxiter == 7
+    assert sizes[0] == sizes[-1] == 2 * len(a)
+    assert len(sizes) == int(iters.max()) + 2
+    assert sizes[1:-1] == [int(np.sum(iters > k)) for k in range(int(iters.max()))]
+
+
+def test_endpoint_minimum_is_the_boundary():
+    x, fx = golden_min(monotone, [-1.0, 2.0], [1.0, 0.5])
+    assert x.tolist() == [-1.0, 0.5]
+    assert fx.tolist() == [monotone(-1.0), monotone(0.5)]
+
+
+def test_ties_keep_the_first_candidate():
+    # On a plateau every candidate ties, so the left end a wins as in min().
+    x, fx = golden_min(lambda s: np.zeros_like(s), [0.0, 3.0], [1.0, 2.0])
+    assert x.tolist() == [0.0, 2.0]
+    assert fx.tolist() == [0.0, 0.0]
+
+
+def test_nan_candidates_resolve_like_python_min():
+    # tol above every width: no iteration, so the final pick alone decides.
+    # Row 0 has f(b) nan after a finite f(a) (np.argmin would return b),
+    # row 1 is nan throughout (a is kept), row 2 is nan at b and x2 only.
+    a, b = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 2.0])
+    with np.errstate(invalid="ignore"):
+        x, fx = golden_min(cliff, a, b, tol=10.0)
+        oracle = [scalar_golden_min(cliff, ai, bi, tol=10.0) for ai, bi in zip(a, b)]
+    np.testing.assert_array_equal(x, [o[0] for o in oracle])
+    np.testing.assert_array_equal(fx, [o[1] for o in oracle])
+    assert np.isfinite(fx[0]) and x[1] == 1.0
+
+
+def test_scalar_brackets_give_one_row_and_empty_brackets_none():
+    x, fx = golden_min(double_well, -1.5, 0.0)
+    ox, ofx, _ = scalar_golden_min(double_well, -1.5, 0.0)
+    assert x.shape == fx.shape == (1,)
+    assert (x[0], fx[0]) == (ox, ofx)
+    calls = []
+    x, fx = golden_min(lambda s: calls.append(s), [], [])
+    assert x.shape == fx.shape == (0,) and not calls
+
+
+def test_golden_max_rows():
+    rng = np.random.default_rng(3)
+    a, b = random_brackets(rng, 50)
+    x, fx = golden_max(double_well, a, b, tol=1e-13)
+    for k in range(len(a)):
+        ox, ofx, _ = scalar_golden_min(lambda s: -double_well(s), a[k], b[k], tol=1e-13)
+        assert (x[k], fx[k]) == (ox, -ofx)
