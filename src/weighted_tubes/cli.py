@@ -10,7 +10,6 @@ identical bytes.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -186,17 +185,7 @@ def cmd_sweep(args):
         family = fam_scene.family_kind if fam_scene else args.family
     if family is None:
         raise SceneError("scene defines no family; pass --family offset|fixed")
-    grid = _t_grid(args)
-    threads = max(1, args.threads)
-
-    def row(t):
-        return sweeps.radii_sweep(scene.pairs, family, [t], scene.tolerances)[0]
-
-    if threads == 1:
-        rows = [row(t) for t in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, grid))
+    rows = sweeps.radii_sweep(scene.pairs, family, _t_grid(args), scene.tolerances)
     table = [
         (r.t, r.dir, r.tir, r.air, r.collapse_count, r.status) for r in rows
     ]
@@ -361,7 +350,8 @@ def build_parser():
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--tol-override", action="append", metavar="KEY=VALUE",
                        help="override a named tolerance (repeatable)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; output does not depend on it")
         p.add_argument("--format", choices=("json", "csv", "svg"), default=None)
 
     p = sub.add_parser("report", help="radii report (JSON + table on stderr)")

@@ -273,6 +273,10 @@ class _RawCurve(ArclengthCurve):
         return prev, False
 
     def _raw(self, t, order):
+        return self._raw_orders(t, (order,))[0]
+
+    def _raw_orders(self, t, orders):
+        """Raw-parameter derivatives of the given orders at t, one array each."""
         raise NotImplementedError
 
     def _s_of_t(self, t):
@@ -316,20 +320,20 @@ class _RawCurve(ArclengthCurve):
 
     def _eval(self, s, order):
         t = self._t_cached(s)
-        g1 = self._raw(t, 1)
-        speed = np.linalg.norm(g1, axis=-1)
-        inv = 1.0 / speed
         if order == 0:
             return self._raw(t, 0)
+        g1, *higher = self._raw_orders(t, range(1, min(order, 3) + 1))
+        speed = np.linalg.norm(g1, axis=-1)
+        inv = 1.0 / speed
         if order == 1:
             return g1 * inv[..., None]
-        g2 = self._raw(t, 2)
+        g2 = higher[0]
         sp1 = np.sum(g1 * g2, axis=-1) * inv  # d(speed)/dt
         t1 = inv
         t2 = -sp1 * inv**3
         if order == 2:
             return g2 * (t1**2)[..., None] + g1 * t2[..., None]
-        g3 = self._raw(t, 3)
+        g3 = higher[1]
         sp2 = (np.sum(g2 * g2, axis=-1) + np.sum(g1 * g3, axis=-1)) * inv - sp1**2 * inv
         t3 = (-sp2 * inv**4 + 3.0 * sp1**2 * inv**5)
         if order == 3:
@@ -365,30 +369,37 @@ class FourierCurve(_RawCurve):
         s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), self.length)
         return super().t_of_s(s)
 
-    def _raw(self, t, order):
+    def _raw_orders(self, t, orders):
+        # One cos/sin pass per mode, shared by every coordinate and order.
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t.shape + (len(self._coeffs),))
-        for i, c in enumerate(self._coeffs):
-            kmax = (c.size - 1) // 2
-            acc = np.zeros_like(t)
-            if order == 0:
-                acc += c[0]
-            for k in range(1, kmax + 1):
-                ak, bk = c[2 * k - 1], c[2 * k]
-                w = k * self._omega
-                ph = w * t
-                fac = w**order
-                # d/dt rotates (cos, sin) a quarter period per order.
-                if order % 4 == 0:
-                    acc += fac * (ak * np.cos(ph) + bk * np.sin(ph))
-                elif order % 4 == 1:
-                    acc += fac * (-ak * np.sin(ph) + bk * np.cos(ph))
-                elif order % 4 == 2:
-                    acc += fac * (-ak * np.cos(ph) - bk * np.sin(ph))
-                else:
-                    acc += fac * (ak * np.sin(ph) - bk * np.cos(ph))
-            out[..., i] = acc
-        return out
+        kmax = max((c.size - 1) // 2 for c in self._coeffs)
+        trig = []
+        for k in range(1, kmax + 1):
+            ph = (k * self._omega) * t
+            trig.append((np.cos(ph), np.sin(ph)))
+        outs = []
+        for order in orders:
+            out = np.zeros(t.shape + (len(self._coeffs),))
+            for i, c in enumerate(self._coeffs):
+                acc = np.zeros_like(t)
+                if order == 0:
+                    acc += c[0]
+                for k in range(1, (c.size - 1) // 2 + 1):
+                    ak, bk = c[2 * k - 1], c[2 * k]
+                    cos, sin = trig[k - 1]
+                    fac = (k * self._omega) ** order
+                    # d/dt rotates (cos, sin) a quarter period per order.
+                    if order % 4 == 0:
+                        acc += fac * (ak * cos + bk * sin)
+                    elif order % 4 == 1:
+                        acc += fac * (-ak * sin + bk * cos)
+                    elif order % 4 == 2:
+                        acc += fac * (-ak * cos - bk * sin)
+                    else:
+                        acc += fac * (ak * sin - bk * cos)
+                out[..., i] = acc
+            outs.append(out)
+        return outs
 
 
 class ChebyshevCurve(_RawCurve):
@@ -407,12 +418,15 @@ class ChebyshevCurve(_RawCurve):
         self._derivs = [[p.deriv(m) for m in range(1, 4)] for p in self._series]
         super().__init__(False, dom, tol=tol, table_n=table_n)
 
-    def _raw(self, t, order):
+    def _raw_orders(self, t, orders):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t.shape + (len(self._series),))
-        for i, p in enumerate(self._series):
-            out[..., i] = p(t) if order == 0 else self._derivs[i][order - 1](t)
-        return out
+        outs = []
+        for order in orders:
+            out = np.zeros(t.shape + (len(self._series),))
+            for i, p in enumerate(self._series):
+                out[..., i] = p(t) if order == 0 else self._derivs[i][order - 1](t)
+            outs.append(out)
+        return outs
 
 
 class EllipseCurve(FourierCurve):

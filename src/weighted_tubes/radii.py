@@ -15,7 +15,7 @@ derived radii are mins of these, and the ordering dir <= tir <= air is
 enforced on every report.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .config import DEFAULT_TOLERANCES
 from .curves import ABSENT
 from .errors import NumericError
 from .util import as_pairs, golden_max, golden_min
+from .weights import OffsetWeight
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,10 @@ class DoubleCriticalPair:
     midpoint: np.ndarray
     residual: float
     angle_residuals: tuple
+    # The weight offset t the pair was found for (0 for the weights as
+    # given). It groups a batched search by t; it is not part of the pair's
+    # value, so it takes no part in comparison or repr.
+    offset: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,23 @@ class RadiiReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _abc(curve, weight, s):
-    kap = np.asarray(curve.curvature(s), dtype=float)
-    mu = np.asarray(weight.mu(s), dtype=float)
-    d1 = np.asarray(weight.d1(s), dtype=float)
-    d2 = np.asarray(weight.d2(s), dtype=float)
+def _focal_jets(curve, weight, s):
+    """(kappa, mu, mu', mu'') at the feet s."""
+    return (
+        np.asarray(curve.curvature(s), dtype=float),
+        np.asarray(weight.mu(s), dtype=float),
+        np.asarray(weight.d1(s), dtype=float),
+        np.asarray(weight.d2(s), dtype=float),
+    )
+
+
+def _abc(curve, weight, s, t=0.0):
+    """(a, b, c, disc, lam) at the feet s for the weight mu + t."""
+    kap, mu, d1, d2 = _focal_jets(curve, weight, s)
+    return _focal_terms(kap, mu + t, d1, d2)
+
+
+def _focal_terms(kap, mu, d1, d2):
     a = kap * mu
     b = np.abs(d1)
     c = 2.0 * (d1**2 + mu * d2)
@@ -137,7 +154,7 @@ def delta_lambda(curve, weight, s, tol=DEFAULT_TOLERANCES):
     ]
 
 
-def focal_radii(pairs, tol=DEFAULT_TOLERANCES):
+def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     """Global focal radii over all components.
 
     Dense profiles plus golden-section refinement, per component one
@@ -149,26 +166,33 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES):
     candidates are its grid minimum, its refined minima, the refined
     discriminant maxima its band admits and the slope maxima, in that
     order; the first smallest one is the witness.
+
+    With offsets, the radii of the weights mu + t for every t, as a list of
+    (focrad0, focradminus, witnesses): the curve and weight jets on the grid
+    are evaluated once, the bracket rows of every t share each refinement
+    call (each row carrying its t and band), and the slope maxima, which do
+    not depend on t, are refined once.
     """
     pairs = as_pairs(pairs)
-    best = [(np.inf, None), (np.inf, None)]  # closed band, open band
+    ts = _offset_array(offsets)
+    best = [[(np.inf, None), (np.inf, None)] for _ in ts]  # closed band, open band
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(tol.focal_samples)
-        a, b, c, disc, lam = _abc(curve, weight, sg)
-        band = _band(np.max(a**2), tol)
-        r0, rm = _radius_profiles(b, disc, lam, band)
+        kap, mu, d1, d2 = _focal_jets(curve, weight, sg)
+        a, b, _, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
+        band = np.array([_band(np.max(row**2), tol) for row in a])
+        r0, rm = _radius_profiles(b, disc, lam, band[:, None])
 
-        def radius(s, which):
-            _, bb, _, dd, ll = _abc(curve, weight, s)
-            return _radius_profiles(bb, dd, ll, band)[which]
+        def radius(s, t, bd, which):
+            _, bb, _, dd, ll = _abc(curve, weight, s, t)
+            return _radius_profiles(bb, dd, ll, bd)[which]
 
         # Isolated touching zeros of the discriminant.
+        lo, hi, rd = _bracket_rows(curve, sg, [_extrema_indices(d, curve.closed, "max", 8) for d in disc])
         s_d, d_val = golden_max(
-            lambda s: _abc(curve, weight, s)[3],
-            *_bracket(curve, sg, _extrema_indices(disc, curve.closed, "max", 8)),
-            tol=1e-13,
+            lambda s, t: _abc(curve, weight, s, t)[3], lo, hi, tol=1e-13, args=(ts[rd],)
         )
-        lam_d = _abc(curve, weight, s_d)[4]
+        lam_d = _abc(curve, weight, s_d, ts[rd])[4]
         # Slope maxima (the max |mu'|^2 term applies unconditionally).
         s_b, b_val = golden_max(
             lambda s: np.abs(weight.d1(s)),
@@ -176,26 +200,55 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES):
             tol=1e-13,
         )
         slope = [(1.0 / float(v), float(x)) for v, x in zip(b_val, s_b) if v > 0]
-        for which, profile, in_band in ((0, r0, d_val >= -band), (1, rm, d_val > band)):
-            i_min = int(np.argmin(profile))
-            idx = [i_min] + _extrema_indices(profile, curve.closed, "min", 8)
-            s_ref, v_ref = golden_min(
-                lambda s: radius(s, which), *_bracket(curve, sg, idx), tol=1e-12
+        disc_rows = _split_rows(rd, len(ts), s_d, d_val, lam_d)
+        for which, profile in ((0, r0), (1, rm)):
+            i_min = [int(np.argmin(p)) for p in profile]
+            lo, hi, rp = _bracket_rows(
+                curve, sg,
+                [[i] + _extrema_indices(p, curve.closed, "min", 8) for i, p in zip(i_min, profile)],
             )
-            cands = [(float(profile[i_min]), float(sg[i_min]))]
-            cands += [(float(v), float(x)) for v, x in zip(v_ref, s_ref)]
-            cands += [
-                (float(1.0 / np.sqrt(lv)), float(x))
-                for ok, lv, x in zip(in_band, lam_d, s_d)
-                if ok and lv > 0
-            ]
-            cands += slope
-            v_best, s_best = min(cands, key=lambda t: t[0])
-            if v_best < best[which][0]:
-                best[which] = (v_best, FocalWitness(ci, s_best, v_best))
-    focrad0 = best[0][0]
-    focradminus = max(best[1][0], focrad0)  # the open band can only be larger
-    return focrad0, focradminus, {"focrad0": best[0][1], "focradminus": best[1][1]}
+            s_ref, v_ref = golden_min(
+                lambda s, t, bd, which=which: radius(s, t, bd, which),
+                lo, hi, tol=1e-12, args=(ts[rp], band[rp]),
+            )
+            ref_rows = _split_rows(rp, len(ts), s_ref, v_ref)
+            for k, ((xs, vs), (xd, dv, ld)) in enumerate(zip(ref_rows, disc_rows)):
+                in_band = dv >= -band[k] if which == 0 else dv > band[k]
+                cands = [(float(profile[k, i_min[k]]), float(sg[i_min[k]]))]
+                cands += [(float(v), float(x)) for v, x in zip(vs, xs)]
+                cands += [
+                    (float(1.0 / np.sqrt(lv)), float(x))
+                    for ok, lv, x in zip(in_band, ld, xd)
+                    if ok and lv > 0
+                ]
+                cands += slope
+                v_best, s_best = min(cands, key=lambda c: c[0])
+                if v_best < best[k][which][0]:
+                    best[k][which] = (v_best, FocalWitness(ci, s_best, v_best))
+    out = []
+    for (f0, w0), (fm, wm) in best:
+        # the open band can only be larger
+        out.append((f0, max(fm, f0), {"focrad0": w0, "focradminus": wm}))
+    return out[0] if offsets is None else out
+
+
+def _offset_array(offsets):
+    """The weight offsets as a 1-D float array; None means the weights as given."""
+    return np.atleast_1d(np.asarray(0.0 if offsets is None else offsets, dtype=float))
+
+
+def _bracket_rows(curve, sg, index_lists):
+    """Brackets around the grid indices of every row, stacked in row order,
+    and the row number of each bracket."""
+    idx = np.concatenate([np.asarray(i, dtype=int) for i in index_lists])
+    row = np.repeat(np.arange(len(index_lists)), [len(i) for i in index_lists])
+    return (*_bracket(curve, sg, idx), row)
+
+
+def _split_rows(row, n_rows, *arrays):
+    """Per row number in range(n_rows), the slices of arrays stacked in row order."""
+    cuts = np.searchsorted(row, np.arange(1, n_rows))
+    return list(zip(*(np.split(a, cuts) for a in arrays)))
 
 
 def _bracket(curve, sg, idx):
@@ -263,14 +316,22 @@ def lemma3_roots(a, b, c, residual_tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def _feet(curve, weight, s):
-    """(point, tangent, mu, mu') at the feet s: one evaluation per foot array."""
+def _feet(curve, weight, s, t=0.0):
+    """(point, tangent, mu + t, mu') at the feet s: one evaluation per foot array."""
     return (
         curve.point(s),
         curve.tangent(s),
-        np.asarray(weight.mu(s), dtype=float),
+        np.asarray(weight.mu(s), dtype=float) + t,
         np.asarray(weight.d1(s), dtype=float),
     )
+
+
+def _feet_rows(curve, weight, arrays, t):
+    """_feet of several equal-length foot arrays, all with offsets t, from
+    one evaluation of their concatenation; one tuple per array."""
+    n = len(arrays[0])
+    feet = _feet(curve, weight, np.concatenate(arrays), np.tile(t, len(arrays)))
+    return [tuple(x[k * n:(k + 1) * n] for x in feet) for k in range(len(arrays))]
 
 
 def _sigma_and_grad(feet1, feet2):
@@ -286,7 +347,7 @@ def _sigma_and_grad(feet1, feet2):
     return sigma, ds, dt
 
 
-def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES):
+def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     """Grid-seeded damped Newton search for critical pairs of sigma.
 
     Seeds are discrete local minima of sigma and of |grad sigma| over an
@@ -297,94 +358,139 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES):
     s +- h, t and t +- h once each and combines them into the five gradients
     it needs. Non-converged seeds are dropped, converged ones are
     deduplicated and verified against the critical-angle law at both feet.
+
+    With offsets (distinct values), the pairs of the weights mu + t for
+    every t, grouped by t in the order given and tagged with it
+    (`pair.offset`): the grid geometry is shared, and one Newton runs over
+    the seeds of every t.
     """
     pairs = as_pairs(pairs)
-    found = []
+    ts = _offset_array(offsets)
+    found = [[] for _ in ts]
     for i in range(len(pairs)):
         for j in range(i, len(pairs)):
-            found.extend(_search_component_pair(pairs, i, j, tol))
-    return _dedup_pairs(pairs, found, tol)
+            for group, cands in zip(found, _search_component_pair(pairs, i, j, ts, tol)):
+                group.extend(cands)
+    return [p for cands in found for p in _dedup_pairs(pairs, cands, tol)]
 
 
-def _search_component_pair(pairs, i, j, tol):
+def _search_component_pair(pairs, i, j, ts, tol):
+    """Verified critical pairs of components i and j, one list per offset in ts."""
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
     n = tol.pair_grid
     sg1 = c1.grid(n)
     sg2 = c2.grid(n)
-    # Broadcast the 1-D grid evaluations into the sigma matrix directly.
+    # Broadcast the 1-D grid evaluations into the sigma matrix directly; the
+    # geometry is shared by every offset, and only the N x N arrays of one
+    # offset are alive at a time.
     g1, t1, m1, dm1 = _feet(c1, w1, sg1)
     g2, t2, m2, dm2 = _feet(c2, w2, sg2)
     diff = g1[:, None, :] - g2[None, :, :]
     e = np.einsum("ijk,ijk->ij", diff, diff)
-    msum = m1[:, None] + m2[None, :]
-    sigma = e / msum**2
-    ds = (2.0 * np.einsum("ijk,ik->ij", diff, t1) - 2.0 * e * dm1[:, None] / msum) / msum**2
-    dt = (-2.0 * np.einsum("ijk,jk->ij", diff, t2) - 2.0 * e * dm2[None, :] / msum) / msum**2
-    gnorm = np.hypot(ds, dt)
-    S, T = np.meshgrid(sg1, sg2, indexing="ij")
-    same = i == j
-    if same:
-        dmin = tol.delta_min_factor * c1.length
-        band = c1.periodic_distance(S, T) < dmin
-        sigma = np.where(band, np.inf, sigma)
-        gnorm = np.where(band, np.inf, gnorm)
-    seeds = set()
-    for mat in (sigma, gnorm):
-        mlocal = _grid_local_minima(mat, c1.closed, c2.closed)
-        for a, b in mlocal:
-            seeds.add((float(S[a, b]), float(T[a, b])))
-    if not seeds:
-        return []
-    seeds = np.array(sorted(seeds))
-    s = seeds[:, 0].copy()
-    t = seeds[:, 1].copy()
-    alive = np.ones(len(seeds), dtype=bool)
+    dot1 = 2.0 * np.einsum("ijk,ik->ij", diff, t1)
+    dot2 = -2.0 * np.einsum("ijk,jk->ij", diff, t2)
+    band = None
+    if i == j:
+        S, T = np.meshgrid(sg1, sg2, indexing="ij")
+        band = c1.periodic_distance(S, T) < tol.delta_min_factor * c1.length
+    seeds = []
+    for off in ts:
+        msum = (m1 + off)[:, None] + (m2 + off)[None, :]
+        sigma = e / msum**2
+        ds = (dot1 - 2.0 * e * dm1[:, None] / msum) / msum**2
+        dt = (dot2 - 2.0 * e * dm2[None, :] / msum) / msum**2
+        gnorm = np.hypot(ds, dt)
+        if band is not None:
+            sigma = np.where(band, np.inf, sigma)
+            gnorm = np.where(band, np.inf, gnorm)
+        found = set()
+        for mat in (sigma, gnorm):
+            for a, b in _grid_local_minima(mat, c1.closed, c2.closed):
+                found.add((float(sg1[a]), float(sg2[b])))
+        seeds.append(sorted(found))
+    grp = np.repeat(np.arange(len(ts)), [len(x) for x in seeds])
+    s, t, res, alive = _newton(c1, w1, c2, w2, seeds, grp, ts, tol)
+    out = [[] for _ in ts]
+    for k in np.nonzero(alive & ~(res > tol.tol_dc))[0]:
+        off = float(ts[grp[k]])
+        shifted = [(c, OffsetWeight(w, off)) for c, w in pairs]
+        cand = _verify_pair(shifted, i, j, float(s[k]), float(t[k]), float(res[k]), tol)
+        if cand is not None:
+            out[grp[k]].append(replace(cand, offset=off))
+    return out
+
+
+def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
+    """Damped Newton over every (offset, seed) row; row k belongs to group
+    grp[k] and carries the offset ts[grp[k]].
+
+    Each group follows the sequence of a search for its offset alone: it
+    stops on the first pass where none of its seeds is active, and on each
+    pass it continues, a seed whose Jacobian determinant is below 1e-300 is
+    dropped. Only live rows (active on the previous pass) are evaluated: a
+    seed that stops never moves again, so its residual stays valid and its
+    determinant, checked on the pass where it stops, never changes.
+    Returns the final (s, t, residual, alive) of every row.
+    """
+    rows = np.array([x for group in seeds for x in group], dtype=float).reshape(-1, 2)
+    s = rows[:, 0].copy()
+    t = rows[:, 1].copy()
+    off = ts[grp]
+    res = np.empty(len(rows))
+    alive = np.ones(len(rows), dtype=bool)
+    live = np.arange(len(rows))
+    n = tol.pair_grid
     h1 = 1e-6 * c1.length
     h2 = 1e-6 * c2.length
     max_step1 = 2.0 * c1.length / n
     max_step2 = 2.0 * c2.length / n
-    for _ in range(tol.newton_max_iter):
-        at_s, at_t = _feet(c1, w1, s), _feet(c2, w2, t)
-        sig, gs, gt = _sigma_and_grad(at_s, at_t)
-        res = np.hypot(gs, gt) / np.maximum(1.0, sig)
-        active = alive & (res > 0.1 * tol.tol_dc)
-        if not np.any(active):
+    for it in range(tol.newton_max_iter + 1):
+        if not len(live):
             break
-        s_p, s_m, span1 = _stencil(c1, s, h1)
-        _, gs_p, gt_p = _sigma_and_grad(_feet(c1, w1, s_p), at_t)
-        _, gs_m, gt_m = _sigma_and_grad(_feet(c1, w1, s_m), at_t)
+        # The feet s, s +- h (and t, t +- h) of the live rows in one
+        # evaluation each; only the rows that take a step use the stencils.
+        s_p, s_m, span1 = _stencil(c1, s[live], h1)
+        t_p, t_m, span2 = _stencil(c2, t[live], h2)
+        at_s, at_sp, at_sm = _feet_rows(c1, w1, (s[live], s_p, s_m), off[live])
+        at_t, at_tp, at_tm = _feet_rows(c2, w2, (t[live], t_p, t_m), off[live])
+        sig, gs, gt = _sigma_and_grad(at_s, at_t)
+        res[live] = np.hypot(gs, gt) / np.maximum(1.0, sig)
+        if it == tol.newton_max_iter:
+            break
+        active = alive[live] & (res[live] > 0.1 * tol.tol_dc)
+        running = np.zeros(len(ts), dtype=bool)
+        running[grp[live[active]]] = True
+        jac = alive[live] & running[grp[live]]
+        kj = live[jac]
+        at_s, at_sp, at_sm, at_t, at_tp, at_tm = (
+            tuple(x[jac] for x in feet) for feet in (at_s, at_sp, at_sm, at_t, at_tp, at_tm)
+        )
+        gs, gt = gs[jac], gt[jac]
+        span1, span2 = (sp[jac] if np.ndim(sp) else sp for sp in (span1, span2))
+        _, gs_p, gt_p = _sigma_and_grad(at_sp, at_t)
+        _, gs_m, gt_m = _sigma_and_grad(at_sm, at_t)
         j11 = (gs_p - gs_m) / span1
         j21 = (gt_p - gt_m) / span1
-        t_p, t_m, span2 = _stencil(c2, t, h2)
-        _, gs_p, gt_p = _sigma_and_grad(at_s, _feet(c2, w2, t_p))
-        _, gs_m, gt_m = _sigma_and_grad(at_s, _feet(c2, w2, t_m))
+        _, gs_p, gt_p = _sigma_and_grad(at_s, at_tp)
+        _, gs_m, gt_m = _sigma_and_grad(at_s, at_tm)
         j12 = (gs_p - gs_m) / span2
         j22 = (gt_p - gt_m) / span2
         det = j11 * j22 - j12 * j21
         bad = np.abs(det) < 1e-300
-        alive &= ~bad
+        alive[kj[bad]] = False
         det = np.where(bad, 1.0, det)
-        step_s = -(j22 * gs - j12 * gt) / det
-        step_t = -(-j21 * gs + j11 * gt) / det
-        step_s = np.clip(step_s, -max_step1, max_step1)
-        step_t = np.clip(step_t, -max_step2, max_step2)
-        s = np.where(active, s + step_s, s)
-        t = np.where(active, t + step_t, t)
+        step_s = np.clip(-(j22 * gs - j12 * gt) / det, -max_step1, max_step1)
+        step_t = np.clip(-(-j21 * gs + j11 * gt) / det, -max_step2, max_step2)
+        moved = active[jac]
+        live = kj[moved]
+        s[live] = s[live] + step_s[moved]
+        t[live] = t[live] + step_t[moved]
         if not c1.closed:
-            s = np.clip(s, c1.s_min, c1.s_max)
+            s[live] = np.clip(s[live], c1.s_min, c1.s_max)
         if not c2.closed:
-            t = np.clip(t, c2.s_min, c2.s_max)
-    sig, gs, gt = _sigma_and_grad(_feet(c1, w1, s), _feet(c2, w2, t))
-    res = np.hypot(gs, gt) / np.maximum(1.0, sig)
-    out = []
-    for k in range(len(seeds)):
-        if not alive[k] or res[k] > tol.tol_dc:
-            continue
-        cand = _verify_pair(pairs, i, j, float(s[k]), float(t[k]), float(res[k]), tol)
-        if cand is not None:
-            out.append(cand)
-    return out
+            t[live] = np.clip(t[live], c2.s_min, c2.s_max)
+    return s, t, res, alive
 
 
 def _stencil(curve, s, h):
@@ -490,40 +596,57 @@ def dcsd_half(found_pairs):
 # ---------------------------------------------------------------------------
 
 
-def radii_report(pairs, tol=DEFAULT_TOLERANCES):
-    """Full radii report; the topological radius comes from collapse arcs."""
+def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
+    """Full radii report; the topological radius comes from collapse arcs.
+
+    With offsets, a list with one report per value t, in the order given,
+    for the weights mu + t of an offset family: the focal and pair stages
+    run once over every distinct t (see focal_radii and
+    find_double_critical_pairs), collapse arcs and the ordering clamp per t.
+    Each report equals the one computed for OffsetWeight(mu, t) alone, and
+    repeated values share one report.
+    """
     from . import singular
 
     pairs = as_pairs(pairs)
-    focrad0, focradminus, focal_wit = focal_radii(pairs, tol)
-    dc_pairs = find_double_critical_pairs(pairs, tol)
-    dc = dcsd_half(dc_pairs)
-    lr = min(dc, focrad0)
-    ur = min(dc, focradminus)
-    arcs = singular.detect_collapse_arcs(pairs, ur, tol)
-    if arcs:
-        tir_val = min(arc.r for arc in arcs)
-        attained = True
-    else:
-        tir_val = ur
-        attained = False
-    tir_val = min(max(tir_val, lr), ur)
-    witnesses = {
-        "focrad0": focal_wit["focrad0"],
-        "focradminus": focal_wit["focradminus"],
-        "dcsd_pair": min(dc_pairs, key=lambda p: p.ratio) if dc_pairs else None,
-        "collapse_arcs": arcs,
-        "tir_attained": attained,
-        "pair_count": len(dc_pairs),
-    }
-    return RadiiReport(
-        focrad0=focrad0,
-        focradminus=focradminus,
-        dcsd_half=dc,
-        lr=lr,
-        ur=ur,
-        dir=lr,
-        tir=tir_val,
-        air=ur,
-        witnesses=witnesses,
-    )
+    ts = [0.0] if offsets is None else [float(t) for t in offsets]
+    distinct = list(dict.fromkeys(ts))
+    if not distinct:
+        return []
+    focal = focal_radii(pairs, tol, distinct)
+    found = find_double_critical_pairs(pairs, tol, distinct)
+    reports = {}
+    for t, (focrad0, focradminus, focal_wit) in zip(distinct, focal):
+        shifted = [(c, OffsetWeight(w, t)) for c, w in pairs]
+        dc_pairs = [p for p in found if p.offset == t]
+        dc = dcsd_half(dc_pairs)
+        lr = min(dc, focrad0)
+        ur = min(dc, focradminus)
+        arcs = singular.detect_collapse_arcs(shifted, ur, tol)
+        if arcs:
+            tir_val = min(arc.r for arc in arcs)
+            attained = True
+        else:
+            tir_val = ur
+            attained = False
+        tir_val = min(max(tir_val, lr), ur)
+        witnesses = {
+            "focrad0": focal_wit["focrad0"],
+            "focradminus": focal_wit["focradminus"],
+            "dcsd_pair": min(dc_pairs, key=lambda p: p.ratio) if dc_pairs else None,
+            "collapse_arcs": arcs,
+            "tir_attained": attained,
+            "pair_count": len(dc_pairs),
+        }
+        reports[t] = RadiiReport(
+            focrad0=focrad0,
+            focradminus=focradminus,
+            dcsd_half=dc,
+            lr=lr,
+            ur=ur,
+            dir=lr,
+            tir=tir_val,
+            air=ur,
+            witnesses=witnesses,
+        )
+    return reports[0.0] if offsets is None else [reports[t] for t in ts]

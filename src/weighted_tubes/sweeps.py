@@ -33,31 +33,51 @@ def family_weights(pairs, kind, t):
 
 
 def radii_sweep(pairs, family_kind, t_grid, tol=DEFAULT_TOLERANCES):
-    """One radii report per family parameter; failures mark the row and the
-    sweep continues. Rows are deterministic in the order of t_grid."""
-    rows = []
-    for t in t_grid:
-        t = float(t)
+    """One radii row per family parameter, in the order of t_grid.
+
+    Every t is validated first; a failure marks its row and the sweep
+    continues. The rows that pass are computed in one batched report (an
+    'offset' family as the weights mu + t, a 'fixed' one as mu), and each
+    row equals the report for its t alone. If the batch fails, its rows are
+    computed one at a time, so each keeps the status it has alone.
+    """
+    pairs = as_pairs(pairs)
+    ts = [float(t) for t in t_grid]
+    rows = [None] * len(ts)
+    todo = []
+    for k, t in enumerate(ts):
         try:
-            shifted = family_weights(pairs, family_kind, t)
-            for curve, weight in shifted:
+            for curve, weight in family_weights(pairs, family_kind, t):
                 weight.validate_on(curve)
-            rep = radii_report(shifted, tol)
-            rows.append(
-                SweepRow(
-                    t=t,
-                    dir=rep.dir,
-                    tir=rep.tir,
-                    air=rep.air,
-                    collapse_count=len(rep.witnesses["collapse_arcs"]),
-                )
-            )
         except WeightedTubesError as exc:
-            rows.append(
-                SweepRow(t=t, dir=np.nan, tir=np.nan, air=np.nan, collapse_count=0,
-                         status=f"failed: {exc}")
-            )
+            rows[k] = _failed_row(t, exc)
+        else:
+            todo.append(k)
+    offsets = [ts[k] if family_kind == "offset" else 0.0 for k in todo]
+    try:
+        reports = radii_report(pairs, tol, offsets)
+    except WeightedTubesError:
+        reports = [None] * len(todo)
+    for k, off, rep in zip(todo, offsets, reports):
+        if rep is None:
+            try:
+                rep = radii_report(pairs, tol, [off])[0]
+            except WeightedTubesError as exc:
+                rows[k] = _failed_row(ts[k], exc)
+                continue
+        rows[k] = SweepRow(
+            t=ts[k],
+            dir=rep.dir,
+            tir=rep.tir,
+            air=rep.air,
+            collapse_count=len(rep.witnesses["collapse_arcs"]),
+        )
     return rows
+
+
+def _failed_row(t, exc):
+    return SweepRow(t=t, dir=np.nan, tir=np.nan, air=np.nan, collapse_count=0,
+                    status=f"failed: {exc}")
 
 
 def fiber_trace(curve, weight, s, v, r_max, samples=257):

@@ -13,7 +13,7 @@ def as_pairs(pairs):
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(f, a, b, tol=1e-12, maxiter=200):
+def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
     """Row-wise golden-section minima of f over the brackets [a, b].
 
     a and b are arrays of bracket ends (scalars make one row) and f maps an
@@ -26,15 +26,21 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200):
     rule of Python's min, so ties and nan resolve as in a scalar loop), and
     boundary minima are reported exactly at the boundary. Returns arrays
     (x, f(x)).
+
+    args are extra per-row parameters, as in scipy: arrays with one value
+    per bracket, passed to f as f(x, *args) and sliced to the rows of x on
+    every call.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     a, b = np.where(b < a, b, a), np.where(b < a, a, b)
     if not len(a):
         return a, b
+    args = [np.asarray(p) for p in args]
+    twice = [np.concatenate([p, p]) for p in args]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2])), dtype=float), 2)
+    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2]), *twice), dtype=float), 2)
     active = (b - a) > tol
     for _ in range(maxiter):
         k = np.nonzero(active)[0]
@@ -45,11 +51,11 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200):
         b[kl], x2[kl], f2[kl] = x2[kl], x1[kl], f1[kl]
         a[kr], x1[kr], f1[kr] = x1[kr], x2[kr], f2[kr]
         xn = np.where(left, b[k] - _GOLDEN * (b[k] - a[k]), a[k] + _GOLDEN * (b[k] - a[k]))
-        fn = np.asarray(f(xn), dtype=float)
+        fn = np.asarray(f(xn, *[p[k] for p in args]), dtype=float)
         x1[kl], f1[kl] = xn[left], fn[left]
         x2[kr], f2[kr] = xn[~left], fn[~left]
         active[k] = (b[k] - a[k]) > tol
-    fa, fb = np.split(np.asarray(f(np.concatenate([a, b])), dtype=float), 2)
+    fa, fb = np.split(np.asarray(f(np.concatenate([a, b]), *twice), dtype=float), 2)
     x, fx = a, fa
     for xc, fc in ((b, fb), (x1, f1), (x2, f2)):
         better = fc < fx
@@ -57,9 +63,9 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200):
     return x, fx
 
 
-def golden_max(f, a, b, tol=1e-12, maxiter=200):
+def golden_max(f, a, b, tol=1e-12, maxiter=200, args=()):
     """Row-wise golden-section maxima of f over [a, b]; returns (x, f(x))."""
-    x, fx = golden_min(lambda s: -f(s), a, b, tol=tol, maxiter=maxiter)
+    x, fx = golden_min(lambda s, *p: -f(s, *p), a, b, tol=tol, maxiter=maxiter, args=args)
     return x, -fx
 
 

@@ -30,9 +30,6 @@ class WeightFunction:
     def d3(self, s):
         raise NotImplementedError
 
-    def eval_all(self, s):
-        return self.mu(s), self.d1(s), self.d2(s), self.d3(s)
-
     def validate_on(self, curve, samples=4096):
         """Reject non-positive weights (sampled densely over the domain)."""
         sg = curve.grid(samples)
@@ -258,7 +255,11 @@ class SymmetricPiecewiseWeight(WeightFunction):
         self._slope_residual = float(pieces[-1][4])  # should be ~0 by scaling
         if self.plateau <= 0:
             raise NonpositiveWeightError("blend plateau is non-positive; widen the stages")
-        self._pieces = [(lo, hi, coeffs) for lo, hi, coeffs, _, _ in pieces]
+        # Coefficients of mu and its first three derivatives, per piece.
+        self._pieces = [
+            (lo, hi, [coeffs] + [nppoly.polyder(coeffs, m) for m in range(1, 4)])
+            for lo, hi, coeffs, _, _ in pieces
+        ]
 
     @staticmethod
     def _integrate_piece(u_lo, width, d2_coeffs, value0, slope0):
@@ -299,8 +300,7 @@ class SymmetricPiecewiseWeight(WeightFunction):
             m = (u > lo) & (u < hi) & ~m_cos & ~m_flat
             if not np.any(m):
                 continue
-            c = coeffs if order == 0 else nppoly.polyder(coeffs, order)
-            out[m] = nppoly.polyval(u[m] - lo, c)
+            out[m] = nppoly.polyval(u[m] - lo, coeffs[order])
         if order % 2 == 1:
             out = out * sign
         return out

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,20 @@ from weighted_tubes import (
     CircleArcCurve,
     ConstantWeight,
     CosineWeight,
+    NonpositiveWeightError,
+    NumericError,
+    OffsetWeight,
     OutOfWError,
     PolynomialWeight,
     family_weights,
     fiber_geometry,
     fiber_trace,
+    load_scene,
+    radii_report,
     radii_sweep,
     tube_boundary,
 )
+from weighted_tubes import sweeps
 
 
 @pytest.fixture
@@ -61,6 +69,147 @@ class TestRadiiSweep:
         a = radii_sweep(example6, "offset", [-0.02, 0.02])
         b = radii_sweep(example6, "offset", [-0.02, 0.02])
         assert a == b
+
+
+def _value(obj):
+    """A report as nested tuples, floats by repr, so == compares every bit;
+    dataclass fields outside comparison (the batch's grouping tag) are left
+    out."""
+    if dataclasses.is_dataclass(obj):
+        return tuple(
+            (f.name, _value(getattr(obj, f.name))) for f in dataclasses.fields(obj) if f.compare
+        )
+    if isinstance(obj, dict):
+        return tuple((k, _value(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return tuple(_value(v) for v in obj)
+    if isinstance(obj, np.ndarray):
+        return tuple(repr(float(v)) for v in obj.ravel())
+    if isinstance(obj, (float, np.floating)):
+        return repr(float(obj))
+    return obj
+
+
+TWO_COMPONENT = {
+    "ambient_dim": 2,
+    "components": [
+        {"kind": "fourier", "params": {"coefficients": [
+            [-1.0, 0.6, 0.0, 0.004, -0.003, 0.001, 0.002],
+            [0.02, 0.0, 0.6, -0.002, 0.005, 0.002, -0.001]]}},
+        {"kind": "fourier", "params": {"coefficients": [
+            [1.0, 0.6, 0.0, -0.003, 0.004],
+            [-0.03, 0.0, 0.6, 0.005, 0.002]]}},
+    ],
+    "weights": [
+        {"kind": "fourier", "params": {"coefficients": [1.0, 0.06, -0.05, 0.02, 0.03]}},
+        {"kind": "constant", "params": {"value": 0.8}},
+    ],
+}
+CHEBYSHEV_ARC = {
+    "ambient_dim": 2,
+    "components": [{"kind": "chebyshev", "params": {
+        "coefficients": [[0.1, 1.2, -0.1, 0.05], [-0.2, 0.1, 0.6, -0.1]],
+        "raw_domain": [-1.0, 1.0]}}],
+    "weights": [{"kind": "chebyshev", "params": {"coefficients": [1.0, 0.06, -0.03]}}],
+}
+
+
+class TestBatchedSweep:
+    """Each row of a batched sweep equals the report computed for its t alone."""
+
+    @pytest.mark.parametrize("name, ts", [
+        ("example6_family", [k / 100 for k in range(-10, 11)]),
+        ("example3_family", [-0.02, 0.0, 0.02]),
+        ("two_component", [-0.05, 0.0, 0.03]),
+        ("chebyshev_arc", [-0.04, 0.0, 0.05]),
+    ])
+    def test_rows_equal_reports_alone(self, name, ts):
+        doc = {"two_component": TWO_COMPONENT, "chebyshev_arc": CHEBYSHEV_ARC}.get(name, name)
+        scene = load_scene(doc)
+        batch = radii_report(scene.pairs, scene.tolerances, ts)
+        assert len(batch) == len(ts)
+        for t, rep in zip(ts, batch):
+            shifted = [(c, OffsetWeight(w, t)) for c, w in scene.pairs]
+            alone = radii_report(shifted, scene.tolerances)
+            assert _value(rep) == _value(alone), t
+        rows = radii_sweep(scene.pairs, "offset", ts, scene.tolerances)
+        assert [(r.t, r.dir, r.tir, r.air, r.collapse_count, r.status) for r in rows] == [
+            (t, rep.dir, rep.tir, rep.air, len(rep.witnesses["collapse_arcs"]), "ok")
+            for t, rep in zip(ts, batch)
+        ]
+
+    def test_plain_report_is_the_zero_offset_row(self, scenes):
+        scene = scenes["example2_stadium"]
+        (batched,) = radii_report(scene.pairs, scene.tolerances, [0.0])
+        assert _value(radii_report(scene.pairs, scene.tolerances)) == _value(batched)
+        assert batched.witnesses["pair_count"] == 37
+
+    def test_fixed_family_rows_equal_the_plain_report(self, example6):
+        alone = radii_report(example6)
+        rows = radii_sweep(example6, "fixed", [-0.3, 0.0, 0.7])
+        assert [(r.dir, r.tir, r.air, r.collapse_count) for r in rows] == [
+            (alone.dir, alone.tir, alone.air, len(alone.witnesses["collapse_arcs"]))
+        ] * 3
+
+    def test_failing_rows_keep_status_and_position(self, example6):
+        ts = [-0.05, -2.0, 0.0, 0.05]
+        rows = radii_sweep(example6, "offset", ts)
+        curve, weight = example6[0]
+        with pytest.raises(NonpositiveWeightError) as exc:
+            OffsetWeight(weight, -2.0).validate_on(curve)
+        assert [r.t for r in rows] == ts
+        assert rows[1].status == f"failed: {exc.value}"
+        assert np.isnan(rows[1].dir) and rows[1].collapse_count == 0
+        for k in (0, 2, 3):
+            rep = radii_report([(curve, OffsetWeight(weight, ts[k]))])
+            assert rows[k].status == "ok"
+            assert (rows[k].dir, rows[k].tir, rows[k].air) == (rep.dir, rep.tir, rep.air)
+
+    def test_failed_batch_reruns_rows_alone(self, example6, monkeypatch):
+        # A numeric failure in the batch must not fail every row: the rows
+        # are recomputed one at a time and only the failing t is marked.
+        real = sweeps.radii_report
+        calls = []
+
+        def flaky(pairs, tol, offsets):
+            calls.append(list(offsets))
+            if len(offsets) > 1 or offsets == [0.02]:
+                raise NumericError("boom")
+            return real(pairs, tol, offsets)
+
+        monkeypatch.setattr(sweeps, "radii_report", flaky)
+        rows = radii_sweep(example6, "offset", [-0.02, 0.02, 0.04])
+        assert calls == [[-0.02, 0.02, 0.04], [-0.02], [0.02], [0.04]]
+        assert [r.status for r in rows] == ["ok", "failed: boom", "ok"]
+        monkeypatch.setattr(sweeps, "radii_report", real)
+        assert rows[0] == radii_sweep(example6, "offset", [-0.02])[0]
+        assert rows[2] == radii_sweep(example6, "offset", [0.04])[0]
+
+    def test_repeated_values_share_one_report(self, example6):
+        a, b, c = radii_report(example6, offsets=[0.01, -0.01, 0.01])
+        assert a is c and _value(a) != _value(b)
+
+
+class TestSemicontinuityJump:
+    def test_dense_stadium_family_sweep(self, scenes):
+        # Example 3: the radius jumps down at t = 0 from the left. Below 0
+        # every row stays above 4.1; at 0 the collapse arc over the circle
+        # section sets dir = tir = 2; above 0 the rows start below 2 and
+        # fall further as t grows.
+        scene = scenes["example3_family"]
+        ts = [k / 400 for k in range(-20, 21)]
+        rows = radii_sweep(scene.pairs, scene.family_kind, ts, scene.tolerances)
+        assert all(r.status == "ok" for r in rows)
+        below = [r for r in rows if r.t < 0]
+        above = [r for r in rows if r.t > 0]
+        (zero,) = [r for r in rows if r.t == 0]
+        assert len(below) == len(above) == 20
+        assert all(r.dir > 4.1 for r in below)
+        assert zero.dir == zero.tir == 2.0 and zero.collapse_count == 1
+        assert all(r.dir < 1.93 for r in above)
+        assert all(r.dir < 1.8 for r in above if r.t > 0.01)
+        dirs = [r.dir for r in above]
+        assert dirs == sorted(dirs, reverse=True)
 
 
 class TestFiberTrace:

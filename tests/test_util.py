@@ -140,3 +140,35 @@ def test_golden_max_rows():
     for k in range(len(a)):
         ox, ofx, _ = scalar_golden_min(lambda s: -double_well(s), a[k], b[k], tol=1e-13)
         assert (x[k], fx[k]) == (ox, -ofx)
+
+
+def test_golden_args_rows_equal_one_parameter_calls():
+    # Per-row parameters passed through args give, bit for bit, the rows of
+    # separate calls whose objective closes over each row's parameter.
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-2.0, 0.0, 60)
+    b = a + rng.uniform(1e-6, 3.0, 60)
+    p = rng.uniform(-1.0, 1.0, 60)
+    q = rng.uniform(0.5, 2.0, 60)
+
+    def f(s, p, q):
+        return (s - p) ** 2 * q + 0.3 * np.sin(5.0 * s * q)
+
+    for solver in (golden_min, golden_max):
+        x, fx = solver(f, a, b, tol=1e-12, args=(p, q))
+        for k in range(len(a)):
+            xk, fk = solver(lambda s: f(s, p[k], q[k]), a[k], b[k], tol=1e-12)
+            assert (x[k], fx[k]) == (xk[0], fk[0])
+
+
+def test_golden_args_slices_to_active_rows():
+    seen = []
+
+    def f(s, p):
+        seen.append((len(s), len(p)))
+        return (s - p) ** 2
+
+    golden_min(f, [0.0, 0.0], [1.0, 1e-3], tol=1e-2, args=(np.array([0.3, 0.0]),))
+    assert all(n == m for n, m in seen)
+    assert seen[0] == (4, 4) and seen[-1] == (4, 4)
+    assert (1, 1) in seen
