@@ -62,6 +62,7 @@ from .expmap import (
     make_offsets,
     mu_closest_point,
     normal_frame,
+    normal_frames,
     w_bound,
 )
 from .radii import (

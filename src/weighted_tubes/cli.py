@@ -219,6 +219,8 @@ def _curve_polylines(scene, samples=512):
 def cmd_fibers(args):
     scene = _load(args)
     svg_path = _svg_target(args, scene)
+    if args.samples < 2:
+        raise SceneError("fibers needs --samples N >= 2")
     if args.s_values:
         feet = [float(x) for x in args.s_values.split(",") if x.strip() != ""]
     else:
@@ -258,6 +260,8 @@ def cmd_tube(args):
     svg_path = _svg_target(args, scene)
     if args.radius is None or args.radius <= 0:
         raise SceneError("tube needs --radius R > 0")
+    if args.samples < 1:
+        raise SceneError("tube needs --samples N >= 1")
     boundary, overlap = sweeps.tube_boundary(
         scene.pairs, args.radius, s_samples=args.samples, tol=scene.tolerances
     )

@@ -393,11 +393,19 @@ def _polish_minimum(curve, weight, p, s0, bracket, iters):
     return (s, vn) if vn <= vg[0] else (float(sg[0]), float(vg[0]))
 
 
+# Cells (points x grid samples) in one block of the G grid stage: the block's
+# float64 temporary stays at 4 MiB whatever the number of points.
+_G_BLOCK_CELLS = 1 << 19
+
+
 def g_potential(pairs, points, samples=2048, refine_iters=40):
     """Vectorized G(p) = min_s F_p over all components for many ambient points.
 
-    Refinement is a fixed-iteration golden section per point (branch-free,
-    deterministic); returns (values, component_index, s_values).
+    The grid minimum is taken in row blocks of fixed size (`_grid_argmin`),
+    so memory does not grow with the number of points; each point then gets
+    a fixed-iteration golden section (`util.golden_min`, branch-free and
+    deterministic) around its grid minimum. Returns (values,
+    component_index, s_values).
     """
     pairs = as_pairs(pairs)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -405,35 +413,47 @@ def g_potential(pairs, points, samples=2048, refine_iters=40):
     best_v = np.full(m, np.inf)
     best_c = np.zeros(m, dtype=int)
     best_s = np.zeros(m)
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(samples)
-        gp = curve.point(sg)
-        mug = np.asarray(weight.mu(sg), dtype=float)
-        d2mat = ((pts[:, None, :] - gp[None, :, :]) ** 2).sum(axis=2)
-        fmat = d2mat / mug[None, :] ** 2
-        idx = np.argmin(fmat, axis=1)
+        idx = _grid_argmin(pts, curve.point(sg), np.asarray(weight.mu(sg), dtype=float))
         step = curve.length / samples
         lo = sg[idx] - step
         hi = sg[idx] + step
         if not curve.closed:
             lo = np.clip(lo, curve.s_min, curve.s_max)
             hi = np.clip(hi, curve.s_min, curve.s_max)
-        for _ in range(refine_iters):
-            x1 = hi - golden * (hi - lo)
-            x2 = lo + golden * (hi - lo)
-            f1 = _f_batch(curve, weight, x1, pts)
-            f2 = _f_batch(curve, weight, x2, pts)
-            take1 = f1 <= f2
-            hi = np.where(take1, x2, hi)
-            lo = np.where(take1, lo, x1)
-        smid = 0.5 * (lo + hi)
-        vmid = _f_batch(curve, weight, smid, pts)
-        better = vmid < best_v
-        best_v = np.where(better, vmid, best_v)
+        s, v = golden_min(
+            lambda x, p: _f_batch(curve, weight, x, p),
+            lo, hi, tol=0.0, maxiter=refine_iters, args=(pts,),
+        )
+        better = v < best_v
+        best_v = np.where(better, v, best_v)
         best_c = np.where(better, ci, best_c)
-        best_s = np.where(better, smid, best_s)
+        best_s = np.where(better, s, best_s)
     return best_v, best_c, best_s
+
+
+def _grid_argmin(pts, gp, mug):
+    """Grid index minimizing |p - g|^2 / mu^2 for every point p.
+
+    Works through blocks of at most _G_BLOCK_CELLS (point, sample) cells and
+    accumulates the squared distance one coordinate at a time in place; the
+    sums run in the same order as a dense `((p - g) ** 2).sum(axis=-1)`, so
+    the values and indices are the dense ones bit for bit.
+    """
+    rows = max(1, _G_BLOCK_CELLS // len(gp))
+    mu2 = mug**2
+    idx = np.empty(len(pts), dtype=np.intp)
+    for start in range(0, len(pts), rows):
+        p = pts[start:start + rows]
+        f = (p[:, None, 0] - gp[None, :, 0]) ** 2
+        for k in range(1, pts.shape[1]):
+            e = p[:, None, k] - gp[None, :, k]
+            e *= e
+            f += e
+        f /= mu2
+        idx[start:start + rows] = np.argmin(f, axis=1)
+    return idx
 
 
 def _f_batch(curve, weight, s, pts):
@@ -484,36 +504,79 @@ def grad_g_check(pairs, p, h=1e-6, tie_rel=1e-9, samples=2048):
 def normal_frame(curve, s, reference=None):
     """Orthonormal basis of the normal space at s.
 
-    Gram-Schmidt of either the ambient standard basis (deterministic pivot
-    order, residuals below 0.5 are skipped) or a caller-supplied reference
-    frame, the latter giving a frame that varies smoothly with s nearby.
+    Gram-Schmidt of either the ambient standard basis (one row of
+    `normal_frames`) or a caller-supplied reference frame, the latter giving
+    a frame that varies smoothly with s nearby.
     """
     t = curve.tangent(s)
+    if reference is None:
+        frames, count = _standard_frames(t[None, :])
+        return frames[0, :count[0]]
     n = t.size
-    seeds = np.eye(n) if reference is None else np.asarray(reference, dtype=float)
     frame = []
-    for row in seeds:
+    for row in np.asarray(reference, dtype=float):
         w = row - (row @ t) * t
         for b in frame:
             w = w - (w @ b) * b
         norm = np.linalg.norm(w)
-        if norm > 0.5 if reference is None else norm > 1e-8:
+        if norm > 1e-8:
             frame.append(w / norm)
         if len(frame) == n - 1:
             break
     if len(frame) < n - 1:
-        # Fall back to unconditional pivoting over all seeds.
-        frame = []
-        for row in np.eye(n):
-            w = row - (row @ t) * t
-            for b in frame:
-                w = w - (w @ b) * b
-            norm = np.linalg.norm(w)
-            if norm > 1e-10:
-                frame.append(w / norm)
-            if len(frame) == n - 1:
-                break
+        # Fall back to unconditional pivoting over the standard basis.
+        frames, count = _frame_rows(t[None, :], 1e-10)
+        return frames[0, :count[0]]
     return np.array(frame)
+
+
+def normal_frames(curve, s):
+    """Row-wise reference-free normal_frame over feet s (m,): (m, n-1, n).
+
+    Each row equals `normal_frame(curve, s[k])` bit for bit.
+    """
+    frames, _ = _standard_frames(curve.tangent(np.asarray(s, dtype=float)))
+    return frames
+
+
+def _standard_frames(t):
+    """Frames of the normal spaces of unit tangents t (m, n) from the standard
+    basis: residuals at most 0.5 are skipped, and a row left short is redone
+    with unconditional pivoting. Returns (frames, per-row frame counts)."""
+    frames, count = _frame_rows(t, 0.5)
+    short = count < t.shape[1] - 1
+    if short.any():
+        frames[short], count[short] = _frame_rows(t[short], 1e-10)
+    return frames, count
+
+
+def _frame_rows(t, threshold):
+    """Row-wise Gram-Schmidt of the standard basis against tangents t (m, n).
+
+    Every row runs the sequential loop: each basis vector loses its tangent
+    part and its parts along the row's frame vectors so far, in order, and
+    joins the frame when its residual norm exceeds `threshold`, until the
+    frame has n - 1 vectors. Returns (frames (m, n-1, n), counts (m,));
+    slots a row does not fill stay nan.
+    """
+    m, n = t.shape
+    # e_i . t has one nonzero product, so it is t_i exactly (for finite t)
+    # and the seeds e_i - (e_i . t) t need no dot products.
+    seeds = np.eye(n) - t[:, :, None] * t[:, None, :]
+    frames = np.full((m, n - 1, n), np.nan)
+    count = np.zeros(m, dtype=int)
+    for i in range(n):
+        w = seeds[:, i]
+        for j in range(count.max()):
+            b = frames[:, j]
+            w = np.where((count > j)[:, None], w - _rowdot(w, b)[:, None] * b, w)
+        norm = _rownorm(w)
+        k = np.nonzero((count < n - 1) & (norm > threshold))[0]
+        frames[k, count[k]] = w[k] / norm[k, None]
+        count[k] += 1
+        if count.min() == n - 1:
+            break
+    return frames, count
 
 
 def random_unit_normals(curve, s_values, rng):
@@ -525,7 +588,6 @@ def random_unit_normals(curve, s_values, rng):
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     low = norms[:, 0] < 1e-12
     if np.any(low):
-        frame0 = np.array([normal_frame(curve, s)[0] for s in s_values[low]])
-        raw[low] = frame0
+        raw[low] = normal_frames(curve, s_values[low])[:, 0]
         norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     return raw / norms

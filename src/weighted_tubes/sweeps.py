@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
-from .errors import OutOfWError, WeightedTubesError
-from .expmap import exp_mu, exp_mu_batch, g_potential, make_offsets, normal_frame, w_bound
+from .config import DEFAULT_TOLERANCES, GRID_BUDGET_BYTES
+from .errors import OutOfWError, SceneError, WeightedTubesError
+from .expmap import exp_mu, exp_mu_batch, g_potential, make_offsets, normal_frames, w_bound
 from .radii import radii_report
 from .util import as_pairs
 from .weights import OffsetWeight
@@ -101,14 +101,22 @@ def tube_boundary(pairs, R, s_samples=256, dir_samples=16, tol=DEFAULT_TOLERANCE
     the ambient potential confirms boundary membership (G >= R^2 - band);
     the rest land in the overlap list, a diagnostic that fills up once R
     exceeds the almost-injectivity height. Feet whose admissible bound is
-    below R contribute nothing. The directions come from each foot's normal
-    frame; all (foot, direction) rows of a component are then mapped in one
+    below R contribute nothing. The directions come from the feet's normal
+    frames; all (foot, direction) rows of a component are mapped in one
     array pass. Returns (boundary_rows, overlap_rows), rows being
-    (component, s, point, G).
+    (component, s, point, G). Raises SceneError when one component's
+    (foot, direction) rows would need more than GRID_BUDGET_BYTES.
     """
     pairs = as_pairs(pairs)
     if R <= 0:
         raise WeightedTubesError("tube height R must be positive")
+    n = pairs[0][0].ambient_dim
+    need = s_samples * (2 if n == 2 else dir_samples) * n * 8
+    if need > GRID_BUDGET_BYTES:
+        raise SceneError(
+            f"tube with {s_samples} feet needs {need} bytes per row array in {n} "
+            f"dimensions, above the {GRID_BUDGET_BYTES}-byte budget"
+        )
     band = tol.tube_tol_factor * R * R
     boundary = []
     overlap = []
@@ -118,33 +126,30 @@ def tube_boundary(pairs, R, s_samples=256, dir_samples=16, tol=DEFAULT_TOLERANCE
         feet = sg[bounds * (1.0 - tol.w_margin) > R]
         if not len(feet):
             continue
-        dirs = [
-            _directions(normal_frame(curve, float(s)), curve.ambient_dim, dir_samples)
-            for s in feet
-        ]
-        s_rows = np.repeat(feet, len(dirs[0]))
+        dirs = _directions(normal_frames(curve, feet), n, dir_samples)
+        s_rows = np.repeat(feet, dirs.shape[1])
         heights = np.full(len(s_rows), float(R))
-        v = make_offsets(curve, weight, s_rows, np.concatenate(dirs), heights)
+        v = make_offsets(curve, weight, s_rows, dirs.reshape(-1, n), heights)
         pts = exp_mu_batch(curve, weight, s_rows, v, heights)
         vals, _, _ = g_potential(pairs, pts, samples=tol.closest_samples)
-        for k in range(len(pts)):
-            row = (ci, float(s_rows[k]), pts[k], float(vals[k]))
-            if vals[k] >= R * R - band:
-                boundary.append(row)
-            else:
-                overlap.append(row)
+        inside = vals >= R * R - band
+        for keep, s, p, g in zip(inside, s_rows.tolist(), pts, vals.tolist()):
+            (boundary if keep else overlap).append((ci, s, p, g))
     return boundary, overlap
 
 
-def _directions(frame, ambient_dim, dir_samples):
-    """Deterministic unit directions spanning the normal space."""
+def _directions(frames, ambient_dim, dir_samples):
+    """Deterministic unit directions spanning the normal space of every foot:
+    (feet, directions, ambient_dim) from frames (feet, ambient_dim - 1,
+    ambient_dim). Every foot gets the same combinations of its frame."""
     if ambient_dim == 2:
-        e = frame[0]
-        return [e, -e]
+        e = frames[:, 0]
+        return np.stack([e, -e], axis=1)
     if ambient_dim == 3:
         angles = 2.0 * np.pi * np.arange(dir_samples) / dir_samples
-        return [np.cos(a) * frame[0] + np.sin(a) * frame[1] for a in angles]
+        c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+        return c * frames[:, None, 0] + s * frames[:, None, 1]
     rng = np.random.default_rng(1234)
-    raw = rng.standard_normal((dir_samples, frame.shape[0]))
+    raw = rng.standard_normal((dir_samples, frames.shape[1]))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return list(raw @ frame)
+    return raw @ frames

@@ -106,10 +106,5 @@ def quintic_smoothstep_int(u):
 
 
 def float17(x):
-    """17-significant-digit decimal form; infinities become 'inf'/'-inf'."""
-    x = float(x)
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if np.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    """17-significant-digit decimal form ('inf', '-inf' and 'nan' included)."""
+    return format(float(x), ".17g")

@@ -89,6 +89,19 @@ class TestErrors:
         assert proc.returncode == 2
         assert "pair_grid=200000" in proc.stderr and "budget" in proc.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (("tube", "--scene", "example4", "--radius", "1", "--samples", "-3"), "--samples N >= 1"),
+        (("tube", "--scene", "circle_mu1", "--radius", "0.5", "--samples", "0"), "--samples N >= 1"),
+        (("fibers", "--scene", "example4", "--samples", "1"), "--samples N >= 2"),
+        # 10^9 feet x 16 directions x 3 float64 would be 384 GB.
+        (("tube", "--scene", "example1b", "--radius", "1", "--samples", "1000000000"), "budget"),
+    ])
+    def test_bad_sample_count_exit_2(self, args, message):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr and message in proc.stderr
+        assert proc.stdout == ""
+
     def test_numeric_failure_exit_3(self, tmp_path):
         proc = run_cli(
             "fibers", "--scene", "example1a", "--s-values", "1.0", "--r-max", "100.0",

@@ -23,6 +23,7 @@ from weighted_tubes import (
     f_second_critical,
     f_value,
     fiber_geometry,
+    g_potential,
     grad_g_check,
     make_offset,
     make_offsets,
@@ -305,3 +306,212 @@ class TestScalarMapRows:
         heights = np.array([0.25 * R, 0.5 * R, R])
         rows = exp_mu_batch(curve, weight, np.full(3, s), np.tile(off.v, (3, 1)), heights)
         np.testing.assert_array_equal(exp_mu(curve, weight, s, off.v, heights), rows)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the earlier dense-grid G and the scalar standard-basis frame
+# ---------------------------------------------------------------------------
+
+
+def dense_grid_argmin(pts, gp, mug):
+    """The whole (points x samples) grid at once, as G used to build it."""
+    return np.argmin(((pts[:, None, :] - gp[None, :, :]) ** 2).sum(axis=2) / mug[None, :] ** 2,
+                     axis=1)
+
+
+def g_potential_two_point(pairs, pts, samples=2048, refine_iters=40):
+    """G with a dense grid and a golden loop that evaluates both interior
+    points on every iteration and reports the bracket midpoint."""
+    from weighted_tubes.expmap import _f_batch
+
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    best_v = np.full(len(pts), np.inf)
+    best_c = np.zeros(len(pts), dtype=int)
+    best_s = np.zeros(len(pts))
+    for ci, (curve, weight) in enumerate(pairs):
+        sg = curve.grid(samples)
+        idx = dense_grid_argmin(pts, curve.point(sg), np.asarray(weight.mu(sg), dtype=float))
+        step = curve.length / samples
+        lo, hi = sg[idx] - step, sg[idx] + step
+        if not curve.closed:
+            lo = np.clip(lo, curve.s_min, curve.s_max)
+            hi = np.clip(hi, curve.s_min, curve.s_max)
+        for _ in range(refine_iters):
+            x1 = hi - golden * (hi - lo)
+            x2 = lo + golden * (hi - lo)
+            take1 = _f_batch(curve, weight, x1, pts) <= _f_batch(curve, weight, x2, pts)
+            hi = np.where(take1, x2, hi)
+            lo = np.where(take1, lo, x1)
+        smid = 0.5 * (lo + hi)
+        vmid = _f_batch(curve, weight, smid, pts)
+        better = vmid < best_v
+        best_v = np.where(better, vmid, best_v)
+        best_c = np.where(better, ci, best_c)
+        best_s = np.where(better, smid, best_s)
+    return best_v, best_c, best_s
+
+
+def scalar_normal_frame(curve, s):
+    """The per-foot standard-basis Gram-Schmidt with its fallback."""
+    t = curve.tangent(s)
+    n = t.size
+    for threshold in (0.5, 1e-10):
+        frame = []
+        for row in np.eye(n):
+            w = row - (row @ t) * t
+            for b in frame:
+                w = w - (w @ b) * b
+            norm = np.linalg.norm(w)
+            if norm > threshold:
+                frame.append(w / norm)
+            if len(frame) == n - 1:
+                return np.array(frame)
+    return np.array(frame)
+
+
+def fourier_3d():
+    from weighted_tubes import FourierCurve
+
+    return FourierCurve([[0.0, 1.0, 0.0, 0.2, 0.1], [0.0, 0.0, 1.0, -0.1, 0.2],
+                         [0.0, 0.3, 0.1, 0.0, 0.25]])
+
+
+def fourier_4d():
+    from weighted_tubes import FourierCurve
+
+    return FourierCurve([[0.0, 1.0, 0.0, 0.1, 0.0], [0.0, 0.0, 1.0, 0.0, 0.1],
+                         [0.2, 0.3, 0.1], [0.0, 0.0, 0.4, 0.2, 0.0]])
+
+
+def points_near(curve, rng, m, spread):
+    s = rng.uniform(curve.s_min, curve.s_max, m)
+    return curve.point(s) + rng.normal(0.0, spread, (m, curve.ambient_dim))
+
+
+class StubTangents:
+    """Stand-in curve whose tangent at s = k is the k-th given row."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def tangent(self, s):
+        return self.rows[np.asarray(s, dtype=int)]
+
+
+class TestGPotentialAgainstDenseGrid:
+    @pytest.mark.parametrize("name", ["ellipse_mu1", "example1b"])
+    def test_blocked_grid_argmin_is_the_dense_one(self, scenes, name):
+        from weighted_tubes.expmap import _G_BLOCK_CELLS, _grid_argmin
+
+        curve, weight = scenes[name].pairs[0]
+        sg = curve.grid(2048)
+        gp, mug = curve.point(sg), np.asarray(weight.mu(sg), dtype=float)
+        pts = points_near(curve, np.random.default_rng(5), 700, 0.4)
+        assert len(pts) * len(sg) > 2 * _G_BLOCK_CELLS  # three blocks, the last one short
+        np.testing.assert_array_equal(_grid_argmin(pts, gp, mug), dense_grid_argmin(pts, gp, mug))
+
+    @staticmethod
+    def assert_close_to_the_two_point_loop(pairs, pts, vtol):
+        # Values agree to rounding. A smooth minimum fixes its foot only to
+        # about sqrt(eps) relative, since F is flat to rounding there; a foot
+        # at an open arc's end is now the end itself, with a value no larger
+        # than at the old bracket midpoint.
+        v, c, s = g_potential(pairs, pts)
+        v0, c0, s0 = g_potential_two_point(pairs, pts)
+        np.testing.assert_array_equal(c, c0)
+        lengths = np.array([max(1.0, curve.length) for curve, _ in pairs])[c]
+        assert np.all(np.abs(s - s0) <= np.sqrt(np.finfo(float).eps) * lengths)
+        ends = np.array([
+            not pairs[ci][0].closed and sk in (pairs[ci][0].s_min, pairs[ci][0].s_max)
+            for ci, sk in zip(c, s)
+        ], dtype=bool)
+        assert np.all(np.abs(v - v0)[~ends] <= vtol * np.fmax(1.0, np.abs(v0[~ends])))
+        assert np.all(v[ends] <= v0[ends])
+        return ends
+
+    @pytest.mark.parametrize("name, vtol", [
+        ("ellipse_mu1", 1e-14), ("example1b", 1e-14), ("circle_mu1", 1e-14),
+        # The stadium's piecewise arclength evaluation rounds F at ~1e-14.
+        ("example2_stadium", 2e-13),
+    ])
+    def test_values_and_feet_match_the_two_point_loop(self, scenes, name, vtol):
+        pairs = scenes[name].pairs
+        pts = points_near(pairs[0][0], np.random.default_rng(9), 300, 0.3)
+        self.assert_close_to_the_two_point_loop(pairs, pts, vtol)
+
+    def test_fourier_3d(self):
+        pairs = [(fourier_3d(), ConstantWeight(1.0))]
+        pts = points_near(pairs[0][0], np.random.default_rng(4), 300, 0.3)
+        self.assert_close_to_the_two_point_loop(pairs, pts, 1e-14)
+
+    def test_endpoint_minimum_of_an_open_arc(self, arc1a):
+        curve, weight = arc1a
+        # Beyond each end along the tangent line: F_p decreases up to the end.
+        ends = np.array([curve.s_min, curve.s_max])
+        pts = curve.point(ends) + np.array([-1.0, 1.0])[:, None] * 0.5 * curve.tangent(ends)
+        v, _, s = g_potential([arc1a], pts)
+        np.testing.assert_array_equal(s, ends)
+        np.testing.assert_array_equal(v, f_value(curve, weight, ends, pts))
+        at_ends = self.assert_close_to_the_two_point_loop([arc1a], pts, 1e-14)
+        assert np.all(at_ends)
+
+    def test_two_components_pick_the_same_component(self):
+        from weighted_tubes import FourierCurve
+
+        pairs = [
+            (CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0)),
+            (FourierCurve([[2.5, 0.6, 0.0], [0.3, 0.0, 0.6]]), PolynomialWeight([0.7])),
+        ]
+        pts = np.random.default_rng(3).uniform([-1.5, -1.5], [3.5, 1.5], (400, 2))
+        _, c, _ = g_potential(pairs, pts)
+        assert set(c) == {0, 1}
+        self.assert_close_to_the_two_point_loop(pairs, pts, 1e-14)
+
+
+class TestNormalFrameRows:
+    def assert_rows_are_the_scalar_frames(self, curve, s):
+        from weighted_tubes import normal_frames
+
+        rows = normal_frames(curve, s)
+        for k, sk in enumerate(s):
+            ref = scalar_normal_frame(curve, sk)
+            assert rows[k].tobytes() == ref.tobytes()
+            frame = normal_frame(curve, sk)
+            assert frame.shape == ref.shape and frame.tobytes() == ref.tobytes()
+
+    def test_curves(self, scenes):
+        rng = np.random.default_rng(21)
+        for curve in (scenes["ellipse_mu1"].pairs[0][0], scenes["example1b"].pairs[0][0],
+                      fourier_3d(), fourier_4d()):
+            s = np.concatenate([curve.grid(64), rng.uniform(curve.s_min, curve.s_max, 64)])
+            self.assert_rows_are_the_scalar_frames(curve, s)
+
+    def test_axis_aligned_tangents_skip_pivots(self):
+        # A tangent of length 2 fills its frame before the unit ones in the
+        # same call, so later basis vectors must not join it.
+        rows = []
+        for n in (2, 3, 4):
+            rows += list(np.eye(n)) + list(-np.eye(n)) + [2.0 * np.eye(n)[0]]
+            rows += [np.r_[1.0, 1.0, np.zeros(n - 2)] / np.sqrt(2.0)]
+        for n in (2, 3, 4):
+            stub = StubTangents([r for r in rows if r.size == n])
+            self.assert_rows_are_the_scalar_frames(stub, np.arange(len(stub.rows)))
+
+    def test_fallback_on_a_tangent_no_pivot_can_span(self):
+        # A nan tangent leaves the 0.5-threshold pass short; the
+        # unconditional fallback runs and finds no frame vector either.
+        from weighted_tubes import normal_frames
+
+        stub = StubTangents([[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert scalar_normal_frame(stub, 0).size == 0
+        assert normal_frame(stub, 0).size == 0
+        rows = normal_frames(stub, np.arange(2))
+        assert np.all(np.isnan(rows[0]))
+        assert rows[1].tobytes() == scalar_normal_frame(stub, 1).tobytes()
+
+    def test_reference_fallback_uses_the_standard_basis(self):
+        # A reference frame along the tangent leaves no residual above 1e-8.
+        curve = StubTangents([[0.0, 0.0, 1.0]])
+        reference = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        frame = normal_frame(curve, 0, reference=reference)
+        assert frame.tobytes() == np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).tobytes()

@@ -12,6 +12,7 @@ from weighted_tubes import (
     OffsetWeight,
     OutOfWError,
     PolynomialWeight,
+    SceneError,
     family_weights,
     fiber_geometry,
     fiber_trace,
@@ -248,7 +249,68 @@ class TestFiberTrace:
         assert np.max(np.abs(np.abs(directions @ (-g)) - 1.0)) <= 1e-12
 
 
+def directions_of_one_foot(frame, ambient_dim, dir_samples):
+    """The per-foot direction list tube_boundary used to build (oracle)."""
+    if ambient_dim == 2:
+        e = frame[0]
+        return [e, -e]
+    if ambient_dim == 3:
+        angles = 2.0 * np.pi * np.arange(dir_samples) / dir_samples
+        return [np.cos(a) * frame[0] + np.sin(a) * frame[1] for a in angles]
+    rng = np.random.default_rng(1234)
+    raw = rng.standard_normal((dir_samples, frame.shape[0]))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return list(raw @ frame)
+
+
+# (boundary, overlap) counts of tube_boundary at 256 feet, taken before the
+# tube potential was blocked; air as radii_report gives it.
+TUBE_COUNTS = {
+    "circle_mu1": (0.9999999999999999, (512, 0), (256, 256)),
+    "ellipse_mu1": (0.5, (512, 0), (454, 58)),
+    "example1a": (2.8284271247461903, (512, 0), (372, 0)),
+    "example1b": (3.5420643933754508, (4096, 0), (3040, 0)),
+    "example2_stadium": (4.140313876743611, (512, 0), (480, 20)),
+    "example3_family": (4.140313876743611, (512, 0), (480, 20)),
+    "example4": (4.0, (512, 0), (392, 0)),
+    "example6_family": (4.0, (512, 0), (392, 0)),
+}
+
+
 class TestTubeBoundary:
+    @pytest.mark.parametrize("name", sorted(TUBE_COUNTS))
+    def test_pinned_counts_below_and_above_air(self, scenes, name):
+        scene = scenes[name]
+        air, below, above = TUBE_COUNTS[name]
+        for factor, counts in ((0.6, below), (1.3, above)):
+            boundary, overlap = tube_boundary(scene.pairs, factor * air, tol=scene.tolerances)
+            assert (len(boundary), len(overlap)) == counts, factor
+
+    def test_directions_match_the_per_foot_lists(self, scenes):
+        from weighted_tubes import FourierCurve, normal_frames
+
+        curves = [
+            scenes["ellipse_mu1"].pairs[0][0],
+            scenes["example1b"].pairs[0][0],
+            FourierCurve([[0.0, 1.0, 0.0, 0.2, 0.1], [0.0, 0.0, 1.0, -0.1, 0.2],
+                          [0.0, 0.3, 0.1, 0.0, 0.25]]),
+            FourierCurve([[0.0, 1.0, 0.0, 0.1, 0.0], [0.0, 0.0, 1.0, 0.0, 0.1],
+                          [0.2, 0.3, 0.1], [0.0, 0.0, 0.4, 0.2, 0.0]]),
+        ]
+        for curve in curves:
+            n = curve.ambient_dim
+            frames = normal_frames(curve, curve.grid(40))
+            dirs = sweeps._directions(frames, n, 16)
+            assert dirs.shape == (40, 2 if n == 2 else 16, n)
+            for k in range(40):
+                ref = np.array(directions_of_one_foot(frames[k], n, 16))
+                assert dirs[k].tobytes() == ref.tobytes()
+
+    def test_oversized_row_array_rejected(self):
+        pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0))]
+        with pytest.raises(SceneError, match="budget"):
+            tube_boundary(pairs, 0.5, s_samples=10**9)
+
     def test_uniform_annulus(self):
         pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0))]
         boundary, overlap = tube_boundary(pairs, 0.5, s_samples=64)
@@ -282,7 +344,6 @@ class TestTubeBoundary:
     @pytest.mark.parametrize("name", ["ellipse_mu1", "example1b"])
     def test_rows_match_the_scalar_map(self, scenes, name):
         from weighted_tubes import exp_mu, normal_frame, radii_report
-        from weighted_tubes.sweeps import _directions
 
         scene = scenes[name]
         curve, weight = scene.pairs[0]
@@ -292,7 +353,7 @@ class TestTubeBoundary:
         expected = [
             (float(s), exp_mu(curve, weight, float(s), v, R))
             for s in curve.grid(32)
-            for v in _directions(normal_frame(curve, float(s)), curve.ambient_dim, 16)
+            for v in directions_of_one_foot(normal_frame(curve, float(s)), curve.ambient_dim, 16)
         ]
         assert len(boundary) == len(expected)
         for (_, s, p, _), (s_ref, p_ref) in zip(boundary, expected):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weighted_tubes.util import golden_max, golden_min
+from weighted_tubes.util import float17, golden_max, golden_min
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -172,3 +172,26 @@ def test_golden_args_slices_to_active_rows():
     assert all(n == m for n, m in seen)
     assert seen[0] == (4, 4) and seen[-1] == (4, 4)
     assert (1, 1) in seen
+
+
+def float17_with_branches(x):
+    """The earlier float17, with explicit non-finite branches (oracle)."""
+    x = float(x)
+    if np.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if np.isnan(x):
+        return "nan"
+    return format(x, ".17g")
+
+
+def test_float17_matches_the_branching_form():
+    rng = np.random.default_rng(17)
+    tiny = np.finfo(float).tiny
+    specials = [np.inf, -np.inf, np.nan, -np.nan, np.copysign(np.nan, -1.0), 0.0, -0.0,
+                1.0, -1.0, tiny, -tiny, tiny / 2.0, 5e-324, -5e-324, np.finfo(float).max,
+                np.float64(0.1), np.float32(0.1), 7, True]
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, 10_000)
+    values = specials + list(mags * rng.choice([-1.0, 1.0], mags.size))
+    for x in values:
+        assert float17(x) == float17_with_branches(x), repr(x)
+    assert [float17(x) for x in (np.inf, -np.inf, np.nan, -0.0)] == ["inf", "-inf", "nan", "-0"]
