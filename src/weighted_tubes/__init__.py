@@ -21,9 +21,7 @@ from .curves import (
     SegmentCurve,
     build_arclength_curve,
     collapse_ode_residual,
-    evaluate_frame,
     make_stadium,
-    third_derivative,
 )
 from .errors import (
     NonpositiveWeightError,
@@ -84,7 +82,6 @@ from .singular import (
     is_singular,
     jacobian_determinant,
     singular_set,
-    tir,
     transversality_check,
 )
 from .sweeps import SweepRow, family_weights, fiber_trace, radii_sweep, tube_boundary
@@ -98,7 +95,6 @@ from .weights import (
     SymmetricPiecewiseWeight,
     WeightFunction,
     build_weight,
-    weight_eval,
 )
 
 __version__ = "0.1.0"

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import NonRegularCurveError, OutOfDomainError, QuadratureFailureError
 from .util import (
+    brent_rows,
     gauss_legendre,
     quintic_smoothstep,
     quintic_smoothstep_d1,
@@ -41,10 +40,10 @@ class FrenetData:
 class ArclengthCurve:
     """A single C^3 component parametrized by arclength.
 
-    Subclasses implement `_eval(s, order)` on arrays of in-domain,
-    already-wrapped arclength values. Public evaluators accept scalars
-    or arrays, wrap closed components periodically, and reject
-    out-of-domain values on open arcs.
+    Subclasses implement `_jet(s, order)` on arrays of in-domain,
+    already-wrapped arclength values. `jet` accepts scalars or arrays,
+    wraps closed components periodically and rejects out-of-domain values
+    on open arcs; the named evaluators read one jet each.
     """
 
     def __init__(self, ambient_dim, length, closed, s_min, kappa_tol_factor=1e-9):
@@ -87,47 +86,45 @@ class ArclengthCurve:
 
     # -- evaluation --------------------------------------------------------
 
-    def _eval(self, s, order):
+    def jet(self, s, order):
+        """(gamma, gamma', ..., gamma^(order)) at s, for order <= 3.
+
+        s is wrapped once and every order comes from one pass over it (one
+        arclength inversion, one piece lookup). A scalar s gives rows with
+        no leading axis.
+        """
+        if order > 3:
+            raise ValueError(f"order {order}")
+        s = self.wrap(s)
+        out = self._jet(np.atleast_1d(s), order)
+        return tuple(x[0] for x in out) if s.ndim == 0 else out
+
+    def _jet(self, s, order):
         raise NotImplementedError
 
-    def _vectorized(self, s, order):
-        s = self.wrap(s)
-        scalar = s.ndim == 0
-        out = self._eval(np.atleast_1d(s), order)
-        return out[0] if scalar else out
-
     def point(self, s):
-        return self._vectorized(s, 0)
+        return self.jet(s, 0)[0]
 
     def tangent(self, s):
-        return self._vectorized(s, 1)
+        return self.jet(s, 1)[1]
 
     def second_derivative(self, s):
-        return self._vectorized(s, 2)
+        return self.jet(s, 2)[2]
 
     def third_derivative(self, s):
-        return self._vectorized(s, 3)
+        return self.jet(s, 3)[3]
 
     def curvature(self, s):
-        d2 = self.second_derivative(s)
-        return np.linalg.norm(d2, axis=-1)
+        return np.linalg.norm(self.jet(s, 2)[2], axis=-1)
 
     def curvature_rate(self, s):
         """d(kappa)/ds from exact derivatives; 0 where kappa vanishes."""
-        d2 = self.second_derivative(s)
-        d3 = self.third_derivative(s)
-        kap = np.linalg.norm(d2, axis=-1)
-        dot = np.sum(d2 * d3, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.where(kap > self.kappa_tol, dot / np.where(kap > 0, kap, 1.0), 0.0)
-        return rate
+        return _kappa_rate(self.jet(s, 3), self.kappa_tol)
 
     def frame(self, s):
         """FrenetData at scalar s; principal normal ABSENT below kappa_tol."""
         s = float(np.asarray(self.wrap(s)))
-        p = self.point(s)
-        t = self.tangent(s)
-        d2 = self.second_derivative(s)
+        p, t, d2 = self.jet(s, 2)
         kap = float(np.linalg.norm(d2))
         if kap > self.kappa_tol:
             normal = d2 / kap
@@ -136,20 +133,20 @@ class ArclengthCurve:
         return FrenetData(s, p, t, d2, kap, normal)
 
 
-def evaluate_frame(curve, s):
-    """Frenet-type data at s (see FrenetData)."""
-    return curve.frame(s)
+def _kappa_rate(jet, kappa_tol):
+    """d(kappa)/ds from a jet of order 3; 0 where kappa <= kappa_tol."""
+    d2, d3 = jet[2], jet[3]
+    kap = np.linalg.norm(d2, axis=-1)
+    dot = np.sum(d2 * d3, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(kap > kappa_tol, dot / np.where(kap > 0, kap, 1.0), 0.0)
 
 
-def third_derivative(curve, s):
-    return curve.third_derivative(s)
-
-
-def collapse_ode_residual(curve, s):
-    """|gamma''' + kappa^2 gamma'|, zero exactly on circular arcs."""
-    d3 = curve.third_derivative(s)
-    t = curve.tangent(s)
-    kap = curve.curvature(s)
+def collapse_ode_residual(jet):
+    """|gamma''' + kappa^2 gamma'| from a jet of order 3 (`curve.jet(s, 3)`);
+    zero exactly on circular arcs."""
+    _, t, d2, d3 = jet
+    kap = np.linalg.norm(d2, axis=-1)
     res = d3 + (np.asarray(kap)[..., None] ** 2) * t
     return np.linalg.norm(res, axis=-1)
 
@@ -173,20 +170,14 @@ class CircleArcCurve(ArclengthCurve):
             closed = abs(length - 2.0 * np.pi) < 1e-12
         super().__init__(ambient_dim, length, closed, s_start)
 
-    def _eval(self, s, order):
-        out = np.zeros(s.shape + (self.ambient_dim,))
+    def _jet(self, s, order):
         c, si = np.cos(s), np.sin(s)
-        if order == 0:
-            out[..., 0], out[..., 1] = c, si
-        elif order == 1:
-            out[..., 0], out[..., 1] = -si, c
-        elif order == 2:
-            out[..., 0], out[..., 1] = -c, -si
-        elif order == 3:
-            out[..., 0], out[..., 1] = si, -c
-        else:
-            raise ValueError(f"order {order}")
-        return out
+        outs = []
+        for x, y in ((c, si), (-si, c), (-c, -si), (si, -c))[:order + 1]:
+            out = np.zeros(s.shape + (self.ambient_dim,))
+            out[..., 0], out[..., 1] = x, y
+            outs.append(out)
+        return tuple(outs)
 
 
 class SegmentCurve(ArclengthCurve):
@@ -202,13 +193,12 @@ class SegmentCurve(ArclengthCurve):
         self._a = a
         self._dir = (b - a) / length
 
-    def _eval(self, s, order):
-        out = np.zeros(s.shape + (self.ambient_dim,))
-        if order == 0:
-            out[:] = self._a + s[..., None] * self._dir
-        elif order == 1:
-            out[:] = self._dir
-        return out
+    def _jet(self, s, order):
+        outs = [np.zeros(s.shape + (self.ambient_dim,)) for _ in range(order + 1)]
+        outs[0][:] = self._a + s[..., None] * self._dir
+        if order >= 1:
+            outs[1][:] = self._dir
+        return tuple(outs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +210,8 @@ class _RawCurve(ArclengthCurve):
     """Curve given by raw-parameter evaluators, reparametrized to arclength.
 
     The map s -> t is tabulated on a uniform raw grid (composite
-    Gauss-Legendre per cell), interpolated monotonically (PCHIP) and
-    polished by Newton so |s(t) - s| <= 1e-12 * L.
+    Gauss-Legendre per cell), interpolated monotonically (PCHIP, see
+    `_pchip_coefficients`) and polished by Newton so |s(t) - s| <= 1e-12 * L.
     """
 
     _GL_N = 16
@@ -254,7 +244,7 @@ class _RawCurve(ArclengthCurve):
         super().__init__(self._raw(np.array([self._t0]), 0).shape[-1], length, closed, 0.0)
         self._t_grid = tg
         self._s_grid = cum
-        self._t_of_s = PchipInterpolator(cum, tg)
+        self._pchip = _pchip_coefficients(cum, tg)
 
     def _length_refined(self, base, tol, max_doublings=6):
         nodes, wts = gauss_legendre(self._GL_N)
@@ -295,7 +285,7 @@ class _RawCurve(ArclengthCurve):
         # Each foot stops on its own residual, so its value does not depend
         # on the other feet of the call.
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = np.asarray(self._t_of_s(np.clip(s, 0.0, self.length)), dtype=float)
+        t = _pchip_eval(self._s_grid, self._pchip, np.clip(s, 0.0, self.length))
         tol = 4e-16 * self.length
         k = np.arange(len(t))
         for _ in range(6):
@@ -308,41 +298,71 @@ class _RawCurve(ArclengthCurve):
             t[k] = np.clip(t[k] - resid / speed, self._t0, self._t1)
         return t
 
-    def _t_cached(self, s):
-        """Single-slot memo: point/tangent/... calls reuse one inversion."""
-        key = s.tobytes()
-        cached = getattr(self, "_t_memo", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
+    def _jet(self, s, order):
         t = self.t_of_s(s - self.s_min)
-        self._t_memo = (key, t)
-        return t
-
-    def _eval(self, s, order):
-        t = self._t_cached(s)
-        if order == 0:
-            return self._raw(t, 0)
-        g1, *higher = self._raw_orders(t, range(1, min(order, 3) + 1))
-        speed = np.linalg.norm(g1, axis=-1)
-        inv = 1.0 / speed
-        if order == 1:
-            return g1 * inv[..., None]
-        g2 = higher[0]
-        sp1 = np.sum(g1 * g2, axis=-1) * inv  # d(speed)/dt
-        t1 = inv
-        t2 = -sp1 * inv**3
-        if order == 2:
-            return g2 * (t1**2)[..., None] + g1 * t2[..., None]
-        g3 = higher[1]
-        sp2 = (np.sum(g2 * g2, axis=-1) + np.sum(g1 * g3, axis=-1)) * inv - sp1**2 * inv
-        t3 = (-sp2 * inv**4 + 3.0 * sp1**2 * inv**5)
-        if order == 3:
-            return (
-                g3 * (t1**3)[..., None]
-                + 3.0 * g2 * (t1 * t2)[..., None]
-                + g1 * t3[..., None]
+        g = self._raw_orders(t, range(order + 1))
+        out = [g[0]]
+        if order >= 1:
+            inv = 1.0 / np.linalg.norm(g[1], axis=-1)  # 1 / speed
+            out.append(g[1] * inv[..., None])
+        if order >= 2:
+            sp1 = np.sum(g[1] * g[2], axis=-1) * inv  # d(speed)/dt
+            t1, t2 = inv, -sp1 * inv**3
+            out.append(g[2] * (t1**2)[..., None] + g[1] * t2[..., None])
+        if order >= 3:
+            sp2 = (np.sum(g[2] * g[2], axis=-1) + np.sum(g[1] * g[3], axis=-1)) * inv - sp1**2 * inv
+            t3 = -sp2 * inv**4 + 3.0 * sp1**2 * inv**5
+            out.append(
+                g[3] * (t1**3)[..., None] + 3.0 * g[2] * (t1 * t2)[..., None] + g[1] * t3[..., None]
             )
-        raise ValueError(f"order {order}")
+        return tuple(out)
+
+
+def _pchip_coefficients(x, y):
+    """Cubic Hermite coefficients (4, n - 1) of the monotone PCHIP
+    interpolant through the knots (x, y), row j multiplying (x - x_i)^(3 - j).
+
+    The standard construction, operation for operation: harmonic-mean slopes
+    at interior knots (Fritsch and Butland), zero where the secants change
+    sign or vanish, shape-preserving one-sided slopes at the ends (Moler,
+    Numerical Computing with MATLAB, 3.6), and a line through two knots.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d = np.concatenate([[0.0], np.where(flat, 0.0, 1.0 / whmean), [0.0]])
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_eval(x, c, s):
+    """The Hermite cubics c on knots x at s, summed lowest power first with
+    the powers of z = s - x_i built by repeated multiplication; values
+    beyond the ends extend the end cubics."""
+    i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+    z = s - x[i]
+    z2 = z * z
+    return c[3, i] + c[2, i] * z + c[1, i] * z2 + c[0, i] * (z2 * z)
 
 
 class FourierCurve(_RawCurve):
@@ -414,8 +434,8 @@ class ChebyshevCurve(_RawCurve):
         if not all(np.all(np.isfinite(c)) for c in coeffs):
             raise NonRegularCurveError("non-finite Chebyshev coefficients")
         dom = [float(raw_domain[0]), float(raw_domain[1])]
-        self._series = [npcheb.Chebyshev(c, domain=dom) for c in coeffs]
-        self._derivs = [[p.deriv(m) for m in range(1, 4)] for p in self._series]
+        series = [npcheb.Chebyshev(c, domain=dom) for c in coeffs]
+        self._series = [[p] + [p.deriv(m) for m in range(1, 4)] for p in series]
         super().__init__(False, dom, tol=tol, table_n=table_n)
 
     def _raw_orders(self, t, orders):
@@ -424,7 +444,7 @@ class ChebyshevCurve(_RawCurve):
         for order in orders:
             out = np.zeros(t.shape + (len(self._series),))
             for i, p in enumerate(self._series):
-                out[..., i] = p(t) if order == 0 else self._derivs[i][order - 1](t)
+                out[..., i] = p[order](t)
             outs.append(out)
         return outs
 
@@ -537,77 +557,61 @@ class CurvatureProfileCurve(ArclengthCurve):
         bounds = np.array([p.s1 for p in self._pieces])
         return np.clip(np.searchsorted(bounds, s, side="left"), 0, len(self._pieces) - 1)
 
-    def _half_eval(self, s, order):
-        """Evaluate on the stored half-profile domain [0, half-length]."""
+    def _half_jet(self, s, order):
+        """Jet on the stored half-profile domain [0, half-length]."""
         s = np.asarray(s, dtype=float)
         idx = self._piece_index(s)
-        out = np.zeros(s.shape + (2,))
+        outs = [np.zeros(s.shape + (2,)) for _ in range(order + 1)]
         for j, p in enumerate(self._pieces):
             m = idx == j
             if not np.any(m):
                 continue
             sj = s[m]
             th = p.theta0 + self._theta_local(p, sj)
-            if order == 0:
-                if p.kind == "const" and p.k0 == 0.0:
-                    ds = sj - p.s0
-                    x = p.x0 + ds * np.cos(p.theta0)
-                    y = p.y0 + ds * np.sin(p.theta0)
-                elif p.kind == "const":
-                    k = p.k0
-                    x = p.x0 + (np.sin(th) - np.sin(p.theta0)) / k
-                    y = p.y0 + (-np.cos(th) + np.cos(p.theta0)) / k
-                else:
-                    nodes, wts = gauss_legendre(self._GL_N)
-                    h = sj - p.s0
-                    ss = p.s0 + h[:, None] * nodes[None, :]
-                    tt = p.theta0 + self._theta_local(p, ss)
-                    x = p.x0 + (np.cos(tt) * wts[None, :]).sum(axis=1) * h
-                    y = p.y0 + (np.sin(tt) * wts[None, :]).sum(axis=1) * h
-                out[m, 0], out[m, 1] = x, y
-            elif order == 1:
-                out[m, 0], out[m, 1] = np.cos(th), np.sin(th)
-            elif order == 2:
-                k = self._kappa_local(p, sj)
-                out[m, 0], out[m, 1] = -k * np.sin(th), k * np.cos(th)
-            elif order == 3:
-                k = self._kappa_local(p, sj)
-                kr = self._kappa_rate_local(p, sj)
-                out[m, 0] = -kr * np.sin(th) - k * k * np.cos(th)
-                out[m, 1] = kr * np.cos(th) - k * k * np.sin(th)
+            if p.kind == "const" and p.k0 == 0.0:
+                ds = sj - p.s0
+                x = p.x0 + ds * np.cos(p.theta0)
+                y = p.y0 + ds * np.sin(p.theta0)
+            elif p.kind == "const":
+                k = p.k0
+                x = p.x0 + (np.sin(th) - np.sin(p.theta0)) / k
+                y = p.y0 + (-np.cos(th) + np.cos(p.theta0)) / k
             else:
-                raise ValueError(f"order {order}")
-        return out
+                nodes, wts = gauss_legendre(self._GL_N)
+                h = sj - p.s0
+                ss = p.s0 + h[:, None] * nodes[None, :]
+                tt = p.theta0 + self._theta_local(p, ss)
+                x = p.x0 + (np.cos(tt) * wts[None, :]).sum(axis=1) * h
+                y = p.y0 + (np.sin(tt) * wts[None, :]).sum(axis=1) * h
+            outs[0][m, 0], outs[0][m, 1] = x, y
+            if order == 0:
+                continue
+            cos, sin = np.cos(th), np.sin(th)
+            outs[1][m, 0], outs[1][m, 1] = cos, sin
+            if order == 1:
+                continue
+            k = self._kappa_local(p, sj)
+            outs[2][m, 0], outs[2][m, 1] = -k * sin, k * cos
+            if order == 2:
+                continue
+            kr = self._kappa_rate_local(p, sj)
+            outs[3][m, 0] = -kr * sin - k * k * cos
+            outs[3][m, 1] = kr * cos - k * k * sin
+        return outs
 
-    def _eval(self, s, order):
+    def _jet(self, s, order):
         if not self._mirrored:
-            return self._half_eval(s, order)
-        half = self.length / 2.0
-        s = np.asarray(s, dtype=float)
-        hi = s > half
-        sref = np.where(hi, self.length - s, s)
-        out = self._half_eval(sref, order)
+            return tuple(self._half_jet(s, order))
+        hi = s > self.length / 2.0
+        outs = self._half_jet(np.where(hi, self.length - s, s), order)
         # Mirror about the x-axis: gamma(L-s) = M gamma(s), M = diag(1,-1);
         # odd derivative orders pick up an extra overall sign.
         sign_y = np.where(hi, -1.0, 1.0)
-        sign_all = np.where(hi & (order % 2 == 1), -1.0, 1.0)
-        out = out * sign_all[..., None]
-        out[..., 1] *= sign_y
-        return out
-
-    def profile_curvature(self, s):
-        """kappa(s) straight from the profile (no norm round-off)."""
-        s = np.atleast_1d(self.wrap(s))
-        if self._mirrored:
-            half = self.length / 2.0
-            s = np.where(s > half, self.length - s, s)
-        idx = self._piece_index(s)
-        out = np.zeros_like(s)
-        for j, p in enumerate(self._pieces):
-            m = idx == j
-            if np.any(m):
-                out[m] = self._kappa_local(p, s[m])
-        return out
+        for n, out in enumerate(outs):
+            out = out * np.where(hi & (n % 2 == 1), -1.0, 1.0)[..., None]
+            out[..., 1] *= sign_y
+            outs[n] = out
+        return tuple(outs)
 
 
 def make_stadium(circle_turn=0.3, transition=0.05, line_length=7.0):
@@ -641,9 +645,9 @@ def make_stadium(circle_turn=0.3, transition=0.05, line_length=7.0):
         return CurvatureProfileCurve(pieces, (1.0, 0.0), np.pi / 2.0, True, mirrored=True)
 
     def end_y(kappa2):
-        return build(kappa2)._end_state[1]
+        return np.array([build(float(k))._end_state[1] for k in kappa2])
 
-    kappa2 = brentq(end_y, 1e-3, 0.9, xtol=1e-14, rtol=1e-15)
+    kappa2 = float(brent_rows(end_y, 1e-3, 0.9, 1e-14, 1e-15)[0])
     curve = build(kappa2)
     layout = {
         "circle_end": s1,

@@ -61,7 +61,12 @@ class FiberShape:
 
 def w_bound(weight, s):
     """Admissible height bound 1/|mu'(s)| (+inf where mu' = 0)."""
-    d1 = np.abs(np.asarray(weight.d1(s), dtype=float))
+    return _bound(weight.d1(s))
+
+
+def _bound(d1):
+    """1/|mu'| from mu' (+inf where mu' = 0)."""
+    d1 = np.abs(np.asarray(d1, dtype=float))
     with np.errstate(divide="ignore"):
         return np.where(d1 > 0.0, 1.0 / np.where(d1 > 0, d1, 1.0), np.inf)
 
@@ -94,18 +99,19 @@ def _first_fault(checks):
     return k, next(make_error(k) for mask, make_error in checks if mask[k])
 
 
-def _offset_rows(curve, weight, s, v, R, w_tol=1e-12):
+def _offset_rows(jets, s, v, R, w_tol=1e-12):
     """Row-wise offsets: (unit normals, admissible bounds, first fault).
 
-    Each row is projected into the normal space at its foot and normalized;
-    the fault is (row, OutOfWError) for the first row whose direction is
+    `jets` are the (curve, weight) jets of order >= 1 at the feet s. Each
+    row is projected into the normal space at its foot and normalized; the
+    fault is (row, OutOfWError) for the first row whose direction is
     tangent or whose height is negative or above 1/|mu'|, else None.
     """
-    t = curve.tangent(s)
+    t = jets[0][1]
     v = v - _rowdot(v, t)[:, None] * t
     nv = _rownorm(v)
     v = v / np.where(nv > 0.0, nv, 1.0)[:, None]
-    bound = w_bound(weight, s)
+    bound = _bound(jets[1][1])
     fault = _first_fault([
         (nv <= 1e-14, lambda k: OutOfWError("direction is tangent to the curve at s")),
         (R < 0, lambda k: OutOfWError("height R must be nonnegative")),
@@ -122,9 +128,8 @@ def make_offsets(curve, weight, s, v, R, w_tol=1e-12):
     Raises OutOfWError for the first row that fails a check.
     """
     s = np.asarray(s, dtype=float)
-    v, _, fault = _offset_rows(
-        curve, weight, s, np.asarray(v, dtype=float), np.asarray(R, dtype=float), w_tol
-    )
+    jets = (curve.jet(s, 1), weight.jet(s, 1))
+    v, _, fault = _offset_rows(jets, s, np.asarray(v, dtype=float), np.asarray(R, dtype=float), w_tol)
     if fault is not None:
         raise fault[1]
     return v
@@ -132,24 +137,35 @@ def make_offsets(curve, weight, s, v, R, w_tol=1e-12):
 
 def make_offset(curve, weight, s, v, R, w_tol=1e-12):
     """Project v into the normal space at s, normalize, and range-check R."""
-    s, R = float(s), float(R)
+    s = np.array([float(s)])
+    return _offset((curve.jet(s, 1), weight.jet(s, 1)), s, v, R, w_tol)
+
+
+def _offset(jets, s, v, R, w_tol=1e-12):
+    """make_offset from the jets at the one-row feet s."""
+    R = float(R)
     rows, bound, fault = _offset_rows(
-        curve, weight, np.array([s]), np.asarray(v, dtype=float)[None, :], np.array([R]), w_tol
+        jets, s, np.asarray(v, dtype=float)[None, :], np.array([R]), w_tol
     )
     if fault is not None:
         raise fault[1]
     bound = float(bound[0])
     boundary = np.isfinite(bound) and abs(R - bound) <= w_tol * max(1.0, bound)
-    return NormalOffset(s, rows[0], R, boundary)
+    return NormalOffset(float(s[0]), rows[0], R, boundary)
 
 
 def exp_mu(curve, weight, s, v, R):
     """Evaluate the map at foot s, unit normal v, height(s) R (scalar or
     array): the rows of exp_mu_batch at one range-checked offset."""
-    s = float(s)
-    off = make_offset(curve, weight, s, v, R if np.ndim(R) == 0 else np.max(R))
+    s = np.array([float(s)])
+    return _exp((curve.jet(s, 1), weight.jet(s, 1)), s, v, R)
+
+
+def _exp(jets, s, v, R):
+    """exp_mu from the jets at the one-row feet s."""
+    off = _offset(jets, s, v, R if np.ndim(R) == 0 else np.max(R))
     R = np.asarray(R, dtype=float)
-    rows = exp_mu_batch(curve, weight, np.array([s]), off.v[None, :], R.ravel())
+    rows = _exp_rows(jets, off.v[None, :], R.ravel())
     return rows.reshape(R.shape + off.v.shape)
 
 
@@ -157,12 +173,14 @@ def exp_mu_batch(curve, weight, s, v, R):
     """Vectorized map over matched arrays s (m,), v (m,n), R (m,); s and v
     may also be single rows, shared by every height."""
     s = np.asarray(s, dtype=float)
-    R = np.asarray(R, dtype=float)
-    g = curve.point(s)
-    t = curve.tangent(s)
-    mu = np.asarray(weight.mu(s), dtype=float)
-    d1 = np.asarray(weight.d1(s), dtype=float)
-    v = np.asarray(v, dtype=float)
+    jets = (curve.jet(s, 1), weight.jet(s, 1))
+    return _exp_rows(jets, np.asarray(v, dtype=float), np.asarray(R, dtype=float))
+
+
+def _exp_rows(jets, v, R):
+    """exp_mu_batch from the (curve, weight) jets of order >= 1 at the feet."""
+    g, t = jets[0][:2]
+    mu, d1 = (np.asarray(x, dtype=float) for x in jets[1][:2])
     rad = np.sqrt(np.clip(1.0 - (d1 * R) ** 2, 0.0, None))
     return g - (mu * d1 * R**2)[:, None] * t + (mu * R * rad)[:, None] * v
 
@@ -171,10 +189,8 @@ def fiber_geometry(curve, weight, s, tol_plane=1e-10):
     """Shape of the normal-space image at s: plane iff |mu'(s)| <= tol_plane,
     else the sphere of radius mu/(2|mu'|) centered at gamma - (mu/(2 mu')) gamma'."""
     s = float(s)
-    g = curve.point(s)
-    t = curve.tangent(s)
-    mu = float(weight.mu(s))
-    d1 = float(weight.d1(s))
+    g, t = curve.jet(s, 1)
+    mu, d1 = (float(x) for x in weight.jet(s, 1))
     if abs(d1) <= tol_plane:
         return FiberShape(PLANE, g, normal=t)
     center = g - (mu / (2.0 * d1)) * t
@@ -197,30 +213,27 @@ def f_value(curve, weight, s, p):
 
 def f_prime(curve, weight, s, p):
     """dF_p/ds via logarithmic differentiation of E / mu^2."""
-    p = np.asarray(p, dtype=float)
-    g = curve.point(s)
-    t = curve.tangent(s)
-    diff = p - g
+    g, t = curve.jet(s, 1)
+    mu, d1 = (np.asarray(x, dtype=float) for x in weight.jet(s, 1))
+    return _f_prime(np.asarray(p, dtype=float) - g, t, mu, d1)
+
+
+def _f_prime(diff, t, mu, d1):
+    """dF_p/ds from diff = p - gamma, the tangent, mu and mu' at the feet."""
     e = np.sum(diff * diff, axis=-1)
     e1 = -2.0 * np.sum(diff * t, axis=-1)
-    mu = np.asarray(weight.mu(s), dtype=float)
-    d1 = np.asarray(weight.d1(s), dtype=float)
     return (e1 - 2.0 * e * d1 / mu) / mu**2
 
 
 def f_second(curve, weight, s, p):
     """d^2F_p/ds^2, valid at any s (not only critical feet)."""
     p = np.asarray(p, dtype=float)
-    g = curve.point(s)
-    t = curve.tangent(s)
-    g2 = curve.second_derivative(s)
+    g, t, g2 = curve.jet(s, 2)
     diff = p - g
     e = np.sum(diff * diff, axis=-1)
     e1 = -2.0 * np.sum(diff * t, axis=-1)
     e2 = 2.0 * (1.0 - np.sum(diff * g2, axis=-1))
-    mu = np.asarray(weight.mu(s), dtype=float)
-    d1 = np.asarray(weight.d1(s), dtype=float)
-    d2 = np.asarray(weight.d2(s), dtype=float)
+    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
     return (
         e2 / mu**2
         - 4.0 * e1 * d1 / mu**3
@@ -240,32 +253,31 @@ def f_second_critical(curve, weight, s, p, grad_tol=None):
     test for p, and OutOfWError when the recovered height exceeds the
     admissible bound.
     """
+    s = np.array([float(s)])
     values, fault = _f_second_critical_rows(
-        curve, weight, np.array([float(s)]), np.asarray(p, dtype=float)[None, :], grad_tol
+        curve, (curve.jet(s, 2), weight.jet(s, 2)), np.asarray(p, dtype=float)[None, :], grad_tol
     )
     if fault is not None:
         raise fault[1]
     return float(values[0])
 
 
-def _f_second_critical_rows(curve, weight, s, p, grad_tol=None):
-    """Row-wise f_second_critical over feet s (m,) and points p (m, n).
+def _f_second_critical_rows(curve, jets, p, grad_tol=None):
+    """Row-wise f_second_critical from the (curve, weight) jets of order 2 at
+    the feet and the points p (m, n).
 
     Returns (values, fault); the fault is (row, error) for the first row
     failing the recovered-height or the criticality check, else None.
     """
-    s = curve.wrap(s)
-    g = curve.point(s)
-    mu = np.asarray(weight.mu(s), dtype=float)
-    d1 = np.asarray(weight.d1(s), dtype=float)
-    d2 = np.asarray(weight.d2(s), dtype=float)
+    g, t, g2 = jets[0][:3]
+    mu, d1, d2 = (np.asarray(x, dtype=float) for x in jets[1][:3])
     diff = p - g
     dist = _rownorm(diff)
     R = dist / mu
-    bound = w_bound(weight, s)
+    bound = _bound(d1)
     if grad_tol is None:
         grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
-    fp = np.abs(f_prime(curve, weight, s, p))
+    fp = np.abs(_f_prime(diff, t, mu, d1))
     fault = _first_fault([
         (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
             f"recovered height {float(R[k])} exceeds admissible bound {float(bound[k])}"
@@ -275,9 +287,7 @@ def _f_second_critical_rows(curve, weight, s, p, grad_tol=None):
             f"{float(np.broadcast_to(grad_tol, fp.shape)[k])}"
         )),
     ])
-    g2 = curve.second_derivative(s)
     kap = _rownorm(g2)
-    t = curve.tangent(s)
     u = diff / np.where(dist > 0.0, dist, 1.0)[:, None]
     un = u - _rowdot(u, t)[:, None] * t
     nun = _rownorm(un)
@@ -290,9 +300,18 @@ def _f_second_critical_rows(curve, weight, s, p, grad_tol=None):
 
 def f_second_at_offset(curve, weight, s, v, R):
     """Closed-form second derivative at the foot of exp(s, v, R)."""
-    off = make_offset(curve, weight, s, v, R)
-    p = exp_mu(curve, weight, off.s, off.v, off.R)
-    return f_second_critical(curve, weight, off.s, p)
+    s = np.array([float(s)])
+    return _f_second_at(curve, (curve.jet(s, 2), weight.jet(s, 2)), s, v, R)
+
+
+def _f_second_at(curve, jets, s, v, R):
+    """f_second_at_offset from the jets of order 2 at the one-row feet s."""
+    off = _offset(jets, s, v, R)
+    p = _exp(jets, s, off.v, off.R)
+    values, fault = _f_second_critical_rows(curve, jets, p[None, :])
+    if fault is not None:
+        raise fault[1]
+    return float(values[0])
 
 
 def classify_critical(curve, weight, s, p, tol_grad=None, tol_hess=None):
@@ -508,7 +527,11 @@ def normal_frame(curve, s, reference=None):
     `normal_frames`) or a caller-supplied reference frame, the latter giving
     a frame that varies smoothly with s nearby.
     """
-    t = curve.tangent(s)
+    return _normal_frame(curve.tangent(s), reference)
+
+
+def _normal_frame(t, reference=None):
+    """normal_frame from the unit tangent t at the foot."""
     if reference is None:
         frames, count = _standard_frames(t[None, :])
         return frames[0, :count[0]]

@@ -73,11 +73,8 @@ class RadiiReport:
 
 def _focal_jets(curve, weight, s):
     """(kappa, mu, mu', mu'') at the feet s."""
-    return (
-        np.asarray(curve.curvature(s), dtype=float),
-        np.asarray(weight.mu(s), dtype=float),
-        np.asarray(weight.d1(s), dtype=float),
-        np.asarray(weight.d2(s), dtype=float),
+    return (np.asarray(curve.curvature(s), dtype=float),) + tuple(
+        np.asarray(x, dtype=float) for x in weight.jet(s, 2)
     )
 
 
@@ -317,13 +314,9 @@ def lemma3_roots(a, b, c, residual_tol=1e-12):
 
 
 def _feet(curve, weight, s, t=0.0):
-    """(point, tangent, mu + t, mu') at the feet s: one evaluation per foot array."""
-    return (
-        curve.point(s),
-        curve.tangent(s),
-        np.asarray(weight.mu(s), dtype=float) + t,
-        np.asarray(weight.d1(s), dtype=float),
-    )
+    """(point, tangent, mu + t, mu') at the feet s: one jet per foot array."""
+    mu, d1 = weight.jet(s, 1)
+    return curve.jet(s, 1) + (np.asarray(mu, dtype=float) + t, np.asarray(d1, dtype=float))
 
 
 def _feet_rows(curve, weight, arrays, t):
@@ -536,9 +529,9 @@ def _verify_pair(pairs, i, j, s1, s2, residual, tol):
     if i == j:
         if c1.periodic_distance(s1, s2) < tol.delta_min_factor * c1.length:
             return None
-    q1, q2 = c1.point(s1), c2.point(s2)
-    m1 = float(w1.mu(s1))
-    m2 = float(w2.mu(s2))
+    (q1, t1), (q2, t2) = c1.jet(s1, 1), c2.jet(s2, 1)
+    (m1, d1_1), (m2, d1_2) = w1.jet(s1, 1), w2.jet(s2, 1)
+    m1, m2 = float(m1), float(m2)
     dist = float(np.linalg.norm(q1 - q2))
     if dist <= 0:
         return None
@@ -546,13 +539,13 @@ def _verify_pair(pairs, i, j, s1, s2, residual, tol):
     u = (q2 - q1) / dist
     midpoint = q1 + ratio * m1 * u
     ang = []
-    for curve, weight, s, uu in ((c1, w1, s1, u), (c2, w2, s2, -u)):
-        d1 = float(weight.d1(s))
+    for tan, d1, uu in ((t1, d1_1, u), (t2, d1_2, -u)):
+        d1 = float(d1)
         if abs(d1) == 0.0:
             # alpha is pi/2 by convention; the chord must be normal here.
-            ang.append(abs(float(uu @ curve.tangent(s))))
+            ang.append(abs(float(uu @ tan)))
             continue
-        grad_dir = np.sign(d1) * curve.tangent(s)
+        grad_dir = np.sign(d1) * tan
         cosa = float(uu @ grad_dir)
         ang.append(abs(cosa + ratio * abs(d1)))
     if max(ang) > 1e-6:

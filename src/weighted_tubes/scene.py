@@ -187,8 +187,3 @@ def load_scene(source):
     except json.JSONDecodeError as exc:
         raise SceneError(f"scene {name!r} is not valid JSON: {exc}") from exc
     return parse_scene(doc)
-
-
-def scene_to_json(scene):
-    """Round-trippable document for a loaded scene."""
-    return dict(scene.raw)

@@ -1,33 +1,35 @@
-"""Singular set of the weighted exponential map, collapse arcs, and the
-topological radius.
+"""Singular set of the weighted exponential map and its collapse arcs.
 
 Inside the almost-injectivity height the map degenerates exactly on the
 graph {(s, R(s))} where mu'' + kappa^2 mu / 4 = 0 with kappa > 0 and
 R(s) = ((mu')^2 - mu mu'')^{-1/2}, always along the principal normal. A
 whole constant-height curve over an interval collapses to one point only
 above exact circular arcs carrying mu = (2/(kappa r)) cos(kappa s / 2 + a);
-detecting those arcs yields the topological radius.
+those arcs set the topological radius (see radii.radii_report).
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import DEFAULT_TOLERANCES
+from .curves import _kappa_rate, collapse_ode_residual
 from .errors import OutOfWError
 from .expmap import (
+    _exp_rows,
+    _f_second_at,
     _f_second_critical_rows,
+    _normal_frame,
+    _offset,
     _offset_rows,
     _rownorm,
     exp_mu,
     exp_mu_batch,
-    f_second_at_offset,
     make_offset,
-    normal_frame,
 )
 from .radii import _bracket, _extrema_indices
-from .util import as_pairs, golden_min
+from .util import as_pairs, brent_rows, golden_min
 
 
 @dataclass(frozen=True)
@@ -51,95 +53,95 @@ class CollapseArc:
     residuals: dict
 
 
+GZeroSet = namedtuple("GZeroSet", "sg g flat cross cross_s touch touch_s")
+
+
 def _sng_condition(curve, weight, s):
     """g(s) = mu'' + kappa^2 mu / 4 (zero exactly on the singular graph)."""
-    kap = np.asarray(curve.curvature(s), dtype=float)
-    return np.asarray(weight.d2(s), dtype=float) + 0.25 * kap**2 * np.asarray(
-        weight.mu(s), dtype=float
-    )
+    return _g(curve.curvature(s), weight.jet(s, 2))
 
 
-def _graph_height(curve, weight, s):
-    """R(s) = ((mu')^2 - mu mu'')^{-1/2}; nan where the radicand is <= 0."""
-    d1 = np.asarray(weight.d1(s), dtype=float)
-    mu = np.asarray(weight.mu(s), dtype=float)
-    d2 = np.asarray(weight.d2(s), dtype=float)
+def _g(kap, weight_jet):
+    """g from the curvature and a weight jet of order 2 at the same feet."""
+    mu, d2 = (np.asarray(weight_jet[k], dtype=float) for k in (0, 2))
+    return d2 + 0.25 * np.asarray(kap, dtype=float) ** 2 * mu
+
+
+def _graph_height(weight_jet):
+    """R(s) = ((mu')^2 - mu mu'')^{-1/2} from a weight jet of order 2; nan
+    where the radicand is <= 0."""
+    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight_jet[:3])
     rad = d1**2 - mu * d2
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rad > 0.0, 1.0 / np.sqrt(np.where(rad > 0, rad, 1.0)), np.nan)
 
 
+def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
+    """The zero set of g = mu'' + kappa^2 mu / 4 on one component, as a
+    GZeroSet: the grid `sg` of tol.singular_samples samples, `g` on it, the
+    `flat` samples, the sign changes (grid index k of the bracket
+    [s_k, s_k + step] in `cross`, root in `cross_s`) and the touching zeros
+    (grid index in `touch`, refined foot in `touch_s`, smallest |g| first).
+
+    Flat samples have |g| <= flat_factor * max(1, max |g|); kappa is not
+    consulted. All sign changes (the last sample and the first also
+    neighbour on a closed curve) are refined in one `brent_rows` call to
+    xtol 1e-14. Touching zeros are the best 64 local minima of |g| within
+    tol_sng plus the discrete second difference there (the value a
+    quadratic touching zero attains one step away), refined in one
+    golden-section call and kept where |g| <= tol_sng.
+    """
+    n = tol.singular_samples
+    sg = curve.grid(n)
+    g = _sng_condition(curve, weight, sg)
+    absg = np.abs(g)
+    flat = absg <= tol.flat_factor * max(1.0, float(np.max(absg)))
+    limit = n if curve.closed else n - 1
+    cross = np.nonzero(g * np.roll(g, -1) < 0.0)[0]
+    cross = cross[cross < limit]
+    hi = sg[cross] + curve.length / n if curve.closed else sg[cross + 1]
+    cross_s = brent_rows(lambda s: _sng_condition(curve, weight, s), sg[cross], hi, 1e-14)
+    touch = np.array([
+        k for k in _extrema_indices(absg, curve.closed, "min", 64)
+        if absg[k] <= tol.tol_sng + abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])
+    ], dtype=int)
+    touch_s = np.zeros(0)
+    if len(touch):
+        lo, hi = _bracket(curve, sg, touch)
+        touch_s, v_ref = golden_min(
+            lambda s: np.abs(_sng_condition(curve, weight, s)), lo, hi, tol=1e-13
+        )
+        touch, touch_s = touch[v_ref <= tol.tol_sng], touch_s[v_ref <= tol.tol_sng]
+    return GZeroSet(sg, g, flat, cross, cross_s, touch, touch_s)
+
+
 def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
     """Singular-graph points with height below ur.
 
-    The zero set of g = mu'' + kappa^2 mu / 4 is located three ways: flat
-    runs at machine level (a continuum; grid samples are reported), sign
-    changes (bisection), and near-zero local minima of |g| (refined; this is
-    what catches isolated touching zeros). The detectors only collect
-    candidate feet; one array pass per component then builds the points and
-    cross-checks each against the second-derivative criterion at its offset
-    (see `_graph_points`).
+    The feet come from the zero set of g (`g_zero_set`): flat runs of 3 or
+    more samples are continua and report their samples (kappa is not
+    consulted here), then the sign-change roots and the touching zeros,
+    except those next to or inside such a run. One array pass per component
+    then builds the points and cross-checks each against the
+    second-derivative criterion at its offset (see `_graph_points`).
     """
     pairs = as_pairs(pairs)
     out = []
     for ci, (curve, weight) in enumerate(pairs):
-        sg = curve.grid(tol.singular_samples)
-        g = _sng_condition(curve, weight, sg)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        flat_tol = tol.flat_factor * scale
-        flat = np.abs(g) <= flat_tol
-        feet = []
-        # Flat runs (length >= 3 samples) are continua: report the samples.
-        runs = _runs(flat, curve.closed)
-        in_flat_run = np.zeros(len(sg), dtype=bool)
-        for lo, hi in runs:
-            idx = np.arange(lo, hi) % len(sg)
-            if len(idx) < 3:
-                continue
-            in_flat_run[idx] = True
-            feet.extend(sg[idx])
-        # Sign changes away from flat runs.
-        nxt = np.roll(g, -1)
-        cross = (g * nxt < 0.0) & ~in_flat_run & ~np.roll(in_flat_run, -1)
-        limit = len(sg) if curve.closed else len(sg) - 1
-        for k in np.nonzero(cross)[0]:
-            if k >= limit:
-                continue
-            a, b = float(sg[k]), float(sg[k] + curve.length / tol.singular_samples)
-            if not curve.closed:
-                b = float(sg[k + 1])
-            feet.append(
-                brentq(lambda s: float(_sng_condition(curve, weight, s)), a, b, xtol=1e-14)
-            )
-        # Isolated near-zero touching points.
-        feet.extend(_touching_zeros(curve, weight, sg, g, tol, skip=in_flat_run))
-        if feet:
-            out.extend(_graph_points(curve, weight, ci, np.array(feet, dtype=float), ur, tol))
+        z = g_zero_set(curve, weight, tol)
+        n = len(z.sg)
+        runs = [np.arange(lo, hi) % n for lo, hi in _runs(z.flat, curve.closed) if hi - lo >= 3]
+        flat_idx = np.concatenate(runs) if runs else np.zeros(0, dtype=int)
+        in_flat_run = np.zeros(n, dtype=bool)
+        in_flat_run[flat_idx] = True
+        feet = np.concatenate([
+            z.sg[flat_idx],
+            z.cross_s[~in_flat_run[z.cross] & ~in_flat_run[(z.cross + 1) % n]],
+            z.touch_s[~in_flat_run[z.touch]],
+        ])
+        if len(feet):
+            out.extend(_graph_points(curve, weight, ci, feet, ur, tol))
     return _dedup_points(pairs, out, tol)
-
-
-def _touching_zeros(curve, weight, sg, g, tol, skip=None):
-    """Refined near-zero local minima of |g| on the grid sg, in grid order.
-
-    The gate allows for the value a quadratic touching zero attains one grid
-    step away, estimated from the discrete second difference; grid indices
-    marked in `skip` are left out. All gated minima are refined in one
-    golden-section call and kept where |g| <= tol_sng.
-    """
-    absg = np.abs(g)
-    n = len(sg)
-    local = [
-        k for k in _extrema_indices(absg, curve.closed, "min", 64)
-        if not (skip is not None and skip[k])
-        and absg[k] <= tol.tol_sng + abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])
-    ]
-    if not local:
-        return []
-    lo, hi = _bracket(curve, sg, local)
-    s_ref, v_ref = golden_min(
-        lambda s: np.abs(_sng_condition(curve, weight, s)), lo, hi, tol=1e-13
-    )
-    return [float(x) for x in s_ref[v_ref <= tol.tol_sng]]
 
 
 def _runs(mask, periodic):
@@ -178,11 +180,13 @@ def _graph_points(curve, weight, ci, s, ur, tol):
     the scalar checks' error for the first offending foot.
     """
     s = curve.wrap(s)
-    height = _graph_height(curve, weight, s)
-    d2 = curve.second_derivative(curve.wrap(s))
+    curve_jet, weight_jet = curve.jet(s, 2), weight.jet(s, 2)
+    height = _graph_height(weight_jet)
+    d2 = curve_jet[2]
     kap = _rownorm(d2)
+    kap_norm = np.linalg.norm(d2, axis=-1)
     keep = (
-        (curve.curvature(s) > curve.kappa_tol)
+        (kap_norm > curve.kappa_tol)
         & np.isfinite(height)
         & (height > 0.0)
         & (height < ur)
@@ -192,19 +196,18 @@ def _graph_points(curve, weight, ci, s, ur, tol):
     if not len(s):
         return []
     normal = d2[keep] / kap[keep][:, None]
-    v, _, fault = _offset_rows(curve, weight, s, normal, height)
-    location = exp_mu_batch(curve, weight, s, v, height)
+    jets = tuple(tuple(np.asarray(x)[keep] for x in jet) for jet in (curve_jet, weight_jet))
+    v, _, fault = _offset_rows(jets, s, normal, height)
+    location = _exp_rows(jets, v, height)
     # The criterion re-projects the offset's normal before mapping it.
-    v, _, _ = _offset_rows(curve, weight, s, v, height)
-    hess, hess_fault = _f_second_critical_rows(
-        curve, weight, s, exp_mu_batch(curve, weight, s, v, height)
-    )
+    v, _, _ = _offset_rows(jets, s, v, height)
+    hess, hess_fault = _f_second_critical_rows(curve, jets, _exp_rows(jets, v, height))
     faults = [f for f in (fault, hess_fault) if f is not None]
     if faults:
         raise min(faults, key=lambda f: f[0])[1]
-    mu = np.asarray(weight.mu(s), dtype=float)
+    mu = np.asarray(weight_jet[0], dtype=float)[keep]
     tol_hess = tol.tol_hess_factor * 2.0 / mu**2 * max(1.0, ur**2)
-    resid = np.abs(_sng_condition(curve, weight, s))
+    resid = np.abs(_g(kap_norm, weight_jet))[keep]
     return [
         SingularGraphPoint(ci, float(s[k]), float(height[k]), location[k], float(resid[k]))
         for k in np.nonzero(np.abs(hess) <= tol_hess)[0]
@@ -234,12 +237,14 @@ def _dedup_points(pairs, points, tol):
 def is_singular(curve, weight, s, v, R, tol=DEFAULT_TOLERANCES):
     """(flag, residual): the map is singular at (s, v R) iff the second
     derivative of the squared weighted distance vanishes at the foot."""
-    off = make_offset(curve, weight, s, v, R)
-    bound = 1.0 / max(np.abs(float(weight.d1(off.s))), 1e-300)
+    s = np.array([float(s)])
+    jets = (curve.jet(s, 2), weight.jet(s, 2))
+    off = _offset(jets, s, v, R)
+    bound = 1.0 / max(np.abs(float(jets[1][1][0])), 1e-300)
     if off.R >= bound * (1.0 - 1e-12):
         raise OutOfWError("offset must be strictly inside the admissible set")
-    hess = f_second_at_offset(curve, weight, off.s, off.v, off.R)
-    mu = float(weight.mu(off.s))
+    hess = _f_second_at(curve, jets, s, off.v, off.R)
+    mu = float(jets[1][0][0])
     band = tol.tol_hess_factor * 2.0 / mu**2 * max(1.0, off.R**2)
     return abs(hess) <= band, float(hess)
 
@@ -256,27 +261,30 @@ def jacobian_determinant(curve, weight, s, v, R, h=None):
     if h is None:
         h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
     n = curve.ambient_dim
-    base_frame = normal_frame(curve, s0)
+    # The chart visits the feet s0, s0 + h and s0 - h; one jet gives their frames.
+    feet = np.array([s0, s0 + h, s0 - h])
+    tangents = curve.tangent(feet)
+    base_frame = _normal_frame(tangents[0])
     # Express v in the base frame; columns: d/ds, d/dc_k.
     coeffs = base_frame @ off.v
 
-    def chart(sc, cc):
-        frame = normal_frame(curve, sc, reference=base_frame)
+    def chart(k, cc):
+        frame = _normal_frame(tangents[k], reference=base_frame)
         vec = frame.T @ cc
         norm = np.linalg.norm(vec)
         if norm <= 0:
-            return curve.point(sc)
-        return exp_mu(curve, weight, sc, vec / norm, off.R * norm)
+            return curve.point(feet[k])
+        return exp_mu(curve, weight, feet[k], vec / norm, off.R * norm)
 
     cols = []
-    plus = chart(s0 + h, coeffs)
-    minus = chart(s0 - h, coeffs)
+    plus = chart(1, coeffs)
+    minus = chart(2, coeffs)
     cols.append((plus - minus) / (2 * h))
     for k in range(n - 1):
         dc = np.zeros(n - 1)
         dc[k] = h
-        plus = chart(s0, coeffs + dc)
-        minus = chart(s0, coeffs - dc)
+        plus = chart(0, coeffs + dc)
+        minus = chart(0, coeffs - dc)
         cols.append((plus - minus) / (2 * h))
     return float(np.linalg.det(np.stack(cols, axis=1)))
 
@@ -300,13 +308,13 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES):
     for ci, (curve, weight) in enumerate(pairs):
         n = tol.singular_samples
         sg = curve.grid(n)
-        kap = curve.curvature(sg)
-        kap_rate = np.abs(curve.curvature_rate(sg))
-        d3 = curve.third_derivative(sg)
-        tan = curve.tangent(sg)
-        ode = np.linalg.norm(d3 + (kap**2)[:, None] * tan, axis=-1)
-        g = np.abs(_sng_condition(curve, weight, sg))
-        height = _graph_height(curve, weight, sg)
+        jet = curve.jet(sg, 3)
+        weight_jet = weight.jet(sg, 2)
+        kap = np.linalg.norm(jet[2], axis=-1)
+        kap_rate = np.abs(_kappa_rate(jet, curve.kappa_tol))
+        ode = collapse_ode_residual(jet)
+        g = np.abs(_g(kap, weight_jet))
+        height = _graph_height(weight_jet)
         ok = (
             (kap > curve.kappa_tol)
             & (kap_rate <= tol.eps_kappa)
@@ -329,7 +337,7 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES):
             hbar = float(np.mean(height[idx]))
             if np.max(np.abs(height[idx] ** -2.0 - hbar**-2.0)) > tol.eps_r:
                 continue
-            mu_run = np.asarray(weight.mu(sg[idx]), dtype=float)
+            mu_run = np.asarray(weight_jet[0], dtype=float)[idx]
             amp = 2.0 / (kbar * hbar)
             # Least-squares phase: mu = amp cos(k s / 2 + a).
             cosb = np.cos(kbar * s_run / 2.0)
@@ -342,7 +350,7 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES):
             )
             if fit_gap > 1e-6:
                 continue
-            normals = curve.second_derivative(sg[idx]) / kap[idx][:, None]
+            normals = jet[2][idx] / kap[idx][:, None]
             pts = exp_mu_batch(curve, weight, sg[idx], normals, np.full(len(idx), hbar))
             p0 = pts.mean(axis=0)
             image_gap = float(np.max(np.linalg.norm(pts - p0, axis=-1)))
@@ -370,15 +378,6 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES):
     return arcs
 
 
-def tir(pairs, ur, arcs=None, tol=DEFAULT_TOLERANCES):
-    """Topological radius: infimum of collapse heights, else ur."""
-    if arcs is None:
-        arcs = detect_collapse_arcs(pairs, ur, tol)
-    if arcs:
-        return min(arc.r for arc in arcs)
-    return ur
-
-
 def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
     """True iff every zero of g = mu'' + kappa^2 mu / 4 with kappa > 0 is
     transversal (|g'| > eps_reg); returns (flag, witnesses).
@@ -391,38 +390,19 @@ def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
     pairs = as_pairs(pairs)
     witnesses = []
     for ci, (curve, weight) in enumerate(pairs):
-        n = tol.singular_samples
-        sg = curve.grid(n)
-        g = _sng_condition(curve, weight, sg)
-        kap = curve.curvature(sg)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        flat = (np.abs(g) <= tol.flat_factor * scale) & (kap > curve.kappa_tol)
+        z = g_zero_set(curve, weight, tol)
+        flat = z.flat & (curve.curvature(z.sg) > curve.kappa_tol)
         for lo, hi in _runs(flat, curve.closed):
             if hi - lo >= 3:
                 witnesses.append((ci, None, 0.0))
-        zeros = []
-        nxt = np.roll(g, -1)
-        limit = n if curve.closed else n - 1
-        for k in np.nonzero(g * nxt < 0)[0]:
-            if k >= limit:
-                continue
-            b = sg[k] + curve.length / n if curve.closed else sg[k + 1]
-            zeros.append(
-                brentq(lambda s: float(_sng_condition(curve, weight, s)), float(sg[k]), float(b), xtol=1e-14)
-            )
-        zeros.extend(_touching_zeros(curve, weight, sg, g, tol))
+        zeros = np.concatenate([z.cross_s, z.touch_s])
+        zeros = zeros[curve.curvature(zeros) > curve.kappa_tol]
         h = 1e-7 * max(1.0, curve.length / (2 * np.pi))
-        for z in zeros:
-            if float(curve.curvature(z)) <= curve.kappa_tol:
-                continue
-            lo_s, hi_s = z - h, z + h
-            if not curve.closed:
-                lo_s = max(lo_s, curve.s_min)
-                hi_s = min(hi_s, curve.s_max)
-            gp = (
-                float(_sng_condition(curve, weight, hi_s))
-                - float(_sng_condition(curve, weight, lo_s))
-            ) / (hi_s - lo_s)
-            if abs(gp) <= tol.eps_reg:
-                witnesses.append((ci, float(z), abs(gp)))
+        lo_s, hi_s = zeros - h, zeros + h
+        if not curve.closed:
+            lo_s = np.maximum(lo_s, curve.s_min)
+            hi_s = np.minimum(hi_s, curve.s_max)
+        g_hi, g_lo = _sng_condition(curve, weight, hi_s), _sng_condition(curve, weight, lo_s)
+        gp = np.abs((g_hi - g_lo) / (hi_s - lo_s))
+        witnesses.extend((ci, float(x), float(v)) for x, v in zip(zeros, gp) if v <= tol.eps_reg)
     return (not witnesses), witnesses

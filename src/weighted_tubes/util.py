@@ -1,4 +1,4 @@
-"""Small helpers: 1-D searches, quadrature nodes, number formatting, pair lists."""
+"""Small helpers: 1-D searches and root finding, quadrature nodes, number formatting, pair lists."""
 
 import numpy as np
 
@@ -27,9 +27,9 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
     boundary minima are reported exactly at the boundary. Returns arrays
     (x, f(x)).
 
-    args are extra per-row parameters, as in scipy: arrays with one value
-    per bracket, passed to f as f(x, *args) and sliced to the rows of x on
-    every call.
+    args are extra per-row parameters: arrays with one value per bracket,
+    passed to f as f(x, *args) and sliced to the rows of x once some row
+    has stopped.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -51,7 +51,8 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
         b[kl], x2[kl], f2[kl] = x2[kl], x1[kl], f1[kl]
         a[kr], x1[kr], f1[kr] = x1[kr], x2[kr], f2[kr]
         xn = np.where(left, b[k] - _GOLDEN * (b[k] - a[k]), a[k] + _GOLDEN * (b[k] - a[k]))
-        fn = np.asarray(f(xn, *[p[k] for p in args]), dtype=float)
+        rows = args if len(k) == len(a) else [p[k] for p in args]
+        fn = np.asarray(f(xn, *rows), dtype=float)
         x1[kl], f1[kl] = xn[left], fn[left]
         x2[kr], f2[kr] = xn[~left], fn[~left]
         active[k] = (b[k] - a[k]) > tol
@@ -67,6 +68,80 @@ def golden_max(f, a, b, tol=1e-12, maxiter=200, args=()):
     """Row-wise golden-section maxima of f over [a, b]; returns (x, f(x))."""
     x, fx = golden_min(lambda s, *p: -f(s, *p), a, b, tol=tol, maxiter=maxiter, args=args)
     return x, -fx
+
+
+def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """Row-wise roots of f in the brackets [a, b] by Brent's method.
+
+    A row-wise transcription of the common `brentq` routine (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973): every row
+    follows the scalar sequence, with its choice of inverse interpolation,
+    extrapolation or bisection, the tolerance delta = (xtol + rtol |x|) / 2
+    and the exits where f is 0, and stops on its own test. f maps an array
+    of abscissae to an array of values; it is called once on both ends,
+    then once per iteration on the rows still active. Raises ValueError
+    where the ends of a bracket share a sign or f is nan, and RuntimeError
+    when a row has not converged after maxiter iterations.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if not len(b):
+        return b
+    fa, fb = np.split(_checked(f, np.concatenate([a, b])), 2)
+    x = np.where(fa == 0, a, b)
+    active = (fa != 0) & (fb != 0)
+    if np.any(active & (np.signbit(fa) == np.signbit(fb))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # Rows: previous and current iterate, the bracket's other end, their
+    # values, and the previous and current step.
+    state = np.zeros((8, len(x)))
+    state[[0, 1, 3, 4]] = a, b, fa, fb
+    for _ in range(maxiter):
+        k = np.nonzero(active)[0]
+        xp, xc, xb, fp, fc, fb, sp, sc = state[:, k]
+        new = (fp != 0) & (fc != 0) & (np.signbit(fp) != np.signbit(fc))
+        xb, fb = np.where(new, xp, xb), np.where(new, fp, fb)
+        sp, sc = np.where(new, xc - xp, sp), np.where(new, xc - xp, sc)
+        swap = np.abs(fb) < np.abs(fc)
+        xp, xc, xb = np.where(swap, xc, xp), np.where(swap, xb, xc), np.where(swap, xc, xb)
+        fp, fc, fb = np.where(swap, fc, fp), np.where(swap, fb, fc), np.where(swap, fc, fb)
+        delta = (xtol + rtol * np.abs(xc)) / 2
+        sbis = (xb - xc) / 2
+        done = (fc == 0) | (np.abs(sbis) < delta)
+        x[k[done]] = xc[done]
+        active[k[done]] = False
+        if np.all(done):
+            return x
+        with np.errstate(all="ignore"):
+            dpre = (fp - fc) / (xp - xc)
+            dblk = (fb - fc) / (xb - xc)
+            stry = np.where(
+                xp == xb,
+                -fc * (xc - xp) / (fc - fp),
+                -fc * (fb * dblk - fp * dpre) / (dblk * dpre * (fb - fp)),
+            )
+        bound = 3 * np.abs(sbis) - delta
+        good = (
+            (np.abs(sp) > delta)
+            & (np.abs(fc) < np.abs(fp))
+            & (2 * np.abs(stry) < np.where(np.abs(sp) < bound, np.abs(sp), bound))
+        )
+        sp, sc = np.where(good, sc, sbis), np.where(good, stry, sbis)
+        step = np.where(np.abs(sc) > delta, sc, np.where(sbis > 0, delta, -delta))
+        kg = k[~done]
+        state[:, kg] = np.stack([xc, xc + step, xb, fc, fc, fb, sp, sc])[:, ~done]
+        state[4, kg] = _checked(f, state[1, kg])
+    if np.any(active):
+        raise RuntimeError(f"Failed to converge after {maxiter} iterations")
+    return x
+
+
+def _checked(f, x):
+    """f(x) as a float array; ValueError where it is nan."""
+    fx = np.asarray(f(x), dtype=float)
+    if np.any(np.isnan(fx)):
+        raise ValueError(f"The function value at x={x[np.isnan(fx)][0]} is NaN")
+    return fx
 
 
 def gauss_legendre(n):

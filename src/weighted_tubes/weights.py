@@ -16,19 +16,27 @@ from .errors import NonpositiveWeightError
 
 
 class WeightFunction:
-    """Scalar weight mu(s) > 0 with derivatives up to third order."""
+    """Scalar weight mu(s) > 0 with derivatives up to third order.
+
+    Subclasses implement `jet(s, order)`, the tuple (mu, mu', ...,
+    mu^(order)) at s for order <= 3 from one pass over s; the named
+    derivatives read one jet each.
+    """
+
+    def jet(self, s, order):
+        raise NotImplementedError
 
     def mu(self, s):
-        raise NotImplementedError
+        return self.jet(s, 0)[0]
 
     def d1(self, s):
-        raise NotImplementedError
+        return self.jet(s, 1)[1]
 
     def d2(self, s):
-        raise NotImplementedError
+        return self.jet(s, 2)[2]
 
     def d3(self, s):
-        raise NotImplementedError
+        return self.jet(s, 3)[3]
 
     def validate_on(self, curve, samples=4096):
         """Reject non-positive weights (sampled densely over the domain)."""
@@ -44,25 +52,18 @@ class WeightFunction:
         return self
 
 
-def weight_eval(weight, s):
-    """(mu, mu', mu'') at s; mu > 0 is guaranteed at construction time."""
-    return weight.mu(s), weight.d1(s), weight.d2(s)
-
-
 class ConstantWeight(WeightFunction):
     def __init__(self, value):
         if value <= 0:
             raise NonpositiveWeightError("constant weight must be positive")
         self.value = float(value)
 
-    def mu(self, s):
-        return np.full(np.shape(s), self.value, dtype=float) if np.ndim(s) else self.value
-
-    def d1(self, s):
-        return np.zeros(np.shape(s)) if np.ndim(s) else 0.0
-
-    d2 = d1
-    d3 = d1
+    def jet(self, s, order):
+        if not np.ndim(s):
+            return (self.value,) + (0.0,) * order
+        return (np.full(np.shape(s), self.value, dtype=float),) + tuple(
+            np.zeros(np.shape(s)) for _ in range(order)
+        )
 
 
 class PolynomialWeight(WeightFunction):
@@ -72,17 +73,8 @@ class PolynomialWeight(WeightFunction):
         c = np.asarray(coefficients, dtype=float)
         self._p = [c] + [nppoly.polyder(c, m) for m in range(1, 4)]
 
-    def mu(self, s):
-        return nppoly.polyval(s, self._p[0])
-
-    def d1(self, s):
-        return nppoly.polyval(s, self._p[1])
-
-    def d2(self, s):
-        return nppoly.polyval(s, self._p[2])
-
-    def d3(self, s):
-        return nppoly.polyval(s, self._p[3])
+    def jet(self, s, order):
+        return tuple(nppoly.polyval(s, p) for p in self._p[:order + 1])
 
 
 class CosineWeight(WeightFunction):
@@ -94,20 +86,15 @@ class CosineWeight(WeightFunction):
         self.phase = float(phase)
         self.offset = float(offset)
 
-    def _ph(self, s):
-        return self.frequency * np.asarray(s, dtype=float) + self.phase
-
-    def mu(self, s):
-        return self.amplitude * np.cos(self._ph(s)) + self.offset
-
-    def d1(self, s):
-        return -self.amplitude * self.frequency * np.sin(self._ph(s))
-
-    def d2(self, s):
-        return -self.amplitude * self.frequency**2 * np.cos(self._ph(s))
-
-    def d3(self, s):
-        return self.amplitude * self.frequency**3 * np.sin(self._ph(s))
+    def jet(self, s, order):
+        ph = self.frequency * np.asarray(s, dtype=float) + self.phase
+        cos, sin = np.cos(ph), np.sin(ph)
+        return (
+            self.amplitude * cos + self.offset,
+            -self.amplitude * self.frequency * sin,
+            -self.amplitude * self.frequency**2 * cos,
+            self.amplitude * self.frequency**3 * sin,
+        )[:order + 1]
 
 
 class FourierWeight(WeightFunction):
@@ -119,56 +106,38 @@ class FourierWeight(WeightFunction):
             raise NonpositiveWeightError("Fourier weight needs [a0, a1, b1, ...]")
         self._omega = 2.0 * np.pi / float(period)
 
-    def _eval(self, s, order):
+    def jet(self, s, order):
         s = np.asarray(s, dtype=float)
-        acc = np.zeros_like(s, dtype=float)
-        if order == 0:
-            acc = acc + self._c[0]
+        acc = [np.zeros_like(s, dtype=float) for _ in range(order + 1)]
+        acc[0] = acc[0] + self._c[0]
         kmax = (self._c.size - 1) // 2
         for k in range(1, kmax + 1):
             ak, bk = self._c[2 * k - 1], self._c[2 * k]
             w = k * self._omega
             ph = w * s
-            fac = w**order
-            if order % 4 == 0:
-                acc = acc + fac * (ak * np.cos(ph) + bk * np.sin(ph))
-            elif order % 4 == 1:
-                acc = acc + fac * (-ak * np.sin(ph) + bk * np.cos(ph))
-            elif order % 4 == 2:
-                acc = acc + fac * (-ak * np.cos(ph) - bk * np.sin(ph))
-            else:
-                acc = acc + fac * (ak * np.sin(ph) - bk * np.cos(ph))
-        return acc
-
-    def mu(self, s):
-        return self._eval(s, 0)
-
-    def d1(self, s):
-        return self._eval(s, 1)
-
-    def d2(self, s):
-        return self._eval(s, 2)
-
-    def d3(self, s):
-        return self._eval(s, 3)
+            cos, sin = np.cos(ph), np.sin(ph)
+            for n in range(order + 1):
+                fac = w**n
+                # d/ds rotates (cos, sin) a quarter period per order.
+                if n == 0:
+                    acc[n] = acc[n] + fac * (ak * cos + bk * sin)
+                elif n == 1:
+                    acc[n] = acc[n] + fac * (-ak * sin + bk * cos)
+                elif n == 2:
+                    acc[n] = acc[n] + fac * (-ak * cos - bk * sin)
+                else:
+                    acc[n] = acc[n] + fac * (ak * sin - bk * cos)
+        return tuple(acc)
 
 
 class ChebyshevWeight(WeightFunction):
     def __init__(self, coefficients, domain):
-        self._p = npcheb.Chebyshev(np.asarray(coefficients, dtype=float), domain=list(domain))
-        self._d = [self._p.deriv(m) for m in range(1, 4)]
+        p = npcheb.Chebyshev(np.asarray(coefficients, dtype=float), domain=list(domain))
+        self._p = [p] + [p.deriv(m) for m in range(1, 4)]
 
-    def mu(self, s):
-        return self._p(np.asarray(s, dtype=float))
-
-    def d1(self, s):
-        return self._d[0](np.asarray(s, dtype=float))
-
-    def d2(self, s):
-        return self._d[1](np.asarray(s, dtype=float))
-
-    def d3(self, s):
-        return self._d[2](np.asarray(s, dtype=float))
+    def jet(self, s, order):
+        s = np.asarray(s, dtype=float)
+        return tuple(p(s) for p in self._p[:order + 1])
 
 
 class OffsetWeight(WeightFunction):
@@ -178,17 +147,9 @@ class OffsetWeight(WeightFunction):
         self.base = base
         self.t = float(t)
 
-    def mu(self, s):
-        return self.base.mu(s) + self.t
-
-    def d1(self, s):
-        return self.base.d1(s)
-
-    def d2(self, s):
-        return self.base.d2(s)
-
-    def d3(self, s):
-        return self.base.d3(s)
+    def jet(self, s, order):
+        base = self.base.jet(s, order)
+        return (base[0] + self.t,) + tuple(base[1:])
 
 
 class SymmetricPiecewiseWeight(WeightFunction):
@@ -278,63 +239,26 @@ class SymmetricPiecewiseWeight(WeightFunction):
         sign = np.where(hi, -1.0, 1.0)  # du/ds
         return u, sign
 
-    def _eval(self, s, order):
+    def jet(self, s, order):
         u, sign = self._fold(s)
-        out = np.empty_like(u)
+        outs = [np.empty_like(u) for _ in range(order + 1)]
         m_cos = u <= self.u1
         m_flat = u >= self.u2
         if np.any(m_cos):
             ph = u[m_cos] / 2.0
-            quarter = order % 4
-            if quarter == 0:
-                val = np.cos(ph)
-            elif quarter == 1:
-                val = -np.sin(ph)
-            elif quarter == 2:
-                val = -np.cos(ph)
-            else:
-                val = np.sin(ph)
-            out[m_cos] = 0.5**order * val
-        out[m_flat] = self.plateau if order == 0 else 0.0
+            cos, sin = np.cos(ph), np.sin(ph)
+            for n, val in enumerate((cos, -sin, -cos, sin)[:order + 1]):
+                outs[n][m_cos] = 0.5**n * val
+        for n, out in enumerate(outs):
+            out[m_flat] = self.plateau if n == 0 else 0.0
         for lo, hi, coeffs in self._pieces:
             m = (u > lo) & (u < hi) & ~m_cos & ~m_flat
             if not np.any(m):
                 continue
-            out[m] = nppoly.polyval(u[m] - lo, coeffs[order])
-        if order % 2 == 1:
-            out = out * sign
-        return out
-
-    def mu(self, s):
-        return self._eval(s, 0)
-
-    def d1(self, s):
-        return self._eval(s, 1)
-
-    def d2(self, s):
-        return self._eval(s, 2)
-
-    def d3(self, s):
-        return self._eval(s, 3)
-
-
-def fd_consistency(weight, s_values, h, order=1, rel_tol=1e-6):
-    """Max relative gap between series derivatives and centered differences.
-
-    Used by construction-time validation and the property tests.
-    """
-    s = np.asarray(s_values, dtype=float)
-    if order == 1:
-        exact = weight.d1(s)
-        fd = (weight.mu(s + h) - weight.mu(s - h)) / (2.0 * h)
-    elif order == 2:
-        exact = weight.d2(s)
-        fd = (weight.mu(s + h) - 2.0 * weight.mu(s) + weight.mu(s - h)) / h**2
-    else:
-        raise ValueError("order must be 1 or 2")
-    scale = np.maximum(1.0, np.abs(exact))
-    gap = float(np.max(np.abs(exact - fd) / scale))
-    return gap, gap <= rel_tol
+            for n, out in enumerate(outs):
+                out[m] = nppoly.polyval(u[m] - lo, coeffs[n])
+        # Odd derivatives change sign under the fold.
+        return tuple(out * sign if n % 2 == 1 else out for n, out in enumerate(outs))
 
 
 def build_weight(kind, curve=None, **params):

@@ -248,3 +248,15 @@ class TestDeterminism:
                 "singular", "--scene", "example4", "--out", str(path)
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an
+    # oracle only.
+    code = (
+        "import sys, weighted_tubes\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

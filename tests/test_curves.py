@@ -11,9 +11,7 @@ from weighted_tubes import (
     SegmentCurve,
     build_arclength_curve,
     collapse_ode_residual,
-    evaluate_frame,
     make_stadium,
-    third_derivative,
 )
 
 from conftest import adaptive_simpson
@@ -72,17 +70,17 @@ class TestPresets:
     def test_ellipse_curvature_at_vertex(self):
         # kappa = a b / (a^2 sin^2 t + b^2 cos^2 t)^{3/2} -> a / b^2 at t = 0.
         c = EllipseCurve(2, 1)
-        fr = evaluate_frame(c, 0.0)
+        fr = c.frame(0.0)
         assert fr.curvature == pytest.approx(2.0, abs=1e-10)
         assert np.allclose(fr.point, [2.0, 0.0], atol=1e-10)
 
     def test_segment_frame(self):
         c = SegmentCurve([0.0, 0.0], [3.0, 4.0])
         assert c.length == pytest.approx(5.0)
-        fr = evaluate_frame(c, 2.5)
+        fr = c.frame(2.5)
         assert fr.curvature == 0.0
         assert fr.principal_normal is None
-        assert np.allclose(third_derivative(c, 2.0), 0.0)
+        assert np.allclose(c.third_derivative(2.0), 0.0)
 
 
 class TestArclengthInvariants:
@@ -107,8 +105,8 @@ class TestArclengthInvariants:
         c = make()
         s = np.linspace(0, c.length, 11)
         for order in range(4):
-            a = c._vectorized(np.atleast_1d(s), order)
-            b = c._vectorized(np.atleast_1d(s + c.length), order)
+            a = c.jet(s, order)[order]
+            b = c.jet(s + c.length, order)[order]
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
 
     @pytest.mark.parametrize(
@@ -121,10 +119,10 @@ class TestArclengthInvariants:
         if not c.closed:
             s = s[2:-2]
         for order in (1, 2, 3):
-            hi = c._vectorized(np.atleast_1d(s + h), order - 1)
-            lo = c._vectorized(np.atleast_1d(s - h), order - 1)
+            hi = c.jet(s + h, order - 1)[order - 1]
+            lo = c.jet(s - h, order - 1)[order - 1]
             fd = (hi - lo) / (2 * h)
-            exact = c._vectorized(np.atleast_1d(s), order)
+            exact = c.jet(s, order)[order]
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(fd - exact)) / scale <= 1e-6, (name, order)
 
@@ -135,10 +133,10 @@ class TestArclengthInvariants:
         h = 1e-6
         s = np.linspace(0.01, c.length - 0.01, 400)
         for order in (1, 2, 3):
-            hi = c._vectorized(np.atleast_1d(s + h), order - 1)
-            lo = c._vectorized(np.atleast_1d(s - h), order - 1)
+            hi = c.jet(s + h, order - 1)[order - 1]
+            lo = c.jet(s - h, order - 1)[order - 1]
             fd = (hi - lo) / (2 * h)
-            exact = c._vectorized(np.atleast_1d(s), order)
+            exact = c.jet(s, order)[order]
             gap = np.max(np.linalg.norm(fd - exact, axis=-1))
             assert gap <= 2e-4, order
 
@@ -147,23 +145,23 @@ class TestThirdDerivative:
     def test_circle_satisfies_collapse_ode(self):
         c = CircleArcCurve(0, 2 * np.pi, closed=True)
         s = c.grid(33)
-        assert np.max(collapse_ode_residual(c, s)) <= 1e-12
+        assert np.max(collapse_ode_residual(c.jet(s, 3))) <= 1e-12
 
     def test_segment_third_derivative_zero(self):
         c = SegmentCurve([0, 0], [1, 1])
-        assert np.allclose(third_derivative(c, 0.5), 0.0)
+        assert np.allclose(c.third_derivative(0.5), 0.0)
 
     def test_ellipse_violates_collapse_ode(self):
         # At the vertices the curvature rate vanishes and the identity holds
         # pointwise; a generic foot shows the violation.
         c = EllipseCurve(2, 1)
-        assert float(collapse_ode_residual(c, 0.4)) > 0.1
+        assert float(collapse_ode_residual(c.jet(0.4, 3))) > 0.1
 
 
 class TestFrames:
     def test_circle_frame(self):
         c = CircleArcCurve(0, 2 * np.pi, closed=True)
-        fr = evaluate_frame(c, np.pi / 3)
+        fr = c.frame(np.pi / 3)
         assert fr.curvature == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(fr.principal_normal, -c.point(np.pi / 3), atol=1e-14)
 
@@ -176,7 +174,7 @@ class TestFrames:
         c, layout = make_stadium()
         s = np.linspace(-layout["circle_end"], layout["circle_end"], 41)
         assert np.max(np.abs(c.curvature(s) - 1.0)) <= 1e-13
-        assert np.max(collapse_ode_residual(c, s)) <= 1e-13
+        assert np.max(collapse_ode_residual(c.jet(s, 3))) <= 1e-13
         assert np.max(np.abs(np.linalg.norm(c.point(s), axis=-1) - 1.0)) <= 1e-12
 
     def test_stadium_closes(self):
@@ -229,3 +227,33 @@ class TestArclengthInversionPerFoot:
         batch = curve.t_of_s(s)
         alone = np.array([curve.t_of_s(np.array([x]))[0] for x in s])
         np.testing.assert_array_equal(alone, batch)
+
+
+class TestPchipStart:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: EllipseCurve(2.0, 1.0, table_n=n or 2048),
+            lambda n: FourierCurve(
+                [[0.0, 1.0, 0.0, 0.05, 0.02], [0.0, 0.0, 1.0, -0.03, 0.04], [0.0, 0.0, 0.0, 0.15, 0.1]],
+                table_n=n,
+            ),
+            lambda n: ChebyshevCurve([[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0), table_n=n),
+        ],
+        ids=["ellipse", "fourier_3d", "chebyshev"],
+    )
+    @pytest.mark.parametrize("table_n", [None, 1, 2, 3])
+    def test_start_equals_pchip_interpolator(self, make, table_n):
+        # The arclength tables' monotone start, coefficients and values,
+        # bit for bit against the reference PCHIP (two knots are a line).
+        interpolate = pytest.importorskip("scipy.interpolate")
+        from weighted_tubes.curves import _pchip_eval
+
+        c = make(table_n)
+        ref = interpolate.PchipInterpolator(c._s_grid, c._t_grid)
+        np.testing.assert_array_equal(c._pchip, ref.c)
+        rng = np.random.default_rng(3)
+        s = np.concatenate([
+            rng.uniform(-0.01 * c.length, 1.01 * c.length, 4000), c._s_grid, [0.0, c.length],
+        ])
+        np.testing.assert_array_equal(_pchip_eval(c._s_grid, c._pchip, s), ref(s))

@@ -297,7 +297,7 @@ class TestScalarMapRows:
 
         curve, weight = scenes["example1b"].pairs[0]
         s = 0.67428571428571438
-        R = float(_graph_height(curve, weight, s))
+        R = float(_graph_height(weight.jet(s, 2)))
         off = make_offset(curve, weight, s, curve.frame(s).principal_normal, R)
         x = np.float64(float(weight.d1(s)) * R)
         assert x**2 != x * x

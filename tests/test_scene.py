@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from weighted_tubes import BUNDLED_SCENES, SceneError, load_scene, parse_scene
-from weighted_tubes.scene import scene_to_json
 
 
 def minimal_doc():
@@ -38,7 +37,7 @@ class TestParsing:
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(doc))
         a = load_scene(str(path))
-        b = parse_scene(json.loads(json.dumps(scene_to_json(a))))
+        b = parse_scene(json.loads(json.dumps(a.raw)))
         assert a.ambient_dim == b.ambient_dim
         assert a.seed == b.seed
         sa = a.pairs[0][0]

@@ -14,11 +14,12 @@ from weighted_tubes import (
     jacobian_determinant,
     make_stadium,
     normal_frame,
+    radii_report,
     singular_set,
-    tir,
     transversality_check,
 )
 from weighted_tubes.expmap import random_unit_normals, w_bound
+from weighted_tubes.singular import _sng_condition, g_zero_set
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
 
@@ -221,15 +222,23 @@ class TestTir:
         arcs = detect_collapse_arcs([(curve, weight)], 4.14)
         assert len(arcs) == 1
         assert arcs[0].r == pytest.approx(2.0, abs=1e-9)
-        assert tir([(curve, weight)], 4.14, arcs) == pytest.approx(2.0, abs=1e-9)
+        rep = radii_report([(curve, weight)])
+        assert rep.witnesses["tir_attained"]
+        assert rep.tir == min(arc.r for arc in rep.witnesses["collapse_arcs"])
+        assert rep.tir == pytest.approx(2.0, abs=1e-9)
 
     def test_no_arcs_returns_ur(self):
         pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0))]
-        assert tir(pairs, 1.0) == 1.0
+        rep = radii_report(pairs)
+        assert rep.witnesses["collapse_arcs"] == [] and not rep.witnesses["tir_attained"]
+        assert rep.tir == rep.ur == pytest.approx(1.0, abs=1e-8)
 
     def test_example6_negative_offset(self):
         pairs = [(CircleArcCurve(-1, 1), PolynomialWeight([0.95, 0.0, -0.125]))]
-        assert tir(pairs, 4.0) == 4.0
+        assert detect_collapse_arcs(pairs, 4.0) == []
+        rep = radii_report(pairs)
+        assert rep.witnesses["collapse_arcs"] == [] and not rep.witnesses["tir_attained"]
+        assert rep.tir == rep.ur
 
 
 class TestTransversality:
@@ -259,3 +268,32 @@ class TestTransversality:
         )
         assert not ok
         assert any(w[1] is not None and abs(w[1]) <= 1e-6 for w in witnesses)
+
+
+class TestGZeroSet:
+    def test_roots_equal_brentq_on_bundled_scenes(self, scenes):
+        # Every sign change of g on every bundled scene, refined in one
+        # row-wise call, equals a scalar brentq over its grid bracket.
+        optimize = pytest.importorskip("scipy.optimize")
+        count = 0
+        for scene in scenes.values():
+            for curve, weight in scene.pairs:
+                z = g_zero_set(curve, weight, scene.tolerances)
+                n = len(z.sg)
+                for k, root in zip(z.cross, z.cross_s):
+                    b = z.sg[k] + curve.length / n if curve.closed else z.sg[k + 1]
+                    oracle = optimize.brentq(
+                        lambda s: float(_sng_condition(curve, weight, s)),
+                        float(z.sg[k]), float(b), xtol=1e-14,
+                    )
+                    assert root == oracle
+                    assert z.g[k] * z.g[(k + 1) % n] < 0.0
+                count += len(z.cross)
+        assert count >= 4
+
+    def test_touching_zero_of_example4(self, scenes):
+        curve, weight = scenes["example4"].pairs[0]
+        z = g_zero_set(curve, weight, scenes["example4"].tolerances)
+        assert len(z.touch_s) >= 1
+        assert np.all(np.abs(_sng_condition(curve, weight, z.touch_s)) <= scenes["example4"].tolerances.tol_sng)
+        assert not np.any(z.flat[z.touch])

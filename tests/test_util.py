@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weighted_tubes.util import float17, golden_max, golden_min
+from weighted_tubes.util import brent_rows, float17, golden_max, golden_min
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -174,6 +174,21 @@ def test_golden_args_slices_to_active_rows():
     assert (1, 1) in seen
 
 
+def test_golden_args_pass_uncopied_while_every_row_runs():
+    # No row stops before the last iteration here, so every call gets the
+    # caller's arrays themselves, not per-iteration copies.
+    p = np.array([0.3, 0.6])
+    passed = []
+
+    def f(s, q):
+        passed.append(q)
+        return (s - q) ** 2
+
+    golden_min(f, [0.0, 0.0], [1.0, 1.0], tol=0.0, maxiter=20, args=(p,))
+    inner = passed[1:-1]
+    assert len(inner) == 20 and all(q is p for q in inner)
+
+
 def float17_with_branches(x):
     """The earlier float17, with explicit non-finite branches (oracle)."""
     x = float(x)
@@ -195,3 +210,81 @@ def test_float17_matches_the_branching_form():
     for x in values:
         assert float17(x) == float17_with_branches(x), repr(x)
     assert [float17(x) for x in (np.inf, -np.inf, np.nan, -0.0)] == ["inf", "-inf", "nan", "-0"]
+
+
+# ---------------------------------------------------------------------------
+# brent_rows against scipy's brentq
+# ---------------------------------------------------------------------------
+
+
+def _scalar(f):
+    """f evaluated on one-element arrays, so the oracle sees the same values."""
+    return lambda x: float(f(np.array([x]))[0])
+
+
+BRENT_FUNCTIONS = [
+    lambda x: np.cos(x) - x,
+    lambda x: x**3 - 2.0 * x - 5.0,
+    lambda x: np.exp(x) - 3.0,
+    lambda x: np.tanh(5.0 * (x - 0.3)) + 0.01 * x,
+    lambda x: np.sin(10.0 * x) + 0.5,
+    lambda x: np.floor(4.0 * x) - 1.0 + 0.0 * x,
+]
+
+
+@pytest.mark.parametrize("xtol", [1e-14, 2e-12, 1e-6])
+@pytest.mark.parametrize("k", range(len(BRENT_FUNCTIONS)))
+def test_brent_rows_equal_brentq(k, xtol):
+    optimize = pytest.importorskip("scipy.optimize")
+    f = BRENT_FUNCTIONS[k]
+    rng = np.random.default_rng(100 + k)
+    a, b = rng.uniform(-3.0, 3.0, 300), rng.uniform(-3.0, 3.0, 300)
+    keep = np.signbit(f(a)) != np.signbit(f(b))
+    a, b = a[keep], b[keep]
+    g, sizes = counted(f)
+    roots = brent_rows(g, a, b, xtol)
+    oracle = [optimize.brentq(_scalar(f), x, y, xtol=xtol, full_output=True)[1] for x, y in zip(a, b)]
+    np.testing.assert_array_equal(roots, [r.root for r in oracle])
+    # One call on both ends, then one per iteration on the rows still active
+    # (brentq does not set `iterations` when an end is a root, so count the
+    # rows from its function calls).
+    calls = np.array([r.function_calls for r in oracle])
+    assert sizes == [2 * len(a)] + [int(np.sum(calls > i + 1)) for i in range(1, calls.max() - 1)]
+
+
+def test_brent_rows_exits_where_f_is_zero():
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def f(x):
+        return x - 0.5
+
+    a = np.array([0.5, 0.0, 0.0, -1.0])
+    b = np.array([2.0, 0.5, 1.0, 3.0])
+    roots = brent_rows(f, a, b, 1e-12)
+    assert roots[0] == 0.5 and roots[1] == 0.5  # an end that is a root
+    for x, y, r in zip(a, b, roots):
+        assert r == optimize.brentq(_scalar(f), x, y, xtol=1e-12)
+    assert f(roots[2:]).tolist() == [0.0, 0.0]  # exits on an exact zero inside
+
+
+def test_brent_rows_maxiter_matches_brentq():
+    optimize = pytest.importorskip("scipy.optimize")
+    f = BRENT_FUNCTIONS[3]
+    a, b = np.array([-2.0, 0.0]), np.array([2.5, 1.0])
+    for x, y in zip(a, b):
+        r = optimize.brentq(_scalar(f), x, y, xtol=1e-14, full_output=True)[1]
+        assert brent_rows(f, x, y, 1e-14, maxiter=r.iterations)[0] == r.root
+        with pytest.raises(RuntimeError):
+            optimize.brentq(_scalar(f), x, y, xtol=1e-14, maxiter=r.iterations - 1)
+        with pytest.raises(RuntimeError):
+            brent_rows(f, x, y, 1e-14, maxiter=r.iterations - 1)
+    with pytest.raises(RuntimeError):
+        brent_rows(f, a, b, 1e-14, maxiter=3)
+
+
+def test_brent_rows_rejects_same_sign_and_nan():
+    with pytest.raises(ValueError, match="different signs"):
+        brent_rows(lambda x: x * x + 1.0, [-1.0, 0.0], [1.0, 1.0], 1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        brent_rows(lambda x: np.where(x > 0.25, np.nan, x), [-1.0], [1.0], 1e-12)
+    assert brent_rows(np.cos, [], [], 1e-12).shape == (0,)
