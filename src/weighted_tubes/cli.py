@@ -15,7 +15,7 @@ import numpy as np
 
 from . import radii, singular, sweeps
 from .errors import SceneError, WeightedTubesError
-from .expmap import normal_frame
+from .expmap import normal_frame, w_bound
 from .scene import load_scene
 from .svg import render_svg
 from .util import float17
@@ -235,8 +235,6 @@ def cmd_fibers(args):
         v = frame.principal_normal
         if v is None:
             v = normal_frame(curve, s)[0]
-        from .expmap import w_bound
-
         r_max = args.r_max
         if r_max is None:
             bound = float(w_bound(weight, s))

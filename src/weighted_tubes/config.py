@@ -18,13 +18,7 @@ class Tolerances:
     dense-grid resolutions of the various searches.
     """
 
-    tol_arc: float = 1e-8  # |gamma'| - 1 allowance
-    tol_fd: float = 1e-6  # relative series-vs-FD agreement
-    kappa_tol_factor: float = 1e-9  # x (1/L): curvature considered zero below
-    tol_plane: float = 1e-10  # |mu'| below which a fiber counts as a plane
-    tol_grad_factor: float = 1e-8  # x (2/mu^2): first-order criticality band
     tol_hess_factor: float = 1e-8  # x (2/mu^2): second-order zero band
-    tie_rel: float = 1e-9  # relative tie detection in closest-point search
     delta_min_factor: float = 1e-3  # x L: excluded diagonal band in pair search
     delta_band_factor: float = 1e-12  # x max(1, kappa^2 mu^2): focal-sign band
     tol_dc: float = 1e-9  # normalized residual of the pair gradient
@@ -37,7 +31,6 @@ class Tolerances:
     eps_p: float = 1e-7
     ell_min_factor: float = 1e-3  # x L: minimal collapse-arc length
     eps_reg: float = 1e-6  # transversality |g'| threshold
-    lemma3_residual: float = 1e-12  # accepted root residual
     tube_tol_factor: float = 1e-8  # x R^2: tube-boundary membership band
     w_margin: float = 1e-9  # relative pull-back from the admissible boundary
     focal_samples: int = 4096
@@ -45,7 +38,6 @@ class Tolerances:
     pair_grid: int = 256
     singular_samples: int = 4096
     newton_max_iter: int = 50
-    fd_step_factor: float = 1e-5  # x min(L, 2 pi): property-test FD step
 
     def with_overrides(self, overrides):
         known = {f.name: f.type for f in fields(self)}

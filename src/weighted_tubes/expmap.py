@@ -136,16 +136,12 @@ def make_offsets(curve, weight, s, v, R, w_tol=1e-12):
 
 
 def make_offset(curve, weight, s, v, R, w_tol=1e-12):
-    """Project v into the normal space at s, normalize, and range-check R."""
-    s = np.array([float(s)])
-    return _offset((curve.jet(s, 1), weight.jet(s, 1)), s, v, R, w_tol)
-
-
-def _offset(jets, s, v, R, w_tol=1e-12):
-    """make_offset from the jets at the one-row feet s."""
-    R = float(R)
+    """Project v into the normal space at s, normalize, and range-check R:
+    one row of `_offset_rows`."""
+    s, R = np.array([float(s)]), float(R)
     rows, bound, fault = _offset_rows(
-        jets, s, np.asarray(v, dtype=float)[None, :], np.array([R]), w_tol
+        (curve.jet(s, 1), weight.jet(s, 1)), s, np.asarray(v, dtype=float)[None, :],
+        np.array([R]), w_tol,
     )
     if fault is not None:
         raise fault[1]
@@ -156,17 +152,14 @@ def _offset(jets, s, v, R, w_tol=1e-12):
 
 def exp_mu(curve, weight, s, v, R):
     """Evaluate the map at foot s, unit normal v, height(s) R (scalar or
-    array): the rows of exp_mu_batch at one range-checked offset."""
-    s = np.array([float(s)])
-    return _exp((curve.jet(s, 1), weight.jet(s, 1)), s, v, R)
-
-
-def _exp(jets, s, v, R):
-    """exp_mu from the jets at the one-row feet s."""
-    off = _offset(jets, s, v, R if np.ndim(R) == 0 else np.max(R))
-    R = np.asarray(R, dtype=float)
-    rows = _exp_rows(jets, off.v[None, :], R.ravel())
-    return rows.reshape(R.shape + off.v.shape)
+    array): the rows of exp_mu_batch at one offset, range-checked at the
+    largest height."""
+    s, R = np.array([float(s)]), np.asarray(R, dtype=float)
+    jets = (curve.jet(s, 1), weight.jet(s, 1))
+    v, _, fault = _offset_rows(jets, s, np.asarray(v, dtype=float)[None, :], np.array([np.max(R)]))
+    if fault is not None:
+        raise fault[1]
+    return _exp_rows(jets, v, R.ravel()).reshape(R.shape + v.shape[1:])
 
 
 def exp_mu_batch(curve, weight, s, v, R):
@@ -299,19 +292,33 @@ def _f_second_critical_rows(curve, jets, p, grad_tol=None):
 
 
 def f_second_at_offset(curve, weight, s, v, R):
-    """Closed-form second derivative at the foot of exp(s, v, R)."""
+    """Closed-form second derivative at the foot of exp(s, v, R): one row of
+    `_hess_rows`."""
     s = np.array([float(s)])
-    return _f_second_at(curve, (curve.jet(s, 2), weight.jet(s, 2)), s, v, R)
+    _, hess, _, faults = _hess_rows(
+        curve, (curve.jet(s, 2), weight.jet(s, 2)), s, np.asarray(v, dtype=float)[None, :],
+        np.array([float(R)]),
+    )
+    for fault in faults:
+        if fault is not None:
+            raise fault[1]
+    return float(hess[0])
 
 
-def _f_second_at(curve, jets, s, v, R):
-    """f_second_at_offset from the jets of order 2 at the one-row feet s."""
-    off = _offset(jets, s, v, R)
-    p = _exp(jets, s, off.v, off.R)
-    values, fault = _f_second_critical_rows(curve, jets, p[None, :])
-    if fault is not None:
-        raise fault[1]
-    return float(values[0])
+def _hess_rows(curve, jets, s, v, R):
+    """The second-derivative criterion over offset rows s (m,), v (m, n),
+    R (m,), from the (curve, weight) jets of order 2 at the feet.
+
+    Each row is projected and normalized (`_offset_rows`) and mapped to its
+    image; the criterion projects that normal again, maps it and evaluates
+    the closed-form F'' at the point. Returns (images, F'', admissible
+    bounds, (offset fault, F'' fault)), each fault (row, error) or None.
+    """
+    v, bound, fault = _offset_rows(jets, s, v, R)
+    images = _exp_rows(jets, v, R)
+    v, _, _ = _offset_rows(jets, s, v, R)
+    hess, hess_fault = _f_second_critical_rows(curve, jets, _exp_rows(jets, v, R))
+    return images, hess, bound, (fault, hess_fault)
 
 
 def classify_critical(curve, weight, s, p, tol_grad=None, tol_hess=None):
@@ -442,7 +449,7 @@ def g_potential(pairs, points, samples=2048, refine_iters=40):
             lo = np.clip(lo, curve.s_min, curve.s_max)
             hi = np.clip(hi, curve.s_min, curve.s_max)
         s, v = golden_min(
-            lambda x, p: _f_batch(curve, weight, x, p),
+            lambda x, p: f_value(curve, weight, x, p),
             lo, hi, tol=0.0, maxiter=refine_iters, args=(pts,),
         )
         better = v < best_v
@@ -473,12 +480,6 @@ def _grid_argmin(pts, gp, mug):
         f /= mu2
         idx[start:start + rows] = np.argmin(f, axis=1)
     return idx
-
-
-def _f_batch(curve, weight, s, pts):
-    g = curve.point(s)
-    mu = np.asarray(weight.mu(s), dtype=float)
-    return ((pts - g) ** 2).sum(axis=1) / mu**2
 
 
 def grad_g_check(pairs, p, h=1e-6, tie_rel=1e-9, samples=2048):
@@ -527,30 +528,10 @@ def normal_frame(curve, s, reference=None):
     `normal_frames`) or a caller-supplied reference frame, the latter giving
     a frame that varies smoothly with s nearby.
     """
-    return _normal_frame(curve.tangent(s), reference)
-
-
-def _normal_frame(t, reference=None):
-    """normal_frame from the unit tangent t at the foot."""
-    if reference is None:
-        frames, count = _standard_frames(t[None, :])
-        return frames[0, :count[0]]
-    n = t.size
-    frame = []
-    for row in np.asarray(reference, dtype=float):
-        w = row - (row @ t) * t
-        for b in frame:
-            w = w - (w @ b) * b
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            frame.append(w / norm)
-        if len(frame) == n - 1:
-            break
-    if len(frame) < n - 1:
-        # Fall back to unconditional pivoting over the standard basis.
-        frames, count = _frame_rows(t[None, :], 1e-10)
-        return frames[0, :count[0]]
-    return np.array(frame)
+    if reference is not None:
+        reference = np.asarray(reference, dtype=float)[None]
+    frames, count = _frames(curve.tangent(s)[None, :], reference)
+    return frames[0, :count[0]]
 
 
 def normal_frames(curve, s):
@@ -558,46 +539,53 @@ def normal_frames(curve, s):
 
     Each row equals `normal_frame(curve, s[k])` bit for bit.
     """
-    frames, _ = _standard_frames(curve.tangent(np.asarray(s, dtype=float)))
+    frames, _ = _frames(curve.tangent(np.asarray(s, dtype=float)))
     return frames
 
 
-def _standard_frames(t):
-    """Frames of the normal spaces of unit tangents t (m, n) from the standard
-    basis: residuals at most 0.5 are skipped, and a row left short is redone
-    with unconditional pivoting. Returns (frames, per-row frame counts)."""
-    frames, count = _frame_rows(t, 0.5)
+def _frames(t, reference=None):
+    """Frames of the normal spaces of unit tangents t (m, n): Gram-Schmidt of
+    the standard basis, residuals at most 0.5 skipped, or of each row's
+    reference frame (reference (m, k, n)), residuals at most 1e-8 skipped.
+    A row left short is redone from the standard basis with unconditional
+    pivoting. Returns (frames, per-row frame counts)."""
+    frames, count = _frame_rows(t, 0.5 if reference is None else 1e-8, reference)
     short = count < t.shape[1] - 1
     if short.any():
         frames[short], count[short] = _frame_rows(t[short], 1e-10)
     return frames, count
 
 
-def _frame_rows(t, threshold):
-    """Row-wise Gram-Schmidt of the standard basis against tangents t (m, n).
+def _frame_rows(t, threshold, reference=None):
+    """Row-wise Gram-Schmidt against tangents t (m, n) of the standard basis,
+    or of the rows' reference frames (m, k, n) when given.
 
-    Every row runs the sequential loop: each basis vector loses its tangent
+    Every row runs the sequential loop: each seed vector loses its tangent
     part and its parts along the row's frame vectors so far, in order, and
     joins the frame when its residual norm exceeds `threshold`, until the
     frame has n - 1 vectors. Returns (frames (m, n-1, n), counts (m,));
     slots a row does not fill stay nan.
     """
     m, n = t.shape
-    # e_i . t has one nonzero product, so it is t_i exactly (for finite t)
-    # and the seeds e_i - (e_i . t) t need no dot products.
-    seeds = np.eye(n) - t[:, :, None] * t[:, None, :]
+    if reference is None:
+        # e_i . t has one nonzero product, so it is t_i exactly (for finite t)
+        # and the seeds e_i - (e_i . t) t need no dot products.
+        seeds = np.eye(n) - t[:, :, None] * t[:, None, :]
+    else:
+        dots = np.stack([_rowdot(r, t) for r in reference.swapaxes(0, 1)], axis=1)
+        seeds = reference - dots[:, :, None] * t[:, None, :]
     frames = np.full((m, n - 1, n), np.nan)
     count = np.zeros(m, dtype=int)
-    for i in range(n):
+    for i in range(seeds.shape[1]):
         w = seeds[:, i]
-        for j in range(count.max()):
+        for j in range(count.max(initial=0)):
             b = frames[:, j]
             w = np.where((count > j)[:, None], w - _rowdot(w, b)[:, None] * b, w)
         norm = _rownorm(w)
         k = np.nonzero((count < n - 1) & (norm > threshold))[0]
         frames[k, count[k]] = w[k] / norm[k, None]
         count[k] += 1
-        if count.min() == n - 1:
+        if count.min(initial=n - 1) == n - 1:
             break
     return frames, count
 

@@ -16,18 +16,10 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
 from .errors import OutOfWError
-from .expmap import (
-    _exp_rows,
-    _f_second_at,
-    _f_second_critical_rows,
-    _normal_frame,
-    _offset,
-    _offset_rows,
-    _rownorm,
-    exp_mu,
-    exp_mu_batch,
-    make_offset,
-)
+from .expmap import _exp_rows, _frames, _hess_rows, _offset_rows, _rownorm, exp_mu_batch
+# Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
+# the map's lookup sites, so the name stays bound in this module.
+from .expmap import exp_mu  # noqa: F401
 from .radii import _bracket, _extrema_indices
 from .util import as_pairs, brent_rows, golden_min
 
@@ -196,13 +188,9 @@ def _graph_points(curve, weight, ci, s, ur, tol):
     if not len(s):
         return []
     normal = d2[keep] / kap[keep][:, None]
-    jets = tuple(tuple(np.asarray(x)[keep] for x in jet) for jet in (curve_jet, weight_jet))
-    v, _, fault = _offset_rows(jets, s, normal, height)
-    location = _exp_rows(jets, v, height)
-    # The criterion re-projects the offset's normal before mapping it.
-    v, _, _ = _offset_rows(jets, s, v, height)
-    hess, hess_fault = _f_second_critical_rows(curve, jets, _exp_rows(jets, v, height))
-    faults = [f for f in (fault, hess_fault) if f is not None]
+    jets = _take((curve_jet, weight_jet), keep)
+    location, hess, _, faults = _hess_rows(curve, jets, s, normal, height)
+    faults = [f for f in faults if f is not None]
     if faults:
         raise min(faults, key=lambda f: f[0])[1]
     mu = np.asarray(weight_jet[0], dtype=float)[keep]
@@ -236,57 +224,81 @@ def _dedup_points(pairs, points, tol):
 
 def is_singular(curve, weight, s, v, R, tol=DEFAULT_TOLERANCES):
     """(flag, residual): the map is singular at (s, v R) iff the second
-    derivative of the squared weighted distance vanishes at the foot."""
-    s = np.array([float(s)])
+    derivative of the squared weighted distance vanishes at the foot (one
+    row of the criterion `_graph_points` applies)."""
+    s, R = np.array([float(s)]), float(R)
     jets = (curve.jet(s, 2), weight.jet(s, 2))
-    off = _offset(jets, s, v, R)
-    bound = 1.0 / max(np.abs(float(jets[1][1][0])), 1e-300)
-    if off.R >= bound * (1.0 - 1e-12):
+    _, hess, bound, (fault, hess_fault) = _hess_rows(
+        curve, jets, s, np.asarray(v, dtype=float)[None, :], np.array([R])
+    )
+    if fault is not None:
+        raise fault[1]
+    if R >= bound[0] * (1.0 - 1e-12):
         raise OutOfWError("offset must be strictly inside the admissible set")
-    hess = _f_second_at(curve, jets, s, off.v, off.R)
+    if hess_fault is not None:
+        raise hess_fault[1]
     mu = float(jets[1][0][0])
-    band = tol.tol_hess_factor * 2.0 / mu**2 * max(1.0, off.R**2)
-    return abs(hess) <= band, float(hess)
+    band = tol.tol_hess_factor * 2.0 / mu**2 * max(1.0, R**2)
+    return abs(float(hess[0])) <= band, float(hess[0])
 
 
 def jacobian_determinant(curve, weight, s, v, R, h=None):
-    """Finite-difference determinant of the map's differential at (s, v R).
+    """Finite-difference determinant of the map's differential at (s, v R):
+    one row of `jacobian_rows`."""
+    return float(jacobian_rows(
+        curve, weight, np.array([float(s)]), np.asarray(v, dtype=float)[None, :],
+        np.array([float(R)]), h,
+    )[0])
+
+
+def jacobian_rows(curve, weight, s, v, R, h=None):
+    """Finite-difference determinants of the map's differential at the
+    offsets s (m,), v (m, n), R (m,).
 
     Coordinates: arclength plus coefficients on a normal frame transported
-    from s by projection (smooth nearby). Independent of the closed-form
-    second-derivative criterion; used to cross-validate it.
+    from s by projection (smooth nearby). One curve jet and one weight jet
+    on the feet (s, s + h, s - h) of every row give the offsets, the base
+    and transported frames and all 2n chart points of a row, which are
+    mapped in one pass. Independent of the closed-form second-derivative
+    criterion; used to cross-validate it. Raises OutOfWError for the first
+    row failing make_offset's checks, else for the first chart point
+    outside the admissible set.
     """
-    off = make_offset(curve, weight, s, v, R)
-    s0 = off.s
+    s, v, R = (np.asarray(x, dtype=float) for x in (s, v, R))
     if h is None:
         h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
-    n = curve.ambient_dim
-    # The chart visits the feet s0, s0 + h and s0 - h; one jet gives their frames.
-    feet = np.array([s0, s0 + h, s0 - h])
-    tangents = curve.tangent(feet)
-    base_frame = _normal_frame(tangents[0])
-    # Express v in the base frame; columns: d/ds, d/dc_k.
-    coeffs = base_frame @ off.v
+    m, n = len(s), curve.ambient_dim
+    feet = np.concatenate([s, s + h, s - h])
+    jets = (curve.jet(feet, 1), weight.jet(feet, 1))
+    v, _, fault = _offset_rows(_take(jets, slice(m)), s, v, R)
+    if fault is not None:
+        raise fault[1]
+    tangents = jets[0][1]
+    base, _ = _frames(tangents[:m])
+    frames = _frames(tangents, np.concatenate([base] * 3))[0].reshape(3, m, n - 1, n)
+    # Charts in the determinant's column order: v's coefficients on the base
+    # frame at the feet s + h and s - h, then at s with each moved by +-h.
+    coeffs = np.matmul(base, v[:, :, None])[:, :, 0]
+    dc = h * np.eye(n - 1)
+    shifted = np.stack([coeffs[:, None] + dc, coeffs[:, None] - dc], axis=2)
+    shifted = shifted.reshape(m, 2 * n - 2, n - 1)
+    cc = np.concatenate([coeffs[:, None], coeffs[:, None], shifted], axis=1)
+    block = np.r_[1, 2, np.zeros(2 * n - 2, dtype=int)]
+    vec = np.matmul(frames[block].transpose(1, 0, 3, 2), cc[..., None]).reshape(-1, n)
+    norm = _rownorm(vec)
+    rows = (block[None, :] * m + np.arange(m)[:, None]).ravel()
+    chart_jets, height = _take(jets, rows), R[rows % m] * norm
+    u, _, fault = _offset_rows(chart_jets, feet[rows], vec / norm[:, None], height)
+    if fault is not None:
+        raise fault[1]
+    pts = _exp_rows(chart_jets, u, height).reshape(m, 2 * n, n)
+    cols = (pts[:, 0::2] - pts[:, 1::2]) / (2 * h)
+    return np.linalg.det(cols.swapaxes(1, 2))
 
-    def chart(k, cc):
-        frame = _normal_frame(tangents[k], reference=base_frame)
-        vec = frame.T @ cc
-        norm = np.linalg.norm(vec)
-        if norm <= 0:
-            return curve.point(feet[k])
-        return exp_mu(curve, weight, feet[k], vec / norm, off.R * norm)
 
-    cols = []
-    plus = chart(1, coeffs)
-    minus = chart(2, coeffs)
-    cols.append((plus - minus) / (2 * h))
-    for k in range(n - 1):
-        dc = np.zeros(n - 1)
-        dc[k] = h
-        plus = chart(0, coeffs + dc)
-        minus = chart(0, coeffs - dc)
-        cols.append((plus - minus) / (2 * h))
-    return float(np.linalg.det(np.stack(cols, axis=1)))
+def _take(jets, rows):
+    """The (curve, weight) jets at the given rows of their feet."""
+    return tuple(tuple(np.asarray(x)[rows] for x in jet) for jet in jets)
 
 
 # ---------------------------------------------------------------------------

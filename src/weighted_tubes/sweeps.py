@@ -6,7 +6,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, GRID_BUDGET_BYTES
 from .errors import OutOfWError, SceneError, WeightedTubesError
-from .expmap import exp_mu, exp_mu_batch, g_potential, make_offsets, normal_frames, w_bound
+from .expmap import exp_mu_batch, g_potential, make_offsets, normal_frames, w_bound
 from .radii import radii_report
 from .util import as_pairs
 from .weights import OffsetWeight
@@ -88,9 +88,10 @@ def fiber_trace(curve, weight, s, v, r_max, samples=257):
     if r_max > bound * (1.0 + 1e-12):
         raise OutOfWError(f"r_max={r_max} exceeds admissible bound {bound} at s={s}")
     rr = np.linspace(-r_max, r_max, samples)
-    pos = exp_mu(curve, weight, s, v, np.abs(rr[rr >= 0]))
-    neg = exp_mu(curve, weight, s, -np.asarray(v, dtype=float), np.abs(rr[rr < 0]))
-    pts = np.concatenate([neg, pos], axis=0)
+    v = np.asarray(v, dtype=float)
+    # The two half-fibres' normals (-v, then v), range-checked at r_max.
+    halves = make_offsets(curve, weight, np.full(2, s), np.stack([-v, v]), np.full(2, float(r_max)))
+    pts = exp_mu_batch(curve, weight, np.array([s]), halves[(rr >= 0).astype(int)], np.abs(rr))
     return rr, pts
 
 

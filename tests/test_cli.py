@@ -81,6 +81,13 @@ class TestErrors:
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
 
+    def test_unread_tolerance_name_exit_2(self):
+        # kappa_tol_factor is a curve constructor argument, not a tolerance.
+        proc = run_cli("report", "--scene", "example4", "--tol-override",
+                       "kappa_tol_factor=1e-3", check=False)
+        assert proc.returncode == 2
+        assert "unknown tolerance 'kappa_tol_factor'" in proc.stderr
+
     def test_oversized_pair_grid_exit_2(self):
         # 200000^2 x 2 float64 would be 640 GB; the budget check rejects it
         # before any grid is built.

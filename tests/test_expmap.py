@@ -29,6 +29,7 @@ from weighted_tubes import (
     make_offsets,
     mu_closest_point,
     normal_frame,
+    normal_frames,
     w_bound,
 )
 from weighted_tubes.expmap import random_unit_normals
@@ -322,8 +323,6 @@ def dense_grid_argmin(pts, gp, mug):
 def g_potential_two_point(pairs, pts, samples=2048, refine_iters=40):
     """G with a dense grid and a golden loop that evaluates both interior
     points on every iteration and reports the bracket midpoint."""
-    from weighted_tubes.expmap import _f_batch
-
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     best_v = np.full(len(pts), np.inf)
     best_c = np.zeros(len(pts), dtype=int)
@@ -339,11 +338,11 @@ def g_potential_two_point(pairs, pts, samples=2048, refine_iters=40):
         for _ in range(refine_iters):
             x1 = hi - golden * (hi - lo)
             x2 = lo + golden * (hi - lo)
-            take1 = _f_batch(curve, weight, x1, pts) <= _f_batch(curve, weight, x2, pts)
+            take1 = f_value(curve, weight, x1, pts) <= f_value(curve, weight, x2, pts)
             hi = np.where(take1, x2, hi)
             lo = np.where(take1, lo, x1)
         smid = 0.5 * (lo + hi)
-        vmid = _f_batch(curve, weight, smid, pts)
+        vmid = f_value(curve, weight, smid, pts)
         better = vmid < best_v
         best_v = np.where(better, vmid, best_v)
         best_c = np.where(better, ci, best_c)
@@ -351,22 +350,36 @@ def g_potential_two_point(pairs, pts, samples=2048, refine_iters=40):
     return best_v, best_c, best_s
 
 
+def scalar_gram_schmidt(t, rows, threshold):
+    """Sequential Gram-Schmidt of the given rows against the unit tangent t."""
+    frame = []
+    for row in rows:
+        w = row - (row @ t) * t
+        for b in frame:
+            w = w - (w @ b) * b
+        norm = np.linalg.norm(w)
+        if norm > threshold:
+            frame.append(w / norm)
+        if len(frame) == t.size - 1:
+            break
+    return np.array(frame)
+
+
+def scalar_frame(t, reference=None):
+    """The per-foot frame: the standard basis (residuals above 0.5 join) or
+    a reference frame (above 1e-8), redone from the standard basis with
+    unconditional pivoting (above 1e-10) when it comes out short."""
+    n = t.size
+    rows, threshold = (np.eye(n), 0.5) if reference is None else (reference, 1e-8)
+    frame = scalar_gram_schmidt(t, rows, threshold)
+    if len(frame) < n - 1:
+        frame = scalar_gram_schmidt(t, np.eye(n), 1e-10)
+    return frame
+
+
 def scalar_normal_frame(curve, s):
     """The per-foot standard-basis Gram-Schmidt with its fallback."""
-    t = curve.tangent(s)
-    n = t.size
-    for threshold in (0.5, 1e-10):
-        frame = []
-        for row in np.eye(n):
-            w = row - (row @ t) * t
-            for b in frame:
-                w = w - (w @ b) * b
-            norm = np.linalg.norm(w)
-            if norm > threshold:
-                frame.append(w / norm)
-            if len(frame) == n - 1:
-                return np.array(frame)
-    return np.array(frame)
+    return scalar_frame(curve.tangent(s))
 
 
 def fourier_3d():
@@ -515,3 +528,35 @@ class TestNormalFrameRows:
         reference = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         frame = normal_frame(curve, 0, reference=reference)
         assert frame.tobytes() == np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).tobytes()
+
+    def test_reference_rows_are_the_scalar_loop(self, scenes):
+        # Frames transported from a base frame to nearby and distant feet,
+        # with a row whose reference lies close to the tangent, and rows whose
+        # reference runs along the tangent or is too short to span the normal
+        # space, which fall back to the standard basis.
+        from weighted_tubes.expmap import _frames
+
+        rng = np.random.default_rng(8)
+        for curve in (scenes["ellipse_mu1"].pairs[0][0], scenes["example1b"].pairs[0][0],
+                      fourier_3d(), fourier_4d()):
+            n = curve.ambient_dim
+            s = rng.uniform(curve.s_min + 0.3, curve.s_max - 0.3, 48)
+            base = normal_frames(curve, s)
+            feet = np.concatenate([s + 1e-6, s - 1e-6, s + 0.3, s])
+            reference = np.concatenate([base] * 4)
+            tangents = curve.tangent(feet)
+            reference[-1] = tangents[-1]  # every reference row along the tangent
+            reference[-3] = tangents[-3] + 0.01 * reference[-3]  # small residuals still join
+            if n > 2:
+                reference[-2, 1:] = np.nan  # a short reference frame
+            frames, count = _frames(tangents, reference)
+            fell_back = 0
+            for k in range(len(feet)):
+                ref = reference[k][np.isfinite(reference[k]).all(axis=1)]
+                expected = scalar_frame(tangents[k], ref)
+                fell_back += len(scalar_gram_schmidt(tangents[k], ref, 1e-8)) < n - 1
+                assert count[k] == n - 1
+                assert frames[k].tobytes() == expected.tobytes()
+                one = normal_frame(curve, feet[k], reference=ref)
+                assert one.tobytes() == expected.tobytes()
+            assert fell_back == (2 if n > 2 else 1)

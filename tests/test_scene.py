@@ -72,7 +72,7 @@ class TestValidation:
 
     def test_nonpositive_tolerance(self):
         doc = minimal_doc()
-        doc["tolerances"] = {"tol_arc": -1.0}
+        doc["tolerances"] = {"tol_dc": -1.0}
         with pytest.raises(SceneError, match="positive"):
             parse_scene(doc)
 
@@ -153,3 +153,17 @@ class TestToleranceOverrides:
         scene = parse_scene(doc)
         assert scene.tolerances.focal_samples == 512
         assert scene.tolerances.pair_grid == 256  # untouched default
+
+    def test_every_tolerance_is_read(self):
+        # A field no code reads accepts an override that changes nothing.
+        import re
+        from dataclasses import fields
+        from pathlib import Path
+
+        import weighted_tubes
+        from weighted_tubes.config import Tolerances
+
+        src = Path(weighted_tubes.__file__).parent
+        text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "config.py")
+        unread = [f.name for f in fields(Tolerances) if not re.search(rf"\.{f.name}\b", text)]
+        assert not unread, f"Tolerances fields read by no code: {unread}"

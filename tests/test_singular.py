@@ -10,16 +10,20 @@ from weighted_tubes import (
     OutOfWError,
     PolynomialWeight,
     detect_collapse_arcs,
+    exp_mu,
     is_singular,
     jacobian_determinant,
+    make_offset,
     make_stadium,
     normal_frame,
     radii_report,
     singular_set,
     transversality_check,
 )
+from test_acceptance import random_offsets
+from test_expmap import scalar_frame
 from weighted_tubes.expmap import random_unit_normals, w_bound
-from weighted_tubes.singular import _sng_condition, g_zero_set
+from weighted_tubes.singular import _sng_condition, g_zero_set, jacobian_rows
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
 
@@ -95,6 +99,9 @@ def test_graph_points_match_the_scalar_map(scenes, name):
         band = tol.tol_hess_factor * 2.0 / float(weight.mu(p.s)) ** 2 * max(1.0, ur**2)
         assert abs(hess) <= band + 1e-12
         assert 0.0 < p.R < ur
+        # is_singular applies the same criterion to the same offset.
+        _, value = is_singular(curve, weight, p.s, normal, p.R, tol)
+        assert value == hess and abs(value) <= band
 
 
 class TestIsSingular:
@@ -151,10 +158,100 @@ class TestIsSingular:
                     disagreements += 1
             assert disagreements == 0, name
 
+    @pytest.mark.parametrize("name", ["ellipse_mu1", "example1b", "example4", "example2_stadium"])
+    def test_value_is_the_scalar_chain(self, scenes, name):
+        # Project the offset, map its normal (exp_mu projects it again) and
+        # take the closed form at the image.
+        from weighted_tubes import f_second_critical
+
+        scene = scenes[name]
+        curve, weight = scene.pairs[0]
+        s, v, R = (x[:300] for x in random_offsets(scene, 1000, r_cap=4.0, margin=0.1))
+        for k in range(300):
+            off = make_offset(curve, weight, s[k], v[k], R[k])
+            p = exp_mu(curve, weight, off.s, off.v, off.R)
+            expected = f_second_critical(curve, weight, off.s, p)
+            assert is_singular(curve, weight, s[k], v[k], R[k])[1] == expected
+
     def test_jacobian_vanishes_at_collapse(self):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
         det = jacobian_determinant(curve, weight, 0.3, -curve.point(0.3), 2.0)
         assert abs(det) <= 1e-8
+
+
+def scalar_jacobian_determinant(curve, weight, s, v, R, h=None):
+    """The determinant one offset at a time: per-foot frames, and every chart
+    point mapped through the scalar exp_mu."""
+    off = make_offset(curve, weight, s, v, R)
+    if h is None:
+        h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
+    n = curve.ambient_dim
+    feet = np.array([off.s, off.s + h, off.s - h])
+    tangents = curve.tangent(feet)
+    base_frame = scalar_frame(tangents[0])
+    coeffs = base_frame @ off.v
+
+    def chart(k, cc):
+        vec = scalar_frame(tangents[k], reference=base_frame).T @ cc
+        norm = np.linalg.norm(vec)
+        return exp_mu(curve, weight, feet[k], vec / norm, off.R * norm)
+
+    cols = [(chart(1, coeffs) - chart(2, coeffs)) / (2 * h)]
+    for k in range(n - 1):
+        dc = np.zeros(n - 1)
+        dc[k] = h
+        cols.append((chart(0, coeffs + dc) - chart(0, coeffs - dc)) / (2 * h))
+    return float(np.linalg.det(np.stack(cols, axis=1)))
+
+
+class TestJacobianRows:
+    @pytest.mark.parametrize("name", [
+        "circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
+        "example3_family", "example4", "example6_family",
+    ])
+    def test_rows_are_the_scalar_determinants(self, scenes, name):
+        scene = scenes[name]
+        curve, weight = scene.pairs[0]
+        s, v, R = (x[:300] for x in random_offsets(scene, 1000, r_cap=4.0, margin=0.1))
+        rows = jacobian_rows(curve, weight, s, v, R)
+        expected = [scalar_jacobian_determinant(curve, weight, s[k], v[k], R[k]) for k in range(300)]
+        np.testing.assert_array_equal(rows, expected)
+        assert jacobian_determinant(curve, weight, s[7], v[7], R[7]) == expected[7]
+
+    def test_fourier_3d_with_a_tilted_direction(self):
+        from test_expmap import fourier_3d
+
+        curve, weight = fourier_3d(), PolynomialWeight([1.0, 0.05])
+        rng = np.random.default_rng(2)
+        s = rng.uniform(curve.s_min, curve.s_max, 40)
+        v = random_unit_normals(curve, s, rng) + 0.3 * curve.tangent(s)
+        R = rng.uniform(0.05, 1.0, 40)
+        expected = [scalar_jacobian_determinant(curve, weight, s[k], v[k], R[k]) for k in range(40)]
+        np.testing.assert_array_equal(jacobian_rows(curve, weight, s, v, R), expected)
+
+    def test_one_curve_jet_and_one_weight_jet_per_call(self, monkeypatch):
+        curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2, ambient_dim=3), CosineWeight()
+        calls = []
+        for obj, name in ((curve, "curve"), (weight, "weight")):
+            jet = obj.jet
+            monkeypatch.setattr(obj, "jet", lambda s, order, jet=jet, name=name: (
+                calls.append(name), jet(s, order))[1])
+        jacobian_determinant(curve, weight, 0.3, [-1.0, 0.0, 0.5], 1.5)
+        assert sorted(calls) == ["curve", "weight"]
+
+    def test_no_rows(self, scenes):
+        curve, weight = scenes["ellipse_mu1"].pairs[0]
+        assert jacobian_rows(curve, weight, np.zeros(0), np.zeros((0, 2)), np.zeros(0)).shape == (0,)
+
+    def test_offset_checks_come_first(self):
+        curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
+        s = np.array([0.2, 0.5])
+        v = -curve.point(s)
+        bound = np.asarray(w_bound(weight, s), dtype=float)
+        with pytest.raises(OutOfWError, match="exceeds admissible bound"):
+            jacobian_rows(curve, weight, s, v, np.array([0.5, 1.01 * bound[1]]))
+        with pytest.raises(OutOfWError, match="tangent"):
+            jacobian_rows(curve, weight, s, curve.tangent(s), np.array([0.5, 0.5]))
 
 
 class TestCollapseArcs:

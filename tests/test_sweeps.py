@@ -240,6 +240,34 @@ class TestFiberTrace:
         with pytest.raises(OutOfWError):
             fiber_trace(curve, weight, 1.0, -curve.point(1.0), 100.0)
 
+    @pytest.mark.parametrize("name", [
+        "circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
+        "example3_family", "example4", "example6_family", "fourier_3d",
+    ])
+    def test_the_two_half_fibres_of_the_scalar_map(self, scenes, name):
+        # The trace once mapped each half-fibre through its own exp_mu call.
+        from weighted_tubes import exp_mu, w_bound
+        from weighted_tubes.expmap import random_unit_normals
+
+        if name == "fourier_3d":
+            from test_expmap import fourier_3d
+
+            curve, weight = fourier_3d(), PolynomialWeight([1.0, 0.05])
+        else:
+            curve, weight = scenes[name].pairs[0]
+        rng = np.random.default_rng(12)
+        s = rng.uniform(curve.s_min, curve.s_max, 4)
+        # Tilted directions, so both halves are projected.
+        v = random_unit_normals(curve, s, rng) + 0.2 * curve.tangent(s)
+        for k in range(4):
+            r_max = min(0.9 * float(w_bound(weight, s[k])), 3.0)
+            for samples in (2, 33, 40):
+                rr, pts = fiber_trace(curve, weight, s[k], v[k], r_max, samples=samples)
+                assert rr.tobytes() == np.linspace(-r_max, r_max, samples).tobytes()
+                pos = exp_mu(curve, weight, s[k], v[k], np.abs(rr[rr >= 0]))
+                neg = exp_mu(curve, weight, s[k], -v[k], np.abs(rr[rr < 0]))
+                assert pts.tobytes() == np.concatenate([neg, pos]).tobytes()
+
     def test_constant_weight_straight_normals(self):
         curve, weight = CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0)
         rr, pts = fiber_trace(curve, weight, 1.0, -curve.point(1.0), 0.9, samples=11)
