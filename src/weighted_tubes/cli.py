@@ -63,18 +63,20 @@ def _write_text(path, text):
 
 
 def _csv_text(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(float17(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """CSV with one %-format per column, picked from its cells' types (see
+    _cell_format); a row whose columns mix kinds is formatted cell by cell."""
+    rows = [tuple(row) for row in rows]
+    fmts = [{_cell_format(kind) for kind in set(map(type, col))} for col in zip(*rows)]
+    fmt = ",".join(f.pop() for f in fmts) if all(len(f) == 1 for f in fmts) else None
+    lines = [(fmt or ",".join(_cell_format(type(cell)) for cell in row)) % row for row in rows]
+    return "\n".join([",".join(header)] + lines) + "\n"
+
+
+def _cell_format(kind):
+    """A str as is, an int as %d, anything else as %.17g (float17's bytes)."""
+    if issubclass(kind, str):
+        return "%s"
+    return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
 def _parse_overrides(items):
@@ -243,8 +245,7 @@ def cmd_fibers(args):
         polylines.append(pts)
         for r, p in zip(rr, pts):
             rows.append((s, r, *[float(x) for x in p]))
-    header = ["s", "R"] + [f"x{i + 1}" for i in range(scene.ambient_dim)]
-    csv_text = _csv_text(header, rows)
+    csv_text = _csv_text(_point_header(scene), rows)
     if svg_path:
         _write_text(svg_path, render_svg(curves=_curve_polylines(scene), fibers=polylines))
         _write_text(svg_path[:-4] + ".csv", csv_text)
@@ -263,7 +264,7 @@ def cmd_tube(args):
     boundary, overlap = sweeps.tube_boundary(
         scene.pairs, args.radius, s_samples=args.samples, tol=scene.tolerances
     )
-    header = ["s", "R"] + [f"x{i + 1}" for i in range(scene.ambient_dim)]
+    header = _point_header(scene)
     rows = [(s, args.radius, *[float(x) for x in p]) for (_, s, p, _) in boundary]
     over_rows = [(s, args.radius, *[float(x) for x in p]) for (_, s, p, _) in overlap]
     csv_text = _csv_text(header, rows)
@@ -282,17 +283,22 @@ def cmd_tube(args):
     return EXIT_OK
 
 
+def _ur(args, scene):
+    """The height cutoff: --ur, else the scene's computed ur."""
+    return radii.radii_report(scene.pairs, scene.tolerances).ur if args.ur is None else args.ur
+
+
+def _point_header(scene):
+    """The s,R,x1..xn header of the point tables."""
+    return ["s", "R"] + [f"x{i + 1}" for i in range(scene.ambient_dim)]
+
+
 def cmd_singular(args):
     scene = _load(args)
     svg_path = _svg_target(args, scene)
-    rep_ur = args.ur
-    if rep_ur is None:
-        rep = radii.radii_report(scene.pairs, scene.tolerances)
-        rep_ur = rep.ur
-    points = singular.singular_set(scene.pairs, rep_ur, scene.tolerances)
-    header = ["s", "R"] + [f"x{i + 1}" for i in range(scene.ambient_dim)]
+    points = singular.singular_set(scene.pairs, _ur(args, scene), scene.tolerances)
     rows = [(p.s, p.R, *[float(x) for x in p.location]) for p in points]
-    csv_text = _csv_text(header, rows)
+    csv_text = _csv_text(_point_header(scene), rows)
     if svg_path:
         pts = np.array([p.location for p in points]) if points else np.zeros((0, 2))
         _write_text(svg_path, render_svg(curves=_curve_polylines(scene), singular_points=pts))
@@ -304,11 +310,7 @@ def cmd_singular(args):
 
 def cmd_collapse(args):
     scene = _load(args)
-    rep_ur = args.ur
-    if rep_ur is None:
-        rep = radii.radii_report(scene.pairs, scene.tolerances)
-        rep_ur = rep.ur
-    arcs = singular.detect_collapse_arcs(scene.pairs, rep_ur, scene.tolerances)
+    arcs = singular.detect_collapse_arcs(scene.pairs, _ur(args, scene), scene.tolerances)
     header = ["component", "s_start", "s_end", "kappa", "r", "phase"] + [
         f"p0_x{i + 1}" for i in range(scene.ambient_dim)
     ]

@@ -15,15 +15,15 @@ derived radii are mins of these, and the ordering dir <= tir <= air is
 enforced on every report.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .curves import ABSENT
 from .errors import NumericError
+from .expmap import _rowdot, _rownorm
 from .util import as_pairs, golden_max, golden_min
-from .weights import OffsetWeight
 
 
 @dataclass(frozen=True)
@@ -349,8 +349,9 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     a component pair at once, with the analytic gradient and a central
     finite-difference Jacobian; each iteration evaluates the foot arrays s,
     s +- h, t and t +- h once each and combines them into the five gradients
-    it needs. Non-converged seeds are dropped, converged ones are
-    deduplicated and verified against the critical-angle law at both feet.
+    it needs. Non-converged seeds are dropped, converged ones are verified
+    against the critical-angle law at both feet and deduplicated, all as
+    rows.
 
     With offsets (distinct values), the pairs of the weights mu + t for
     every t, grouped by t in the order given and tagged with it
@@ -359,16 +360,23 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
-    found = [[] for _ in ts]
-    for i in range(len(pairs)):
-        for j in range(i, len(pairs)):
-            for group, cands in zip(found, _search_component_pair(pairs, i, j, ts, tol)):
-                group.extend(cands)
-    return [p for cands in found for p in _dedup_pairs(pairs, cands, tol)]
+    found = [_search_component_pair(pairs, i, j, ts, tol)
+             for i in range(len(pairs)) for j in range(i, len(pairs))]
+    rows = {key: np.concatenate([f[key] for f in found]) for key in found[0]}
+    return [
+        DoubleCriticalPair(
+            int(rows["c1"][k]), int(rows["c2"][k]), float(rows["s1"][k]), float(rows["s2"][k]),
+            float(rows["ratio"][k]), rows["midpoint"][k], float(rows["residual"][k]),
+            (float(rows["ang1"][k]), float(rows["ang2"][k])), offset=float(ts[rows["grp"][k]]),
+        )
+        for k in _dedup_rows(pairs, rows)
+    ]
 
 
 def _search_component_pair(pairs, i, j, ts, tol):
-    """Verified critical pairs of components i and j, one list per offset in ts."""
+    """Verified critical pairs of components i and j as rows (see
+    _verify_rows), each with its offset's index in ts (`grp`) and its Newton
+    residual, in the order of the Newton rows."""
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
     n = tol.pair_grid
@@ -404,14 +412,8 @@ def _search_component_pair(pairs, i, j, ts, tol):
         seeds.append(sorted(found))
     grp = np.repeat(np.arange(len(ts)), [len(x) for x in seeds])
     s, t, res, alive = _newton(c1, w1, c2, w2, seeds, grp, ts, tol)
-    out = [[] for _ in ts]
-    for k in np.nonzero(alive & ~(res > tol.tol_dc))[0]:
-        off = float(ts[grp[k]])
-        shifted = [(c, OffsetWeight(w, off)) for c, w in pairs]
-        cand = _verify_pair(shifted, i, j, float(s[k]), float(t[k]), float(res[k]), tol)
-        if cand is not None:
-            out[grp[k]].append(replace(cand, offset=off))
-    return out
+    k = np.nonzero(alive & ~(res > tol.tol_dc))[0]
+    return _verify_rows(pairs, i, j, s[k], t[k], ts, grp[k], res[k], tol)
 
 
 def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
@@ -523,58 +525,77 @@ def _grid_local_minima(mat, per_rows, per_cols):
     return list(zip(*np.nonzero(best)))
 
 
-def _verify_pair(pairs, i, j, s1, s2, residual, tol):
+def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual, tol):
+    """The rows (s1, s2) of components i and j (row k for the weights
+    mu + ts[grp[k]]) that pass the critical-angle law at both feet, as
+    arrays: c1, c2, s1, s2, ratio, midpoint, the angle residual at each foot
+    (ang1, ang2), grp and the Newton residual. Where mu' = 0, alpha is pi/2
+    by convention and the chord must be normal. Rows inside a
+    same-component pair's diagonal band, with a zero chord, or whose larger
+    angle residual (Python's max: the first unless the second is strictly
+    larger) exceeds 1e-6 are dropped.
+    """
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
+    q1, t1, m1, dm1 = _feet(c1, w1, s1, ts[grp])
+    q2, t2, m2, dm2 = _feet(c2, w2, s2, ts[grp])
+    dist = _rownorm(q1 - q2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = dist / (m1 + m2)
+        u = (q2 - q1) / dist[:, None]
+        midpoint = q1 + (ratio * m1)[:, None] * u
+        ang1, ang2 = (
+            np.where(
+                np.abs(d1) == 0.0,
+                np.abs(_rowdot(uu, tan)),
+                np.abs(_rowdot(uu, np.sign(d1)[:, None] * tan) + ratio * np.abs(d1)),
+            )
+            for tan, d1, uu in ((t1, dm1, u), (t2, dm2, -u))
+        )
+    keep = ~(dist <= 0) & ~(np.where(ang2 > ang1, ang2, ang1) > 1e-6)
     if i == j:
-        if c1.periodic_distance(s1, s2) < tol.delta_min_factor * c1.length:
-            return None
-    (q1, t1), (q2, t2) = c1.jet(s1, 1), c2.jet(s2, 1)
-    (m1, d1_1), (m2, d1_2) = w1.jet(s1, 1), w2.jet(s2, 1)
-    m1, m2 = float(m1), float(m2)
-    dist = float(np.linalg.norm(q1 - q2))
-    if dist <= 0:
-        return None
-    ratio = dist / (m1 + m2)
-    u = (q2 - q1) / dist
-    midpoint = q1 + ratio * m1 * u
-    ang = []
-    for tan, d1, uu in ((t1, d1_1, u), (t2, d1_2, -u)):
-        d1 = float(d1)
-        if abs(d1) == 0.0:
-            # alpha is pi/2 by convention; the chord must be normal here.
-            ang.append(abs(float(uu @ tan)))
-            continue
-        grad_dir = np.sign(d1) * tan
-        cosa = float(uu @ grad_dir)
-        ang.append(abs(cosa + ratio * abs(d1)))
-    if max(ang) > 1e-6:
-        return None
-    return DoubleCriticalPair(i, j, s1, s2, ratio, midpoint, residual, tuple(ang))
+        keep &= ~(c1.periodic_distance(s1, s2) < tol.delta_min_factor * c1.length)
+    rows = dict(c1=np.full(len(s1), i), c2=np.full(len(s1), j), s1=s1, s2=s2, ratio=ratio,
+                midpoint=midpoint, ang1=ang1, ang2=ang2, grp=grp, residual=residual)
+    return {key: v[keep] for key, v in rows.items()}
 
 
-def _dedup_pairs(pairs, found, tol):
-    kept = []
-    for cand in sorted(found, key=lambda p: (p.ratio, p.component_1, p.component_2, p.s1, p.s2)):
-        dup = False
-        for prev in kept:
-            if (cand.component_1, cand.component_2) != (prev.component_1, prev.component_2):
-                continue
-            c1 = pairs[cand.component_1][0]
-            c2 = pairs[cand.component_2][0]
-            d_a = c1.periodic_distance(cand.s1, prev.s1) + c2.periodic_distance(cand.s2, prev.s2)
-            d_b = np.inf
-            if cand.component_1 == cand.component_2:
-                d_b = c1.periodic_distance(cand.s1, prev.s2) + c2.periodic_distance(
-                    cand.s2, prev.s1
-                )
-            scale = 1e-5 * (c1.length + c2.length)
-            if min(d_a, d_b) < scale:
-                dup = True
+def _dedup_rows(pairs, rows):
+    """Indices of the distinct pairs among verified rows, in output order.
+
+    Each offset's rows are sorted by (ratio, c1, c2, s1, s2), stably, and
+    the offsets follow in order. Walking that order, a row is a duplicate
+    of an earlier kept row of the same offset and component pair when their
+    feet are within 1e-5 (L1 + L2) (periodic distances, summed over both
+    feet; on a same-component pair the smaller of that and the swapped
+    feet's distance). The first of each cluster is kept; its duplicates,
+    and only they, are dropped.
+    """
+    order = np.lexsort((rows["s2"], rows["s1"], rows["c2"], rows["c1"], rows["ratio"], rows["grp"]))
+    n = len(pairs)
+    group = (rows["grp"] * n + rows["c1"]) * n + rows["c2"]
+    keep = np.zeros(len(order), dtype=bool)
+    for g in np.unique(group):
+        idx = np.flatnonzero(group[order] == g)
+        i, j = divmod(int(g) % (n * n), n)
+        c1, c2 = pairs[i][0], pairs[j][0]
+        a, b = rows["s1"][order[idx]], rows["s2"][order[idx]]
+        dist = c1.periodic_distance(a[:, None], a) + c2.periodic_distance(b[:, None], b)
+        if i == j:
+            swapped = c1.periodic_distance(a[:, None], b) + c2.periodic_distance(b[:, None], a)
+            dist = np.where(swapped < dist, swapped, dist)
+        near = np.tril(dist < 1e-5 * (c1.length + c2.length), -1)
+        # Row r is kept iff no kept row before it is near. Iterating that
+        # rule fixes one more leading row per pass, so it converges to the
+        # walk's answer within one pass per row (in practice two or three).
+        kept = np.ones(len(idx), dtype=bool)
+        while True:
+            nxt = ~np.any(near & kept, axis=1)
+            if np.array_equal(nxt, kept):
                 break
-        if not dup:
-            kept.append(cand)
-    return kept
+            kept = nxt
+        keep[idx[kept]] = True
+    return order[keep]
 
 
 def dcsd_half(found_pairs):
@@ -594,10 +615,10 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
 
     With offsets, a list with one report per value t, in the order given,
     for the weights mu + t of an offset family: the focal and pair stages
-    run once over every distinct t (see focal_radii and
-    find_double_critical_pairs), collapse arcs and the ordering clamp per t.
-    Each report equals the one computed for OffsetWeight(mu, t) alone, and
-    repeated values share one report.
+    and the collapse arcs run once over every distinct t (see focal_radii,
+    find_double_critical_pairs and singular.detect_collapse_arcs), the
+    ordering clamp per t. Each report equals the one computed for the
+    weights mu + t alone, and repeated values share one report.
     """
     from . import singular
 
@@ -607,39 +628,26 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     if not distinct:
         return []
     focal = focal_radii(pairs, tol, distinct)
-    found = find_double_critical_pairs(pairs, tol, distinct)
+    dc_pairs = {t: [] for t in distinct}
+    for p in find_double_critical_pairs(pairs, tol, distinct):
+        dc_pairs[p.offset].append(p)
+    urs = [min(dcsd_half(dc_pairs[t]), fm) for t, (_, fm, _) in zip(distinct, focal)]
+    arcs_by_t = singular.detect_collapse_arcs(pairs, urs, tol, offsets=distinct)
     reports = {}
-    for t, (focrad0, focradminus, focal_wit) in zip(distinct, focal):
-        shifted = [(c, OffsetWeight(w, t)) for c, w in pairs]
-        dc_pairs = [p for p in found if p.offset == t]
-        dc = dcsd_half(dc_pairs)
+    for t, ur, arcs, (focrad0, focradminus, focal_wit) in zip(distinct, urs, arcs_by_t, focal):
+        dc = dcsd_half(dc_pairs[t])
         lr = min(dc, focrad0)
-        ur = min(dc, focradminus)
-        arcs = singular.detect_collapse_arcs(shifted, ur, tol)
-        if arcs:
-            tir_val = min(arc.r for arc in arcs)
-            attained = True
-        else:
-            tir_val = ur
-            attained = False
-        tir_val = min(max(tir_val, lr), ur)
+        tir_val = min(max(min(arc.r for arc in arcs) if arcs else ur, lr), ur)
         witnesses = {
             "focrad0": focal_wit["focrad0"],
             "focradminus": focal_wit["focradminus"],
-            "dcsd_pair": min(dc_pairs, key=lambda p: p.ratio) if dc_pairs else None,
+            "dcsd_pair": min(dc_pairs[t], key=lambda p: p.ratio) if dc_pairs[t] else None,
             "collapse_arcs": arcs,
-            "tir_attained": attained,
-            "pair_count": len(dc_pairs),
+            "tir_attained": bool(arcs),
+            "pair_count": len(dc_pairs[t]),
         }
         reports[t] = RadiiReport(
-            focrad0=focrad0,
-            focradminus=focradminus,
-            dcsd_half=dc,
-            lr=lr,
-            ur=ur,
-            dir=lr,
-            tir=tir_val,
-            air=ur,
-            witnesses=witnesses,
+            focrad0=focrad0, focradminus=focradminus, dcsd_half=dc, lr=lr, ur=ur,
+            dir=lr, tir=tir_val, air=ur, witnesses=witnesses,
         )
     return reports[0.0] if offsets is None else [reports[t] for t in ts]

@@ -16,11 +16,11 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
 from .errors import OutOfWError
-from .expmap import _exp_rows, _frames, _hess_rows, _offset_rows, _rownorm, exp_mu_batch
+from .expmap import _exp_rows, _frames, _hess_rows, _offset_rows, _rownorm
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
-from .radii import _bracket, _extrema_indices
+from .radii import _bracket, _extrema_indices, _offset_array
 from .util import as_pairs, brent_rows, golden_min
 
 
@@ -306,7 +306,7 @@ def _take(jets, rows):
 # ---------------------------------------------------------------------------
 
 
-def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES):
+def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
     """Maximal intervals where all collapse conditions hold with height < ur.
 
     Conditions on a dense grid: kappa locked (|kappa'| small), the circular
@@ -314,80 +314,70 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES):
     defined and constant, all within the configured residual bands; runs
     shorter than ell_min are ignored. Each run is fitted (mean curvature,
     mean height, least-squares phase) and the common image is verified.
+
+    With offsets, the arcs of the weights mu + t for every t, as one list
+    per t, with ur holding one height per t: the curve and weight jets, the
+    curvature, its rate and the ODE residual are evaluated once per
+    component, and only g, the graph height and the runs depend on t.
     """
     pairs = as_pairs(pairs)
-    arcs = []
+    ts = _offset_array(offsets)
+    urs = np.broadcast_to(np.asarray(ur, dtype=float), ts.shape)
+    arcs = [[] for _ in ts]
     for ci, (curve, weight) in enumerate(pairs):
         n = tol.singular_samples
         sg = curve.grid(n)
         jet = curve.jet(sg, 3)
-        weight_jet = weight.jet(sg, 2)
+        mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
         kap = np.linalg.norm(jet[2], axis=-1)
         kap_rate = np.abs(_kappa_rate(jet, curve.kappa_tol))
         ode = collapse_ode_residual(jet)
-        g = np.abs(_g(kap, weight_jet))
-        height = _graph_height(weight_jet)
-        ok = (
-            (kap > curve.kappa_tol)
-            & (kap_rate <= tol.eps_kappa)
-            & (ode <= tol.eps_gamma)
-            & (g <= tol.eps_mu)
-            & np.isfinite(height)
-            & (height < ur)
-        )
+        locked = (kap > curve.kappa_tol) & (kap_rate <= tol.eps_kappa) & (ode <= tol.eps_gamma)
         step = curve.length / n
         min_len = tol.ell_min_factor * curve.length
-        for lo, hi in _runs(ok, curve.closed):
-            count = hi - lo
-            if count * step < min_len:
-                continue
-            idx = np.arange(lo, hi) % n
-            s_run = sg[idx]
-            if hi > n:  # unwrap periodic run for reporting
-                s_run = np.where(np.arange(lo, hi) >= n, sg[idx] + curve.length, sg[idx])
-            kbar = float(np.mean(kap[idx]))
-            hbar = float(np.mean(height[idx]))
-            if np.max(np.abs(height[idx] ** -2.0 - hbar**-2.0)) > tol.eps_r:
-                continue
-            mu_run = np.asarray(weight_jet[0], dtype=float)[idx]
-            amp = 2.0 / (kbar * hbar)
-            # Least-squares phase: mu = amp cos(k s / 2 + a).
-            cosb = np.cos(kbar * s_run / 2.0)
-            sinb = np.sin(kbar * s_run / 2.0)
-            mat = np.stack([cosb, sinb], axis=1)
-            sol, *_ = np.linalg.lstsq(mat, mu_run / amp, rcond=None)
-            phase = float(np.arctan2(-sol[1], sol[0]))
-            fit_gap = float(
-                np.max(np.abs(mu_run - amp * np.cos(kbar * s_run / 2.0 + phase)))
-            )
-            if fit_gap > 1e-6:
-                continue
-            normals = jet[2][idx] / kap[idx][:, None]
-            pts = exp_mu_batch(curve, weight, sg[idx], normals, np.full(len(idx), hbar))
-            p0 = pts.mean(axis=0)
-            image_gap = float(np.max(np.linalg.norm(pts - p0, axis=-1)))
-            if image_gap > tol.eps_p:
-                continue
-            arcs.append(
-                CollapseArc(
-                    component=ci,
-                    s_start=float(s_run[0]),
-                    s_end=float(s_run[-1]),
-                    kappa=kbar,
-                    r=hbar,
-                    phase=phase,
-                    p0=p0,
-                    residuals={
-                        "kappa_rate": float(np.max(kap_rate[idx])),
-                        "ode": float(np.max(ode[idx])),
-                        "condition": float(np.max(g[idx])),
-                        "height": float(np.max(np.abs(height[idx] - hbar))),
-                        "image": image_gap,
-                        "mu_fit": fit_gap,
-                    },
-                )
-            )
-    return arcs
+        for found, t, ur_t in zip(arcs, ts, urs):
+            weight_jet = (mu + t, d1, d2)
+            g = np.abs(_g(kap, weight_jet))
+            height = _graph_height(weight_jet)
+            ok = locked & (g <= tol.eps_mu) & np.isfinite(height) & (height < ur_t)
+            for lo, hi in _runs(ok, curve.closed):
+                if (hi - lo) * step < min_len:
+                    continue
+                idx = np.arange(lo, hi) % n
+                s_run = sg[idx]
+                if hi > n:  # unwrap periodic run for reporting
+                    s_run = np.where(np.arange(lo, hi) >= n, sg[idx] + curve.length, sg[idx])
+                kbar = float(np.mean(kap[idx]))
+                hbar = float(np.mean(height[idx]))
+                if np.max(np.abs(height[idx] ** -2.0 - hbar**-2.0)) > tol.eps_r:
+                    continue
+                mu_run = weight_jet[0][idx]
+                amp = 2.0 / (kbar * hbar)
+                # Least-squares phase: mu = amp cos(k s / 2 + a).
+                cosb = np.cos(kbar * s_run / 2.0)
+                sinb = np.sin(kbar * s_run / 2.0)
+                mat = np.stack([cosb, sinb], axis=1)
+                sol, *_ = np.linalg.lstsq(mat, mu_run / amp, rcond=None)
+                phase = float(np.arctan2(-sol[1], sol[0]))
+                fit_gap = float(np.max(np.abs(mu_run - amp * np.cos(kbar * s_run / 2.0 + phase))))
+                if fit_gap > 1e-6:
+                    continue
+                normals = jet[2][idx] / kap[idx][:, None]
+                pts = _exp_rows(_take((jet, weight_jet), idx), normals, np.full(len(idx), hbar))
+                p0 = pts.mean(axis=0)
+                image_gap = float(np.max(np.linalg.norm(pts - p0, axis=-1)))
+                if image_gap > tol.eps_p:
+                    continue
+                residuals = {
+                    "kappa_rate": float(np.max(kap_rate[idx])), "ode": float(np.max(ode[idx])),
+                    "condition": float(np.max(g[idx])),
+                    "height": float(np.max(np.abs(height[idx] - hbar))),
+                    "image": image_gap, "mu_fit": fit_gap,
+                }
+                found.append(CollapseArc(
+                    ci, float(s_run[0]), float(s_run[-1]), kbar, hbar, phase, p0, residuals
+                ))
+    return arcs[0] if offsets is None else arcs
 
 
 def transversality_check(pairs, tol=DEFAULT_TOLERANCES):

@@ -267,3 +267,43 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def per_cell_csv(header, rows):
+    """The CSV writer that formatted every cell on its own (oracle)."""
+    from weighted_tubes.util import float17
+
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, str):
+                cells.append(cell)
+            elif isinstance(cell, (int, np.integer)):
+                cells.append(str(int(cell)))
+            else:
+                cells.append(float17(cell))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_columns_format_like_float17_per_cell():
+    from weighted_tubes.cli import _csv_text
+
+    rng = np.random.default_rng(7)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                1e300, 0.1, 1.0 / 3.0]
+    scales = 10.0 ** rng.integers(-300, 300, 200)
+    values = np.concatenate([specials, rng.standard_normal(200) * scales])
+    header = ["py", "np64", "np32", "int", "npint", "flag", "status"]
+    with np.errstate(over="ignore"):  # float32 cells overflow to inf
+        rows = [
+            (float(x), np.float64(-x), np.float32(x), k - 5, np.int64(3 * k), k % 2 == 0,
+             f"row {k}")
+            for k, x in enumerate(values)
+        ]
+    assert _csv_text(header, rows) == per_cell_csv(header, rows)
+    # A column mixing floats, ints and strings falls back to its cells.
+    mixed = [(1, 2.5, "a"), (np.float64(-0.0), np.int32(7), 3.0), ("b", np.nan, 4)]
+    assert _csv_text(["a", "b", "c"], mixed) == per_cell_csv(["a", "b", "c"], mixed)
+    assert _csv_text(["a"], []) == "a\n"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from weighted_tubes import (
     EllipseCurve,
     FourierCurve,
     NumericError,
+    OffsetWeight,
     PolynomialWeight,
     dcsd_half,
     delta_lambda,
@@ -16,7 +19,9 @@ from weighted_tubes import (
     lemma3_roots,
     radii_report,
 )
+from weighted_tubes import radii
 from weighted_tubes.config import DEFAULT_TOLERANCES
+from weighted_tubes.radii import DoubleCriticalPair
 from weighted_tubes.weights import FourierWeight
 
 
@@ -362,3 +367,173 @@ class TestPinnedRefinement:
         scene = scenes[name]
         found = find_double_critical_pairs(scene.pairs, scene.tolerances)
         assert [(p.s1, p.s2, p.ratio) for p in found] == list(expected)
+
+
+# The scalar pair verification and deduplication the search once ran on each
+# Newton survivor (oracles for the row path).
+def _verify_pair(pairs, i, j, s1, s2, residual, tol):
+    c1, w1 = pairs[i]
+    c2, w2 = pairs[j]
+    if i == j:
+        if c1.periodic_distance(s1, s2) < tol.delta_min_factor * c1.length:
+            return None
+    (q1, t1), (q2, t2) = c1.jet(s1, 1), c2.jet(s2, 1)
+    (m1, d1_1), (m2, d1_2) = w1.jet(s1, 1), w2.jet(s2, 1)
+    m1, m2 = float(m1), float(m2)
+    dist = float(np.linalg.norm(q1 - q2))
+    if dist <= 0:
+        return None
+    ratio = dist / (m1 + m2)
+    u = (q2 - q1) / dist
+    midpoint = q1 + ratio * m1 * u
+    ang = []
+    for tan, d1, uu in ((t1, d1_1, u), (t2, d1_2, -u)):
+        d1 = float(d1)
+        if abs(d1) == 0.0:
+            # alpha is pi/2 by convention; the chord must be normal here.
+            ang.append(abs(float(uu @ tan)))
+            continue
+        grad_dir = np.sign(d1) * tan
+        cosa = float(uu @ grad_dir)
+        ang.append(abs(cosa + ratio * abs(d1)))
+    if max(ang) > 1e-6:
+        return None
+    return DoubleCriticalPair(i, j, s1, s2, ratio, midpoint, residual, tuple(ang))
+
+
+def _dedup_pairs(pairs, found, tol):
+    kept = []
+    for cand in sorted(found, key=lambda p: (p.ratio, p.component_1, p.component_2, p.s1, p.s2)):
+        dup = False
+        for prev in kept:
+            if (cand.component_1, cand.component_2) != (prev.component_1, prev.component_2):
+                continue
+            c1 = pairs[cand.component_1][0]
+            c2 = pairs[cand.component_2][0]
+            d_a = c1.periodic_distance(cand.s1, prev.s1) + c2.periodic_distance(cand.s2, prev.s2)
+            d_b = np.inf
+            if cand.component_1 == cand.component_2:
+                d_b = c1.periodic_distance(cand.s1, prev.s2) + c2.periodic_distance(
+                    cand.s2, prev.s1
+                )
+            scale = 1e-5 * (c1.length + c2.length)
+            if min(d_a, d_b) < scale:
+                dup = True
+                break
+        if not dup:
+            kept.append(cand)
+    return kept
+
+
+def scalar_pairs(pairs, tol, ts, newton_runs):
+    """The pairs the scalar path made of the recorded Newton runs, one per
+    component pair (i, j) in search order."""
+    found = [[] for _ in ts]
+    runs = iter(newton_runs)
+    for i in range(len(pairs)):
+        for j in range(i, len(pairs)):
+            grp, (s, t, res, alive) = next(runs)
+            for k in np.nonzero(alive & ~(res > tol.tol_dc))[0]:
+                off = float(ts[grp[k]])
+                shifted = [(c, OffsetWeight(w, off)) for c, w in pairs]
+                cand = _verify_pair(shifted, i, j, float(s[k]), float(t[k]), float(res[k]), tol)
+                if cand is not None:
+                    found[grp[k]].append(dataclasses.replace(cand, offset=off))
+    return [p for cands in found for p in _dedup_pairs(pairs, cands, tol)]
+
+
+def pair_fields(p):
+    """Every field of a pair, floats by repr and arrays by bytes, with types."""
+    return tuple(
+        (f.name, type(v).__name__, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+        for f in dataclasses.fields(p)
+        for v in [getattr(p, f.name)]
+    )
+
+
+class TestPairRows:
+    """The row verification and deduplication return the scalar path's pairs."""
+
+    @pytest.mark.parametrize("name, offsets", [
+        ("circle_mu1", None), ("ellipse_mu1", None), ("example1a", None), ("example1b", None),
+        ("example2_stadium", None), ("example3_family", None), ("example4", None),
+        ("example6_family", None), ("two_component", None), ("chebyshev_arc", None),
+        ("example3_family", list(np.linspace(-0.05, 0.05, 41))),
+    ])
+    def test_rows_are_the_scalar_pairs(self, scenes, monkeypatch, name, offsets):
+        from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
+        from weighted_tubes import load_scene
+
+        doc = {"two_component": TWO_COMPONENT, "chebyshev_arc": CHEBYSHEV_ARC}.get(name)
+        scene = load_scene(doc) if doc else scenes[name]
+        runs = []
+        newton = radii._newton
+
+        def recording(c1, w1, c2, w2, seeds, grp, ts, tol):
+            out = newton(c1, w1, c2, w2, seeds, grp, ts, tol)
+            runs.append((grp, out))
+            return out
+
+        monkeypatch.setattr(radii, "_newton", recording)
+        rows = find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
+        ts = radii._offset_array(offsets)
+        oracle = scalar_pairs(scene.pairs, scene.tolerances, ts, runs)
+        # Every scene has Newton survivors for the verification to judge.
+        assert sum(int(np.sum(alive)) for _, (_, _, _, alive) in runs) > 0
+        assert [pair_fields(p) for p in rows] == [pair_fields(p) for p in oracle]
+
+    @pytest.mark.parametrize("weight, band, least", [
+        (ConstantWeight(1.0), 1e-3, 3),
+        (ConstantWeight(1.0), 0.6, 1),  # the band now holds the antipodal rows
+        (FourierWeight([1.0, 0.1, 0.05], 2 * np.pi), 1e-3, 1),
+    ])
+    def test_crafted_rows_are_the_scalar_verdicts(self, weight, band, least):
+        # Antipodal feet (the law holds for mu = 1), a row inside the diagonal
+        # band, a zero chord, a nan foot (the scalar path keeps it) and
+        # random feet, for two offsets.
+        tol = DEFAULT_TOLERANCES.with_overrides({"delta_min_factor": band})
+        pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), weight)]
+        rng = np.random.default_rng(3)
+        s1 = np.r_[0.0, 1.0, 2.0, np.nan, 0.5, rng.uniform(0, 2 * np.pi, 40)]
+        s2 = np.r_[np.pi, 1.0 + 1e-4, 2.0, 1.0, 0.5 + np.pi, rng.uniform(0, 2 * np.pi, 40)]
+        ts = np.array([0.0, 0.1])
+        grp = np.arange(len(s1)) % 2
+        res = rng.uniform(0, 1e-10, len(s1))
+        rows = radii._verify_rows(pairs, 0, 0, s1, s2, ts, grp, res, tol)
+        got = [
+            (float(rows["s1"][k]), float(rows["s2"][k]), float(rows["ratio"][k]),
+             rows["midpoint"][k].tobytes(), (float(rows["ang1"][k]), float(rows["ang2"][k])),
+             float(rows["residual"][k]), float(ts[rows["grp"][k]]))
+            for k in range(len(rows["s1"]))
+        ]
+        oracle = []
+        for k in range(len(s1)):
+            shifted = [(c, OffsetWeight(w, ts[grp[k]])) for c, w in pairs]
+            p = _verify_pair(shifted, 0, 0, s1[k], s2[k], res[k], tol)
+            if p is not None:
+                oracle.append((float(p.s1), float(p.s2), p.ratio, p.midpoint.tobytes(),
+                               p.angle_residuals, float(p.residual), float(ts[grp[k]])))
+        assert repr(got) == repr(oracle)
+        assert len(oracle) >= least
+
+    def test_dedup_keeps_the_first_of_each_cluster(self):
+        # On one circle (scale 1e-5 (L + L)): B is within the scale of A and
+        # dropped; C is within it of B but not of A, so it stays; D is A
+        # with its feet swapped; E repeats A for another offset.
+        curve = CircleArcCurve(0, 2 * np.pi, closed=True)
+        pairs = [(curve, ConstantWeight(1.0))]
+        scale = 1e-5 * 2 * curve.length
+        feet = [(1.0, 1.0 + np.pi), (1.0 + 0.7 * scale, 1.0 + np.pi),
+                (1.0 + 1.4 * scale, 1.0 + np.pi), (1.0 + np.pi, 1.0), (1.0, 1.0 + np.pi)]
+        ratio = [1.0, 1.0 + 1e-16, 1.0 + 3e-16, 1.0 + 2e-16, 1.0]
+        grp = [0, 0, 0, 0, 1]
+        rows = {
+            "grp": np.array(grp), "c1": np.zeros(5, dtype=int), "c2": np.zeros(5, dtype=int),
+            "s1": np.array([f[0] for f in feet]), "s2": np.array([f[1] for f in feet]),
+            "ratio": np.array(ratio),
+        }
+        found = [[], []]
+        for k in range(5):
+            found[grp[k]].append(DoubleCriticalPair(0, 0, *feet[k], ratio[k], None, 0.0, (), k))
+        oracle = [p.offset for cands in found for p in _dedup_pairs(pairs, cands, None)]
+        assert list(radii._dedup_rows(pairs, rows)) == oracle == [0, 2, 4]

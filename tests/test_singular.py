@@ -313,6 +313,51 @@ class TestCollapseArcs:
                 assert np.linalg.norm(touch - arc.p0) <= 1e-8
 
 
+def arc_fields(arcs):
+    """Every field of each arc, floats by repr and arrays by bytes."""
+    return [
+        tuple(
+            (name, value.tobytes() if isinstance(value, np.ndarray) else repr(value))
+            for name, value in vars(arc).items()
+        )
+        for arc in arcs
+    ]
+
+
+@pytest.mark.parametrize("name, ts, with_arcs", [
+    ("example3_family", [-0.02, -0.005, 0.0, 0.005, 0.02], [0.0]),
+    ("example6_family", [-0.05, -0.01, 0.0, 0.01, 0.05], []),
+    ("half_circle", [-0.02, 0.0, 0.03], [0.03]),
+])
+def test_offset_arcs_are_the_arcs_of_each_offset(scenes, name, ts, with_arcs):
+    if name == "half_circle":  # mu = cos(s / 2) - 0.03 collapses at t = 0.03
+        pairs = [(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight(offset=-0.03))]
+        tol = scenes["example1a"].tolerances
+    else:
+        pairs, tol = scenes[name].pairs, scenes[name].tolerances
+    urs = [rep.ur for rep in radii_report(pairs, tol, ts)]
+    batch = detect_collapse_arcs(pairs, urs, tol, offsets=ts)
+    assert len(batch) == len(ts)
+    for t, ur, arcs in zip(ts, urs, batch):
+        alone = detect_collapse_arcs([(c, OffsetWeight(w, t)) for c, w in pairs], ur, tol)
+        assert arc_fields(arcs) == arc_fields(alone), t
+        assert len(arcs) == (1 if t in with_arcs else 0), t
+
+
+def test_offset_arcs_evaluate_each_jet_once(scenes, monkeypatch):
+    curve, weight = scenes["example3_family"].pairs[0]
+    calls = []
+    for obj in (curve, weight):
+        def counting(self, s, order, jet=type(obj).jet):
+            calls.append((type(self).__name__, order))
+            return jet(self, s, order)
+
+        monkeypatch.setattr(type(obj), "jet", counting)
+    arcs = detect_collapse_arcs([(curve, weight)], [4.2] * 41, offsets=np.linspace(-0.05, 0.05, 41))
+    assert sum(map(len, arcs)) == 1
+    assert calls == [(type(curve).__name__, 3), (type(weight).__name__, 2)]
+
+
 class TestTir:
     def test_stadium_tir_two(self, stadium_pair):
         curve, weight = stadium_pair

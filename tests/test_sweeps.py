@@ -191,6 +191,11 @@ class TestBatchedSweep:
         assert a is c and _value(a) != _value(b)
 
 
+DYADIC = [2.0**-k for k in range(4, 21)]
+EPS = np.finfo(float).eps
+AIR_AT_ZERO = {"example3_family": 4.140313876743611, "example6_family": 4.0}
+
+
 class TestSemicontinuityJump:
     def test_dense_stadium_family_sweep(self, scenes):
         # Example 3: the radius jumps down at t = 0 from the left. Below 0
@@ -211,6 +216,57 @@ class TestSemicontinuityJump:
         assert all(r.dir < 1.8 for r in above if r.t > 0.01)
         dirs = [r.dir for r in above]
         assert dirs == sorted(dirs, reverse=True)
+
+
+    @pytest.mark.parametrize("name", ["example3_family", "example6_family"])
+    def test_dyadic_one_sided_limits(self, scenes, name):
+        # t = +-2^-k, k = 4..20, and t = 0 in one batch. dir(0) = 2, while
+        # the limit from the left is air(0), so dir is not upper
+        # semicontinuous at 0; from the right it is continuous.
+        scene = scenes[name]
+        ts = [-t for t in DYADIC] + [0.0] + DYADIC
+        rows = {r.t: r for r in radii_sweep(scene.pairs, scene.family_kind, ts, scene.tolerances)}
+        assert all(r.status == "ok" for r in rows.values())
+        air0 = AIR_AT_ZERO[name]
+        assert rows[0.0].dir == 2.0 and rows[0.0].air == air0
+        for t in DYADIC:
+            # From the right, on both families dir is the focal radius
+            # 1 / (sqrt(disc) + a / 2) at the top of mu on the unit-curvature
+            # arc, with a = 1 + t and disc = (1 + t) t / 4:
+            #   dir = 2 / (1 + t + sqrt(t (1 + t))) = 2 - 2 sqrt(t) + t^1.5 - 3/4 t^2.5 + ...
+            # The numeric floor: disc is (1 + t) g, and g = mu'' + kappa^2 mu / 4
+            # = t / 4 is a cancellation of terms of size 1/4, so disc carries a
+            # relative error of a few eps / t and dir an absolute one of a
+            # few eps / sqrt(t) (at most 0.6 eps / sqrt(t) measured). The band
+            # is 4 eps / sqrt(t).
+            floor = 4 * EPS / np.sqrt(t)
+            right = rows[t].dir
+            assert abs(right - 2.0 / (1.0 + t + np.sqrt(t * (1.0 + t)))) <= floor, t
+            # So the rate (dir - (2 - 2 sqrt t)) / t^1.5 = 1 - 3/4 t + ... lies
+            # in [1 - t, 1] up to floor / t^1.5.
+            rate = (right - (2.0 - 2.0 * np.sqrt(t))) / t**1.5
+            assert 1.0 - t - floor / t**1.5 <= rate <= 1.0 + floor / t**1.5, t
+        left = [rows[-t].dir for t in DYADIC]
+        if name == "example6_family":
+            # From the left, dir = 1 / |mu'| at the arc's ends, mu' = -s / 4:
+            # computed without rounding.
+            assert left == [4.0] * len(DYADIC)
+            return
+        # From the left, dir(-t) = F(-t) with F smooth and F(0) = air(0): the
+        # focal radius near s = 2.13 that sets air at t = 0. The rates
+        # (dir - air(0)) / t run 1.368 at k = 4 down to 1.336, so
+        # F(-t) = F(0) + 1.336 t + c t^2 with c = (1.368 - 1.336) / 2^-4 = 0.51,
+        # and the rates fall strictly, by c t / 2 per halving (5e-7 at
+        # k = 20, far above their floor 16 eps / t = 4e-9: dir is about 4
+        # and comes from terms without cancellation, a few ulps each).
+        rates = [(d - air0) / t for d, t in zip(left, DYADIC)]
+        assert all(a > b for a, b in zip(rates, rates[1:]))
+        assert 1.336 < rates[-1] and rates[0] < 1.369
+        # The Richardson step 2 F(-t/2) - F(-t) = F(0) - c t^2 / 2 + ... removes
+        # the linear term: the left limit is air(0), within t^2 / 2 (c < 1)
+        # plus three values' floor, 3 x 16 eps.
+        for t, far, near in zip(DYADIC, left, left[1:]):
+            assert abs(2.0 * near - far - air0) <= t * t / 2 + 48 * EPS, t
 
 
 class TestFiberTrace:
