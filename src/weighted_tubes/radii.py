@@ -154,42 +154,54 @@ def delta_lambda(curve, weight, s, tol=DEFAULT_TOLERANCES):
 def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     """Global focal radii over all components.
 
-    Dense profiles plus golden-section refinement, per component one
-    row-wise call for each family of brackets: the best local minima of the
-    closed-band profile, those of the open-band profile, the local maxima of
+    Dense profiles plus golden-section refinement. Per component, one
+    row-wise call refines three families of brackets: the local maxima of
     the discriminant (so isolated touching zeros, which only the closed band
-    sees, are not lost between grid nodes) and the local maxima of |mu'|.
-    The discriminant and slope maxima serve both profiles. Each profile's
+    sees, are not lost between grid nodes; tolerance 1e-13) and the best
+    local minima of the closed-band and of the open-band profile (1e-12).
+    Its objective evaluates each distinct foot once (`_focal_rows`), so rows
+    that visit the same feet (the open-band rows wherever the two profiles
+    agree) pay for them once. A second call refines the local maxima of
+    |mu'|. The
+    discriminant and slope maxima serve both profiles. Each profile's
     candidates are its grid minimum, its refined minima, the refined
     discriminant maxima its band admits and the slope maxima, in that
     order; the first smallest one is the witness.
 
     With offsets, the radii of the weights mu + t for every t, as a list of
     (focrad0, focradminus, witnesses): the curve and weight jets on the grid
-    are evaluated once, the bracket rows of every t share each refinement
+    are evaluated once, the bracket rows of every t share the refinement
     call (each row carrying its t and band), and the slope maxima, which do
     not depend on t, are refined once.
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
+    n = len(ts)
     best = [[(np.inf, None), (np.inf, None)] for _ in ts]  # closed band, open band
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(tol.focal_samples)
         kap, mu, d1, d2 = _focal_jets(curve, weight, sg)
         a, b, _, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
         band = np.array([_band(np.max(row**2), tol) for row in a])
-        r0, rm = _radius_profiles(b, disc, lam, band[:, None])
-
-        def radius(s, t, bd, which):
-            _, bb, _, dd, ll = _abc(curve, weight, s, t)
-            return _radius_profiles(bb, dd, ll, bd)[which]
-
-        # Isolated touching zeros of the discriminant.
-        lo, hi, rd = _bracket_rows(curve, sg, [_extrema_indices(d, curve.closed, "max", 8) for d in disc])
-        s_d, d_val = golden_max(
-            lambda s, t: _abc(curve, weight, s, t)[3], lo, hi, tol=1e-13, args=(ts[rd],)
+        profiles = _radius_profiles(b, disc, lam, band[:, None])
+        i_min = [[int(np.argmin(p)) for p in profile] for profile in profiles]
+        # Bracket rows by family (discriminant maxima, closed-band minima,
+        # open-band minima), then by t.
+        lo, hi, row = _bracket_rows(
+            curve, sg,
+            [_extrema_indices(d, curve.closed, "max", 8) for d in disc]
+            + [[i] + _extrema_indices(p, curve.closed, "min", 8)
+               for profile, im in zip(profiles, i_min) for i, p in zip(im, profile)],
         )
+        fam, ti = np.divmod(row, n)
+        x, fx = golden_min(
+            lambda s, t, bd, fam: _focal_rows(curve, weight, s, t, bd, fam),
+            lo, hi, tol=np.where(fam == 0, 1e-13, 1e-12), args=(ts[ti], band[ti], fam),
+        )
+        refined = _split_rows(row, 3 * n, x, fx)
+        s_d, rd = x[fam == 0], ti[fam == 0]
         lam_d = _abc(curve, weight, s_d, ts[rd])[4]
+        disc_rows = _split_rows(rd, n, s_d, -fx[fam == 0], lam_d)
         # Slope maxima (the max |mu'|^2 term applies unconditionally).
         s_b, b_val = golden_max(
             lambda s: np.abs(weight.d1(s)),
@@ -197,21 +209,11 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
             tol=1e-13,
         )
         slope = [(1.0 / float(v), float(x)) for v, x in zip(b_val, s_b) if v > 0]
-        disc_rows = _split_rows(rd, len(ts), s_d, d_val, lam_d)
-        for which, profile in ((0, r0), (1, rm)):
-            i_min = [int(np.argmin(p)) for p in profile]
-            lo, hi, rp = _bracket_rows(
-                curve, sg,
-                [[i] + _extrema_indices(p, curve.closed, "min", 8) for i, p in zip(i_min, profile)],
-            )
-            s_ref, v_ref = golden_min(
-                lambda s, t, bd, which=which: radius(s, t, bd, which),
-                lo, hi, tol=1e-12, args=(ts[rp], band[rp]),
-            )
-            ref_rows = _split_rows(rp, len(ts), s_ref, v_ref)
-            for k, ((xs, vs), (xd, dv, ld)) in enumerate(zip(ref_rows, disc_rows)):
+        for which, profile in enumerate(profiles):
+            for k, (xd, dv, ld) in enumerate(disc_rows):
+                xs, vs = refined[(which + 1) * n + k]
                 in_band = dv >= -band[k] if which == 0 else dv > band[k]
-                cands = [(float(profile[k, i_min[k]]), float(sg[i_min[k]]))]
+                cands = [(float(profile[k, i_min[which][k]]), float(sg[i_min[which][k]]))]
                 cands += [(float(v), float(x)) for v, x in zip(vs, xs)]
                 cands += [
                     (float(1.0 / np.sqrt(lv)), float(x))
@@ -227,6 +229,20 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         # the open band can only be larger
         out.append((f0, max(fm, f0), {"focrad0": w0, "focradminus": wm}))
     return out[0] if offsets is None else out
+
+
+def _focal_rows(curve, weight, s, t, band, fam):
+    """Per row, -disc (fam 0), the closed-band (1) or the open-band (2)
+    radius profile at the foot s for the weight mu + t. _abc runs once per
+    distinct (s, t), told apart by their bits so that -0.0 and 0.0 never
+    merge; a foot's values do not depend on the other feet of the call."""
+    keys = np.stack([t.view(np.int64), s.view(np.int64)])
+    order = np.lexsort(keys)
+    new = np.r_[True, np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0)]
+    inv = np.empty(len(s), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    _, b, _, disc, lam = (v[inv] for v in _abc(curve, weight, s[order[new]], t[order[new]]))
+    return np.choose(fam, (-disc, *_radius_profiles(b, disc, lam, band)))
 
 
 def _offset_array(offsets):
@@ -503,26 +519,20 @@ def _stencil(curve, s, h):
 
 
 def _grid_local_minima(mat, per_rows, per_cols):
+    """Grid cells (row, col) that are finite and no larger than any of their
+    eight neighbours; the neighbours wrap around periodic axes, and none lie
+    beyond the ends of open ones. A nan neighbour rules a cell out."""
     n, m = mat.shape
-    best = np.ones_like(mat, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            shifted = np.roll(np.roll(mat, dr, axis=0), dc, axis=1)
-            if not per_rows:
-                if dr == 1:
-                    shifted[0, :] = np.inf
-                elif dr == -1:
-                    shifted[-1, :] = np.inf
-            if not per_cols:
-                if dc == 1:
-                    shifted[:, 0] = np.inf
-                elif dc == -1:
-                    shifted[:, -1] = np.inf
-            best &= mat <= shifted
-    best &= np.isfinite(mat)
-    return list(zip(*np.nonzero(best)))
+    pad = np.full((n + 2, m + 2), np.inf)
+    pad[1:-1, 1:-1] = mat
+    if per_rows:
+        pad[0], pad[-1] = pad[-2], pad[1]
+    if per_cols:
+        pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
+    # The 3x3 minimum around every cell, one axis at a time (nan passes on).
+    low = np.minimum(np.minimum(pad[:-2], pad[1:-1]), pad[2:])
+    low = np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:])
+    return list(zip(*np.nonzero((mat <= low) & np.isfinite(mat))))
 
 
 def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual, tol):

@@ -21,7 +21,8 @@ from weighted_tubes import (
 )
 from weighted_tubes import radii
 from weighted_tubes.config import DEFAULT_TOLERANCES
-from weighted_tubes.radii import DoubleCriticalPair
+from weighted_tubes.radii import DoubleCriticalPair, FocalWitness
+from weighted_tubes.util import as_pairs, golden_max, golden_min
 from weighted_tubes.weights import FourierWeight
 
 
@@ -537,3 +538,186 @@ class TestPairRows:
             found[grp[k]].append(DoubleCriticalPair(0, 0, *feet[k], ratio[k], None, 0.0, (), k))
         oracle = [p.offset for cands in found for p in _dedup_pairs(pairs, cands, None)]
         assert list(radii._dedup_rows(pairs, rows)) == oracle == [0, 2, 4]
+
+
+# The focal refinement as it ran before its families shared one call: four
+# row-wise golden-section calls per component, each paying its own _abc
+# evaluations (oracle for the merged call).
+def four_call_focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
+    pairs = as_pairs(pairs)
+    ts = radii._offset_array(offsets)
+    best = [[(np.inf, None), (np.inf, None)] for _ in ts]
+    for ci, (curve, weight) in enumerate(pairs):
+        sg = curve.grid(tol.focal_samples)
+        kap, mu, d1, d2 = radii._focal_jets(curve, weight, sg)
+        a, b, _, disc, lam = radii._focal_terms(kap, mu + ts[:, None], d1, d2)
+        band = np.array([radii._band(np.max(row**2), tol) for row in a])
+        r0, rm = radii._radius_profiles(b, disc, lam, band[:, None])
+
+        def radius(s, t, bd, which):
+            _, bb, _, dd, ll = radii._abc(curve, weight, s, t)
+            return radii._radius_profiles(bb, dd, ll, bd)[which]
+
+        lo, hi, rd = radii._bracket_rows(
+            curve, sg, [radii._extrema_indices(d, curve.closed, "max", 8) for d in disc]
+        )
+        s_d, d_val = golden_max(
+            lambda s, t: radii._abc(curve, weight, s, t)[3], lo, hi, tol=1e-13, args=(ts[rd],)
+        )
+        lam_d = radii._abc(curve, weight, s_d, ts[rd])[4]
+        s_b, b_val = golden_max(
+            lambda s: np.abs(weight.d1(s)),
+            *radii._bracket(curve, sg, radii._extrema_indices(b, curve.closed, "max", 4)),
+            tol=1e-13,
+        )
+        slope = [(1.0 / float(v), float(x)) for v, x in zip(b_val, s_b) if v > 0]
+        disc_rows = radii._split_rows(rd, len(ts), s_d, d_val, lam_d)
+        for which, profile in ((0, r0), (1, rm)):
+            i_min = [int(np.argmin(p)) for p in profile]
+            lo, hi, rp = radii._bracket_rows(curve, sg, [
+                [i] + radii._extrema_indices(p, curve.closed, "min", 8) for i, p in zip(i_min, profile)
+            ])
+            s_ref, v_ref = golden_min(
+                lambda s, t, bd, which=which: radius(s, t, bd, which),
+                lo, hi, tol=1e-12, args=(ts[rp], band[rp]),
+            )
+            ref_rows = radii._split_rows(rp, len(ts), s_ref, v_ref)
+            for k, ((xs, vs), (xd, dv, ld)) in enumerate(zip(ref_rows, disc_rows)):
+                in_band = dv >= -band[k] if which == 0 else dv > band[k]
+                cands = [(float(profile[k, i_min[k]]), float(sg[i_min[k]]))]
+                cands += [(float(v), float(x)) for v, x in zip(vs, xs)]
+                cands += [
+                    (float(1.0 / np.sqrt(lv)), float(x))
+                    for ok, lv, x in zip(in_band, ld, xd)
+                    if ok and lv > 0
+                ]
+                cands += slope
+                v_best, s_best = min(cands, key=lambda c: c[0])
+                if v_best < best[k][which][0]:
+                    best[k][which] = (v_best, FocalWitness(ci, s_best, v_best))
+    out = [(f0, max(fm, f0), {"focrad0": w0, "focradminus": wm}) for (f0, w0), (fm, wm) in best]
+    return out[0] if offsets is None else out
+
+
+def typed(obj):
+    """A focal result as nested tuples of (type name, repr) leaves."""
+    if isinstance(obj, FocalWitness):
+        return ("FocalWitness",) + tuple(typed(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, dict):
+        return tuple((key, typed(v)) for key, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return tuple(typed(v) for v in obj)
+    return (type(obj).__name__, repr(obj))
+
+
+DYADIC = [2.0**-k for k in range(4, 21)]
+
+
+class TestMergedFocalRefinement:
+    """The one deduplicated refinement call returns the four calls' radii."""
+
+    @pytest.mark.parametrize("name, offsets", [
+        ("circle_mu1", None), ("ellipse_mu1", None), ("example1a", None), ("example1b", None),
+        ("example2_stadium", None), ("example3_family", None), ("example4", None),
+        ("example6_family", None), ("two_component", None), ("chebyshev_arc", None),
+        ("example3_family", list(np.linspace(-0.05, 0.05, 41))),
+        ("example6_family", list(np.linspace(-0.1, 0.1, 20))),
+        ("example3_family", [-t for t in DYADIC] + [0.0] + DYADIC),
+        ("example6_family", [-t for t in DYADIC] + [0.0] + DYADIC),
+    ])
+    def test_values_and_witnesses_are_the_four_calls(self, scenes, name, offsets):
+        from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
+        from weighted_tubes import load_scene
+
+        doc = {"two_component": TWO_COMPONENT, "chebyshev_arc": CHEBYSHEV_ARC}.get(name)
+        scene = load_scene(doc) if doc else scenes[name]
+        got = focal_radii(scene.pairs, scene.tolerances, offsets)
+        oracle = four_call_focal_radii(scene.pairs, scene.tolerances, offsets)
+        assert typed(got) == typed(oracle)
+
+    @pytest.mark.parametrize("name", ["two_component", "chebyshev_arc", "example2_stadium"])
+    def test_abc_of_each_foot_alone_equals_its_batch_value(self, scenes, name):
+        # The merged objective evaluates each distinct foot once, wherever it
+        # sits in the call; that is exact only if no foot's values depend on
+        # the other feet evaluated with it (Fourier, Chebyshev and stadium
+        # curves, with their weights, at several offsets).
+        from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
+        from weighted_tubes import load_scene
+
+        doc = {"two_component": TWO_COMPONENT, "chebyshev_arc": CHEBYSHEV_ARC}.get(name)
+        scene = load_scene(doc) if doc else scenes[name]
+        rng = np.random.default_rng(13)
+        for curve, weight in scene.pairs:
+            grid = curve.grid(64)
+            s = np.concatenate([rng.uniform(curve.s_min, curve.s_max, 200), grid, grid * (1.0 + 1e-13)])
+            t = rng.choice([0.0, -0.03, 0.02, 2.0**-20], len(s))
+            batch = radii._abc(curve, weight, s, t)
+            alone = [radii._abc(curve, weight, s[k:k + 1], t[k:k + 1]) for k in range(len(s))]
+            for i, values in enumerate(batch):
+                assert values.tobytes() == np.concatenate([x[i] for x in alone]).tobytes()
+
+    # The ellipse's two profiles agree everywhere, so its open-band rows are
+    # free: 404 feet -> 110. The stadium's open-band rows share six of their
+    # eight brackets with the discriminant rows and none with the
+    # closed-band rows, and its discriminant rows (tolerance 1e-13) run about
+    # five iterations past the profile rows: 1,422 -> 998.
+    @pytest.mark.parametrize("name, saved", [("ellipse_mu1", 0.4), ("example2_stadium", 0.25)])
+    def test_one_report_evaluates_fewer_feet(self, scenes, monkeypatch, name, saved):
+        scene = scenes[name]
+        feet = []
+        abc = radii._abc
+
+        def counting(curve, weight, s, t=0.0):
+            feet.append(np.size(s))
+            return abc(curve, weight, s, t)
+
+        monkeypatch.setattr(radii, "_abc", counting)
+        radii_report(scene.pairs, scene.tolerances)
+        merged = sum(feet)
+        feet.clear()
+        four_call_focal_radii(scene.pairs, scene.tolerances)
+        assert 0 < merged <= (1.0 - saved) * sum(feet)
+
+
+# The grid seeding before the 3x3 minimum filter: eight rolled copies of the
+# matrix, their wrapped rows and columns set to +inf on open axes (oracle).
+def rolled_grid_local_minima(mat, per_rows, per_cols):
+    best = np.ones_like(mat, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            shifted = np.roll(np.roll(mat, dr, axis=0), dc, axis=1)
+            if not per_rows:
+                if dr == 1:
+                    shifted[0, :] = np.inf
+                elif dr == -1:
+                    shifted[-1, :] = np.inf
+            if not per_cols:
+                if dc == 1:
+                    shifted[:, 0] = np.inf
+                elif dc == -1:
+                    shifted[:, -1] = np.inf
+            best &= mat <= shifted
+    best &= np.isfinite(mat)
+    return list(zip(*np.nonzero(best)))
+
+
+@pytest.mark.parametrize("per_rows", [False, True])
+@pytest.mark.parametrize("per_cols", [False, True])
+def test_grid_minima_equal_the_rolled_neighbours(per_rows, per_cols):
+    # Small integers make ties; +-inf and nan are sprinkled in.
+    rng = np.random.default_rng(21)
+    found = 0
+    for n in range(1, 13):
+        for m in range(1, 13):
+            for _ in range(3):
+                mat = rng.integers(0, 4, (n, m)).astype(float)
+                u = rng.random((n, m))
+                mat[u < 0.08] = np.inf
+                mat[(u >= 0.08) & (u < 0.14)] = -np.inf
+                mat[(u >= 0.14) & (u < 0.2)] = np.nan
+                got = radii._grid_local_minima(mat, per_rows, per_cols)
+                assert got == rolled_grid_local_minima(mat, per_rows, per_cols), (n, m)
+                found += len(got)
+    assert found > 1000

@@ -22,7 +22,7 @@ from weighted_tubes import (
 )
 from test_acceptance import random_offsets
 from test_expmap import scalar_frame
-from weighted_tubes.expmap import random_unit_normals, w_bound
+from weighted_tubes.expmap import _hess_rows, exp_mu_batch, random_unit_normals, w_bound
 from weighted_tubes.singular import _sng_condition, g_zero_set, jacobian_rows
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
@@ -82,26 +82,33 @@ class TestSingularSet:
 
 @pytest.mark.parametrize("name", ["example1a", "example1b", "example4", "example2_stadium"])
 def test_graph_points_match_the_scalar_map(scenes, name):
-    """Each batched point agrees with exp_mu / f_second_at_offset evaluated
-    one foot at a time along the principal normal."""
-    from weighted_tubes import exp_mu, f_second_at_offset, radii_report
-
+    """Each batched point agrees with the map and the closed-form second
+    derivative evaluated at its foot along the principal normal, all feet of
+    a component in one row-wise call (exp_mu_batch, expmap._hess_rows);
+    is_singular gives the same value on a sample of them."""
     scene = scenes[name]
     tol = scene.tolerances
     ur = radii_report(scene.pairs, tol).ur
     points = singular_set(scene.pairs, ur, tol)
     assert points
-    for p in points:
-        curve, weight = scene.pairs[p.component]
-        normal = curve.frame(p.s).principal_normal
-        assert np.max(np.abs(exp_mu(curve, weight, p.s, normal, p.R) - p.location)) <= 1e-12
-        hess = f_second_at_offset(curve, weight, p.s, normal, p.R)
-        band = tol.tol_hess_factor * 2.0 / float(weight.mu(p.s)) ** 2 * max(1.0, ur**2)
-        assert abs(hess) <= band + 1e-12
-        assert 0.0 < p.R < ur
+    for ci, (curve, weight) in enumerate(scene.pairs):
+        rows = [p for p in points if p.component == ci]
+        if not rows:
+            continue
+        s, R = np.array([p.s for p in rows]), np.array([p.R for p in rows])
+        jets = (curve.jet(s, 2), weight.jet(s, 2))
+        normal = jets[0][2] / np.linalg.norm(jets[0][2], axis=-1)[:, None]
+        images = exp_mu_batch(curve, weight, s, normal, R)
+        assert np.max(np.abs(images - np.array([p.location for p in rows]))) <= 1e-12
+        _, hess, _, faults = _hess_rows(curve, jets, s, normal, R)
+        assert faults == (None, None)
+        band = tol.tol_hess_factor * 2.0 / np.asarray(jets[1][0]) ** 2 * max(1.0, ur**2)
+        assert np.all(np.abs(hess) <= band + 1e-12)
+        assert np.all((0.0 < R) & (R < ur))
         # is_singular applies the same criterion to the same offset.
-        _, value = is_singular(curve, weight, p.s, normal, p.R, tol)
-        assert value == hess and abs(value) <= band
+        for k in range(0, len(s), 97):
+            _, value = is_singular(curve, weight, s[k], normal[k], R[k], tol)
+            assert value == hess[k] and abs(value) <= band[k]
 
 
 class TestIsSingular:

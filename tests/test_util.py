@@ -7,7 +7,9 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def scalar_golden_min(f, a, b, tol=1e-12, maxiter=200):
-    """One-bracket golden-section oracle; returns (x, f(x), iterations)."""
+    """One-bracket golden-section oracle; returns (x, f(x), iterations, the
+    number of ends the bracket never moved off). It evaluates f afresh at
+    both ends for the final pick."""
     a = float(a)
     b = float(b)
     if b < a:
@@ -16,19 +18,22 @@ def scalar_golden_min(f, a, b, tol=1e-12, maxiter=200):
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     it = 0
+    moved_a = moved_b = False
     while (b - a) > tol and it < maxiter:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
             f1 = f(x1)
+            moved_b = True
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = f(x2)
+            moved_a = True
         it += 1
     cands = [(a, f(a)), (b, f(b)), (x1, f1), (x2, f2)]
     x, fx = min(cands, key=lambda p: p[1])
-    return x, fx, it
+    return x, fx, it, (not moved_a) + (not moved_b)
 
 
 def double_well(x):
@@ -45,6 +50,10 @@ def plateaus(x):
 
 def monotone(x):
     return 3.0 * x + 1.0
+
+
+def falling(x):
+    return 1.0 - 3.0 * x
 
 
 def holes(x):
@@ -77,30 +86,43 @@ def random_brackets(rng, m):
     return np.where(flip, b, a), np.where(flip, a, b)
 
 
-@pytest.mark.parametrize("f", [double_well, plateaus, monotone, holes, cliff])
-@pytest.mark.parametrize("tol, maxiter", [(1e-12, 200), (1e-6, 200), (1e-14, 7)])
+@pytest.mark.parametrize("f", [double_well, plateaus, monotone, falling, holes, cliff])
+@pytest.mark.parametrize("tol, maxiter", [(1e-12, 200), (1e-6, 200), (1e-14, 7), ("rows", 200)])
 def test_rows_follow_the_scalar_sequence(f, tol, maxiter):
     rng = np.random.default_rng(7)
     a, b = random_brackets(rng, 200)
+    if tol == "rows":  # one tolerance per row
+        tol = rng.choice([0.0, 1e-14, 1e-12, 1e-6, 1e-3], len(a))
+    tols = np.broadcast_to(tol, a.shape)
     g, sizes = counted(f)
     with np.errstate(invalid="ignore"):
         x, fx = golden_min(g, a, b, tol=tol, maxiter=maxiter)
-        oracle = [scalar_golden_min(f, ai, bi, tol=tol, maxiter=maxiter) for ai, bi in zip(a, b)]
+        oracle = [scalar_golden_min(f, ai, bi, tol=ti, maxiter=maxiter) for ai, bi, ti in zip(a, b, tols)]
     np.testing.assert_array_equal(x, [o[0] for o in oracle])
     np.testing.assert_array_equal(fx, [o[1] for o in oracle])
-    # One call for the start, one per iteration on the active rows, one for
-    # the endpoints.
+    # One call for the start, one per iteration on the active rows, and one
+    # for the ends that were never interior points, if any.
     iters = np.array([o[2] for o in oracle])
+    fresh = sum(o[3] for o in oracle)
     assert len(set(iters)) > 1 or maxiter == 7
-    assert sizes[0] == sizes[-1] == 2 * len(a)
+    assert sizes[0] == 2 * len(a) and 0 < fresh < 2 * len(a)
     assert len(sizes) == int(iters.max()) + 2
     assert sizes[1:-1] == [int(np.sum(iters > k)) for k in range(int(iters.max()))]
+    assert sizes[-1] == fresh
 
 
 def test_endpoint_minimum_is_the_boundary():
-    x, fx = golden_min(monotone, [-1.0, 2.0], [1.0, 0.5])
-    assert x.tolist() == [-1.0, 0.5]
-    assert fx.tolist() == [monotone(-1.0), monotone(0.5)]
+    # The minimum sits at one end of every bracket (reversed ones included),
+    # which the bracket never leaves: the last call takes just those ends.
+    a, b = np.array([-1.0, 2.0, 0.0]), np.array([1.0, 0.5, 1e-3])
+    for f, ends in ((monotone, np.minimum(a, b)), (falling, np.maximum(a, b))):
+        g, sizes = counted(f)
+        x, fx = golden_min(g, a, b)
+        assert x.tolist() == ends.tolist()
+        assert fx.tolist() == [f(e) for e in ends]
+        assert sizes[-1] == 3
+        oracle = [scalar_golden_min(f, ai, bi) for ai, bi in zip(a, b)]
+        assert [(o[0], o[1], o[3]) for o in oracle] == [(xi, fi, 1) for xi, fi in zip(x, fx)]
 
 
 def test_ties_keep_the_first_candidate():
@@ -125,7 +147,7 @@ def test_nan_candidates_resolve_like_python_min():
 
 def test_scalar_brackets_give_one_row_and_empty_brackets_none():
     x, fx = golden_min(double_well, -1.5, 0.0)
-    ox, ofx, _ = scalar_golden_min(double_well, -1.5, 0.0)
+    ox, ofx, _, _ = scalar_golden_min(double_well, -1.5, 0.0)
     assert x.shape == fx.shape == (1,)
     assert (x[0], fx[0]) == (ox, ofx)
     calls = []
@@ -138,7 +160,7 @@ def test_golden_max_rows():
     a, b = random_brackets(rng, 50)
     x, fx = golden_max(double_well, a, b, tol=1e-13)
     for k in range(len(a)):
-        ox, ofx, _ = scalar_golden_min(lambda s: -double_well(s), a[k], b[k], tol=1e-13)
+        ox, ofx, _, _ = scalar_golden_min(lambda s: -double_well(s), a[k], b[k], tol=1e-13)
         assert (x[k], fx[k]) == (ox, -ofx)
 
 
@@ -170,7 +192,8 @@ def test_golden_args_slices_to_active_rows():
 
     golden_min(f, [0.0, 0.0], [1.0, 1e-3], tol=1e-2, args=(np.array([0.3, 0.0]),))
     assert all(n == m for n, m in seen)
-    assert seen[0] == (4, 4) and seen[-1] == (4, 4)
+    # The last call takes the second row's two ends, which it never moved off.
+    assert seen[0] == (4, 4) and seen[-1] == (2, 2)
     assert (1, 1) in seen
 
 
@@ -185,7 +208,7 @@ def test_golden_args_pass_uncopied_while_every_row_runs():
         return (s - q) ** 2
 
     golden_min(f, [0.0, 0.0], [1.0, 1.0], tol=0.0, maxiter=20, args=(p,))
-    inner = passed[1:-1]
+    inner = passed[1:21]
     assert len(inner) == 20 and all(q is p for q in inner)
 
 
