@@ -19,7 +19,7 @@ from .errors import (
     NotCriticalFootError,
     OutOfWError,
 )
-from .util import as_pairs, golden_min
+from .util import as_pairs
 
 PLANE = "PLANE"
 SPHERE = "SPHERE"
@@ -220,13 +220,17 @@ def _f_prime(diff, t, mu, d1):
 
 def f_second(curve, weight, s, p):
     """d^2F_p/ds^2, valid at any s (not only critical feet)."""
-    p = np.asarray(p, dtype=float)
     g, t, g2 = curve.jet(s, 2)
-    diff = p - g
+    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
+    return _f_second(np.asarray(p, dtype=float) - g, t, g2, mu, d1, d2)
+
+
+def _f_second(diff, t, g2, mu, d1, d2):
+    """d^2F_p/ds^2 from diff = p - gamma, gamma', gamma'', mu, mu' and mu''
+    at the feet."""
     e = np.sum(diff * diff, axis=-1)
     e1 = -2.0 * np.sum(diff * t, axis=-1)
     e2 = 2.0 * (1.0 - np.sum(diff * g2, axis=-1))
-    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
     return (
         e2 / mu**2
         - 4.0 * e1 * d1 / mu**3
@@ -354,11 +358,13 @@ class ClosestPoint:
 
 
 def mu_closest_point(pairs, p, samples=2048, newton_iters=30, tie_rel=1e-9):
-    """Weighted closest point via dense grid plus Newton polish.
+    """Weighted closest point via dense grid plus a Newton refinement.
 
-    `pairs` is one (curve, weight) pair or a list of them. Grid minima tied
-    within tie_rel (relative) at separated parameters are reported as ties
-    and flip `unique` to False.
+    `pairs` is one (curve, weight) pair or a list of them. Each component's
+    grid minimum is refined as one row of `_refine_rows` within one grid
+    step, in at most newton_iters passes. Grid minima tied within tie_rel
+    (relative) at separated parameters are reported as ties and flip
+    `unique` to False.
     """
     pairs = as_pairs(pairs)
     p = np.asarray(p, dtype=float)
@@ -370,7 +376,8 @@ def mu_closest_point(pairs, p, samples=2048, newton_iters=30, tie_rel=1e-9):
         order = np.argsort(fv, kind="stable")
         i0 = int(order[0])
         step = curve.length / samples
-        s_star, val = _polish_minimum(curve, weight, p, float(sg[i0]), step, newton_iters)
+        s_star, val = _refine_rows(curve, weight, p[None, :], sg[i0:i0 + 1], step, newton_iters)
+        s_star, val = float(s_star[0]), float(val[0])
         candidates.append((ci, s_star, val))
         # Collect well-separated near-ties on the grid for the tie report.
         vmin = fv[i0]
@@ -393,45 +400,80 @@ def mu_closest_point(pairs, p, samples=2048, newton_iters=30, tie_rel=1e-9):
     return ClosestPoint(best[0], best[1], best[2], unique=not ties, ties=ties)
 
 
-def _polish_minimum(curve, weight, p, s0, bracket, iters):
-    """Newton polish of a local minimum of F_p, golden fallback on failure."""
-    s = s0
-    lo, hi = s0 - bracket, s0 + bracket
-    for _ in range(iters):
-        g1 = float(f_prime(curve, weight, s, p))
-        g2 = float(f_second(curve, weight, s, p))
-        if g2 <= 0 or not np.isfinite(g1):
-            break
-        step = -g1 / g2
-        step = float(np.clip(step, -bracket, bracket))
-        s_new = s + step
-        if not curve.closed:
-            s_new = float(np.clip(s_new, curve.s_min, curve.s_max))
-        if abs(s_new - s) <= 1e-15 * max(1.0, curve.length):
-            s = s_new
-            break
-        s = s_new
+def _refine_rows(curve, weight, pts, s, step, iters):
+    """Row-wise safeguarded Newton for the minima of F_p near seeds.
+
+    Row k looks for the minimum of F for the point pts[k] in the bracket
+    [s[k] - step, s[k] + step], clipped to an open arc, starting at s[k].
+    Each pass evaluates one curve jet and one weight jet of order 2 at the
+    iterates of the rows still active and takes F, F' and F'' from them:
+    - the sign of F' shrinks the bracket (at a local maximum, F' = 0 with
+      F'' < 0, the left half stays);
+    - the next iterate is the Newton step when F'' > 0 and it lands strictly
+      inside the bracket, else the bracket midpoint; a row heading out
+      through an open-arc end it has not evaluated tries that end instead,
+      so a minimum there is the end itself;
+    - a row stops at any other zero of F', when its step, or its Newton
+      step where F'' > 0, is at most 1e-15 max(1, L), or after `iters`
+      passes.
+    A row's result never depends on the other rows. Returns (s, F): per
+    row, the first evaluated foot of smallest F, the seed included.
+    """
+    tol = 1e-15 * max(1.0, curve.length)
+    s = np.array(s, dtype=float)
+    lo, hi = s - step, s + step
     if not curve.closed:
-        lo = max(lo, curve.s_min)
-        hi = min(hi, curve.s_max)
-    sg, vg = golden_min(lambda x: f_value(curve, weight, x, p), lo, hi, tol=1e-13)
-    vn = float(f_value(curve, weight, s, p))
-    return (s, vn) if vn <= vg[0] else (float(sg[0]), float(vg[0]))
+        lo = np.clip(lo, curve.s_min, curve.s_max)
+        hi = np.clip(hi, curve.s_min, curve.s_max)
+    best_s, best_f = s.copy(), np.full(len(s), np.nan)
+    # Bracket ends that are open-arc ends no iterate has reached yet.
+    open_lo = (lo == curve.s_min) & (not curve.closed)
+    open_hi = (hi == curve.s_max) & (not curve.closed)
+    k = np.arange(len(s))
+    for n in range(iters):
+        if not len(k):
+            break
+        sk = s[k]
+        (g, t, g2), (mu, d1, d2) = curve.jet(sk, 2), weight.jet(sk, 2)
+        diff = pts[k] - g
+        f = np.sum(diff * diff, axis=-1) / mu**2
+        fp = _f_prime(diff, t, mu, d1)
+        fpp = _f_second(diff, t, g2, mu, d1, d2)
+        better = (f < best_f[k]) | (n == 0)
+        best_s[k[better]], best_f[k[better]] = sk[better], f[better]
+        # The side of sk the minimum lies on.
+        right, left = fp < 0, (fp > 0) | ((fp == 0) & (fpp < 0))
+        lo[k] = lk = np.where(right, sk, lo[k])
+        hi[k] = hk = np.where(left, sk, hi[k])
+        open_lo[k] &= lk != sk
+        open_hi[k] &= hk != sk
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = sk - fp / fpp
+        inside = (fpp > 0) & (newton > lk) & (newton < hk)
+        x = np.where(inside, newton, 0.5 * (lk + hk))
+        x = np.where(~inside & left & open_lo[k], lk, x)
+        x = np.where(~inside & right & open_hi[k], hk, x)
+        s[k] = x
+        done = (np.abs(x - sk) <= tol) | ((fpp > 0) & (np.abs(newton - sk) <= tol)) | ~(left | right)
+        k = k[~done]
+    return best_s, best_f
 
 
-# Cells (points x grid samples) in one block of the G grid stage: the block's
-# float64 temporary stays at 4 MiB whatever the number of points.
-_G_BLOCK_CELLS = 1 << 19
+# Cells (points x grid samples) in one block of the G grid stage: the two
+# float64 block buffers take 512 KiB each whatever the number of points.
+_G_BLOCK_CELLS = 1 << 16
 
 
 def g_potential(pairs, points, samples=2048, refine_iters=40):
     """Vectorized G(p) = min_s F_p over all components for many ambient points.
 
     The grid minimum is taken in row blocks of fixed size (`_grid_argmin`),
-    so memory does not grow with the number of points; each point then gets
-    a fixed-iteration golden section (`util.golden_min`, branch-free and
-    deterministic) around its grid minimum. Returns (values,
-    component_index, s_values).
+    so memory does not grow with the number of points. Each point's grid
+    minimum is then refined within one grid step by the row-wise
+    safeguarded Newton of `_refine_rows`: at most refine_iters passes of
+    one curve and one weight jet, about three on smooth minima. G never
+    exceeds the grid value, and a point's G does not depend on the other
+    points of the call. Returns (values, component_index, s_values).
     """
     pairs = as_pairs(pairs)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -442,16 +484,7 @@ def g_potential(pairs, points, samples=2048, refine_iters=40):
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(samples)
         idx = _grid_argmin(pts, curve.point(sg), np.asarray(weight.mu(sg), dtype=float))
-        step = curve.length / samples
-        lo = sg[idx] - step
-        hi = sg[idx] + step
-        if not curve.closed:
-            lo = np.clip(lo, curve.s_min, curve.s_max)
-            hi = np.clip(hi, curve.s_min, curve.s_max)
-        s, v = golden_min(
-            lambda x, p: f_value(curve, weight, x, p),
-            lo, hi, tol=0.0, maxiter=refine_iters, args=(pts,),
-        )
+        s, v = _refine_rows(curve, weight, pts, sg[idx], curve.length / samples, refine_iters)
         better = v < best_v
         best_v = np.where(better, v, best_v)
         best_c = np.where(better, ci, best_c)
@@ -462,22 +495,28 @@ def g_potential(pairs, points, samples=2048, refine_iters=40):
 def _grid_argmin(pts, gp, mug):
     """Grid index minimizing |p - g|^2 / mu^2 for every point p.
 
-    Works through blocks of at most _G_BLOCK_CELLS (point, sample) cells and
-    accumulates the squared distance one coordinate at a time in place; the
-    sums run in the same order as a dense `((p - g) ** 2).sum(axis=-1)`, so
-    the values and indices are the dense ones bit for bit.
+    Works through blocks of at most _G_BLOCK_CELLS (point, sample) cells in
+    two buffers allocated once, accumulating the squared distance one
+    coordinate at a time; the sums run in the same order as a dense
+    `((p - g) ** 2).sum(axis=-1)`, so the values and indices are the dense
+    ones bit for bit.
     """
     rows = max(1, _G_BLOCK_CELLS // len(gp))
     mu2 = mug**2
+    cols = np.ascontiguousarray(gp.T)
+    fbuf = np.empty((min(rows, len(pts)), len(gp)))
+    ebuf = np.empty_like(fbuf)
     idx = np.empty(len(pts), dtype=np.intp)
     for start in range(0, len(pts), rows):
         p = pts[start:start + rows]
-        f = (p[:, None, 0] - gp[None, :, 0]) ** 2
+        f, e = fbuf[:len(p)], ebuf[:len(p)]
+        np.subtract(p[:, 0, None], cols[0], out=f)
+        np.multiply(f, f, out=f)
         for k in range(1, pts.shape[1]):
-            e = p[:, None, k] - gp[None, :, k]
-            e *= e
-            f += e
-        f /= mu2
+            np.subtract(p[:, k, None], cols[k], out=e)
+            np.multiply(e, e, out=e)
+            np.add(f, e, out=f)
+        np.divide(f, mu2, out=f)
         idx[start:start + rows] = np.argmin(f, axis=1)
     return idx
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -255,6 +256,39 @@ class TestDeterminism:
                 "singular", "--scene", "example4", "--out", str(path)
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the tube CSV and its overlap file, one height below air and one
+# above (ellipse_mu1: air 0.5; example2_stadium: air 4.14), recorded while G
+# was still refined by golden section.
+TUBE_SHA256 = {
+    ("ellipse_mu1", "0.3"): (
+        "58db662b3e263c18058e5f0db972b38949a1015c9ec0ed663a5241637480ace0",
+        "0b5aad20baf0289afe0b0968471f70166d539b70facb2836b641a2a9a92852f2",
+    ),
+    ("ellipse_mu1", "0.65"): (
+        "e38589e992e29d12d4c129b4628a86eb21550a57770537c9dd96791c4db08102",
+        "7d6743eba05d931987be8eedb32d173eb0cd1daaf3bf5d2c894cc41d9a40a8c0",
+    ),
+    ("example2_stadium", "2.5"): (
+        "bbd3ab2beef956434d5d75869c2c6a88b45a85cb602c0c4ea42129fd7febdee8",
+        "0b5aad20baf0289afe0b0968471f70166d539b70facb2836b641a2a9a92852f2",
+    ),
+    ("example2_stadium", "5.4"): (
+        "0edb6621269e34f318c2b8a64f08ca7d148e453a4ac53439e98570ed2dc9cd45",
+        "b7d67cdcbb32db2a97c35d1ebe055aaef72481015746ca6ca167c2b7907724c3",
+    ),
+}
+
+
+@pytest.mark.parametrize("scene, radius", sorted(TUBE_SHA256))
+def test_tube_bytes_pinned(tmp_path, scene, radius):
+    out = tmp_path / "tube.csv"
+    run_cli("tube", "--scene", scene, "--radius", radius, "--out", str(out))
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, tmp_path / "tube.overlap.csv")
+    )
+    assert digests == TUBE_SHA256[(scene, radius)]
 
 
 def test_import_loads_no_scipy():

@@ -34,6 +34,8 @@ from weighted_tubes import (
 )
 from weighted_tubes.expmap import random_unit_normals
 
+from oracles import dense_grid_argmin, g_potential_two_point
+
 
 @pytest.fixture
 def arc1a():
@@ -310,44 +312,8 @@ class TestScalarMapRows:
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the earlier dense-grid G and the scalar standard-basis frame
+# Oracles: the scalar standard-basis frame (the dense-grid G is in oracles.py)
 # ---------------------------------------------------------------------------
-
-
-def dense_grid_argmin(pts, gp, mug):
-    """The whole (points x samples) grid at once, as G used to build it."""
-    return np.argmin(((pts[:, None, :] - gp[None, :, :]) ** 2).sum(axis=2) / mug[None, :] ** 2,
-                     axis=1)
-
-
-def g_potential_two_point(pairs, pts, samples=2048, refine_iters=40):
-    """G with a dense grid and a golden loop that evaluates both interior
-    points on every iteration and reports the bracket midpoint."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    best_v = np.full(len(pts), np.inf)
-    best_c = np.zeros(len(pts), dtype=int)
-    best_s = np.zeros(len(pts))
-    for ci, (curve, weight) in enumerate(pairs):
-        sg = curve.grid(samples)
-        idx = dense_grid_argmin(pts, curve.point(sg), np.asarray(weight.mu(sg), dtype=float))
-        step = curve.length / samples
-        lo, hi = sg[idx] - step, sg[idx] + step
-        if not curve.closed:
-            lo = np.clip(lo, curve.s_min, curve.s_max)
-            hi = np.clip(hi, curve.s_min, curve.s_max)
-        for _ in range(refine_iters):
-            x1 = hi - golden * (hi - lo)
-            x2 = lo + golden * (hi - lo)
-            take1 = f_value(curve, weight, x1, pts) <= f_value(curve, weight, x2, pts)
-            hi = np.where(take1, x2, hi)
-            lo = np.where(take1, lo, x1)
-        smid = 0.5 * (lo + hi)
-        vmid = f_value(curve, weight, smid, pts)
-        better = vmid < best_v
-        best_v = np.where(better, vmid, best_v)
-        best_c = np.where(better, ci, best_c)
-        best_s = np.where(better, smid, best_s)
-    return best_v, best_c, best_s
 
 
 def scalar_gram_schmidt(t, rows, threshold):
@@ -420,7 +386,8 @@ class TestGPotentialAgainstDenseGrid:
         sg = curve.grid(2048)
         gp, mug = curve.point(sg), np.asarray(weight.mu(sg), dtype=float)
         pts = points_near(curve, np.random.default_rng(5), 700, 0.4)
-        assert len(pts) * len(sg) > 2 * _G_BLOCK_CELLS  # three blocks, the last one short
+        rows = _G_BLOCK_CELLS // len(sg)  # points per block
+        assert len(pts) > 2 * rows and len(pts) % rows  # three blocks or more, the last one short
         np.testing.assert_array_equal(_grid_argmin(pts, gp, mug), dense_grid_argmin(pts, gp, mug))
 
     @staticmethod
@@ -479,6 +446,103 @@ class TestGPotentialAgainstDenseGrid:
         _, c, _ = g_potential(pairs, pts)
         assert set(c) == {0, 1}
         self.assert_close_to_the_two_point_loop(pairs, pts, 1e-14)
+
+
+class TestNewtonRefinement:
+    """The safeguarded Newton behind G: degenerate rows, row independence
+    and the number of feet it evaluates."""
+
+    @staticmethod
+    def grid_minimum(pairs, pts):
+        """(foot, F there, grid step) of one component's grid minimum."""
+        from weighted_tubes.expmap import _grid_argmin
+
+        curve, weight = pairs[0]
+        sg = curve.grid(2048)
+        s0 = sg[_grid_argmin(pts, curve.point(sg), np.asarray(weight.mu(sg), dtype=float))]
+        return s0, f_value(curve, weight, s0, pts), curve.length / 2048
+
+    def assert_no_worse_than_the_grid(self, pairs, pts):
+        v, _, s = g_potential(pairs, pts)
+        s0, f0, h = self.grid_minimum(pairs, pts)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(s))
+        assert np.all(v <= f0)
+        assert np.all(np.abs(s - s0) <= h)  # inside the bracket
+        return v, s, s0
+
+    def test_constant_f_at_the_circle_centre(self, circle_mu1):
+        v, _, _ = self.assert_no_worse_than_the_grid([circle_mu1], np.zeros((1, 2)))
+        assert abs(v[0] - 1.0) <= 1e-15
+
+    def test_flat_feet_on_the_ellipse_evolute(self, scenes):
+        # Each point is the centre of curvature gamma + gamma'' / kappa^2 of
+        # its foot s, where F' = F'' = 0.
+        pairs = scenes["ellipse_mu1"].pairs
+        curve, weight = pairs[0]
+        s = np.linspace(0.0, curve.length, 24, endpoint=False)
+        g, _, g2 = curve.jet(s, 2)
+        pts = g + g2 / np.sum(g2 * g2, axis=1, keepdims=True)
+        assert np.max(np.abs(f_second(curve, weight, s, pts))) <= 1e-12
+        self.assert_no_worse_than_the_grid(pairs, pts)
+
+    def test_past_the_focal_distance(self, scenes):
+        # Just past the centres of curvature (+-1.5, 0) of the major
+        # vertices, F has two wells narrower than one grid step around the
+        # vertex, so the grid minimum is the vertex sample: a local maximum.
+        pairs = scenes["ellipse_mu1"].pairs
+        curve, weight = pairs[0]
+        x = 1.5 - np.array([1e-9, 1e-8, 1e-7, 1e-6])
+        pts = np.stack([np.r_[x, -x], np.zeros(8)], axis=1)
+        s0, _, _ = self.grid_minimum(pairs, pts)
+        assert np.all(f_second(curve, weight, s0, pts) < 0)
+        _, s, _ = self.assert_no_worse_than_the_grid(pairs, pts)
+        assert np.all(s != s0)  # every row left the maximum for a well
+
+    def test_open_arc_end_reached_from_inside(self, arc1a):
+        # With one grid sample, an open arc's bracket is the whole arc and
+        # the seed is its start; beyond the far end F falls all the way, and
+        # the row stops on that end itself.
+        curve, weight = arc1a
+        ends = np.array([curve.s_min, curve.s_max])
+        pts = curve.point(ends) + np.array([-1.0, 1.0])[:, None] * 0.5 * curve.tangent(ends)
+        v, _, s = g_potential([arc1a], pts, samples=1)
+        np.testing.assert_array_equal(s, ends)
+        np.testing.assert_array_equal(v, f_value(curve, weight, ends, pts))
+
+    @staticmethod
+    def pairs_named(scenes, name):
+        return scenes[name].pairs if name in scenes else [(fourier_3d(), ConstantWeight(1.0))]
+
+    @pytest.mark.parametrize(
+        "name", ["ellipse_mu1", "example1a", "example1b", "example2_stadium", "fourier_3d"]
+    )
+    def test_a_point_alone_is_its_batch_row(self, scenes, name):
+        pairs = self.pairs_named(scenes, name)
+        pts = points_near(pairs[0][0], np.random.default_rng(12), 40, 0.5)
+        batch = g_potential(pairs, pts)
+        for k in range(len(pts)):
+            alone = g_potential(pairs, pts[k:k + 1])
+            for col, one in zip(batch, alone):
+                assert col[k:k + 1].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("name", ["ellipse_mu1", "fourier_3d"])
+    def test_arclength_inversions_per_point(self, scenes, monkeypatch, name):
+        from weighted_tubes import curves
+
+        pairs = self.pairs_named(scenes, name)
+        pts = points_near(pairs[0][0], np.random.default_rng(2), 512, 0.3)
+        feet = []
+        t_of_s = curves._RawCurve.t_of_s
+
+        def counted(self, s):
+            feet.append(np.size(s))
+            return t_of_s(self, s)
+
+        monkeypatch.setattr(curves._RawCurve, "t_of_s", counted)
+        g_potential(pairs, pts)
+        # The grid's 2048 samples make 4 feet per point; a 40-iteration
+        # golden section took 42 more.
+        assert sum(feet) <= 10 * len(pts)
 
 
 class TestNormalFrameRows:

@@ -23,6 +23,8 @@ from weighted_tubes import (
 )
 from weighted_tubes import sweeps
 
+from oracles import g_potential_two_point
+
 
 @pytest.fixture
 def example6():
@@ -369,6 +371,21 @@ class TestTubeBoundary:
         for factor, counts in ((0.6, below), (1.3, above)):
             boundary, overlap = tube_boundary(scene.pairs, factor * air, tol=scene.tolerances)
             assert (len(boundary), len(overlap)) == counts, factor
+
+    @pytest.mark.parametrize("name", sorted(TUBE_COUNTS))
+    def test_split_is_the_golden_oracle_split(self, scenes, monkeypatch, name):
+        # The same candidate rows split by the golden-section G.
+        scene = scenes[name]
+        air = TUBE_COUNTS[name][0]
+        for factor in (0.6, 1.3):
+            got = tube_boundary(scene.pairs, factor * air, tol=scene.tolerances)
+            with monkeypatch.context() as patch:
+                patch.setattr(sweeps, "g_potential", g_potential_two_point)
+                want = tube_boundary(scene.pairs, factor * air, tol=scene.tolerances)
+            for rows, ref in zip(got, want):
+                assert [(c, s, p.tobytes()) for c, s, p, _ in rows] == [
+                    (c, s, p.tobytes()) for c, s, p, _ in ref
+                ], factor
 
     def test_directions_match_the_per_foot_lists(self, scenes):
         from weighted_tubes import FourierCurve, normal_frames
