@@ -55,7 +55,6 @@ from .expmap import (
     f_value,
     fiber_geometry,
     g_potential,
-    grad_g_check,
     make_offset,
     make_offsets,
     mu_closest_point,
@@ -65,10 +64,8 @@ from .expmap import (
 )
 from .radii import (
     DoubleCriticalPair,
-    PointwiseFocal,
     RadiiReport,
     dcsd_half,
-    delta_lambda,
     find_double_critical_pairs,
     focal_radii,
     lemma3_roots,

@@ -209,13 +209,21 @@ class SegmentCurve(ArclengthCurve):
 class _RawCurve(ArclengthCurve):
     """Curve given by raw-parameter evaluators, reparametrized to arclength.
 
-    The map s -> t is tabulated on a uniform raw grid (composite
-    Gauss-Legendre per cell), interpolated monotonically (PCHIP, see
-    `_pchip_coefficients`) and polished by Newton so |s(t) - s| <= 1e-12 * L.
+    The map s -> t is tabulated on a uniform raw grid: 16 Gauss-Legendre
+    nodes per cell give the cumulative arclength at the knots. A foot is
+    inverted from a monotone PCHIP start (`_pchip_coefficients`) by Newton
+    to the roundoff floor. Each residual integrates the speed over the
+    partial cell with the curve's own node count: the smallest n in
+    {4, 6, 8} whose full-cell sums match every 16-node cell integral of
+    the table to within 2 ulp of L, or 16 when none does (a speed that
+    varies fast within a cell, as near a cusp). `_s_of_t` evaluates those
+    nodes and t itself in one pass and returns the speed at t with s(t), so
+    a Newton step costs one raw evaluation.
     """
 
     _GL_N = 16
     _TABLE_N = 1024
+    _CELL_NS = (4, 6, 8)
 
     def __init__(self, closed, raw_domain, tol=1e-10, table_n=None):
         self._t0, self._t1 = float(raw_domain[0]), float(raw_domain[1])
@@ -226,13 +234,7 @@ class _RawCurve(ArclengthCurve):
         speeds = np.linalg.norm(self._raw(tg, 1), axis=-1)
         if np.min(speeds) <= 0 or not np.all(np.isfinite(speeds)):
             raise NonRegularCurveError("raw parametrization has vanishing speed")
-        nodes, wts = gauss_legendre(self._GL_N)
-        h = tg[1:] - tg[:-1]
-        tt = tg[:-1, None] + h[:, None] * nodes[None, :]
-        sp = np.linalg.norm(self._raw(tt.ravel(), 1), axis=-1).reshape(tt.shape)
-        if np.min(sp) <= 0:
-            raise NonRegularCurveError("raw parametrization has vanishing speed")
-        cell = (sp * wts[None, :]).sum(axis=1) * h
+        cell = self._cell_sums(tg, self._GL_N)
         cum = np.concatenate([[0.0], np.cumsum(cell)])
         length = float(cum[-1])
         # Budget-checked refinement of the total length (doubling rule).
@@ -245,17 +247,28 @@ class _RawCurve(ArclengthCurve):
         self._t_grid = tg
         self._s_grid = cum
         self._pchip = _pchip_coefficients(cum, tg)
+        ulps = 2.0 * np.spacing(length)
+        self._cell_n = next(
+            (m for m in self._CELL_NS if np.max(np.abs(self._cell_sums(tg, m) - cell)) <= ulps),
+            self._GL_N,
+        )
+
+    def _cell_sums(self, tg, n):
+        """Speed integrals over the cells of the knots tg, n Gauss-Legendre
+        nodes each."""
+        nodes, wts = gauss_legendre(n)
+        h = tg[1:] - tg[:-1]
+        tt = tg[:-1, None] + h[:, None] * nodes[None, :]
+        sp = np.linalg.norm(self._raw(tt.ravel(), 1), axis=-1).reshape(tt.shape)
+        if np.min(sp) <= 0:
+            raise NonRegularCurveError("raw parametrization has vanishing speed")
+        return (sp * wts[None, :]).sum(axis=1) * h
 
     def _length_refined(self, base, tol, max_doublings=6):
-        nodes, wts = gauss_legendre(self._GL_N)
         prev = base
         m = 2 * self._TABLE_N
         for _ in range(max_doublings):
-            tg = np.linspace(self._t0, self._t1, m + 1)
-            h = tg[1:] - tg[:-1]
-            tt = tg[:-1, None] + h[:, None] * nodes[None, :]
-            sp = np.linalg.norm(self._raw(tt.ravel(), 1), axis=-1).reshape(tt.shape)
-            val = float(((sp * wts[None, :]).sum(axis=1) * h).sum())
+            val = float(self._cell_sums(np.linspace(self._t0, self._t1, m + 1), self._GL_N).sum())
             if abs(val - prev) <= tol * max(1.0, abs(val)):
                 return val, True
             prev = val
@@ -270,14 +283,15 @@ class _RawCurve(ArclengthCurve):
         raise NotImplementedError
 
     def _s_of_t(self, t):
-        """Arclength from the table start, via per-cell Gauss-Legendre."""
+        """(arclength from the table start, raw speed) at t: the partial cell
+        by `_cell_n`-node Gauss-Legendre, its nodes and t in one raw pass."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.clip(np.searchsorted(self._t_grid, t, side="right") - 1, 0, len(self._t_grid) - 2)
         a = self._t_grid[idx]
-        nodes, wts = gauss_legendre(self._GL_N)
-        tt = a[:, None] + (t - a)[:, None] * nodes[None, :]
+        nodes, wts = gauss_legendre(self._cell_n)
+        tt = np.concatenate([a[:, None] + (t - a)[:, None] * nodes[None, :], t[:, None]], axis=1)
         sp = np.linalg.norm(self._raw(tt.ravel(), 1), axis=-1).reshape(tt.shape)
-        return self._s_grid[idx] + (sp * wts[None, :]).sum(axis=1) * (t - a)
+        return self._s_grid[idx] + (sp[:, :-1] * wts[None, :]).sum(axis=1) * (t - a), sp[:, -1]
 
     def t_of_s(self, s):
         # Newton is pushed to the roundoff floor: second differences of
@@ -289,12 +303,12 @@ class _RawCurve(ArclengthCurve):
         tol = 4e-16 * self.length
         k = np.arange(len(t))
         for _ in range(6):
-            resid = self._s_of_t(t[k]) - s[k]
+            s_k, speed = self._s_of_t(t[k])
+            resid = s_k - s[k]
             going = ~(np.abs(resid) <= tol)
-            k, resid = k[going], resid[going]
+            k, resid, speed = k[going], resid[going], speed[going]
             if not len(k):
                 break
-            speed = np.linalg.norm(self._raw(t[k], 1), axis=-1)
             t[k] = np.clip(t[k] - resid / speed, self._t0, self._t1)
         return t
 
@@ -380,7 +394,15 @@ class FourierCurve(_RawCurve):
             raise NonRegularCurveError("each coordinate needs [a0, a1, b1, ...]")
         if not all(np.all(np.isfinite(c)) for c in coeffs):
             raise NonRegularCurveError("non-finite Fourier coefficients")
-        self._coeffs = coeffs
+        # Per mode k: the coordinates that carry it and their (a_k, b_k)
+        # columns, so a coordinate with fewer modes gets no padded term.
+        self._const = np.array([c[0] for c in coeffs])[:, None]
+        self._modes = []
+        for k in range(1, max(c.size for c in coeffs) // 2 + 1):
+            rows = [i for i, c in enumerate(coeffs) if c.size > 2 * k]
+            ab = np.array([coeffs[i][2 * k - 1:2 * k + 1] for i in rows])
+            sel = slice(None) if len(rows) == len(coeffs) else np.array(rows)
+            self._modes.append((sel, ab[:, :1], ab[:, 1:]))
         self._omega = 2.0 * np.pi / float(period)
         self._period = float(period)
         super().__init__(True, (0.0, float(period)), tol=tol, table_n=table_n)
@@ -390,35 +412,39 @@ class FourierCurve(_RawCurve):
         return super().t_of_s(s)
 
     def _raw_orders(self, t, orders):
-        # One cos/sin pass per mode, shared by every coordinate and order.
+        # One cos/sin pass per mode, shared by every coordinate and order;
+        # each mode updates all its coordinates at once in (d, N) order.
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        kmax = max((c.size - 1) // 2 for c in self._coeffs)
+        tf = t.ravel()
         trig = []
-        for k in range(1, kmax + 1):
-            ph = (k * self._omega) * t
+        for k in range(1, len(self._modes) + 1):
+            ph = (k * self._omega) * tf
             trig.append((np.cos(ph), np.sin(ph)))
         outs = []
         for order in orders:
-            out = np.zeros(t.shape + (len(self._coeffs),))
-            for i, c in enumerate(self._coeffs):
-                acc = np.zeros_like(t)
-                if order == 0:
-                    acc += c[0]
-                for k in range(1, (c.size - 1) // 2 + 1):
-                    ak, bk = c[2 * k - 1], c[2 * k]
-                    cos, sin = trig[k - 1]
-                    fac = (k * self._omega) ** order
-                    # d/dt rotates (cos, sin) a quarter period per order.
-                    if order % 4 == 0:
-                        acc += fac * (ak * cos + bk * sin)
-                    elif order % 4 == 1:
-                        acc += fac * (-ak * sin + bk * cos)
-                    elif order % 4 == 2:
-                        acc += fac * (-ak * cos - bk * sin)
-                    else:
-                        acc += fac * (ak * sin - bk * cos)
-                out[..., i] = acc
-            outs.append(out)
+            acc = np.zeros((len(self._const), tf.size))
+            if order == 0:
+                acc += self._const
+            for k, ((sel, ak, bk), (cos, sin)) in enumerate(zip(self._modes, trig), 1):
+                # d/dt rotates (cos, sin) a quarter period per order. The
+                # in-place updates keep large calls to two temporaries.
+                if order % 4 == 0:
+                    x = ak * cos
+                    x += bk * sin
+                elif order % 4 == 1:
+                    x = -ak * sin
+                    x += bk * cos
+                elif order % 4 == 2:
+                    x = -ak * cos
+                    x -= bk * sin
+                else:
+                    x = ak * sin
+                    x -= bk * cos
+                x *= (k * self._omega) ** order
+                acc[sel] += x
+            # A C-contiguous (N, d) array, as reductions over its last axis
+            # round by memory layout.
+            outs.append(np.ascontiguousarray(acc.T).reshape(t.shape + (len(acc),)))
         return outs
 
 

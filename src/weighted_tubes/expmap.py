@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NonUniqueFootError,
-    NotCriticalFootError,
-    OutOfWError,
-)
+from .errors import NotCriticalFootError, OutOfWError
 from .util import as_pairs
 
 PLANE = "PLANE"
@@ -519,40 +515,6 @@ def _grid_argmin(pts, gp, mug):
         np.divide(f, mu2, out=f)
         idx[start:start + rows] = np.argmin(f, axis=1)
     return idx
-
-
-def grad_g_check(pairs, p, h=1e-6, tie_rel=1e-9, samples=2048):
-    """Finite-difference gradient of G at p, compared with the radial law.
-
-    Returns (cos_angle_gap, magnitude, lower_bound) where cos_angle_gap is
-    the angle (radians) between grad G and the unit vector from the foot to
-    p, and lower_bound = 2 |p - q| / mu(q)^2. Raises NonUniqueFootError on
-    tied feet.
-    """
-    pairs = as_pairs(pairs)
-    p = np.asarray(p, dtype=float)
-    cp = mu_closest_point(pairs, p, samples=samples, tie_rel=tie_rel)
-    if not cp.unique:
-        raise NonUniqueFootError(f"tied weighted-closest feet at {cp.ties}")
-    curve, weight = pairs[cp.component]
-    q = curve.point(cp.s)
-    n = p.size
-    shifts = np.zeros((2 * n, n))
-    for i in range(n):
-        shifts[2 * i, i] = h
-        shifts[2 * i + 1, i] = -h
-    vals, _, _ = g_potential(pairs, p[None, :] + shifts, samples=samples)
-    grad = (vals[0::2] - vals[1::2]) / (2.0 * h)
-    mag = float(np.linalg.norm(grad))
-    u = p - q
-    dist = float(np.linalg.norm(u))
-    if dist <= 0 or mag <= 0:
-        return np.pi, mag, 0.0
-    u = u / dist
-    cosang = float(np.clip(grad @ u / mag, -1.0, 1.0))
-    angle = float(np.arccos(cosang))
-    bound = 2.0 * dist / float(weight.mu(cp.s)) ** 2
-    return angle, mag, bound
 
 
 # ---------------------------------------------------------------------------

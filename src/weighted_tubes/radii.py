@@ -20,19 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .curves import ABSENT
 from .errors import NumericError
 from .expmap import _rowdot, _rownorm
 from .util import as_pairs, golden_max, golden_min
-
-
-@dataclass(frozen=True)
-class PointwiseFocal:
-    s: float
-    delta: float
-    lambda_val: float | None
-    focrad0_pt: float
-    focradminus_pt: float
 
 
 @dataclass(frozen=True)
@@ -129,26 +119,6 @@ def _radius_profiles(b, disc, lam, band):
     r0 = np.where(disc >= -band, lam_rad, b_rad)
     rm = np.where(disc > band, lam_rad, b_rad)
     return r0, rm
-
-
-def delta_lambda(curve, weight, s, tol=DEFAULT_TOLERANCES):
-    """Pointwise focal data at s (band on the discriminant sign)."""
-    a, b, c, disc, lam = _abc(curve, weight, np.asarray(s, dtype=float))
-    band = _band(np.max(a**2), tol)
-    r0, rm = _radius_profiles(b, disc, lam, band)
-    if np.ndim(s) == 0:
-        lam_val = float(lam) if disc >= -band else ABSENT
-        return PointwiseFocal(float(s), float(disc), lam_val, float(r0), float(rm))
-    return [
-        PointwiseFocal(
-            float(si),
-            float(di),
-            float(li) if di >= -band else ABSENT,
-            float(ri0),
-            float(rim),
-        )
-        for si, di, li, ri0, rim in zip(s, disc, lam, r0, rm)
-    ]
 
 
 def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):

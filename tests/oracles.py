@@ -1,9 +1,15 @@
-"""Oracles for the potential G shared by the test modules: the dense grid
-argmin and a golden-section G with no shortcuts."""
+"""Oracles shared by the test modules: the dense grid argmin and a
+golden-section G with no shortcuts, the finite-difference gradient of G,
+and the pointwise focal data."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from weighted_tubes import f_value
+from weighted_tubes import NonUniqueFootError, f_value, g_potential, mu_closest_point
+from weighted_tubes.config import DEFAULT_TOLERANCES
+from weighted_tubes.radii import _abc, _band, _radius_profiles
+from weighted_tubes.util import as_pairs
 
 
 def dense_grid_argmin(pts, gp, mug):
@@ -51,3 +57,67 @@ def _two_point(pairs, pts, samples, refine_iters):
         best_c = np.where(better, ci, best_c)
         best_s = np.where(better, smid, best_s)
     return best_v, best_c, best_s
+
+
+def grad_g_check(pairs, p, h=1e-6, tie_rel=1e-9, samples=2048):
+    """Finite-difference gradient of G at p, compared with the radial law.
+
+    Returns (cos_angle_gap, magnitude, lower_bound) where cos_angle_gap is
+    the angle (radians) between grad G and the unit vector from the foot to
+    p, and lower_bound = 2 |p - q| / mu(q)^2. Raises NonUniqueFootError on
+    tied feet.
+    """
+    pairs = as_pairs(pairs)
+    p = np.asarray(p, dtype=float)
+    cp = mu_closest_point(pairs, p, samples=samples, tie_rel=tie_rel)
+    if not cp.unique:
+        raise NonUniqueFootError(f"tied weighted-closest feet at {cp.ties}")
+    curve, weight = pairs[cp.component]
+    q = curve.point(cp.s)
+    n = p.size
+    shifts = np.zeros((2 * n, n))
+    for i in range(n):
+        shifts[2 * i, i] = h
+        shifts[2 * i + 1, i] = -h
+    vals, _, _ = g_potential(pairs, p[None, :] + shifts, samples=samples)
+    grad = (vals[0::2] - vals[1::2]) / (2.0 * h)
+    mag = float(np.linalg.norm(grad))
+    u = p - q
+    dist = float(np.linalg.norm(u))
+    if dist <= 0 or mag <= 0:
+        return np.pi, mag, 0.0
+    u = u / dist
+    cosang = float(np.clip(grad @ u / mag, -1.0, 1.0))
+    angle = float(np.arccos(cosang))
+    bound = 2.0 * dist / float(weight.mu(cp.s)) ** 2
+    return angle, mag, bound
+
+
+@dataclass(frozen=True)
+class PointwiseFocal:
+    s: float
+    delta: float
+    lambda_val: float | None
+    focrad0_pt: float
+    focradminus_pt: float
+
+
+def delta_lambda(curve, weight, s, tol=DEFAULT_TOLERANCES):
+    """Pointwise focal data at s (band on the discriminant sign); lambda is
+    None where the discriminant is below the band."""
+    a, b, c, disc, lam = _abc(curve, weight, np.asarray(s, dtype=float))
+    band = _band(np.max(a**2), tol)
+    r0, rm = _radius_profiles(b, disc, lam, band)
+    if np.ndim(s) == 0:
+        lam_val = float(lam) if disc >= -band else None
+        return PointwiseFocal(float(s), float(disc), lam_val, float(r0), float(rm))
+    return [
+        PointwiseFocal(
+            float(si),
+            float(di),
+            float(li) if di >= -band else None,
+            float(ri0),
+            float(rim),
+        )
+        for si, di, li, ri0, rim in zip(s, disc, lam, r0, rm)
+    ]

@@ -291,6 +291,63 @@ def test_tube_bytes_pinned(tmp_path, scene, radius):
     assert digests == TUBE_SHA256[(scene, radius)]
 
 
+def _fourier(*coordinates):
+    return {"kind": "fourier", "params": {"coefficients": [list(c) for c in coordinates]}}
+
+
+def _fourier_weight(*coefficients):
+    return {"kind": "fourier", "params": {"coefficients": list(coefficients)}}
+
+
+# Three Fourier scenes with fixed coefficients and the sha256 of their
+# `wtube report` stdout, recorded while every partial arclength cell took 16
+# Gauss-Legendre nodes.
+FOURIER_REPORT_SCENES = {
+    "planar": (
+        {
+            "ambient_dim": 2,
+            "components": [_fourier([0.0, 1.0, 0.0, 0.008, -0.005, 0.003, 0.0025, -0.0015, 0.002],
+                                    [0.0, 0.0, 1.0, -0.006, 0.007, 0.002, -0.003, 0.001, 0.0018])],
+            "weights": [_fourier_weight(1.0, 0.06, -0.07, 0.03, 0.04)],
+        },
+        "24630c5464b86a55081c06e71a2d4425c46bd68cd6b61ff2cc9c5a601dc3661a",
+    ),
+    "3d": (
+        {
+            "ambient_dim": 3,
+            "components": [_fourier([0.0, 1.0, 0.0, 0.007, 0.006, -0.003, 0.002, 0.0012, -0.002],
+                                    [0.0, 0.0, 1.0, 0.005, -0.008, 0.004, 0.001, -0.002, 0.0011],
+                                    [0.0, 0.0, 0.0, 0.12, -0.09])],
+            "weights": [_fourier_weight(1.0, -0.05, 0.08, 0.04, -0.02)],
+        },
+        "a64d7fb972fdd21a0599c0bc30a3433312d1992bb43dfbbcd47f7b58bc4c9ae4",
+    ),
+    "two_component": (
+        {
+            "ambient_dim": 2,
+            "components": [
+                _fourier([-1.0, 0.6, 0.0, 0.005, 0.004, -0.002, 0.0018, 0.001, -0.0012],
+                         [0.02, 0.0, 0.6, -0.003, 0.006, 0.0015, 0.002, -0.0011, 0.0009]),
+                _fourier([1.0, 0.6, 0.0, -0.004, 0.005, 0.0021, -0.0016, 0.0013, 0.001],
+                         [-0.03, 0.0, 0.6, 0.006, -0.002, -0.0019, 0.0012, 0.0008, -0.0014]),
+            ],
+            "weights": [_fourier_weight(1.0, 0.07, 0.05, -0.03, 0.04),
+                        {"kind": "constant", "params": {"value": 0.8}}],
+        },
+        "89e63736a96278d48817ceec68f205b8f1367ffb616f750063b557c12c9e5d6d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOURIER_REPORT_SCENES))
+def test_fourier_report_bytes_pinned(tmp_path, name):
+    scene, digest = FOURIER_REPORT_SCENES[name]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    proc = run_cli("report", "--scene", str(path))
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests as an
     # oracle only.

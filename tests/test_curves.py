@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,56 @@ class TestArclengthInversionPerFoot:
         batch = curve.t_of_s(s)
         alone = np.array([curve.t_of_s(np.array([x]))[0] for x in s])
         np.testing.assert_array_equal(alone, batch)
+
+
+def perfbench_style_fourier(seed):
+    """A closed planar curve as the benchmark draws them: the unit circle
+    plus modes 2-4 of amplitude 0.04 / k^2 at seeded phases."""
+    rng = np.random.default_rng(seed)
+    cx, cy = [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+    for k in (2, 3, 4):
+        a = 0.04 / k**2
+        px, py = rng.uniform(0.0, 2.0 * np.pi, 2)
+        cx += [a * np.cos(px), a * np.sin(px)]
+        cy += [a * np.cos(py), a * np.sin(py)]
+    return FourierCurve([cx, cy])
+
+
+def near_cusp(d):
+    """(2 cos t - (1 - d) cos 2t, 2 sin t - (1 - d) sin 2t), whose speed
+    falls to 2 d at t = 0."""
+    return FourierCurve([[0.0, 2.0, 0.0, -(1.0 - d), 0.0], [0.0, 0.0, 2.0, 0.0, -(1.0 - d)]])
+
+
+class TestCellNodeCount:
+    def test_smooth_curves_take_at_most_eight_nodes(self, scenes):
+        for curve in (scenes["ellipse_mu1"].pairs[0][0], perfbench_style_fourier(5)):
+            assert curve._cell_n <= 8
+
+    def test_near_cusp_keeps_sixteen_nodes(self):
+        curve = near_cusp(5e-4)
+        assert np.min(np.linalg.norm(curve._raw(curve._t_grid, 1), axis=-1)) == pytest.approx(1e-3)
+        assert curve._cell_n == 16
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda scenes: scenes["ellipse_mu1"].pairs[0][0],
+            lambda scenes: perfbench_style_fourier(5),
+            lambda scenes: near_cusp(5e-3),
+            lambda scenes: cheb_half_circle(),
+        ],
+        ids=["ellipse_mu1", "perfbench_style", "near_cusp_5e-3", "chebyshev"],
+    )
+    def test_partial_cells_match_sixteen_nodes(self, scenes, make):
+        # At the chosen node count, s(t) stays within 2 ulp of L of the
+        # 16-node value, the table's own rule.
+        curve = make(scenes)
+        ref = copy.copy(curve)
+        ref._cell_n = 16
+        t = np.random.default_rng(13).uniform(curve._t0, curve._t1, 20_000)
+        gap = np.max(np.abs(curve._s_of_t(t)[0] - ref._s_of_t(t)[0]))
+        assert gap <= 2.0 * np.spacing(curve.length)
 
 
 class TestPchipStart:

@@ -24,7 +24,6 @@ from weighted_tubes import (
     f_value,
     fiber_geometry,
     g_potential,
-    grad_g_check,
     make_offset,
     make_offsets,
     mu_closest_point,
@@ -34,7 +33,7 @@ from weighted_tubes import (
 )
 from weighted_tubes.expmap import random_unit_normals
 
-from oracles import dense_grid_argmin, g_potential_two_point
+from oracles import dense_grid_argmin, g_potential_two_point, grad_g_check
 
 
 @pytest.fixture

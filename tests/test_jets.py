@@ -193,6 +193,94 @@ def test_curve_jet_order_above_three_rejected():
 
 
 # ---------------------------------------------------------------------------
+# The Fourier evaluator against its per-coordinate form, and the speed that
+# comes back with the arclength
+# ---------------------------------------------------------------------------
+
+
+def _fourier_raw_orders(coeffs, omega, t, orders):
+    """The per-coordinate evaluator the broadcast one replaced: one
+    accumulator per coordinate and order, its own modes added in order."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    kmax = max((c.size - 1) // 2 for c in coeffs)
+    trig = []
+    for k in range(1, kmax + 1):
+        ph = (k * omega) * t
+        trig.append((np.cos(ph), np.sin(ph)))
+    outs = []
+    for order in orders:
+        out = np.zeros(t.shape + (len(coeffs),))
+        for i, c in enumerate(coeffs):
+            acc = np.zeros_like(t)
+            if order == 0:
+                acc += c[0]
+            for k in range(1, (c.size - 1) // 2 + 1):
+                ak, bk = c[2 * k - 1], c[2 * k]
+                cos, sin = trig[k - 1]
+                fac = (k * omega) ** order
+                if order % 4 == 0:
+                    acc += fac * (ak * cos + bk * sin)
+                elif order % 4 == 1:
+                    acc += fac * (-ak * sin + bk * cos)
+                elif order % 4 == 2:
+                    acc += fac * (-ak * cos - bk * sin)
+                else:
+                    acc += fac * (ak * sin - bk * cos)
+            out[..., i] = acc
+        outs.append(out)
+    return outs
+
+
+# The 2D, 3D and 4D curves of test_expmap.py (the 4D one carries two, two,
+# one and two modes on its coordinates), and a planar curve with four and three
+# modes on a period other than 2 pi, whose factors (k w)^order are inexact.
+RAW_FOURIER = [
+    ("planar", [[2.5, 0.6, 0.0], [0.3, 0.0, 0.6]], 2.0 * np.pi),
+    ("3d", [[0.0, 1.0, 0.0, 0.2, 0.1], [0.0, 0.0, 1.0, -0.1, 0.2], [0.0, 0.3, 0.1, 0.0, 0.25]], 2.0 * np.pi),
+    ("4d", [[0.0, 1.0, 0.0, 0.1, 0.0], [0.0, 0.0, 1.0, 0.0, 0.1], [0.2, 0.3, 0.1],
+            [0.0, 0.0, 0.4, 0.2, 0.0]], 2.0 * np.pi),
+    ("planar_period_3", [[0.1, 1.0, 0.0, 0.02, -0.01, 0.004, 0.003, -0.002, 0.001],
+                         [-0.2, 0.0, 1.0, -0.015, 0.01, 0.003, -0.004]], 3.0),
+]
+
+
+@pytest.mark.parametrize("name,coeffs,period", RAW_FOURIER, ids=[c[0] for c in RAW_FOURIER])
+def test_fourier_raw_orders_equal_per_coordinate_form(name, coeffs, period):
+    # Bit for bit, signed zeros included (t = 0 and -0 make exact zeros),
+    # and C-contiguous: reductions over the last axis depend on the layout.
+    curve = FourierCurve(coeffs, period=period)
+    rng = np.random.default_rng(11)
+    feet = [rng.uniform(-1.0, 8.0, 500), rng.uniform(0.0, 7.0, (4, 3)), 0.7, 0.0, -0.0,
+            np.array([0.0, -0.0, np.pi, 2.0 * np.pi])]
+    for t in feet:
+        new = curve._raw_orders(t, range(4))
+        old = _fourier_raw_orders([np.asarray(c, dtype=float) for c in coeffs], curve._omega, t, range(4))
+        for order in range(4):
+            assert new[order].shape == old[order].shape and new[order].flags.c_contiguous
+            np.testing.assert_array_equal(new[order].view(np.uint64), old[order].view(np.uint64),
+                                          err_msg=f"order {order}")
+            np.testing.assert_array_equal(curve._raw(t, order).view(np.uint64), new[order].view(np.uint64))
+
+
+RAW_CURVES = [
+    ("ellipse", lambda: EllipseCurve(2, 1)),
+    ("fourier_3d", wobbly_3d),
+    ("fourier_4d", lambda: FourierCurve(RAW_FOURIER[2][1])),
+    ("cheb", lambda: ChebyshevCurve([[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0))),
+]
+
+
+@pytest.mark.parametrize("name,make", RAW_CURVES, ids=[c[0] for c in RAW_CURVES])
+def test_s_of_t_speed_is_the_raw_speed(name, make):
+    curve = make()
+    rng = np.random.default_rng(12)
+    t = np.concatenate([rng.uniform(curve._t0, curve._t1, 2000), curve._t_grid])
+    _, speed = curve._s_of_t(t)
+    np.testing.assert_array_equal(speed.view(np.uint64),
+                                  np.linalg.norm(curve._raw(t, 1), axis=-1).view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
 # Per-order weight oracles
 # ---------------------------------------------------------------------------
 

@@ -13,7 +13,6 @@ from weighted_tubes import (
     OffsetWeight,
     PolynomialWeight,
     dcsd_half,
-    delta_lambda,
     find_double_critical_pairs,
     focal_radii,
     lemma3_roots,
@@ -24,6 +23,8 @@ from weighted_tubes.config import DEFAULT_TOLERANCES
 from weighted_tubes.radii import DoubleCriticalPair, FocalWitness
 from weighted_tubes.util import as_pairs, golden_max, golden_min
 from weighted_tubes.weights import FourierWeight
+
+from oracles import delta_lambda
 
 
 def scan_roots(a, b, c, n=1_000_000, t_hi=None):
