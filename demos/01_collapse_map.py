@@ -10,12 +10,7 @@ the fiber shapes, and the collapse identity.
 
 import numpy as np
 
-from weighted_tubes import (
-    classify_critical,
-    exp_mu,
-    fiber_geometry,
-    load_scene,
-)
+from weighted_tubes import exp_mu, f_prime, f_second, fiber_geometry, load_scene
 
 scene = load_scene("example1a")
 curve, weight = scene.pairs[0]
@@ -39,8 +34,15 @@ for s in (-1.3, -0.5, 0.0, 0.8, 1.5):
     print(f"  s = {s: .2f} -> ({p[0]: .12f}, {p[1]: .12f})")
 
 print("\nsecond-order class of the foot as the height grows (s = 0):")
+band = 1e-8 * 2.0 / float(weight.mu(0.0)) ** 2  # zero band of F' and F''
 for R in (0.5, 1.0, 1.9, 2.0, 2.1, 3.0):
     p = exp_mu(curve, weight, 0.0, np.array([-1.0, 0.0]), R)
-    cls = classify_critical(curve, weight, 0.0, p)
+    hess = float(f_second(curve, weight, 0.0, p))
+    if abs(float(f_prime(curve, weight, 0.0, p))) > band:
+        cls = "NOT_CRITICAL"
+    elif abs(hess) <= band:
+        cls = "CP_ZERO"
+    else:
+        cls = "CP_PLUS" if hess > 0 else "CP_MINUS"
     print(f"  R = {R:.1f}: {cls}")
 print("\nonly R = 2 degenerates; the map is injective again past it.")

@@ -26,7 +26,6 @@ from .curves import (
 from .errors import (
     NonpositiveWeightError,
     NonRegularCurveError,
-    NonUniqueFootError,
     NotCriticalFootError,
     NumericError,
     OutOfDomainError,
@@ -36,28 +35,18 @@ from .errors import (
     WeightedTubesError,
 )
 from .expmap import (
-    CP_MINUS,
-    CP_PLUS,
-    CP_ZERO,
-    NOT_CRITICAL,
     PLANE,
     SPHERE,
-    ClosestPoint,
     FiberShape,
-    NormalOffset,
-    classify_critical,
     exp_mu,
     exp_mu_batch,
     f_prime,
     f_second,
-    f_second_at_offset,
     f_second_critical,
     f_value,
     fiber_geometry,
     g_potential,
-    make_offset,
     make_offsets,
-    mu_closest_point,
     normal_frame,
     normal_frames,
     w_bound,

@@ -171,10 +171,29 @@ def cmd_report(args):
     return EXIT_OK
 
 
+def _numbers(text, flag):
+    """The numbers of a comma-separated list flag."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise SceneError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+
+
+def _positive(value, flag, finite=True):
+    """value, unless it is nan, <= 0 or (when finite) infinite."""
+    if not (value > 0 and (np.isfinite(value) or not finite)):
+        raise SceneError(f"{flag} must be {'finite and ' if finite else ''}> 0, got {value!r}")
+    return value
+
+
 def _t_grid(args):
     if args.t_values:
-        return [float(x) for x in args.t_values.split(",") if x.strip() != ""]
+        return _numbers(args.t_values, "--t-values")
     if args.t_count is not None:
+        if args.t_min is None or args.t_max is None:
+            raise SceneError("--t-count needs --t-min and --t-max")
+        if args.t_count < 1:
+            raise SceneError(f"--t-count must be >= 1, got {args.t_count}")
         return list(np.linspace(args.t_min, args.t_max, args.t_count))
     raise SceneError("sweep needs --t-values or --t-min/--t-max/--t-count")
 
@@ -223,8 +242,12 @@ def cmd_fibers(args):
     svg_path = _svg_target(args, scene)
     if args.samples < 2:
         raise SceneError("fibers needs --samples N >= 2")
+    if not 0 <= args.component < len(scene.pairs):
+        raise SceneError(f"--component must be in [0, {len(scene.pairs)}), got {args.component}")
+    if args.r_max is not None:
+        _positive(args.r_max, "--r-max")
     if args.s_values:
-        feet = [float(x) for x in args.s_values.split(",") if x.strip() != ""]
+        feet = _numbers(args.s_values, "--s-values")
     else:
         curve = scene.pairs[0][0]
         feet = list(np.linspace(curve.s_min + 0.1 * curve.length,
@@ -257,8 +280,9 @@ def cmd_fibers(args):
 def cmd_tube(args):
     scene = _load(args)
     svg_path = _svg_target(args, scene)
-    if args.radius is None or args.radius <= 0:
+    if args.radius is None:
         raise SceneError("tube needs --radius R > 0")
+    _positive(args.radius, "--radius")
     if args.samples < 1:
         raise SceneError("tube needs --samples N >= 1")
     boundary, overlap = sweeps.tube_boundary(
@@ -284,8 +308,10 @@ def cmd_tube(args):
 
 
 def _ur(args, scene):
-    """The height cutoff: --ur, else the scene's computed ur."""
-    return radii.radii_report(scene.pairs, scene.tolerances).ur if args.ur is None else args.ur
+    """The height cutoff: --ur (> 0, inf allowed), else the scene's computed ur."""
+    if args.ur is None:
+        return radii.radii_report(scene.pairs, scene.tolerances).ur
+    return _positive(args.ur, "--ur", finite=False)
 
 
 def _point_header(scene):

@@ -46,13 +46,13 @@ class ArclengthCurve:
     on open arcs; the named evaluators read one jet each.
     """
 
-    def __init__(self, ambient_dim, length, closed, s_min, kappa_tol_factor=1e-9):
+    def __init__(self, ambient_dim, length, closed, s_min):
         self.ambient_dim = int(ambient_dim)
         self.length = float(length)
         self.closed = bool(closed)
         self.s_min = float(s_min)
         self.s_max = self.s_min + self.length
-        self.kappa_tol = kappa_tol_factor / self.length
+        self.kappa_tol = 1e-9 / self.length
 
     # -- domain handling ---------------------------------------------------
 
@@ -111,15 +111,8 @@ class ArclengthCurve:
     def second_derivative(self, s):
         return self.jet(s, 2)[2]
 
-    def third_derivative(self, s):
-        return self.jet(s, 3)[3]
-
     def curvature(self, s):
         return np.linalg.norm(self.jet(s, 2)[2], axis=-1)
-
-    def curvature_rate(self, s):
-        """d(kappa)/ds from exact derivatives; 0 where kappa vanishes."""
-        return _kappa_rate(self.jet(s, 3), self.kappa_tol)
 
     def frame(self, s):
         """FrenetData at scalar s; principal normal ABSENT below kappa_tol."""

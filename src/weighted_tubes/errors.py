@@ -29,10 +29,6 @@ class NotCriticalFootError(WeightedTubesError):
     """Closed-form second derivative requested at a non-critical foot."""
 
 
-class NonUniqueFootError(WeightedTubesError):
-    """The weighted closest point is not unique (tied minima)."""
-
-
 class SceneError(WeightedTubesError):
     """Scene configuration is malformed or fails validation."""
 

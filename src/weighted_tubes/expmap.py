@@ -7,10 +7,11 @@ For a foot gamma(s) with unit normal v and height R the map is
 defined while R <= 1/|mu'(s)|. The squared weighted distance from p,
 F_p(s) = |p - gamma(s)|^2 / mu(s)^2, drives everything else: feet of the
 map are critical points of F_p, and the second derivative of F_p decides
-regularity of the map.
+regularity of the map. The ambient potential G(p), the minimum of F_p over
+every component, comes with each point's minimizing component and foot.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,21 +20,6 @@ from .util import as_pairs
 
 PLANE = "PLANE"
 SPHERE = "SPHERE"
-
-NOT_CRITICAL = "NOT_CRITICAL"
-CP_PLUS = "CP_PLUS"
-CP_ZERO = "CP_ZERO"
-CP_MINUS = "CP_MINUS"
-
-
-@dataclass(frozen=True)
-class NormalOffset:
-    """A normal-bundle point (foot s, unit normal v, height R >= 0)."""
-
-    s: float
-    v: np.ndarray
-    R: float
-    boundary: bool = False
 
 
 @dataclass(frozen=True)
@@ -46,13 +32,6 @@ class FiberShape:
     center: np.ndarray | None = None  # SPHERE
     radius: float | None = None  # SPHERE
 
-    def contains(self, points, tol=1e-10):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == PLANE:
-            gap = np.abs((pts - self.base_point) @ self.normal)
-        else:
-            gap = np.abs(np.linalg.norm(pts - self.center, axis=-1) - self.radius)
-        return np.all(gap <= tol)
 
 
 def w_bound(weight, s):
@@ -95,7 +74,7 @@ def _first_fault(checks):
     return k, next(make_error(k) for mask, make_error in checks if mask[k])
 
 
-def _offset_rows(jets, s, v, R, w_tol=1e-12):
+def _offset_rows(jets, s, v, R):
     """Row-wise offsets: (unit normals, admissible bounds, first fault).
 
     `jets` are the (curve, weight) jets of order >= 1 at the feet s. Each
@@ -111,39 +90,26 @@ def _offset_rows(jets, s, v, R, w_tol=1e-12):
     fault = _first_fault([
         (nv <= 1e-14, lambda k: OutOfWError("direction is tangent to the curve at s")),
         (R < 0, lambda k: OutOfWError("height R must be nonnegative")),
-        (R > bound * (1.0 + w_tol), lambda k: OutOfWError(
+        (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
             f"R={float(R[k])} exceeds admissible bound {float(bound[k])} at s={float(s[k])}"
         )),
     ])
     return v, bound, fault
 
 
-def make_offsets(curve, weight, s, v, R, w_tol=1e-12):
-    """Row-wise make_offset over s (m,), v (m, n), R (m,): the unit normals.
+def make_offsets(curve, weight, s, v, R):
+    """Offsets over s (m,), v (m, n), R (m,): each v projected into the
+    normal space at its foot and normalized, the unit normals returned.
 
-    Raises OutOfWError for the first row that fails a check.
+    Raises OutOfWError for the first row whose direction is tangent or whose
+    height is negative or above 1/|mu'|.
     """
     s = np.asarray(s, dtype=float)
     jets = (curve.jet(s, 1), weight.jet(s, 1))
-    v, _, fault = _offset_rows(jets, s, np.asarray(v, dtype=float), np.asarray(R, dtype=float), w_tol)
+    v, _, fault = _offset_rows(jets, s, np.asarray(v, dtype=float), np.asarray(R, dtype=float))
     if fault is not None:
         raise fault[1]
     return v
-
-
-def make_offset(curve, weight, s, v, R, w_tol=1e-12):
-    """Project v into the normal space at s, normalize, and range-check R:
-    one row of `_offset_rows`."""
-    s, R = np.array([float(s)]), float(R)
-    rows, bound, fault = _offset_rows(
-        (curve.jet(s, 1), weight.jet(s, 1)), s, np.asarray(v, dtype=float)[None, :],
-        np.array([R]), w_tol,
-    )
-    if fault is not None:
-        raise fault[1]
-    bound = float(bound[0])
-    boundary = np.isfinite(bound) and abs(R - bound) <= w_tol * max(1.0, bound)
-    return NormalOffset(float(s[0]), rows[0], R, boundary)
 
 
 def exp_mu(curve, weight, s, v, R):
@@ -174,13 +140,13 @@ def _exp_rows(jets, v, R):
     return g - (mu * d1 * R**2)[:, None] * t + (mu * R * rad)[:, None] * v
 
 
-def fiber_geometry(curve, weight, s, tol_plane=1e-10):
-    """Shape of the normal-space image at s: plane iff |mu'(s)| <= tol_plane,
+def fiber_geometry(curve, weight, s):
+    """Shape of the normal-space image at s: plane iff |mu'(s)| <= 1e-10,
     else the sphere of radius mu/(2|mu'|) centered at gamma - (mu/(2 mu')) gamma'."""
     s = float(s)
     g, t = curve.jet(s, 1)
     mu, d1 = (float(x) for x in weight.jet(s, 1))
-    if abs(d1) <= tol_plane:
+    if abs(d1) <= 1e-10:
         return FiberShape(PLANE, g, normal=t)
     center = g - (mu / (2.0 * d1)) * t
     return FiberShape(SPHERE, g, center=center, radius=mu / (2.0 * abs(d1)))
@@ -235,7 +201,7 @@ def _f_second(diff, t, g2, mu, d1, d2):
     )
 
 
-def f_second_critical(curve, weight, s, p, grad_tol=None):
+def f_second_critical(curve, weight, s, p):
     """Closed-form d^2F_p/ds^2 at a critical foot s of p:
 
         (2/mu^2) (1 - kappa R mu sqrt(1-(mu' R)^2) cos(beta) - (R^2/2)(mu^2)''),
@@ -248,14 +214,14 @@ def f_second_critical(curve, weight, s, p, grad_tol=None):
     """
     s = np.array([float(s)])
     values, fault = _f_second_critical_rows(
-        curve, (curve.jet(s, 2), weight.jet(s, 2)), np.asarray(p, dtype=float)[None, :], grad_tol
+        curve, (curve.jet(s, 2), weight.jet(s, 2)), np.asarray(p, dtype=float)[None, :]
     )
     if fault is not None:
         raise fault[1]
     return float(values[0])
 
 
-def _f_second_critical_rows(curve, jets, p, grad_tol=None):
+def _f_second_critical_rows(curve, jets, p):
     """Row-wise f_second_critical from the (curve, weight) jets of order 2 at
     the feet and the points p (m, n).
 
@@ -268,16 +234,14 @@ def _f_second_critical_rows(curve, jets, p, grad_tol=None):
     dist = _rownorm(diff)
     R = dist / mu
     bound = _bound(d1)
-    if grad_tol is None:
-        grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
+    grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
     fp = np.abs(_f_prime(diff, t, mu, d1))
     fault = _first_fault([
         (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
             f"recovered height {float(R[k])} exceeds admissible bound {float(bound[k])}"
         )),
         (fp > grad_tol, lambda k: NotCriticalFootError(
-            f"foot not critical: |F'|={float(fp[k])} > "
-            f"{float(np.broadcast_to(grad_tol, fp.shape)[k])}"
+            f"foot not critical: |F'|={float(fp[k])} > {float(grad_tol[k])}"
         )),
     ])
     kap = _rownorm(g2)
@@ -289,20 +253,6 @@ def _f_second_critical_rows(curve, jets, p, grad_tol=None):
     musq2 = 2.0 * (d1**2 + mu * d2)  # (mu^2)''
     root = np.sqrt(np.maximum(0.0, 1.0 - (d1 * R) ** 2))
     return (2.0 / mu**2) * (1.0 - kap * R * mu * root * cosb - 0.5 * R**2 * musq2), fault
-
-
-def f_second_at_offset(curve, weight, s, v, R):
-    """Closed-form second derivative at the foot of exp(s, v, R): one row of
-    `_hess_rows`."""
-    s = np.array([float(s)])
-    _, hess, _, faults = _hess_rows(
-        curve, (curve.jet(s, 2), weight.jet(s, 2)), s, np.asarray(v, dtype=float)[None, :],
-        np.array([float(R)]),
-    )
-    for fault in faults:
-        if fault is not None:
-            raise fault[1]
-    return float(hess[0])
 
 
 def _hess_rows(curve, jets, s, v, R):
@@ -321,79 +271,9 @@ def _hess_rows(curve, jets, s, v, R):
     return images, hess, bound, (fault, hess_fault)
 
 
-def classify_critical(curve, weight, s, p, tol_grad=None, tol_hess=None):
-    """First/second-order class of s for F_p with banded thresholds."""
-    mu = float(weight.mu(s))
-    scale = 2.0 / mu**2
-    if tol_grad is None:
-        tol_grad = 1e-8 * scale
-    if tol_hess is None:
-        tol_hess = 1e-8 * scale
-    if abs(float(f_prime(curve, weight, s, p))) > tol_grad:
-        return NOT_CRITICAL
-    h = float(f_second(curve, weight, s, p))
-    if abs(h) <= tol_hess:
-        return CP_ZERO
-    return CP_PLUS if h > 0 else CP_MINUS
-
-
 # ---------------------------------------------------------------------------
-# Weighted closest points and the ambient potential G
+# The ambient potential G
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ClosestPoint:
-    """Global minimizer of F_p over the scene."""
-
-    component: int
-    s: float
-    value: float
-    unique: bool
-    ties: list = field(default_factory=list)
-
-
-def mu_closest_point(pairs, p, samples=2048, newton_iters=30, tie_rel=1e-9):
-    """Weighted closest point via dense grid plus a Newton refinement.
-
-    `pairs` is one (curve, weight) pair or a list of them. Each component's
-    grid minimum is refined as one row of `_refine_rows` within one grid
-    step, in at most newton_iters passes. Grid minima tied within tie_rel
-    (relative) at separated parameters are reported as ties and flip
-    `unique` to False.
-    """
-    pairs = as_pairs(pairs)
-    p = np.asarray(p, dtype=float)
-    best = None
-    candidates = []
-    for ci, (curve, weight) in enumerate(pairs):
-        sg = curve.grid(samples)
-        fv = f_value(curve, weight, sg, p)
-        order = np.argsort(fv, kind="stable")
-        i0 = int(order[0])
-        step = curve.length / samples
-        s_star, val = _refine_rows(curve, weight, p[None, :], sg[i0:i0 + 1], step, newton_iters)
-        s_star, val = float(s_star[0]), float(val[0])
-        candidates.append((ci, s_star, val))
-        # Collect well-separated near-ties on the grid for the tie report.
-        vmin = fv[i0]
-        tie_mask = fv <= vmin + tie_rel * max(1.0, abs(vmin))
-        tie_idx = np.nonzero(tie_mask)[0]
-        for j in tie_idx:
-            if curve.periodic_distance(sg[j], sg[i0]) > 3.0 * step:
-                candidates.append((ci, float(sg[j]), float(fv[j])))
-                break
-        if best is None or val < best[2]:
-            best = (ci, s_star, val)
-    ties = []
-    for ci, s_c, v_c in candidates:
-        if v_c <= best[2] + tie_rel * max(1.0, abs(best[2])):
-            same = ci == best[0] and pairs[ci][0].periodic_distance(s_c, best[1]) <= (
-                3.0 * pairs[ci][0].length / samples
-            )
-            if not same:
-                ties.append((ci, s_c, v_c))
-    return ClosestPoint(best[0], best[1], best[2], unique=not ties, ties=ties)
 
 
 def _refine_rows(curve, weight, pts, s, step, iters):
@@ -458,15 +338,17 @@ def _refine_rows(curve, weight, pts, s, step, iters):
 # Cells (points x grid samples) in one block of the G grid stage: the two
 # float64 block buffers take 512 KiB each whatever the number of points.
 _G_BLOCK_CELLS = 1 << 16
+# Most Newton passes of one point's refinement; smooth minima take about three.
+_G_REFINE_PASSES = 40
 
 
-def g_potential(pairs, points, samples=2048, refine_iters=40):
+def g_potential(pairs, points, samples=2048):
     """Vectorized G(p) = min_s F_p over all components for many ambient points.
 
     The grid minimum is taken in row blocks of fixed size (`_grid_argmin`),
     so memory does not grow with the number of points. Each point's grid
     minimum is then refined within one grid step by the row-wise
-    safeguarded Newton of `_refine_rows`: at most refine_iters passes of
+    safeguarded Newton of `_refine_rows`: at most _G_REFINE_PASSES passes of
     one curve and one weight jet, about three on smooth minima. G never
     exceeds the grid value, and a point's G does not depend on the other
     points of the call. Returns (values, component_index, s_values).
@@ -480,7 +362,7 @@ def g_potential(pairs, points, samples=2048, refine_iters=40):
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(samples)
         idx = _grid_argmin(pts, curve.point(sg), np.asarray(weight.mu(sg), dtype=float))
-        s, v = _refine_rows(curve, weight, pts, sg[idx], curve.length / samples, refine_iters)
+        s, v = _refine_rows(curve, weight, pts, sg[idx], curve.length / samples, _G_REFINE_PASSES)
         better = v < best_v
         best_v = np.where(better, v, best_v)
         best_c = np.where(better, ci, best_c)
@@ -522,16 +404,10 @@ def _grid_argmin(pts, gp, mug):
 # ---------------------------------------------------------------------------
 
 
-def normal_frame(curve, s, reference=None):
-    """Orthonormal basis of the normal space at s.
-
-    Gram-Schmidt of either the ambient standard basis (one row of
-    `normal_frames`) or a caller-supplied reference frame, the latter giving
-    a frame that varies smoothly with s nearby.
-    """
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)[None]
-    frames, count = _frames(curve.tangent(s)[None, :], reference)
+def normal_frame(curve, s):
+    """Orthonormal basis of the normal space at s: one row of `normal_frames`
+    (empty where the tangent is not finite)."""
+    frames, count = _frames(curve.tangent(s)[None, :])
     return frames[0, :count[0]]
 
 

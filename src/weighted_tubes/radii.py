@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import singular
 from .config import DEFAULT_TOLERANCES
 from .errors import NumericError
 from .expmap import _rowdot, _rownorm
-from .util import as_pairs, golden_max, golden_min
+from .util import _bracket, _extrema_indices, _offset_array, as_pairs, golden_min
 
 
 @dataclass(frozen=True)
@@ -87,31 +88,6 @@ def _band(a_sq_max, tol):
     return tol.delta_band_factor * max(1.0, float(a_sq_max))
 
 
-def _extrema_indices(values, closed, kind, cap):
-    """Indices of candidate local minima/maxima, ties allowed on one side.
-
-    A point qualifies when it is no worse than both neighbors and strictly
-    better than at least one (so flat plateaus are skipped but symmetric
-    ties around an off-grid extremum are kept). Open arcs pad with the
-    worst value, letting endpoints qualify. At most `cap` best indices.
-    """
-    v = np.asarray(values, dtype=float)
-    sign = 1.0 if kind == "min" else -1.0
-    v = sign * v
-    n = len(v)
-    if closed:
-        left = np.roll(v, 1)
-        right = np.roll(v, -1)
-    else:
-        left = np.concatenate([[np.inf], v[:-1]])
-        right = np.concatenate([v[1:], [np.inf]])
-    with np.errstate(invalid="ignore"):
-        ok = (v <= left) & (v <= right) & ((v < left) | (v < right)) & np.isfinite(v)
-    idx = np.nonzero(ok)[0]
-    idx = idx[np.argsort(v[idx], kind="stable")]
-    return [int(i) for i in idx[:cap]]
-
-
 def _radius_profiles(b, disc, lam, band):
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_rad = np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0, lam, 1.0)), np.inf)
@@ -125,14 +101,13 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     """Global focal radii over all components.
 
     Dense profiles plus golden-section refinement. Per component, one
-    row-wise call refines three families of brackets: the local maxima of
+    row-wise call refines four families of brackets: the local maxima of
     the discriminant (so isolated touching zeros, which only the closed band
-    sees, are not lost between grid nodes; tolerance 1e-13) and the best
-    local minima of the closed-band and of the open-band profile (1e-12).
-    Its objective evaluates each distinct foot once (`_focal_rows`), so rows
-    that visit the same feet (the open-band rows wherever the two profiles
-    agree) pay for them once. A second call refines the local maxima of
-    |mu'|. The
+    sees, are not lost between grid nodes; tolerance 1e-13), the best local
+    minima of the closed-band and of the open-band profile (1e-12), and the
+    local maxima of |mu'| (1e-13). Its objective evaluates each distinct
+    foot once (`_focal_rows`), so rows that visit the same feet (the
+    open-band rows wherever the two profiles agree) pay for them once. The
     discriminant and slope maxima serve both profiles. Each profile's
     candidates are its grid minimum, its refined minima, the refined
     discriminant maxima its band admits and the slope maxima, in that
@@ -140,9 +115,9 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
 
     With offsets, the radii of the weights mu + t for every t, as a list of
     (focrad0, focradminus, witnesses): the curve and weight jets on the grid
-    are evaluated once, the bracket rows of every t share the refinement
-    call (each row carrying its t and band), and the slope maxima, which do
-    not depend on t, are refined once.
+    are evaluated once, and the bracket rows of every t share the
+    refinement call, each row carrying its t and band. The slope maxima do
+    not depend on t, so one set of rows serves every t.
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
@@ -156,29 +131,26 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         profiles = _radius_profiles(b, disc, lam, band[:, None])
         i_min = [[int(np.argmin(p)) for p in profile] for profile in profiles]
         # Bracket rows by family (discriminant maxima, closed-band minima,
-        # open-band minima), then by t.
+        # open-band minima), then by t, and last the slope maxima, one row
+        # set for every t.
         lo, hi, row = _bracket_rows(
             curve, sg,
             [_extrema_indices(d, curve.closed, "max", 8) for d in disc]
             + [[i] + _extrema_indices(p, curve.closed, "min", 8)
-               for profile, im in zip(profiles, i_min) for i, p in zip(im, profile)],
+               for profile, im in zip(profiles, i_min) for i, p in zip(im, profile)]
+            + [_extrema_indices(b, curve.closed, "max", 4)],
         )
         fam, ti = np.divmod(row, n)
         x, fx = golden_min(
             lambda s, t, bd, fam: _focal_rows(curve, weight, s, t, bd, fam),
-            lo, hi, tol=np.where(fam == 0, 1e-13, 1e-12), args=(ts[ti], band[ti], fam),
+            lo, hi, tol=np.array([1e-13, 1e-12, 1e-12, 1e-13])[fam], args=(ts[ti], band[ti], fam),
         )
-        refined = _split_rows(row, 3 * n, x, fx)
+        refined = _split_rows(row, 3 * n + 1, x, fx)
         s_d, rd = x[fam == 0], ti[fam == 0]
         lam_d = _abc(curve, weight, s_d, ts[rd])[4]
         disc_rows = _split_rows(rd, n, s_d, -fx[fam == 0], lam_d)
         # Slope maxima (the max |mu'|^2 term applies unconditionally).
-        s_b, b_val = golden_max(
-            lambda s: np.abs(weight.d1(s)),
-            *_bracket(curve, sg, _extrema_indices(b, curve.closed, "max", 4)),
-            tol=1e-13,
-        )
-        slope = [(1.0 / float(v), float(x)) for v, x in zip(b_val, s_b) if v > 0]
+        slope = [(1.0 / float(-v), float(x)) for x, v in zip(*refined[3 * n]) if -v > 0]
         for which, profile in enumerate(profiles):
             for k, (xd, dv, ld) in enumerate(disc_rows):
                 xs, vs = refined[(which + 1) * n + k]
@@ -203,21 +175,25 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
 
 def _focal_rows(curve, weight, s, t, band, fam):
     """Per row, -disc (fam 0), the closed-band (1) or the open-band (2)
-    radius profile at the foot s for the weight mu + t. _abc runs once per
-    distinct (s, t), told apart by their bits so that -0.0 and 0.0 never
-    merge; a foot's values do not depend on the other feet of the call."""
-    keys = np.stack([t.view(np.int64), s.view(np.int64)])
-    order = np.lexsort(keys)
-    new = np.r_[True, np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0)]
-    inv = np.empty(len(s), dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
-    _, b, _, disc, lam = (v[inv] for v in _abc(curve, weight, s[order[new]], t[order[new]]))
-    return np.choose(fam, (-disc, *_radius_profiles(b, disc, lam, band)))
-
-
-def _offset_array(offsets):
-    """The weight offsets as a 1-D float array; None means the weights as given."""
-    return np.atleast_1d(np.asarray(0.0 if offsets is None else offsets, dtype=float))
+    radius profile at the foot s for the weight mu + t, or -|mu'| (3).
+    The slope rows read mu' alone, as they need no curvature; on the other
+    rows _abc runs once per distinct (s, t), told apart by their bits so
+    that -0.0 and 0.0 never merge. A foot's values do not depend on the
+    other feet of the call."""
+    out = np.empty(len(s))
+    slope = fam == 3
+    out[slope] = -np.abs(weight.d1(s[slope]))
+    k = np.nonzero(~slope)[0]
+    if len(k):
+        keys = np.stack([t[k].view(np.int64), s[k].view(np.int64)])
+        order = np.lexsort(keys)
+        new = np.r_[True, np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0)]
+        inv = np.empty(len(k), dtype=np.intp)
+        inv[order] = np.cumsum(new) - 1
+        feet = k[order[new]]
+        _, b, _, disc, lam = (v[inv] for v in _abc(curve, weight, s[feet], t[feet]))
+        out[k] = np.choose(fam[k], (-disc, *_radius_profiles(b, disc, lam, band[k])))
+    return out
 
 
 def _bracket_rows(curve, sg, index_lists):
@@ -234,31 +210,20 @@ def _split_rows(row, n_rows, *arrays):
     return list(zip(*(np.split(a, cuts) for a in arrays)))
 
 
-def _bracket(curve, sg, idx):
-    """Brackets (lo, hi) around the grid indices idx: one grid step either
-    side, clamped to the ends on open arcs."""
-    idx = np.asarray(idx, dtype=int)
-    n = len(sg)
-    if curve.closed:
-        step = curve.length / n
-        return sg[idx] - step, sg[idx] + step
-    return sg[np.maximum(idx - 1, 0)], sg[np.minimum(idx + 1, n - 1)]
-
-
 # ---------------------------------------------------------------------------
 # Quadratic root algebra for the critical height equation
 # ---------------------------------------------------------------------------
 
 
-def lemma3_roots(a, b, c, residual_tol=1e-12):
+def lemma3_roots(a, b, c):
     """All heights t in [0, 1/b] (or [0, inf) when b = 0) solving
 
         1 - (c/2) t^2 - a t sqrt(1 - b^2 t^2) = 0,   a, b >= 0.
 
-    Closed forms t = (c/2 + a^2/2 +- a sqrt(disc))^{-1/2}; every candidate
-    is residual-verified, which drops the branch that squaring introduces
-    when c > 2 b^2. Raises NumericError when no solution exists
-    (disc < 0, or a = c = 0).
+    Closed forms t = (c/2 + a^2/2 +- a sqrt(disc))^{-1/2}; a candidate is
+    kept where its residual is at most 1e-12, which drops the branch that
+    squaring introduces when c > 2 b^2. Raises NumericError when no
+    solution exists (disc < 0, or a = c = 0).
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
@@ -284,7 +249,7 @@ def lemma3_roots(a, b, c, residual_tol=1e-12):
         t = 1.0 / np.sqrt(w)
         if b > 0 and t > 1.0 / b * (1.0 + 1e-12):
             continue
-        if residual(t) <= residual_tol:
+        if residual(t) <= 1e-12:
             roots.append(t)
     roots.sort()
     dedup = []
@@ -600,8 +565,6 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     ordering clamp per t. Each report equals the one computed for the
     weights mu + t alone, and repeated values share one report.
     """
-    from . import singular
-
     pairs = as_pairs(pairs)
     ts = [0.0] if offsets is None else [float(t) for t in offsets]
     distinct = list(dict.fromkeys(ts))

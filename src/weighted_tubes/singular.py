@@ -20,8 +20,7 @@ from .expmap import _exp_rows, _frames, _hess_rows, _offset_rows, _rownorm
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
-from .radii import _bracket, _extrema_indices, _offset_array
-from .util import as_pairs, brent_rows, golden_min
+from .util import _bracket, _extrema_indices, _offset_array, as_pairs, brent_rows, golden_min
 
 
 @dataclass(frozen=True)
@@ -242,31 +241,31 @@ def is_singular(curve, weight, s, v, R, tol=DEFAULT_TOLERANCES):
     return abs(float(hess[0])) <= band, float(hess[0])
 
 
-def jacobian_determinant(curve, weight, s, v, R, h=None):
+def jacobian_determinant(curve, weight, s, v, R):
     """Finite-difference determinant of the map's differential at (s, v R):
     one row of `jacobian_rows`."""
     return float(jacobian_rows(
         curve, weight, np.array([float(s)]), np.asarray(v, dtype=float)[None, :],
-        np.array([float(R)]), h,
+        np.array([float(R)]),
     )[0])
 
 
-def jacobian_rows(curve, weight, s, v, R, h=None):
+def jacobian_rows(curve, weight, s, v, R):
     """Finite-difference determinants of the map's differential at the
     offsets s (m,), v (m, n), R (m,).
 
     Coordinates: arclength plus coefficients on a normal frame transported
-    from s by projection (smooth nearby). One curve jet and one weight jet
-    on the feet (s, s + h, s - h) of every row give the offsets, the base
-    and transported frames and all 2n chart points of a row, which are
-    mapped in one pass. Independent of the closed-form second-derivative
+    from s by projection (smooth nearby), central differences of step
+    h = 1e-6 max(1, L / 2 pi). One curve jet and one weight jet on the feet
+    (s, s + h, s - h) of every row give the offsets, the base and
+    transported frames and all 2n chart points of a row, which are mapped
+    in one pass. Independent of the closed-form second-derivative
     criterion; used to cross-validate it. Raises OutOfWError for the first
-    row failing make_offset's checks, else for the first chart point
-    outside the admissible set.
+    row whose direction is tangent or whose height is negative or above
+    1/|mu'|, else for the first chart point outside the admissible set.
     """
     s, v, R = (np.asarray(x, dtype=float) for x in (s, v, R))
-    if h is None:
-        h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
+    h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
     m, n = len(s), curve.ambient_dim
     feet = np.concatenate([s, s + h, s - h])
     jets = (curve.jet(feet, 1), weight.jet(feet, 1))

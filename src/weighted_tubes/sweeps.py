@@ -12,6 +12,10 @@ from .util import as_pairs
 from .weights import OffsetWeight
 
 
+# Directions per tube foot above the plane (the plane has two).
+_DIR_SAMPLES = 16
+
+
 @dataclass(frozen=True)
 class SweepRow:
     t: float
@@ -95,7 +99,7 @@ def fiber_trace(curve, weight, s, v, r_max, samples=257):
     return rr, pts
 
 
-def tube_boundary(pairs, R, s_samples=256, dir_samples=16, tol=DEFAULT_TOLERANCES):
+def tube_boundary(pairs, R, s_samples=256, tol=DEFAULT_TOLERANCES):
     """Sample the boundary of the weighted tube of height R.
 
     Candidate points exp(s, v, R) over an (s, direction)-grid are kept when
@@ -112,7 +116,7 @@ def tube_boundary(pairs, R, s_samples=256, dir_samples=16, tol=DEFAULT_TOLERANCE
     if R <= 0:
         raise WeightedTubesError("tube height R must be positive")
     n = pairs[0][0].ambient_dim
-    need = s_samples * (2 if n == 2 else dir_samples) * n * 8
+    need = s_samples * (2 if n == 2 else _DIR_SAMPLES) * n * 8
     if need > GRID_BUDGET_BYTES:
         raise SceneError(
             f"tube with {s_samples} feet needs {need} bytes per row array in {n} "
@@ -127,7 +131,7 @@ def tube_boundary(pairs, R, s_samples=256, dir_samples=16, tol=DEFAULT_TOLERANCE
         feet = sg[bounds * (1.0 - tol.w_margin) > R]
         if not len(feet):
             continue
-        dirs = _directions(normal_frames(curve, feet), n, dir_samples)
+        dirs = _directions(normal_frames(curve, feet), n, _DIR_SAMPLES)
         s_rows = np.repeat(feet, dirs.shape[1])
         heights = np.full(len(s_rows), float(R))
         v = make_offsets(curve, weight, s_rows, dirs.reshape(-1, n), heights)

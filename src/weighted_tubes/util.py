@@ -1,4 +1,5 @@
-"""Small helpers: 1-D searches and root finding, quadrature nodes, number formatting, pair lists."""
+"""Small helpers: 1-D searches and root finding, grid extrema and brackets, quadrature
+nodes, number formatting, pair and offset lists."""
 
 import numpy as np
 
@@ -8,6 +9,47 @@ def as_pairs(pairs):
     if isinstance(pairs, (list, tuple)) and pairs and isinstance(pairs[0], (list, tuple)):
         return list(pairs)
     return [tuple(pairs)]
+
+
+def _offset_array(offsets):
+    """The weight offsets as a 1-D float array; None means the weights as given."""
+    return np.atleast_1d(np.asarray(0.0 if offsets is None else offsets, dtype=float))
+
+
+def _extrema_indices(values, closed, kind, cap):
+    """Indices of candidate local minima/maxima, ties allowed on one side.
+
+    A point qualifies when it is no worse than both neighbors and strictly
+    better than at least one (so flat plateaus are skipped but symmetric
+    ties around an off-grid extremum are kept). Open arcs pad with the
+    worst value, letting endpoints qualify. At most `cap` best indices.
+    """
+    v = np.asarray(values, dtype=float)
+    sign = 1.0 if kind == "min" else -1.0
+    v = sign * v
+    n = len(v)
+    if closed:
+        left = np.roll(v, 1)
+        right = np.roll(v, -1)
+    else:
+        left = np.concatenate([[np.inf], v[:-1]])
+        right = np.concatenate([v[1:], [np.inf]])
+    with np.errstate(invalid="ignore"):
+        ok = (v <= left) & (v <= right) & ((v < left) | (v < right)) & np.isfinite(v)
+    idx = np.nonzero(ok)[0]
+    idx = idx[np.argsort(v[idx], kind="stable")]
+    return [int(i) for i in idx[:cap]]
+
+
+def _bracket(curve, sg, idx):
+    """Brackets (lo, hi) around the grid indices idx: one grid step either
+    side, clamped to the ends on open arcs."""
+    idx = np.asarray(idx, dtype=int)
+    n = len(sg)
+    if curve.closed:
+        step = curve.length / n
+        return sg[idx] - step, sg[idx] + step
+    return sg[np.maximum(idx - 1, 0)], sg[np.minimum(idx + 1, n - 1)]
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -72,12 +114,6 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
         better = fc < fx
         x, fx = np.where(better, xc, x), np.where(better, fc, fx)
     return x, fx
-
-
-def golden_max(f, a, b, tol=1e-12, maxiter=200, args=()):
-    """Row-wise golden-section maxima of f over [a, b]; returns (x, f(x))."""
-    x, fx = golden_min(lambda s, *p: -f(s, *p), a, b, tol=tol, maxiter=maxiter, args=args)
-    return x, -fx
 
 
 def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):

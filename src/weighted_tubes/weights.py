@@ -1,11 +1,12 @@
 """Positive weight functions along a component, with exact derivatives.
 
-Weights are functions of the arclength parameter s and expose exact first,
-second and third derivatives (the singularity and collapse tests need a
-trustworthy third derivative). Kinds mirror the curve bases: constant,
-polynomial, cosine, Fourier and Chebyshev series, plus the piecewise blend
-used by the stadium scene and an additive-offset wrapper for weight
-families.
+Weights are functions of the arclength parameter s with exact derivatives
+up to third order, all read from one jet; the focal, singular-set and
+collapse tests use mu, mu' and mu''. Kinds mirror the curve bases:
+constant, polynomial, cosine, Fourier and Chebyshev series, plus the
+piecewise blend used by the stadium scene and an additive-offset wrapper
+for weight families. `validate_on` rejects a weight that is not finite
+and positive on the curve's domain.
 """
 
 import numpy as np
@@ -38,9 +39,10 @@ class WeightFunction:
     def d3(self, s):
         return self.jet(s, 3)[3]
 
-    def validate_on(self, curve, samples=4096):
-        """Reject non-positive weights (sampled densely over the domain)."""
-        sg = curve.grid(samples)
+    def validate_on(self, curve):
+        """Reject weights that are not finite and positive on 4096 samples
+        of the curve's domain."""
+        sg = curve.grid(4096)
         vals = np.asarray(self.mu(sg), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise NonpositiveWeightError("weight is not finite on the domain")

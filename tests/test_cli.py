@@ -110,6 +110,37 @@ class TestErrors:
         assert "configuration error" in proc.stderr and message in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("args, message", [
+        (("sweep", "--scene", "example6_family", "--t-count", "5"), "--t-count needs --t-min and --t-max"),
+        (("sweep", "--scene", "example6_family", "--t-min=0", "--t-max=1", "--t-count=-1"),
+         "--t-count must be >= 1"),
+        (("sweep", "--scene", "example6_family", "--t-min=0", "--t-max=1", "--t-count=0"),
+         "--t-count must be >= 1"),
+        (("sweep", "--scene", "example6_family", "--t-values=abc"), "--t-values expects"),
+        (("fibers", "--scene", "example1a", "--s-values=x"), "--s-values expects"),
+        (("fibers", "--scene", "example1a", "--component", "5"), "--component must be in [0, 1)"),
+        (("fibers", "--scene", "example1a", "--component", "-1"), "--component must be in [0, 1)"),
+        (("fibers", "--scene", "example1a", "--r-max", "nan"), "--r-max must be finite and > 0"),
+        (("fibers", "--scene", "example1a", "--r-max", "-1"), "--r-max must be finite and > 0"),
+        (("tube", "--scene", "example1a", "--radius", "nan"), "--radius must be finite and > 0"),
+        (("tube", "--scene", "example1a", "--radius", "inf"), "--radius must be finite and > 0"),
+        (("singular", "--scene", "example1a", "--ur", "nan"), "--ur must be > 0"),
+        (("singular", "--scene", "example1a", "--ur", "-1"), "--ur must be > 0"),
+        (("collapse", "--scene", "example1a", "--ur", "nan"), "--ur must be > 0"),
+        (("collapse", "--scene", "example1a", "--ur", "-1"), "--ur must be > 0"),
+    ])
+    def test_bad_number_exit_2(self, args, message):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_infinite_ur_allowed(self):
+        # No height cutoff: the whole collapse arc of example1a (r = 2).
+        proc = run_cli("collapse", "--scene", "example1a", "--ur", "inf")
+        assert len(proc.stdout.splitlines()) == 2
+
     def test_numeric_failure_exit_3(self, tmp_path):
         proc = run_cli(
             "fibers", "--scene", "example1a", "--s-values", "1.0", "--r-max", "100.0",
@@ -346,6 +377,61 @@ def test_fourier_report_bytes_pinned(tmp_path, name):
     path.write_text(json.dumps(scene))
     proc = run_cli("report", "--scene", str(path))
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+# sha256 of `wtube sweep` stdout on the two family scenes: example6_family at
+# t = -2 (the weight turns negative, so the row fails) and t = +-2^-k,
+# k = 1..10; example3_family on an 11-point --t-min/--t-max grid.
+SWEEP_SHA256 = {
+    "example6_family": (
+        ("--t-values=" + ",".join(
+            ["-2"] + [repr(-2.0**-k) for k in range(1, 11)] + [repr(2.0**-k) for k in range(10, 0, -1)]
+        ),),
+        "e925a58e8dffe12be1d9f80774c67188179dde938020ae7d601c082db85e9046",
+    ),
+    "example3_family": (
+        ("--t-min=-0.05", "--t-max=0.05", "--t-count=11"),
+        "521b8ca9926a425037a9c2be1fd5050737680158de48ea800265a8e23a1ec0f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(SWEEP_SHA256))
+def test_sweep_bytes_pinned(scene):
+    args, digest = SWEEP_SHA256[scene]
+    proc = run_cli("sweep", "--scene", scene, *args)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    assert proc.stderr == ""
+
+
+# `wtube check --t` on the family scenes: (exit code, sha256 of stdout, sha256
+# of stderr). t = 0 is not transversal, t = 0.05 is, and at t = -2 the weight
+# is negative somewhere (exit 3).
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+TRANSVERSAL_SHA256 = "7cdcc4dfb4fd97246cba84e1a4e32ec366965fb1c8a020e7e26d6c5fffa2731a"
+CHECK_SHA256 = {
+    ("example3_family", "0"): (
+        0, "793c1cba95803b0b4d5151236f983a5ae6e35cab30e1cee9b7d9e99b75d68ef2", EMPTY_SHA256,
+    ),
+    ("example3_family", "0.05"): (0, TRANSVERSAL_SHA256, EMPTY_SHA256),
+    ("example3_family", "-2"): (
+        3, EMPTY_SHA256, "dcdfaa4b401f054c20ecb822fe53b1309293edc42556afd2677bd5543edef169",
+    ),
+    ("example6_family", "0"): (
+        0, "bb4728737b6a61416952f45bf67a3265b332815bd2badb44b2c5fa301284fa84", EMPTY_SHA256,
+    ),
+    ("example6_family", "0.05"): (0, TRANSVERSAL_SHA256, EMPTY_SHA256),
+    ("example6_family", "-2"): (
+        3, EMPTY_SHA256, "ef7aa09ee5113d824c50818ad942ce4c0b7f83fed6697ebcbaa534f4df05c2bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("scene, t", sorted(CHECK_SHA256))
+def test_check_bytes_pinned(scene, t):
+    proc = run_cli("check", "--scene", scene, f"--t={t}", check=False)
+    digests = tuple(hashlib.sha256(x.encode()).hexdigest() for x in (proc.stdout, proc.stderr))
+    assert (proc.returncode, *digests) == CHECK_SHA256[(scene, t)]
 
 
 def test_import_loads_no_scipy():

@@ -21,10 +21,10 @@ from weighted_tubes import (
 from weighted_tubes import radii
 from weighted_tubes.config import DEFAULT_TOLERANCES
 from weighted_tubes.radii import DoubleCriticalPair, FocalWitness
-from weighted_tubes.util import as_pairs, golden_max, golden_min
+from weighted_tubes.util import as_pairs, golden_min
 from weighted_tubes.weights import FourierWeight
 
-from oracles import delta_lambda
+from oracles import delta_lambda, golden_max
 
 
 def scan_roots(a, b, c, n=1_000_000, t_hi=None):

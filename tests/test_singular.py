@@ -13,7 +13,6 @@ from weighted_tubes import (
     exp_mu,
     is_singular,
     jacobian_determinant,
-    make_offset,
     make_stadium,
     normal_frame,
     radii_report,
@@ -25,6 +24,8 @@ from test_expmap import scalar_frame
 from weighted_tubes.expmap import _hess_rows, exp_mu_batch, random_unit_normals, w_bound
 from weighted_tubes.singular import _sng_condition, g_zero_set, jacobian_rows
 from weighted_tubes.weights import SymmetricPiecewiseWeight
+
+from oracles import f_second_at_offset, make_offset
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +71,6 @@ class TestSingularSet:
         s, height = pts[0].s, pts[0].R
         rng = np.random.default_rng(5)
         frame = curve.frame(s)
-        from weighted_tubes import f_second_at_offset
-
         for _ in range(8):
             v = random_unit_normals(curve, [s], rng)[0]
             if abs(float(v @ frame.principal_normal)) > 0.99:

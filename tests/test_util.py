@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from weighted_tubes.util import brent_rows, float17, golden_max, golden_min
+from weighted_tubes.util import brent_rows, float17, golden_min
+
+from oracles import golden_max
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
