@@ -174,9 +174,12 @@ def cmd_report(args):
 def _numbers(text, flag):
     """The numbers of a comma-separated list flag."""
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        numbers = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise SceneError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+    if not numbers:
+        raise SceneError(f"{flag} holds no numbers, got {text!r}")
+    return numbers
 
 
 def _positive(value, flag, finite=True):
@@ -246,16 +249,15 @@ def cmd_fibers(args):
         raise SceneError(f"--component must be in [0, {len(scene.pairs)}), got {args.component}")
     if args.r_max is not None:
         _positive(args.r_max, "--r-max")
+    curve, weight = scene.pairs[args.component]
     if args.s_values:
         feet = _numbers(args.s_values, "--s-values")
     else:
-        curve = scene.pairs[0][0]
         feet = list(np.linspace(curve.s_min + 0.1 * curve.length,
                                 curve.s_max - 0.1 * curve.length, 5))
     rows = []
     polylines = []
     for s in feet:
-        curve, weight = scene.pairs[args.component]
         frame = curve.frame(s)
         v = frame.principal_normal
         if v is None:

@@ -51,6 +51,9 @@ class ArclengthCurve:
         self.length = float(length)
         self.closed = bool(closed)
         self.s_min = float(s_min)
+        if not (np.isfinite(self.s_min) and 0.0 < self.length < np.inf):
+            raise NonRegularCurveError(f"domain needs a finite start and a finite length > 0, "
+                                       f"got s_min={self.s_min}, length={self.length}")
         self.s_max = self.s_min + self.length
         self.kappa_tol = 1e-9 / self.length
 
@@ -157,8 +160,6 @@ class CircleArcCurve(ArclengthCurve):
 
     def __init__(self, s_start=0.0, s_end=2.0 * np.pi, ambient_dim=2, closed=None):
         length = float(s_end) - float(s_start)
-        if length <= 0:
-            raise NonRegularCurveError("circle arc needs s_end > s_start")
         if closed is None:
             closed = abs(length - 2.0 * np.pi) < 1e-12
         super().__init__(ambient_dim, length, closed, s_start)
@@ -180,8 +181,6 @@ class SegmentCurve(ArclengthCurve):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         length = float(np.linalg.norm(b - a))
-        if length <= 0:
-            raise NonRegularCurveError("segment endpoints coincide")
         super().__init__(a.size, length, False, 0.0)
         self._a = a
         self._dir = (b - a) / length
@@ -217,13 +216,14 @@ class _RawCurve(ArclengthCurve):
     _GL_N = 16
     _TABLE_N = 1024
     _CELL_NS = (4, 6, 8)
+    _CHECK_N = 2048  # cells of the first length check, doubled up to 6 times
+    _LENGTH_TOL = 1e-10  # relative agreement of two successive length checks
 
-    def __init__(self, closed, raw_domain, tol=1e-10, table_n=None):
+    def __init__(self, closed, raw_domain):
         self._t0, self._t1 = float(raw_domain[0]), float(raw_domain[1])
         if self._t1 <= self._t0:
             raise NonRegularCurveError("raw domain is empty")
-        n = int(table_n or self._TABLE_N)
-        tg = np.linspace(self._t0, self._t1, n + 1)
+        tg = np.linspace(self._t0, self._t1, self._TABLE_N + 1)
         speeds = np.linalg.norm(self._raw(tg, 1), axis=-1)
         if np.min(speeds) <= 0 or not np.all(np.isfinite(speeds)):
             raise NonRegularCurveError("raw parametrization has vanishing speed")
@@ -231,7 +231,7 @@ class _RawCurve(ArclengthCurve):
         cum = np.concatenate([[0.0], np.cumsum(cell)])
         length = float(cum[-1])
         # Budget-checked refinement of the total length (doubling rule).
-        check, ok = self._length_refined(length, tol)
+        check, ok = self._length_refined(length)
         if not ok:
             raise QuadratureFailureError("arclength quadrature did not stabilize")
         length = check
@@ -257,12 +257,12 @@ class _RawCurve(ArclengthCurve):
             raise NonRegularCurveError("raw parametrization has vanishing speed")
         return (sp * wts[None, :]).sum(axis=1) * h
 
-    def _length_refined(self, base, tol, max_doublings=6):
+    def _length_refined(self, base, max_doublings=6):
         prev = base
-        m = 2 * self._TABLE_N
+        m = self._CHECK_N
         for _ in range(max_doublings):
             val = float(self._cell_sums(np.linspace(self._t0, self._t1, m + 1), self._GL_N).sum())
-            if abs(val - prev) <= tol * max(1.0, abs(val)):
+            if abs(val - prev) <= self._LENGTH_TOL * max(1.0, abs(val)):
                 return val, True
             prev = val
             m *= 2
@@ -379,7 +379,7 @@ class FourierCurve(_RawCurve):
     x_i(t) = a0 + sum_k a_k cos(k w t) + b_k sin(k w t), w = 2 pi / period.
     """
 
-    def __init__(self, coefficients, period=2.0 * np.pi, tol=1e-10, table_n=None):
+    def __init__(self, coefficients, period=2.0 * np.pi):
         coeffs = [np.asarray(c, dtype=float) for c in coefficients]
         if len(coeffs) < 2:
             raise NonRegularCurveError("need at least 2 coordinates")
@@ -398,7 +398,7 @@ class FourierCurve(_RawCurve):
             self._modes.append((sel, ab[:, :1], ab[:, 1:]))
         self._omega = 2.0 * np.pi / float(period)
         self._period = float(period)
-        super().__init__(True, (0.0, float(period)), tol=tol, table_n=table_n)
+        super().__init__(True, (0.0, float(period)))
 
     def t_of_s(self, s):
         s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), self.length)
@@ -444,7 +444,7 @@ class FourierCurve(_RawCurve):
 class ChebyshevCurve(_RawCurve):
     """Open arc with one Chebyshev series per coordinate on [t0, t1]."""
 
-    def __init__(self, coefficients, raw_domain, tol=1e-10, table_n=None):
+    def __init__(self, coefficients, raw_domain):
         coeffs = [np.asarray(c, dtype=float) for c in coefficients]
         if len(coeffs) < 2:
             raise NonRegularCurveError("need at least 2 coordinates")
@@ -455,7 +455,7 @@ class ChebyshevCurve(_RawCurve):
         dom = [float(raw_domain[0]), float(raw_domain[1])]
         series = [npcheb.Chebyshev(c, domain=dom) for c in coeffs]
         self._series = [[p] + [p.deriv(m) for m in range(1, 4)] for p in series]
-        super().__init__(False, dom, tol=tol, table_n=table_n)
+        super().__init__(False, dom)
 
     def _raw_orders(self, t, orders):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -471,13 +471,14 @@ class ChebyshevCurve(_RawCurve):
 class EllipseCurve(FourierCurve):
     """Ellipse (a cos t, b sin t), reparametrized by arclength."""
 
-    def __init__(self, a=2.0, b=1.0, tol=1e-12, table_n=2048):
+    _TABLE_N = 2048
+    _LENGTH_TOL = 1e-12
+
+    def __init__(self, a=2.0, b=1.0):
         if a <= 0 or b <= 0:
             raise NonRegularCurveError("ellipse semi-axes must be positive")
         self.a, self.b = float(a), float(b)
-        super().__init__(
-            [[0.0, a, 0.0], [0.0, 0.0, b]], period=2.0 * np.pi, tol=tol, table_n=table_n
-        )
+        super().__init__([[0.0, a, 0.0], [0.0, 0.0, b]], period=2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -684,37 +685,33 @@ def make_stadium(circle_turn=0.3, transition=0.05, line_length=7.0):
 # ---------------------------------------------------------------------------
 
 
-def build_arclength_curve(kind, tol=1e-10, **params):
-    """Build a component by kind: 'fourier', 'chebyshev', or a preset name
-    ('unit_circle', 'circle_arc', 'ellipse', 'stadium', 'segment').
+# The circle kinds pin `closed`: a full loop, or an open arc of any length.
+def _unit_circle(ambient_dim=2):
+    return CircleArcCurve(0.0, 2.0 * np.pi, ambient_dim, closed=True)
+
+
+def _circle_arc(s_start, s_end, ambient_dim=2):
+    return CircleArcCurve(s_start, s_end, ambient_dim, closed=False)
+
+
+# Each kind's constructor owns its parameters and their defaults.
+CURVE_KINDS = {
+    "fourier": FourierCurve,
+    "chebyshev": ChebyshevCurve,
+    "unit_circle": _unit_circle,
+    "circle_arc": _circle_arc,
+    "ellipse": EllipseCurve,
+    "stadium": lambda **params: make_stadium(**params)[0],
+    "segment": SegmentCurve,
+}
+
+
+def build_arclength_curve(kind, **params):
+    """Build a component by kind: `CURVE_KINDS[kind](**params)`, so a
+    parameter the kind does not take raises TypeError.
 
     Raises NonRegularCurveError / QuadratureFailureError per the contracts.
     """
-    if kind == "fourier":
-        return FourierCurve(
-            params["coefficients"], period=params.get("period", 2.0 * np.pi), tol=tol,
-            table_n=params.get("table_n"),
-        )
-    if kind == "chebyshev":
-        return ChebyshevCurve(
-            params["coefficients"], params["raw_domain"], tol=tol,
-            table_n=params.get("table_n"),
-        )
-    if kind == "unit_circle":
-        return CircleArcCurve(0.0, 2.0 * np.pi, params.get("ambient_dim", 2), closed=True)
-    if kind == "circle_arc":
-        return CircleArcCurve(
-            params["s_start"], params["s_end"], params.get("ambient_dim", 2), closed=False
-        )
-    if kind == "ellipse":
-        return EllipseCurve(params.get("a", 2.0), params.get("b", 1.0))
-    if kind == "stadium":
-        curve, _ = make_stadium(
-            params.get("circle_turn", 0.3),
-            params.get("transition", 0.05),
-            params.get("line_length", 7.0),
-        )
-        return curve
-    if kind == "segment":
-        return SegmentCurve(params["a"], params["b"])
-    raise NonRegularCurveError(f"unknown curve kind {kind!r}")
+    if kind not in CURVE_KINDS:
+        raise NonRegularCurveError(f"unknown curve kind {kind!r}")
+    return CURVE_KINDS[kind](**params)

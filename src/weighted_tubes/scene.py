@@ -13,7 +13,12 @@ A scene is a JSON document:
       "seed": 1
     }
 
-Unknown keys anywhere are rejected. Components and weights are paired by
+Unknown keys anywhere are rejected. A component's or weight's `params`
+bind by name to the constructor its kind names in `curves.CURVE_KINDS` or
+`weights.WEIGHT_KINDS`, so a parameter the kind does not take is a
+SceneError too. Only the circle presets take the scene's `ambient_dim`;
+a weight's `period` (fourier, stadium_blend) or `domain` (chebyshev)
+defaults to its curve's. Components and weights are paired by
 index. The loader returns a Scene holding constructed (curve, weight)
 pairs, validated tolerances, and the seed for randomized sampling.
 """
@@ -23,18 +28,16 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .curves import build_arclength_curve
+from .curves import CURVE_KINDS, build_arclength_curve
 from .errors import SceneError, WeightedTubesError
-from .weights import build_weight
+from .weights import WEIGHT_KINDS, build_weight
 
 _TOP_KEYS = {"ambient_dim", "components", "weights", "family", "tolerances", "seed", "name"}
 _COMPONENT_KEYS = {"kind", "preset", "params", "id"}
 _WEIGHT_KEYS = {"kind", "params", "id"}
 _FAMILY_KEYS = {"kind"}
 
-_PRESETS = {"unit_circle", "circle_arc", "ellipse", "stadium", "segment"}
-_CURVE_KINDS = {"preset", "fourier", "chebyshev"}
-_WEIGHT_KINDS = {"constant", "polynomial", "cosine", "fourier", "chebyshev", "stadium_blend"}
+_SERIES_KINDS = ("fourier", "chebyshev")  # component kinds of their own; the others are presets
 _FAMILY_KINDS = {"offset", "fixed"}
 
 BUNDLED_SCENES = (
@@ -92,9 +95,7 @@ def parse_scene(doc):
     family_kind = None
     if family is not None:
         _require_keys(family, _FAMILY_KEYS, "family")
-        family_kind = family.get("kind")
-        if family_kind not in _FAMILY_KINDS:
-            raise SceneError(f"unknown family kind {family_kind!r}")
+        family_kind = _kind(family, "kind", _FAMILY_KINDS, "family")
     pairs = []
     for idx, (cdoc, wdoc) in enumerate(zip(comps, weights)):
         _require_keys(cdoc, _COMPONENT_KEYS, f"components[{idx}]")
@@ -121,39 +122,46 @@ def parse_scene(doc):
 
 
 def _build_component(cdoc, dim, idx):
-    kind = cdoc.get("kind")
-    params = dict(cdoc.get("params", {}) or {})
-    try:
-        if kind == "preset":
-            preset = cdoc.get("preset")
-            if preset not in _PRESETS:
-                raise SceneError(f"components[{idx}]: unknown preset {preset!r}")
-            params.setdefault("ambient_dim", dim)
-            if preset in ("ellipse", "stadium", "segment"):
-                params.pop("ambient_dim", None)
-            return build_arclength_curve(preset, **params)
-        if kind in ("fourier", "chebyshev"):
-            return build_arclength_curve(kind, **params)
-    except SceneError:
-        raise
-    except WeightedTubesError as exc:
-        raise SceneError(f"components[{idx}]: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneError(f"components[{idx}]: bad parameters ({exc})") from exc
-    raise SceneError(f"components[{idx}]: unknown kind {kind!r}")
+    where = f"components[{idx}]"
+    kind = _kind(cdoc, "kind", ("preset",) + _SERIES_KINDS, where)
+    if kind == "preset":
+        kind = _kind(cdoc, "preset", CURVE_KINDS.keys() - set(_SERIES_KINDS), where)
+    params = _params(cdoc, where)
+    if kind in ("unit_circle", "circle_arc"):
+        params.setdefault("ambient_dim", dim)
+    return _build(where, build_arclength_curve, kind, params)
 
 
 def _build_scene_weight(wdoc, curve, idx):
-    kind = wdoc.get("kind")
-    if kind not in _WEIGHT_KINDS:
-        raise SceneError(f"weights[{idx}]: unknown kind {kind!r}")
-    params = dict(wdoc.get("params", {}) or {})
+    where = f"weights[{idx}]"
+    kind = _kind(wdoc, "kind", WEIGHT_KINDS, where)
+    return _build(where, build_weight, kind, _params(wdoc, where), curve=curve)
+
+
+def _kind(doc, key, kinds, where):
+    """doc[key] if it is one of the names `kinds`."""
+    kind = doc.get(key)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise SceneError(f"{where}: unknown {key} {kind!r}")
+    return kind
+
+
+def _params(doc, where):
+    params = doc.get("params") or {}
+    if not isinstance(params, dict):
+        raise SceneError(f"{where}: params must be an object")
+    return dict(params)
+
+
+def _build(where, factory, kind, params, **context):
+    """factory(kind, **context, **params); a library error or a parameter the
+    kind does not take or needs becomes a SceneError naming `where`."""
     try:
-        return build_weight(kind, curve=curve, **params)
+        return factory(kind, **context, **params)
     except WeightedTubesError as exc:
-        raise SceneError(f"weights[{idx}]: {exc}") from exc
+        raise SceneError(f"{where}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        raise SceneError(f"weights[{idx}]: bad parameters ({exc})") from exc
+        raise SceneError(f"{where}: bad parameters ({exc})") from exc
 
 
 def _check_disjoint(pairs, samples=512):

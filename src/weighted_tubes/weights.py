@@ -36,9 +36,6 @@ class WeightFunction:
     def d2(self, s):
         return self.jet(s, 2)[2]
 
-    def d3(self, s):
-        return self.jet(s, 3)[3]
-
     def validate_on(self, curve):
         """Reject weights that are not finite and positive on 4096 samples
         of the curve's domain."""
@@ -174,7 +171,7 @@ class SymmetricPiecewiseWeight(WeightFunction):
     circle section.
     """
 
-    def __init__(self, period, cos_end, stage_a, stage_b, shoulder=0.2):
+    def __init__(self, period, cos_end=0.4, stage_a=0.8, stage_b=6.0, shoulder=0.2):
         self.period = float(period)
         self.u1 = float(cos_end)
         ta, tb, r = float(stage_a), float(stage_b), float(shoulder)
@@ -263,42 +260,27 @@ class SymmetricPiecewiseWeight(WeightFunction):
         return tuple(out * sign if n % 2 == 1 else out for n, out in enumerate(outs))
 
 
+# Each kind's constructor owns its parameters and their defaults.
+WEIGHT_KINDS = {
+    "constant": ConstantWeight,
+    "polynomial": PolynomialWeight,
+    "cosine": CosineWeight,
+    "fourier": FourierWeight,
+    "chebyshev": ChebyshevWeight,
+    "stadium_blend": SymmetricPiecewiseWeight,
+}
+
+
 def build_weight(kind, curve=None, **params):
-    """Weight factory used by the scene loader."""
-    if kind == "constant":
-        return ConstantWeight(params["value"])
-    if kind == "polynomial":
-        return PolynomialWeight(params["coefficients"])
-    if kind == "cosine":
-        return CosineWeight(
-            params.get("amplitude", 1.0),
-            params.get("frequency", 0.5),
-            params.get("phase", 0.0),
-            params.get("offset", 0.0),
-        )
-    if kind == "fourier":
-        period = params.get("period")
-        if period is None:
-            if curve is None:
-                raise NonpositiveWeightError("fourier weight needs period or a curve")
-            period = curve.length
-        return FourierWeight(params["coefficients"], period)
-    if kind == "chebyshev":
-        domain = params.get("domain")
-        if domain is None:
-            if curve is None:
-                raise NonpositiveWeightError("chebyshev weight needs domain or a curve")
-            domain = [curve.s_min, curve.s_max]
-        return ChebyshevWeight(params["coefficients"], domain)
-    if kind == "stadium_blend":
-        if curve is None and "period" not in params:
-            raise NonpositiveWeightError("stadium_blend weight needs its curve")
-        period = params.get("period", curve.length if curve is not None else None)
-        return SymmetricPiecewiseWeight(
-            period,
-            params.get("cos_end", 0.4),
-            params.get("stage_a", 0.8),
-            params.get("stage_b", 6.0),
-            params.get("shoulder", 0.2),
-        )
-    raise NonpositiveWeightError(f"unknown weight kind {kind!r}")
+    """Weight factory used by the scene loader: `WEIGHT_KINDS[kind](**params)`.
+
+    Given a curve, a missing `period` (fourier, stadium_blend) is its length
+    and a missing `domain` (chebyshev) its [s_min, s_max].
+    """
+    if kind not in WEIGHT_KINDS:
+        raise NonpositiveWeightError(f"unknown weight kind {kind!r}")
+    if curve is not None and kind in ("fourier", "stadium_blend"):
+        params.setdefault("period", curve.length)
+    if curve is not None and kind == "chebyshev":
+        params.setdefault("domain", [curve.s_min, curve.s_max])
+    return WEIGHT_KINDS[kind](**params)

@@ -128,6 +128,8 @@ class TestErrors:
         (("singular", "--scene", "example1a", "--ur", "-1"), "--ur must be > 0"),
         (("collapse", "--scene", "example1a", "--ur", "nan"), "--ur must be > 0"),
         (("collapse", "--scene", "example1a", "--ur", "-1"), "--ur must be > 0"),
+        (("sweep", "--scene", "example6_family", "--t-values=,"), "--t-values holds no numbers"),
+        (("fibers", "--scene", "example1a", "--s-values=,"), "--s-values holds no numbers"),
     ])
     def test_bad_number_exit_2(self, args, message):
         proc = run_cli(*args, check=False)
@@ -187,6 +189,26 @@ class TestPointExports:
         # The fiber through s = 0 is the x-axis.
         for line in lines[1:]:
             assert abs(float(line.split(",")[3])) <= 1e-12
+
+    def test_fibers_default_feet_on_chosen_component(self, tmp_path):
+        # Two arcs of the unit circle; the default feet lie in the middle
+        # 80% of the component that --component names.
+        scene = tmp_path / "two_arcs.json"
+        scene.write_text(json.dumps({
+            "ambient_dim": 2,
+            "components": [
+                {"kind": "preset", "preset": "circle_arc", "params": {"s_start": -1.0, "s_end": 1.0}},
+                {"kind": "preset", "preset": "circle_arc", "params": {"s_start": 2.0, "s_end": 2.5}},
+            ],
+            "weights": [{"kind": "constant", "params": {"value": 1.0}}] * 2,
+        }))
+        proc = run_cli("fibers", "--scene", str(scene), "--component", "1", "--samples", "2")
+        rows = [line.split(",") for line in proc.stdout.strip().split("\n")[1:]]
+        feet = sorted({float(r[0]) for r in rows})
+        assert feet == pytest.approx(np.linspace(2.05, 2.45, 5), abs=1e-12)
+        for s, r, x1, x2 in (map(float, row) for row in rows):
+            # mu = 1: the fiber runs along the inward normal of the unit circle.
+            assert (x1, x2) == pytest.approx(((1 - r) * np.cos(s), (1 - r) * np.sin(s)), abs=1e-12)
 
     def test_singular_csv(self, tmp_path):
         out = tmp_path / "sing.csv"

@@ -281,16 +281,22 @@ class TestCellNodeCount:
         assert gap <= 2.0 * np.spacing(curve.length)
 
 
+def _table_sized(cls, n):
+    """cls with an n-cell arclength table, or cls itself when n is None."""
+    return cls if n is None else type(cls.__name__, (cls,), {"_TABLE_N": n})
+
+
 class TestPchipStart:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda n: EllipseCurve(2.0, 1.0, table_n=n or 2048),
-            lambda n: FourierCurve(
+            lambda n: _table_sized(EllipseCurve, n)(2.0, 1.0),
+            lambda n: _table_sized(FourierCurve, n)(
                 [[0.0, 1.0, 0.0, 0.05, 0.02], [0.0, 0.0, 1.0, -0.03, 0.04], [0.0, 0.0, 0.0, 0.15, 0.1]],
-                table_n=n,
             ),
-            lambda n: ChebyshevCurve([[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0), table_n=n),
+            lambda n: _table_sized(ChebyshevCurve, n)(
+                [[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0)
+            ),
         ],
         ids=["ellipse", "fourier_3d", "chebyshev"],
     )

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +146,125 @@ class TestValidation:
         path.write_text("{nope")
         with pytest.raises(SceneError, match="valid JSON"):
             load_scene(str(path))
+
+
+def preset(name, **params):
+    return {"kind": "preset", "preset": name, "params": params}
+
+
+def entry(kind, **params):
+    """A component or weight entry of kind `kind`."""
+    return {"kind": kind, "params": params}
+
+
+ARC = preset("circle_arc", s_start=-1.0, s_end=1.0)
+STADIUM = preset("stadium")
+UNIT_WEIGHT = entry("constant", value=1.0)
+FOURIER = entry("fourier", coefficients=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+CHEBYSHEV = entry("chebyshev", coefficients=[[0.0, 1.0], [0.0, 0.0, 0.5]], raw_domain=[-1.0, 1.0])
+
+
+# (component, weight, where, key, value): the scene loads as given and is
+# rejected once params[key] = value is added at `where`.
+CURVE_KEY_CASES = [
+    (FOURIER, "perod", 3.0),
+    (FOURIER, "tol", 1e-3),
+    (FOURIER, "table_n", 8),
+    (CHEBYSHEV, "raw_domian", [-1.0, 1.0]),
+    (CHEBYSHEV, "tol", 1e-3),
+    (CHEBYSHEV, "table_n", 8),
+    (preset("unit_circle"), "ambient_dimm", 2),
+    (ARC, "s_ned", 1.0),
+    (ARC, "closed", True),
+    (preset("ellipse", a=2.0, b=1.0), "bb", 0.5),
+    (preset("ellipse", a=2.0, b=1.0), "ambient_dim", 2),
+    (STADIUM, "line_lenght", 6.0),
+    (preset("segment", a=[0.0, 0.0], b=[1.0, 0.0]), "c", [2.0, 0.0]),
+]
+WEIGHT_KEY_CASES = [
+    (ARC, UNIT_WEIGHT, "valeu", 2.0),
+    (ARC, entry("polynomial", coefficients=[1.0, 0.0, -0.125]), "coefficient", [1.0]),
+    (ARC, entry("cosine"), "amplitud", 0.5),
+    (FOURIER, entry("fourier", coefficients=[1.0, 0.1, 0.0]), "perod", 3.0),
+    (ARC, entry("chebyshev", coefficients=[1.0, 0.0, 0.1]), "domian", [-1.0, 1.0]),
+    (STADIUM, entry("stadium_blend"), "shouldr", 0.3),
+]
+KEY_CASES = [(c, UNIT_WEIGHT, "components[0]", k, v) for c, k, v in CURVE_KEY_CASES] + [
+    (c, w, "weights[0]", k, v) for c, w, k, v in WEIGHT_KEY_CASES
+]
+
+
+def _key_case_id(case):
+    component, wdoc, where, key, _ = case
+    kind = component.get("preset", component["kind"]) if where == "components[0]" else wdoc["kind"]
+    return f"{where[:-3]}-{kind}-{key}"
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "component, wdoc, where, key, value", KEY_CASES, ids=[_key_case_id(c) for c in KEY_CASES]
+    )
+    def test_parameter_the_kind_does_not_take(self, component, wdoc, where, key, value):
+        doc = {"ambient_dim": 2, "components": [copy.deepcopy(component)],
+               "weights": [copy.deepcopy(wdoc)]}
+        parse_scene(copy.deepcopy(doc))
+        target = doc["components"][0] if where == "components[0]" else doc["weights"][0]
+        target["params"][key] = value
+        with pytest.raises(SceneError, match=rf"^{re.escape(where)}: .*'{key}'"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("components", 0, "kind"), "ellipse", r"components\[0\]: unknown kind 'ellipse'"),
+        (("components", 0, "kind"), ["preset"], r"components\[0\]: unknown kind \['preset'\]"),
+        (("components", 0, "preset"), "fourier", r"components\[0\]: unknown preset 'fourier'"),
+        (("components", 0, "preset"), ["x"], r"components\[0\]: unknown preset \['x'\]"),
+        (("weights", 0, "kind"), ["constant"], r"weights\[0\]: unknown kind \['constant'\]"),
+        (("family",), {"kind": ["offset"]}, r"family: unknown kind \['offset'\]"),
+    ], ids=["kind_ellipse", "kind_list", "preset_fourier", "preset_list", "weight_kind_list",
+            "family_kind_list"])
+    def test_unknown_kind(self, path, value, message):
+        # A list where a name belongs used to escape as an unhashable-type
+        # TypeError (exit 1) for the weight and family kinds.
+        doc = minimal_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SceneError, match=f"^{message}$"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("where", ["components", "weights"])
+    def test_params_must_be_an_object(self, where):
+        doc = minimal_doc()
+        doc[where][0]["params"] = [1.0, 2.0]
+        with pytest.raises(SceneError, match=rf"^{where}\[0\]: params must be an object"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "preset", "preset": "circle_arc", "params": {"s_start": NaN, "s_end": 1.0}}',
+        '{"kind": "preset", "preset": "circle_arc", "params": {"s_start": 0.0, "s_end": 1e400}}',
+        '{"kind": "preset", "preset": "segment", "params": {"a": [0.0, 0.0], "b": [NaN, 1.0]}}',
+    ], ids=["arc_nan_start", "arc_overflowing_end", "segment_nan_end"])
+    def test_non_finite_domain(self, tmp_path, text):
+        # Each used to build a curve whose report was all inf with exit 0.
+        path = tmp_path / "scene.json"
+        path.write_text(
+            f'{{"ambient_dim": 2, "components": [{text}], '
+            f'"weights": [{{"kind": "constant", "params": {{"value": 1.0}}}}]}}'
+        )
+        with pytest.raises(SceneError, match=r"^components\[0\]: domain needs a finite start"):
+            load_scene(str(path))
+
+    @pytest.mark.parametrize("component", [
+        preset("circle_arc", s_start=1.0, s_end=1.0),
+        preset("circle_arc", s_start=1.0, s_end=0.5),
+        preset("segment", a=[1.0, 2.0], b=[1.0, 2.0]),
+    ], ids=["arc_empty", "arc_reversed", "segment_point"])
+    def test_empty_domain(self, component):
+        doc = minimal_doc()
+        doc["components"][0] = component
+        with pytest.raises(SceneError, match=r"finite length > 0"):
+            parse_scene(doc)
 
 
 class TestToleranceOverrides:
