@@ -23,11 +23,11 @@ rep = radii_report(scene.pairs, scene.tolerances)
 print(f"stadium: air = {rep.air:.4f}")
 
 for R in (2.0, 4.0, 4.5):
-    boundary, overlap = tube_boundary(scene.pairs, R, s_samples=128, tol=scene.tolerances)
+    boundary, overlap = tube_boundary(scene.pairs, R, s_samples=128)
     marker = "<= air" if R < rep.air else "> air"
     print(f"  height {R} ({marker}): {len(boundary)} boundary samples, {len(overlap)} overlap")
 
-boundary, _ = tube_boundary(scene.pairs, 2.0, s_samples=192, tol=scene.tolerances)
+boundary, _ = tube_boundary(scene.pairs, 2.0, s_samples=192)
 curve = scene.pairs[0][0]
 sg = curve.grid(512)
 outline = curve.point(sg)

@@ -1,7 +1,8 @@
 """Command-line interface: scene ingestion and deterministic data export.
 
 Verbs: report | sweep | fibers | tube | singular | collapse | check.
-Global flags: --scene, --out, --tol-override KEY=VALUE (repeatable),
+Global flags: --scene, --out, --tol-override KEY=VALUE (repeatable; KEY is
+one of the sample counts focal_samples, pair_grid, singular_samples),
 --threads N, --format {json,csv,svg}. Exit codes: 0 ok, 2 configuration
 error, 3 numeric failure. All numeric output is serialized with 17
 significant digits and LF line endings, so identical invocations produce
@@ -92,10 +93,7 @@ def _parse_overrides(items):
 def _load(args):
     scene = load_scene(args.scene)
     overrides = _parse_overrides(args.tol_override)
-    if overrides:
-        scene.tolerances = scene.tolerances.with_overrides(overrides).require_grid_budget(
-            scene.ambient_dim
-        )
+    scene.tolerances = scene.tolerances.with_overrides(overrides, scene.ambient_dim)
     return scene
 
 
@@ -287,9 +285,7 @@ def cmd_tube(args):
     _positive(args.radius, "--radius")
     if args.samples < 1:
         raise SceneError("tube needs --samples N >= 1")
-    boundary, overlap = sweeps.tube_boundary(
-        scene.pairs, args.radius, s_samples=args.samples, tol=scene.tolerances
-    )
+    boundary, overlap = sweeps.tube_boundary(scene.pairs, args.radius, s_samples=args.samples)
     header = _point_header(scene)
     rows = [(s, args.radius, *[float(x) for x in p]) for (_, s, p, _) in boundary]
     over_rows = [(s, args.radius, *[float(x) for x in p]) for (_, s, p, _) in overlap]
@@ -381,7 +377,7 @@ def build_parser():
         p.add_argument("--scene", required=True, help="scene file or bundled scene name")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--tol-override", action="append", metavar="KEY=VALUE",
-                       help="override a named tolerance (repeatable)")
+                       help="set focal_samples, pair_grid or singular_samples (repeatable)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; output does not depend on it")
         p.add_argument("--format", choices=("json", "csv", "svg"), default=None)

@@ -25,6 +25,11 @@ from .errors import NumericError
 from .expmap import _rowdot, _rownorm
 from .util import _bracket, _extrema_indices, _offset_array, as_pairs, golden_min
 
+_DELTA_MIN_FACTOR = 1e-3  # x L: excluded diagonal band in pair search
+_DELTA_BAND_FACTOR = 1e-12  # x max(1, kappa^2 mu^2): focal-sign band
+_TOL_DC = 1e-9  # normalized residual of the pair gradient
+_NEWTON_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class DoubleCriticalPair:
@@ -84,8 +89,8 @@ def _focal_terms(kap, mu, d1, d2):
     return a, b, c, disc, lam
 
 
-def _band(a_sq_max, tol):
-    return tol.delta_band_factor * max(1.0, float(a_sq_max))
+def _band(a_sq_max):
+    return _DELTA_BAND_FACTOR * max(1.0, float(a_sq_max))
 
 
 def _radius_profiles(b, disc, lam, band):
@@ -127,7 +132,7 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         sg = curve.grid(tol.focal_samples)
         kap, mu, d1, d2 = _focal_jets(curve, weight, sg)
         a, b, _, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
-        band = np.array([_band(np.max(row**2), tol) for row in a])
+        band = np.array([_band(np.max(row**2)) for row in a])
         profiles = _radius_profiles(b, disc, lam, band[:, None])
         i_min = [[int(np.argmin(p)) for p in profile] for profile in profiles]
         # Bracket rows by family (discriminant maxima, closed-band minima,
@@ -296,11 +301,11 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
 
     Seeds are discrete local minima of sigma and of |grad sigma| over an
     N x N parameter grid per component pair (same-component grids exclude a
-    diagonal band of arclength width delta_min). Newton runs on all seeds of
-    a component pair at once, with the analytic gradient and a central
-    finite-difference Jacobian; each iteration evaluates the foot arrays s,
-    s +- h, t and t +- h once each and combines them into the five gradients
-    it needs. Non-converged seeds are dropped, converged ones are verified
+    diagonal band of arclength width _DELTA_MIN_FACTOR * L). Newton runs on
+    all seeds of a component pair at once, with the analytic gradient and a
+    central finite-difference Jacobian; each iteration evaluates the foot
+    arrays s, s +- h, t and t +- h once each and combines them into the five
+    gradients it needs. Non-converged seeds are dropped, converged ones are verified
     against the critical-angle law at both feet and deduplicated, all as
     rows.
 
@@ -345,7 +350,7 @@ def _search_component_pair(pairs, i, j, ts, tol):
     band = None
     if i == j:
         S, T = np.meshgrid(sg1, sg2, indexing="ij")
-        band = c1.periodic_distance(S, T) < tol.delta_min_factor * c1.length
+        band = c1.periodic_distance(S, T) < _DELTA_MIN_FACTOR * c1.length
     seeds = []
     for off in ts:
         msum = (m1 + off)[:, None] + (m2 + off)[None, :]
@@ -363,8 +368,8 @@ def _search_component_pair(pairs, i, j, ts, tol):
         seeds.append(sorted(found))
     grp = np.repeat(np.arange(len(ts)), [len(x) for x in seeds])
     s, t, res, alive = _newton(c1, w1, c2, w2, seeds, grp, ts, tol)
-    k = np.nonzero(alive & ~(res > tol.tol_dc))[0]
-    return _verify_rows(pairs, i, j, s[k], t[k], ts, grp[k], res[k], tol)
+    k = np.nonzero(alive & ~(res > _TOL_DC))[0]
+    return _verify_rows(pairs, i, j, s[k], t[k], ts, grp[k], res[k])
 
 
 def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
@@ -391,7 +396,7 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
     h2 = 1e-6 * c2.length
     max_step1 = 2.0 * c1.length / n
     max_step2 = 2.0 * c2.length / n
-    for it in range(tol.newton_max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         if not len(live):
             break
         # The feet s, s +- h (and t, t +- h) of the live rows in one
@@ -402,9 +407,9 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
         at_t, at_tp, at_tm = _feet_rows(c2, w2, (t[live], t_p, t_m), off[live])
         sig, gs, gt = _sigma_and_grad(at_s, at_t)
         res[live] = np.hypot(gs, gt) / np.maximum(1.0, sig)
-        if it == tol.newton_max_iter:
+        if it == _NEWTON_MAX_ITER:
             break
-        active = alive[live] & (res[live] > 0.1 * tol.tol_dc)
+        active = alive[live] & (res[live] > 0.1 * _TOL_DC)
         running = np.zeros(len(ts), dtype=bool)
         running[grp[live[active]]] = True
         jac = alive[live] & running[grp[live]]
@@ -470,7 +475,7 @@ def _grid_local_minima(mat, per_rows, per_cols):
     return list(zip(*np.nonzero((mat <= low) & np.isfinite(mat))))
 
 
-def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual, tol):
+def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
     """The rows (s1, s2) of components i and j (row k for the weights
     mu + ts[grp[k]]) that pass the critical-angle law at both feet, as
     arrays: c1, c2, s1, s2, ratio, midpoint, the angle residual at each foot
@@ -499,7 +504,7 @@ def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual, tol):
         )
     keep = ~(dist <= 0) & ~(np.where(ang2 > ang1, ang2, ang1) > 1e-6)
     if i == j:
-        keep &= ~(c1.periodic_distance(s1, s2) < tol.delta_min_factor * c1.length)
+        keep &= ~(c1.periodic_distance(s1, s2) < _DELTA_MIN_FACTOR * c1.length)
     rows = dict(c1=np.full(len(s1), i), c2=np.full(len(s1), j), s1=s1, s2=s2, ratio=ratio,
                 midpoint=midpoint, ang1=ang1, ang2=ang2, grp=grp, residual=residual)
     return {key: v[keep] for key, v in rows.items()}

@@ -9,18 +9,19 @@ A scene is a JSON document:
       "weights":    [{"kind": "polynomial",
                       "params": {"coefficients": [1.0, 0.0, -0.125]}}, ...],
       "family":     {"kind": "offset"},          # optional
-      "tolerances": {"focal_samples": 8192},     # optional overrides
+      "tolerances": {"focal_samples": 8192},     # optional: config.Tolerances
       "seed": 1
     }
 
-Unknown keys anywhere are rejected. A component's or weight's `params`
-bind by name to the constructor its kind names in `curves.CURVE_KINDS` or
+Unknown keys anywhere are rejected, and so is a `preset` on a component
+of another kind. A component's or weight's `params` bind by name to the
+constructor its kind names in `curves.CURVE_KINDS` or
 `weights.WEIGHT_KINDS`, so a parameter the kind does not take is a
 SceneError too. Only the circle presets take the scene's `ambient_dim`;
 a weight's `period` (fourier, stadium_blend) or `domain` (chebyshev)
 defaults to its curve's. Components and weights are paired by
 index. The loader returns a Scene holding constructed (curve, weight)
-pairs, validated tolerances, and the seed for randomized sampling.
+pairs, the validated sample counts, and the seed for randomized sampling.
 """
 
 import json
@@ -86,8 +87,7 @@ def parse_scene(doc):
         raise SceneError("scene needs a non-empty components list")
     if not isinstance(weights, list) or len(weights) != len(comps):
         raise SceneError("weights must match components one-to-one")
-    toler = DEFAULT_TOLERANCES.with_overrides(doc.get("tolerances", {}) or {})
-    toler.require_grid_budget(dim)
+    toler = DEFAULT_TOLERANCES.with_overrides(doc.get("tolerances", {}) or {}, dim)
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise SceneError("seed must be an integer")
@@ -126,6 +126,8 @@ def _build_component(cdoc, dim, idx):
     kind = _kind(cdoc, "kind", ("preset",) + _SERIES_KINDS, where)
     if kind == "preset":
         kind = _kind(cdoc, "preset", CURVE_KINDS.keys() - set(_SERIES_KINDS), where)
+    elif "preset" in cdoc:
+        raise SceneError(f"{where}: a {kind} component takes no preset")
     params = _params(cdoc, where)
     if kind in ("unit_circle", "circle_arc"):
         params.setdefault("ambient_dim", dim)

@@ -22,6 +22,17 @@ from .expmap import _exp_rows, _frames, _hess_rows, _offset_rows, _rownorm
 from .expmap import exp_mu  # noqa: F401
 from .util import _bracket, _extrema_indices, _offset_array, as_pairs, brent_rows, golden_min
 
+_TOL_HESS_FACTOR = 1e-8  # x (2/mu^2): second-order zero band
+_TOL_SNG = 1e-9  # singular-set zero band for mu'' + kappa^2 mu / 4
+_FLAT_FACTOR = 1e-12  # x scale: flat-run (continuum) detection
+_EPS_KAPPA = 1e-7  # collapse-arc residuals (four conditions + image)
+_EPS_GAMMA = 1e-7
+_EPS_MU = 1e-9  # tight: an isolated touching zero must not pass as an arc
+_EPS_R = 1e-7
+_EPS_P = 1e-7
+_ELL_MIN_FACTOR = 1e-3  # x L: minimal collapse-arc length
+_EPS_REG = 1e-6  # transversality |g'| threshold
+
 
 @dataclass(frozen=True)
 class SingularGraphPoint:
@@ -74,19 +85,19 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     [s_k, s_k + step] in `cross`, root in `cross_s`) and the touching zeros
     (grid index in `touch`, refined foot in `touch_s`, smallest |g| first).
 
-    Flat samples have |g| <= flat_factor * max(1, max |g|); kappa is not
+    Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
     consulted. All sign changes (the last sample and the first also
     neighbour on a closed curve) are refined in one `brent_rows` call to
     xtol 1e-14. Touching zeros are the best 64 local minima of |g| within
-    tol_sng plus the discrete second difference there (the value a
+    _TOL_SNG plus the discrete second difference there (the value a
     quadratic touching zero attains one step away), refined in one
-    golden-section call and kept where |g| <= tol_sng.
+    golden-section call and kept where |g| <= _TOL_SNG.
     """
     n = tol.singular_samples
     sg = curve.grid(n)
     g = _sng_condition(curve, weight, sg)
     absg = np.abs(g)
-    flat = absg <= tol.flat_factor * max(1.0, float(np.max(absg)))
+    flat = absg <= _FLAT_FACTOR * max(1.0, float(np.max(absg)))
     limit = n if curve.closed else n - 1
     cross = np.nonzero(g * np.roll(g, -1) < 0.0)[0]
     cross = cross[cross < limit]
@@ -94,7 +105,7 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     cross_s = brent_rows(lambda s: _sng_condition(curve, weight, s), sg[cross], hi, 1e-14)
     touch = np.array([
         k for k in _extrema_indices(absg, curve.closed, "min", 64)
-        if absg[k] <= tol.tol_sng + abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])
+        if absg[k] <= _TOL_SNG + abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])
     ], dtype=int)
     touch_s = np.zeros(0)
     if len(touch):
@@ -102,7 +113,7 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
         touch_s, v_ref = golden_min(
             lambda s: np.abs(_sng_condition(curve, weight, s)), lo, hi, tol=1e-13
         )
-        touch, touch_s = touch[v_ref <= tol.tol_sng], touch_s[v_ref <= tol.tol_sng]
+        touch, touch_s = touch[v_ref <= _TOL_SNG], touch_s[v_ref <= _TOL_SNG]
     return GZeroSet(sg, g, flat, cross, cross_s, touch, touch_s)
 
 
@@ -131,7 +142,7 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
             z.touch_s[~in_flat_run[z.touch]],
         ])
         if len(feet):
-            out.extend(_graph_points(curve, weight, ci, feet, ur, tol))
+            out.extend(_graph_points(curve, weight, ci, feet, ur))
     return _dedup_points(pairs, out, tol)
 
 
@@ -159,16 +170,16 @@ def _runs(mask, periodic):
     return runs
 
 
-def _graph_points(curve, weight, ci, s, ur, tol):
+def _graph_points(curve, weight, ci, s, ur):
     """Singular-graph points over candidate feet s, kept in order, built in
     one array pass.
 
     A foot is dropped where kappa <= kappa_tol, where the graph height R(s)
     is undefined or outside (0, ur), and where the map's second derivative
-    at exp(s, n, R), n the principal normal, leaves the tol_hess band. A
-    direction tangent to the curve, a height above 1/|mu'|, a recovered
-    height above it, or a foot that is not critical for its image raises
-    the scalar checks' error for the first offending foot.
+    at exp(s, n, R), n the principal normal, leaves the _TOL_HESS_FACTOR
+    band. A direction tangent to the curve, a height above 1/|mu'|, a
+    recovered height above it, or a foot that is not critical for its image
+    raises the scalar checks' error for the first offending foot.
     """
     s = curve.wrap(s)
     curve_jet, weight_jet = curve.jet(s, 2), weight.jet(s, 2)
@@ -193,7 +204,7 @@ def _graph_points(curve, weight, ci, s, ur, tol):
     if faults:
         raise min(faults, key=lambda f: f[0])[1]
     mu = np.asarray(weight_jet[0], dtype=float)[keep]
-    tol_hess = tol.tol_hess_factor * 2.0 / mu**2 * max(1.0, ur**2)
+    tol_hess = _TOL_HESS_FACTOR * 2.0 / mu**2 * max(1.0, ur**2)
     resid = np.abs(_g(kap_norm, weight_jet))[keep]
     return [
         SingularGraphPoint(ci, float(s[k]), float(height[k]), location[k], float(resid[k]))
@@ -221,7 +232,7 @@ def _dedup_points(pairs, points, tol):
 # ---------------------------------------------------------------------------
 
 
-def is_singular(curve, weight, s, v, R, tol=DEFAULT_TOLERANCES):
+def is_singular(curve, weight, s, v, R):
     """(flag, residual): the map is singular at (s, v R) iff the second
     derivative of the squared weighted distance vanishes at the foot (one
     row of the criterion `_graph_points` applies)."""
@@ -237,7 +248,7 @@ def is_singular(curve, weight, s, v, R, tol=DEFAULT_TOLERANCES):
     if hess_fault is not None:
         raise hess_fault[1]
     mu = float(jets[1][0][0])
-    band = tol.tol_hess_factor * 2.0 / mu**2 * max(1.0, R**2)
+    band = _TOL_HESS_FACTOR * 2.0 / mu**2 * max(1.0, R**2)
     return abs(float(hess[0])) <= band, float(hess[0])
 
 
@@ -310,8 +321,8 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
 
     Conditions on a dense grid: kappa locked (|kappa'| small), the circular
     third-derivative identity, mu'' + kappa^2 mu / 4 = 0, the graph height
-    defined and constant, all within the configured residual bands; runs
-    shorter than ell_min are ignored. Each run is fitted (mean curvature,
+    defined and constant, all within the _EPS_* bands; runs shorter than
+    _ELL_MIN_FACTOR * L are ignored. Each run is fitted (mean curvature,
     mean height, least-squares phase) and the common image is verified.
 
     With offsets, the arcs of the weights mu + t for every t, as one list
@@ -331,14 +342,14 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
         kap = np.linalg.norm(jet[2], axis=-1)
         kap_rate = np.abs(_kappa_rate(jet, curve.kappa_tol))
         ode = collapse_ode_residual(jet)
-        locked = (kap > curve.kappa_tol) & (kap_rate <= tol.eps_kappa) & (ode <= tol.eps_gamma)
+        locked = (kap > curve.kappa_tol) & (kap_rate <= _EPS_KAPPA) & (ode <= _EPS_GAMMA)
         step = curve.length / n
-        min_len = tol.ell_min_factor * curve.length
+        min_len = _ELL_MIN_FACTOR * curve.length
         for found, t, ur_t in zip(arcs, ts, urs):
             weight_jet = (mu + t, d1, d2)
             g = np.abs(_g(kap, weight_jet))
             height = _graph_height(weight_jet)
-            ok = locked & (g <= tol.eps_mu) & np.isfinite(height) & (height < ur_t)
+            ok = locked & (g <= _EPS_MU) & np.isfinite(height) & (height < ur_t)
             for lo, hi in _runs(ok, curve.closed):
                 if (hi - lo) * step < min_len:
                     continue
@@ -348,7 +359,7 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
                     s_run = np.where(np.arange(lo, hi) >= n, sg[idx] + curve.length, sg[idx])
                 kbar = float(np.mean(kap[idx]))
                 hbar = float(np.mean(height[idx]))
-                if np.max(np.abs(height[idx] ** -2.0 - hbar**-2.0)) > tol.eps_r:
+                if np.max(np.abs(height[idx] ** -2.0 - hbar**-2.0)) > _EPS_R:
                     continue
                 mu_run = weight_jet[0][idx]
                 amp = 2.0 / (kbar * hbar)
@@ -365,7 +376,7 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
                 pts = _exp_rows(_take((jet, weight_jet), idx), normals, np.full(len(idx), hbar))
                 p0 = pts.mean(axis=0)
                 image_gap = float(np.max(np.linalg.norm(pts - p0, axis=-1)))
-                if image_gap > tol.eps_p:
+                if image_gap > _EPS_P:
                     continue
                 residuals = {
                     "kappa_rate": float(np.max(kap_rate[idx])), "ode": float(np.max(ode[idx])),
@@ -381,7 +392,7 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
 
 def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
     """True iff every zero of g = mu'' + kappa^2 mu / 4 with kappa > 0 is
-    transversal (|g'| > eps_reg); returns (flag, witnesses).
+    transversal (|g'| > _EPS_REG); returns (flag, witnesses).
 
     Zeros with kappa = 0 are exempt: there the first-height expression
     collapses to |mu'|^2, which both focal radii already include, so such
@@ -405,5 +416,5 @@ def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
             hi_s = np.minimum(hi_s, curve.s_max)
         g_hi, g_lo = _sng_condition(curve, weight, hi_s), _sng_condition(curve, weight, lo_s)
         gp = np.abs((g_hi - g_lo) / (hi_s - lo_s))
-        witnesses.extend((ci, float(x), float(v)) for x, v in zip(zeros, gp) if v <= tol.eps_reg)
+        witnesses.extend((ci, float(x), float(v)) for x, v in zip(zeros, gp) if v <= _EPS_REG)
     return (not witnesses), witnesses

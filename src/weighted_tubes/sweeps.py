@@ -14,6 +14,8 @@ from .weights import OffsetWeight
 
 # Directions per tube foot above the plane (the plane has two).
 _DIR_SAMPLES = 16
+_TUBE_TOL_FACTOR = 1e-8  # x R^2: tube-boundary membership band
+_W_MARGIN = 1e-9  # relative pull-back from the admissible boundary
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def fiber_trace(curve, weight, s, v, r_max, samples=257):
     return rr, pts
 
 
-def tube_boundary(pairs, R, s_samples=256, tol=DEFAULT_TOLERANCES):
+def tube_boundary(pairs, R, s_samples=256):
     """Sample the boundary of the weighted tube of height R.
 
     Candidate points exp(s, v, R) over an (s, direction)-grid are kept when
@@ -122,13 +124,12 @@ def tube_boundary(pairs, R, s_samples=256, tol=DEFAULT_TOLERANCES):
             f"tube with {s_samples} feet needs {need} bytes per row array in {n} "
             f"dimensions, above the {GRID_BUDGET_BYTES}-byte budget"
         )
-    band = tol.tube_tol_factor * R * R
     boundary = []
     overlap = []
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(s_samples)
         bounds = w_bound(weight, sg)
-        feet = sg[bounds * (1.0 - tol.w_margin) > R]
+        feet = sg[bounds * (1.0 - _W_MARGIN) > R]
         if not len(feet):
             continue
         dirs = _directions(normal_frames(curve, feet), n, _DIR_SAMPLES)
@@ -136,8 +137,8 @@ def tube_boundary(pairs, R, s_samples=256, tol=DEFAULT_TOLERANCES):
         heights = np.full(len(s_rows), float(R))
         v = make_offsets(curve, weight, s_rows, dirs.reshape(-1, n), heights)
         pts = exp_mu_batch(curve, weight, s_rows, v, heights)
-        vals, _, _ = g_potential(pairs, pts, samples=tol.closest_samples)
-        inside = vals >= R * R - band
+        vals, _, _ = g_potential(pairs, pts)
+        inside = vals >= R * R - _TUBE_TOL_FACTOR * R * R
         for keep, s, p, g in zip(inside, s_rows.tolist(), pts, vals.tolist()):
             (boundary if keep else overlap).append((ci, s, p, g))
     return boundary, overlap

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from weighted_tubes import load_scene
+
+# pyproject.toml puts src on the import path of the tests; the subprocesses
+# that run `python -m weighted_tubes` or the demos get it through PYTHONPATH,
+# so the suite runs from a plain checkout without installing the package.
+SRC = Path(__file__).resolve().parents[1] / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

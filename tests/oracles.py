@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from weighted_tubes import PLANE, WeightedTubesError, f_prime, f_second, f_value, g_potential
-from weighted_tubes.config import DEFAULT_TOLERANCES
 from weighted_tubes.expmap import _hess_rows, _offset_rows, _refine_rows
 from weighted_tubes.radii import _abc, _band, _radius_profiles
 from weighted_tubes.util import as_pairs, golden_min
@@ -163,11 +162,11 @@ class PointwiseFocal:
     focradminus_pt: float
 
 
-def delta_lambda(curve, weight, s, tol=DEFAULT_TOLERANCES):
+def delta_lambda(curve, weight, s):
     """Pointwise focal data at s (band on the discriminant sign); lambda is
     None where the discriminant is below the band."""
     a, b, c, disc, lam = _abc(curve, weight, np.asarray(s, dtype=float))
-    band = _band(np.max(a**2), tol)
+    band = _band(np.max(a**2))
     r0, rm = _radius_profiles(b, disc, lam, band)
     if np.ndim(s) == 0:
         lam_val = float(lam) if disc >= -band else None

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from test_scene import KNOWN, REMOVED_TOLERANCES
+
 
 def run_cli(*args, check=True):
     proc = subprocess.run(
@@ -75,12 +77,59 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "scene, override",
-        [("example4", "delta_band_factor=inf"), ("example2_stadium", "tol_dc=nan")],
+        [("example4", "pair_grid=inf"), ("example2_stadium", "singular_samples=nan")],
     )
     def test_non_finite_tolerance_exit_2(self, scene, override):
         proc = run_cli("report", "--scene", scene, "--tol-override", override, check=False)
         assert proc.returncode == 2
-        assert "must be finite" in proc.stderr
+        assert "must be an integer" in proc.stderr
+
+    @pytest.mark.parametrize("override, message", [
+        # pair_grid=1 used to report dcsd_half = inf and pair_grid=2 a value
+        # of 2 on ellipse_mu1 (the true one is 1), both with exit 0.
+        ("pair_grid=1", "'pair_grid' must be >= 3, got 1"),
+        ("pair_grid=2", "'pair_grid' must be >= 3, got 2"),
+        ("focal_samples=2", "'focal_samples' must be >= 3, got 2"),
+        ("singular_samples=0", "'singular_samples' must be >= 3, got 0"),
+        ("focal_samples=8192.7", "'focal_samples' must be an integer, got '8192.7'"),
+        ("singular_samples=true", "'singular_samples' must be an integer, got 'true'"),
+        # 10^12 x 2 float64 would be 16 TB; focal_samples used to end in a
+        # numpy _ArrayMemoryError traceback with exit 1.
+        ("focal_samples=1000000000000", "focal_samples=1000000000000 needs"),
+        ("singular_samples=1000000000000", "singular_samples=1000000000000 needs"),
+    ])
+    def test_bad_sample_count_override_exit_2(self, override, message):
+        proc = run_cli("report", "--scene", "ellipse_mu1", "--tol-override", override, check=False)
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr and message in proc.stderr
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "'focal_samples' must be an integer, got True"),
+        (8192.7, "'focal_samples' must be an integer, got 8192.7"),
+        (2, "'focal_samples' must be >= 3, got 2"),
+        (10**12, "budget"),
+    ], ids=["true", "fraction", "two", "huge"])
+    def test_bad_sample_count_in_scene_exit_2(self, tmp_path, value, message):
+        # In a scene's tolerances block, true used to run as 1 and 8192.7 as
+        # 8192, both with exit 0.
+        doc = {
+            "ambient_dim": 2,
+            "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
+            "weights": [{"kind": "constant", "params": {"value": 1.0}}],
+            "tolerances": {"focal_samples": value},
+        }
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("report", "--scene", str(path), check=False)
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr and message in proc.stderr
+
+    @pytest.mark.parametrize("name", REMOVED_TOLERANCES)
+    def test_removed_tolerance_override_exit_2(self, capsys, name):
+        from weighted_tubes import cli
+
+        assert cli.main(["report", "--scene", "circle_mu1", "--tol-override", f"{name}=1"]) == 2
+        assert f"configuration error: unknown tolerance '{name}'; {KNOWN}\n" == capsys.readouterr().err
 
     def test_unread_tolerance_name_exit_2(self):
         # kappa_tol_factor is a curve constructor argument, not a tolerance.

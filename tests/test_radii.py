@@ -191,7 +191,7 @@ class TestFocalRadii:
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
         coarse = focal_radii([(curve, weight)], DEFAULT_TOLERANCES)
         dense = focal_radii(
-            [(curve, weight)], DEFAULT_TOLERANCES.with_overrides({"focal_samples": 8192})
+            [(curve, weight)], DEFAULT_TOLERANCES.with_overrides({"focal_samples": 8192}, 2)
         )
         assert abs(coarse[0] - dense[0]) <= 1e-8 * coarse[0]
         assert abs(coarse[1] - dense[1]) <= 1e-8 * coarse[1]
@@ -373,11 +373,11 @@ class TestPinnedRefinement:
 
 # The scalar pair verification and deduplication the search once ran on each
 # Newton survivor (oracles for the row path).
-def _verify_pair(pairs, i, j, s1, s2, residual, tol):
+def _verify_pair(pairs, i, j, s1, s2, residual):
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
     if i == j:
-        if c1.periodic_distance(s1, s2) < tol.delta_min_factor * c1.length:
+        if c1.periodic_distance(s1, s2) < radii._DELTA_MIN_FACTOR * c1.length:
             return None
     (q1, t1), (q2, t2) = c1.jet(s1, 1), c2.jet(s2, 1)
     (m1, d1_1), (m2, d1_2) = w1.jet(s1, 1), w2.jet(s2, 1)
@@ -403,7 +403,7 @@ def _verify_pair(pairs, i, j, s1, s2, residual, tol):
     return DoubleCriticalPair(i, j, s1, s2, ratio, midpoint, residual, tuple(ang))
 
 
-def _dedup_pairs(pairs, found, tol):
+def _dedup_pairs(pairs, found):
     kept = []
     for cand in sorted(found, key=lambda p: (p.ratio, p.component_1, p.component_2, p.s1, p.s2)):
         dup = False
@@ -427,7 +427,7 @@ def _dedup_pairs(pairs, found, tol):
     return kept
 
 
-def scalar_pairs(pairs, tol, ts, newton_runs):
+def scalar_pairs(pairs, ts, newton_runs):
     """The pairs the scalar path made of the recorded Newton runs, one per
     component pair (i, j) in search order."""
     found = [[] for _ in ts]
@@ -435,13 +435,13 @@ def scalar_pairs(pairs, tol, ts, newton_runs):
     for i in range(len(pairs)):
         for j in range(i, len(pairs)):
             grp, (s, t, res, alive) = next(runs)
-            for k in np.nonzero(alive & ~(res > tol.tol_dc))[0]:
+            for k in np.nonzero(alive & ~(res > radii._TOL_DC))[0]:
                 off = float(ts[grp[k]])
                 shifted = [(c, OffsetWeight(w, off)) for c, w in pairs]
-                cand = _verify_pair(shifted, i, j, float(s[k]), float(t[k]), float(res[k]), tol)
+                cand = _verify_pair(shifted, i, j, float(s[k]), float(t[k]), float(res[k]))
                 if cand is not None:
                     found[grp[k]].append(dataclasses.replace(cand, offset=off))
-    return [p for cands in found for p in _dedup_pairs(pairs, cands, tol)]
+    return [p for cands in found for p in _dedup_pairs(pairs, cands)]
 
 
 def pair_fields(p):
@@ -479,7 +479,7 @@ class TestPairRows:
         monkeypatch.setattr(radii, "_newton", recording)
         rows = find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
         ts = radii._offset_array(offsets)
-        oracle = scalar_pairs(scene.pairs, scene.tolerances, ts, runs)
+        oracle = scalar_pairs(scene.pairs, ts, runs)
         # Every scene has Newton survivors for the verification to judge.
         assert sum(int(np.sum(alive)) for _, (_, _, _, alive) in runs) > 0
         assert [pair_fields(p) for p in rows] == [pair_fields(p) for p in oracle]
@@ -489,11 +489,12 @@ class TestPairRows:
         (ConstantWeight(1.0), 0.6, 1),  # the band now holds the antipodal rows
         (FourierWeight([1.0, 0.1, 0.05], 2 * np.pi), 1e-3, 1),
     ])
-    def test_crafted_rows_are_the_scalar_verdicts(self, weight, band, least):
+    def test_crafted_rows_are_the_scalar_verdicts(self, monkeypatch, weight, band, least):
         # Antipodal feet (the law holds for mu = 1), a row inside the diagonal
         # band, a zero chord, a nan foot (the scalar path keeps it) and
         # random feet, for two offsets.
-        tol = DEFAULT_TOLERANCES.with_overrides({"delta_min_factor": band})
+        # The row path and its oracle both read radii's diagonal-band constant.
+        monkeypatch.setattr(radii, "_DELTA_MIN_FACTOR", band)
         pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), weight)]
         rng = np.random.default_rng(3)
         s1 = np.r_[0.0, 1.0, 2.0, np.nan, 0.5, rng.uniform(0, 2 * np.pi, 40)]
@@ -501,7 +502,7 @@ class TestPairRows:
         ts = np.array([0.0, 0.1])
         grp = np.arange(len(s1)) % 2
         res = rng.uniform(0, 1e-10, len(s1))
-        rows = radii._verify_rows(pairs, 0, 0, s1, s2, ts, grp, res, tol)
+        rows = radii._verify_rows(pairs, 0, 0, s1, s2, ts, grp, res)
         got = [
             (float(rows["s1"][k]), float(rows["s2"][k]), float(rows["ratio"][k]),
              rows["midpoint"][k].tobytes(), (float(rows["ang1"][k]), float(rows["ang2"][k])),
@@ -511,7 +512,7 @@ class TestPairRows:
         oracle = []
         for k in range(len(s1)):
             shifted = [(c, OffsetWeight(w, ts[grp[k]])) for c, w in pairs]
-            p = _verify_pair(shifted, 0, 0, s1[k], s2[k], res[k], tol)
+            p = _verify_pair(shifted, 0, 0, s1[k], s2[k], res[k])
             if p is not None:
                 oracle.append((float(p.s1), float(p.s2), p.ratio, p.midpoint.tobytes(),
                                p.angle_residuals, float(p.residual), float(ts[grp[k]])))
@@ -537,7 +538,7 @@ class TestPairRows:
         found = [[], []]
         for k in range(5):
             found[grp[k]].append(DoubleCriticalPair(0, 0, *feet[k], ratio[k], None, 0.0, (), k))
-        oracle = [p.offset for cands in found for p in _dedup_pairs(pairs, cands, None)]
+        oracle = [p.offset for cands in found for p in _dedup_pairs(pairs, cands)]
         assert list(radii._dedup_rows(pairs, rows)) == oracle == [0, 2, 4]
 
 
@@ -552,7 +553,7 @@ def four_call_focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         sg = curve.grid(tol.focal_samples)
         kap, mu, d1, d2 = radii._focal_jets(curve, weight, sg)
         a, b, _, disc, lam = radii._focal_terms(kap, mu + ts[:, None], d1, d2)
-        band = np.array([radii._band(np.max(row**2), tol) for row in a])
+        band = np.array([radii._band(np.max(row**2)) for row in a])
         r0, rm = radii._radius_profiles(b, disc, lam, band[:, None])
 
         def radius(s, t, bd, which):

@@ -8,6 +8,16 @@ import pytest
 from weighted_tubes import BUNDLED_SCENES, SceneError, load_scene, parse_scene
 
 
+# The thresholds and caps that are module constants of radii, singular and
+# sweeps, not settable tolerances.
+REMOVED_TOLERANCES = (
+    "tol_hess_factor", "delta_min_factor", "delta_band_factor", "tol_dc", "tol_sng",
+    "flat_factor", "eps_kappa", "eps_gamma", "eps_mu", "eps_r", "eps_p", "ell_min_factor",
+    "eps_reg", "tube_tol_factor", "w_margin", "closest_samples", "newton_max_iter",
+)
+KNOWN = "known: focal_samples, pair_grid, singular_samples"
+
+
 def minimal_doc():
     return {
         "ambient_dim": 2,
@@ -69,25 +79,64 @@ class TestValidation:
     def test_unknown_tolerance(self):
         doc = minimal_doc()
         doc["tolerances"] = {"no_such_tol": 1.0}
-        with pytest.raises(SceneError, match="unknown tolerance"):
+        with pytest.raises(SceneError, match=f"^unknown tolerance 'no_such_tol'; {KNOWN}$"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("key", REMOVED_TOLERANCES)
+    def test_removed_tolerance_name(self, key):
+        doc = minimal_doc()
+        doc["tolerances"] = {key: 1e-9}
+        with pytest.raises(SceneError, match=f"^unknown tolerance '{key}'; {KNOWN}$"):
             parse_scene(doc)
 
     def test_nonpositive_tolerance(self):
         doc = minimal_doc()
-        doc["tolerances"] = {"tol_dc": -1.0}
-        with pytest.raises(SceneError, match="positive"):
+        doc["tolerances"] = {"pair_grid": -1}
+        with pytest.raises(SceneError, match=r"'pair_grid' must be >= 3, got -1"):
             parse_scene(doc)
 
     @pytest.mark.parametrize("key, value", [
-        ("tol_dc", float("nan")),
-        ("delta_band_factor", float("inf")),
+        ("singular_samples", float("nan")),
+        ("pair_grid", float("inf")),
         ("focal_samples", float("inf")),
     ])
     def test_non_finite_tolerance(self, key, value):
         doc = minimal_doc()
         doc["tolerances"] = {key: value}
-        with pytest.raises(SceneError):
+        with pytest.raises(SceneError, match=f"'{key}' must be an integer"):
             parse_scene(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("focal_samples", True),
+        ("pair_grid", False),
+        ("focal_samples", 8192.7),
+        ("singular_samples", "many"),
+        ("pair_grid", None),
+        ("singular_samples", [4096]),
+    ], ids=["true", "false", "fraction", "word", "null", "list"])
+    def test_sample_count_not_an_integer(self, key, value):
+        # true used to run as 1 and 8192.7 as 8192, both with exit 0.
+        doc = minimal_doc()
+        doc["tolerances"] = {key: value}
+        with pytest.raises(SceneError, match=f"^tolerance '{key}' must be an integer"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("key", ["focal_samples", "pair_grid", "singular_samples"])
+    @pytest.mark.parametrize("value", [0, 1, 2])
+    def test_sample_count_below_three(self, key, value):
+        # The three-point neighbourhoods of the grid searches wrap onto
+        # themselves below 3 samples.
+        doc = minimal_doc()
+        doc["tolerances"] = {key: value}
+        with pytest.raises(SceneError, match=f"^tolerance '{key}' must be >= 3, got {value}$"):
+            parse_scene(doc)
+
+    def test_integral_counts(self):
+        doc = minimal_doc()
+        doc["tolerances"] = {"focal_samples": 512.0, "pair_grid": "3", "singular_samples": 3}
+        tol = parse_scene(doc).tolerances
+        assert (tol.focal_samples, tol.pair_grid, tol.singular_samples) == (512, 3, 3)
+        assert type(tol.focal_samples) is int and type(tol.pair_grid) is int
 
     @pytest.mark.parametrize("dim, largest", [(2, 8192), (3, 6688)])
     def test_pair_grid_memory_budget(self, dim, largest):
@@ -99,6 +148,20 @@ class TestValidation:
         assert parse_scene(doc).tolerances.pair_grid == largest
         doc["tolerances"] = {"pair_grid": largest + 1}
         with pytest.raises(SceneError, match="budget"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("key", ["focal_samples", "singular_samples"])
+    @pytest.mark.parametrize("dim, largest", [(2, 67108864), (3, 44739242)])
+    def test_sample_count_memory_budget(self, key, dim, largest):
+        # One n x ambient_dim float64 array may take at most 1 GiB; the check
+        # runs before any grid is built.
+        doc = minimal_doc()
+        doc["ambient_dim"] = dim
+        doc["components"][0]["params"]["ambient_dim"] = dim
+        doc["tolerances"] = {key: largest}
+        assert getattr(parse_scene(doc).tolerances, key) == largest
+        doc["tolerances"] = {key: largest + 1}
+        with pytest.raises(SceneError, match=f"^{key}={largest + 1} needs .* budget$"):
             parse_scene(doc)
 
     def test_mismatched_weights(self):
@@ -233,6 +296,16 @@ class TestParams:
         with pytest.raises(SceneError, match=f"^{message}$"):
             parse_scene(doc)
 
+    @pytest.mark.parametrize("component", [FOURIER, CHEBYSHEV], ids=["fourier", "chebyshev"])
+    def test_preset_on_a_series_component(self, component):
+        # The preset used to be ignored: the series curve was built, exit 0.
+        doc = {"ambient_dim": 2, "components": [component], "weights": [UNIT_WEIGHT]}
+        parse_scene(copy.deepcopy(doc))
+        doc["components"] = [dict(component, preset="ellipse")]
+        kind = component["kind"]
+        with pytest.raises(SceneError, match=rf"^components\[0\]: a {kind} component takes no preset$"):
+            parse_scene(doc)
+
     @pytest.mark.parametrize("where", ["components", "weights"])
     def test_params_must_be_an_object(self, where):
         doc = minimal_doc()
@@ -288,3 +361,10 @@ class TestToleranceOverrides:
         text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "config.py")
         unread = [f.name for f in fields(Tolerances) if not re.search(rf"\.{f.name}\b", text)]
         assert not unread, f"Tolerances fields read by no code: {unread}"
+
+    def test_only_the_sample_counts_are_settable(self):
+        from dataclasses import fields
+
+        from weighted_tubes.config import Tolerances
+
+        assert [f.name for f in fields(Tolerances)] == ["focal_samples", "pair_grid", "singular_samples"]

@@ -22,7 +22,7 @@ from weighted_tubes import (
 from test_acceptance import random_offsets
 from test_expmap import scalar_frame
 from weighted_tubes.expmap import _hess_rows, exp_mu_batch, random_unit_normals, w_bound
-from weighted_tubes.singular import _sng_condition, g_zero_set, jacobian_rows
+from weighted_tubes.singular import _TOL_HESS_FACTOR, _TOL_SNG, _sng_condition, g_zero_set, jacobian_rows
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
 from oracles import f_second_at_offset, make_offset
@@ -101,12 +101,12 @@ def test_graph_points_match_the_scalar_map(scenes, name):
         assert np.max(np.abs(images - np.array([p.location for p in rows]))) <= 1e-12
         _, hess, _, faults = _hess_rows(curve, jets, s, normal, R)
         assert faults == (None, None)
-        band = tol.tol_hess_factor * 2.0 / np.asarray(jets[1][0]) ** 2 * max(1.0, ur**2)
+        band = _TOL_HESS_FACTOR * 2.0 / np.asarray(jets[1][0]) ** 2 * max(1.0, ur**2)
         assert np.all(np.abs(hess) <= band + 1e-12)
         assert np.all((0.0 < R) & (R < ur))
         # is_singular applies the same criterion to the same offset.
         for k in range(0, len(s), 97):
-            _, value = is_singular(curve, weight, s[k], normal[k], R[k], tol)
+            _, value = is_singular(curve, weight, s[k], normal[k], R[k])
             assert value == hess[k] and abs(value) <= band[k]
 
 
@@ -443,5 +443,5 @@ class TestGZeroSet:
         curve, weight = scenes["example4"].pairs[0]
         z = g_zero_set(curve, weight, scenes["example4"].tolerances)
         assert len(z.touch_s) >= 1
-        assert np.all(np.abs(_sng_condition(curve, weight, z.touch_s)) <= scenes["example4"].tolerances.tol_sng)
+        assert np.all(np.abs(_sng_condition(curve, weight, z.touch_s)) <= _TOL_SNG)
         assert not np.any(z.flat[z.touch])

@@ -369,7 +369,7 @@ class TestTubeBoundary:
         scene = scenes[name]
         air, below, above = TUBE_COUNTS[name]
         for factor, counts in ((0.6, below), (1.3, above)):
-            boundary, overlap = tube_boundary(scene.pairs, factor * air, tol=scene.tolerances)
+            boundary, overlap = tube_boundary(scene.pairs, factor * air)
             assert (len(boundary), len(overlap)) == counts, factor
 
     @pytest.mark.parametrize("name", sorted(TUBE_COUNTS))
@@ -378,10 +378,10 @@ class TestTubeBoundary:
         scene = scenes[name]
         air = TUBE_COUNTS[name][0]
         for factor in (0.6, 1.3):
-            got = tube_boundary(scene.pairs, factor * air, tol=scene.tolerances)
+            got = tube_boundary(scene.pairs, factor * air)
             with monkeypatch.context() as patch:
                 patch.setattr(sweeps, "g_potential", g_potential_two_point)
-                want = tube_boundary(scene.pairs, factor * air, tol=scene.tolerances)
+                want = tube_boundary(scene.pairs, factor * air)
             for rows, ref in zip(got, want):
                 assert [(c, s, p.tobytes()) for c, s, p, _ in rows] == [
                     (c, s, p.tobytes()) for c, s, p, _ in ref
@@ -449,7 +449,7 @@ class TestTubeBoundary:
         scene = scenes[name]
         curve, weight = scene.pairs[0]
         R = 0.5 * radii_report(scene.pairs, scene.tolerances).dir
-        boundary, overlap = tube_boundary(scene.pairs, R, s_samples=32, tol=scene.tolerances)
+        boundary, overlap = tube_boundary(scene.pairs, R, s_samples=32)
         assert overlap == []
         expected = [
             (float(s), exp_mu(curve, weight, float(s), v, R))
@@ -468,9 +468,7 @@ class TestTubeBoundary:
             if "family" in name:
                 continue
             rep = radii_report(scene.pairs, scene.tolerances)
-            _, overlap = tube_boundary(
-                scene.pairs, 0.5 * rep.dir, s_samples=48, tol=scene.tolerances
-            )
+            _, overlap = tube_boundary(scene.pairs, 0.5 * rep.dir, s_samples=48)
             assert overlap == [], name
 
     def test_overlap_past_air(self):
