@@ -304,8 +304,10 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     diagonal band of arclength width _DELTA_MIN_FACTOR * L). Newton runs on
     all seeds of a component pair at once, with the analytic gradient and a
     central finite-difference Jacobian; each iteration evaluates the foot
-    arrays s, s +- h, t and t +- h once each and combines them into the five
-    gradients it needs. Non-converged seeds are dropped, converged ones are verified
+    arrays s, s +- h, t and t +- h (in one call on a same-component pair,
+    one per curve otherwise) and combines them into the five gradients it
+    needs; rows that cycle settle early (see _newton). Non-converged seeds
+    are dropped, converged ones are verified
     against the critical-angle law at both feet and deduplicated, all as
     rows.
 
@@ -382,6 +384,16 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
     dropped. Only live rows (active on the previous pass) are evaluated: a
     seed that stops never moves again, so its residual stays valid and its
     determinant, checked on the pass where it stops, never changes.
+
+    An active row whose (s, t) equals, bit for bit, its state one or two
+    passes back is settled at once: it takes the state and residual it would
+    have on pass _NEWTON_MAX_ITER, and its group counts as running on every
+    later pass. That is exact. A row's next state depends only on its own
+    (s, t, offset), since every foot is evaluated on its own; an active
+    row always moves; and each state of the cycle already passed the
+    determinant check. So the row would repeat its cycle of one or two
+    states, active, to the last pass. A row that stalls without repeating
+    a state runs to the last pass.
     Returns the final (s, t, residual, alive) of every row.
     """
     rows = np.array([x for group in seeds for x in group], dtype=float).reshape(-1, 2)
@@ -391,6 +403,10 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
     res = np.empty(len(rows))
     alive = np.ones(len(rows), dtype=bool)
     live = np.arange(len(rows))
+    # (s, t, residual) one pass back and (s, t) two passes back.
+    s1, t1, res1, s2, t2 = (np.full(len(rows), np.nan) for _ in range(5))
+    settled = np.zeros(len(ts), dtype=bool)
+    same_pair = c1 is c2 and w1 is w2
     n = tol.pair_grid
     h1 = 1e-6 * c1.length
     h2 = 1e-6 * c2.length
@@ -399,20 +415,35 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
     for it in range(_NEWTON_MAX_ITER + 1):
         if not len(live):
             break
-        # The feet s, s +- h (and t, t +- h) of the live rows in one
-        # evaluation each; only the rows that take a step use the stencils.
+        # The feet s, s +- h and t, t +- h of the live rows in one evaluation
+        # (one per component when they differ); only the rows that take a
+        # step use the stencils.
         s_p, s_m, span1 = _stencil(c1, s[live], h1)
         t_p, t_m, span2 = _stencil(c2, t[live], h2)
-        at_s, at_sp, at_sm = _feet_rows(c1, w1, (s[live], s_p, s_m), off[live])
-        at_t, at_tp, at_tm = _feet_rows(c2, w2, (t[live], t_p, t_m), off[live])
+        feet_s, feet_t = (s[live], s_p, s_m), (t[live], t_p, t_m)
+        if same_pair:
+            feet = _feet_rows(c1, w1, feet_s + feet_t, off[live])
+        else:
+            feet = _feet_rows(c1, w1, feet_s, off[live]) + _feet_rows(c2, w2, feet_t, off[live])
+        at_s, at_sp, at_sm, at_t, at_tp, at_tm = feet
         sig, gs, gt = _sigma_and_grad(at_s, at_t)
         res[live] = np.hypot(gs, gt) / np.maximum(1.0, sig)
         if it == _NEWTON_MAX_ITER:
             break
         active = alive[live] & (res[live] > 0.1 * _TOL_DC)
-        running = np.zeros(len(ts), dtype=bool)
+        back1 = (s[live] == s1[live]) & (t[live] == t1[live])
+        back2 = (s[live] == s2[live]) & (t[live] == t2[live])
+        settle = active & (back1 | back2)
+        # A two-state cycle ends on the previous state after an odd number
+        # of passes more.
+        prev = live[settle & ~back1 & ((_NEWTON_MAX_ITER - it) % 2 == 1)]
+        s[prev], t[prev], res[prev] = s1[prev], t1[prev], res1[prev]
+        s2[live], t2[live] = s1[live], t1[live]
+        s1[live], t1[live], res1[live] = s[live], t[live], res[live]
+        settled[grp[live[settle]]] = True
+        running = settled.copy()
         running[grp[live[active]]] = True
-        jac = alive[live] & running[grp[live]]
+        jac = alive[live] & running[grp[live]] & ~settle
         kj = live[jac]
         at_s, at_sp, at_sm, at_t, at_tp, at_tm = (
             tuple(x[jac] for x in feet) for feet in (at_s, at_sp, at_sm, at_t, at_tp, at_tm)

@@ -14,7 +14,8 @@ A scene is a JSON document:
     }
 
 Unknown keys anywhere are rejected, and so is a `preset` on a component
-of another kind. A component's or weight's `params` bind by name to the
+of another kind or a `tolerances` block that is not an object (null counts
+as no block). A component's or weight's `params` bind by name to the
 constructor its kind names in `curves.CURVE_KINDS` or
 `weights.WEIGHT_KINDS`, so a parameter the kind does not take is a
 SceneError too. Only the circle presets take the scene's `ambient_dim`;
@@ -87,7 +88,10 @@ def parse_scene(doc):
         raise SceneError("scene needs a non-empty components list")
     if not isinstance(weights, list) or len(weights) != len(comps):
         raise SceneError("weights must match components one-to-one")
-    toler = DEFAULT_TOLERANCES.with_overrides(doc.get("tolerances", {}) or {}, dim)
+    overrides = doc.get("tolerances")
+    if overrides is not None and not isinstance(overrides, dict):
+        raise SceneError(f"tolerances must be an object, got {type(overrides).__name__}")
+    toler = DEFAULT_TOLERANCES.with_overrides(overrides or {}, dim)
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise SceneError("seed must be an integer")

@@ -2,7 +2,8 @@
 golden-section G with no shortcuts, the weighted closest point with its tie
 report and the finite-difference gradient of G, one-offset forms of the
 offset and second-derivative rows, the fiber-shape membership test, the
-critical-point class, golden-section maxima, and the pointwise focal data."""
+critical-point class, golden-section maxima, the pointwise focal data, and
+the pair Newton that runs every active row to the last pass."""
 
 from dataclasses import dataclass, field
 
@@ -10,7 +11,16 @@ import numpy as np
 
 from weighted_tubes import PLANE, WeightedTubesError, f_prime, f_second, f_value, g_potential
 from weighted_tubes.expmap import _hess_rows, _offset_rows, _refine_rows
-from weighted_tubes.radii import _abc, _band, _radius_profiles
+from weighted_tubes.radii import (
+    _NEWTON_MAX_ITER,
+    _TOL_DC,
+    _abc,
+    _band,
+    _feet_rows,
+    _radius_profiles,
+    _sigma_and_grad,
+    _stencil,
+)
 from weighted_tubes.util import as_pairs, golden_min
 
 
@@ -259,3 +269,77 @@ def golden_max(f, a, b, tol=1e-12, maxiter=200, args=()):
     """Row-wise golden-section maxima of f over [a, b]; returns (x, f(x))."""
     x, fx = golden_min(lambda s, *p: -f(s, *p), a, b, tol=tol, maxiter=maxiter, args=args)
     return x, -fx
+
+
+def newton_every_pass(c1, w1, c2, w2, seeds, grp, ts, tol):
+    """radii._newton before it settled cycling rows, kept verbatim: every
+    active row runs to the last pass. Damped Newton over every (offset,
+    seed) row; row k belongs to group grp[k] and carries the offset
+    ts[grp[k]].
+
+    Each group follows the sequence of a search for its offset alone: it
+    stops on the first pass where none of its seeds is active, and on each
+    pass it continues, a seed whose Jacobian determinant is below 1e-300 is
+    dropped. Only live rows (active on the previous pass) are evaluated: a
+    seed that stops never moves again, so its residual stays valid and its
+    determinant, checked on the pass where it stops, never changes.
+    Returns the final (s, t, residual, alive) of every row.
+    """
+    rows = np.array([x for group in seeds for x in group], dtype=float).reshape(-1, 2)
+    s = rows[:, 0].copy()
+    t = rows[:, 1].copy()
+    off = ts[grp]
+    res = np.empty(len(rows))
+    alive = np.ones(len(rows), dtype=bool)
+    live = np.arange(len(rows))
+    n = tol.pair_grid
+    h1 = 1e-6 * c1.length
+    h2 = 1e-6 * c2.length
+    max_step1 = 2.0 * c1.length / n
+    max_step2 = 2.0 * c2.length / n
+    for it in range(_NEWTON_MAX_ITER + 1):
+        if not len(live):
+            break
+        # The feet s, s +- h (and t, t +- h) of the live rows in one
+        # evaluation each; only the rows that take a step use the stencils.
+        s_p, s_m, span1 = _stencil(c1, s[live], h1)
+        t_p, t_m, span2 = _stencil(c2, t[live], h2)
+        at_s, at_sp, at_sm = _feet_rows(c1, w1, (s[live], s_p, s_m), off[live])
+        at_t, at_tp, at_tm = _feet_rows(c2, w2, (t[live], t_p, t_m), off[live])
+        sig, gs, gt = _sigma_and_grad(at_s, at_t)
+        res[live] = np.hypot(gs, gt) / np.maximum(1.0, sig)
+        if it == _NEWTON_MAX_ITER:
+            break
+        active = alive[live] & (res[live] > 0.1 * _TOL_DC)
+        running = np.zeros(len(ts), dtype=bool)
+        running[grp[live[active]]] = True
+        jac = alive[live] & running[grp[live]]
+        kj = live[jac]
+        at_s, at_sp, at_sm, at_t, at_tp, at_tm = (
+            tuple(x[jac] for x in feet) for feet in (at_s, at_sp, at_sm, at_t, at_tp, at_tm)
+        )
+        gs, gt = gs[jac], gt[jac]
+        span1, span2 = (sp[jac] if np.ndim(sp) else sp for sp in (span1, span2))
+        _, gs_p, gt_p = _sigma_and_grad(at_sp, at_t)
+        _, gs_m, gt_m = _sigma_and_grad(at_sm, at_t)
+        j11 = (gs_p - gs_m) / span1
+        j21 = (gt_p - gt_m) / span1
+        _, gs_p, gt_p = _sigma_and_grad(at_s, at_tp)
+        _, gs_m, gt_m = _sigma_and_grad(at_s, at_tm)
+        j12 = (gs_p - gs_m) / span2
+        j22 = (gt_p - gt_m) / span2
+        det = j11 * j22 - j12 * j21
+        bad = np.abs(det) < 1e-300
+        alive[kj[bad]] = False
+        det = np.where(bad, 1.0, det)
+        step_s = np.clip(-(j22 * gs - j12 * gt) / det, -max_step1, max_step1)
+        step_t = np.clip(-(-j21 * gs + j11 * gt) / det, -max_step2, max_step2)
+        moved = active[jac]
+        live = kj[moved]
+        s[live] = s[live] + step_s[moved]
+        t[live] = t[live] + step_t[moved]
+        if not c1.closed:
+            s[live] = np.clip(s[live], c1.s_min, c1.s_max)
+        if not c2.closed:
+            t[live] = np.clip(t[live], c2.s_min, c2.s_max)
+    return s, t, res, alive

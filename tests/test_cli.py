@@ -124,6 +124,20 @@ class TestErrors:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr and message in proc.stderr
 
+    def test_tolerances_list_exit_2(self, tmp_path, capsys):
+        # It used to crash with AttributeError and exit 1.
+        from weighted_tubes import cli
+
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 2,
+            "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
+            "weights": [{"kind": "constant", "params": {"value": 1.0}}],
+            "tolerances": [1],
+        }))
+        assert cli.main(["report", "--scene", str(path)]) == 2
+        assert capsys.readouterr().err == "configuration error: tolerances must be an object, got list\n"
+
     @pytest.mark.parametrize("name", REMOVED_TOLERANCES)
     def test_removed_tolerance_override_exit_2(self, capsys, name):
         from weighted_tubes import cli

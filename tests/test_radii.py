@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from weighted_tubes.radii import DoubleCriticalPair, FocalWitness
 from weighted_tubes.util import as_pairs, golden_min
 from weighted_tubes.weights import FourierWeight
 
+import oracles
 from oracles import delta_lambda, golden_max
 
 
@@ -540,6 +542,110 @@ class TestPairRows:
             found[grp[k]].append(DoubleCriticalPair(0, 0, *feet[k], ratio[k], None, 0.0, (), k))
         oracle = [p.offset for cands in found for p in _dedup_pairs(pairs, cands)]
         assert list(radii._dedup_rows(pairs, rows)) == oracle == [0, 2, 4]
+
+
+def _seeded_fourier_scene(kind, seed):
+    """A random Fourier perturbation of circles: one planar loop, one loop
+    lifted into 3D, or two planar loops side by side, with a Fourier weight
+    near 1 on each."""
+    rng = np.random.default_rng(seed)
+
+    def loop(x0, radius, dim):
+        amp = 0.03 * radius
+        coords = [[x0, radius, 0.0], [0.0, 0.0, radius]] + [[0.0, 0.0, 0.0]] * (dim - 2)
+        return [c + list(rng.uniform(-amp, amp, 4)) for c in coords]
+
+    def weight():
+        return {"kind": "fourier", "params": {"coefficients": [1.0] + list(rng.uniform(-0.05, 0.05, 4))}}
+
+    if kind == "two_component":
+        loops = [loop(-1.0, 0.6, 2), loop(1.0, 0.6, 2)]
+    else:
+        loops = [loop(0.0, 1.0, 3 if kind == "3d" else 2)]
+    return {
+        "ambient_dim": len(loops[0]),
+        "components": [{"kind": "fourier", "params": {"coefficients": c}} for c in loops],
+        "weights": [weight() for _ in loops],
+    }
+
+
+NEWTON_SCENES = {
+    **{name: (name, None) for name in (
+        "circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
+        "example3_family", "example4", "example6_family")},
+    "two_component": ("two_component", None),
+    "chebyshev_arc": ("chebyshev_arc", None),
+    "example3_family-41": ("example3_family", tuple(np.linspace(-0.05, 0.05, 41))),
+    "example6_family-20": ("example6_family", tuple(np.linspace(-0.05, 0.05, 20))),
+    **{f"fourier_{kind}-{seed}": (("fourier", kind, seed), None)
+       for kind in ("planar", "3d", "two_component") for seed in (1, 2)},
+}
+
+
+def _record_newton_calls(key):
+    """The arguments of every _newton call of the pair search on one scene."""
+    from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
+    from weighted_tubes import load_scene
+
+    source, offsets = NEWTON_SCENES[key]
+    if isinstance(source, tuple):
+        scene = load_scene(_seeded_fourier_scene(*source[1:]))
+    else:
+        scene = load_scene({"two_component": TWO_COMPONENT, "chebyshev_arc": CHEBYSHEV_ARC}.get(source, source))
+    calls = []
+    newton = radii._newton
+
+    def recording(*args):
+        calls.append(args)
+        return newton(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radii, "_newton", recording)
+        find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def newton_calls():
+    """_record_newton_calls, run once per scene for the whole module."""
+    return functools.cache(_record_newton_calls)
+
+
+class TestNewtonSettle:
+    """Settling rows that return to an earlier state changes no byte of the
+    search that runs every active row to the last pass."""
+
+    @pytest.mark.parametrize("max_iter", [49, 50])  # both parities of a two-state cycle
+    @pytest.mark.parametrize("key", list(NEWTON_SCENES))
+    def test_same_bytes_as_every_pass(self, newton_calls, monkeypatch, key, max_iter):
+        calls = newton_calls(key)
+        monkeypatch.setattr(radii, "_NEWTON_MAX_ITER", max_iter)
+        monkeypatch.setattr(oracles, "_NEWTON_MAX_ITER", max_iter)
+        assert calls
+        for args in calls:
+            got = radii._newton(*args)
+            want = oracles.newton_every_pass(*args)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    @pytest.mark.parametrize("name, most", [
+        ("circle_mu1", 6), ("ellipse_mu1", 6), ("example2_stadium", 14),
+    ])
+    def test_cycling_rows_settle_early(self, scenes, monkeypatch, name, most):
+        # Every pass builds two stencils and, on one component, evaluates
+        # all six foot arrays in one call. Running every row to the last
+        # pass took 51 passes on each of these scenes.
+        counts = {"_stencil": 0, "_feet_rows": 0}
+        for fn in counts:
+            def counting(*args, _fn=getattr(radii, fn), _name=fn):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(radii, fn, counting)
+        scene = scenes[name]
+        find_double_critical_pairs(scene.pairs, scene.tolerances)
+        passes = counts["_stencil"] // 2
+        assert 1 <= passes <= most
+        assert counts["_feet_rows"] == passes
 
 
 # The focal refinement as it ran before its families shared one call: four

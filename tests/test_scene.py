@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weighted_tubes import BUNDLED_SCENES, SceneError, load_scene, parse_scene
+from weighted_tubes.config import DEFAULT_TOLERANCES
 
 
 # The thresholds and caps that are module constants of radii, singular and
@@ -137,6 +138,24 @@ class TestValidation:
         tol = parse_scene(doc).tolerances
         assert (tol.focal_samples, tol.pair_grid, tol.singular_samples) == (512, 3, 3)
         assert type(tol.focal_samples) is int and type(tol.pair_grid) is int
+
+    @pytest.mark.parametrize("value, kind", [
+        ([1], "list"), ([], "list"), ("abc", "str"), ("", "str"), (0, "int"), (8192.0, "float"),
+        (True, "bool"),
+    ])
+    def test_tolerances_not_an_object(self, value, kind):
+        # [1] and "abc" used to crash with AttributeError (exit 1); [], 0 and
+        # "" ran with the defaults without a word.
+        doc = minimal_doc()
+        doc["tolerances"] = value
+        with pytest.raises(SceneError, match=f"^tolerances must be an object, got {kind}$"):
+            parse_scene(doc)
+
+    def test_null_tolerances_are_the_defaults(self):
+        # As for family and params, null stands for a block left out.
+        doc = minimal_doc()
+        doc["tolerances"] = None
+        assert parse_scene(doc).tolerances == DEFAULT_TOLERANCES
 
     @pytest.mark.parametrize("dim, largest", [(2, 8192), (3, 6688)])
     def test_pair_grid_memory_budget(self, dim, largest):

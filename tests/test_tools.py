@@ -1,0 +1,53 @@
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from weighted_tubes import cli
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_call_digests_are_the_output_bytes(digests, tmp_path):
+    out = tmp_path / "tube.csv"
+    argv = ["tube", "--scene", "circle_mu1", "--radius", "0.5", "--samples", "16"]
+    rc, got = digests.run_call(cli, argv, str(out), str(tmp_path))
+    files = [out.read_bytes(), (tmp_path / "tube.overlap.csv").read_bytes()]
+    assert rc == 0
+    assert got == [_sha(b""), _sha(b"")] + [_sha(x) for x in files]
+
+
+def test_work_directory_is_masked(digests, tmp_path, capsys):
+    # The error names the missing scene by its path under the work directory.
+    argv = ["report", "--scene", str(tmp_path / "none.json")]
+    assert cli.main(argv) == 2
+    raw = capsys.readouterr().err
+    assert str(tmp_path) in raw
+    rc, got = digests.run_call(cli, argv, str(tmp_path / "r.json"), str(tmp_path))
+    assert rc == 2
+    assert got == [_sha(b""), _sha(raw.replace(str(tmp_path), "<work>").encode()), "-"]
+
+
+def test_a_crash_is_an_outcome(digests, tmp_path):
+    class Crashing:
+        @staticmethod
+        def main(argv):
+            raise RuntimeError(f"no {argv[-1]}")
+
+    out = str(tmp_path / "r.json")
+    rc, got = digests.run_call(Crashing, ["report"], out, str(tmp_path))
+    assert rc == "raised-RuntimeError"
+    assert got == [_sha(b""), _sha(b"RuntimeError: no <work>/r.json"), "-"]

@@ -1,0 +1,94 @@
+"""Digests of every output of a benchmark workload's calls, to compare the
+bytes two checkouts produce.
+
+    python3 tools/output_digests.py WORKLOAD SEED [SEED ...] [--root DIR]
+
+For each seed, perfbench/run.py's Inputs writes the scene files and builds
+the call plan exactly as the benchmark does, for the run_seconds of
+BENCHMARK.json. Every call then runs in-process through
+`weighted_tubes.cli.main(argv + ["--out", FILE])`. One line per call is
+printed: seed, label, exit code, and the sha256 of stdout, stderr, the
+output file and, for a tube call, its .overlap.csv ("-" for a file that
+was not written). The work directory reads <work> in the captured stdout
+and stderr before they are hashed, so the lines of two checkouts compare
+with diff:
+
+    python3 tools/output_digests.py report_mix 0 1 2 > change.txt
+    python3 tools/output_digests.py report_mix 0 1 2 --root ../parent > parent.txt
+    diff parent.txt change.txt
+
+--root names the checkout whose src/, perfbench/ and BENCHMARK.json are
+used (default: the one holding this file).
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _sha(data):
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def _read(path):
+    try:
+        return Path(path).read_bytes()
+    except OSError:
+        return None
+
+
+def run_call(cli, argv, out, work):
+    """Exit code (or the exception a call raised) and the digests of one call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(argv + ["--out", out])
+    except SystemExit as exc:
+        rc = exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:  # a crash is an outcome to compare, not a tool error
+        rc = f"raised-{type(exc).__name__}"
+        stderr.write(f"{type(exc).__name__}: {exc}")
+    texts = [x.getvalue().replace(work, "<work>").encode() for x in (stdout, stderr)]
+    files = [_read(out)]
+    if argv[0] == "tube":
+        files.append(_read(out[:-4] + ".overlap.csv"))
+    return rc, [_sha(x) for x in texts + files]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload")
+    parser.add_argument("seeds", nargs="+", type=int)
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import run as perfbench_run
+    import weighted_tubes
+    from weighted_tubes import cli
+
+    where = Path(weighted_tubes.__file__).resolve()
+    if root / "src" not in where.parents:
+        raise SystemExit(f"weighted_tubes was imported from {where}, not from {root / 'src'}")
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
+        for seed in args.seeds:
+            run_dir = Path(work) / f"seed{seed}"
+            inputs = perfbench_run.Inputs(args.workload, seed, seconds, run_dir)
+            out_dir = run_dir / "out"
+            out_dir.mkdir()
+            calls = [c for calls in inputs.rounds for c in calls]
+            for k, call in enumerate(calls):
+                out = str(out_dir / f"{k}.{call['ext']}")
+                rc, digests = run_call(cli, call["argv"], out, work)
+                print(seed, call["label"], f"rc={rc}", *digests, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
