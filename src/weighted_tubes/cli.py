@@ -1,15 +1,20 @@
 """Command-line interface: scene ingestion and deterministic data export.
 
-Verbs: report | sweep | fibers | tube | singular | collapse | check.
-Global flags: --scene, --out, --tol-override KEY=VALUE (repeatable; KEY is
-one of the sample counts focal_samples, pair_grid, singular_samples),
---threads N, --format {json,csv,svg}. Exit codes: 0 ok, 2 configuration
-error, 3 numeric failure. All numeric output is serialized with 17
-significant digits and LF line endings, so identical invocations produce
-identical bytes.
+Verbs: report | sweep | fibers | tube | singular | collapse | check. Every
+verb loads its scene once (--scene), computes, and writes to --out (default:
+stdout). Flags beyond those two go only to the verbs that read them:
+--tol-override KEY=VALUE (repeatable; KEY is one of the sample counts
+focal_samples, pair_grid, singular_samples) to report, sweep, singular,
+collapse and check; --threads N (accepted for compatibility; output does not
+depend on it) to report and sweep; --format {csv,svg} to the point tables
+fibers, tube and singular. Any other flag exits 2. Exit codes: 0 ok, 2
+configuration error, 3 numeric failure. All numeric output is serialized
+with 17 significant digits and LF line endings, so identical invocations
+produce identical bytes.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -25,6 +30,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# Record fields in output order.
+_RADII = ("focrad0", "focradminus", "dcsd_half", "lr", "ur", "dir", "tir", "air")
+_WITNESS = ("component", "s", "value")
+_PAIR = ("component_1", "component_2", "s1", "s2", "ratio", "residual")
+_ARC = ("component", "s_start", "s_end", "kappa", "r", "phase")
+_SWEEP = ("t", "dir", "tir", "air", "collapse_count", "status")
+# Rows of the stderr table of `report`; a label's first word is its field.
+_TABLE = ("focrad0", "focradminus", "dcsd_half", "dir (= lr)", "tir", "air (= ur)")
+# Feet per curve polyline of an SVG drawing.
+_SVG_CURVE_SAMPLES = 512
+
 
 def _json_text(obj, indent=0):
     """17-significant-digit JSON writer (infinities become strings)."""
@@ -36,7 +52,7 @@ def _json_text(obj, indent=0):
             f'{pad}  "{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         if len(obj) == 0:
             return "[]"
         rows = [f"{pad}  {_json_text(v, indent + 1)}" for v in obj]
@@ -53,6 +69,11 @@ def _json_text(obj, indent=0):
             return f'"{text}"'
         return text
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _fields(obj, names):
+    """{name: obj.name} in the order of `names`; None passes through."""
+    return None if obj is None else {k: getattr(obj, k) for k in names}
 
 
 def _write_text(path, text):
@@ -80,6 +101,38 @@ def _cell_format(kind):
     return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
+def _point_csv(scene, s, R, points):
+    """The s,R,x1..xn table of the point verbs: one row per point, R a
+    height per point or one for all."""
+    s = np.asarray(s, dtype=float)
+    points = np.reshape(points, (len(s), scene.ambient_dim))
+    rows = np.column_stack([s, np.broadcast_to(R, s.shape), points]).tolist()
+    return _csv_text(["s", "R"] + [f"x{i + 1}" for i in range(scene.ambient_dim)], rows)
+
+
+def _write_points(args, scene, s, R, points, **layers):
+    """Write the point table of (s, R, points) to --out. With --format svg on
+    a planar scene, --out (".svg" appended unless present) gets the scene's
+    curves drawn with `layers` (render_svg's keywords) and the table goes
+    beside it as .csv. Returns the table's path (None: stdout)."""
+    out = args.out
+    if args.format == "svg" and scene.ambient_dim != 2:
+        print("SVG_UNSUPPORTED_DIM: SVG output needs ambient_dim = 2; emitting CSV only",
+              file=sys.stderr)
+    elif args.format == "svg":
+        if out is None:
+            raise SceneError("--format svg needs --out PATH")
+        svg = out if out.endswith(".svg") else out + ".svg"
+        curves = []
+        for curve, _ in scene.pairs:
+            pts = curve.point(curve.grid(_SVG_CURVE_SAMPLES))
+            curves.append(np.vstack([pts, pts[:1]]) if curve.closed else pts)
+        _write_text(svg, render_svg(curves=curves, **layers))
+        out = svg[:-4] + ".csv"
+    _write_text(out, _point_csv(scene, s, R, points))
+    return out
+
+
 def _parse_overrides(items):
     out = {}
     for item in items or []:
@@ -88,85 +141,6 @@ def _parse_overrides(items):
         key, value = item.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def _load(args):
-    scene = load_scene(args.scene)
-    overrides = _parse_overrides(args.tol_override)
-    scene.tolerances = scene.tolerances.with_overrides(overrides, scene.ambient_dim)
-    return scene
-
-
-def _report_payload(rep):
-    wit = rep.witnesses
-    payload = {
-        "focrad0": rep.focrad0,
-        "focradminus": rep.focradminus,
-        "dcsd_half": rep.dcsd_half,
-        "lr": rep.lr,
-        "ur": rep.ur,
-        "dir": rep.dir,
-        "tir": rep.tir,
-        "air": rep.air,
-        "witnesses": {
-            "focrad0": _witness_payload(wit["focrad0"]),
-            "focradminus": _witness_payload(wit["focradminus"]),
-            "dcsd_pair": _pair_payload(wit["dcsd_pair"]),
-            "collapse_arcs": [_arc_payload(a) for a in wit["collapse_arcs"]],
-            "tir_attained": wit["tir_attained"],
-            "pair_count": wit["pair_count"],
-        },
-    }
-    return payload
-
-
-def _witness_payload(w):
-    if w is None:
-        return None
-    return {"component": w.component, "s": w.s, "value": w.value}
-
-
-def _pair_payload(p):
-    if p is None:
-        return None
-    return {
-        "component_1": p.component_1,
-        "component_2": p.component_2,
-        "s1": p.s1,
-        "s2": p.s2,
-        "ratio": p.ratio,
-        "residual": p.residual,
-    }
-
-
-def _arc_payload(a):
-    return {
-        "component": a.component,
-        "s_start": a.s_start,
-        "s_end": a.s_end,
-        "kappa": a.kappa,
-        "r": a.r,
-        "phase": a.phase,
-        "p0": list(map(float, a.p0)),
-    }
-
-
-def cmd_report(args):
-    scene = _load(args)
-    rep = radii.radii_report(scene.pairs, scene.tolerances)
-    payload = _report_payload(rep)
-    table = [
-        "quantity        value",
-        f"focrad0         {float17(rep.focrad0)}",
-        f"focradminus     {float17(rep.focradminus)}",
-        f"dcsd_half       {float17(rep.dcsd_half)}",
-        f"dir (= lr)      {float17(rep.dir)}",
-        f"tir             {float17(rep.tir)}",
-        f"air (= ur)      {float17(rep.air)}",
-    ]
-    print("\n".join(table), file=sys.stderr)
-    _write_text(args.out, _json_text(payload) + "\n")
-    return EXIT_OK
 
 
 def _numbers(text, flag):
@@ -199,48 +173,46 @@ def _t_grid(args):
     raise SceneError("sweep needs --t-values or --t-min/--t-max/--t-count")
 
 
-def cmd_sweep(args):
-    scene = _load(args)
-    family = scene.family_kind
-    if args.family:
-        fam_scene = load_scene(args.family) if args.family not in ("offset", "fixed") else None
-        family = fam_scene.family_kind if fam_scene else args.family
-    if family is None:
-        raise SceneError("scene defines no family; pass --family offset|fixed")
-    rows = sweeps.radii_sweep(scene.pairs, family, _t_grid(args), scene.tolerances)
-    table = [
-        (r.t, r.dir, r.tir, r.air, r.collapse_count, r.status) for r in rows
-    ]
-    _write_text(args.out, _csv_text(["t", "dir", "tir", "air", "collapse_count", "status"], table))
+def _ur(args, scene):
+    """The height cutoff: --ur (> 0, inf allowed), else the scene's computed ur."""
+    if args.ur is None:
+        return radii.radii_report(scene.pairs, scene.tolerances).ur
+    return _positive(args.ur, "--ur", finite=False)
+
+
+def cmd_report(args, scene):
+    rep = radii.radii_report(scene.pairs, scene.tolerances)
+    wit = rep.witnesses
+    payload = _fields(rep, _RADII)
+    payload["witnesses"] = {
+        "focrad0": _fields(wit["focrad0"], _WITNESS),
+        "focradminus": _fields(wit["focradminus"], _WITNESS),
+        "dcsd_pair": _fields(wit["dcsd_pair"], _PAIR),
+        "collapse_arcs": [_fields(a, _ARC + ("p0",)) for a in wit["collapse_arcs"]],
+        "tir_attained": wit["tir_attained"],
+        "pair_count": wit["pair_count"],
+    }
+    table = [f"{'quantity':<16}value"]
+    table += [f"{label:<16}{float17(payload[label.split()[0]])}" for label in _TABLE]
+    print("\n".join(table), file=sys.stderr)
+    _write_text(args.out, _json_text(payload) + "\n")
     return EXIT_OK
 
 
-def _svg_target(args, scene):
-    if args.format != "svg":
-        return None
-    if scene.ambient_dim != 2:
-        print("SVG_UNSUPPORTED_DIM: SVG output needs ambient_dim = 2; emitting CSV only",
-              file=sys.stderr)
-        return None
-    if args.out is None:
-        raise SceneError("--format svg needs --out PATH")
-    return args.out if args.out.endswith(".svg") else args.out + ".svg"
+def cmd_sweep(args, scene):
+    family = scene.family_kind
+    if args.family in ("offset", "fixed"):
+        family = args.family
+    elif args.family:
+        family = load_scene(args.family).family_kind
+    if family is None:
+        raise SceneError("scene defines no family; pass --family offset|fixed")
+    rows = sweeps.radii_sweep(scene.pairs, family, _t_grid(args), scene.tolerances)
+    _write_text(args.out, _csv_text(_SWEEP, [[getattr(r, k) for k in _SWEEP] for r in rows]))
+    return EXIT_OK
 
 
-def _curve_polylines(scene, samples=512):
-    lines = []
-    for curve, _ in scene.pairs:
-        sg = curve.grid(samples)
-        pts = curve.point(sg)
-        if curve.closed:
-            pts = np.vstack([pts, pts[:1]])
-        lines.append(pts)
-    return lines
-
-
-def cmd_fibers(args):
-    scene = _load(args)
-    svg_path = _svg_target(args, scene)
+def cmd_fibers(args, scene):
     if args.samples < 2:
         raise SceneError("fibers needs --samples N >= 2")
     if not 0 <= args.component < len(scene.pairs):
@@ -253,101 +225,58 @@ def cmd_fibers(args):
     else:
         feet = list(np.linspace(curve.s_min + 0.1 * curve.length,
                                 curve.s_max - 0.1 * curve.length, 5))
-    rows = []
-    polylines = []
+    traces = []
     for s in feet:
-        frame = curve.frame(s)
-        v = frame.principal_normal
+        v = curve.frame(s).principal_normal
         if v is None:
             v = normal_frame(curve, s)[0]
         r_max = args.r_max
         if r_max is None:
             bound = float(w_bound(weight, s))
             r_max = 0.9 * bound if np.isfinite(bound) else 1.0
-        rr, pts = sweeps.fiber_trace(curve, weight, s, v, r_max, samples=args.samples)
-        polylines.append(pts)
-        for r, p in zip(rr, pts):
-            rows.append((s, r, *[float(x) for x in p]))
-    csv_text = _csv_text(_point_header(scene), rows)
-    if svg_path:
-        _write_text(svg_path, render_svg(curves=_curve_polylines(scene), fibers=polylines))
-        _write_text(svg_path[:-4] + ".csv", csv_text)
-    else:
-        _write_text(args.out, csv_text)
+        traces.append(sweeps.fiber_trace(curve, weight, s, v, r_max, samples=args.samples))
+    rr, pts = zip(*traces)
+    _write_points(args, scene, np.repeat(feet, args.samples), np.concatenate(rr),
+                  np.concatenate(pts), fibers=pts)
     return EXIT_OK
 
 
-def cmd_tube(args):
-    scene = _load(args)
-    svg_path = _svg_target(args, scene)
+def cmd_tube(args, scene):
     if args.radius is None:
         raise SceneError("tube needs --radius R > 0")
     _positive(args.radius, "--radius")
     if args.samples < 1:
         raise SceneError("tube needs --samples N >= 1")
     boundary, overlap = sweeps.tube_boundary(scene.pairs, args.radius, s_samples=args.samples)
-    header = _point_header(scene)
-    rows = [(s, args.radius, *[float(x) for x in p]) for (_, s, p, _) in boundary]
-    over_rows = [(s, args.radius, *[float(x) for x in p]) for (_, s, p, _) in overlap]
-    csv_text = _csv_text(header, rows)
-    over_text = _csv_text(header, over_rows)
-    out = args.out
-    if svg_path:
-        pts = np.array([p for (_, _, p, _) in boundary]) if boundary else np.zeros((0, 2))
-        _write_text(svg_path, render_svg(curves=_curve_polylines(scene), tube_points=pts))
-        out = svg_path[:-4] + ".csv"
-    _write_text(out, csv_text)
+    # Rows of both lists are (component, s, point, G).
+    s, pts = [row[1] for row in boundary], [row[2] for row in boundary]
+    out = _write_points(args, scene, s, args.radius, pts, tube_points=pts)
     if out is not None:
         base = out[:-4] if out.endswith(".csv") else out
-        _write_text(base + ".overlap.csv", over_text)
-    elif over_rows:
-        print(f"{len(over_rows)} overlap points (inside the tube interior)", file=sys.stderr)
+        s, pts = [row[1] for row in overlap], [row[2] for row in overlap]
+        _write_text(base + ".overlap.csv", _point_csv(scene, s, args.radius, pts))
+    elif overlap:
+        print(f"{len(overlap)} overlap points (inside the tube interior)", file=sys.stderr)
     return EXIT_OK
 
 
-def _ur(args, scene):
-    """The height cutoff: --ur (> 0, inf allowed), else the scene's computed ur."""
-    if args.ur is None:
-        return radii.radii_report(scene.pairs, scene.tolerances).ur
-    return _positive(args.ur, "--ur", finite=False)
-
-
-def _point_header(scene):
-    """The s,R,x1..xn header of the point tables."""
-    return ["s", "R"] + [f"x{i + 1}" for i in range(scene.ambient_dim)]
-
-
-def cmd_singular(args):
-    scene = _load(args)
-    svg_path = _svg_target(args, scene)
+def cmd_singular(args, scene):
     points = singular.singular_set(scene.pairs, _ur(args, scene), scene.tolerances)
-    rows = [(p.s, p.R, *[float(x) for x in p.location]) for p in points]
-    csv_text = _csv_text(_point_header(scene), rows)
-    if svg_path:
-        pts = np.array([p.location for p in points]) if points else np.zeros((0, 2))
-        _write_text(svg_path, render_svg(curves=_curve_polylines(scene), singular_points=pts))
-        _write_text(svg_path[:-4] + ".csv", csv_text)
-    else:
-        _write_text(args.out, csv_text)
+    loc = [p.location for p in points]
+    _write_points(args, scene, [p.s for p in points], [p.R for p in points], loc,
+                  singular_points=loc)
     return EXIT_OK
 
 
-def cmd_collapse(args):
-    scene = _load(args)
+def cmd_collapse(args, scene):
     arcs = singular.detect_collapse_arcs(scene.pairs, _ur(args, scene), scene.tolerances)
-    header = ["component", "s_start", "s_end", "kappa", "r", "phase"] + [
-        f"p0_x{i + 1}" for i in range(scene.ambient_dim)
-    ]
-    rows = [
-        (a.component, a.s_start, a.s_end, a.kappa, a.r, a.phase, *[float(x) for x in a.p0])
-        for a in arcs
-    ]
+    header = list(_ARC) + [f"p0_x{i + 1}" for i in range(scene.ambient_dim)]
+    rows = [[getattr(a, k) for k in _ARC] + a.p0.tolist() for a in arcs]
     _write_text(args.out, _csv_text(header, rows))
     return EXIT_OK
 
 
-def cmd_check(args):
-    scene = _load(args)
+def cmd_check(args, scene):
     pairs = scene.pairs
     if args.t is not None:
         if scene.family_kind is None:
@@ -358,79 +287,76 @@ def cmd_check(args):
     ok, witnesses = singular.transversality_check(pairs, scene.tolerances)
     payload = {
         "transversal": ok,
-        "witnesses": [
-            {"component": c, "s": s, "slope": g} for (c, s, g) in witnesses
-        ],
+        "witnesses": [dict(zip(("component", "s", "slope"), w)) for w in witnesses],
     }
     _write_text(args.out, _json_text(payload) + "\n")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The wtube parser, built on the first call and shared after it (each
+    parse_args call fills a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="wtube",
         description="Nonuniform tubular thickness of weighted curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def verb(name, func, help, counts=False, threads=False, formats=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scene", required=True, help="scene file or bundled scene name")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol-override", action="append", metavar="KEY=VALUE",
-                       help="set focal_samples, pair_grid or singular_samples (repeatable)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; output does not depend on it")
-        p.add_argument("--format", choices=("json", "csv", "svg"), default=None)
+        if counts:
+            p.add_argument("--tol-override", action="append", metavar="KEY=VALUE",
+                           help="set focal_samples, pair_grid or singular_samples (repeatable)")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted for compatibility; output does not depend on it")
+        if formats:
+            p.add_argument("--format", choices=("csv", "svg"), default="csv",
+                           help="svg: draw planar scenes to --out, the CSV beside it")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("report", help="radii report (JSON + table on stderr)")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    verb("report", cmd_report, "radii report (JSON + table on stderr)", counts=True, threads=True)
 
-    p = sub.add_parser("sweep", help="weight-family sweep (CSV)")
-    common(p)
+    p = verb("sweep", cmd_sweep, "weight-family sweep (CSV)", counts=True, threads=True)
     p.add_argument("--family", default=None, help="family kind or family file")
     p.add_argument("--t-values", default=None, help="comma-separated t grid")
     p.add_argument("--t-min", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--t-count", type=int, default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("fibers", help="fiber traces (CSV, SVG for planar scenes)")
-    common(p)
+    p = verb("fibers", cmd_fibers, "fiber traces (CSV, SVG for planar scenes)", formats=True)
     p.add_argument("--s-values", default=None, help="comma-separated feet")
     p.add_argument("--component", type=int, default=0)
     p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--samples", type=int, default=257)
-    p.set_defaults(func=cmd_fibers)
 
-    p = sub.add_parser("tube", help="tube-boundary samples (CSV + overlap file)")
-    common(p)
+    p = verb("tube", cmd_tube, "tube-boundary samples (CSV + overlap file)", formats=True)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--samples", type=int, default=256)
-    p.set_defaults(func=cmd_tube)
 
-    p = sub.add_parser("singular", help="singular-set points (CSV)")
-    common(p)
+    p = verb("singular", cmd_singular, "singular-set points (CSV)", counts=True, formats=True)
     p.add_argument("--ur", type=float, default=None, help="height cutoff (default: computed)")
-    p.set_defaults(func=cmd_singular)
 
-    p = sub.add_parser("collapse", help="collapse arcs (CSV)")
-    common(p)
+    p = verb("collapse", cmd_collapse, "collapse arcs (CSV)", counts=True)
     p.add_argument("--ur", type=float, default=None)
-    p.set_defaults(func=cmd_collapse)
 
-    p = sub.add_parser("check", help="transversality diagnostic (JSON)")
-    common(p)
+    p = verb("check", cmd_check, "transversality diagnostic (JSON)", counts=True)
     p.add_argument("--t", type=float, default=None, help="family parameter")
-    p.set_defaults(func=cmd_check)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        scene = load_scene(args.scene)
+        if "tol_override" in args:
+            overrides = _parse_overrides(args.tol_override)
+            scene.tolerances = scene.tolerances.with_overrides(overrides, scene.ambient_dim)
+        return args.func(args, scene)
     except SceneError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -55,7 +55,7 @@ class CollapseArc:
     residuals: dict
 
 
-GZeroSet = namedtuple("GZeroSet", "sg g flat cross cross_s touch touch_s")
+GZeroSet = namedtuple("GZeroSet", "sg kap g flat cross cross_s touch touch_s")
 
 
 def _sng_condition(curve, weight, s):
@@ -80,10 +80,11 @@ def _graph_height(weight_jet):
 
 def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     """The zero set of g = mu'' + kappa^2 mu / 4 on one component, as a
-    GZeroSet: the grid `sg` of tol.singular_samples samples, `g` on it, the
-    `flat` samples, the sign changes (grid index k of the bracket
-    [s_k, s_k + step] in `cross`, root in `cross_s`) and the touching zeros
-    (grid index in `touch`, refined foot in `touch_s`, smallest |g| first).
+    GZeroSet: the grid `sg` of tol.singular_samples samples, the curvature
+    `kap` and `g` on it, the `flat` samples, the sign changes (grid index k
+    of the bracket [s_k, s_k + step] in `cross`, root in `cross_s`) and the
+    touching zeros (grid index in `touch`, refined foot in `touch_s`,
+    smallest |g| first).
 
     Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
     consulted. All sign changes (the last sample and the first also
@@ -95,7 +96,8 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     """
     n = tol.singular_samples
     sg = curve.grid(n)
-    g = _sng_condition(curve, weight, sg)
+    kap = curve.curvature(sg)
+    g = _g(kap, weight.jet(sg, 2))
     absg = np.abs(g)
     flat = absg <= _FLAT_FACTOR * max(1.0, float(np.max(absg)))
     limit = n if curve.closed else n - 1
@@ -114,7 +116,7 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
             lambda s: np.abs(_sng_condition(curve, weight, s)), lo, hi, tol=1e-13
         )
         touch, touch_s = touch[v_ref <= _TOL_SNG], touch_s[v_ref <= _TOL_SNG]
-    return GZeroSet(sg, g, flat, cross, cross_s, touch, touch_s)
+    return GZeroSet(sg, kap, g, flat, cross, cross_s, touch, touch_s)
 
 
 def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
@@ -403,7 +405,7 @@ def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
     witnesses = []
     for ci, (curve, weight) in enumerate(pairs):
         z = g_zero_set(curve, weight, tol)
-        flat = z.flat & (curve.curvature(z.sg) > curve.kappa_tol)
+        flat = z.flat & (z.kap > curve.kappa_tol)
         for lo, hi in _runs(flat, curve.closed):
             if hi - lo >= 3:
                 witnesses.append((ci, None, 0.0))

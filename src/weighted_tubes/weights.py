@@ -220,6 +220,7 @@ class SymmetricPiecewiseWeight(WeightFunction):
             (lo, hi, [coeffs] + [nppoly.polyder(coeffs, m) for m in range(1, 4)])
             for lo, hi, coeffs, _, _ in pieces
         ]
+        self._starts = np.array([lo for lo, _, _ in self._pieces])
 
     @staticmethod
     def _integrate_piece(u_lo, width, d2_coeffs, value0, slope0):
@@ -250,8 +251,11 @@ class SymmetricPiecewiseWeight(WeightFunction):
                 outs[n][m_cos] = 0.5**n * val
         for n, out in enumerate(outs):
             out[m_flat] = self.plateau if n == 0 else 0.0
-        for lo, hi, coeffs in self._pieces:
-            m = (u > lo) & (u < hi) & ~m_cos & ~m_flat
+        # A foot between the cosine and the plateau belongs to the last piece
+        # starting at or below it, so a foot on a piece start is evaluated too.
+        piece = np.where(m_cos | m_flat, -1, np.searchsorted(self._starts, u, side="right") - 1)
+        for j, (lo, _, coeffs) in enumerate(self._pieces):
+            m = piece == j
             if not np.any(m):
                 continue
             for n, out in enumerate(outs):

@@ -273,6 +273,19 @@ class TestPointExports:
             # mu = 1: the fiber runs along the inward normal of the unit circle.
             assert (x1, x2) == pytest.approx(((1 - r) * np.cos(s), (1 - r) * np.sin(s)), abs=1e-12)
 
+    def test_fibers_at_a_weight_piece_start(self, tmp_path):
+        # s = 6 starts a piece of the stadium's weight; the weight's slope
+        # there used to be uninitialised memory, and the call exited 3 with
+        # "R=0.9 exceeds admissible bound 0.16666666666666666 at s=6.0".
+        from weighted_tubes import cli
+
+        out = tmp_path / "fib.csv"
+        argv = ["fibers", "--scene", "example2_stadium", "--samples", "3", "--out", str(out)]
+        assert cli.main(argv + ["--s-values", "6"]) == 0
+        at = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert cli.main(argv + ["--s-values", repr(float(np.nextafter(6.0, 7.0)))]) == 0
+        np.testing.assert_allclose(at, np.loadtxt(out, delimiter=",", skiprows=1), rtol=1e-12)
+
     def test_singular_csv(self, tmp_path):
         out = tmp_path / "sing.csv"
         run_cli("singular", "--scene", "example4", "--out", str(out))
@@ -328,6 +341,67 @@ class TestPointExports:
         assert "SVG_UNSUPPORTED_DIM" in proc.stderr
         assert out.exists()  # CSV still emitted
         assert not (tmp_path / "fib3.svg").exists()
+
+
+class TestVerbFlags:
+    # Flags a verb does not read used to be accepted and ignored: `report
+    # --format svg` wrote JSON and `tube --format json --threads 9
+    # --tol-override pair_grid=300` wrote CSV, both with exit 0.
+    @pytest.mark.parametrize("argv", [
+        ["fibers", "--scene", "example1a", "--tol-override", "pair_grid=300"],
+        ["tube", "--scene", "example1a", "--radius", "0.5", "--tol-override", "pair_grid=300"],
+        *[[verb, "--scene", "example1a", "--threads", "2"]
+          for verb in ("fibers", "tube", "singular", "collapse", "check")],
+        *[[verb, "--scene", "example1a", "--format", "csv"]
+          for verb in ("report", "sweep", "collapse", "check")],
+        *[[verb, "--scene", "example1a", "--format", "json"] for verb in ("fibers", "tube", "singular")],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+    def test_unread_flag_exit_2(self, capsys, argv):
+        from weighted_tubes import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "wtube" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, layer", [
+        (["fibers", "--s-values", "0.5", "--r-max", "1.0", "--samples", "9"], 'id="fibers"><polyline'),
+        (["tube", "--radius", "0.5", "--samples", "16"], 'id="tube"><circle'),
+        (["singular", "--ur", "inf"], 'id="singular"><circle'),
+    ], ids=["fibers", "tube", "singular"])
+    def test_svg_draws_its_points(self, tmp_path, argv, layer):
+        from weighted_tubes import cli
+
+        out = tmp_path / "plot"
+        assert cli.main(argv + ["--scene", "example4", "--format", "svg", "--out", str(out)]) == 0
+        svg = (tmp_path / "plot.svg").read_text()
+        assert svg.replace("\n", "").count(layer) == 1
+        # The table beside the drawing is the one --format csv writes.
+        assert cli.main(argv + ["--scene", "example4", "--out", str(tmp_path / "t.csv")]) == 0
+        assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+        assert len((tmp_path / "plot.csv").read_text().splitlines()) > 1
+
+    def test_parser_is_built_once(self):
+        from weighted_tubes import cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_parsed_state(self, monkeypatch, tmp_path):
+        # The parser is shared by every main call; the namespaces are not.
+        from weighted_tubes import cli, singular
+
+        seen = []
+
+        def spy(pairs, tol):
+            seen.append(tol.singular_samples)
+            return True, []
+
+        monkeypatch.setattr(singular, "transversality_check", spy)
+        out = str(tmp_path / "check.json")
+        assert cli.main(["check", "--scene", "circle_mu1", "--out", out,
+                         "--tol-override", "singular_samples=300"]) == 0
+        assert cli.main(["check", "--scene", "circle_mu1", "--out", out]) == 0
+        assert seen == [300, 4096]
 
 
 class TestCheck:

@@ -439,6 +439,15 @@ class TestGZeroSet:
                 count += len(z.cross)
         assert count >= 4
 
+    def test_grid_curvature_is_carried(self, scenes):
+        # transversality_check reads the grid's curvature from the zero set
+        # instead of evaluating it again on the same feet.
+        for scene in scenes.values():
+            for curve, weight in scene.pairs:
+                z = g_zero_set(curve, weight, scene.tolerances)
+                np.testing.assert_array_equal(z.kap, curve.curvature(z.sg))
+                np.testing.assert_array_equal(z.g, _sng_condition(curve, weight, z.sg))
+
     def test_touching_zero_of_example4(self, scenes):
         curve, weight = scenes["example4"].pairs[0]
         z = g_zero_set(curve, weight, scenes["example4"].tolerances)

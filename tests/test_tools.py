@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from weighted_tubes import cli
+from weighted_tubes.scene import BUNDLED_SCENES
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 
@@ -51,3 +53,19 @@ def test_a_crash_is_an_outcome(digests, tmp_path):
     rc, got = digests.run_call(Crashing, ["report"], out, str(tmp_path))
     assert rc == "raised-RuntimeError"
     assert got == [_sha(b""), _sha(b"RuntimeError: no <work>/r.json"), "-"]
+
+
+def test_bundled_set_covers_every_verb_and_scene(digests):
+    # Checked without running the set: every (scene, verb) pair once, each
+    # argv accepted by the parser, and --format svg on every verb that
+    # takes it.
+    parser = cli.build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    calls = digests.bundled_calls(BUNDLED_SCENES)
+    pairs = [(c["argv"][2], c["argv"][0]) for c in calls]
+    assert sorted(pairs) == sorted((scene, verb) for scene in BUNDLED_SCENES for verb in verbs)
+    for call in calls:
+        args = parser.parse_args(call["argv"])
+        assert call["label"] == f"{args.scene}/{args.command}"
+        assert getattr(args, "format", "svg") == "svg"
+        assert getattr(args, "ur", None) is None

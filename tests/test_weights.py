@@ -119,6 +119,20 @@ class TestStadiumBlend:
             for d in (w.mu, w.d1, w.d2, lambda s: w.jet(s, 3)[3]):
                 assert abs(float(d(u - h)) - float(d(u + h))) <= 1e-5, (u, d)
 
+    @pytest.mark.parametrize("start", [1.2000000000000002, 2.4000000000000004, 6.0])
+    def test_piece_start_is_evaluated(self, blend, start):
+        # A foot exactly on an interior piece start was in no piece's open
+        # mask and returned uninitialised memory (mu = 1.2 at the first
+        # start, where mu is 0.846). Its jet now matches the jet one ulp
+        # inside the piece, as the C^3 weight makes it.
+        curve, w = blend
+        assert start in [lo for lo, _, _ in w._pieces]
+        inside = np.nextafter(start, np.inf)
+        for s, s_in in ((start, inside), (curve.length - start, curve.length - inside)):
+            at, near = w.jet(np.array([s, s_in]), 3), w.jet(s_in, 3)
+            assert np.allclose([x[0] for x in at], near, rtol=0.0, atol=1e-12)
+            assert [float(x) for x in w.jet(s, 3)] == [x[0] for x in at]
+
     def test_slope_lands_at_zero(self, blend):
         _, w = blend
         assert abs(w._slope_residual) <= 1e-14

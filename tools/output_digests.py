@@ -1,15 +1,19 @@
-"""Digests of every output of a benchmark workload's calls, to compare the
-bytes two checkouts produce.
+"""Digests of every output of a benchmark workload's calls, or of the
+bundled call set, to compare the bytes two checkouts produce.
 
     python3 tools/output_digests.py WORKLOAD SEED [SEED ...] [--root DIR]
+    python3 tools/output_digests.py bundled [--root DIR]
 
 For each seed, perfbench/run.py's Inputs writes the scene files and builds
 the call plan exactly as the benchmark does, for the run_seconds of
-BENCHMARK.json. Every call then runs in-process through
-`weighted_tubes.cli.main(argv + ["--out", FILE])`. One line per call is
-printed: seed, label, exit code, and the sha256 of stdout, stderr, the
-output file and, for a tube call, its .overlap.csv ("-" for a file that
-was not written). The work directory reads <work> in the captured stdout
+BENCHMARK.json. The `bundled` set (`bundled_calls`) instead runs every verb
+on every bundled scene, with --format svg on the verbs that take it and
+singular/collapse without --ur; its lines carry seed "-". Every call then
+runs in-process through `weighted_tubes.cli.main(argv + ["--out", FILE])`.
+One line per call is printed: seed, label, exit code, and the sha256 of
+stdout, stderr, the output file, for a --format svg call the .csv beside
+it and, for a tube call, its .overlap.csv ("-" for a file that was not
+written). The work directory reads <work> in the captured stdout
 and stderr before they are hashed, so the lines of two checkouts compare
 with diff:
 
@@ -55,34 +59,65 @@ def run_call(cli, argv, out, work):
         stderr.write(f"{type(exc).__name__}: {exc}")
     texts = [x.getvalue().replace(work, "<work>").encode() for x in (stdout, stderr)]
     files = [_read(out)]
+    if "--format" in argv:
+        files.append(_read(out[:-4] + ".csv"))
     if argv[0] == "tube":
         files.append(_read(out[:-4] + ".overlap.csv"))
     return rc, [_sha(x) for x in texts + files]
 
 
+# The bundled set's calls per scene: verb, arguments beyond --scene, output
+# extension. --format svg where a verb takes it, small sample counts, and
+# no --ur, so singular and collapse compute theirs.
+BUNDLED_VERBS = (
+    ("report", [], "json"),
+    ("sweep", ["--family", "offset", "--t-values=-0.01,0.01"], "csv"),
+    ("fibers", ["--samples", "9", "--format", "svg"], "svg"),
+    ("tube", ["--radius", "0.5", "--samples", "32", "--format", "svg"], "svg"),
+    ("singular", ["--format", "svg"], "svg"),
+    ("collapse", [], "csv"),
+    ("check", [], "json"),
+)
+
+
+def bundled_calls(scenes):
+    """The calls of BUNDLED_VERBS on each of `scenes`, labelled scene/verb."""
+    return [
+        {"label": f"{scene}/{verb}", "argv": [verb, "--scene", scene] + extra, "ext": ext}
+        for scene in scenes
+        for verb, extra, ext in BUNDLED_VERBS
+    ]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
-    parser.add_argument("seeds", nargs="+", type=int)
+    parser.add_argument("seeds", nargs="*", type=int)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     args = parser.parse_args(argv)
+    if (args.workload == "bundled") == bool(args.seeds):
+        parser.error("give seeds for a benchmark workload and none for bundled")
     root = args.root.resolve()
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import run as perfbench_run
     import weighted_tubes
     from weighted_tubes import cli
+    from weighted_tubes.scene import BUNDLED_SCENES
 
     where = Path(weighted_tubes.__file__).resolve()
     if root / "src" not in where.parents:
         raise SystemExit(f"weighted_tubes was imported from {where}, not from {root / 'src'}")
     with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
-        for seed in args.seeds:
+        for seed in args.seeds or ["-"]:
             run_dir = Path(work) / f"seed{seed}"
-            inputs = perfbench_run.Inputs(args.workload, seed, seconds, run_dir)
+            if seed == "-":
+                calls = bundled_calls(BUNDLED_SCENES)
+            else:
+                inputs = perfbench_run.Inputs(args.workload, seed, seconds, run_dir)
+                calls = [c for calls in inputs.rounds for c in calls]
             out_dir = run_dir / "out"
-            out_dir.mkdir()
-            calls = [c for calls in inputs.rounds for c in calls]
+            out_dir.mkdir(parents=True)
             for k, call in enumerate(calls):
                 out = str(out_dir / f"{k}.{call['ext']}")
                 rc, digests = run_call(cli, call["argv"], out, work)
