@@ -32,7 +32,8 @@ curve = scene.pairs[0][0]
 sg = curve.grid(512)
 outline = curve.point(sg)
 outline = np.vstack([outline, outline[:1]])
-svg = render_svg(curves=[outline], tube_points=np.array([p for (_, _, p, _) in boundary]))
+# Rows are (component, s, G, x1, x2).
+svg = render_svg(curves=[outline], tube_points=boundary[:, 3:])
 path = os.path.join(out_dir, "stadium_tube.svg")
 with open(path, "w", newline="") as fh:
     fh.write(svg)

@@ -111,24 +111,27 @@ def _point_csv(scene, s, R, points):
 
 
 def _write_points(args, scene, s, R, points, **layers):
-    """Write the point table of (s, R, points) to --out. With --format svg on
-    a planar scene, --out (".svg" appended unless present) gets the scene's
-    curves drawn with `layers` (render_svg's keywords) and the table goes
-    beside it as .csv. Returns the table's path (None: stdout)."""
+    """Write the point table of (s, R, points) to --out. With --format svg,
+    the drawing's path is --out (".svg" appended unless present) and the
+    table goes beside it as .csv; a planar scene's curves are drawn there
+    with `layers` (render_svg's keywords), and a scene in 3 or more
+    dimensions writes no SVG. Returns the table's path (None: stdout)."""
     out = args.out
-    if args.format == "svg" and scene.ambient_dim != 2:
+    planar = scene.ambient_dim == 2
+    if args.format == "svg" and not planar:
         print("SVG_UNSUPPORTED_DIM: SVG output needs ambient_dim = 2; emitting CSV only",
               file=sys.stderr)
-    elif args.format == "svg":
-        if out is None:
-            raise SceneError("--format svg needs --out PATH")
+    elif args.format == "svg" and out is None:
+        raise SceneError("--format svg needs --out PATH")
+    if args.format == "svg" and out is not None:
         svg = out if out.endswith(".svg") else out + ".svg"
-        curves = []
-        for curve, _ in scene.pairs:
-            pts = curve.point(curve.grid(_SVG_CURVE_SAMPLES))
-            curves.append(np.vstack([pts, pts[:1]]) if curve.closed else pts)
-        _write_text(svg, render_svg(curves=curves, **layers))
         out = svg[:-4] + ".csv"
+        if planar:
+            curves = []
+            for curve, _ in scene.pairs:
+                pts = curve.point(curve.grid(_SVG_CURVE_SAMPLES))
+                curves.append(np.vstack([pts, pts[:1]]) if curve.closed else pts)
+            _write_text(svg, render_svg(curves=curves, **layers))
     _write_text(out, _point_csv(scene, s, R, points))
     return out
 
@@ -248,14 +251,13 @@ def cmd_tube(args, scene):
     if args.samples < 1:
         raise SceneError("tube needs --samples N >= 1")
     boundary, overlap = sweeps.tube_boundary(scene.pairs, args.radius, s_samples=args.samples)
-    # Rows of both lists are (component, s, point, G).
-    s, pts = [row[1] for row in boundary], [row[2] for row in boundary]
-    out = _write_points(args, scene, s, args.radius, pts, tube_points=pts)
+    # Rows of both arrays are (component, s, G, x1..xn).
+    out = _write_points(args, scene, boundary[:, 1], args.radius, boundary[:, 3:],
+                        tube_points=boundary[:, 3:])
     if out is not None:
         base = out[:-4] if out.endswith(".csv") else out
-        s, pts = [row[1] for row in overlap], [row[2] for row in overlap]
-        _write_text(base + ".overlap.csv", _point_csv(scene, s, args.radius, pts))
-    elif overlap:
+        _write_text(base + ".overlap.csv", _point_csv(scene, overlap[:, 1], args.radius, overlap[:, 3:]))
+    elif len(overlap):
         print(f"{len(overlap)} overlap points (inside the tube interior)", file=sys.stderr)
     return EXIT_OK
 

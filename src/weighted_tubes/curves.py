@@ -372,6 +372,69 @@ def _pchip_eval(x, c, s):
     return c[3, i] + c[2, i] * z + c[1, i] * z2 + c[0, i] * (z2 * z)
 
 
+class _FourierSeries:
+    """Real Fourier series x_i(t) = a0 + sum_k a_k cos(k w t) + b_k sin(k w t),
+    w = 2 pi / period, one per coordinate (coeffs[i] = [a0, a1, b1, ...]);
+    a weight is the one-coordinate case."""
+
+    def __init__(self, coeffs, period):
+        # Per mode k: the coordinates that carry it (None: all) and their
+        # (a_k, b_k) columns, so a coordinate with fewer modes gets no padded
+        # term.
+        self._const = np.array([c[0] for c in coeffs])[:, None]
+        self._modes = []
+        for k in range(1, max(c.size for c in coeffs) // 2 + 1):
+            rows = [i for i, c in enumerate(coeffs) if c.size > 2 * k]
+            ab = np.array([coeffs[i][2 * k - 1:2 * k + 1] for i in rows])
+            sel = None if len(rows) == len(coeffs) else np.array(rows)
+            self._modes.append((sel, ab[:, :1], ab[:, 1:]))
+        self.omega = 2.0 * np.pi / float(period)
+
+    def orders(self, t, orders):
+        """Derivatives of the given orders at t, one t.shape + (d,) array
+        each; a scalar t gives shape (1, d)."""
+        # Per mode, one cos/sin pass and the two combinations every order
+        # reads, even = a cos + b sin and odd = b cos - a sin: d/dt rotates
+        # (cos, sin) a quarter period per order, so order n adds even, odd,
+        # -even, -odd (n mod 4 = 0, 1, 2, 3) times (k w)^n. Each mode updates
+        # all its coordinates at once in (d, N) order.
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        tf = t.ravel()
+        accs = [np.zeros((len(self._const), tf.size)) for _ in orders]
+        for order, acc in zip(orders, accs):
+            if order == 0:
+                acc += self._const
+        parities = {order % 2 for order in orders}
+        for k, (sel, ak, bk) in enumerate(self._modes, 1):
+            w = k * self.omega
+            ph = w * tf
+            cos, sin = np.cos(ph), np.sin(ph)
+            if 0 in parities:
+                even = ak * cos
+                even += bk * sin
+            if 1 in parities:
+                odd = bk * cos
+                odd -= ak * sin
+            for order, acc in zip(orders, accs):
+                x = even if order % 2 == 0 else odd
+                if order:
+                    # The sign rides on the factor: -(x w^n) rounds as x (-w^n).
+                    x = x * (w**order if order % 4 < 2 else -(w**order))
+                if sel is None:
+                    acc += x
+                else:
+                    acc[sel] += x
+        # C-contiguous (N, d) arrays, as reductions over their last axis
+        # round by memory layout.
+        return [np.ascontiguousarray(acc.T).reshape(t.shape + (len(acc),)) for acc in accs]
+
+
+def _chebyshev_derivatives(coeffs, domain):
+    """[p, p', p'', p'''] of the Chebyshev series coeffs on domain."""
+    p = npcheb.Chebyshev(np.asarray(coeffs, dtype=float), domain=list(domain))
+    return [p] + [p.deriv(m) for m in range(1, 4)]
+
+
 class FourierCurve(_RawCurve):
     """Closed curve with one real Fourier series per coordinate.
 
@@ -387,17 +450,7 @@ class FourierCurve(_RawCurve):
             raise NonRegularCurveError("each coordinate needs [a0, a1, b1, ...]")
         if not all(np.all(np.isfinite(c)) for c in coeffs):
             raise NonRegularCurveError("non-finite Fourier coefficients")
-        # Per mode k: the coordinates that carry it and their (a_k, b_k)
-        # columns, so a coordinate with fewer modes gets no padded term.
-        self._const = np.array([c[0] for c in coeffs])[:, None]
-        self._modes = []
-        for k in range(1, max(c.size for c in coeffs) // 2 + 1):
-            rows = [i for i, c in enumerate(coeffs) if c.size > 2 * k]
-            ab = np.array([coeffs[i][2 * k - 1:2 * k + 1] for i in rows])
-            sel = slice(None) if len(rows) == len(coeffs) else np.array(rows)
-            self._modes.append((sel, ab[:, :1], ab[:, 1:]))
-        self._omega = 2.0 * np.pi / float(period)
-        self._period = float(period)
+        self._series = _FourierSeries(coeffs, period)
         super().__init__(True, (0.0, float(period)))
 
     def t_of_s(self, s):
@@ -405,40 +458,7 @@ class FourierCurve(_RawCurve):
         return super().t_of_s(s)
 
     def _raw_orders(self, t, orders):
-        # One cos/sin pass per mode, shared by every coordinate and order;
-        # each mode updates all its coordinates at once in (d, N) order.
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        tf = t.ravel()
-        trig = []
-        for k in range(1, len(self._modes) + 1):
-            ph = (k * self._omega) * tf
-            trig.append((np.cos(ph), np.sin(ph)))
-        outs = []
-        for order in orders:
-            acc = np.zeros((len(self._const), tf.size))
-            if order == 0:
-                acc += self._const
-            for k, ((sel, ak, bk), (cos, sin)) in enumerate(zip(self._modes, trig), 1):
-                # d/dt rotates (cos, sin) a quarter period per order. The
-                # in-place updates keep large calls to two temporaries.
-                if order % 4 == 0:
-                    x = ak * cos
-                    x += bk * sin
-                elif order % 4 == 1:
-                    x = -ak * sin
-                    x += bk * cos
-                elif order % 4 == 2:
-                    x = -ak * cos
-                    x -= bk * sin
-                else:
-                    x = ak * sin
-                    x -= bk * cos
-                x *= (k * self._omega) ** order
-                acc[sel] += x
-            # A C-contiguous (N, d) array, as reductions over its last axis
-            # round by memory layout.
-            outs.append(np.ascontiguousarray(acc.T).reshape(t.shape + (len(acc),)))
-        return outs
+        return self._series.orders(t, orders)
 
 
 class ChebyshevCurve(_RawCurve):
@@ -453,8 +473,7 @@ class ChebyshevCurve(_RawCurve):
         if not all(np.all(np.isfinite(c)) for c in coeffs):
             raise NonRegularCurveError("non-finite Chebyshev coefficients")
         dom = [float(raw_domain[0]), float(raw_domain[1])]
-        series = [npcheb.Chebyshev(c, domain=dom) for c in coeffs]
-        self._series = [[p] + [p.deriv(m) for m in range(1, 4)] for p in series]
+        self._series = [_chebyshev_derivatives(c, dom) for c in coeffs]
         super().__init__(False, dom)
 
     def _raw_orders(self, t, orders):
@@ -521,8 +540,7 @@ class CurvatureProfileCurve(ArclengthCurve):
         th = float(start_angle)
         for p in pieces:
             p.theta0, p.x0, p.y0 = th, x, y
-            dx, dy, dth = self._advance(p, p.s1)
-            x, y, th = x + dx, y + dy, th + dth
+            th, x, y = self._piece_state(p, p.s1)
         self._end_state = (x, y, th)
         super().__init__(2, length, closed, 0.0)
 
@@ -550,32 +568,29 @@ class CurvatureProfileCurve(ArclengthCurve):
         u = (s - p.s0) / w
         return (p.k1 - p.k0) / w * quintic_smoothstep_d1(u)
 
-    def _advance(self, p, s_end):
-        """(dx, dy, dtheta) from p.s0 to s_end inside piece p (scalars)."""
-        if p.kind == "const" and p.k0 == 0.0:
-            ds = s_end - p.s0
-            return ds * np.cos(p.theta0), ds * np.sin(p.theta0), 0.0
-        if p.kind == "const":
-            k = p.k0
-            th1 = p.theta0 + k * (s_end - p.s0)
-            dx = (np.sin(th1) - np.sin(p.theta0)) / k
-            dy = (-np.cos(th1) + np.cos(p.theta0)) / k
-            return dx, dy, th1 - p.theta0
-        nodes, wts = gauss_legendre(self._GL_N)
-        ss = p.s0 + (s_end - p.s0) * nodes
-        th = p.theta0 + self._theta_local(p, ss)
-        h = s_end - p.s0
-        return (
-            float(np.sum(np.cos(th) * wts) * h),
-            float(np.sum(np.sin(th) * wts) * h),
-            float(self._theta_local(p, np.asarray(s_end))),
-        )
-
     # -- vectorized evaluation -------------------------------------------------
 
     def _piece_index(self, s):
         bounds = np.array([p.s1 for p in self._pieces])
         return np.clip(np.searchsorted(bounds, s, side="left"), 0, len(self._pieces) - 1)
+
+    def _piece_state(self, p, s):
+        """(theta, x, y) at the feet s inside piece p (a scalar or an array):
+        positions in closed form on constant pieces and by Gauss-Legendre
+        over [p.s0, s] on transitions."""
+        th = p.theta0 + self._theta_local(p, s)
+        if p.kind == "const" and p.k0 == 0.0:
+            ds = s - p.s0
+            return th, p.x0 + ds * np.cos(p.theta0), p.y0 + ds * np.sin(p.theta0)
+        if p.kind == "const":
+            k = p.k0
+            return (th, p.x0 + (np.sin(th) - np.sin(p.theta0)) / k,
+                    p.y0 + (-np.cos(th) + np.cos(p.theta0)) / k)
+        nodes, wts = gauss_legendre(self._GL_N)
+        h = np.asarray(s, dtype=float) - p.s0
+        tt = p.theta0 + self._theta_local(p, p.s0 + h[..., None] * nodes)
+        return (th, p.x0 + (np.cos(tt) * wts).sum(axis=-1) * h,
+                p.y0 + (np.sin(tt) * wts).sum(axis=-1) * h)
 
     def _half_jet(self, s, order):
         """Jet on the stored half-profile domain [0, half-length]."""
@@ -587,22 +602,7 @@ class CurvatureProfileCurve(ArclengthCurve):
             if not np.any(m):
                 continue
             sj = s[m]
-            th = p.theta0 + self._theta_local(p, sj)
-            if p.kind == "const" and p.k0 == 0.0:
-                ds = sj - p.s0
-                x = p.x0 + ds * np.cos(p.theta0)
-                y = p.y0 + ds * np.sin(p.theta0)
-            elif p.kind == "const":
-                k = p.k0
-                x = p.x0 + (np.sin(th) - np.sin(p.theta0)) / k
-                y = p.y0 + (-np.cos(th) + np.cos(p.theta0)) / k
-            else:
-                nodes, wts = gauss_legendre(self._GL_N)
-                h = sj - p.s0
-                ss = p.s0 + h[:, None] * nodes[None, :]
-                tt = p.theta0 + self._theta_local(p, ss)
-                x = p.x0 + (np.cos(tt) * wts[None, :]).sum(axis=1) * h
-                y = p.y0 + (np.sin(tt) * wts[None, :]).sum(axis=1) * h
+            th, x, y = self._piece_state(p, sj)
             outs[0][m, 0], outs[0][m, 1] = x, y
             if order == 0:
                 continue

@@ -22,7 +22,7 @@ import numpy as np
 from . import singular
 from .config import DEFAULT_TOLERANCES
 from .errors import NumericError
-from .expmap import _rowdot, _rownorm
+from .expmap import _bound, _rowdot, _rownorm
 from .util import _bracket, _extrema_indices, _offset_array, as_pairs, golden_min
 
 _DELTA_MIN_FACTOR = 1e-3  # x L: excluded diagonal band in pair search
@@ -84,7 +84,7 @@ def _focal_terms(kap, mu, d1, d2):
     a = kap * mu
     b = np.abs(d1)
     c = 2.0 * (d1**2 + mu * d2)
-    disc = mu * (d2 + 0.25 * kap**2 * mu)
+    disc = mu * singular._g(kap, (mu, d1, d2))
     lam = b**2 + (np.sqrt(np.clip(disc, 0.0, None)) + 0.5 * a) ** 2
     return a, b, c, disc, lam
 
@@ -96,7 +96,7 @@ def _band(a_sq_max):
 def _radius_profiles(b, disc, lam, band):
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_rad = np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0, lam, 1.0)), np.inf)
-        b_rad = np.where(b > 0.0, 1.0 / np.where(b > 0, b, 1.0), np.inf)
+    b_rad = _bound(b)
     r0 = np.where(disc >= -band, lam_rad, b_rad)
     rm = np.where(disc > band, lam_rad, b_rad)
     return r0, rm
@@ -363,20 +363,23 @@ def _search_component_pair(pairs, i, j, ts, tol):
         if band is not None:
             sigma = np.where(band, np.inf, sigma)
             gnorm = np.where(band, np.inf, gnorm)
-        found = set()
-        for mat in (sigma, gnorm):
-            for a, b in _grid_local_minima(mat, c1.closed, c2.closed):
-                found.add((float(sg1[a]), float(sg2[b])))
-        seeds.append(sorted(found))
+        # np.unique sorts the linear cell indices; both grids increase
+        # strictly, so the seeds are in (s, t) order.
+        cells = np.unique(np.concatenate(
+            [_grid_local_minima(mat, c1.closed, c2.closed) for mat in (sigma, gnorm)]
+        ))
+        a, b = np.divmod(cells, len(sg2))
+        seeds.append(np.column_stack([sg1[a], sg2[b]]))
     grp = np.repeat(np.arange(len(ts)), [len(x) for x in seeds])
-    s, t, res, alive = _newton(c1, w1, c2, w2, seeds, grp, ts, tol)
+    s, t, res, alive = _newton(c1, w1, c2, w2, np.concatenate(seeds), grp, ts, tol)
     k = np.nonzero(alive & ~(res > _TOL_DC))[0]
     return _verify_rows(pairs, i, j, s[k], t[k], ts, grp[k], res[k])
 
 
 def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
-    """Damped Newton over every (offset, seed) row; row k belongs to group
-    grp[k] and carries the offset ts[grp[k]].
+    """Damped Newton over every (offset, seed) row: seeds is an (m, 2) array
+    of starting (s, t); row k belongs to group grp[k] and carries the offset
+    ts[grp[k]].
 
     Each group follows the sequence of a search for its offset alone: it
     stops on the first pass where none of its seeds is active, and on each
@@ -396,15 +399,14 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
     a state runs to the last pass.
     Returns the final (s, t, residual, alive) of every row.
     """
-    rows = np.array([x for group in seeds for x in group], dtype=float).reshape(-1, 2)
-    s = rows[:, 0].copy()
-    t = rows[:, 1].copy()
+    s = seeds[:, 0].copy()
+    t = seeds[:, 1].copy()
     off = ts[grp]
-    res = np.empty(len(rows))
-    alive = np.ones(len(rows), dtype=bool)
-    live = np.arange(len(rows))
+    res = np.empty(len(seeds))
+    alive = np.ones(len(seeds), dtype=bool)
+    live = np.arange(len(seeds))
     # (s, t, residual) one pass back and (s, t) two passes back.
-    s1, t1, res1, s2, t2 = (np.full(len(rows), np.nan) for _ in range(5))
+    s1, t1, res1, s2, t2 = (np.full(len(seeds), np.nan) for _ in range(5))
     settled = np.zeros(len(ts), dtype=bool)
     same_pair = c1 is c2 and w1 is w2
     n = tol.pair_grid
@@ -490,9 +492,10 @@ def _stencil(curve, s, h):
 
 
 def _grid_local_minima(mat, per_rows, per_cols):
-    """Grid cells (row, col) that are finite and no larger than any of their
-    eight neighbours; the neighbours wrap around periodic axes, and none lie
-    beyond the ends of open ones. A nan neighbour rules a cell out."""
+    """Linear indices, ascending, of the grid cells that are finite and no
+    larger than any of their eight neighbours; the neighbours wrap around
+    periodic axes, and none lie beyond the ends of open ones. A nan
+    neighbour rules a cell out."""
     n, m = mat.shape
     pad = np.full((n + 2, m + 2), np.inf)
     pad[1:-1, 1:-1] = mat
@@ -503,7 +506,7 @@ def _grid_local_minima(mat, per_rows, per_cols):
     # The 3x3 minimum around every cell, one axis at a time (nan passes on).
     low = np.minimum(np.minimum(pad[:-2], pad[1:-1]), pad[2:])
     low = np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:])
-    return list(zip(*np.nonzero((mat <= low) & np.isfinite(mat))))
+    return np.flatnonzero((mat <= low) & np.isfinite(mat))
 
 
 def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):

@@ -149,22 +149,12 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
 
 
 def _runs(mask, periodic):
+    """The maximal runs of True in mask as (lo, hi) index pairs, in order. On
+    a periodic mask a run through the end and a run from the start join as
+    one run (lo, hi + n), listed last; an all-True mask is one run (0, n)."""
     n = len(mask)
-    if not np.any(mask):
-        return []
-    if np.all(mask):
-        return [(0, n)]
-    idx = np.nonzero(mask)[0]
-    runs = []
-    start = idx[0]
-    prev = idx[0]
-    for k in idx[1:]:
-        if k == prev + 1:
-            prev = k
-            continue
-        runs.append((start, prev + 1))
-        start = prev = k
-    runs.append((start, prev + 1))
+    edges = np.diff(np.concatenate([[0], np.asarray(mask, dtype=np.int8), [0]]))
+    runs = list(zip(np.nonzero(edges > 0)[0].tolist(), np.nonzero(edges < 0)[0].tolist()))
     if periodic and len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n:
         first = runs.pop(0)
         lo, _ = runs.pop()

@@ -110,8 +110,8 @@ def tube_boundary(pairs, R, s_samples=256):
     exceeds the almost-injectivity height. Feet whose admissible bound is
     below R contribute nothing. The directions come from the feet's normal
     frames; all (foot, direction) rows of a component are mapped in one
-    array pass. Returns (boundary_rows, overlap_rows), rows being
-    (component, s, point, G). Raises SceneError when one component's
+    array pass. Returns (boundary, overlap), each an (m, n + 3) array of
+    rows (component, s, G, x1..xn). Raises SceneError when one component's
     (foot, direction) rows would need more than GRID_BUDGET_BYTES.
     """
     pairs = as_pairs(pairs)
@@ -124,8 +124,8 @@ def tube_boundary(pairs, R, s_samples=256):
             f"tube with {s_samples} feet needs {need} bytes per row array in {n} "
             f"dimensions, above the {GRID_BUDGET_BYTES}-byte budget"
         )
-    boundary = []
-    overlap = []
+    boundary = [np.zeros((0, n + 3))]
+    overlap = [np.zeros((0, n + 3))]
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(s_samples)
         bounds = w_bound(weight, sg)
@@ -139,9 +139,10 @@ def tube_boundary(pairs, R, s_samples=256):
         pts = exp_mu_batch(curve, weight, s_rows, v, heights)
         vals, _, _ = g_potential(pairs, pts)
         inside = vals >= R * R - _TUBE_TOL_FACTOR * R * R
-        for keep, s, p, g in zip(inside, s_rows.tolist(), pts, vals.tolist()):
-            (boundary if keep else overlap).append((ci, s, p, g))
-    return boundary, overlap
+        rows = np.column_stack([np.full(len(s_rows), ci), s_rows, vals, pts])
+        boundary.append(rows[inside])
+        overlap.append(rows[~inside])
+    return np.concatenate(boundary), np.concatenate(overlap)
 
 
 def _directions(frames, ambient_dim, dir_samples):

@@ -1,6 +1,8 @@
 """Small helpers: 1-D searches and root finding, grid extrema and brackets, quadrature
 nodes, number formatting, pair and offset lists."""
 
+import functools
+
 import numpy as np
 
 
@@ -190,18 +192,11 @@ def _checked(f, x):
     return fx
 
 
+@functools.cache
 def gauss_legendre(n):
     """Cached Gauss-Legendre nodes/weights on [0, 1]."""
-    key = int(n)
-    cached = _GL_CACHE.get(key)
-    if cached is None:
-        x, w = np.polynomial.legendre.leggauss(key)
-        cached = ((x + 1.0) / 2.0, w / 2.0)
-        _GL_CACHE[key] = cached
-    return cached
-
-
-_GL_CACHE: dict = {}
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def quintic_smoothstep(u):

@@ -10,9 +10,9 @@ and positive on the curve's domain.
 """
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
+from .curves import _chebyshev_derivatives, _FourierSeries
 from .errors import NonpositiveWeightError
 
 
@@ -97,42 +97,23 @@ class CosineWeight(WeightFunction):
 
 
 class FourierWeight(WeightFunction):
-    """Periodic series a0 + sum a_k cos(k w s) + b_k sin(k w s), w = 2 pi / period."""
+    """Periodic series a0 + sum a_k cos(k w s) + b_k sin(k w s), w = 2 pi / period:
+    a one-coordinate Fourier series of the curves."""
 
     def __init__(self, coefficients, period):
-        self._c = np.asarray(coefficients, dtype=float)
-        if self._c.size % 2 == 0:
+        c = np.asarray(coefficients, dtype=float)
+        if c.ndim != 1 or c.size % 2 == 0:
             raise NonpositiveWeightError("Fourier weight needs [a0, a1, b1, ...]")
-        self._omega = 2.0 * np.pi / float(period)
+        self._series = _FourierSeries([c], period)
 
     def jet(self, s, order):
-        s = np.asarray(s, dtype=float)
-        acc = [np.zeros_like(s, dtype=float) for _ in range(order + 1)]
-        acc[0] = acc[0] + self._c[0]
-        kmax = (self._c.size - 1) // 2
-        for k in range(1, kmax + 1):
-            ak, bk = self._c[2 * k - 1], self._c[2 * k]
-            w = k * self._omega
-            ph = w * s
-            cos, sin = np.cos(ph), np.sin(ph)
-            for n in range(order + 1):
-                fac = w**n
-                # d/ds rotates (cos, sin) a quarter period per order.
-                if n == 0:
-                    acc[n] = acc[n] + fac * (ak * cos + bk * sin)
-                elif n == 1:
-                    acc[n] = acc[n] + fac * (-ak * sin + bk * cos)
-                elif n == 2:
-                    acc[n] = acc[n] + fac * (-ak * cos - bk * sin)
-                else:
-                    acc[n] = acc[n] + fac * (ak * sin - bk * cos)
-        return tuple(acc)
+        rows = self._series.orders(s, range(order + 1))
+        return tuple(x[..., 0] if np.ndim(s) else x[0, 0] for x in rows)
 
 
 class ChebyshevWeight(WeightFunction):
     def __init__(self, coefficients, domain):
-        p = npcheb.Chebyshev(np.asarray(coefficients, dtype=float), domain=list(domain))
-        self._p = [p] + [p.deriv(m) for m in range(1, 4)]
+        self._p = _chebyshev_derivatives(coefficients, domain)
 
     def jet(self, s, order):
         s = np.asarray(s, dtype=float)
@@ -212,7 +193,6 @@ class SymmetricPiecewiseWeight(WeightFunction):
         )
         pieces.append(self._integrate_piece(self.u2 - rb, rb, s_down, vc, vc1))
         self.plateau = float(pieces[-1][3])
-        self._slope_residual = float(pieces[-1][4])  # should be ~0 by scaling
         if self.plateau <= 0:
             raise NonpositiveWeightError("blend plateau is non-positive; widen the stages")
         # Coefficients of mu and its first three derivatives, per piece.

@@ -2,8 +2,10 @@
 golden-section G with no shortcuts, the weighted closest point with its tie
 report and the finite-difference gradient of G, one-offset forms of the
 offset and second-derivative rows, the fiber-shape membership test, the
-critical-point class, golden-section maxima, the pointwise focal data, and
-the pair Newton that runs every active row to the last pass."""
+critical-point class, golden-section maxima, the pointwise focal data, the
+pair Newton that runs every active row to the last pass, and the evaluators
+the shared series and piece code replaced: the Fourier weight's own per-mode
+jet, the stadium's per-piece advance and the run finder's loop."""
 
 from dataclasses import dataclass, field
 
@@ -21,7 +23,7 @@ from weighted_tubes.radii import (
     _sigma_and_grad,
     _stencil,
 )
-from weighted_tubes.util import as_pairs, golden_min
+from weighted_tubes.util import as_pairs, gauss_legendre, golden_min
 
 
 def dense_grid_argmin(pts, gp, mug):
@@ -343,3 +345,81 @@ def newton_every_pass(c1, w1, c2, w2, seeds, grp, ts, tol):
         if not c2.closed:
             t[live] = np.clip(t[live], c2.s_min, c2.s_max)
     return s, t, res, alive
+
+
+def fourier_weight_jet(coeffs, period, s, order):
+    """FourierWeight.jet before weights evaluated through the curves' series
+    code, kept verbatim: its own loop over the modes of [a0, a1, b1, ...]."""
+    c = np.asarray(coeffs, dtype=float)
+    omega = 2.0 * np.pi / float(period)
+    s = np.asarray(s, dtype=float)
+    acc = [np.zeros_like(s, dtype=float) for _ in range(order + 1)]
+    acc[0] = acc[0] + c[0]
+    kmax = (c.size - 1) // 2
+    for k in range(1, kmax + 1):
+        ak, bk = c[2 * k - 1], c[2 * k]
+        w = k * omega
+        ph = w * s
+        cos, sin = np.cos(ph), np.sin(ph)
+        for n in range(order + 1):
+            fac = w**n
+            # d/ds rotates (cos, sin) a quarter period per order.
+            if n == 0:
+                acc[n] = acc[n] + fac * (ak * cos + bk * sin)
+            elif n == 1:
+                acc[n] = acc[n] + fac * (-ak * sin + bk * cos)
+            elif n == 2:
+                acc[n] = acc[n] + fac * (-ak * cos - bk * sin)
+            else:
+                acc[n] = acc[n] + fac * (ak * sin - bk * cos)
+    return tuple(acc)
+
+
+def profile_advance(curve, p, s_end):
+    """CurvatureProfileCurve._advance before the constructor asked the piece
+    evaluator for a piece's end state, kept verbatim: (dx, dy, dtheta) from
+    p.s0 to s_end inside piece p (scalars)."""
+    if p.kind == "const" and p.k0 == 0.0:
+        ds = s_end - p.s0
+        return ds * np.cos(p.theta0), ds * np.sin(p.theta0), 0.0
+    if p.kind == "const":
+        k = p.k0
+        th1 = p.theta0 + k * (s_end - p.s0)
+        dx = (np.sin(th1) - np.sin(p.theta0)) / k
+        dy = (-np.cos(th1) + np.cos(p.theta0)) / k
+        return dx, dy, th1 - p.theta0
+    nodes, wts = gauss_legendre(curve._GL_N)
+    ss = p.s0 + (s_end - p.s0) * nodes
+    th = p.theta0 + curve._theta_local(p, ss)
+    h = s_end - p.s0
+    return (
+        float(np.sum(np.cos(th) * wts) * h),
+        float(np.sum(np.sin(th) * wts) * h),
+        float(curve._theta_local(p, np.asarray(s_end))),
+    )
+
+
+def runs_loop(mask, periodic):
+    """singular._runs before it became one array pass, kept verbatim: the
+    maximal runs of True as (lo, hi), a periodic wrap-around run last."""
+    n = len(mask)
+    if not np.any(mask):
+        return []
+    if np.all(mask):
+        return [(0, n)]
+    idx = np.nonzero(mask)[0]
+    runs = []
+    start = idx[0]
+    prev = idx[0]
+    for k in idx[1:]:
+        if k == prev + 1:
+            prev = k
+            continue
+        runs.append((start, prev + 1))
+        start = prev = k
+    runs.append((start, prev + 1))
+    if periodic and len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n:
+        first = runs.pop(0)
+        lo, _ = runs.pop()
+        runs.append((lo, first[1] + n))
+    return runs

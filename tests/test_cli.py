@@ -339,8 +339,25 @@ class TestPointExports:
             "--samples", "5", "--format", "svg", "--out", str(out),
         )
         assert "SVG_UNSUPPORTED_DIM" in proc.stderr
-        assert out.exists()  # CSV still emitted
-        assert not (tmp_path / "fib3.svg").exists()
+        assert (tmp_path / "fib3.csv").exists()  # CSV still emitted, where a planar scene's goes
+        assert not out.exists() and not (tmp_path / "fib3.svg").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fibers", "--samples", "3"],
+        ["tube", "--radius", "0.5", "--samples", "4"],
+        ["singular", "--ur", "inf"],
+    ], ids=["fibers", "tube", "singular"])
+    def test_svg_on_3d_writes_the_csv_beside(self, tmp_path, argv):
+        # `--out plot.svg` used to receive the CSV itself.
+        from weighted_tubes import cli
+
+        out = tmp_path / "plot.svg"
+        assert cli.main(argv + ["--scene", "example1b", "--format", "svg", "--out", str(out)]) == 0
+        assert not out.exists()
+        assert cli.main(argv + ["--scene", "example1b", "--out", str(tmp_path / "t.csv")]) == 0
+        assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+        if argv[0] == "tube":
+            assert (tmp_path / "plot.overlap.csv").read_bytes() == (tmp_path / "t.overlap.csv").read_bytes()
 
 
 class TestVerbFlags:

@@ -29,6 +29,8 @@ from weighted_tubes import (
 from weighted_tubes.curves import CurvatureProfileCurve, _RawCurve
 from weighted_tubes.util import gauss_legendre, quintic_smoothstep, quintic_smoothstep_d1
 
+from oracles import fourier_weight_jet, profile_advance
+
 
 # ---------------------------------------------------------------------------
 # Per-order curve oracles
@@ -254,7 +256,7 @@ def test_fourier_raw_orders_equal_per_coordinate_form(name, coeffs, period):
             np.array([0.0, -0.0, np.pi, 2.0 * np.pi])]
     for t in feet:
         new = curve._raw_orders(t, range(4))
-        old = _fourier_raw_orders([np.asarray(c, dtype=float) for c in coeffs], curve._omega, t, range(4))
+        old = _fourier_raw_orders([np.asarray(c, dtype=float) for c in coeffs], curve._series.omega, t, range(4))
         for order in range(4):
             assert new[order].shape == old[order].shape and new[order].flags.c_contiguous
             np.testing.assert_array_equal(new[order].view(np.uint64), old[order].view(np.uint64),
@@ -388,3 +390,60 @@ def test_weight_jet_equals_per_order_evaluators(name, make, oracle):
             old = oracle(x, order)
             assert type(rows[order]) is type(old), (order, type(rows[order]), type(old))
             assert rows[order] == old
+
+
+# ---------------------------------------------------------------------------
+# One series code for curves and weights, one piece evaluator for the stadium
+# ---------------------------------------------------------------------------
+
+
+def test_fourier_weight_jet_is_its_per_mode_formula():
+    # The weight evaluates through the curves' series code; the bits are
+    # those of the weight's own loop, and a scalar foot still gives scalars.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        coeffs = rng.normal(0.0, 0.3, 2 * int(rng.integers(1, 9)) + 1)
+        period = float(rng.uniform(0.5, 20.0))
+        weight = FourierWeight(coeffs, period)
+        for shape in [(1000,), (7,), (3, 5)]:
+            s = rng.uniform(-30.0, 30.0, shape)
+            for order in range(4):
+                got, want = weight.jet(s, order), fourier_weight_jet(coeffs, period, s, order)
+                assert len(got) == order + 1
+                for x, y in zip(got, want):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x in (0.0, -0.0, 1.3):
+            for got, want in zip(weight.jet(x, 3), fourier_weight_jet(coeffs, period, x, 3)):
+                assert type(got) is type(want) is np.float64
+                assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+def test_series_weights_are_curve_coordinates():
+    # A weight is a one-coordinate series: its jet in its own parameter is
+    # the matching coordinate of a series curve's raw derivatives, bit for bit.
+    t = np.random.default_rng(18).uniform(-1.0, 2.0, 300)
+    fourier = [[0.3, 0.2, -0.1, 0.05, 0.02], [1.5, 0.2, 0.1, 0.05, -0.03, 0.01, 0.02]]
+    cheb = [[0.0, 1.0, 0.1], [1.0, 0.2, -0.1, 0.05]]
+    for curve, weight in (
+        (FourierCurve(fourier, period=7.0), FourierWeight(fourier[1], 7.0)),
+        (ChebyshevCurve(cheb, (-1.0, 2.0)), ChebyshevWeight(cheb[1], (-1.0, 2.0))),
+    ):
+        raw = curve._raw_orders(t, range(4))
+        for order, x in enumerate(weight.jet(t, 3)):
+            assert x.tobytes() == np.ascontiguousarray(raw[order][:, 1]).tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    {}, {"circle_turn": 0.5, "transition": 0.1, "line_length": 3.0},
+    {"circle_turn": 0.2, "transition": 0.02, "line_length": 11.0},
+])
+def test_stadium_piece_end_states_are_the_advance(params):
+    # The constructor takes each piece's end state from the piece evaluator
+    # that the jets use; it is the state the per-piece advance gave.
+    curve, _ = make_stadium(**params)
+    pieces = curve._pieces
+    ends = [(p.x0, p.y0, p.theta0) for p in pieces[1:]] + [curve._end_state]
+    for p, end in zip(pieces, ends):
+        dx, dy, dth = profile_advance(curve, p, p.s1)
+        want = np.array([p.x0 + dx, p.y0 + dy, p.theta0 + dth])
+        assert np.array(end).tobytes() == want.tobytes()

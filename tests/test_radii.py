@@ -825,7 +825,8 @@ def test_grid_minima_equal_the_rolled_neighbours(per_rows, per_cols):
                 mat[u < 0.08] = np.inf
                 mat[(u >= 0.08) & (u < 0.14)] = -np.inf
                 mat[(u >= 0.14) & (u < 0.2)] = np.nan
-                got = radii._grid_local_minima(mat, per_rows, per_cols)
-                assert got == rolled_grid_local_minima(mat, per_rows, per_cols), (n, m)
+                got = radii._grid_local_minima(mat, per_rows, per_cols).tolist()
+                want = rolled_grid_local_minima(mat, per_rows, per_cols)
+                assert got == [a * m + b for a, b in want], (n, m)
                 found += len(got)
     assert found > 1000

@@ -206,6 +206,14 @@ class TestValidation:
         with pytest.raises(SceneError, match="positive"):
             parse_scene(doc)
 
+    @pytest.mark.parametrize("coefficients", [1.0, [[1.0, 0.1, 0.0]]], ids=["scalar", "nested"])
+    def test_fourier_weight_needs_a_flat_list(self, coefficients):
+        # A scalar escaped as an IndexError from the first jet (exit 1).
+        doc = minimal_doc()
+        doc["weights"][0] = {"kind": "fourier", "params": {"coefficients": coefficients}}
+        with pytest.raises(SceneError, match=r"Fourier weight needs \[a0, a1, b1, ...\]"):
+            parse_scene(doc)
+
     def test_overlapping_components_rejected(self):
         doc = minimal_doc()
         doc["components"].append(dict(doc["components"][0]))

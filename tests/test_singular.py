@@ -22,10 +22,17 @@ from weighted_tubes import (
 from test_acceptance import random_offsets
 from test_expmap import scalar_frame
 from weighted_tubes.expmap import _hess_rows, exp_mu_batch, random_unit_normals, w_bound
-from weighted_tubes.singular import _TOL_HESS_FACTOR, _TOL_SNG, _sng_condition, g_zero_set, jacobian_rows
+from weighted_tubes.singular import (
+    _TOL_HESS_FACTOR,
+    _TOL_SNG,
+    _runs,
+    _sng_condition,
+    g_zero_set,
+    jacobian_rows,
+)
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
-from oracles import f_second_at_offset, make_offset
+from oracles import f_second_at_offset, make_offset, runs_loop
 
 
 @pytest.fixture(scope="module")
@@ -454,3 +461,21 @@ class TestGZeroSet:
         assert len(z.touch_s) >= 1
         assert np.all(np.abs(_sng_condition(curve, weight, z.touch_s)) <= _TOL_SNG)
         assert not np.any(z.flat[z.touch])
+
+
+def test_runs_equal_the_loop():
+    # Random masks of every short length, periodic and open, all-true and
+    # all-false included, and one 4,094-sample run in an 8,192-sample mask.
+    rng = np.random.default_rng(23)
+    masks = [np.ones(n, dtype=bool) for n in (1, 2, 7)] + [np.zeros(5, dtype=bool)]
+    masks += [rng.random(n) < p for n in range(1, 40) for p in (0.2, 0.5, 0.8) for _ in range(20)]
+    long = np.zeros(8192, dtype=bool)
+    long[1000:5094] = True
+    masks += [long, np.roll(long, -2000)]
+    merged = 0
+    for mask in masks:
+        for periodic in (False, True):
+            got = _runs(mask, periodic)
+            assert got == [(int(lo), int(hi)) for lo, hi in runs_loop(mask, periodic)]
+            merged += any(hi > len(mask) for _, hi in got)
+    assert merged > 100

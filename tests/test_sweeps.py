@@ -383,9 +383,10 @@ class TestTubeBoundary:
                 patch.setattr(sweeps, "g_potential", g_potential_two_point)
                 want = tube_boundary(scene.pairs, factor * air)
             for rows, ref in zip(got, want):
-                assert [(c, s, p.tobytes()) for c, s, p, _ in rows] == [
-                    (c, s, p.tobytes()) for c, s, p, _ in ref
-                ], factor
+                # Component, foot and point; G differs between the two.
+                assert rows.shape == ref.shape, factor
+                assert rows[:, [0, 1]].tobytes() == ref[:, [0, 1]].tobytes(), factor
+                assert rows[:, 3:].tobytes() == ref[:, 3:].tobytes(), factor
 
     def test_directions_match_the_per_foot_lists(self, scenes):
         from weighted_tubes import FourierCurve, normal_frames
@@ -407,6 +408,25 @@ class TestTubeBoundary:
                 ref = np.array(directions_of_one_foot(frames[k], n, 16))
                 assert dirs[k].tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("name", ["two_component", "example1b"])
+    def test_rows_are_arrays_split_by_the_potential(self, scenes, name):
+        # One (m, n + 3) array per list, columns component, s, G, x1..xn,
+        # cut from the same (foot, direction) rows by the G test.
+        from weighted_tubes import g_potential, load_scene
+
+        scene = load_scene(TWO_COMPONENT) if name == "two_component" else scenes[name]
+        n = scene.ambient_dim
+        for R in (0.3, 3.0):
+            boundary, overlap = tube_boundary(scene.pairs, R, s_samples=16)
+            assert boundary.shape[1] == overlap.shape[1] == n + 3
+            rows = np.concatenate([boundary, overlap])
+            vals, _, _ = g_potential(scene.pairs, rows[:, 3:])
+            assert rows[:, 2].tobytes() == vals.tobytes()
+            inside = rows[:, 2] >= R * R - sweeps._TUBE_TOL_FACTOR * R * R
+            assert inside[:len(boundary)].all() and not inside[len(boundary):].any()
+            assert set(rows[:, 0]) <= set(range(len(scene.pairs)))
+            assert np.all(np.diff(boundary[:, 0]) >= 0) and np.all(np.diff(overlap[:, 0]) >= 0)
+
     def test_oversized_row_array_rejected(self):
         pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0))]
         with pytest.raises(SceneError, match="budget"):
@@ -415,20 +435,20 @@ class TestTubeBoundary:
     def test_uniform_annulus(self):
         pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0))]
         boundary, overlap = tube_boundary(pairs, 0.5, s_samples=64)
-        assert overlap == []
-        radii = sorted({round(float(np.linalg.norm(p)), 6) for (_, _, p, _) in boundary})
+        assert len(overlap) == 0
+        radii = sorted({round(float(np.linalg.norm(p)), 6) for p in boundary[:, 3:]})
         assert radii == [0.5, 1.5]
 
     def test_no_overlap_below_dir(self):
         pairs = [(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight())]
         boundary, overlap = tube_boundary(pairs, 1.0, s_samples=64)
-        assert overlap == []
-        assert boundary
+        assert len(overlap) == 0
+        assert len(boundary)
         # Independent potential oracle on every reported boundary point.
         grid = np.linspace(-np.pi / 2, np.pi / 2, 8192)
         gp = pairs[0][0].point(grid)
         mu = pairs[0][1].mu(grid)
-        for _, _, p, val in boundary:
+        for val, p in zip(boundary[:, 2], boundary[:, 3:]):
             oracle = float(np.min(((p - gp) ** 2).sum(axis=1) / mu**2))
             assert oracle >= 1.0 - 1e-6
             assert val == pytest.approx(oracle, abs=1e-6)
@@ -440,7 +460,7 @@ class TestTubeBoundary:
         pairs = [(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight())]
         for R in (1.0, 2.2, 2.5):
             _, overlap = tube_boundary(pairs, R, s_samples=64)
-            assert overlap == []
+            assert len(overlap) == 0
 
     @pytest.mark.parametrize("name", ["ellipse_mu1", "example1b"])
     def test_rows_match_the_scalar_map(self, scenes, name):
@@ -450,14 +470,14 @@ class TestTubeBoundary:
         curve, weight = scene.pairs[0]
         R = 0.5 * radii_report(scene.pairs, scene.tolerances).dir
         boundary, overlap = tube_boundary(scene.pairs, R, s_samples=32)
-        assert overlap == []
+        assert len(overlap) == 0
         expected = [
             (float(s), exp_mu(curve, weight, float(s), v, R))
             for s in curve.grid(32)
             for v in directions_of_one_foot(normal_frame(curve, float(s)), curve.ambient_dim, 16)
         ]
         assert len(boundary) == len(expected)
-        for (_, s, p, _), (s_ref, p_ref) in zip(boundary, expected):
+        for (s, p), (s_ref, p_ref) in zip(zip(boundary[:, 1], boundary[:, 3:]), expected):
             assert s == s_ref
             assert np.max(np.abs(p - p_ref)) <= 1e-12
 
@@ -469,7 +489,7 @@ class TestTubeBoundary:
                 continue
             rep = radii_report(scene.pairs, scene.tolerances)
             _, overlap = tube_boundary(scene.pairs, 0.5 * rep.dir, s_samples=48)
-            assert overlap == [], name
+            assert len(overlap) == 0, name
 
     def test_overlap_past_air(self):
         from weighted_tubes import make_stadium
@@ -479,6 +499,6 @@ class TestTubeBoundary:
         weight = SymmetricPiecewiseWeight(curve.length, 0.4, 0.8, 6.0, 0.2)
         pairs = [(curve, weight)]
         _, overlap = tube_boundary(pairs, 4.0, s_samples=128)  # below air = 4.14
-        assert overlap == []
+        assert len(overlap) == 0
         _, overlap = tube_boundary(pairs, 4.5, s_samples=128)  # above air
-        assert overlap
+        assert len(overlap)

@@ -135,7 +135,9 @@ class TestStadiumBlend:
 
     def test_slope_lands_at_zero(self, blend):
         _, w = blend
-        assert abs(w._slope_residual) <= 1e-14
+        # The braking stage's slope at its end, from its own polynomial.
+        lo, hi, coeffs = w._pieces[-1]
+        assert abs(float(np.polynomial.polynomial.polyval(hi - lo, coeffs[1]))) <= 1e-14
         assert w.d1(7.2) == 0.0
         assert w.mu(10.0) == pytest.approx(w.plateau)
 
