@@ -4,10 +4,10 @@ Verbs: report | sweep | fibers | tube | singular | collapse | check. Every
 verb loads its scene once (--scene), computes, and writes to --out (default:
 stdout). Flags beyond those two go only to the verbs that read them:
 --tol-override KEY=VALUE (repeatable; KEY is one of the sample counts
-focal_samples, pair_grid, singular_samples) to report, sweep, singular,
-collapse and check; --threads N (accepted for compatibility; output does not
-depend on it) to report and sweep; --format {csv,svg} to the point tables
-fibers, tube and singular. Any other flag exits 2. Exit codes: 0 ok, 2
+grid_samples, pair_grid) to report, sweep, singular, collapse and check;
+--threads N (accepted for compatibility; output does not depend on it) to
+report and sweep; --format {csv,svg} to the point tables fibers, tube and
+singular. Any other flag exits 2. Exit codes: 0 ok, 2
 configuration error, 3 numeric failure. All numeric output is serialized
 with 17 significant digits and LF line endings, so identical invocations
 produce identical bytes.
@@ -271,7 +271,10 @@ def cmd_singular(args, scene):
 
 
 def cmd_collapse(args, scene):
-    arcs = singular.detect_collapse_arcs(scene.pairs, _ur(args, scene), scene.tolerances)
+    if args.ur is None:  # the report finds the arcs at its own ur
+        arcs = radii.radii_report(scene.pairs, scene.tolerances).witnesses["collapse_arcs"]
+    else:
+        arcs = singular.detect_collapse_arcs(scene.pairs, _ur(args, scene), scene.tolerances)
     header = list(_ARC) + [f"p0_x{i + 1}" for i in range(scene.ambient_dim)]
     rows = [[getattr(a, k) for k in _ARC] + a.p0.tolist() for a in arcs]
     _write_text(args.out, _csv_text(header, rows))
@@ -311,7 +314,7 @@ def build_parser():
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if counts:
             p.add_argument("--tol-override", action="append", metavar="KEY=VALUE",
-                           help="set focal_samples, pair_grid or singular_samples (repeatable)")
+                           help="set grid_samples or pair_grid (repeatable)")
         if threads:
             p.add_argument("--threads", type=int, default=1,
                            help="accepted for compatibility; output does not depend on it")

@@ -67,17 +67,10 @@ class RadiiReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _focal_jets(curve, weight, s):
-    """(kappa, mu, mu', mu'') at the feet s."""
-    return (np.asarray(curve.curvature(s), dtype=float),) + tuple(
-        np.asarray(x, dtype=float) for x in weight.jet(s, 2)
-    )
-
-
 def _abc(curve, weight, s, t=0.0):
     """(a, b, c, disc, lam) at the feet s for the weight mu + t."""
-    kap, mu, d1, d2 = _focal_jets(curve, weight, s)
-    return _focal_terms(kap, mu + t, d1, d2)
+    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
+    return _focal_terms(curve.curvature(s), mu + t, d1, d2)
 
 
 def _focal_terms(kap, mu, d1, d2):
@@ -102,7 +95,7 @@ def _radius_profiles(b, disc, lam, band):
     return r0, rm
 
 
-def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
+def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
     """Global focal radii over all components.
 
     Dense profiles plus golden-section refinement. Per component, one
@@ -122,15 +115,15 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     (focrad0, focradminus, witnesses): the curve and weight jets on the grid
     are evaluated once, and the bracket rows of every t share the
     refinement call, each row carrying its t and band. The slope maxima do
-    not depend on t, so one set of rows serves every t.
+    not depend on t, so one set of rows serves every t. The profiles are
+    sampled on each component's `singular.dense_grid`, or on `grids`.
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
     n = len(ts)
     best = [[(np.inf, None), (np.inf, None)] for _ in ts]  # closed band, open band
-    for ci, (curve, weight) in enumerate(pairs):
-        sg = curve.grid(tol.focal_samples)
-        kap, mu, d1, d2 = _focal_jets(curve, weight, sg)
+    grids = grids or [singular.dense_grid(c, w, tol.grid_samples) for c, w in pairs]
+    for ci, ((curve, weight), (sg, _, (mu, d1, d2), kap)) in enumerate(zip(pairs, grids)):
         a, b, _, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
         band = np.array([_band(np.max(row**2)) for row in a])
         profiles = _radius_profiles(b, disc, lam, band[:, None])
@@ -609,12 +602,13 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     distinct = list(dict.fromkeys(ts))
     if not distinct:
         return []
-    focal = focal_radii(pairs, tol, distinct)
+    grids = [singular.dense_grid(c, w, tol.grid_samples) for c, w in pairs]  # one per component
+    focal = focal_radii(pairs, tol, distinct, grids)
     dc_pairs = {t: [] for t in distinct}
     for p in find_double_critical_pairs(pairs, tol, distinct):
         dc_pairs[p.offset].append(p)
     urs = [min(dcsd_half(dc_pairs[t]), fm) for t, (_, fm, _) in zip(distinct, focal)]
-    arcs_by_t = singular.detect_collapse_arcs(pairs, urs, tol, offsets=distinct)
+    arcs_by_t = singular.detect_collapse_arcs(pairs, urs, tol, offsets=distinct, grids=grids)
     reports = {}
     for t, ur, arcs, (focrad0, focradminus, focal_wit) in zip(distinct, urs, arcs_by_t, focal):
         dc = dcsd_half(dc_pairs[t])

@@ -9,7 +9,7 @@ A scene is a JSON document:
       "weights":    [{"kind": "polynomial",
                       "params": {"coefficients": [1.0, 0.0, -0.125]}}, ...],
       "family":     {"kind": "offset"},          # optional
-      "tolerances": {"focal_samples": 8192},     # optional: config.Tolerances
+      "tolerances": {"grid_samples": 8192},      # optional: config.Tolerances
       "seed": 1
     }
 
@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, integer_at_least
 from .curves import CURVE_KINDS, build_arclength_curve
 from .errors import SceneError, WeightedTubesError
 from .weights import WEIGHT_KINDS, build_weight
@@ -76,12 +76,7 @@ def _require_keys(obj, allowed, where):
 def parse_scene(doc):
     """Validate and build a Scene from a parsed JSON document."""
     _require_keys(doc, _TOP_KEYS, "scene")
-    try:
-        dim = int(doc["ambient_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneError("scene needs an integer ambient_dim") from exc
-    if dim < 2:
-        raise SceneError("ambient_dim must be >= 2")
+    dim = integer_at_least(doc.get("ambient_dim"), 2, "ambient_dim")
     comps = doc.get("components")
     weights = doc.get("weights")
     if not isinstance(comps, list) or not comps:
@@ -93,8 +88,8 @@ def parse_scene(doc):
         raise SceneError(f"tolerances must be an object, got {type(overrides).__name__}")
     toler = DEFAULT_TOLERANCES.with_overrides(overrides or {}, dim)
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise SceneError("seed must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SceneError(f"seed must be an integer, got {seed!r}")
     family = doc.get("family")
     family_kind = None
     if family is not None:

@@ -78,13 +78,23 @@ def _graph_height(weight_jet):
         return np.where(rad > 0.0, 1.0 / np.sqrt(np.where(rad > 0, rad, 1.0)), np.nan)
 
 
+def dense_grid(curve, weight, n):
+    """The dense foot grid of one component that the focal profiles, the zero
+    set of g and the collapse arcs read: the feet sg = curve.grid(n), the
+    curve jet of order 3, (mu, mu', mu'') and kappa = `curve.curvature(sg)`."""
+    sg = curve.grid(n)
+    jet = curve.jet(sg, 3)
+    weight_jet = tuple(np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
+    return sg, jet, weight_jet, np.linalg.norm(jet[2], axis=-1)
+
+
 def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     """The zero set of g = mu'' + kappa^2 mu / 4 on one component, as a
-    GZeroSet: the grid `sg` of tol.singular_samples samples, the curvature
-    `kap` and `g` on it, the `flat` samples, the sign changes (grid index k
-    of the bracket [s_k, s_k + step] in `cross`, root in `cross_s`) and the
-    touching zeros (grid index in `touch`, refined foot in `touch_s`,
-    smallest |g| first).
+    GZeroSet: the dense grid `sg` of tol.grid_samples feet (`dense_grid`),
+    the curvature `kap` and `g` on it, the `flat` samples, the sign changes
+    (grid index k of the bracket [s_k, s_k + step] in `cross`, root in
+    `cross_s`) and the touching zeros (grid index in `touch`, refined foot
+    in `touch_s`, smallest |g| first).
 
     Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
     consulted. All sign changes (the last sample and the first also
@@ -94,10 +104,9 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     quadratic touching zero attains one step away), refined in one
     golden-section call and kept where |g| <= _TOL_SNG.
     """
-    n = tol.singular_samples
-    sg = curve.grid(n)
-    kap = curve.curvature(sg)
-    g = _g(kap, weight.jet(sg, 2))
+    sg, _, weight_jet, kap = dense_grid(curve, weight, tol.grid_samples)
+    n = len(sg)
+    g = _g(kap, weight_jet)
     absg = np.abs(g)
     flat = absg <= _FLAT_FACTOR * max(1.0, float(np.max(absg)))
     limit = n if curve.closed else n - 1
@@ -178,14 +187,7 @@ def _graph_points(curve, weight, ci, s, ur):
     height = _graph_height(weight_jet)
     d2 = curve_jet[2]
     kap = _rownorm(d2)
-    kap_norm = np.linalg.norm(d2, axis=-1)
-    keep = (
-        (kap_norm > curve.kappa_tol)
-        & np.isfinite(height)
-        & (height > 0.0)
-        & (height < ur)
-        & (kap > curve.kappa_tol)
-    )
+    keep = (kap > curve.kappa_tol) & np.isfinite(height) & (height > 0.0) & (height < ur)
     s, height = s[keep], height[keep]
     if not len(s):
         return []
@@ -197,7 +199,7 @@ def _graph_points(curve, weight, ci, s, ur):
         raise min(faults, key=lambda f: f[0])[1]
     mu = np.asarray(weight_jet[0], dtype=float)[keep]
     tol_hess = _TOL_HESS_FACTOR * 2.0 / mu**2 * max(1.0, ur**2)
-    resid = np.abs(_g(kap_norm, weight_jet))[keep]
+    resid = np.abs(_g(kap, weight_jet))[keep]
     return [
         SingularGraphPoint(ci, float(s[k]), float(height[k]), location[k], float(resid[k]))
         for k in np.nonzero(np.abs(hess) <= tol_hess)[0]
@@ -210,7 +212,7 @@ def _dedup_points(pairs, points, tol):
     kept = []
     for p in sorted(points, key=lambda q: (q.component, q.s)):
         curve = pairs[p.component][0]
-        gap = 0.5 * curve.length / tol.singular_samples
+        gap = 0.5 * curve.length / tol.grid_samples
         if kept and kept[-1].component == p.component and curve.periodic_distance(
             kept[-1].s, p.s
         ) <= gap:
@@ -308,14 +310,15 @@ def _take(jets, rows):
 # ---------------------------------------------------------------------------
 
 
-def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
+def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
     """Maximal intervals where all collapse conditions hold with height < ur.
 
-    Conditions on a dense grid: kappa locked (|kappa'| small), the circular
-    third-derivative identity, mu'' + kappa^2 mu / 4 = 0, the graph height
-    defined and constant, all within the _EPS_* bands; runs shorter than
-    _ELL_MIN_FACTOR * L are ignored. Each run is fitted (mean curvature,
-    mean height, least-squares phase) and the common image is verified.
+    Conditions on the dense grid (`dense_grid`, or `grids` when given):
+    kappa locked (|kappa'| small), the circular third-derivative identity,
+    mu'' + kappa^2 mu / 4 = 0, the graph height defined and constant, all
+    within the _EPS_* bands; runs shorter than _ELL_MIN_FACTOR * L are
+    ignored. Each run is fitted (mean curvature, mean height, least-squares
+    phase) and the common image is verified.
 
     With offsets, the arcs of the weights mu + t for every t, as one list
     per t, with ur holding one height per t: the curve and weight jets, the
@@ -326,12 +329,9 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
     ts = _offset_array(offsets)
     urs = np.broadcast_to(np.asarray(ur, dtype=float), ts.shape)
     arcs = [[] for _ in ts]
-    for ci, (curve, weight) in enumerate(pairs):
-        n = tol.singular_samples
-        sg = curve.grid(n)
-        jet = curve.jet(sg, 3)
-        mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
-        kap = np.linalg.norm(jet[2], axis=-1)
+    grids = grids or [dense_grid(c, w, tol.grid_samples) for c, w in pairs]
+    for ci, ((curve, weight), (sg, jet, (mu, d1, d2), kap)) in enumerate(zip(pairs, grids)):
+        n = len(sg)
         kap_rate = np.abs(_kappa_rate(jet, curve.kappa_tol))
         ode = collapse_ode_residual(jet)
         locked = (kap > curve.kappa_tol) & (kap_rate <= _EPS_KAPPA) & (ode <= _EPS_GAMMA)

@@ -49,7 +49,7 @@ class TestReport:
         out = tmp_path / "rep.json"
         run_cli(
             "report", "--scene", "circle_mu1", "--out", str(out),
-            "--tol-override", "focal_samples=512",
+            "--tol-override", "grid_samples=512",
         )
         doc = json.loads(out.read_text())
         assert doc["dir"] == pytest.approx(1.0, abs=1e-8)
@@ -77,7 +77,7 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "scene, override",
-        [("example4", "pair_grid=inf"), ("example2_stadium", "singular_samples=nan")],
+        [("example4", "pair_grid=inf"), ("example2_stadium", "grid_samples=nan")],
     )
     def test_non_finite_tolerance_exit_2(self, scene, override):
         proc = run_cli("report", "--scene", scene, "--tol-override", override, check=False)
@@ -89,14 +89,17 @@ class TestErrors:
         # of 2 on ellipse_mu1 (the true one is 1), both with exit 0.
         ("pair_grid=1", "'pair_grid' must be >= 3, got 1"),
         ("pair_grid=2", "'pair_grid' must be >= 3, got 2"),
-        ("focal_samples=2", "'focal_samples' must be >= 3, got 2"),
-        ("singular_samples=0", "'singular_samples' must be >= 3, got 0"),
-        ("focal_samples=8192.7", "'focal_samples' must be an integer, got '8192.7'"),
-        ("singular_samples=true", "'singular_samples' must be an integer, got 'true'"),
-        # 10^12 x 2 float64 would be 16 TB; focal_samples used to end in a
+        ("grid_samples=2", "'grid_samples' must be >= 3, got 2"),
+        ("grid_samples=0", "'grid_samples' must be >= 3, got 0"),
+        ("grid_samples=8192.7", "'grid_samples' must be an integer, got '8192.7'"),
+        ("grid_samples=true", "'grid_samples' must be an integer, got 'true'"),
+        # 10^12 x 2 float64 would be 16 TB; the dense grid used to end in a
         # numpy _ArrayMemoryError traceback with exit 1.
-        ("focal_samples=1000000000000", "focal_samples=1000000000000 needs"),
-        ("singular_samples=1000000000000", "singular_samples=1000000000000 needs"),
+        ("grid_samples=1000000000000", "grid_samples=1000000000000 needs"),
+        # The two counts grid_samples replaced are refused by name, whatever
+        # the value.
+        ("focal_samples=1000000000000", "focal_samples'; known: grid_samples, pair_grid"),
+        ("singular_samples=1000000000000", "singular_samples'; known: grid_samples, pair_grid"),
     ])
     def test_bad_sample_count_override_exit_2(self, override, message):
         proc = run_cli("report", "--scene", "ellipse_mu1", "--tol-override", override, check=False)
@@ -104,9 +107,9 @@ class TestErrors:
         assert "configuration error" in proc.stderr and message in proc.stderr
 
     @pytest.mark.parametrize("value, message", [
-        (True, "'focal_samples' must be an integer, got True"),
-        (8192.7, "'focal_samples' must be an integer, got 8192.7"),
-        (2, "'focal_samples' must be >= 3, got 2"),
+        (True, "'grid_samples' must be an integer, got True"),
+        (8192.7, "'grid_samples' must be an integer, got 8192.7"),
+        (2, "'grid_samples' must be >= 3, got 2"),
         (10**12, "budget"),
     ], ids=["true", "fraction", "two", "huge"])
     def test_bad_sample_count_in_scene_exit_2(self, tmp_path, value, message):
@@ -116,7 +119,7 @@ class TestErrors:
             "ambient_dim": 2,
             "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
             "weights": [{"kind": "constant", "params": {"value": 1.0}}],
-            "tolerances": {"focal_samples": value},
+            "tolerances": {"grid_samples": value},
         }
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(doc))
@@ -310,6 +313,26 @@ class TestPointExports:
         assert float(cells[3]) == pytest.approx(1.0, abs=1e-9)  # kappa
         assert float(cells[4]) == pytest.approx(2.0, abs=1e-9)  # r
 
+    def test_collapse_without_ur_finds_the_arcs_once(self, monkeypatch, tmp_path):
+        # The report behind the computed ur finds the arcs at that ur, so the
+        # verb prints them instead of searching again; --ur still searches.
+        from weighted_tubes import cli, singular
+
+        calls = []
+        detect = singular.detect_collapse_arcs
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(singular, "detect_collapse_arcs", counting)
+        out = tmp_path / "col.csv"
+        assert cli.main(["collapse", "--scene", "example1a", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert cli.main(["collapse", "--scene", "example1a", "--out", str(tmp_path / "ur.csv"),
+                         "--ur", repr(float(calls[0][0]))]) == 0
+        assert len(calls) == 2 and (tmp_path / "ur.csv").read_text() == out.read_text()
+
     def test_tube_overlap_file(self, tmp_path):
         out = tmp_path / "tube.csv"
         run_cli(
@@ -410,13 +433,13 @@ class TestVerbFlags:
         seen = []
 
         def spy(pairs, tol):
-            seen.append(tol.singular_samples)
+            seen.append(tol.grid_samples)
             return True, []
 
         monkeypatch.setattr(singular, "transversality_check", spy)
         out = str(tmp_path / "check.json")
         assert cli.main(["check", "--scene", "circle_mu1", "--out", out,
-                         "--tol-override", "singular_samples=300"]) == 0
+                         "--tol-override", "grid_samples=300"]) == 0
         assert cli.main(["check", "--scene", "circle_mu1", "--out", out]) == 0
         assert seen == [300, 4096]
 

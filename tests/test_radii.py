@@ -193,7 +193,7 @@ class TestFocalRadii:
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
         coarse = focal_radii([(curve, weight)], DEFAULT_TOLERANCES)
         dense = focal_radii(
-            [(curve, weight)], DEFAULT_TOLERANCES.with_overrides({"focal_samples": 8192}, 2)
+            [(curve, weight)], DEFAULT_TOLERANCES.with_overrides({"grid_samples": 8192}, 2)
         )
         assert abs(coarse[0] - dense[0]) <= 1e-8 * coarse[0]
         assert abs(coarse[1] - dense[1]) <= 1e-8 * coarse[1]
@@ -656,8 +656,9 @@ def four_call_focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     ts = radii._offset_array(offsets)
     best = [[(np.inf, None), (np.inf, None)] for _ in ts]
     for ci, (curve, weight) in enumerate(pairs):
-        sg = curve.grid(tol.focal_samples)
-        kap, mu, d1, d2 = radii._focal_jets(curve, weight, sg)
+        sg = curve.grid(tol.grid_samples)
+        kap = curve.curvature(sg)
+        mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
         a, b, _, disc, lam = radii._focal_terms(kap, mu + ts[:, None], d1, d2)
         band = np.array([radii._band(np.max(row**2)) for row in a])
         r0, rm = radii._radius_profiles(b, disc, lam, band[:, None])
@@ -785,6 +786,61 @@ class TestMergedFocalRefinement:
         feet.clear()
         four_call_focal_radii(scene.pairs, scene.tolerances)
         assert 0 < merged <= (1.0 - saved) * sum(feet)
+
+
+class TestOneDenseGrid:
+    """A report evaluates each component's dense grid once and hands it to
+    the focal and the collapse stage; a sweep batch shares it through its
+    report."""
+
+    @staticmethod
+    def assert_built_once(monkeypatch, scene, run):
+        from weighted_tubes import singular
+        from weighted_tubes.curves import ArclengthCurve
+
+        built, gridded = [], []
+        dense, grid = singular.dense_grid, ArclengthCurve.grid
+
+        def counting_dense(curve, weight, n):
+            built.append((id(curve), n))
+            return dense(curve, weight, n)
+
+        def counting_grid(curve, n):
+            gridded.append((id(curve), n))
+            return grid(curve, n)
+
+        monkeypatch.setattr(singular, "dense_grid", counting_dense)
+        monkeypatch.setattr(ArclengthCurve, "grid", counting_grid)
+        run()
+        n = scene.tolerances.grid_samples
+        ids = sorted(id(curve) for curve, _ in scene.pairs)
+        assert sorted(c for c, _ in built) == ids and {m for _, m in built} == {n}
+        assert sorted(c for c, m in gridded if m == n) == ids
+
+    @pytest.mark.parametrize("name, offsets", [
+        ("example2_stadium", None), ("two_component", None), ("example1a", None),
+        ("example3_family", [-0.01, 0.0, 0.01]),
+    ])
+    def test_report(self, scenes, monkeypatch, name, offsets):
+        from test_sweeps import TWO_COMPONENT
+        from weighted_tubes import load_scene
+
+        scene = load_scene(TWO_COMPONENT) if name == "two_component" else scenes[name]
+        self.assert_built_once(
+            monkeypatch, scene, lambda: radii_report(scene.pairs, scene.tolerances, offsets)
+        )
+
+    def test_sweep_batch(self, scenes, monkeypatch):
+        from weighted_tubes import radii_sweep
+
+        # grid_samples is 8192 here, so the weight checks' 4096-foot grids
+        # are told apart from the dense one.
+        scene = scenes["example3_family"]
+        rows = []
+        self.assert_built_once(monkeypatch, scene, lambda: rows.extend(radii_sweep(
+            scene.pairs, "offset", np.linspace(-0.05, 0.05, 11), scene.tolerances
+        )))
+        assert len(rows) == 11 and all(row.status == "ok" for row in rows)
 
 
 # The grid seeding before the 3x3 minimum filter: eight rolled copies of the

@@ -9,14 +9,24 @@ from weighted_tubes import BUNDLED_SCENES, SceneError, load_scene, parse_scene
 from weighted_tubes.config import DEFAULT_TOLERANCES
 
 
+# The two counts grid_samples replaced. A scene that names either is refused
+# by name before any range or budget check reads the value.
+RETIRED_COUNTS = ("focal_samples", "singular_samples")
 # The thresholds and caps that are module constants of radii, singular and
-# sweeps, not settable tolerances.
+# sweeps, not settable tolerances, and the retired counts.
 REMOVED_TOLERANCES = (
     "tol_hess_factor", "delta_min_factor", "delta_band_factor", "tol_dc", "tol_sng",
     "flat_factor", "eps_kappa", "eps_gamma", "eps_mu", "eps_r", "eps_p", "ell_min_factor",
     "eps_reg", "tube_tol_factor", "w_margin", "closest_samples", "newton_max_iter",
+    *RETIRED_COUNTS,
 )
-KNOWN = "known: focal_samples, pair_grid, singular_samples"
+KNOWN = "known: grid_samples, pair_grid"
+
+
+def count_error(key, message):
+    """The error a count under `key` raises: `message`, or, for a retired
+    count, unknown tolerance whatever the value."""
+    return f"^unknown tolerance '{key}'; {KNOWN}$" if key in RETIRED_COUNTS else message
 
 
 def minimal_doc():
@@ -97,9 +107,9 @@ class TestValidation:
             parse_scene(doc)
 
     @pytest.mark.parametrize("key, value", [
-        ("singular_samples", float("nan")),
+        ("grid_samples", float("nan")),
         ("pair_grid", float("inf")),
-        ("focal_samples", float("inf")),
+        ("grid_samples", float("inf")),
     ])
     def test_non_finite_tolerance(self, key, value):
         doc = minimal_doc()
@@ -108,12 +118,12 @@ class TestValidation:
             parse_scene(doc)
 
     @pytest.mark.parametrize("key, value", [
-        ("focal_samples", True),
+        ("grid_samples", True),
         ("pair_grid", False),
-        ("focal_samples", 8192.7),
-        ("singular_samples", "many"),
+        ("grid_samples", 8192.7),
+        ("grid_samples", "many"),
         ("pair_grid", None),
-        ("singular_samples", [4096]),
+        ("grid_samples", [4096]),
     ], ids=["true", "false", "fraction", "word", "null", "list"])
     def test_sample_count_not_an_integer(self, key, value):
         # true used to run as 1 and 8192.7 as 8192, both with exit 0.
@@ -122,22 +132,23 @@ class TestValidation:
         with pytest.raises(SceneError, match=f"^tolerance '{key}' must be an integer"):
             parse_scene(doc)
 
-    @pytest.mark.parametrize("key", ["focal_samples", "pair_grid", "singular_samples"])
+    @pytest.mark.parametrize("key", ["grid_samples", "pair_grid", *RETIRED_COUNTS])
     @pytest.mark.parametrize("value", [0, 1, 2])
     def test_sample_count_below_three(self, key, value):
         # The three-point neighbourhoods of the grid searches wrap onto
         # themselves below 3 samples.
         doc = minimal_doc()
         doc["tolerances"] = {key: value}
-        with pytest.raises(SceneError, match=f"^tolerance '{key}' must be >= 3, got {value}$"):
+        message = count_error(key, f"^tolerance '{key}' must be >= 3, got {value}$")
+        with pytest.raises(SceneError, match=message):
             parse_scene(doc)
 
     def test_integral_counts(self):
         doc = minimal_doc()
-        doc["tolerances"] = {"focal_samples": 512.0, "pair_grid": "3", "singular_samples": 3}
+        doc["tolerances"] = {"grid_samples": 512.0, "pair_grid": "3"}
         tol = parse_scene(doc).tolerances
-        assert (tol.focal_samples, tol.pair_grid, tol.singular_samples) == (512, 3, 3)
-        assert type(tol.focal_samples) is int and type(tol.pair_grid) is int
+        assert (tol.grid_samples, tol.pair_grid) == (512, 3)
+        assert type(tol.grid_samples) is int and type(tol.pair_grid) is int
 
     @pytest.mark.parametrize("value, kind", [
         ([1], "list"), ([], "list"), ("abc", "str"), ("", "str"), (0, "int"), (8192.0, "float"),
@@ -169,7 +180,7 @@ class TestValidation:
         with pytest.raises(SceneError, match="budget"):
             parse_scene(doc)
 
-    @pytest.mark.parametrize("key", ["focal_samples", "singular_samples"])
+    @pytest.mark.parametrize("key", ["grid_samples", *RETIRED_COUNTS])
     @pytest.mark.parametrize("dim, largest", [(2, 67108864), (3, 44739242)])
     def test_sample_count_memory_budget(self, key, dim, largest):
         # One n x ambient_dim float64 array may take at most 1 GiB; the check
@@ -177,11 +188,15 @@ class TestValidation:
         doc = minimal_doc()
         doc["ambient_dim"] = dim
         doc["components"][0]["params"]["ambient_dim"] = dim
-        doc["tolerances"] = {key: largest}
-        assert getattr(parse_scene(doc).tolerances, key) == largest
         doc["tolerances"] = {key: largest + 1}
-        with pytest.raises(SceneError, match=f"^{key}={largest + 1} needs .* budget$"):
+        with pytest.raises(SceneError, match=count_error(key, f"^{key}={largest + 1} needs .* budget$")):
             parse_scene(doc)
+        doc["tolerances"] = {key: largest}
+        if key in RETIRED_COUNTS:
+            with pytest.raises(SceneError, match=f"^unknown tolerance '{key}'; {KNOWN}$"):
+                parse_scene(doc)
+        else:
+            assert parse_scene(doc).tolerances.grid_samples == largest
 
     def test_mismatched_weights(self):
         doc = minimal_doc()
@@ -226,6 +241,44 @@ class TestValidation:
         doc["seed"] = "nope"
         with pytest.raises(SceneError, match="seed"):
             parse_scene(doc)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None],
+                             ids=["true", "false", "float", "string", "null"])
+    def test_seed_not_an_integer(self, value):
+        # true and false used to load as seeds 1 and 0.
+        doc = minimal_doc()
+        doc["seed"] = value
+        message = f"^seed must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(SceneError, match=message):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize(
+        "value", [2.7, True, "two", "2.5", None, [2], float("inf")],
+        ids=["fraction", "true", "word", "decimal_fraction", "null", "list", "infinite"],
+    )
+    def test_ambient_dim_not_an_integer(self, value):
+        # 2.7 used to load as a planar scene, and Infinity escaped as an
+        # OverflowError (exit 1).
+        doc = minimal_doc()
+        doc["ambient_dim"] = value
+        message = f"^ambient_dim must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(SceneError, match=message):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("value, count", [(1, 1), (0, 0), (-2, -2), (1.0, 1), ("1", 1)],
+                             ids=["one", "zero", "negative", "float", "string"])
+    def test_ambient_dim_below_two(self, value, count):
+        doc = minimal_doc()
+        doc["ambient_dim"] = value
+        with pytest.raises(SceneError, match=f"^ambient_dim must be >= 2, got {count}$"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("value", [2.0, "2"], ids=["float", "string"])
+    def test_integral_ambient_dim(self, value):
+        # The sample counts' rule: an integral float or a decimal string is an integer.
+        doc = minimal_doc()
+        doc["ambient_dim"] = value
+        assert parse_scene(doc).ambient_dim == 2
 
     def test_missing_file(self):
         with pytest.raises(SceneError, match="cannot read"):
@@ -370,9 +423,9 @@ class TestParams:
 class TestToleranceOverrides:
     def test_override_applies(self):
         doc = minimal_doc()
-        doc["tolerances"] = {"focal_samples": 512}
+        doc["tolerances"] = {"grid_samples": 512}
         scene = parse_scene(doc)
-        assert scene.tolerances.focal_samples == 512
+        assert scene.tolerances.grid_samples == 512
         assert scene.tolerances.pair_grid == 256  # untouched default
 
     def test_every_tolerance_is_read(self):
@@ -394,4 +447,4 @@ class TestToleranceOverrides:
 
         from weighted_tubes.config import Tolerances
 
-        assert [f.name for f in fields(Tolerances)] == ["focal_samples", "pair_grid", "singular_samples"]
+        assert [f.name for f in fields(Tolerances)] == ["grid_samples", "pair_grid"]

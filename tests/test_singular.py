@@ -27,6 +27,7 @@ from weighted_tubes.singular import (
     _TOL_SNG,
     _runs,
     _sng_condition,
+    dense_grid,
     g_zero_set,
     jacobian_rows,
 )
@@ -461,6 +462,43 @@ class TestGZeroSet:
         assert len(z.touch_s) >= 1
         assert np.all(np.abs(_sng_condition(curve, weight, z.touch_s)) <= _TOL_SNG)
         assert not np.any(z.flat[z.touch])
+
+
+# The bundled scenes, the seeded Fourier scenes of test_radii (one planar
+# loop, one loop in 3D, two planar loops) and the sweep tests' two-component
+# and Chebyshev scenes.
+DENSE_GRID_SCENES = [
+    "circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
+    "example3_family", "example4", "example6_family", "two_component", "chebyshev_arc",
+] + [f"fourier_{kind}-{seed}" for kind in ("planar", "3d", "two_component") for seed in (1, 2, 3)]
+
+
+def _dense_grid_scene(scenes, name):
+    from test_radii import _seeded_fourier_scene
+    from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
+    from weighted_tubes import load_scene
+
+    if name.startswith("fourier_"):
+        kind, seed = name[len("fourier_"):].split("-")
+        return load_scene(_seeded_fourier_scene(kind, int(seed)))
+    doc = {"two_component": TWO_COMPONENT, "chebyshev_arc": CHEBYSHEV_ARC}.get(name)
+    return load_scene(doc) if doc else scenes[name]
+
+
+@pytest.mark.parametrize("n", [300, 4096, 8192])
+@pytest.mark.parametrize("name", DENSE_GRID_SCENES)
+def test_dense_grid_is_the_order_two_evaluation(scenes, name, n):
+    # The focal profiles and g's zero set evaluated an order-2 jet and the
+    # curvature on their grid; the one dense grid they now read evaluates
+    # order 3, which must give them the same bits.
+    for curve, weight in _dense_grid_scene(scenes, name).pairs:
+        sg, jet, weight_jet, kap = dense_grid(curve, weight, n)
+        assert sg.tobytes() == curve.grid(n).tobytes()
+        for got, want in zip(jet[:3], curve.jet(sg, 2)):
+            assert got.tobytes() == want.tobytes()
+        assert kap.tobytes() == curve.curvature(sg).tobytes()
+        for got, want in zip(weight_jet, weight.jet(sg, 2)):
+            assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 def test_runs_equal_the_loop():
