@@ -39,14 +39,12 @@ from .expmap import (
     SPHERE,
     FiberShape,
     exp_mu,
-    exp_mu_batch,
     f_prime,
     f_second,
     f_second_critical,
     f_value,
     fiber_geometry,
     g_potential,
-    make_offsets,
     normal_frame,
     normal_frames,
     w_bound,

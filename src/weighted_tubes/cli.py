@@ -157,6 +157,13 @@ def _numbers(text, flag):
     return numbers
 
 
+def _finite(value, flag):
+    """value, unless it is nan or infinite."""
+    if not np.isfinite(value):
+        raise SceneError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
 def _positive(value, flag, finite=True):
     """value, unless it is nan, <= 0 or (when finite) infinite."""
     if not (value > 0 and (np.isfinite(value) or not finite)):
@@ -172,7 +179,8 @@ def _t_grid(args):
             raise SceneError("--t-count needs --t-min and --t-max")
         if args.t_count < 1:
             raise SceneError(f"--t-count must be >= 1, got {args.t_count}")
-        return list(np.linspace(args.t_min, args.t_max, args.t_count))
+        return list(np.linspace(_finite(args.t_min, "--t-min"), _finite(args.t_max, "--t-max"),
+                                args.t_count))
     raise SceneError("sweep needs --t-values or --t-min/--t-max/--t-count")
 
 
@@ -224,7 +232,7 @@ def cmd_fibers(args, scene):
         _positive(args.r_max, "--r-max")
     curve, weight = scene.pairs[args.component]
     if args.s_values:
-        feet = _numbers(args.s_values, "--s-values")
+        feet = [_finite(s, "--s-values") for s in _numbers(args.s_values, "--s-values")]
     else:
         feet = list(np.linspace(curve.s_min + 0.1 * curve.length,
                                 curve.s_max - 0.1 * curve.length, 5))
@@ -286,7 +294,7 @@ def cmd_check(args, scene):
     if args.t is not None:
         if scene.family_kind is None:
             raise SceneError("scene defines no family; --t needs one")
-        pairs = sweeps.family_weights(pairs, scene.family_kind, args.t)
+        pairs = sweeps.family_weights(pairs, scene.family_kind, _finite(args.t, "--t"))
         for curve, weight in pairs:
             weight.validate_on(curve)
     ok, witnesses = singular.transversality_check(pairs, scene.tolerances)

@@ -22,8 +22,6 @@ from .util import (
     quintic_smoothstep_int,
 )
 
-ABSENT = None
-
 
 @dataclass(frozen=True)
 class FrenetData:
@@ -118,14 +116,11 @@ class ArclengthCurve:
         return np.linalg.norm(self.jet(s, 2)[2], axis=-1)
 
     def frame(self, s):
-        """FrenetData at scalar s; principal normal ABSENT below kappa_tol."""
+        """FrenetData at scalar s; principal normal None below kappa_tol."""
         s = float(np.asarray(self.wrap(s)))
         p, t, d2 = self.jet(s, 2)
         kap = float(np.linalg.norm(d2))
-        if kap > self.kappa_tol:
-            normal = d2 / kap
-        else:
-            normal = ABSENT
+        normal = d2 / kap if kap > self.kappa_tol else None
         return FrenetData(s, p, t, d2, kap, normal)
 
 

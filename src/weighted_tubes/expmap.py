@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCriticalFootError, OutOfWError
+from .errors import NotCriticalFootError, NumericError, OutOfWError
 from .util import as_pairs
 
 PLANE = "PLANE"
@@ -80,7 +80,8 @@ def _offset_rows(jets, s, v, R):
     `jets` are the (curve, weight) jets of order >= 1 at the feet s. Each
     row is projected into the normal space at its foot and normalized; the
     fault is (row, OutOfWError) for the first row whose direction is
-    tangent or whose height is negative or above 1/|mu'|, else None.
+    tangent or whose height is not finite, negative or above 1/|mu'|, else
+    None.
     """
     t = jets[0][1]
     v = v - _rowdot(v, t)[:, None] * t
@@ -89,7 +90,8 @@ def _offset_rows(jets, s, v, R):
     bound = _bound(jets[1][1])
     fault = _first_fault([
         (nv <= 1e-14, lambda k: OutOfWError("direction is tangent to the curve at s")),
-        (R < 0, lambda k: OutOfWError("height R must be nonnegative")),
+        (~(np.isfinite(R) & (R >= 0)),
+         lambda k: OutOfWError("height R must be finite and nonnegative")),
         (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
             f"R={float(R[k])} exceeds admissible bound {float(bound[k])} at s={float(s[k])}"
         )),
@@ -97,43 +99,50 @@ def _offset_rows(jets, s, v, R):
     return v, bound, fault
 
 
-def make_offsets(curve, weight, s, v, R):
-    """Offsets over s (m,), v (m, n), R (m,): each v projected into the
-    normal space at its foot and normalized, the unit normals returned.
-
-    Raises OutOfWError for the first row whose direction is tangent or whose
-    height is negative or above 1/|mu'|.
-    """
-    s = np.asarray(s, dtype=float)
-    jets = (curve.jet(s, 1), weight.jet(s, 1))
-    v, _, fault = _offset_rows(jets, s, np.asarray(v, dtype=float), np.asarray(R, dtype=float))
-    if fault is not None:
-        raise fault[1]
-    return v
-
-
 def exp_mu(curve, weight, s, v, R):
-    """Evaluate the map at foot s, unit normal v, height(s) R (scalar or
-    array): the rows of exp_mu_batch at one offset, range-checked at the
-    largest height."""
-    s, R = np.array([float(s)]), np.asarray(R, dtype=float)
-    jets = (curve.jet(s, 1), weight.jet(s, 1))
-    v, _, fault = _offset_rows(jets, s, np.asarray(v, dtype=float)[None, :], np.array([np.max(R)]))
+    """The map over rows: feet s, directions v (last axis ambient) and
+    heights R broadcast together to a shape B; returns the images, B + (n,).
+
+    One curve jet and one weight jet are evaluated on the feet as given.
+    Every direction is projected into the normal space at its foot and
+    normalized. Raises OutOfWError for the first row, in C order, whose
+    direction is tangent or whose height is not finite, negative or above
+    1/|mu'|, and NumericError when an image is not finite.
+    """
+    shape, feet, rows, v, R = _broadcast_rows(s, v, R)
+    jets = _take((curve.jet(feet, 1), weight.jet(feet, 1)), rows)
+    v, _, fault = _offset_rows(jets, feet[rows], v, R)
     if fault is not None:
         raise fault[1]
-    return _exp_rows(jets, v, R.ravel()).reshape(R.shape + v.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = _exp_rows(jets, v, R)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NumericError(f"image of R={float(R[k])} at s={float(feet[rows[k]])} is not finite")
+    return pts.reshape(shape + v.shape[1:])
 
 
-def exp_mu_batch(curve, weight, s, v, R):
-    """Vectorized map over matched arrays s (m,), v (m,n), R (m,); s and v
-    may also be single rows, shared by every height."""
-    s = np.asarray(s, dtype=float)
-    jets = (curve.jet(s, 1), weight.jet(s, 1))
-    return _exp_rows(jets, np.asarray(v, dtype=float), np.asarray(R, dtype=float))
+def _broadcast_rows(s, v, R):
+    """Feet s, directions v (last axis ambient) and heights R broadcast
+    together to a shape B, as rows in C order: (B, the feet as given
+    (flattened), each row's index into them, v (m, n), R (m,))."""
+    s, v, R = (np.asarray(x, dtype=float) for x in (s, v, R))
+    shape = np.broadcast_shapes(s.shape, v.shape[:-1], R.shape)
+    feet = s.ravel()
+    rows = np.broadcast_to(np.arange(feet.size).reshape(s.shape), shape).ravel()
+    v = np.broadcast_to(v, shape + v.shape[-1:]).reshape(-1, v.shape[-1])
+    return shape, feet, rows, v, np.broadcast_to(R, shape).ravel()
+
+
+def _take(jets, rows):
+    """The (curve, weight) jets at the given rows of their feet."""
+    return tuple(tuple(np.asarray(x)[rows] for x in jet) for jet in jets)
 
 
 def _exp_rows(jets, v, R):
-    """exp_mu_batch from the (curve, weight) jets of order >= 1 at the feet."""
+    """The map over rows from the (curve, weight) jets of order >= 1 at the
+    feet, unit normals v (m, n) and heights R (m,), unchecked."""
     g, t = jets[0][:2]
     mu, d1 = (np.asarray(x, dtype=float) for x in jets[1][:2])
     rad = np.sqrt(np.clip(1.0 - (d1 * R) ** 2, 0.0, None))

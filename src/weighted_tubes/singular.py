@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
 from .errors import OutOfWError
-from .expmap import _exp_rows, _frames, _hess_rows, _offset_rows, _rownorm
+from .expmap import _broadcast_rows, _exp_rows, _frames, _hess_rows, _offset_rows, _rownorm, _take
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
@@ -247,33 +247,29 @@ def is_singular(curve, weight, s, v, R):
 
 
 def jacobian_determinant(curve, weight, s, v, R):
-    """Finite-difference determinant of the map's differential at (s, v R):
-    one row of `jacobian_rows`."""
-    return float(jacobian_rows(
-        curve, weight, np.array([float(s)]), np.asarray(v, dtype=float)[None, :],
-        np.array([float(R)]),
-    )[0])
-
-
-def jacobian_rows(curve, weight, s, v, R):
-    """Finite-difference determinants of the map's differential at the
-    offsets s (m,), v (m, n), R (m,).
+    """Finite-difference determinants of the map's differential over rows:
+    feet s, directions v (last axis ambient) and heights R broadcast
+    together to a shape B; returns B (one offset gives a float).
 
     Coordinates: arclength plus coefficients on a normal frame transported
     from s by projection (smooth nearby), central differences of step
     h = 1e-6 max(1, L / 2 pi). One curve jet and one weight jet on the feet
-    (s, s + h, s - h) of every row give the offsets, the base and
+    as given, each also moved by +-h, give every row's offset, its base and
     transported frames and all 2n chart points of a row, which are mapped
     in one pass. Independent of the closed-form second-derivative
     criterion; used to cross-validate it. Raises OutOfWError for the first
-    row whose direction is tangent or whose height is negative or above
-    1/|mu'|, else for the first chart point outside the admissible set.
+    row whose direction is tangent or whose height is not finite, negative
+    or above 1/|mu'|, else for the first chart point outside the
+    admissible set.
     """
-    s, v, R = (np.asarray(x, dtype=float) for x in (s, v, R))
+    shape, s, foot, v, R = _broadcast_rows(s, v, R)
     h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
-    m, n = len(s), curve.ambient_dim
-    feet = np.concatenate([s, s + h, s - h])
-    jets = (curve.jet(feet, 1), weight.jet(feet, 1))
+    m, n = len(foot), curve.ambient_dim
+    given = np.concatenate([s, s + h, s - h])
+    at = np.concatenate([foot, foot + len(s), foot + 2 * len(s)])
+    jets = _take((curve.jet(given, 1), weight.jet(given, 1)), at)
+    feet = given[at]
+    s = feet[:m]
     v, _, fault = _offset_rows(_take(jets, slice(m)), s, v, R)
     if fault is not None:
         raise fault[1]
@@ -297,12 +293,8 @@ def jacobian_rows(curve, weight, s, v, R):
         raise fault[1]
     pts = _exp_rows(chart_jets, u, height).reshape(m, 2 * n, n)
     cols = (pts[:, 0::2] - pts[:, 1::2]) / (2 * h)
-    return np.linalg.det(cols.swapaxes(1, 2))
-
-
-def _take(jets, rows):
-    """The (curve, weight) jets at the given rows of their feet."""
-    return tuple(tuple(np.asarray(x)[rows] for x in jet) for jet in jets)
+    det = np.linalg.det(cols.swapaxes(1, 2)).reshape(shape)
+    return float(det) if det.ndim == 0 else det
 
 
 # ---------------------------------------------------------------------------

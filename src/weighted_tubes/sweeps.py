@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, GRID_BUDGET_BYTES
-from .errors import OutOfWError, SceneError, WeightedTubesError
-from .expmap import exp_mu_batch, g_potential, make_offsets, normal_frames, w_bound
+from .errors import SceneError, WeightedTubesError
+from .expmap import exp_mu, g_potential, normal_frames, w_bound
 from .radii import radii_report
 from .util import as_pairs
 from .weights import OffsetWeight
@@ -89,16 +89,9 @@ def _failed_row(t, exc):
 def fiber_trace(curve, weight, s, v, r_max, samples=257):
     """Points exp(s, v, R) for R on a uniform grid of [-r_max, r_max]
     (negative R reflects the direction). Returns (R_values, points)."""
-    s = float(s)
-    bound = float(w_bound(weight, s))
-    if r_max > bound * (1.0 + 1e-12):
-        raise OutOfWError(f"r_max={r_max} exceeds admissible bound {bound} at s={s}")
     rr = np.linspace(-r_max, r_max, samples)
     v = np.asarray(v, dtype=float)
-    # The two half-fibres' normals (-v, then v), range-checked at r_max.
-    halves = make_offsets(curve, weight, np.full(2, s), np.stack([-v, v]), np.full(2, float(r_max)))
-    pts = exp_mu_batch(curve, weight, np.array([s]), halves[(rr >= 0).astype(int)], np.abs(rr))
-    return rr, pts
+    return rr, exp_mu(curve, weight, float(s), np.where((rr >= 0)[:, None], v, -v), np.abs(rr))
 
 
 def tube_boundary(pairs, R, s_samples=256):
@@ -134,9 +127,7 @@ def tube_boundary(pairs, R, s_samples=256):
             continue
         dirs = _directions(normal_frames(curve, feet), n, _DIR_SAMPLES)
         s_rows = np.repeat(feet, dirs.shape[1])
-        heights = np.full(len(s_rows), float(R))
-        v = make_offsets(curve, weight, s_rows, dirs.reshape(-1, n), heights)
-        pts = exp_mu_batch(curve, weight, s_rows, v, heights)
+        pts = exp_mu(curve, weight, feet[:, None], dirs, float(R)).reshape(-1, n)
         vals, _, _ = g_potential(pairs, pts)
         inside = vals >= R * R - _TUBE_TOL_FACTOR * R * R
         rows = np.column_stack([np.full(len(s_rows), ci), s_rows, vals, pts])

@@ -16,7 +16,6 @@ import pytest
 
 from weighted_tubes import (
     exp_mu,
-    exp_mu_batch,
     f_prime,
     f_second,
     f_second_critical,
@@ -92,7 +91,7 @@ def test_criterion_02_collapse_identity(scenes):
         curve, weight = scenes[name].pairs[0]
         ss = np.linspace(curve.s_min, curve.s_max, 200)
         normals = curve.second_derivative(ss) / curve.curvature(ss)[:, None]
-        pts = exp_mu_batch(curve, weight, ss, normals, np.full(200, 2.0))
+        pts = exp_mu(curve, weight, ss, normals, np.full(200, 2.0))
         worst = max(worst, float(np.max(np.linalg.norm(pts - np.asarray(target), axis=1))))
     ok = worst <= 1e-9
     report_line(2, ok, f"collapse identity max |exp - p0| = {worst:.3e} <= 1e-9")
@@ -200,7 +199,7 @@ def test_criterion_08_property_suites(scenes):
         scene = scenes[name]
         curve, weight = scene.pairs[0]
         s, v, R = random_offsets(scene, n_cases)
-        pts = exp_mu_batch(curve, weight, s, v, R)
+        pts = exp_mu(curve, weight, s, v, R)
         feet = curve.point(s)
         mu = np.asarray(weight.mu(s), dtype=float)
         d1 = np.asarray(weight.d1(s), dtype=float)
@@ -338,7 +337,7 @@ def _grad_direction_gap(scene, count=1000):
     v = random_unit_normals(curve, s, rng)
     bounds = np.asarray(w_bound(weight, s), dtype=float)
     R = rng.uniform(0.05, 1.0, size=count) * np.minimum(rep_cap, 0.5 * bounds)
-    pts = exp_mu_batch(curve, weight, s, v, R)
+    pts = exp_mu(curve, weight, s, v, R)
     feet = curve.point(s)
     n = curve.ambient_dim
     h = 1e-6

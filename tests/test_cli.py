@@ -196,6 +196,15 @@ class TestErrors:
         (("collapse", "--scene", "example1a", "--ur", "-1"), "--ur must be > 0"),
         (("sweep", "--scene", "example6_family", "--t-values=,"), "--t-values holds no numbers"),
         (("fibers", "--scene", "example1a", "--s-values=,"), "--s-values holds no numbers"),
+        (("fibers", "--scene", "example1a", "--s-values=nan"), "--s-values must be finite"),
+        (("fibers", "--scene", "circle_mu1", "--s-values=0.5,nan"), "--s-values must be finite"),
+        (("fibers", "--scene", "circle_mu1", "--s-values=inf"), "--s-values must be finite"),
+        (("check", "--scene", "example6_family", "--t", "nan"), "--t must be finite"),
+        (("check", "--scene", "example6_family", "--t", "inf"), "--t must be finite"),
+        (("sweep", "--scene", "example6_family", "--t-min", "0", "--t-max", "inf", "--t-count", "2"),
+         "--t-max must be finite"),
+        (("sweep", "--scene", "example6_family", "--t-min", "nan", "--t-max", "0", "--t-count", "2"),
+         "--t-min must be finite"),
     ])
     def test_bad_number_exit_2(self, args, message):
         proc = run_cli(*args, check=False)
@@ -216,6 +225,24 @@ class TestErrors:
         )
         assert proc.returncode == 3
         assert "numeric failure" in proc.stderr
+        assert "R=100.0 exceeds admissible bound" in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("fibers", "--scene", "circle_mu1", "--samples", "3", "--r-max", "1e200"),
+        ("tube", "--scene", "circle_mu1", "--radius", "1e200", "--samples", "4"),
+    ])
+    def test_non_finite_image_exit_3(self, args):
+        # mu' = 0 bounds no height, but R^2 overflows: no nan rows.
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 3
+        assert "numeric failure" in proc.stderr and "not finite" in proc.stderr
+        assert "Warning" not in proc.stderr and proc.stdout == ""
+
+    def test_nan_t_value_is_a_failed_row(self):
+        proc = run_cli("sweep", "--scene", "example6_family", "--t-values=nan,0.01")
+        rows = proc.stdout.splitlines()[1:]
+        assert rows[0].startswith("nan,") and "failed:" in rows[0]
+        assert rows[1].endswith(",ok")
 
 
 class TestSweep:

@@ -8,22 +8,21 @@ from weighted_tubes import (
     ConstantWeight,
     CosineWeight,
     NotCriticalFootError,
+    NumericError,
     OutOfWError,
     PolynomialWeight,
     exp_mu,
-    exp_mu_batch,
     f_prime,
     f_second,
     f_second_critical,
     f_value,
     fiber_geometry,
     g_potential,
-    make_offsets,
     normal_frame,
     normal_frames,
     w_bound,
 )
-from weighted_tubes.expmap import _frames, random_unit_normals
+from weighted_tubes.expmap import _exp_rows, _frames, random_unit_normals
 
 from oracles import (
     CP_PLUS,
@@ -90,27 +89,99 @@ class TestExpMap:
 
 class TestOffsetRows:
     def test_rows_match_make_offset(self, arc1a):
+        # exp_mu projects and normalizes each direction as the make_offset
+        # oracle does, then maps that normal.
         curve, weight = arc1a
         s = np.linspace(-1.4, 1.4, 9)
         v = -curve.point(s) + 0.3 * curve.tangent(s)
         R = np.linspace(0.1, 1.5, 9)
-        rows = make_offsets(curve, weight, s, v, R)
+        rows = exp_mu(curve, weight, s, v, R)
         for k in range(len(s)):
-            assert np.array_equal(rows[k], make_offset(curve, weight, s[k], v[k], R[k]).v)
+            foot = s[k:k + 1]
+            off = make_offset(curve, weight, s[k], v[k], R[k])
+            jets = (curve.jet(foot, 1), weight.jet(foot, 1))
+            np.testing.assert_array_equal(rows[k], _exp_rows(jets, off.v[None, :], R[k:k + 1])[0])
 
     def test_height_above_bound_rejected(self, arc1a):
         curve, weight = arc1a
         s = np.array([0.0, 1.0, -0.5])
         R = np.array([1.0, 1.01 * float(w_bound(weight, 1.0)), 1.0])
-        with pytest.raises(OutOfWError, match="exceeds admissible bound"):
-            make_offsets(curve, weight, s, -curve.point(s), R)
+        with pytest.raises(OutOfWError, match="exceeds admissible bound .* at s=1.0"):
+            exp_mu(curve, weight, s, -curve.point(s), R)
 
     def test_tangent_row_rejected(self, arc1a):
         curve, weight = arc1a
         s = np.array([0.2, 0.3])
         v = np.stack([-curve.point(0.2), curve.tangent(0.3)])
         with pytest.raises(OutOfWError, match="tangent"):
-            make_offsets(curve, weight, s, v, np.array([0.5, 0.5]))
+            exp_mu(curve, weight, s, v, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    def test_height_not_finite_or_negative_rejected(self, arc1a, bad, where):
+        # One bad height anywhere in the array fails the whole call; the old
+        # one-foot map checked only the largest height.
+        curve, weight = arc1a
+        s = np.linspace(-1.4, 1.4, 9)
+        R = np.full(9, 0.5)
+        R[where] = bad
+        with pytest.raises(OutOfWError, match="finite and nonnegative"):
+            exp_mu(curve, weight, s, -curve.point(s), R)
+        with pytest.raises(OutOfWError, match="finite and nonnegative"):
+            exp_mu(curve, weight, 0.3, -curve.point(0.3), R)
+
+    def test_first_failing_row_in_c_order(self, arc1a):
+        curve, weight = arc1a
+        s = np.array([0.2, 1.0])
+        R = np.array([[0.5, 1.01 * float(w_bound(weight, 1.0))], [np.nan, 0.5]])
+        with pytest.raises(OutOfWError, match="exceeds admissible bound"):
+            exp_mu(curve, weight, s, -curve.point(s), R)
+
+    def test_image_not_finite(self, circle_mu1):
+        # mu' = 0 bounds no height, but R^2 overflows at 1e200.
+        curve, weight = circle_mu1
+        with pytest.raises(NumericError, match="not finite"):
+            exp_mu(curve, weight, 0.5, -curve.point(0.5), np.array([1.0, 1e200]))
+        assert np.all(np.isfinite(exp_mu(curve, weight, 0.5, -curve.point(0.5), 1e100)))
+
+
+class TestBroadcastRows:
+    def test_feet_by_directions(self):
+        curve = CircleArcCurve(-1.2, 1.2, ambient_dim=3)
+        weight = CosineWeight()
+        feet = np.linspace(-1.0, 1.0, 5)
+        dirs = np.stack([normal_frames(curve, feet)[:, 0], normal_frames(curve, feet)[:, 1],
+                         -curve.point(feet)], axis=1)
+        rows = exp_mu(curve, weight, feet[:, None], dirs, 0.7)
+        assert rows.shape == (5, 3, 3)
+        for i in range(5):
+            for j in range(3):
+                np.testing.assert_array_equal(rows[i, j], exp_mu(curve, weight, feet[i], dirs[i, j], 0.7))
+
+    def test_one_foot_many_heights(self, scenes):
+        curve, weight = scenes["example1b"].pairs[0]
+        s = 0.5
+        v = curve.frame(s).principal_normal
+        heights = np.linspace(0.0, 0.9 * float(w_bound(weight, s)), 7).reshape(7, 1)
+        rows = exp_mu(curve, weight, s, v, heights)
+        assert rows.shape == (7, 1, 3)
+        for k in range(7):
+            np.testing.assert_array_equal(rows[k, 0], exp_mu(curve, weight, s, v, float(heights[k, 0])))
+
+    def test_one_jet_each_on_the_feet_as_given(self, monkeypatch):
+        curve = CircleArcCurve(-1.2, 1.2, ambient_dim=3)
+        weight = CosineWeight()
+        feet = np.linspace(-1.0, 1.0, 5)
+        dirs = np.stack([-curve.point(feet)] * 4, axis=1)
+        calls = []
+        for obj in (curve, weight):
+            jet = obj.jet
+            monkeypatch.setattr(obj, "jet", lambda s, order, jet=jet, obj=obj: (
+                calls.append((obj, np.array(s))) or jet(s, order)))
+        exp_mu(curve, weight, feet[:, None], dirs, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert [obj for obj, _ in calls] == [curve, weight]
+        for _, s in calls:
+            np.testing.assert_array_equal(s, feet)
 
 
 class TestFiberGeometry:
@@ -290,7 +361,7 @@ class TestNormalFrames:
         s = rng.uniform(-1.2, 1.2, size=8)
         v = random_unit_normals(curve, s, rng)
         R = rng.uniform(0.0, 1.0, size=8)
-        batch = exp_mu_batch(curve, weight, s, v, R)
+        batch = exp_mu(curve, weight, s, v, R)
         for k in range(8):
             assert np.allclose(batch[k], exp_mu(curve, weight, s[k], v[k], R[k]))
 
@@ -308,10 +379,10 @@ class TestScalarMapRows:
         off = make_offset(curve, weight, s, curve.frame(s).principal_normal, R)
         x = np.float64(float(weight.d1(s)) * R)
         assert x**2 != x * x
-        batch = exp_mu_batch(curve, weight, np.array([s]), off.v[None, :], np.array([R]))
+        batch = exp_mu(curve, weight, np.array([s]), off.v[None, :], np.array([R]))
         np.testing.assert_array_equal(exp_mu(curve, weight, s, off.v, R), batch[0])
         heights = np.array([0.25 * R, 0.5 * R, R])
-        rows = exp_mu_batch(curve, weight, np.full(3, s), np.tile(off.v, (3, 1)), heights)
+        rows = exp_mu(curve, weight, np.full(3, s), np.tile(off.v, (3, 1)), heights)
         np.testing.assert_array_equal(exp_mu(curve, weight, s, off.v, heights), rows)
 
 

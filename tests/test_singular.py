@@ -21,7 +21,7 @@ from weighted_tubes import (
 )
 from test_acceptance import random_offsets
 from test_expmap import scalar_frame
-from weighted_tubes.expmap import _hess_rows, exp_mu_batch, random_unit_normals, w_bound
+from weighted_tubes.expmap import _hess_rows, random_unit_normals, w_bound
 from weighted_tubes.singular import (
     _TOL_HESS_FACTOR,
     _TOL_SNG,
@@ -29,7 +29,6 @@ from weighted_tubes.singular import (
     _sng_condition,
     dense_grid,
     g_zero_set,
-    jacobian_rows,
 )
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
@@ -91,7 +90,7 @@ class TestSingularSet:
 def test_graph_points_match_the_scalar_map(scenes, name):
     """Each batched point agrees with the map and the closed-form second
     derivative evaluated at its foot along the principal normal, all feet of
-    a component in one row-wise call (exp_mu_batch, expmap._hess_rows);
+    a component in one row-wise call (exp_mu, expmap._hess_rows);
     is_singular gives the same value on a sample of them."""
     scene = scenes[name]
     tol = scene.tolerances
@@ -105,7 +104,7 @@ def test_graph_points_match_the_scalar_map(scenes, name):
         s, R = np.array([p.s for p in rows]), np.array([p.R for p in rows])
         jets = (curve.jet(s, 2), weight.jet(s, 2))
         normal = jets[0][2] / np.linalg.norm(jets[0][2], axis=-1)[:, None]
-        images = exp_mu_batch(curve, weight, s, normal, R)
+        images = exp_mu(curve, weight, s, normal, R)
         assert np.max(np.abs(images - np.array([p.location for p in rows]))) <= 1e-12
         _, hess, _, faults = _hess_rows(curve, jets, s, normal, R)
         assert faults == (None, None)
@@ -227,7 +226,7 @@ class TestJacobianRows:
         scene = scenes[name]
         curve, weight = scene.pairs[0]
         s, v, R = (x[:300] for x in random_offsets(scene, 1000, r_cap=4.0, margin=0.1))
-        rows = jacobian_rows(curve, weight, s, v, R)
+        rows = jacobian_determinant(curve, weight, s, v, R)
         expected = [scalar_jacobian_determinant(curve, weight, s[k], v[k], R[k]) for k in range(300)]
         np.testing.assert_array_equal(rows, expected)
         assert jacobian_determinant(curve, weight, s[7], v[7], R[7]) == expected[7]
@@ -241,7 +240,7 @@ class TestJacobianRows:
         v = random_unit_normals(curve, s, rng) + 0.3 * curve.tangent(s)
         R = rng.uniform(0.05, 1.0, 40)
         expected = [scalar_jacobian_determinant(curve, weight, s[k], v[k], R[k]) for k in range(40)]
-        np.testing.assert_array_equal(jacobian_rows(curve, weight, s, v, R), expected)
+        np.testing.assert_array_equal(jacobian_determinant(curve, weight, s, v, R), expected)
 
     def test_one_curve_jet_and_one_weight_jet_per_call(self, monkeypatch):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2, ambient_dim=3), CosineWeight()
@@ -253,9 +252,27 @@ class TestJacobianRows:
         jacobian_determinant(curve, weight, 0.3, [-1.0, 0.0, 0.5], 1.5)
         assert sorted(calls) == ["curve", "weight"]
 
+    def test_broadcast_rows_are_the_scalar_determinants(self, monkeypatch):
+        curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2, ambient_dim=3), CosineWeight()
+        feet = np.array([-0.4, 0.3])
+        dirs = np.stack([normal_frame(curve, s) for s in feet])
+        heights = np.array([0.5, 1.5, 2.0])
+        sizes = []
+        with monkeypatch.context() as patch:
+            for obj in (curve, weight):
+                jet = obj.jet
+                patch.setattr(obj, "jet", lambda s, order, jet=jet: (
+                    sizes.append(np.size(s)) or jet(s, order)))
+            rows = jacobian_determinant(curve, weight, feet[:, None, None], dirs[:, :, None], heights)
+        # Each jet is evaluated on the two feet as given, each moved by +-h.
+        assert rows.shape == (2, 2, 3) and sizes == [6, 6]
+        for i, j, k in np.ndindex(rows.shape):
+            one = jacobian_determinant(curve, weight, feet[i], dirs[i, j], heights[k])
+            assert type(one) is float and rows[i, j, k] == one
+
     def test_no_rows(self, scenes):
         curve, weight = scenes["ellipse_mu1"].pairs[0]
-        assert jacobian_rows(curve, weight, np.zeros(0), np.zeros((0, 2)), np.zeros(0)).shape == (0,)
+        assert jacobian_determinant(curve, weight, np.zeros(0), np.zeros((0, 2)), np.zeros(0)).shape == (0,)
 
     def test_offset_checks_come_first(self):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
@@ -263,9 +280,9 @@ class TestJacobianRows:
         v = -curve.point(s)
         bound = np.asarray(w_bound(weight, s), dtype=float)
         with pytest.raises(OutOfWError, match="exceeds admissible bound"):
-            jacobian_rows(curve, weight, s, v, np.array([0.5, 1.01 * bound[1]]))
+            jacobian_determinant(curve, weight, s, v, np.array([0.5, 1.01 * bound[1]]))
         with pytest.raises(OutOfWError, match="tangent"):
-            jacobian_rows(curve, weight, s, curve.tangent(s), np.array([0.5, 0.5]))
+            jacobian_determinant(curve, weight, s, curve.tangent(s), np.array([0.5, 0.5]))
 
 
 class TestCollapseArcs:

@@ -295,7 +295,7 @@ class TestFiberTrace:
 
     def test_out_of_range_rejected(self):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
-        with pytest.raises(OutOfWError):
+        with pytest.raises(OutOfWError, match="R=100.0 exceeds admissible bound .* at s=1.0"):
             fiber_trace(curve, weight, 1.0, -curve.point(1.0), 100.0)
 
     @pytest.mark.parametrize("name", [
@@ -426,6 +426,22 @@ class TestTubeBoundary:
             assert inside[:len(boundary)].all() and not inside[len(boundary):].any()
             assert set(rows[:, 0]) <= set(range(len(scene.pairs)))
             assert np.all(np.diff(boundary[:, 0]) >= 0) and np.all(np.diff(overlap[:, 0]) >= 0)
+
+    def test_maps_the_distinct_feet_once(self, scenes, monkeypatch):
+        # Sixteen (foot, direction) rows per foot share their foot's jets:
+        # no first-order jet is evaluated on a repeated foot.
+        curve, weight = scenes["example1b"].pairs[0]
+        calls = []
+        for obj in (curve, weight):
+            jet = obj.jet
+            monkeypatch.setattr(obj, "jet", lambda s, order, jet=jet, obj=obj: (
+                calls.append((obj, order, np.array(s))) or jet(s, order)))
+        boundary, overlap = tube_boundary([(curve, weight)], 0.5, s_samples=24)
+        assert len(boundary) + len(overlap) == 16 * 24
+        first = [(obj, s) for obj, order, s in calls if order == 1]
+        assert {id(obj) for obj, _ in first} == {id(curve), id(weight)}
+        for _, s in first:
+            assert len(np.unique(s)) == len(s) <= 24
 
     def test_oversized_row_array_rejected(self):
         pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0))]
