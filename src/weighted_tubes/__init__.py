@@ -17,7 +17,6 @@ from .curves import (
     CircleArcCurve,
     EllipseCurve,
     FourierCurve,
-    FrenetData,
     SegmentCurve,
     build_arclength_curve,
     collapse_ode_residual,
@@ -45,7 +44,6 @@ from .expmap import (
     f_value,
     fiber_geometry,
     g_potential,
-    normal_frame,
     normal_frames,
     w_bound,
 )

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import radii, singular, sweeps
 from .errors import SceneError, WeightedTubesError
-from .expmap import normal_frame, w_bound
+from .expmap import _rownorm, normal_frames, w_bound
 from .scene import load_scene
 from .svg import render_svg
 from .util import float17
@@ -232,23 +232,23 @@ def cmd_fibers(args, scene):
         _positive(args.r_max, "--r-max")
     curve, weight = scene.pairs[args.component]
     if args.s_values:
-        feet = [_finite(s, "--s-values") for s in _numbers(args.s_values, "--s-values")]
+        feet = np.array([_finite(s, "--s-values") for s in _numbers(args.s_values, "--s-values")])
     else:
-        feet = list(np.linspace(curve.s_min + 0.1 * curve.length,
-                                curve.s_max - 0.1 * curve.length, 5))
-    traces = []
-    for s in feet:
-        v = curve.frame(s).principal_normal
-        if v is None:
-            v = normal_frame(curve, s)[0]
-        r_max = args.r_max
-        if r_max is None:
-            bound = float(w_bound(weight, s))
-            r_max = 0.9 * bound if np.isfinite(bound) else 1.0
-        traces.append(sweeps.fiber_trace(curve, weight, s, v, r_max, samples=args.samples))
-    rr, pts = zip(*traces)
-    _write_points(args, scene, np.repeat(feet, args.samples), np.concatenate(rr),
-                  np.concatenate(pts), fibers=pts)
+        feet = np.linspace(curve.s_min + 0.1 * curve.length, curve.s_max - 0.1 * curve.length, 5)
+    # The principal normal, or the first normal-frame vector where kappa <= kappa_tol.
+    d2 = curve.jet(feet, 2)[2]
+    kap = _rownorm(d2)
+    flat = kap <= curve.kappa_tol
+    v = d2 / np.where(flat, 1.0, kap)[:, None]
+    if flat.any():
+        v[flat] = normal_frames(curve, feet[flat])[:, 0]
+    r_max = args.r_max
+    if r_max is None:
+        bound = w_bound(weight, feet)
+        r_max = np.where(np.isfinite(bound), 0.9 * bound, 1.0)
+    rr, pts = sweeps.fiber_trace(curve, weight, feet, v, r_max, samples=args.samples)
+    _write_points(args, scene, np.repeat(feet, args.samples), rr.ravel(),
+                  pts.reshape(-1, curve.ambient_dim), fibers=pts)
     return EXIT_OK
 
 

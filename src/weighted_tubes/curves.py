@@ -8,8 +8,6 @@ or closed-form differentiation, never finite differences, so curvature
 and the third derivative are trustworthy at machine precision.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
@@ -21,18 +19,6 @@ from .util import (
     quintic_smoothstep_d1,
     quintic_smoothstep_int,
 )
-
-
-@dataclass(frozen=True)
-class FrenetData:
-    """Pointwise frame data at arclength s."""
-
-    s: float
-    point: np.ndarray
-    tangent: np.ndarray
-    second_deriv: np.ndarray
-    curvature: float
-    principal_normal: np.ndarray | None
 
 
 class ArclengthCurve:
@@ -114,14 +100,6 @@ class ArclengthCurve:
 
     def curvature(self, s):
         return np.linalg.norm(self.jet(s, 2)[2], axis=-1)
-
-    def frame(self, s):
-        """FrenetData at scalar s; principal normal None below kappa_tol."""
-        s = float(np.asarray(self.wrap(s)))
-        p, t, d2 = self.jet(s, 2)
-        kap = float(np.linalg.norm(d2))
-        normal = d2 / kap if kap > self.kappa_tol else None
-        return FrenetData(s, p, t, d2, kap, normal)
 
 
 def _kappa_rate(jet, kappa_tol):
@@ -515,29 +493,26 @@ class _Piece:
 
 
 class CurvatureProfileCurve(ArclengthCurve):
-    """Planar arclength-native curve defined by a piecewise curvature profile.
+    """Planar closed arclength-native curve defined by a piecewise curvature
+    profile over its first half, symmetric about the x-axis.
 
-    The tangent angle is the exact integral of kappa (piecewise polynomial),
-    positions use closed forms on constant pieces and Gauss-Legendre on the
-    short smoothstep transitions. The profile may be declared symmetric, in
-    which case only [0, L/2] is stored and s in [L/2, L] is evaluated by
+    The half starts at (1, 0) heading along +y. The tangent angle is the
+    exact integral of kappa (piecewise polynomial), positions use closed
+    forms on constant pieces and Gauss-Legendre on the short smoothstep
+    transitions. Only [0, L/2] is stored; s in [L/2, L] is evaluated by
     mirror symmetry about the x-axis.
     """
 
     _GL_N = 24
 
-    def __init__(self, pieces, start_point, start_angle, closed, mirrored=False):
+    def __init__(self, pieces):
         self._pieces = pieces
-        self._mirrored = bool(mirrored)
-        half = pieces[-1].s1
-        length = 2.0 * half if mirrored else half
-        x, y = float(start_point[0]), float(start_point[1])
-        th = float(start_angle)
+        x, y, th = 1.0, 0.0, np.pi / 2.0
         for p in pieces:
             p.theta0, p.x0, p.y0 = th, x, y
             th, x, y = self._piece_state(p, p.s1)
         self._end_state = (x, y, th)
-        super().__init__(2, length, closed, 0.0)
+        super().__init__(2, 2.0 * pieces[-1].s1, True, 0.0)
 
     # -- profile primitives --------------------------------------------------
 
@@ -615,8 +590,6 @@ class CurvatureProfileCurve(ArclengthCurve):
         return outs
 
     def _jet(self, s, order):
-        if not self._mirrored:
-            return tuple(self._half_jet(s, order))
         hi = s > self.length / 2.0
         outs = self._half_jet(np.where(hi, self.length - s, s), order)
         # Mirror about the x-axis: gamma(L-s) = M gamma(s), M = diag(1,-1);
@@ -657,7 +630,7 @@ def make_stadium(circle_turn=0.3, transition=0.05, line_length=7.0):
             _Piece(s3, s4, "step", 0.0, kappa2),
             _Piece(s4, s5, "const", kappa2, kappa2),
         ]
-        return CurvatureProfileCurve(pieces, (1.0, 0.0), np.pi / 2.0, True, mirrored=True)
+        return CurvatureProfileCurve(pieces)
 
     def end_y(kappa2):
         return np.array([build(float(k))._end_state[1] for k in kappa2])

@@ -123,10 +123,10 @@ def exp_mu(curve, weight, s, v, R):
     return pts.reshape(shape + v.shape[1:])
 
 
-def _broadcast_rows(s, v, R):
-    """Feet s, directions v (last axis ambient) and heights R broadcast
-    together to a shape B, as rows in C order: (B, the feet as given
-    (flattened), each row's index into them, v (m, n), R (m,))."""
+def _broadcast_rows(s, v, R=0.0):
+    """Feet s, directions or points v (last axis ambient) and heights R
+    broadcast together to a shape B, as rows in C order: (B, the feet as
+    given (flattened), each row's index into them, v (m, n), R (m,))."""
     s, v, R = (np.asarray(x, dtype=float) for x in (s, v, R))
     shape = np.broadcast_shapes(s.shape, v.shape[:-1], R.shape)
     feet = s.ravel()
@@ -217,17 +217,20 @@ def f_second_critical(curve, weight, s, p):
 
     with R = |p - gamma(s)| / mu(s) and beta the angle between gamma''(s)
     and the normal part of the direction to p (0 when either vanishes).
-    Raises NotCriticalFootError when s fails the first-order criticality
-    test for p, and OutOfWError when the recovered height exceeds the
-    admissible bound.
+    Feet s and points p (last axis ambient) broadcast together to a shape B
+    as in `exp_mu`; returns B (one row gives a float). One curve jet and one
+    weight jet are evaluated on the feet as given. For the first row, in C
+    order, that fails a check, raises OutOfWError when the recovered height
+    exceeds the admissible bound, else NotCriticalFootError when s fails the
+    first-order criticality test for p.
     """
-    s = np.array([float(s)])
-    values, fault = _f_second_critical_rows(
-        curve, (curve.jet(s, 2), weight.jet(s, 2)), np.asarray(p, dtype=float)[None, :]
-    )
+    shape, feet, rows, p, _ = _broadcast_rows(s, p)
+    jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
+    values, fault = _f_second_critical_rows(curve, jets, p)
     if fault is not None:
         raise fault[1]
-    return float(values[0])
+    values = values.reshape(shape)
+    return float(values) if values.ndim == 0 else values
 
 
 def _f_second_critical_rows(curve, jets, p):
@@ -413,18 +416,9 @@ def _grid_argmin(pts, gp, mug):
 # ---------------------------------------------------------------------------
 
 
-def normal_frame(curve, s):
-    """Orthonormal basis of the normal space at s: one row of `normal_frames`
-    (empty where the tangent is not finite)."""
-    frames, count = _frames(curve.tangent(s)[None, :])
-    return frames[0, :count[0]]
-
-
 def normal_frames(curve, s):
-    """Row-wise reference-free normal_frame over feet s (m,): (m, n-1, n).
-
-    Each row equals `normal_frame(curve, s[k])` bit for bit.
-    """
+    """Orthonormal bases of the normal spaces at feet s (m,): (m, n-1, n),
+    from the standard basis (nan rows where the tangent is not finite)."""
     frames, _ = _frames(curve.tangent(np.asarray(s, dtype=float)))
     return frames
 

@@ -595,9 +595,18 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     and the collapse arcs run once over every distinct t (see focal_radii,
     find_double_critical_pairs and singular.detect_collapse_arcs), the
     ordering clamp per t. Each report equals the one computed for the
-    weights mu + t alone, and repeated values share one report.
+    weights mu + t alone, and repeated values share one report. A
+    floating-point overflow anywhere in the report raises NumericError, so
+    an out-of-range weight never yields a quiet wrong radius.
     """
-    pairs = as_pairs(pairs)
+    try:
+        with np.errstate(over="raise"):
+            return _radii_report(as_pairs(pairs), tol, offsets)
+    except FloatingPointError as exc:
+        raise NumericError(f"radii report overflowed: {exc}") from exc
+
+
+def _radii_report(pairs, tol, offsets):
     ts = [0.0] if offsets is None else [float(t) for t in offsets]
     distinct = list(dict.fromkeys(ts))
     if not distinct:

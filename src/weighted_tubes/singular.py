@@ -16,7 +16,9 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
 from .errors import OutOfWError
-from .expmap import _broadcast_rows, _exp_rows, _frames, _hess_rows, _offset_rows, _rownorm, _take
+from .expmap import (
+    _broadcast_rows, _exp_rows, _first_fault, _frames, _hess_rows, _offset_rows, _rownorm, _take,
+)
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
@@ -227,23 +229,31 @@ def _dedup_points(pairs, points, tol):
 
 
 def is_singular(curve, weight, s, v, R):
-    """(flag, residual): the map is singular at (s, v R) iff the second
-    derivative of the squared weighted distance vanishes at the foot (one
-    row of the criterion `_graph_points` applies)."""
-    s, R = np.array([float(s)]), float(R)
-    jets = (curve.jet(s, 2), weight.jet(s, 2))
-    _, hess, bound, (fault, hess_fault) = _hess_rows(
-        curve, jets, s, np.asarray(v, dtype=float)[None, :], np.array([R])
-    )
-    if fault is not None:
-        raise fault[1]
-    if R >= bound[0] * (1.0 - 1e-12):
-        raise OutOfWError("offset must be strictly inside the admissible set")
-    if hess_fault is not None:
-        raise hess_fault[1]
-    mu = float(jets[1][0][0])
-    band = _TOL_HESS_FACTOR * 2.0 / mu**2 * max(1.0, R**2)
-    return abs(float(hess[0])) <= band, float(hess[0])
+    """(flags, values) over rows: feet s, directions v (last axis ambient)
+    and heights R broadcast together to a shape B as in `exp_mu`; one offset
+    gives (bool, float). The map is singular at an offset iff the second
+    derivative of the squared weighted distance at its foot lies within
+    _TOL_HESS_FACTOR * 2/mu^2 * max(1, R^2) of zero (the criterion
+    `_graph_points` applies); values are those second derivatives.
+
+    One curve jet and one weight jet are evaluated on the feet as given.
+    Raises for the first failing row in C order; within a row the offset
+    check (`exp_mu`'s), then "strictly inside the admissible set", then the
+    criterion's own error (`f_second_critical`'s).
+    """
+    shape, feet, rows, v, R = _broadcast_rows(s, v, R)
+    jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
+    _, hess, bound, (fault, hess_fault) = _hess_rows(curve, jets, feet[rows], v, R)
+    inside_fault = _first_fault([(R >= bound * (1.0 - 1e-12), lambda k: OutOfWError(
+        "offset must be strictly inside the admissible set"))])
+    faults = [f for f in (fault, inside_fault, hess_fault) if f is not None]
+    if faults:
+        raise min(faults, key=lambda f: f[0])[1]
+    mu = np.asarray(jets[1][0], dtype=float)
+    flags = np.abs(hess) <= _TOL_HESS_FACTOR * 2.0 / mu**2 * np.maximum(1.0, R**2)
+    if not shape:
+        return bool(flags[0]), float(hess[0])
+    return flags.reshape(shape), hess.reshape(shape)
 
 
 def jacobian_determinant(curve, weight, s, v, R):

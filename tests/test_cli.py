@@ -244,6 +244,41 @@ class TestErrors:
         assert rows[0].startswith("nan,") and "failed:" in rows[0]
         assert rows[1].endswith(",ok")
 
+    def test_out_of_domain_feet_exit_3(self):
+        # All feet are evaluated in one call, so the range spans every foot.
+        proc = run_cli("fibers", "--scene", "example1a", "--s-values=0.5,5.0", check=False)
+        assert proc.returncode == 3
+        assert "numeric failure" in proc.stderr and "got range [0.5, 5.0]" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_overflowing_sweep_rows_fail(self):
+        proc = run_cli("sweep", "--scene", "example6_family",
+                       "--t-values=0,10,1e100,1e150,1e155,1e160,1e308")
+        rows = proc.stdout.splitlines()[1:]
+        assert rows[:4] == [
+            "0,2,4,4,0,ok",
+            "10,0.093074821508815367,0.093074821508815367,0.093074821508815367,0,ok",
+            "1e+100,1e-100,1e-100,1e-100,0,ok",
+            "9.9999999999999998e+149,1e-150,1e-150,1e-150,0,ok",
+        ]
+        assert len(rows) == 7
+        for row, t in zip(rows[4:], ("1e+155", "1e+160", "1e+308")):
+            assert row.startswith(f"{t},nan,nan,nan,0,failed: ") and "overflow" in row
+
+    def test_overflowing_report_exit_3(self, tmp_path):
+        # Every radius of a unit circle with mu = 1e160 is 1e-160, but the
+        # report's squares of mu overflow: a failure, not a wrong number.
+        scene = tmp_path / "circle_1e160.json"
+        scene.write_text(json.dumps({
+            "ambient_dim": 2,
+            "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
+            "weights": [{"kind": "constant", "params": {"value": 1e160}}],
+        }))
+        proc = run_cli("report", "--scene", str(scene), check=False)
+        assert proc.returncode == 3
+        assert "numeric failure" in proc.stderr and "overflow" in proc.stderr
+        assert "Warning" not in proc.stderr and proc.stdout == ""
+
 
 class TestSweep:
     def test_example6_semicontinuity(self, tmp_path):
@@ -315,6 +350,46 @@ class TestPointExports:
         at = np.loadtxt(out, delimiter=",", skiprows=1)
         assert cli.main(argv + ["--s-values", repr(float(np.nextafter(6.0, 7.0)))]) == 0
         np.testing.assert_allclose(at, np.loadtxt(out, delimiter=",", skiprows=1), rtol=1e-12)
+
+    def test_fibers_read_one_curve_jet_and_map_once(self, tmp_path, monkeypatch):
+        from weighted_tubes import cli, load_scene, sweeps
+
+        scene = load_scene("example2_stadium")
+        curve = scene.pairs[0][0]
+        args = cli.build_parser().parse_args([
+            "fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0,40.0",
+            "--samples", "9", "--out", str(tmp_path / "fib.csv"),
+        ])
+        calls = []
+        jet, exp_mu = curve.jet, sweeps.exp_mu
+        monkeypatch.setattr(curve, "jet", lambda s, order: (
+            calls.append(("jet", np.size(s), order)) or jet(s, order)))
+        monkeypatch.setattr(sweeps, "exp_mu", lambda *a: calls.append(("exp_mu",)) or exp_mu(*a))
+        assert cli.cmd_fibers(args, scene) == 0
+        # The feet's jet, the tangents of the two straight-side feet for their
+        # normal frames, then exp_mu and the jet it evaluates on the feet.
+        assert calls == [("jet", 4, 2), ("jet", 2, 1), ("exp_mu",), ("jet", 4, 1)]
+
+    def test_fibers_on_a_straight_side_take_the_normal_frame(self, tmp_path):
+        from weighted_tubes import cli, fiber_trace, load_scene, normal_frames, w_bound
+
+        curve, weight = load_scene("example2_stadium").pairs[0]
+        feet = np.array([0.5, 3.0, 20.0])
+        d2 = curve.second_derivative(feet)
+        kappa = np.linalg.norm(d2, axis=-1)
+        assert kappa.tolist() == [0.0, 0.0, kappa[2]] and kappa[2] > curve.kappa_tol
+        dirs = np.concatenate([normal_frames(curve, feet[:2])[:, 0], d2[2:] / kappa[2]])
+        # Default half-widths: 0.9 of the admissible bound, 1 where none.
+        bound = w_bound(weight, feet)
+        assert bound[2] == np.inf
+        rr, pts = fiber_trace(curve, weight, feet, dirs, [0.9 * bound[0], 0.9 * bound[1], 1.0], 9)
+        out = tmp_path / "fib.csv"
+        argv = ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0",
+                "--samples", "9", "--out", str(out)]
+        assert cli.main(argv) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table.tobytes() == np.column_stack(
+            [np.repeat(feet, 9), rr.ravel(), pts.reshape(-1, 2)]).tobytes()
 
     def test_singular_csv(self, tmp_path):
         out = tmp_path / "sing.csv"

@@ -114,8 +114,6 @@ def _profile_half_order(curve, s, order):
 
 
 def _profile_order(curve, s, order):
-    if not curve._mirrored:
-        return _profile_half_order(curve, s, order)
     half = curve.length / 2.0
     hi = s > half
     out = _profile_half_order(curve, np.where(hi, curve.length - s, s), order)

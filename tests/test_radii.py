@@ -249,6 +249,17 @@ class TestReports:
         for value in (rep.dir, rep.tir, rep.air):
             assert value == pytest.approx(1.0, abs=1e-8)
 
+    def test_overflow_is_a_numeric_failure(self):
+        # Every radius would be 1e-160, but the squares of mu overflow; an
+        # offset batch fails as a whole, so the sweep retries row by row.
+        circle = CircleArcCurve(0, 2 * np.pi, closed=True)
+        with pytest.raises(NumericError, match="overflow"):
+            radii_report([(circle, ConstantWeight(1e160))])
+        with pytest.raises(NumericError, match="overflow"):
+            radii_report([(circle, ConstantWeight(1.0))], offsets=[0.0, 1e160])
+        rep = radii_report([(circle, ConstantWeight(1e150))])
+        assert rep.dir == pytest.approx(1e-150, rel=1e-8)
+
     def test_half_circle_report(self):
         rep = radii_report([(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight())])
         assert rep.dir == pytest.approx(2.0, abs=1e-6)

@@ -6,15 +6,17 @@ from weighted_tubes import (
     ConstantWeight,
     CosineWeight,
     EllipseCurve,
+    NotCriticalFootError,
     OffsetWeight,
     OutOfWError,
     PolynomialWeight,
     detect_collapse_arcs,
     exp_mu,
+    f_second_critical,
     is_singular,
     jacobian_determinant,
     make_stadium,
-    normal_frame,
+    normal_frames,
     radii_report,
     singular_set,
     transversality_check,
@@ -77,11 +79,12 @@ class TestSingularSet:
         assert len(pts) == 1
         s, height = pts[0].s, pts[0].R
         rng = np.random.default_rng(5)
-        frame = curve.frame(s)
+        d2 = curve.second_derivative(s)
+        principal = d2 / np.linalg.norm(d2)
         for _ in range(8):
             v = random_unit_normals(curve, [s], rng)[0]
-            if abs(float(v @ frame.principal_normal)) > 0.99:
-                v = normal_frame(curve, s)[1]
+            if abs(float(v @ principal)) > 0.99:
+                v = normal_frames(curve, [s])[0, 1]
             val = f_second_at_offset(curve, weight, s, v, height)
             assert val > 1e-6
 
@@ -175,8 +178,6 @@ class TestIsSingular:
     def test_value_is_the_scalar_chain(self, scenes, name):
         # Project the offset, map its normal (exp_mu projects it again) and
         # take the closed form at the image.
-        from weighted_tubes import f_second_critical
-
         scene = scenes[name]
         curve, weight = scene.pairs[0]
         s, v, R = (x[:300] for x in random_offsets(scene, 1000, r_cap=4.0, margin=0.1))
@@ -191,6 +192,107 @@ class TestIsSingular:
         det = jacobian_determinant(curve, weight, 0.3, -curve.point(0.3), 2.0)
         assert abs(det) <= 1e-8
 
+
+def _same_bits(scalar, row):
+    return np.float64(scalar).tobytes() == np.float64(row).tobytes()
+
+
+class TestIsSingularRows:
+    """is_singular and f_second_critical take exp_mu's broadcast rows."""
+
+    @pytest.fixture
+    def arc(self):
+        return CircleArcCurve(-np.pi / 2, np.pi / 2, ambient_dim=3), CosineWeight()
+
+    def test_feet_by_directions_are_the_scalar_calls(self, arc, monkeypatch):
+        curve, weight = arc
+        feet = np.linspace(-1.2, 1.2, 5)
+        # The inward normal (singular at height 2) and the two frame vectors.
+        dirs = np.concatenate([-curve.point(feet)[:, None], normal_frames(curve, feet)], axis=1)
+        sizes = []
+        with monkeypatch.context() as patch:
+            for obj in (curve, weight):
+                jet = obj.jet
+                patch.setattr(obj, "jet", lambda s, order, jet=jet: (
+                    sizes.append(np.size(s)) or jet(s, order)))
+            flags, values = is_singular(curve, weight, feet[:, None], dirs, 2.0)
+        assert sizes == [5, 5]
+        assert flags.shape == values.shape == (5, 3)
+        assert flags[:, 0].all() and not flags.all()
+        for i, j in np.ndindex(flags.shape):
+            flag, value = is_singular(curve, weight, feet[i], dirs[i, j], 2.0)
+            assert type(flag) is bool and type(value) is float
+            assert flag == flags[i, j] and _same_bits(value, values[i, j])
+
+    def test_one_foot_by_heights_are_the_scalar_calls(self, arc):
+        curve, weight = arc
+        s, v = 0.3, -curve.point(0.3)
+        heights = np.linspace(0.25, 3.0, 12).reshape(12, 1)
+        flags, values = is_singular(curve, weight, s, v, heights)
+        assert flags.shape == values.shape == (12, 1)
+        assert flags[:, 0].tolist() == (heights[:, 0] == 2.0).tolist()
+        for k in range(12):
+            flag, value = is_singular(curve, weight, s, v, float(heights[k, 0]))
+            assert flag == flags[k, 0] and _same_bits(value, values[k, 0])
+
+    def test_f_second_critical_rows_are_the_scalar_calls(self, arc):
+        curve, weight = arc
+        feet = np.linspace(-1.2, 1.2, 5)
+        pts = exp_mu(curve, weight, feet[:, None], normal_frames(curve, feet), 1.5)
+        rows = f_second_critical(curve, weight, feet[:, None], pts)
+        assert rows.shape == (5, 2)
+        for i, j in np.ndindex(rows.shape):
+            assert _same_bits(f_second_critical(curve, weight, feet[i], pts[i, j]), rows[i, j])
+        heights = np.linspace(0.25, 3.0, 12)
+        pts = exp_mu(curve, weight, 0.3, -curve.point(0.3), heights)
+        rows = f_second_critical(curve, weight, 0.3, pts)
+        assert rows.shape == (12,)
+        for k in range(12):
+            one = f_second_critical(curve, weight, 0.3, pts[k])
+            assert type(one) is float and _same_bits(one, rows[k])
+
+    def test_f_second_critical_first_failing_row(self, arc):
+        curve, weight = arc
+        far = exp_mu(curve, weight, 0.6, -curve.point(0.6), 1.1)
+        pts = np.stack([exp_mu(curve, weight, 0.2, -curve.point(0.2), 1.0), far, far])
+        # Row 1 is the first whose foot is not critical for its point.
+        with pytest.raises(NotCriticalFootError, match="foot not critical"):
+            f_second_critical(curve, weight, 0.2, pts)
+
+    def test_first_failing_row_wins(self, arc):
+        curve, weight = arc
+        s = np.array([0.0, 1.0, 1.0])
+        bound = float(w_bound(weight, 1.0))
+        inward, tangent = -curve.point(s), curve.tangent(1.0)
+        # Row 1 is at the bound, row 2 tangent: the earlier row's error.
+        with pytest.raises(OutOfWError, match="strictly inside"):
+            is_singular(curve, weight, s, np.stack([inward[0], inward[1], tangent]), [1.0, bound, 1.0])
+        # Row 1 is tangent and at the bound: the offset check comes first.
+        with pytest.raises(OutOfWError, match="tangent"):
+            is_singular(curve, weight, s, np.stack([inward[0], tangent, inward[2]]), [1.0, bound, bound])
+        with pytest.raises(OutOfWError, match="finite and nonnegative"):
+            is_singular(curve, weight, s, inward, [1.0, np.nan, bound])
+
+    def test_criterion_error_comes_last_within_a_row(self, arc, monkeypatch):
+        from weighted_tubes import expmap
+
+        curve, weight = arc
+        criterion = expmap._f_second_critical_rows
+
+        def failing_row_one(curve, jets, p):
+            values, _ = criterion(curve, jets, p)
+            return values, (1, NotCriticalFootError("row 1 is not critical"))
+
+        monkeypatch.setattr(expmap, "_f_second_critical_rows", failing_row_one)
+        s = np.array([0.0, 1.0, 1.0])
+        bound = float(w_bound(weight, 1.0))
+        inward = -curve.point(s)
+        with pytest.raises(NotCriticalFootError, match="row 1"):
+            is_singular(curve, weight, s, inward, 1.0)
+        with pytest.raises(NotCriticalFootError, match="row 1"):
+            is_singular(curve, weight, s, inward, [1.0, 1.0, bound])
+        with pytest.raises(OutOfWError, match="strictly inside"):
+            is_singular(curve, weight, s, inward, [1.0, bound, 1.0])
 
 def scalar_jacobian_determinant(curve, weight, s, v, R, h=None):
     """The determinant one offset at a time: per-foot frames, and every chart
@@ -255,7 +357,7 @@ class TestJacobianRows:
     def test_broadcast_rows_are_the_scalar_determinants(self, monkeypatch):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2, ambient_dim=3), CosineWeight()
         feet = np.array([-0.4, 0.3])
-        dirs = np.stack([normal_frame(curve, s) for s in feet])
+        dirs = normal_frames(curve, feet)
         heights = np.array([0.5, 1.5, 2.0])
         sizes = []
         with monkeypatch.context() as patch:

@@ -326,6 +326,27 @@ class TestFiberTrace:
                 neg = exp_mu(curve, weight, s[k], -v[k], np.abs(rr[rr < 0]))
                 assert pts.tobytes() == np.concatenate([neg, pos]).tobytes()
 
+    def test_rows_are_the_one_foot_traces(self, scenes, monkeypatch):
+        from weighted_tubes import sweeps, w_bound
+        from weighted_tubes.expmap import random_unit_normals
+
+        curve, weight = scenes["example1b"].pairs[0]
+        rng = np.random.default_rng(4)
+        s = rng.uniform(curve.s_min, curve.s_max, 5)
+        v = random_unit_normals(curve, s, rng) + 0.2 * curve.tangent(s)
+        r_max = np.minimum(0.9 * w_bound(weight, s), 3.0)
+        calls = []
+        exp_mu = sweeps.exp_mu
+        with monkeypatch.context() as patch:
+            patch.setattr(sweeps, "exp_mu", lambda *a: calls.append(a) or exp_mu(*a))
+            rr, pts = fiber_trace(curve, weight, s, v, r_max, samples=17)
+        assert len(calls) == 1
+        assert rr.shape == (5, 17) and pts.shape == (5, 17, 3)
+        for k in range(5):
+            one_rr, one_pts = fiber_trace(curve, weight, s[k], v[k], r_max[k], samples=17)
+            assert one_rr.shape == (17,) and one_pts.shape == (17, 3)
+            assert rr[k].tobytes() == one_rr.tobytes() and pts[k].tobytes() == one_pts.tobytes()
+
     def test_constant_weight_straight_normals(self):
         curve, weight = CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0)
         rr, pts = fiber_trace(curve, weight, 1.0, -curve.point(1.0), 0.9, samples=11)
@@ -480,7 +501,7 @@ class TestTubeBoundary:
 
     @pytest.mark.parametrize("name", ["ellipse_mu1", "example1b"])
     def test_rows_match_the_scalar_map(self, scenes, name):
-        from weighted_tubes import exp_mu, normal_frame, radii_report
+        from weighted_tubes import exp_mu, normal_frames, radii_report
 
         scene = scenes[name]
         curve, weight = scene.pairs[0]
@@ -490,7 +511,7 @@ class TestTubeBoundary:
         expected = [
             (float(s), exp_mu(curve, weight, float(s), v, R))
             for s in curve.grid(32)
-            for v in directions_of_one_foot(normal_frame(curve, float(s)), curve.ambient_dim, 16)
+            for v in directions_of_one_foot(normal_frames(curve, [s])[0], curve.ambient_dim, 16)
         ]
         assert len(boundary) == len(expected)
         for (s, p), (s_ref, p_ref) in zip(zip(boundary[:, 1], boundary[:, 3:]), expected):

@@ -62,6 +62,13 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
     parser = cli.build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     calls = digests.bundled_calls(BUNDLED_SCENES)
+    # Then one labelled call whose feet reach the stadium's straight sides.
+    *calls, extra = calls
+    assert extra == {
+        "label": "example2_stadium/fibers-straight-sides",
+        "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
+        "ext": "csv",
+    }
     pairs = [(c["argv"][2], c["argv"][0]) for c in calls]
     assert sorted(pairs) == sorted((scene, verb) for scene in BUNDLED_SCENES for verb in verbs)
     for call in calls:
@@ -69,3 +76,4 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
         assert call["label"] == f"{args.scene}/{args.command}"
         assert getattr(args, "format", "svg") == "svg"
         assert getattr(args, "ur", None) is None
+

@@ -8,8 +8,9 @@ For each seed, perfbench/run.py's Inputs writes the scene files and builds
 the call plan exactly as the benchmark does, for the run_seconds of
 BENCHMARK.json. The `bundled` set (`bundled_calls`) instead runs every verb
 on every bundled scene, with --format svg on the verbs that take it and
-singular/collapse without --ur; its lines carry seed "-". Every call then
-runs in-process through `weighted_tubes.cli.main(argv + ["--out", FILE])`.
+singular/collapse without --ur, plus the labelled calls of BUNDLED_EXTRA;
+its lines carry seed "-". Every call then runs in-process through
+`weighted_tubes.cli.main(argv + ["--out", FILE])`.
 One line per call is printed: seed, label, exit code, and the sha256 of
 stdout, stderr, the output file, for a --format svg call the .csv beside
 it and, for a tube call, its .overlap.csv ("-" for a file that was not
@@ -80,13 +81,24 @@ BUNDLED_VERBS = (
 )
 
 
+# Labelled calls the bundled set makes beyond one per (scene, verb): fibers on
+# the stadium's straight sides, where the curvature vanishes and the fiber
+# direction comes from the normal frame (no default foot lies there).
+BUNDLED_EXTRA = (
+    {"label": "example2_stadium/fibers-straight-sides",
+     "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
+     "ext": "csv"},
+)
+
+
 def bundled_calls(scenes):
-    """The calls of BUNDLED_VERBS on each of `scenes`, labelled scene/verb."""
+    """The calls of BUNDLED_VERBS on each of `scenes`, labelled scene/verb,
+    then those of BUNDLED_EXTRA."""
     return [
         {"label": f"{scene}/{verb}", "argv": [verb, "--scene", scene] + extra, "ext": ext}
         for scene in scenes
         for verb, extra, ext in BUNDLED_VERBS
-    ]
+    ] + list(BUNDLED_EXTRA)
 
 
 def main(argv=None):
