@@ -107,7 +107,7 @@ def _kappa_rate(jet, kappa_tol):
     d2, d3 = jet[2], jet[3]
     kap = np.linalg.norm(d2, axis=-1)
     dot = np.sum(d2 * d3, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(kap > kappa_tol, dot / np.where(kap > 0, kap, 1.0), 0.0)
 
 

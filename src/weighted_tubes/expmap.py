@@ -42,7 +42,7 @@ def w_bound(weight, s):
 def _bound(d1):
     """1/|mu'| from mu' (+inf where mu' = 0)."""
     d1 = np.abs(np.asarray(d1, dtype=float))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(d1 > 0.0, 1.0 / np.where(d1 > 0, d1, 1.0), np.inf)
 
 
@@ -335,7 +335,7 @@ def _refine_rows(curve, weight, pts, s, step, iters):
         hi[k] = hk = np.where(left, sk, hi[k])
         open_lo[k] &= lk != sk
         open_hi[k] &= hk != sk
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             newton = sk - fp / fpp
         inside = (fpp > 0) & (newton > lk) & (newton < hk)
         x = np.where(inside, newton, 0.5 * (lk + hk))

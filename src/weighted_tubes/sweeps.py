@@ -89,10 +89,11 @@ def _failed_row(t, exc):
 def fiber_trace(curve, weight, s, v, r_max, samples=257):
     """Points exp(s, v, R) for R on a uniform grid of [-r_max, r_max] per
     foot (negative R reflects the direction). Feet s (m,), directions v
-    (m, n) and half-widths r_max (m,) give (R_values (m, samples), points
-    (m, samples, n)) from one `exp_mu` call; one foot gives (samples,) and
-    (samples, n)."""
-    rr = np.linspace(-np.asarray(r_max, dtype=float), r_max, samples, axis=-1)
+    (m, n) and half-widths r_max (m,), or one half-width for every foot,
+    give (R_values (m, samples), points (m, samples, n)) from one `exp_mu`
+    call; one foot gives (samples,) and (samples, n)."""
+    r_max = np.broadcast_to(np.asarray(r_max, dtype=float), np.shape(s))
+    rr = np.linspace(-r_max, r_max, samples, axis=-1)
     v = np.asarray(v, dtype=float)[..., None, :]
     dirs = np.where((rr >= 0)[..., None], v, -v)
     return rr, exp_mu(curve, weight, np.asarray(s, dtype=float)[..., None], dirs, np.abs(rr))

@@ -370,6 +370,26 @@ class TestPointExports:
         # normal frames, then exp_mu and the jet it evaluates on the feet.
         assert calls == [("jet", 4, 2), ("jet", 2, 1), ("exp_mu",), ("jet", 4, 1)]
 
+    @pytest.mark.parametrize("feet", [["--s-values", "0,0.5"], []])
+    def test_fibers_share_one_r_max_over_many_feet(self, tmp_path, feet):
+        from weighted_tubes import cli, fiber_trace, load_scene
+
+        # The README call (two feet) and the five default feet, each foot
+        # traced on its own along its principal normal.
+        curve, weight = load_scene("example1a").pairs[0]
+        out = tmp_path / "fib.csv"
+        argv = ["fibers", "--scene", "example1a", *feet, "--r-max", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        s_values = [0.0, 0.5] if feet else np.linspace(
+            curve.s_min + 0.1 * curve.length, curve.s_max - 0.1 * curve.length, 5)
+        rows = []
+        for s in s_values:
+            d2 = curve.jet(float(s), 2)[2]
+            rr, pts = fiber_trace(curve, weight, float(s), d2 / np.linalg.norm(d2), 2.0, 257)
+            rows.append(np.column_stack([np.full(257, s), rr, pts]))
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table.tobytes() == np.concatenate(rows).tobytes()
+
     def test_fibers_on_a_straight_side_take_the_normal_frame(self, tmp_path):
         from weighted_tubes import cli, fiber_trace, load_scene, normal_frames, w_bound
 

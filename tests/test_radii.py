@@ -259,6 +259,11 @@ class TestReports:
             radii_report([(circle, ConstantWeight(1.0))], offsets=[0.0, 1e160])
         rep = radii_report([(circle, ConstantWeight(1e150))])
         assert rep.dir == pytest.approx(1e-150, rel=1e-8)
+        # 1/|mu'| overflowing for a subnormal mu' means no slope bound (+inf),
+        # which is not a failure.
+        rep = radii_report([(circle, PolynomialWeight([1.0, 1e-310]))])
+        assert rep.focrad0 == rep.focradminus == 1.0
+        assert rep.dir == pytest.approx(1.0, abs=1e-8)
 
     def test_half_circle_report(self):
         rep = radii_report([(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight())])

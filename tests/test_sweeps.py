@@ -346,6 +346,12 @@ class TestFiberTrace:
             one_rr, one_pts = fiber_trace(curve, weight, s[k], v[k], r_max[k], samples=17)
             assert one_rr.shape == (17,) and one_pts.shape == (17, 3)
             assert rr[k].tobytes() == one_rr.tobytes() and pts[k].tobytes() == one_pts.tobytes()
+        # One half-width serves every foot.
+        rr, pts = fiber_trace(curve, weight, s, v, 0.5, samples=17)
+        assert rr.shape == (5, 17) and pts.shape == (5, 17, 3)
+        for k in range(5):
+            one_rr, one_pts = fiber_trace(curve, weight, s[k], v[k], 0.5, samples=17)
+            assert rr[k].tobytes() == one_rr.tobytes() and pts[k].tobytes() == one_pts.tobytes()
 
     def test_constant_weight_straight_normals(self):
         curve, weight = CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0)

@@ -76,4 +76,3 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
         assert call["label"] == f"{args.scene}/{args.command}"
         assert getattr(args, "format", "svg") == "svg"
         assert getattr(args, "ur", None) is None
-
