@@ -37,7 +37,7 @@ grids = {
 for name in ("example6_family", "example3_family"):
     scene = load_scene(name)
     for grid_name, grid in grids.items():
-        rows = radii_sweep(scene.pairs, scene.family_kind, grid, scene.tolerances)
+        rows = radii_sweep(scene.pairs, grid, scene.tolerances)
         print(f"{name} ({grid_name}):")
         print("        t      dir      tir      air  arcs")
         for r in rows:

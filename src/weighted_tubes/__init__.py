@@ -53,7 +53,6 @@ from .radii import (
     dcsd_half,
     find_double_critical_pairs,
     focal_radii,
-    lemma3_roots,
     radii_report,
 )
 from .scene import BUNDLED_SCENES, Scene, load_scene, parse_scene

@@ -211,14 +211,9 @@ def cmd_report(args, scene):
 
 
 def cmd_sweep(args, scene):
-    family = scene.family_kind
-    if args.family in ("offset", "fixed"):
-        family = args.family
-    elif args.family:
-        family = load_scene(args.family).family_kind
-    if family is None:
-        raise SceneError("scene defines no family; pass --family offset|fixed")
-    rows = sweeps.radii_sweep(scene.pairs, family, _t_grid(args), scene.tolerances)
+    if scene.family_kind is None and args.family is None:
+        raise SceneError("scene defines no family; pass --family offset")
+    rows = sweeps.radii_sweep(scene.pairs, _t_grid(args), scene.tolerances)
     _write_text(args.out, _csv_text(_SWEEP, [[getattr(r, k) for k in _SWEEP] for r in rows]))
     return EXIT_OK
 
@@ -294,7 +289,7 @@ def cmd_check(args, scene):
     if args.t is not None:
         if scene.family_kind is None:
             raise SceneError("scene defines no family; --t needs one")
-        pairs = sweeps.family_weights(pairs, scene.family_kind, _finite(args.t, "--t"))
+        pairs = sweeps.family_weights(pairs, _finite(args.t, "--t"))
         for curve, weight in pairs:
             weight.validate_on(curve)
     ok, witnesses = singular.transversality_check(pairs, scene.tolerances)
@@ -335,7 +330,8 @@ def build_parser():
     verb("report", cmd_report, "radii report (JSON + table on stderr)", counts=True, threads=True)
 
     p = verb("sweep", cmd_sweep, "weight-family sweep (CSV)", counts=True, threads=True)
-    p.add_argument("--family", default=None, help="family kind or family file")
+    p.add_argument("--family", choices=("offset",), default=None,
+                   help="sweep the offset family mu + t of a scene with no family block")
     p.add_argument("--t-values", default=None, help="comma-separated t grid")
     p.add_argument("--t-min", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)

@@ -506,6 +506,8 @@ class CurvatureProfileCurve(ArclengthCurve):
     _GL_N = 24
 
     def __init__(self, pieces):
+        if any(p.s1 <= p.s0 for p in pieces):
+            raise NonRegularCurveError("a curvature-profile piece has zero width")
         self._pieces = pieces
         x, y, th = 1.0, 0.0, np.pi / 2.0
         for p in pieces:

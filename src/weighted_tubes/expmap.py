@@ -469,16 +469,3 @@ def _frame_rows(t, threshold, reference=None):
             break
     return frames, count
 
-
-def random_unit_normals(curve, s_values, rng):
-    """One random unit normal per foot (seeded Gaussian, projected)."""
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    tans = curve.tangent(s_values)
-    raw = rng.standard_normal(tans.shape)
-    raw = raw - (np.sum(raw * tans, axis=-1, keepdims=True)) * tans
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    low = norms[:, 0] < 1e-12
-    if np.any(low):
-        raw[low] = normal_frames(curve, s_values[low])[:, 0]
-        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    return raw / norms

@@ -209,55 +209,6 @@ def _split_rows(row, n_rows, *arrays):
 
 
 # ---------------------------------------------------------------------------
-# Quadratic root algebra for the critical height equation
-# ---------------------------------------------------------------------------
-
-
-def lemma3_roots(a, b, c):
-    """All heights t in [0, 1/b] (or [0, inf) when b = 0) solving
-
-        1 - (c/2) t^2 - a t sqrt(1 - b^2 t^2) = 0,   a, b >= 0.
-
-    Closed forms t = (c/2 + a^2/2 +- a sqrt(disc))^{-1/2}; a candidate is
-    kept where its residual is at most 1e-12, which drops the branch that
-    squaring introduces when c > 2 b^2. Raises NumericError when no
-    solution exists (disc < 0, or a = c = 0).
-    """
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    disc = 0.5 * c + 0.25 * a * a - b * b
-    if disc < 0:
-        raise NumericError("no solution: negative discriminant")
-    if a == 0 and c == 0:
-        raise NumericError("no solution: a = c = 0")
-    sq = np.sqrt(disc)
-    w_plus = b * b + (sq + 0.5 * a) ** 2
-    w_minus = b * b + (sq - 0.5 * a) ** 2
-
-    def residual(t):
-        inner = 1.0 - (b * t) ** 2
-        if inner < -1e-12:
-            return np.inf
-        return abs(1.0 - 0.5 * c * t * t - a * t * np.sqrt(max(inner, 0.0)))
-
-    roots = []
-    for w in (w_plus, w_minus):
-        if w <= 0:
-            continue
-        t = 1.0 / np.sqrt(w)
-        if b > 0 and t > 1.0 / b * (1.0 + 1e-12):
-            continue
-        if residual(t) <= 1e-12:
-            roots.append(t)
-    roots.sort()
-    dedup = []
-    for t in roots:
-        if not dedup or abs(t - dedup[-1]) > 1e-12 * max(1.0, t):
-            dedup.append(t)
-    return tuple(dedup)
-
-
-# ---------------------------------------------------------------------------
 # Double-critical pairs
 # ---------------------------------------------------------------------------
 

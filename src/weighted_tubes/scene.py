@@ -26,7 +26,7 @@ pairs, the validated sample counts, and the seed for randomized sampling.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .config import DEFAULT_TOLERANCES, Tolerances, integer_at_least
@@ -40,7 +40,7 @@ _WEIGHT_KEYS = {"kind", "params", "id"}
 _FAMILY_KEYS = {"kind"}
 
 _SERIES_KINDS = ("fourier", "chebyshev")  # component kinds of their own; the others are presets
-_FAMILY_KINDS = {"offset", "fixed"}
+_FAMILY_KINDS = {"offset"}
 
 BUNDLED_SCENES = (
     "circle_mu1",
@@ -62,7 +62,6 @@ class Scene:
     seed: int
     family_kind: str | None = None
     name: str | None = None
-    raw: dict = field(default_factory=dict)
 
 
 def _require_keys(obj, allowed, where):
@@ -116,7 +115,6 @@ def parse_scene(doc):
         seed=seed,
         family_kind=family_kind,
         name=doc.get("name"),
-        raw=doc,
     )
 
 

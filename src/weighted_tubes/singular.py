@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
-from .errors import OutOfWError
+from .errors import NumericError, OutOfWError
 from .expmap import (
     _broadcast_rows, _exp_rows, _first_fault, _frames, _hess_rows, _offset_rows, _rownorm, _take,
 )
@@ -101,10 +101,11 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
     consulted. All sign changes (the last sample and the first also
     neighbour on a closed curve) are refined in one `brent_rows` call to
-    xtol 1e-14. Touching zeros are the best 64 local minima of |g| within
-    _TOL_SNG plus the discrete second difference there (the value a
-    quadratic touching zero attains one step away), refined in one
-    golden-section call and kept where |g| <= _TOL_SNG.
+    xtol 1e-14; a root it does not converge on raises NumericError.
+    Touching zeros are the best 64 local minima of |g| within _TOL_SNG
+    plus the discrete second difference there (the value a quadratic
+    touching zero attains one step away), refined in one golden-section
+    call and kept where |g| <= _TOL_SNG.
     """
     sg, _, weight_jet, kap = dense_grid(curve, weight, tol.grid_samples)
     n = len(sg)
@@ -115,7 +116,10 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     cross = np.nonzero(g * np.roll(g, -1) < 0.0)[0]
     cross = cross[cross < limit]
     hi = sg[cross] + curve.length / n if curve.closed else sg[cross + 1]
-    cross_s = brent_rows(lambda s: _sng_condition(curve, weight, s), sg[cross], hi, 1e-14)
+    try:
+        cross_s = brent_rows(lambda s: _sng_condition(curve, weight, s), sg[cross], hi, 1e-14)
+    except RuntimeError as exc:
+        raise NumericError(f"sign change of g not refined: {exc}") from exc
     touch = np.array([
         k for k in _extrema_indices(absg, curve.closed, "min", 64)
         if absg[k] <= _TOL_SNG + abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])

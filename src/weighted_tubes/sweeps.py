@@ -28,24 +28,18 @@ class SweepRow:
     status: str = "ok"
 
 
-def family_weights(pairs, kind, t):
-    """Weights for family parameter t: 'offset' adds t, 'fixed' ignores it."""
-    pairs = as_pairs(pairs)
-    if kind == "offset":
-        return [(c, OffsetWeight(w, t)) for c, w in pairs]
-    if kind == "fixed":
-        return list(pairs)
-    raise WeightedTubesError(f"unknown family kind {kind!r}")
+def family_weights(pairs, t):
+    """The offset family's weights mu + t at family parameter t."""
+    return [(c, OffsetWeight(w, t)) for c, w in as_pairs(pairs)]
 
 
-def radii_sweep(pairs, family_kind, t_grid, tol=DEFAULT_TOLERANCES):
-    """One radii row per family parameter, in the order of t_grid.
+def radii_sweep(pairs, t_grid, tol=DEFAULT_TOLERANCES):
+    """One radii row of the offset family mu + t per t, in the order of t_grid.
 
     Every t is validated first; a failure marks its row and the sweep
-    continues. The rows that pass are computed in one batched report (an
-    'offset' family as the weights mu + t, a 'fixed' one as mu), and each
-    row equals the report for its t alone. If the batch fails, its rows are
-    computed one at a time, so each keeps the status it has alone.
+    continues. The rows that pass are computed in one batched report, and
+    each row equals the report for its t alone. If the batch fails, its
+    rows are computed one at a time, so each keeps the status it has alone.
     """
     pairs = as_pairs(pairs)
     ts = [float(t) for t in t_grid]
@@ -53,13 +47,13 @@ def radii_sweep(pairs, family_kind, t_grid, tol=DEFAULT_TOLERANCES):
     todo = []
     for k, t in enumerate(ts):
         try:
-            for curve, weight in family_weights(pairs, family_kind, t):
+            for curve, weight in family_weights(pairs, t):
                 weight.validate_on(curve)
         except WeightedTubesError as exc:
             rows[k] = _failed_row(t, exc)
         else:
             todo.append(k)
-    offsets = [ts[k] if family_kind == "offset" else 0.0 for k in todo]
+    offsets = [ts[k] for k in todo]
     try:
         reports = radii_report(pairs, tol, offsets)
     except WeightedTubesError:

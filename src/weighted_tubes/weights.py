@@ -84,6 +84,12 @@ class CosineWeight(WeightFunction):
         self.frequency = float(frequency)
         self.phase = float(phase)
         self.offset = float(offset)
+        # The jet scales the amplitude by the frequency up to its cube.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cube = np.float64(self.frequency) ** 3
+            top = self.amplitude * cube
+        if not np.isfinite([cube, top]).all():
+            raise NonpositiveWeightError("cosine weight needs a finite amplitude * frequency^3")
 
     def jet(self, s, order):
         ph = self.frequency * np.asarray(s, dtype=float) + self.phase
@@ -161,6 +167,12 @@ class SymmetricPiecewiseWeight(WeightFunction):
         self.u2 = self.u1 + ta + tb
         if self.u2 >= self.period / 2.0:
             raise NonpositiveWeightError("blend must finish before the far side")
+        rb = r * tb
+        # The stage polynomials divide by ta^3 and rb^5: both finite and nonzero.
+        with np.errstate(over="ignore", under="ignore"):
+            powers = np.float64([ta, rb]) ** [3, 5]
+        if not (np.isfinite(powers).all() and powers.all()):
+            raise NonpositiveWeightError("blend stages are too narrow or too wide")
         v = np.cos(self.u1 / 2.0)
         v1 = -np.sin(self.u1 / 2.0) / 2.0
         v2 = -np.cos(self.u1 / 2.0) / 4.0
@@ -181,7 +193,6 @@ class SymmetricPiecewiseWeight(WeightFunction):
         pieces.append(self._integrate_piece(self.u1, ta, d2a, v, v1))
         va = pieces[-1][3]
         # smoothstep S(y) = 10y^3 - 15y^4 + 6y^5 on the shoulders
-        rb = r * tb
         s_up = scale * np.array([0.0, 0.0, 0.0, 10.0 / rb**3, -15.0 / rb**4, 6.0 / rb**5])
         pieces.append(self._integrate_piece(self.u1 + ta, rb, s_up, va, va1))
         vb, vb1 = pieces[-1][3], pieces[-1][4]

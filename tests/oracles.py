@@ -3,7 +3,7 @@ golden-section G with no shortcuts, the weighted closest point with its tie
 report and the finite-difference gradient of G, one-offset forms of the
 offset and second-derivative rows, the fiber-shape membership test, the
 critical-point class, golden-section maxima, the pointwise focal data, the
-pair Newton that runs every active row to the last pass, and the evaluators
+closed-form roots of Lemma 3, seeded random unit normals, the pair Newton that runs every active row to the last pass, and the evaluators
 the shared series and piece code replaced: the Fourier weight's own per-mode
 jet, the stadium's per-piece advance and the run finder's loop."""
 
@@ -11,7 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from weighted_tubes import PLANE, WeightedTubesError, f_prime, f_second, f_value, g_potential
+from weighted_tubes import (
+    PLANE,
+    NumericError,
+    WeightedTubesError,
+    f_prime,
+    f_second,
+    f_value,
+    g_potential,
+    normal_frames,
+)
 from weighted_tubes.expmap import _hess_rows, _offset_rows, _refine_rows
 from weighted_tubes.radii import (
     _NEWTON_MAX_ITER,
@@ -193,6 +202,64 @@ def delta_lambda(curve, weight, s):
         )
         for si, di, li, ri0, rim in zip(s, disc, lam, r0, rm)
     ]
+
+
+def lemma3_roots(a, b, c):
+    """All heights t in [0, 1/b] (or [0, inf) when b = 0) solving
+
+        1 - (c/2) t^2 - a t sqrt(1 - b^2 t^2) = 0,   a, b >= 0.
+
+    Closed forms t = (c/2 + a^2/2 +- a sqrt(disc))^{-1/2}; a candidate is
+    kept where its residual is at most 1e-12, which drops the branch that
+    squaring introduces when c > 2 b^2. Raises NumericError when no
+    solution exists (disc < 0, or a = c = 0).
+    """
+    if a < 0 or b < 0:
+        raise ValueError("a and b must be nonnegative")
+    disc = 0.5 * c + 0.25 * a * a - b * b
+    if disc < 0:
+        raise NumericError("no solution: negative discriminant")
+    if a == 0 and c == 0:
+        raise NumericError("no solution: a = c = 0")
+    sq = np.sqrt(disc)
+    w_plus = b * b + (sq + 0.5 * a) ** 2
+    w_minus = b * b + (sq - 0.5 * a) ** 2
+
+    def residual(t):
+        inner = 1.0 - (b * t) ** 2
+        if inner < -1e-12:
+            return np.inf
+        return abs(1.0 - 0.5 * c * t * t - a * t * np.sqrt(max(inner, 0.0)))
+
+    roots = []
+    for w in (w_plus, w_minus):
+        if w <= 0:
+            continue
+        t = 1.0 / np.sqrt(w)
+        if b > 0 and t > 1.0 / b * (1.0 + 1e-12):
+            continue
+        if residual(t) <= 1e-12:
+            roots.append(t)
+    roots.sort()
+    dedup = []
+    for t in roots:
+        if not dedup or abs(t - dedup[-1]) > 1e-12 * max(1.0, t):
+            dedup.append(t)
+    return tuple(dedup)
+
+
+def random_unit_normals(curve, s_values, rng):
+    """One random unit normal per foot (seeded Gaussian, projected)."""
+    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
+    tans = curve.tangent(s_values)
+    raw = rng.standard_normal(tans.shape)
+    raw = raw - (np.sum(raw * tans, axis=-1, keepdims=True)) * tans
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    low = norms[:, 0] < 1e-12
+    if np.any(low):
+        raw[low] = normal_frames(curve, s_values[low])[:, 0]
+        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    return raw / norms
 
 
 @dataclass(frozen=True)

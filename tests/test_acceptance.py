@@ -24,16 +24,16 @@ from weighted_tubes import (
     g_potential,
     is_singular,
     jacobian_determinant,
-    lemma3_roots,
     radii_report,
     radii_sweep,
     singular_set,
     detect_collapse_arcs,
     NumericError,
 )
-from weighted_tubes.expmap import random_unit_normals, w_bound
+from weighted_tubes.expmap import w_bound
 
 from conftest import circle_circle_intersections
+from oracles import lemma3_roots, random_unit_normals
 from test_radii import scan_roots
 
 
@@ -165,10 +165,10 @@ def test_criterion_06_stadium(reports):
 
 def test_criterion_07_semicontinuity(scenes):
     s6 = scenes["example6_family"]
-    rows6 = radii_sweep(s6.pairs, "offset", [-0.05, 0.05], s6.tolerances)
+    rows6 = radii_sweep(s6.pairs, [-0.05, 0.05], s6.tolerances)
     ok6 = abs(rows6[0].tir - 4.0) <= 1e-3 and rows6[1].tir < 2.0
     s3 = scenes["example3_family"]
-    rows3 = radii_sweep(s3.pairs, "offset", [-0.05, 0.05], s3.tolerances)
+    rows3 = radii_sweep(s3.pairs, [-0.05, 0.05], s3.tolerances)
     drop = rows3[0].air - rows3[1].air
     ok3 = drop >= 1.5
     report_line(

@@ -55,6 +55,9 @@ class TestReport:
         assert doc["dir"] == pytest.approx(1.0, abs=1e-8)
 
 
+VERBS = ("report", "check", "singular")
+
+
 class TestErrors:
     def test_schema_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -278,6 +281,42 @@ class TestErrors:
         assert proc.returncode == 3
         assert "numeric failure" in proc.stderr and "overflow" in proc.stderr
         assert "Warning" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("name, edits, verbs, code", [
+        # A stadium piece that rounds to zero width was divided by its width.
+        ("example2_stadium", {("components", 0, "params", "line_length"): 1e300}, VERBS, 2),
+        ("example2_stadium", {("components", 0, "params", "transition"): 1e-300}, VERBS, 2),
+        # The blend's shoulder polynomials divided by rb^5, which underflowed ...
+        ("example2_stadium", {("components", 0, "params", "line_length"): 70.0,
+                              ("weights", 0, "params", "shoulder"): 1e-300}, VERBS, 2),
+        # ... and raised ta to its cube, which overflowed.
+        ("example2_stadium", {("weights", 0, "params", "period"): 1e300,
+                              ("weights", 0, "params", "stage_a"): 1e200}, VERBS, 2),
+        # frequency^2 overflowed in every jet of order 2.
+        ("example1a", {("weights", 0, "params", "frequency"): 1e300}, VERBS, 2),
+        # Brent's method does not converge on a sign change where g is flat.
+        ("example2_stadium", {("weights", 0, "params", "cos_end"): 4e-6}, ("check", "singular"), 3),
+    ], ids=["stadium_line_length", "stadium_transition", "blend_shoulder", "blend_stage_a",
+            "cosine_frequency", "blend_cos_end"])
+    def test_fuzzed_scene_exit_code(self, tmp_path, capsys, name, edits, verbs, code):
+        # Each of these bundled scenes with one edit used to end in a
+        # traceback (exit 1) on every verb listed.
+        from importlib import resources
+
+        from weighted_tubes import cli
+
+        doc = json.loads(resources.files("weighted_tubes.scenes").joinpath(f"{name}.json").read_text())
+        for (*path, key), value in edits.items():
+            target = doc
+            for k in path:
+                target = target[k]
+            target[key] = value
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        prefix = {2: "configuration error: ", 3: "numeric failure: "}[code]
+        for verb in verbs:
+            assert cli.main([verb, "--scene", str(scene)]) == code
+            assert capsys.readouterr().err.startswith(prefix)
 
 
 class TestSweep:
@@ -517,6 +556,9 @@ class TestVerbFlags:
         *[[verb, "--scene", "example1a", "--format", "csv"]
           for verb in ("report", "sweep", "collapse", "check")],
         *[[verb, "--scene", "example1a", "--format", "json"] for verb in ("fibers", "tube", "singular")],
+        # offset is the one family; --family once also took a scene to read its kind from.
+        *[["sweep", "--scene", "example1a", "--family", family, "--t-values=0"]
+          for family in ("fixed", "example6_family")],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_unread_flag_exit_2(self, capsys, argv):
         from weighted_tubes import cli

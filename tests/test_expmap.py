@@ -21,7 +21,7 @@ from weighted_tubes import (
     normal_frames,
     w_bound,
 )
-from weighted_tubes.expmap import _exp_rows, _frames, random_unit_normals
+from weighted_tubes.expmap import _exp_rows, _frames
 
 from oracles import (
     CP_PLUS,
@@ -36,6 +36,7 @@ from oracles import (
     grad_g_check,
     make_offset,
     mu_closest_point,
+    random_unit_normals,
 )
 
 

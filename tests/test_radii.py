@@ -16,7 +16,6 @@ from weighted_tubes import (
     dcsd_half,
     find_double_critical_pairs,
     focal_radii,
-    lemma3_roots,
     radii_report,
 )
 from weighted_tubes import radii
@@ -26,7 +25,7 @@ from weighted_tubes.util import as_pairs, golden_min
 from weighted_tubes.weights import FourierWeight
 
 import oracles
-from oracles import delta_lambda, golden_max
+from oracles import delta_lambda, golden_max, lemma3_roots
 
 
 def scan_roots(a, b, c, n=1_000_000, t_hi=None):
@@ -113,6 +112,24 @@ class TestRootAlgebra:
                 val = 1.0 - 0.5 * c * t * t - a * t * np.sqrt(max(0.0, 1.0 - b * b * t * t))
                 assert abs(val) <= 1e-12
 
+
+    def test_focal_terms_give_the_smallest_root(self):
+        # With mu = 1, kappa = a, mu' = b and mu'' = c/2 - b^2, the report's
+        # lam is the oracle's w_plus, so lam^-1/2 is its smallest root.
+        rng = np.random.default_rng(11)
+        a, b = np.abs(rng.normal(size=(2, 2000)))
+        c = rng.normal(scale=2.0, size=2000)
+        lam = radii._focal_terms(a, np.ones_like(a), b, 0.5 * c - b**2)[4]
+        checked = 0
+        for k in range(len(a)):
+            try:
+                roots = lemma3_roots(a[k], b[k], c[k])
+            except NumericError:
+                continue
+            if roots:
+                assert lam[k] ** -0.5 == pytest.approx(roots[0], rel=1e-12), (a[k], b[k], c[k])
+                checked += 1
+        assert checked > 500
 
 class TestPointwiseFocal:
     def test_flat_discriminant_arc(self):
@@ -854,7 +871,7 @@ class TestOneDenseGrid:
         scene = scenes["example3_family"]
         rows = []
         self.assert_built_once(monkeypatch, scene, lambda: rows.extend(radii_sweep(
-            scene.pairs, "offset", np.linspace(-0.05, 0.05, 11), scene.tolerances
+            scene.pairs, np.linspace(-0.05, 0.05, 11), scene.tolerances
         )))
         assert len(rows) == 11 and all(row.status == "ok" for row in rows)
 

@@ -60,7 +60,7 @@ class TestParsing:
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(doc))
         a = load_scene(str(path))
-        b = parse_scene(json.loads(json.dumps(a.raw)))
+        b = parse_scene(doc)
         assert a.ambient_dim == b.ambient_dim
         assert a.seed == b.seed
         sa = a.pairs[0][0]
@@ -363,8 +363,9 @@ class TestParams:
         (("components", 0, "preset"), ["x"], r"components\[0\]: unknown preset \['x'\]"),
         (("weights", 0, "kind"), ["constant"], r"weights\[0\]: unknown kind \['constant'\]"),
         (("family",), {"kind": ["offset"]}, r"family: unknown kind \['offset'\]"),
+        (("family",), {"kind": "fixed"}, r"family: unknown kind 'fixed'"),
     ], ids=["kind_ellipse", "kind_list", "preset_fourier", "preset_list", "weight_kind_list",
-            "family_kind_list"])
+            "family_kind_list", "family_kind_fixed"])
     def test_unknown_kind(self, path, value, message):
         # A list where a name belongs used to escape as an unhashable-type
         # TypeError (exit 1) for the weight and family kinds.

@@ -23,7 +23,7 @@ from weighted_tubes import (
 )
 from test_acceptance import random_offsets
 from test_expmap import scalar_frame
-from weighted_tubes.expmap import _hess_rows, random_unit_normals, w_bound
+from weighted_tubes.expmap import _hess_rows, w_bound
 from weighted_tubes.singular import (
     _TOL_HESS_FACTOR,
     _TOL_SNG,
@@ -34,7 +34,7 @@ from weighted_tubes.singular import (
 )
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
-from oracles import f_second_at_offset, make_offset, runs_loop
+from oracles import f_second_at_offset, make_offset, random_unit_normals, runs_loop
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from weighted_tubes import (
 )
 from weighted_tubes import sweeps
 
-from oracles import fiber_contains, g_potential_two_point
+from oracles import fiber_contains, g_potential_two_point, random_unit_normals
 
 
 @pytest.fixture
@@ -33,17 +33,13 @@ def example6():
 
 class TestFamilies:
     def test_offset_family(self, example6):
-        shifted = family_weights(example6, "offset", 0.05)
+        shifted = family_weights(example6, 0.05)
         assert shifted[0][1].mu(0.0) == pytest.approx(1.05)
-
-    def test_fixed_family(self, example6):
-        fixed = family_weights(example6, "fixed", 123.0)
-        assert fixed[0][1].mu(0.0) == 1.0
 
 
 class TestRadiiSweep:
     def test_example6_rows(self, example6):
-        rows = radii_sweep(example6, "offset", [-0.05, 0.0, 0.05])
+        rows = radii_sweep(example6, [-0.05, 0.0, 0.05])
         by_t = {round(r.t, 3): r for r in rows}
         assert by_t[-0.05].tir == pytest.approx(4.0, abs=1e-3)
         assert by_t[0.0].tir == pytest.approx(4.0, abs=1e-3)
@@ -53,24 +49,27 @@ class TestRadiiSweep:
             assert r.dir <= r.tir <= r.air + 1e-12
 
     def test_constant_family_rows(self):
+        # On the unit circle the weight 1 + t scales every radius to 1 / (1 + t).
         pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0))]
-        rows = radii_sweep(pairs, "fixed", [0.0, 0.3, 0.9])
-        for r in rows:
-            assert r.dir == pytest.approx(1.0, abs=1e-8)
-            assert r.tir == pytest.approx(1.0, abs=1e-8)
-            assert r.air == pytest.approx(1.0, abs=1e-8)
+        ts = [0.0, 0.3, 0.9]
+        rows = radii_sweep(pairs, ts)
+        assert [r.t for r in rows] == ts
+        for t, r in zip(ts, rows):
+            assert r.status == "ok"
+            for radius in (r.dir, r.tir, r.air):
+                assert radius == pytest.approx(1.0 / (1.0 + t), abs=1e-8)
 
     def test_failed_rows_continue(self, example6):
         # t = -2 makes the weight non-positive: the row fails, the sweep
         # proceeds.
-        rows = radii_sweep(example6, "offset", [-2.0, 0.0])
+        rows = radii_sweep(example6, [-2.0, 0.0])
         assert rows[0].status.startswith("failed")
         assert np.isnan(rows[0].dir)
         assert rows[1].status == "ok"
 
     def test_determinism(self, example6):
-        a = radii_sweep(example6, "offset", [-0.02, 0.02])
-        b = radii_sweep(example6, "offset", [-0.02, 0.02])
+        a = radii_sweep(example6, [-0.02, 0.02])
+        b = radii_sweep(example6, [-0.02, 0.02])
         assert a == b
 
 
@@ -135,7 +134,7 @@ class TestBatchedSweep:
             shifted = [(c, OffsetWeight(w, t)) for c, w in scene.pairs]
             alone = radii_report(shifted, scene.tolerances)
             assert _value(rep) == _value(alone), t
-        rows = radii_sweep(scene.pairs, "offset", ts, scene.tolerances)
+        rows = radii_sweep(scene.pairs, ts, scene.tolerances)
         assert [(r.t, r.dir, r.tir, r.air, r.collapse_count, r.status) for r in rows] == [
             (t, rep.dir, rep.tir, rep.air, len(rep.witnesses["collapse_arcs"]), "ok")
             for t, rep in zip(ts, batch)
@@ -147,16 +146,9 @@ class TestBatchedSweep:
         assert _value(radii_report(scene.pairs, scene.tolerances)) == _value(batched)
         assert batched.witnesses["pair_count"] == 37
 
-    def test_fixed_family_rows_equal_the_plain_report(self, example6):
-        alone = radii_report(example6)
-        rows = radii_sweep(example6, "fixed", [-0.3, 0.0, 0.7])
-        assert [(r.dir, r.tir, r.air, r.collapse_count) for r in rows] == [
-            (alone.dir, alone.tir, alone.air, len(alone.witnesses["collapse_arcs"]))
-        ] * 3
-
     def test_failing_rows_keep_status_and_position(self, example6):
         ts = [-0.05, -2.0, 0.0, 0.05]
-        rows = radii_sweep(example6, "offset", ts)
+        rows = radii_sweep(example6, ts)
         curve, weight = example6[0]
         with pytest.raises(NonpositiveWeightError) as exc:
             OffsetWeight(weight, -2.0).validate_on(curve)
@@ -181,12 +173,12 @@ class TestBatchedSweep:
             return real(pairs, tol, offsets)
 
         monkeypatch.setattr(sweeps, "radii_report", flaky)
-        rows = radii_sweep(example6, "offset", [-0.02, 0.02, 0.04])
+        rows = radii_sweep(example6, [-0.02, 0.02, 0.04])
         assert calls == [[-0.02, 0.02, 0.04], [-0.02], [0.02], [0.04]]
         assert [r.status for r in rows] == ["ok", "failed: boom", "ok"]
         monkeypatch.setattr(sweeps, "radii_report", real)
-        assert rows[0] == radii_sweep(example6, "offset", [-0.02])[0]
-        assert rows[2] == radii_sweep(example6, "offset", [0.04])[0]
+        assert rows[0] == radii_sweep(example6, [-0.02])[0]
+        assert rows[2] == radii_sweep(example6, [0.04])[0]
 
     def test_repeated_values_share_one_report(self, example6):
         a, b, c = radii_report(example6, offsets=[0.01, -0.01, 0.01])
@@ -206,7 +198,7 @@ class TestSemicontinuityJump:
         # fall further as t grows.
         scene = scenes["example3_family"]
         ts = [k / 400 for k in range(-20, 21)]
-        rows = radii_sweep(scene.pairs, scene.family_kind, ts, scene.tolerances)
+        rows = radii_sweep(scene.pairs, ts, scene.tolerances)
         assert all(r.status == "ok" for r in rows)
         below = [r for r in rows if r.t < 0]
         above = [r for r in rows if r.t > 0]
@@ -227,7 +219,7 @@ class TestSemicontinuityJump:
         # semicontinuous at 0; from the right it is continuous.
         scene = scenes[name]
         ts = [-t for t in DYADIC] + [0.0] + DYADIC
-        rows = {r.t: r for r in radii_sweep(scene.pairs, scene.family_kind, ts, scene.tolerances)}
+        rows = {r.t: r for r in radii_sweep(scene.pairs, ts, scene.tolerances)}
         assert all(r.status == "ok" for r in rows.values())
         air0 = AIR_AT_ZERO[name]
         assert rows[0.0].dir == 2.0 and rows[0.0].air == air0
@@ -305,7 +297,6 @@ class TestFiberTrace:
     def test_the_two_half_fibres_of_the_scalar_map(self, scenes, name):
         # The trace once mapped each half-fibre through its own exp_mu call.
         from weighted_tubes import exp_mu, w_bound
-        from weighted_tubes.expmap import random_unit_normals
 
         if name == "fourier_3d":
             from test_expmap import fourier_3d
@@ -328,7 +319,6 @@ class TestFiberTrace:
 
     def test_rows_are_the_one_foot_traces(self, scenes, monkeypatch):
         from weighted_tubes import sweeps, w_bound
-        from weighted_tubes.expmap import random_unit_normals
 
         curve, weight = scenes["example1b"].pairs[0]
         rng = np.random.default_rng(4)
