@@ -9,6 +9,8 @@ example4 has exactly one degenerate point and no arc at all. The
 transversality diagnostic separates the two situations.
 """
 
+import numpy as np
+
 from weighted_tubes import (
     detect_collapse_arcs,
     is_singular,
@@ -22,17 +24,18 @@ from weighted_tubes import (
 for name in ("example1a", "example4", "circle_mu1"):
     scene = load_scene(name)
     rep = radii_report(scene.pairs, scene.tolerances)
+    # One row per point: component, s, R, residual, x1, x2.
     points = singular_set(scene.pairs, rep.ur, scene.tolerances)
     arcs = detect_collapse_arcs(scene.pairs, rep.ur, scene.tolerances)
     ok, witnesses = transversality_check(scene.pairs, scene.tolerances)
     print(f"{name}: {len(points)} singular point(s), {len(arcs)} collapse arc(s), "
           f"condition transversal: {ok}")
-    if points and len(points) <= 3:
-        for p in points:
-            print(f"  s = {p.s: .6f}, height {p.R:.6f}, image ({p.location[0]:.4f}, {p.location[1]:.4f})")
-    elif points:
-        heights = {round(p.R, 9) for p in points}
-        print(f"  a continuum: {len(points)} sampled feet, heights {sorted(heights)}")
+    if 0 < len(points) <= 3:
+        for _, s, R, _, x1, x2 in points:
+            print(f"  s = {s: .6f}, height {R:.6f}, image ({x1:.4f}, {x2:.4f})")
+    elif len(points):
+        heights = np.unique(np.round(points[:, 2], 9))
+        print(f"  a continuum: {len(points)} sampled feet, heights {heights.tolist()}")
     print()
 
 print("cross-checking the two singularity tests on the half circle:")

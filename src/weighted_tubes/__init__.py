@@ -58,7 +58,6 @@ from .radii import (
 from .scene import BUNDLED_SCENES, Scene, load_scene, parse_scene
 from .singular import (
     CollapseArc,
-    SingularGraphPoint,
     detect_collapse_arcs,
     is_singular,
     jacobian_determinant,

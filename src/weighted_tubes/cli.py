@@ -266,10 +266,9 @@ def cmd_tube(args, scene):
 
 
 def cmd_singular(args, scene):
-    points = singular.singular_set(scene.pairs, _ur(args, scene), scene.tolerances)
-    loc = [p.location for p in points]
-    _write_points(args, scene, [p.s for p in points], [p.R for p in points], loc,
-                  singular_points=loc)
+    table = singular.singular_set(scene.pairs, _ur(args, scene), scene.tolerances)
+    # Rows are (component, s, R, residual, x1..xn).
+    _write_points(args, scene, table[:, 1], table[:, 2], table[:, 4:], singular_points=table[:, 4:])
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ above exact circular arcs carrying mu = (2/(kappa r)) cos(kappa s / 2 + a);
 those arcs set the topological radius (see radii.radii_report).
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -34,15 +35,6 @@ _EPS_R = 1e-7
 _EPS_P = 1e-7
 _ELL_MIN_FACTOR = 1e-3  # x L: minimal collapse-arc length
 _EPS_REG = 1e-6  # transversality |g'| threshold
-
-
-@dataclass(frozen=True)
-class SingularGraphPoint:
-    component: int
-    s: float
-    R: float
-    location: np.ndarray
-    residual: float  # |mu'' + kappa^2 mu / 4| at s
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,10 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
     consulted. All sign changes (the last sample and the first also
     neighbour on a closed curve) are refined in one `brent_rows` call to
-    xtol 1e-14; a root it does not converge on raises NumericError.
+    xtol 1e-14. Where g is flat near its zero, Brent's method can take more
+    steps than bisection's log2(step / xtol), step = L / n, so it may take
+    max(100, 4 ceil(log2(step / xtol))); a root it does not converge on
+    raises NumericError.
     Touching zeros are the best 64 local minima of |g| within _TOL_SNG
     plus the discrete second difference there (the value a quadratic
     touching zero attains one step away), refined in one golden-section
@@ -115,15 +110,17 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     limit = n if curve.closed else n - 1
     cross = np.nonzero(g * np.roll(g, -1) < 0.0)[0]
     cross = cross[cross < limit]
-    hi = sg[cross] + curve.length / n if curve.closed else sg[cross + 1]
+    step = curve.length / n
+    hi = sg[cross] + step if curve.closed else sg[cross + 1]
+    maxiter = max(100, 4 * math.ceil(math.log2(step / 1e-14)))
     try:
-        cross_s = brent_rows(lambda s: _sng_condition(curve, weight, s), sg[cross], hi, 1e-14)
+        cross_s = brent_rows(lambda s: _sng_condition(curve, weight, s), sg[cross], hi, 1e-14,
+                             maxiter=maxiter)
     except RuntimeError as exc:
         raise NumericError(f"sign change of g not refined: {exc}") from exc
-    touch = np.array([
-        k for k in _extrema_indices(absg, curve.closed, "min", 64)
-        if absg[k] <= _TOL_SNG + abs(g[(k + 1) % n] - 2.0 * g[k] + g[(k - 1) % n])
-    ], dtype=int)
+    touch = np.array(_extrema_indices(absg, curve.closed, "min", 64), dtype=int)
+    bend = np.abs(g[(touch + 1) % n] - 2.0 * g[touch] + g[touch - 1])
+    touch = touch[absg[touch] <= _TOL_SNG + bend]
     touch_s = np.zeros(0)
     if len(touch):
         lo, hi = _bracket(curve, sg, touch)
@@ -135,17 +132,23 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
 
 
 def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
-    """Singular-graph points with height below ur.
+    """Singular-graph points with height below ur, as one float table of
+    shape (m, n + 4): rows `component, s, R, residual, x1..xn`, with the
+    residual |mu'' + kappa^2 mu / 4| at s and x the point, sorted stably by
+    component, then by s.
 
     The feet come from the zero set of g (`g_zero_set`): flat runs of 3 or
     more samples are continua and report their samples (kappa is not
     consulted here), then the sign-change roots and the touching zeros,
     except those next to or inside such a run. One array pass per component
-    then builds the points and cross-checks each against the
-    second-derivative criterion at its offset (see `_graph_points`).
+    then builds the rows and cross-checks each against the second-derivative
+    criterion at its offset (see `_graph_points`). Refined zeros scatter
+    inside the plateau where g is flat at machine level, so a row within
+    half a grid step (0.5 L / grid_samples, periodic distance) of the row
+    before it is dropped.
     """
     pairs = as_pairs(pairs)
-    out = []
+    tables = []
     for ci, (curve, weight) in enumerate(pairs):
         z = g_zero_set(curve, weight, tol)
         n = len(z.sg)
@@ -158,9 +161,12 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
             z.cross_s[~in_flat_run[z.cross] & ~in_flat_run[(z.cross + 1) % n]],
             z.touch_s[~in_flat_run[z.touch]],
         ])
-        if len(feet):
-            out.extend(_graph_points(curve, weight, ci, feet, ur))
-    return _dedup_points(pairs, out, tol)
+        rows = _graph_points(curve, weight, ci, feet, ur)
+        rows = rows[np.argsort(rows[:, 1], kind="stable")]
+        gap = 0.5 * curve.length / tol.grid_samples
+        near = curve.periodic_distance(rows[:-1, 1], rows[1:, 1]) <= gap
+        tables.append(np.delete(rows, np.nonzero(near)[0] + 1, axis=0))
+    return np.concatenate(tables)
 
 
 def _runs(mask, periodic):
@@ -178,15 +184,17 @@ def _runs(mask, periodic):
 
 
 def _graph_points(curve, weight, ci, s, ur):
-    """Singular-graph points over candidate feet s, kept in order, built in
-    one array pass.
+    """Singular-graph rows `ci, s, R, residual, x1..xn` over candidate feet
+    s, kept in order, built in one array pass.
 
     A foot is dropped where kappa <= kappa_tol, where the graph height R(s)
     is undefined or outside (0, ur), and where the map's second derivative
-    at exp(s, n, R), n the principal normal, leaves the _TOL_HESS_FACTOR
-    band. A direction tangent to the curve, a height above 1/|mu'|, a
-    recovered height above it, or a foot that is not critical for its image
-    raises the scalar checks' error for the first offending foot.
+    at exp(s, n, R), n the principal normal, is not within
+    _TOL_HESS_FACTOR * 2/mu^2 * max(1, ur^2) of zero: every foot's band
+    widens with the height cutoff ur, not with the foot's own R. A
+    direction tangent to the curve, a height above 1/|mu'|, a recovered
+    height above it, or a foot that is not critical for its image raises
+    the scalar checks' error for the first offending foot.
     """
     s = curve.wrap(s)
     curve_jet, weight_jet = curve.jet(s, 2), weight.jet(s, 2)
@@ -195,8 +203,6 @@ def _graph_points(curve, weight, ci, s, ur):
     kap = _rownorm(d2)
     keep = (kap > curve.kappa_tol) & np.isfinite(height) & (height > 0.0) & (height < ur)
     s, height = s[keep], height[keep]
-    if not len(s):
-        return []
     normal = d2[keep] / kap[keep][:, None]
     jets = _take((curve_jet, weight_jet), keep)
     location, hess, _, faults = _hess_rows(curve, jets, s, normal, height)
@@ -206,25 +212,8 @@ def _graph_points(curve, weight, ci, s, ur):
     mu = np.asarray(weight_jet[0], dtype=float)[keep]
     tol_hess = _TOL_HESS_FACTOR * 2.0 / mu**2 * max(1.0, ur**2)
     resid = np.abs(_g(kap, weight_jet))[keep]
-    return [
-        SingularGraphPoint(ci, float(s[k]), float(height[k]), location[k], float(resid[k]))
-        for k in np.nonzero(np.abs(hess) <= tol_hess)[0]
-    ]
-
-
-def _dedup_points(pairs, points, tol):
-    # Refined zeros scatter inside the plateau where the condition is flat
-    # at machine level; half a grid step is the honest resolution limit.
-    kept = []
-    for p in sorted(points, key=lambda q: (q.component, q.s)):
-        curve = pairs[p.component][0]
-        gap = 0.5 * curve.length / tol.grid_samples
-        if kept and kept[-1].component == p.component and curve.periodic_distance(
-            kept[-1].s, p.s
-        ) <= gap:
-            continue
-        kept.append(p)
-    return kept
+    rows = np.column_stack([np.full(len(s), float(ci)), s, height, resid, location])
+    return rows[np.abs(hess) <= tol_hess]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +226,9 @@ def is_singular(curve, weight, s, v, R):
     and heights R broadcast together to a shape B as in `exp_mu`; one offset
     gives (bool, float). The map is singular at an offset iff the second
     derivative of the squared weighted distance at its foot lies within
-    _TOL_HESS_FACTOR * 2/mu^2 * max(1, R^2) of zero (the criterion
-    `_graph_points` applies); values are those second derivatives.
+    _TOL_HESS_FACTOR * 2/mu^2 * max(1, R^2) of zero, one band per row from
+    that row's own height R (`_graph_points` instead widens every foot's
+    band by the height cutoff ur); values are those second derivatives.
 
     One curve jet and one weight jet are evaluated on the feet as given.
     Raises for the first failing row in C order; within a row the offset

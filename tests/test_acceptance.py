@@ -106,15 +106,15 @@ def test_criterion_03_example4_golden(scenes, reports):
         abs(rep.focrad0 - 2.0) <= 1e-6
         and abs(rep.focradminus - 4.0) <= 1e-6
         and len(pts) == 1
-        and abs(pts[0].s) <= 1e-6
-        and abs(pts[0].R - 2.0) <= 1e-6
+        and abs(pts[0, 1]) <= 1e-6
+        and abs(pts[0, 2] - 2.0) <= 1e-6
         and arcs == []
     )
     report_line(
         3,
         ok,
         f"isolated-singularity scene: focal ({rep.focrad0:.9f}, {rep.focradminus:.9f}), "
-        f"{len(pts)} singular point(s) at (s={pts[0].s:.2e}, R={pts[0].R:.9f}), "
+        f"{len(pts)} singular point(s) at (s={pts[0, 1]:.2e}, R={pts[0, 2]:.9f}), "
         f"{len(arcs)} collapse arcs",
     )
 

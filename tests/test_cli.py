@@ -294,8 +294,9 @@ class TestErrors:
                               ("weights", 0, "params", "stage_a"): 1e200}, VERBS, 2),
         # frequency^2 overflowed in every jet of order 2.
         ("example1a", {("weights", 0, "params", "frequency"): 1e300}, VERBS, 2),
-        # Brent's method does not converge on a sign change where g is flat.
-        ("example2_stadium", {("weights", 0, "params", "cos_end"): 4e-6}, ("check", "singular"), 3),
+        # Brent's method needed more than 100 iterations on a sign change
+        # where g is flat; its budget now grows with the grid step.
+        ("example2_stadium", {("weights", 0, "params", "cos_end"): 4e-6}, ("check", "singular"), 0),
     ], ids=["stadium_line_length", "stadium_transition", "blend_shoulder", "blend_stage_a",
             "cosine_frequency", "blend_cos_end"])
     def test_fuzzed_scene_exit_code(self, tmp_path, capsys, name, edits, verbs, code):
@@ -313,10 +314,11 @@ class TestErrors:
             target[key] = value
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps(doc))
-        prefix = {2: "configuration error: ", 3: "numeric failure: "}[code]
+        prefix = {2: "configuration error: ", 3: "numeric failure: "}.get(code)
         for verb in verbs:
             assert cli.main([verb, "--scene", str(scene)]) == code
-            assert capsys.readouterr().err.startswith(prefix)
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) if prefix else err == ""
 
 
 class TestSweep:

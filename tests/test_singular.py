@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from weighted_tubes import (
+    BUNDLED_SCENES,
     CircleArcCurve,
     ConstantWeight,
     CosineWeight,
     EllipseCurve,
     NotCriticalFootError,
+    NumericError,
     OffsetWeight,
     OutOfWError,
     PolynomialWeight,
@@ -17,12 +19,15 @@ from weighted_tubes import (
     jacobian_determinant,
     make_stadium,
     normal_frames,
+    parse_scene,
     radii_report,
     singular_set,
     transversality_check,
 )
 from test_acceptance import random_offsets
 from test_expmap import scalar_frame
+from weighted_tubes import singular
+from weighted_tubes.config import DEFAULT_TOLERANCES
 from weighted_tubes.expmap import _hess_rows, w_bound
 from weighted_tubes.singular import (
     _TOL_HESS_FACTOR,
@@ -44,31 +49,30 @@ def stadium_pair():
 
 
 class TestSingularSet:
+    # Rows of the table are (component, s, R, residual, x1..xn).
     def test_constant_weight_empty(self):
         pairs = [(CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0))]
-        assert singular_set(pairs, 1.0) == []
+        assert singular_set(pairs, 1.0).shape == (0, 6)
         pairs = [(EllipseCurve(2, 1), ConstantWeight(1.0))]
-        assert singular_set(pairs, 0.5) == []
+        assert singular_set(pairs, 0.5).shape == (0, 6)
 
     def test_half_circle_continuum(self):
         pairs = [(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight())]
         pts = singular_set(pairs, 2 * np.sqrt(2.0))
         assert len(pts) > 1000  # a whole flat run of samples
-        heights = np.array([p.R for p in pts])
-        assert np.max(np.abs(heights - 2.0)) <= 1e-9
-        locs = np.array([p.location for p in pts])
-        assert np.max(np.linalg.norm(locs - [-1.0, 0.0], axis=1)) <= 1e-9
+        assert np.max(np.abs(pts[:, 2] - 2.0)) <= 1e-9
+        assert np.max(np.linalg.norm(pts[:, 4:] - [-1.0, 0.0], axis=1)) <= 1e-9
 
     def test_example4_single_point(self):
         pairs = [(CircleArcCurve(-1, 1), PolynomialWeight([1.0, 0.0, -0.125]))]
         pts = singular_set(pairs, 4.0)
         assert len(pts) == 1
-        assert abs(pts[0].s) <= 1e-6
-        assert pts[0].R == pytest.approx(2.0, abs=1e-6)
+        assert abs(pts[0, 1]) <= 1e-6
+        assert pts[0, 2] == pytest.approx(2.0, abs=1e-6)
 
     def test_height_cutoff_filters(self):
         pairs = [(CircleArcCurve(-1, 1), PolynomialWeight([1.0, 0.0, -0.125]))]
-        assert singular_set(pairs, 1.5) == []
+        assert singular_set(pairs, 1.5).shape == (0, 6)
 
     def test_principal_normal_is_the_worst_direction(self):
         # Re-testing the graph point with non-principal directions must give
@@ -76,8 +80,8 @@ class TestSingularSet:
         curve = CircleArcCurve(-1.2, 1.2, ambient_dim=3)
         weight = PolynomialWeight([1.0, 0.0, -0.125])
         pts = singular_set([(curve, weight)], 4.0)
-        assert len(pts) == 1
-        s, height = pts[0].s, pts[0].R
+        assert pts.shape == (1, 7)
+        s, height = pts[0, 1], pts[0, 2]
         rng = np.random.default_rng(5)
         d2 = curve.second_derivative(s)
         principal = d2 / np.linalg.norm(d2)
@@ -99,25 +103,64 @@ def test_graph_points_match_the_scalar_map(scenes, name):
     tol = scene.tolerances
     ur = radii_report(scene.pairs, tol).ur
     points = singular_set(scene.pairs, ur, tol)
-    assert points
+    assert len(points)
     for ci, (curve, weight) in enumerate(scene.pairs):
-        rows = [p for p in points if p.component == ci]
-        if not rows:
+        rows = points[points[:, 0] == ci]
+        if not len(rows):
             continue
-        s, R = np.array([p.s for p in rows]), np.array([p.R for p in rows])
+        s, R = rows[:, 1], rows[:, 2]
         jets = (curve.jet(s, 2), weight.jet(s, 2))
         normal = jets[0][2] / np.linalg.norm(jets[0][2], axis=-1)[:, None]
         images = exp_mu(curve, weight, s, normal, R)
-        assert np.max(np.abs(images - np.array([p.location for p in rows]))) <= 1e-12
+        assert np.max(np.abs(images - rows[:, 4:])) <= 1e-12
         _, hess, _, faults = _hess_rows(curve, jets, s, normal, R)
         assert faults == (None, None)
         band = _TOL_HESS_FACTOR * 2.0 / np.asarray(jets[1][0]) ** 2 * max(1.0, ur**2)
         assert np.all(np.abs(hess) <= band + 1e-12)
         assert np.all((0.0 < R) & (R < ur))
-        # is_singular applies the same criterion to the same offset.
+        # is_singular gives the same second derivative at the same offset.
         for k in range(0, len(s), 97):
             _, value = is_singular(curve, weight, s[k], normal[k], R[k])
             assert value == hess[k] and abs(value) <= band[k]
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENES)
+def test_table_is_sorted_and_spaced(scenes, name):
+    """The table has one row (component, s, R, residual, x1..xn) per point,
+    sorted by (component, s); within a component consecutive rows are more
+    than half a grid step apart."""
+    scene = scenes[name]
+    tol = scene.tolerances
+    table = singular_set(scene.pairs, radii_report(scene.pairs, tol).ur, tol)
+    assert table.ndim == 2 and table.shape[1] == scene.ambient_dim + 4
+    comp, s = table[:, 0], table[:, 1]
+    assert np.all(np.diff(comp) >= 0)
+    assert np.all((np.diff(comp) > 0) | (np.diff(s) >= 0))
+    for ci, (curve, weight) in enumerate(scene.pairs):
+        rows = table[comp == ci]
+        gap = 0.5 * curve.length / tol.grid_samples
+        assert np.all(curve.periodic_distance(rows[:-1, 1], rows[1:, 1]) > gap)
+        np.testing.assert_allclose(
+            rows[:, 3], np.abs(_sng_condition(curve, weight, rows[:, 1])), rtol=0, atol=1e-15
+        )
+
+
+def test_dedup_compares_each_row_with_the_one_before(monkeypatch):
+    # Feed the dedup step chosen feet: a chain of three, each within the gap
+    # of the next but spanning more than it, keeps its first row only; a far
+    # foot is kept; component 1's smaller s still sorts after component 0.
+    curve = CircleArcCurve(0, 2 * np.pi, closed=True)
+    gap = 0.5 * curve.length / DEFAULT_TOLERANCES.grid_samples
+    feet = {0: [3.0, 1.0 + 1.4 * gap, 1.0, 1.0 + 0.7 * gap], 1: [0.5]}
+
+    def graph_points(curve, weight, ci, s, ur):
+        s = np.array(feet[ci])
+        return np.column_stack([np.full(len(s), ci), s, np.ones_like(s), np.zeros_like(s),
+                                np.cos(s), np.sin(s)])
+
+    monkeypatch.setattr(singular, "_graph_points", graph_points)
+    table = singular_set([(curve, ConstantWeight(1.0))] * 2, 1.0)
+    np.testing.assert_array_equal(table[:, :2], [[0, 1.0], [0, 3.0], [1, 0.5]])
 
 
 class TestIsSingular:
@@ -581,6 +624,39 @@ class TestGZeroSet:
         assert len(z.touch_s) >= 1
         assert np.all(np.abs(_sng_condition(curve, weight, z.touch_s)) <= _TOL_SNG)
         assert not np.any(z.flat[z.touch])
+
+    def test_flat_sign_change_converges(self):
+        # The stadium's blend with cos_end 4e-6 has sign changes of g where g
+        # is flat (two on the straight sides, where kappa = 0); Brent's method
+        # needs more than 100 iterations on one of them. Each root lies in
+        # its bracket, and g changes sign within the solver's stopping width
+        # of it, where |g| is at least |g(root)|.
+        import json
+        from importlib import resources
+
+        doc = json.loads(resources.files("weighted_tubes.scenes").joinpath(
+            "example2_stadium.json").read_text())
+        doc["weights"][0]["params"]["cos_end"] = 4e-6
+        scene = parse_scene(doc)
+        (curve, weight), = scene.pairs
+        z = g_zero_set(curve, weight, scene.tolerances)
+        assert len(z.cross) == 4
+        lo = z.sg[z.cross]
+        assert np.all((lo <= z.cross_s) & (z.cross_s <= lo + curve.length / len(z.sg)))
+        width = 1e-14 + 4 * np.finfo(float).eps * np.abs(z.cross_s)
+        g_lo, g_hi = (_sng_condition(curve, weight, z.cross_s + d) for d in (-width, width))
+        assert np.all(g_lo * g_hi <= 0.0)
+        assert np.all(np.abs(_sng_condition(curve, weight, z.cross_s))
+                      <= np.maximum(np.abs(g_lo), np.abs(g_hi)))
+
+    def test_unrefined_sign_change_is_a_numeric_failure(self, monkeypatch):
+        def brent_rows(*args, **kwargs):
+            raise RuntimeError("Failed to converge after 100 iterations")
+
+        monkeypatch.setattr(singular, "brent_rows", brent_rows)
+        curve, weight = CircleArcCurve(-2, 2), PolynomialWeight([1.0, 0.0, -0.1])
+        with pytest.raises(NumericError, match="sign change of g not refined: Failed to converge"):
+            g_zero_set(curve, weight)
 
 
 # The bundled scenes, the seeded Fourier scenes of test_radii (one planar
