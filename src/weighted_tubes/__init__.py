@@ -48,7 +48,6 @@ from .expmap import (
     w_bound,
 )
 from .radii import (
-    DoubleCriticalPair,
     RadiiReport,
     dcsd_half,
     find_double_critical_pairs,

@@ -33,7 +33,6 @@ EXIT_NUMERIC = 3
 # Record fields in output order.
 _RADII = ("focrad0", "focradminus", "dcsd_half", "lr", "ur", "dir", "tir", "air")
 _WITNESS = ("component", "s", "value")
-_PAIR = ("component_1", "component_2", "s1", "s2", "ratio", "residual")
 _ARC = ("component", "s_start", "s_end", "kappa", "r", "phase")
 _SWEEP = ("t", "dir", "tir", "air", "collapse_count", "status")
 # Rows of the stderr table of `report`; a label's first word is its field.
@@ -194,11 +193,12 @@ def _ur(args, scene):
 def cmd_report(args, scene):
     rep = radii.radii_report(scene.pairs, scene.tolerances)
     wit = rep.witnesses
+    pair = wit["dcsd_pair"]  # a pair row without its t column
     payload = _fields(rep, _RADII)
     payload["witnesses"] = {
         "focrad0": _fields(wit["focrad0"], _WITNESS),
         "focradminus": _fields(wit["focradminus"], _WITNESS),
-        "dcsd_pair": _fields(wit["dcsd_pair"], _PAIR),
+        "dcsd_pair": None if pair is None else dict(zip(radii.PAIR_COLUMNS[1:7], pair)),
         "collapse_arcs": [_fields(a, _ARC + ("p0",)) for a in wit["collapse_arcs"]],
         "tir_attained": wit["tir_attained"],
         "pair_count": wit["pair_count"],

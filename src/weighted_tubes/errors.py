@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the overflow guard."""
+
+import contextlib
+
+import numpy as np
 
 
 class WeightedTubesError(Exception):
@@ -35,3 +39,16 @@ class SceneError(WeightedTubesError):
 
 class NumericError(WeightedTubesError):
     """A numeric routine failed to produce a usable result."""
+
+
+@contextlib.contextmanager
+def _overflow_raises(what):
+    """Numpy overflow in the block raises NumericError; an outer guard's `what` wins."""
+    outer = np.geterr()["over"] == "raise"
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        if outer:
+            raise
+        raise NumericError(f"{what} overflowed: {exc}") from exc

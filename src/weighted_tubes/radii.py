@@ -21,7 +21,7 @@ import numpy as np
 
 from . import singular
 from .config import DEFAULT_TOLERANCES
-from .errors import NumericError
+from .errors import _overflow_raises
 from .expmap import _bound, _rowdot, _rownorm
 from .util import _bracket, _extrema_indices, _offset_array, as_pairs, golden_min
 
@@ -31,20 +31,8 @@ _TOL_DC = 1e-9  # normalized residual of the pair gradient
 _NEWTON_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
-class DoubleCriticalPair:
-    component_1: int
-    component_2: int
-    s1: float
-    s2: float
-    ratio: float
-    midpoint: np.ndarray
-    residual: float
-    angle_residuals: tuple
-    # The weight offset t the pair was found for (0 for the weights as
-    # given). It groups a batched search by t; it is not part of the pair's
-    # value, so it takes no part in comparison or repr.
-    offset: float = field(default=0.0, compare=False, repr=False)
+# Columns of find_double_critical_pairs' table, before the midpoint x1..xn.
+PAIR_COLUMNS = ("t", "component_1", "component_2", "s1", "s2", "ratio", "residual", "angle_1", "angle_2")
 
 
 @dataclass(frozen=True)
@@ -164,10 +152,8 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
                 v_best, s_best = min(cands, key=lambda c: c[0])
                 if v_best < best[k][which][0]:
                     best[k][which] = (v_best, FocalWitness(ci, s_best, v_best))
-    out = []
-    for (f0, w0), (fm, wm) in best:
-        # the open band can only be larger
-        out.append((f0, max(fm, f0), {"focrad0": w0, "focradminus": wm}))
+    # the open band can only be larger
+    out = [(f0, max(fm, f0), {"focrad0": w0, "focradminus": wm}) for (f0, w0), (fm, wm) in best]
     return out[0] if offsets is None else out
 
 
@@ -255,24 +241,19 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     against the critical-angle law at both feet and deduplicated, all as
     rows.
 
-    With offsets (distinct values), the pairs of the weights mu + t for
-    every t, grouped by t in the order given and tagged with it
-    (`pair.offset`): the grid geometry is shared, and one Newton runs over
-    the seeds of every t.
+    Returns one float table of shape (m, 9 + n): per pair the columns
+    PAIR_COLUMNS (Newton's residual, the angle law's at each foot), then the
+    midpoint x1..xn, in the order of _dedup_rows. With offsets (distinct
+    values), the pairs of mu + t for every t, grouped by t in the order
+    given (t = 0.0 without): the grid geometry is shared, and one Newton
+    runs over the seeds of every t.
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
     found = [_search_component_pair(pairs, i, j, ts, tol)
              for i in range(len(pairs)) for j in range(i, len(pairs))]
     rows = {key: np.concatenate([f[key] for f in found]) for key in found[0]}
-    return [
-        DoubleCriticalPair(
-            int(rows["c1"][k]), int(rows["c2"][k]), float(rows["s1"][k]), float(rows["s2"][k]),
-            float(rows["ratio"][k]), rows["midpoint"][k], float(rows["residual"][k]),
-            (float(rows["ang1"][k]), float(rows["ang2"][k])), offset=float(ts[rows["grp"][k]]),
-        )
-        for k in _dedup_rows(pairs, rows)
-    ]
+    return np.column_stack([rows[key] for key in PAIR_COLUMNS + ("midpoint",)])[_dedup_rows(pairs, rows)]
 
 
 def _search_component_pair(pairs, i, j, ts, tol):
@@ -455,9 +436,9 @@ def _grid_local_minima(mat, per_rows, per_cols):
 
 def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
     """The rows (s1, s2) of components i and j (row k for the weights
-    mu + ts[grp[k]]) that pass the critical-angle law at both feet, as
-    arrays: c1, c2, s1, s2, ratio, midpoint, the angle residual at each foot
-    (ang1, ang2), grp and the Newton residual. Where mu' = 0, alpha is pi/2
+    mu + ts[grp[k]]) that pass the critical-angle law at both feet, as a
+    dict of arrays: the PAIR_COLUMNS (the angle law's residual at each foot
+    is angle_1, angle_2), the midpoint and grp. Where mu' = 0, alpha is pi/2
     by convention and the chord must be normal. Rows inside a
     same-component pair's diagonal band, with a zero chord, or whose larger
     angle residual (Python's max: the first unless the second is strictly
@@ -483,25 +464,25 @@ def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
     keep = ~(dist <= 0) & ~(np.where(ang2 > ang1, ang2, ang1) > 1e-6)
     if i == j:
         keep &= ~(c1.periodic_distance(s1, s2) < _DELTA_MIN_FACTOR * c1.length)
-    rows = dict(c1=np.full(len(s1), i), c2=np.full(len(s1), j), s1=s1, s2=s2, ratio=ratio,
-                midpoint=midpoint, ang1=ang1, ang2=ang2, grp=grp, residual=residual)
+    cols = (ts[grp], np.full(len(s1), i), np.full(len(s1), j), s1, s2, ratio, residual, ang1, ang2)
+    rows = dict(zip(PAIR_COLUMNS, cols), midpoint=midpoint, grp=grp)
     return {key: v[keep] for key, v in rows.items()}
 
 
 def _dedup_rows(pairs, rows):
     """Indices of the distinct pairs among verified rows, in output order.
 
-    Each offset's rows are sorted by (ratio, c1, c2, s1, s2), stably, and
-    the offsets follow in order. Walking that order, a row is a duplicate
-    of an earlier kept row of the same offset and component pair when their
-    feet are within 1e-5 (L1 + L2) (periodic distances, summed over both
-    feet; on a same-component pair the smaller of that and the swapped
-    feet's distance). The first of each cluster is kept; its duplicates,
-    and only they, are dropped.
+    Each offset's rows are sorted stably by (ratio, component_1,
+    component_2, s1, s2), the offsets in order. Walking that order, a row
+    is a duplicate of an earlier kept row of the same offset and component
+    pair when their feet are within 1e-5 (L1 + L2) (periodic distances,
+    summed over both feet; on a same-component pair the smaller of that and
+    the swapped feet's distance). The first of each cluster is kept; its
+    duplicates, and only they, are dropped.
     """
-    order = np.lexsort((rows["s2"], rows["s1"], rows["c2"], rows["c1"], rows["ratio"], rows["grp"]))
+    order = np.lexsort([rows[k] for k in ("s2", "s1", "component_2", "component_1", "ratio", "grp")])
     n = len(pairs)
-    group = (rows["grp"] * n + rows["c1"]) * n + rows["c2"]
+    group = (rows["grp"] * n + rows["component_1"]) * n + rows["component_2"]
     keep = np.zeros(len(order), dtype=bool)
     for g in np.unique(group):
         idx = np.flatnonzero(group[order] == g)
@@ -526,11 +507,9 @@ def _dedup_rows(pairs, rows):
     return order[keep]
 
 
-def dcsd_half(found_pairs):
-    """Half the double-critical self distance: min ratio, +inf when empty."""
-    if not found_pairs:
-        return np.inf
-    return min(p.ratio for p in found_pairs)
+def dcsd_half(table):
+    """Half the double-critical self distance: a pair table's least ratio, or +inf."""
+    return float(np.min(table[:, PAIR_COLUMNS.index("ratio")], initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -546,41 +525,36 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     and the collapse arcs run once over every distinct t (see focal_radii,
     find_double_critical_pairs and singular.detect_collapse_arcs), the
     ordering clamp per t. Each report equals the one computed for the
-    weights mu + t alone, and repeated values share one report. A
-    floating-point overflow anywhere in the report raises NumericError, so
-    an out-of-range weight never yields a quiet wrong radius.
+    weights mu + t alone, and repeated values share one report: its
+    `dcsd_pair` is the first of its t's pair rows without t (or None), and
+    `pair_count` their number. A floating-point overflow anywhere in the
+    report raises NumericError, so an out-of-range weight never yields a
+    quiet wrong radius.
     """
-    try:
-        with np.errstate(over="raise"):
-            return _radii_report(as_pairs(pairs), tol, offsets)
-    except FloatingPointError as exc:
-        raise NumericError(f"radii report overflowed: {exc}") from exc
-
-
-def _radii_report(pairs, tol, offsets):
+    pairs = as_pairs(pairs)
     ts = [0.0] if offsets is None else [float(t) for t in offsets]
     distinct = list(dict.fromkeys(ts))
     if not distinct:
         return []
-    grids = [singular.dense_grid(c, w, tol.grid_samples) for c, w in pairs]  # one per component
-    focal = focal_radii(pairs, tol, distinct, grids)
-    dc_pairs = {t: [] for t in distinct}
-    for p in find_double_critical_pairs(pairs, tol, distinct):
-        dc_pairs[p.offset].append(p)
-    urs = [min(dcsd_half(dc_pairs[t]), fm) for t, (_, fm, _) in zip(distinct, focal)]
-    arcs_by_t = singular.detect_collapse_arcs(pairs, urs, tol, offsets=distinct, grids=grids)
+    with _overflow_raises("radii report"):
+        grids = [singular.dense_grid(c, w, tol.grid_samples) for c, w in pairs]  # one per component
+        focal = focal_radii(pairs, tol, distinct, grids)
+        table = find_double_critical_pairs(pairs, tol, distinct)
+        by_t = [table[table[:, 0] == t] for t in distinct]  # each offset's pair rows
+        urs = [min(dcsd_half(rows), fm) for rows, (_, fm, _) in zip(by_t, focal)]
+        arcs_by_t = singular.detect_collapse_arcs(pairs, urs, tol, offsets=distinct, grids=grids)
     reports = {}
-    for t, ur, arcs, (focrad0, focradminus, focal_wit) in zip(distinct, urs, arcs_by_t, focal):
-        dc = dcsd_half(dc_pairs[t])
+    for t, ur, arcs, rows, (focrad0, focradminus, fwit) in zip(distinct, urs, arcs_by_t, by_t, focal):
+        dc = dcsd_half(rows)
         lr = min(dc, focrad0)
         tir_val = min(max(min(arc.r for arc in arcs) if arcs else ur, lr), ur)
         witnesses = {
-            "focrad0": focal_wit["focrad0"],
-            "focradminus": focal_wit["focradminus"],
-            "dcsd_pair": min(dc_pairs[t], key=lambda p: p.ratio) if dc_pairs[t] else None,
+            "focrad0": fwit["focrad0"],
+            "focradminus": fwit["focradminus"],
+            "dcsd_pair": rows[0, 1:] if len(rows) else None,
             "collapse_arcs": arcs,
             "tir_attained": bool(arcs),
-            "pair_count": len(dc_pairs[t]),
+            "pair_count": len(rows),
         }
         reports[t] = RadiiReport(
             focrad0=focrad0, focradminus=focradminus, dcsd_half=dc, lr=lr, ur=ur,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
-from .errors import NumericError, OutOfWError
+from .errors import NumericError, OutOfWError, _overflow_raises
 from .expmap import (
     _broadcast_rows, _exp_rows, _first_fault, _frames, _hess_rows, _offset_rows, _rownorm, _take,
 )
@@ -91,10 +91,12 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     in `touch_s`, smallest |g| first).
 
     Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
-    consulted. All sign changes (the last sample and the first also
+    consulted. The sign changes (the last sample and the first also
     neighbour on a closed curve) are refined in one `brent_rows` call to
-    xtol 1e-14. Where g is flat near its zero, Brent's method can take more
-    steps than bisection's log2(step / xtol), step = L / n, so it may take
+    xtol 1e-14, but not those with kappa <= kappa_tol at both grid ends:
+    both callers drop a zero where the curve is straight. Where g is flat
+    near its zero, Brent's method can take more steps than bisection's
+    log2(step / xtol), step = L / n, so it may take
     max(100, 4 ceil(log2(step / xtol))); a root it does not converge on
     raises NumericError.
     Touching zeros are the best 64 local minima of |g| within _TOL_SNG
@@ -109,7 +111,8 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     flat = absg <= _FLAT_FACTOR * max(1.0, float(np.max(absg)))
     limit = n if curve.closed else n - 1
     cross = np.nonzero(g * np.roll(g, -1) < 0.0)[0]
-    cross = cross[cross < limit]
+    bends = kap > curve.kappa_tol
+    cross = cross[(cross < limit) & (bends[cross] | bends[(cross + 1) % n])]
     step = curve.length / n
     hi = sg[cross] + step if curve.closed else sg[cross + 1]
     maxiter = max(100, 4 * math.ceil(math.log2(step / 1e-14)))
@@ -190,30 +193,34 @@ def _graph_points(curve, weight, ci, s, ur):
     A foot is dropped where kappa <= kappa_tol, where the graph height R(s)
     is undefined or outside (0, ur), and where the map's second derivative
     at exp(s, n, R), n the principal normal, is not within
-    _TOL_HESS_FACTOR * 2/mu^2 * max(1, ur^2) of zero: every foot's band
-    widens with the height cutoff ur, not with the foot's own R. A
-    direction tangent to the curve, a height above 1/|mu'|, a recovered
-    height above it, or a foot that is not critical for its image raises
-    the scalar checks' error for the first offending foot.
+    _TOL_HESS_FACTOR * 2/mu^2 * max(1, ur^2) of zero (inf where ur^2
+    overflows): every foot's band widens with the height cutoff ur, not with
+    the foot's own R. A direction tangent to the curve, a height above
+    1/|mu'|, a recovered height above it, or a foot that is not critical for
+    its image raises the scalar checks' error for the first offending foot;
+    an overflow raises NumericError.
     """
-    s = curve.wrap(s)
-    curve_jet, weight_jet = curve.jet(s, 2), weight.jet(s, 2)
-    height = _graph_height(weight_jet)
-    d2 = curve_jet[2]
-    kap = _rownorm(d2)
-    keep = (kap > curve.kappa_tol) & np.isfinite(height) & (height > 0.0) & (height < ur)
-    s, height = s[keep], height[keep]
-    normal = d2[keep] / kap[keep][:, None]
-    jets = _take((curve_jet, weight_jet), keep)
-    location, hess, _, faults = _hess_rows(curve, jets, s, normal, height)
-    faults = [f for f in faults if f is not None]
-    if faults:
-        raise min(faults, key=lambda f: f[0])[1]
-    mu = np.asarray(weight_jet[0], dtype=float)[keep]
-    tol_hess = _TOL_HESS_FACTOR * 2.0 / mu**2 * max(1.0, ur**2)
-    resid = np.abs(_g(kap, weight_jet))[keep]
-    rows = np.column_stack([np.full(len(s), float(ci)), s, height, resid, location])
-    return rows[np.abs(hess) <= tol_hess]
+    with np.errstate(over="ignore"):
+        cutoff = max(1.0, np.square(ur))
+    with _overflow_raises("singular set"):
+        s = curve.wrap(s)
+        curve_jet, weight_jet = curve.jet(s, 2), weight.jet(s, 2)
+        height = _graph_height(weight_jet)
+        d2 = curve_jet[2]
+        kap = _rownorm(d2)
+        keep = (kap > curve.kappa_tol) & np.isfinite(height) & (height > 0.0) & (height < ur)
+        s, height = s[keep], height[keep]
+        normal = d2[keep] / kap[keep][:, None]
+        jets = _take((curve_jet, weight_jet), keep)
+        location, hess, _, faults = _hess_rows(curve, jets, s, normal, height)
+        faults = [f for f in faults if f is not None]
+        if faults:
+            raise min(faults, key=lambda f: f[0])[1]
+        mu = np.asarray(weight_jet[0], dtype=float)[keep]
+        tol_hess = _TOL_HESS_FACTOR * 2.0 / mu**2 * cutoff
+        resid = np.abs(_g(kap, weight_jet))[keep]
+        rows = np.column_stack([np.full(len(s), float(ci)), s, height, resid, location])
+        return rows[np.abs(hess) <= tol_hess]
 
 
 # ---------------------------------------------------------------------------
@@ -319,62 +326,62 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None, grids=
     With offsets, the arcs of the weights mu + t for every t, as one list
     per t, with ur holding one height per t: the curve and weight jets, the
     curvature, its rate and the ODE residual are evaluated once per
-    component, and only g, the graph height and the runs depend on t.
+    component, and only g, the graph height and the runs depend on t. An
+    overflow raises NumericError.
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
     urs = np.broadcast_to(np.asarray(ur, dtype=float), ts.shape)
     arcs = [[] for _ in ts]
-    grids = grids or [dense_grid(c, w, tol.grid_samples) for c, w in pairs]
-    for ci, ((curve, weight), (sg, jet, (mu, d1, d2), kap)) in enumerate(zip(pairs, grids)):
-        n = len(sg)
-        kap_rate = np.abs(_kappa_rate(jet, curve.kappa_tol))
-        ode = collapse_ode_residual(jet)
-        locked = (kap > curve.kappa_tol) & (kap_rate <= _EPS_KAPPA) & (ode <= _EPS_GAMMA)
-        step = curve.length / n
-        min_len = _ELL_MIN_FACTOR * curve.length
-        for found, t, ur_t in zip(arcs, ts, urs):
-            weight_jet = (mu + t, d1, d2)
-            g = np.abs(_g(kap, weight_jet))
-            height = _graph_height(weight_jet)
-            ok = locked & (g <= _EPS_MU) & np.isfinite(height) & (height < ur_t)
-            for lo, hi in _runs(ok, curve.closed):
-                if (hi - lo) * step < min_len:
-                    continue
-                idx = np.arange(lo, hi) % n
-                s_run = sg[idx]
-                if hi > n:  # unwrap periodic run for reporting
-                    s_run = np.where(np.arange(lo, hi) >= n, sg[idx] + curve.length, sg[idx])
-                kbar = float(np.mean(kap[idx]))
-                hbar = float(np.mean(height[idx]))
-                if np.max(np.abs(height[idx] ** -2.0 - hbar**-2.0)) > _EPS_R:
-                    continue
-                mu_run = weight_jet[0][idx]
-                amp = 2.0 / (kbar * hbar)
-                # Least-squares phase: mu = amp cos(k s / 2 + a).
-                cosb = np.cos(kbar * s_run / 2.0)
-                sinb = np.sin(kbar * s_run / 2.0)
-                mat = np.stack([cosb, sinb], axis=1)
-                sol, *_ = np.linalg.lstsq(mat, mu_run / amp, rcond=None)
-                phase = float(np.arctan2(-sol[1], sol[0]))
-                fit_gap = float(np.max(np.abs(mu_run - amp * np.cos(kbar * s_run / 2.0 + phase))))
-                if fit_gap > 1e-6:
-                    continue
-                normals = jet[2][idx] / kap[idx][:, None]
-                pts = _exp_rows(_take((jet, weight_jet), idx), normals, np.full(len(idx), hbar))
-                p0 = pts.mean(axis=0)
-                image_gap = float(np.max(np.linalg.norm(pts - p0, axis=-1)))
-                if image_gap > _EPS_P:
-                    continue
-                residuals = {
-                    "kappa_rate": float(np.max(kap_rate[idx])), "ode": float(np.max(ode[idx])),
-                    "condition": float(np.max(g[idx])),
-                    "height": float(np.max(np.abs(height[idx] - hbar))),
-                    "image": image_gap, "mu_fit": fit_gap,
-                }
-                found.append(CollapseArc(
-                    ci, float(s_run[0]), float(s_run[-1]), kbar, hbar, phase, p0, residuals
-                ))
+    with _overflow_raises("collapse arcs"):
+        grids = grids or [dense_grid(c, w, tol.grid_samples) for c, w in pairs]
+        for ci, ((curve, weight), (sg, jet, (mu, d1, d2), kap)) in enumerate(zip(pairs, grids)):
+            n = len(sg)
+            kap_rate = np.abs(_kappa_rate(jet, curve.kappa_tol))
+            ode = collapse_ode_residual(jet)
+            locked = (kap > curve.kappa_tol) & (kap_rate <= _EPS_KAPPA) & (ode <= _EPS_GAMMA)
+            step = curve.length / n
+            min_len = _ELL_MIN_FACTOR * curve.length
+            for found, t, ur_t in zip(arcs, ts, urs):
+                weight_jet = (mu + t, d1, d2)
+                g = np.abs(_g(kap, weight_jet))
+                height = _graph_height(weight_jet)
+                ok = locked & (g <= _EPS_MU) & np.isfinite(height) & (height < ur_t)
+                for lo, hi in _runs(ok, curve.closed):
+                    if (hi - lo) * step < min_len:
+                        continue
+                    idx = np.arange(lo, hi) % n
+                    s_run = sg[idx]
+                    if hi > n:  # unwrap periodic run for reporting
+                        s_run = np.where(np.arange(lo, hi) >= n, sg[idx] + curve.length, sg[idx])
+                    kbar = float(np.mean(kap[idx]))
+                    hbar = float(np.mean(height[idx]))
+                    if np.max(np.abs(height[idx] ** -2.0 - hbar**-2.0)) > _EPS_R:
+                        continue
+                    mu_run = weight_jet[0][idx]
+                    amp = 2.0 / (kbar * hbar)
+                    # Least-squares phase: mu = amp cos(k s / 2 + a).
+                    mat = np.stack([np.cos(kbar * s_run / 2.0), np.sin(kbar * s_run / 2.0)], axis=1)
+                    sol, *_ = np.linalg.lstsq(mat, mu_run / amp, rcond=None)
+                    phase = float(np.arctan2(-sol[1], sol[0]))
+                    fit_gap = float(np.max(np.abs(mu_run - amp * np.cos(kbar * s_run / 2.0 + phase))))
+                    if fit_gap > 1e-6:
+                        continue
+                    normals = jet[2][idx] / kap[idx][:, None]
+                    pts = _exp_rows(_take((jet, weight_jet), idx), normals, np.full(len(idx), hbar))
+                    p0 = pts.mean(axis=0)
+                    image_gap = float(np.max(np.linalg.norm(pts - p0, axis=-1)))
+                    if image_gap > _EPS_P:
+                        continue
+                    residuals = {
+                        "kappa_rate": float(np.max(kap_rate[idx])), "ode": float(np.max(ode[idx])),
+                        "condition": float(np.max(g[idx])),
+                        "height": float(np.max(np.abs(height[idx] - hbar))),
+                        "image": image_gap, "mu_fit": fit_gap,
+                    }
+                    found.append(CollapseArc(
+                        ci, float(s_run[0]), float(s_run[-1]), kbar, hbar, phase, p0, residuals
+                    ))
     return arcs[0] if offsets is None else arcs
 
 

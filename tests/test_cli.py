@@ -320,6 +320,59 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith(prefix) if prefix else err == ""
 
+    def test_height_cutoff_whose_square_overflows(self, tmp_path, capsys):
+        # --ur 1e300 raised OverflowError (exit 1) at ur**2; it now acts as
+        # --ur inf, byte for byte.
+        from weighted_tubes import cli
+
+        outs = []
+        for ur in ("1e300", "inf"):
+            out = tmp_path / f"singular-{ur}.csv"
+            assert cli.main(["singular", "--scene", "example1a", "--ur", ur, "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and outs[0].count(b"\n") > 1
+
+    @pytest.mark.parametrize("verb", ["singular", "collapse"])
+    def test_overflowing_graph_height_exit_3(self, tmp_path, capsys, verb):
+        # With amplitude 1e160 the whole arc of example1a is singular at
+        # R = 2e-160, but (mu')^2 overflows: singular printed an empty table
+        # and collapse raised ZeroDivisionError; both are numeric failures,
+        # as the report already was.
+        from importlib import resources
+
+        from weighted_tubes import cli
+
+        doc = json.loads(resources.files("weighted_tubes.scenes").joinpath("example1a.json").read_text())
+        doc["weights"][0]["params"]["amplitude"] = 1e160
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        for argv in ([verb, "--ur", "inf"], ["report"]):
+            assert cli.main(argv + ["--scene", str(scene), "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numeric failure: ") and "overflowed: overflow" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [1e160, 1e300])
+    def test_overflow_of_g_products_is_harmless(self, tmp_path, capsys, value):
+        # g * roll(g) overflows for a constant weight this large; the sign
+        # test still holds, and the tables stay empty.
+        from weighted_tubes import cli
+
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "ambient_dim": 2,
+            "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
+            "weights": [{"kind": "constant", "params": {"value": value}}],
+        }))
+        for verb, extra in (("singular", ["--ur", "inf"]), ("check", [])):
+            out = tmp_path / f"{verb}.out"
+            assert cli.main([verb, "--scene", str(scene), "--out", str(out)] + extra) == 0
+            capsys.readouterr()
+            text = out.read_text()
+            assert text == ("s,R,x1,x2\n" if verb == "singular"
+                            else '{\n  "transversal": true,\n  "witnesses": []\n}\n')
+
 
 class TestSweep:
     def test_example6_semicontinuity(self, tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 
@@ -20,7 +21,7 @@ from weighted_tubes import (
 )
 from weighted_tubes import radii
 from weighted_tubes.config import DEFAULT_TOLERANCES
-from weighted_tubes.radii import DoubleCriticalPair, FocalWitness
+from weighted_tubes.radii import PAIR_COLUMNS, FocalWitness
 from weighted_tubes.util import as_pairs, golden_min
 from weighted_tubes.weights import FourierWeight
 
@@ -216,48 +217,52 @@ class TestFocalRadii:
         assert abs(coarse[1] - dense[1]) <= 1e-8 * coarse[1]
 
 
+# Column index of each name of the pair table.
+COL = {name: k for k, name in enumerate(PAIR_COLUMNS)}
+
+
 class TestDoubleCriticalPairs:
     def test_unit_circle_antipodal(self):
         curve, weight = CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0)
-        pairs = find_double_critical_pairs([(curve, weight)])
-        assert pairs
-        for p in pairs:
-            assert p.ratio == pytest.approx(1.0, abs=1e-9)
-            assert curve.periodic_distance(p.s1, p.s2) == pytest.approx(np.pi, abs=1e-6)
-        assert dcsd_half(pairs) == pytest.approx(1.0, abs=1e-9)
+        table = find_double_critical_pairs([(curve, weight)])
+        assert len(table)
+        for row in table:
+            assert row[COL["ratio"]] == pytest.approx(1.0, abs=1e-9)
+            assert curve.periodic_distance(row[COL["s1"]], row[COL["s2"]]) == pytest.approx(np.pi, abs=1e-6)
+        assert dcsd_half(table) == pytest.approx(1.0, abs=1e-9)
 
     def test_ellipse_axes(self):
-        pairs = find_double_critical_pairs([(EllipseCurve(2, 1), ConstantWeight(1.0))])
-        ratios = sorted(p.ratio for p in pairs)
+        table = find_double_critical_pairs([(EllipseCurve(2, 1), ConstantWeight(1.0))])
+        ratios = sorted(table[:, COL["ratio"]])
         assert ratios[0] == pytest.approx(1.0, abs=1e-8)  # minor axis
         assert ratios[-1] == pytest.approx(2.0, abs=1e-8)  # major axis
 
     def test_angle_law_residuals(self):
-        pairs = find_double_critical_pairs([(EllipseCurve(2, 1), ConstantWeight(1.0))])
-        for p in pairs:
-            assert max(p.angle_residuals) <= 1e-6
+        table = find_double_critical_pairs([(EllipseCurve(2, 1), ConstantWeight(1.0))])
+        assert len(table)
+        assert np.all(table[:, [COL["angle_1"], COL["angle_2"]]] <= 1e-6)
 
     def test_half_circle_cosine_has_none(self):
-        pairs = find_double_critical_pairs(
+        table = find_double_critical_pairs(
             [(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight())]
         )
-        assert pairs == []
-        assert dcsd_half(pairs) == np.inf
+        assert table.shape == (0, 9 + 2)
+        assert dcsd_half(table) == np.inf
 
     def test_example6_negative_offset_has_none(self):
-        pairs = find_double_critical_pairs(
+        table = find_double_critical_pairs(
             [(CircleArcCurve(-1, 1), PolynomialWeight([0.95, 0.0, -0.125]))]
         )
-        assert pairs == []
+        assert table.shape == (0, 9 + 2)
 
     def test_two_far_circles(self):
         one = ConstantWeight(1.0)
         near = CircleArcCurve(0, 2 * np.pi, closed=True)
         far = FourierCurve([[10.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        pairs = find_double_critical_pairs([(near, one), (far, one)])
-        inter = [p for p in pairs if p.component_1 != p.component_2]
-        assert min(p.ratio for p in inter) == pytest.approx(4.0, abs=1e-7)
-        assert dcsd_half(pairs) == pytest.approx(1.0, abs=1e-9)
+        table = find_double_critical_pairs([(near, one), (far, one)])
+        inter = table[table[:, COL["component_1"]] != table[:, COL["component_2"]]]
+        assert np.min(inter[:, COL["ratio"]]) == pytest.approx(4.0, abs=1e-7)
+        assert dcsd_half(table) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestReports:
@@ -402,12 +407,17 @@ class TestPinnedRefinement:
     ])
     def test_double_critical_pairs(self, scenes, name, expected):
         scene = scenes[name]
-        found = find_double_critical_pairs(scene.pairs, scene.tolerances)
-        assert [(p.s1, p.s2, p.ratio) for p in found] == list(expected)
+        table = find_double_critical_pairs(scene.pairs, scene.tolerances)
+        got = table[:, [COL["s1"], COL["s2"], COL["ratio"]]].tolist()
+        assert [tuple(row) for row in got] == list(expected)
 
 
 # The scalar pair verification and deduplication the search once ran on each
-# Newton survivor (oracles for the row path).
+# Newton survivor (oracles for the row path). A pair is a record of the
+# table's columns and its midpoint.
+ScalarPair = collections.namedtuple("ScalarPair", PAIR_COLUMNS + ("midpoint",))
+
+
 def _verify_pair(pairs, i, j, s1, s2, residual):
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
@@ -435,7 +445,7 @@ def _verify_pair(pairs, i, j, s1, s2, residual):
         ang.append(abs(cosa + ratio * abs(d1)))
     if max(ang) > 1e-6:
         return None
-    return DoubleCriticalPair(i, j, s1, s2, ratio, midpoint, residual, tuple(ang))
+    return ScalarPair(0.0, i, j, s1, s2, ratio, residual, *ang, midpoint)
 
 
 def _dedup_pairs(pairs, found):
@@ -475,17 +485,13 @@ def scalar_pairs(pairs, ts, newton_runs):
                 shifted = [(c, OffsetWeight(w, off)) for c, w in pairs]
                 cand = _verify_pair(shifted, i, j, float(s[k]), float(t[k]), float(res[k]))
                 if cand is not None:
-                    found[grp[k]].append(dataclasses.replace(cand, offset=off))
+                    found[grp[k]].append(cand._replace(t=off))
     return [p for cands in found for p in _dedup_pairs(pairs, cands)]
 
 
-def pair_fields(p):
-    """Every field of a pair, floats by repr and arrays by bytes, with types."""
-    return tuple(
-        (f.name, type(v).__name__, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
-        for f in dataclasses.fields(p)
-        for v in [getattr(p, f.name)]
-    )
+def pair_row(p):
+    """The table row of a scalar pair: its columns, then its midpoint."""
+    return np.array([*p[:-1], *p.midpoint], dtype=float)
 
 
 class TestPairRows:
@@ -517,7 +523,7 @@ class TestPairRows:
         oracle = scalar_pairs(scene.pairs, ts, runs)
         # Every scene has Newton survivors for the verification to judge.
         assert sum(int(np.sum(alive)) for _, (_, _, _, alive) in runs) > 0
-        assert [pair_fields(p) for p in rows] == [pair_fields(p) for p in oracle]
+        assert [row.tobytes() for row in rows] == [pair_row(p).tobytes() for p in oracle]
 
     @pytest.mark.parametrize("weight, band, least", [
         (ConstantWeight(1.0), 1e-3, 3),
@@ -540,8 +546,8 @@ class TestPairRows:
         rows = radii._verify_rows(pairs, 0, 0, s1, s2, ts, grp, res)
         got = [
             (float(rows["s1"][k]), float(rows["s2"][k]), float(rows["ratio"][k]),
-             rows["midpoint"][k].tobytes(), (float(rows["ang1"][k]), float(rows["ang2"][k])),
-             float(rows["residual"][k]), float(ts[rows["grp"][k]]))
+             rows["midpoint"][k].tobytes(), (float(rows["angle_1"][k]), float(rows["angle_2"][k])),
+             float(rows["residual"][k]), float(rows["t"][k]))
             for k in range(len(rows["s1"]))
         ]
         oracle = []
@@ -550,7 +556,7 @@ class TestPairRows:
             p = _verify_pair(shifted, 0, 0, s1[k], s2[k], res[k])
             if p is not None:
                 oracle.append((float(p.s1), float(p.s2), p.ratio, p.midpoint.tobytes(),
-                               p.angle_residuals, float(p.residual), float(ts[grp[k]])))
+                               (p.angle_1, p.angle_2), float(p.residual), float(ts[grp[k]])))
         assert repr(got) == repr(oracle)
         assert len(oracle) >= least
 
@@ -566,15 +572,74 @@ class TestPairRows:
         ratio = [1.0, 1.0 + 1e-16, 1.0 + 3e-16, 1.0 + 2e-16, 1.0]
         grp = [0, 0, 0, 0, 1]
         rows = {
-            "grp": np.array(grp), "c1": np.zeros(5, dtype=int), "c2": np.zeros(5, dtype=int),
+            "grp": np.array(grp),
+            "component_1": np.zeros(5, dtype=int), "component_2": np.zeros(5, dtype=int),
             "s1": np.array([f[0] for f in feet]), "s2": np.array([f[1] for f in feet]),
             "ratio": np.array(ratio),
         }
         found = [[], []]
-        for k in range(5):
-            found[grp[k]].append(DoubleCriticalPair(0, 0, *feet[k], ratio[k], None, 0.0, (), k))
-        oracle = [p.offset for cands in found for p in _dedup_pairs(pairs, cands)]
+        for k in range(5):  # t carries the row's index
+            found[grp[k]].append(ScalarPair(k, 0, 0, *feet[k], ratio[k], 0.0, 0.0, 0.0, None))
+        oracle = [p.t for cands in found for p in _dedup_pairs(pairs, cands)]
         assert list(radii._dedup_rows(pairs, rows)) == oracle == [0, 2, 4]
+
+
+class TestPairTable:
+    """find_double_critical_pairs returns one float table: the columns
+    PAIR_COLUMNS and the midpoint, the offsets in the order given, each
+    offset's rows sorted by (ratio, component_1, component_2, s1, s2)."""
+
+    def test_columns_and_row_order(self):
+        from test_sweeps import TWO_COMPONENT
+        from weighted_tubes import load_scene
+
+        assert PAIR_COLUMNS == (
+            "t", "component_1", "component_2", "s1", "s2", "ratio", "residual", "angle_1", "angle_2",
+        )
+        scene = load_scene(TWO_COMPONENT)
+        offsets = [0.02, -0.03, 0.0]
+        table = find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
+        assert table.dtype == float and table.shape[1] == 9 + 2
+        t = table[:, COL["t"]]
+        assert [x for k, x in enumerate(t) if k == 0 or t[k - 1] != x] == offsets
+        key = [COL[c] for c in ("ratio", "component_1", "component_2", "s1", "s2")]
+        for off in offsets:
+            rows = [tuple(r) for r in table[t == off][:, key].tolist()]
+            assert rows == sorted(rows)
+        # Both components, and pairs between them, are in the table.
+        pair_kinds = {tuple(r) for r in table[:, [COL["component_1"], COL["component_2"]]].tolist()}
+        assert pair_kinds == {(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+        assert np.all(table[:, COL["residual"]] <= radii._TOL_DC)
+        for row in table:
+            (q1, _), (q2, _) = (scene.pairs[int(row[COL[c]])][0].jet(row[COL[s]], 1)
+                                for c, s in (("component_1", "s1"), ("component_2", "s2")))
+            mu1 = scene.pairs[int(row[COL["component_1"]])][1].mu(row[COL["s1"]]) + row[COL["t"]]
+            midpoint = q1 + row[COL["ratio"]] * mu1 * (q2 - q1) / np.linalg.norm(q2 - q1)
+            np.testing.assert_allclose(row[9:], midpoint, rtol=0, atol=1e-12)
+
+    def test_no_pairs_is_an_empty_table(self):
+        pairs = [(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight())]
+        assert find_double_critical_pairs(pairs).shape == (0, 9 + 2)
+        assert find_double_critical_pairs(pairs, offsets=[0.0, -0.1]).shape == (0, 9 + 2)
+
+    @pytest.mark.parametrize("name, offsets", [
+        ("two_component", [0.02, -0.0, 0.03]), ("example3_family", [-0.02, 0.0, 0.02]),
+    ])
+    def test_batched_rows_are_the_calls_alone(self, scenes, name, offsets):
+        from test_sweeps import TWO_COMPONENT
+        from weighted_tubes import load_scene
+
+        scene = load_scene(TWO_COMPONENT) if name == "two_component" else scenes[name]
+        table = find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
+        for off in offsets:
+            rows = table[table[:, COL["t"]] == off]
+            alone = find_double_critical_pairs(
+                [(c, OffsetWeight(w, off)) for c, w in scene.pairs], scene.tolerances
+            )
+            assert len(alone)
+            assert rows[:, 0].tobytes() == np.full(len(rows), off).tobytes()
+            assert alone[:, 0].tobytes() == np.zeros(len(alone)).tobytes()
+            assert rows[:, 1:].tobytes() == alone[:, 1:].tobytes()
 
 
 def _seeded_fourier_scene(kind, seed):

@@ -37,6 +37,7 @@ from weighted_tubes.singular import (
     dense_grid,
     g_zero_set,
 )
+from weighted_tubes.util import brent_rows
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
 from oracles import f_second_at_offset, make_offset, random_unit_normals, runs_loop
@@ -590,11 +591,14 @@ class TestTransversality:
 
 class TestGZeroSet:
     def test_roots_equal_brentq_on_bundled_scenes(self, scenes):
-        # Every sign change of g on every bundled scene, refined in one
-        # row-wise call, equals a scalar brentq over its grid bracket.
+        # Every refined sign change of g on the bundled scenes and the other
+        # dense-grid scenes, refined in one row-wise call, equals a scalar
+        # brentq over its grid bracket. No bundled scene keeps a sign change
+        # where the curve bends; the seeded Fourier scenes hold them.
         optimize = pytest.importorskip("scipy.optimize")
         count = 0
-        for scene in scenes.values():
+        for name in DENSE_GRID_SCENES:
+            scene = _dense_grid_scene(scenes, name)
             for curve, weight in scene.pairs:
                 z = g_zero_set(curve, weight, scene.tolerances)
                 n = len(z.sg)
@@ -626,11 +630,12 @@ class TestGZeroSet:
         assert not np.any(z.flat[z.touch])
 
     def test_flat_sign_change_converges(self):
-        # The stadium's blend with cos_end 4e-6 has sign changes of g where g
-        # is flat (two on the straight sides, where kappa = 0); Brent's method
-        # needs more than 100 iterations on one of them. Each root lies in
-        # its bracket, and g changes sign within the solver's stopping width
-        # of it, where |g| is at least |g(root)|.
+        # The stadium's blend with cos_end 4e-6 has four sign changes of g.
+        # The two on the straight sides (kappa = 0), where g is flat and
+        # Brent's method needed more than 100 iterations, are not refined;
+        # the two where the curve bends converge within 6 iterations. Each
+        # root lies in its bracket, and g changes sign within the solver's
+        # stopping width of it, where |g| is at least |g(root)|.
         import json
         from importlib import resources
 
@@ -640,14 +645,50 @@ class TestGZeroSet:
         scene = parse_scene(doc)
         (curve, weight), = scene.pairs
         z = g_zero_set(curve, weight, scene.tolerances)
-        assert len(z.cross) == 4
+        assert np.count_nonzero(z.g * np.roll(z.g, -1) < 0.0) == 4
+        np.testing.assert_allclose(z.cross_s, [0.33298, 128.74709], rtol=0, atol=1e-5)
         lo = z.sg[z.cross]
-        assert np.all((lo <= z.cross_s) & (z.cross_s <= lo + curve.length / len(z.sg)))
+        step = curve.length / len(z.sg)
+        assert np.all((lo <= z.cross_s) & (z.cross_s <= lo + step))
+        fast = brent_rows(lambda s: _sng_condition(curve, weight, s), lo, lo + step, 1e-14, maxiter=6)
+        assert fast.tobytes() == z.cross_s.tobytes()
         width = 1e-14 + 4 * np.finfo(float).eps * np.abs(z.cross_s)
         g_lo, g_hi = (_sng_condition(curve, weight, z.cross_s + d) for d in (-width, width))
         assert np.all(g_lo * g_hi <= 0.0)
         assert np.all(np.abs(_sng_condition(curve, weight, z.cross_s))
                       <= np.maximum(np.abs(g_lo), np.abs(g_hi)))
+
+    @pytest.mark.parametrize("cos_end, refined", [(None, 0), (4e-6, 2)])
+    def test_straight_brackets_are_not_refined(self, monkeypatch, cos_end, refined):
+        # The stadium's sign changes of g on its straight sides (its only
+        # two; with cos_end 4e-6 two more where it bends) reach brent_rows
+        # in no bracket whose two grid ends both have kappa <= kappa_tol.
+        import json
+        from importlib import resources
+
+        doc = json.loads(resources.files("weighted_tubes.scenes").joinpath(
+            "example2_stadium.json").read_text())
+        if cos_end is not None:
+            doc["weights"][0]["params"]["cos_end"] = cos_end
+        scene = parse_scene(doc)
+        (curve, weight), = scene.pairs
+        brackets = []
+
+        def recording(f, a, b, *args, **kwargs):
+            brackets.append((a, b))
+            return brent_rows(f, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(singular, "brent_rows", recording)
+        z = g_zero_set(curve, weight, scene.tolerances)
+        n = len(z.sg)
+        straight = z.kap <= curve.kappa_tol
+        signs = np.nonzero(z.g * np.roll(z.g, -1) < 0.0)[0]
+        assert np.count_nonzero(straight[signs] & straight[(signs + 1) % n]) == 2
+        (a, b), = brackets
+        assert len(a) == refined
+        assert not np.any((curve.curvature(a) <= curve.kappa_tol)
+                          & (curve.curvature(curve.wrap(b)) <= curve.kappa_tol))
+        assert len(z.cross) == len(z.cross_s) == refined
 
     def test_unrefined_sign_change_is_a_numeric_failure(self, monkeypatch):
         def brent_rows(*args, **kwargs):

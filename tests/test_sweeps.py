@@ -74,13 +74,9 @@ class TestRadiiSweep:
 
 
 def _value(obj):
-    """A report as nested tuples, floats by repr, so == compares every bit;
-    dataclass fields outside comparison (the batch's grouping tag) are left
-    out."""
+    """A report as nested tuples, floats by repr, so == compares every bit."""
     if dataclasses.is_dataclass(obj):
-        return tuple(
-            (f.name, _value(getattr(obj, f.name))) for f in dataclasses.fields(obj) if f.compare
-        )
+        return tuple((f.name, _value(getattr(obj, f.name))) for f in dataclasses.fields(obj))
     if isinstance(obj, dict):
         return tuple((k, _value(v)) for k, v in obj.items())
     if isinstance(obj, (list, tuple)):
@@ -124,6 +120,8 @@ class TestBatchedSweep:
         ("example3_family", [-0.02, 0.0, 0.02]),
         ("two_component", [-0.05, 0.0, 0.03]),
         ("chebyshev_arc", [-0.04, 0.0, 0.05]),
+        # A repeated value and both zeros: the witness row carries no t.
+        ("two_component", [0.02, -0.0, 0.02, 0.0]),
     ])
     def test_rows_equal_reports_alone(self, name, ts):
         doc = {"two_component": TWO_COMPONENT, "chebyshev_arc": CHEBYSHEV_ARC}.get(name, name)

@@ -62,11 +62,17 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
     parser = cli.build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     calls = digests.bundled_calls(BUNDLED_SCENES)
-    # Then one labelled call whose feet reach the stadium's straight sides.
-    *calls, extra = calls
-    assert extra == {
+    # Then one labelled call whose feet reach the stadium's straight sides,
+    # and one with a finite height cutoff whose square overflows.
+    *calls, straight, overflow = calls
+    assert straight == {
         "label": "example2_stadium/fibers-straight-sides",
         "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
+        "ext": "csv",
+    }
+    assert overflow == {
+        "label": "example1a/singular-ur-1e300",
+        "argv": ["singular", "--scene", "example1a", "--ur", "1e300"],
         "ext": "csv",
     }
     pairs = [(c["argv"][2], c["argv"][0]) for c in calls]

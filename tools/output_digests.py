@@ -83,10 +83,14 @@ BUNDLED_VERBS = (
 
 # Labelled calls the bundled set makes beyond one per (scene, verb): fibers on
 # the stadium's straight sides, where the curvature vanishes and the fiber
-# direction comes from the normal frame (no default foot lies there).
+# direction comes from the normal frame (no default foot lies there), and
+# singular with a finite height cutoff whose square overflows.
 BUNDLED_EXTRA = (
     {"label": "example2_stadium/fibers-straight-sides",
      "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
+     "ext": "csv"},
+    {"label": "example1a/singular-ur-1e300",
+     "argv": ["singular", "--scene", "example1a", "--ur", "1e300"],
      "ext": "csv"},
 )
 
