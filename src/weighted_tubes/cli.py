@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import radii, singular, sweeps
-from .errors import SceneError, WeightedTubesError
+from .errors import SceneError, WeightedTubesError, _overflow_raises
 from .expmap import _rownorm, normal_frames, w_bound
 from .scene import load_scene
 from .svg import render_svg
@@ -183,10 +183,11 @@ def _t_grid(args):
     raise SceneError("sweep needs --t-values or --t-min/--t-max/--t-count")
 
 
-def _ur(args, scene):
-    """The height cutoff: --ur (> 0, inf allowed), else the scene's computed ur."""
+def _ur(args, scene, grids=None):
+    """The height cutoff: --ur (> 0, inf allowed), else the scene's computed
+    ur (from the dense grids `grids` when given)."""
     if args.ur is None:
-        return radii.radii_report(scene.pairs, scene.tolerances).ur
+        return radii.radii_report(scene.pairs, scene.tolerances, grids=grids).ur
     return _positive(args.ur, "--ur", finite=False)
 
 
@@ -266,7 +267,13 @@ def cmd_tube(args, scene):
 
 
 def cmd_singular(args, scene):
-    table = singular.singular_set(scene.pairs, _ur(args, scene), scene.tolerances)
+    grids = None
+    if args.ur is None:
+        # The report's dense grids serve the zero set of g as well; they are
+        # built under the report's overflow guard, as the report builds them.
+        with _overflow_raises("radii report"):
+            grids = [singular.dense_grid(c, w, scene.tolerances.grid_samples) for c, w in scene.pairs]
+    table = singular.singular_set(scene.pairs, _ur(args, scene, grids), scene.tolerances, grids)
     # Rows are (component, s, R, residual, x1..xn).
     _write_points(args, scene, table[:, 1], table[:, 2], table[:, 4:], singular_points=table[:, 4:])
     return EXIT_OK

@@ -204,7 +204,7 @@ class _RawCurve(ArclengthCurve):
         cum = np.concatenate([[0.0], np.cumsum(cell)])
         length = float(cum[-1])
         # Budget-checked refinement of the total length (doubling rule).
-        check, ok = self._length_refined(length)
+        check, ok = self._length_refined(length, cell)
         if not ok:
             raise QuadratureFailureError("arclength quadrature did not stabilize")
         length = check
@@ -230,11 +230,19 @@ class _RawCurve(ArclengthCurve):
             raise NonRegularCurveError("raw parametrization has vanishing speed")
         return (sp * wts[None, :]).sum(axis=1) * h
 
-    def _length_refined(self, base, max_doublings=6):
+    def _length_refined(self, base, table_cells, max_doublings=6):
+        """The total length from _CHECK_N cells, doubled until two
+        successive sums agree to _LENGTH_TOL, and whether they did; a check
+        on the table's own cells sums table_cells instead of recomputing
+        them."""
         prev = base
         m = self._CHECK_N
         for _ in range(max_doublings):
-            val = float(self._cell_sums(np.linspace(self._t0, self._t1, m + 1), self._GL_N).sum())
+            if m == len(table_cells):
+                cells = table_cells
+            else:
+                cells = self._cell_sums(np.linspace(self._t0, self._t1, m + 1), self._GL_N)
+            val = float(cells.sum())
             if abs(val - prev) <= self._LENGTH_TOL * max(1.0, abs(val)):
                 return val, True
             prev = val

@@ -91,9 +91,7 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
     the discriminant (so isolated touching zeros, which only the closed band
     sees, are not lost between grid nodes; tolerance 1e-13), the best local
     minima of the closed-band and of the open-band profile (1e-12), and the
-    local maxima of |mu'| (1e-13). Its objective evaluates each distinct
-    foot once (`_focal_rows`), so rows that visit the same feet (the
-    open-band rows wherever the two profiles agree) pay for them once. The
+    local maxima of |mu'| (1e-13), with one objective (`_focal_rows`). The
     discriminant and slope maxima serve both profiles. Each profile's
     candidates are its grid minimum, its refined minima, the refined
     discriminant maxima its band admits and the slope maxima, in that
@@ -160,22 +158,15 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
 def _focal_rows(curve, weight, s, t, band, fam):
     """Per row, -disc (fam 0), the closed-band (1) or the open-band (2)
     radius profile at the foot s for the weight mu + t, or -|mu'| (3).
-    The slope rows read mu' alone, as they need no curvature; on the other
-    rows _abc runs once per distinct (s, t), told apart by their bits so
-    that -0.0 and 0.0 never merge. A foot's values do not depend on the
-    other feet of the call."""
+    The slope rows read mu' alone, as they need no curvature; the other
+    rows share one _abc call. A foot's values do not depend on the other
+    feet of the call."""
     out = np.empty(len(s))
     slope = fam == 3
     out[slope] = -np.abs(weight.d1(s[slope]))
     k = np.nonzero(~slope)[0]
     if len(k):
-        keys = np.stack([t[k].view(np.int64), s[k].view(np.int64)])
-        order = np.lexsort(keys)
-        new = np.r_[True, np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0)]
-        inv = np.empty(len(k), dtype=np.intp)
-        inv[order] = np.cumsum(new) - 1
-        feet = k[order[new]]
-        _, b, _, disc, lam = (v[inv] for v in _abc(curve, weight, s[feet], t[feet]))
+        _, b, _, disc, lam = _abc(curve, weight, s[k], t[k])
         out[k] = np.choose(fam[k], (-disc, *_radius_profiles(b, disc, lam, band[k])))
     return out
 
@@ -265,33 +256,39 @@ def _search_component_pair(pairs, i, j, ts, tol):
     n = tol.pair_grid
     sg1 = c1.grid(n)
     sg2 = c2.grid(n)
-    # Broadcast the 1-D grid evaluations into the sigma matrix directly; the
-    # geometry is shared by every offset, and only the N x N arrays of one
-    # offset are alive at a time.
+    # Broadcast the 1-D grid evaluations into the sigma matrix directly. What
+    # no offset changes (the geometry, its products with the weight slopes,
+    # the diagonal band and the minima search's pad) is built once; the
+    # offset loop keeps every operation's operands and order, so its seeds
+    # are those of a search for each offset alone.
     g1, t1, m1, dm1 = _feet(c1, w1, sg1)
     g2, t2, m2, dm2 = _feet(c2, w2, sg2)
     diff = g1[:, None, :] - g2[None, :, :]
     e = np.einsum("ijk,ijk->ij", diff, diff)
     dot1 = 2.0 * np.einsum("ijk,ik->ij", diff, t1)
     dot2 = -2.0 * np.einsum("ijk,jk->ij", diff, t2)
+    del diff  # its N x N x n floats are not read again; the loop holds e1, e2
+    e1 = 2.0 * e * dm1[:, None]
+    e2 = 2.0 * e * dm2[None, :]
+    pad = np.full((len(sg1) + 2, len(sg2) + 2), np.inf)
     band = None
     if i == j:
-        S, T = np.meshgrid(sg1, sg2, indexing="ij")
-        band = c1.periodic_distance(S, T) < _DELTA_MIN_FACTOR * c1.length
+        band = np.nonzero(
+            c1.periodic_distance(*np.meshgrid(sg1, sg2, indexing="ij")) < _DELTA_MIN_FACTOR * c1.length
+        )
     seeds = []
     for off in ts:
         msum = (m1 + off)[:, None] + (m2 + off)[None, :]
-        sigma = e / msum**2
-        ds = (dot1 - 2.0 * e * dm1[:, None] / msum) / msum**2
-        dt = (dot2 - 2.0 * e * dm2[None, :] / msum) / msum**2
-        gnorm = np.hypot(ds, dt)
+        msq = msum**2
+        sigma = e / msq
+        gnorm = np.hypot((dot1 - e1 / msum) / msq, (dot2 - e2 / msum) / msq)
         if band is not None:
-            sigma = np.where(band, np.inf, sigma)
-            gnorm = np.where(band, np.inf, gnorm)
+            sigma[band] = np.inf
+            gnorm[band] = np.inf
         # np.unique sorts the linear cell indices; both grids increase
         # strictly, so the seeds are in (s, t) order.
         cells = np.unique(np.concatenate(
-            [_grid_local_minima(mat, c1.closed, c2.closed) for mat in (sigma, gnorm)]
+            [_grid_local_minima(mat, c1.closed, c2.closed, pad) for mat in (sigma, gnorm)]
         ))
         a, b = np.divmod(cells, len(sg2))
         seeds.append(np.column_stack([sg1[a], sg2[b]]))
@@ -416,13 +413,18 @@ def _stencil(curve, s, h):
     return hi, lo, np.where(clipped, hi - lo, 2 * h)
 
 
-def _grid_local_minima(mat, per_rows, per_cols):
+def _grid_local_minima(mat, per_rows, per_cols, pad=None):
     """Linear indices, ascending, of the grid cells that are finite and no
     larger than any of their eight neighbours; the neighbours wrap around
     periodic axes, and none lie beyond the ends of open ones. A nan
-    neighbour rules a cell out."""
+    neighbour rules a cell out.
+
+    pad, an (n + 2, m + 2) array that starts as +inf, may be handed to
+    every call on the same axes: each call rewrites all of it that it reads
+    apart from the edges of open axes, which stay +inf."""
     n, m = mat.shape
-    pad = np.full((n + 2, m + 2), np.inf)
+    if pad is None:
+        pad = np.full((n + 2, m + 2), np.inf)
     pad[1:-1, 1:-1] = mat
     if per_rows:
         pad[0], pad[-1] = pad[-2], pad[1]
@@ -431,7 +433,8 @@ def _grid_local_minima(mat, per_rows, per_cols):
     # The 3x3 minimum around every cell, one axis at a time (nan passes on).
     low = np.minimum(np.minimum(pad[:-2], pad[1:-1]), pad[2:])
     low = np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:])
-    return np.flatnonzero((mat <= low) & np.isfinite(mat))
+    cells = np.flatnonzero(mat <= low)
+    return cells[np.isfinite(mat.ravel()[cells])]
 
 
 def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
@@ -517,7 +520,7 @@ def dcsd_half(table):
 # ---------------------------------------------------------------------------
 
 
-def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
+def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
     """Full radii report; the topological radius comes from collapse arcs.
 
     With offsets, a list with one report per value t, in the order given,
@@ -529,7 +532,8 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     `dcsd_pair` is the first of its t's pair rows without t (or None), and
     `pair_count` their number. A floating-point overflow anywhere in the
     report raises NumericError, so an out-of-range weight never yields a
-    quiet wrong radius.
+    quiet wrong radius. The focal and collapse stages read each component's
+    `singular.dense_grid`, built once here, or `grids`.
     """
     pairs = as_pairs(pairs)
     ts = [0.0] if offsets is None else [float(t) for t in offsets]
@@ -537,7 +541,7 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     if not distinct:
         return []
     with _overflow_raises("radii report"):
-        grids = [singular.dense_grid(c, w, tol.grid_samples) for c, w in pairs]  # one per component
+        grids = grids or [singular.dense_grid(c, w, tol.grid_samples) for c, w in pairs]
         focal = focal_radii(pairs, tol, distinct, grids)
         table = find_double_critical_pairs(pairs, tol, distinct)
         by_t = [table[table[:, 0] == t] for t in distinct]  # each offset's pair rows

@@ -82,35 +82,39 @@ def dense_grid(curve, weight, n):
     return sg, jet, weight_jet, np.linalg.norm(jet[2], axis=-1)
 
 
-def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
+def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES, grid=None):
     """The zero set of g = mu'' + kappa^2 mu / 4 on one component, as a
-    GZeroSet: the dense grid `sg` of tol.grid_samples feet (`dense_grid`),
-    the curvature `kap` and `g` on it, the `flat` samples, the sign changes
-    (grid index k of the bracket [s_k, s_k + step] in `cross`, root in
-    `cross_s`) and the touching zeros (grid index in `touch`, refined foot
-    in `touch_s`, smallest |g| first).
+    GZeroSet: the dense grid `sg` of tol.grid_samples feet (`dense_grid`, or
+    `grid` when given), the curvature `kap` and `g` on it, the `flat`
+    samples, the sign changes (grid index k of the bracket [s_k, s_k + step]
+    in `cross`, root in `cross_s`) and the touching zeros (grid index in
+    `touch`, refined foot in `touch_s`, smallest |g| first).
 
     Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
-    consulted. The sign changes (the last sample and the first also
-    neighbour on a closed curve) are refined in one `brent_rows` call to
-    xtol 1e-14, but not those with kappa <= kappa_tol at both grid ends:
-    both callers drop a zero where the curve is straight. Where g is flat
-    near its zero, Brent's method can take more steps than bisection's
-    log2(step / xtol), step = L / n, so it may take
-    max(100, 4 ceil(log2(step / xtol))); a root it does not converge on
-    raises NumericError.
+    consulted. The sign changes (neighbouring samples, both nonzero, of
+    opposite sign; the last sample and the first also neighbour on a closed
+    curve) are refined in one `brent_rows` call to xtol 1e-14, but not those
+    with kappa <= kappa_tol at both grid ends: both callers drop a zero
+    where the curve is straight. Where g is flat near its zero, Brent's
+    method can take more steps than bisection's log2(step / xtol),
+    step = L / n, so it may take max(100, 4 ceil(log2(step / xtol))); a
+    root it does not converge on raises NumericError.
     Touching zeros are the best 64 local minima of |g| within _TOL_SNG
     plus the discrete second difference there (the value a quadratic
     touching zero attains one step away), refined in one golden-section
     call and kept where |g| <= _TOL_SNG.
     """
-    sg, _, weight_jet, kap = dense_grid(curve, weight, tol.grid_samples)
+    sg, _, weight_jet, kap = grid or dense_grid(curve, weight, tol.grid_samples)
     n = len(sg)
     g = _g(kap, weight_jet)
     absg = np.abs(g)
     flat = absg <= _FLAT_FACTOR * max(1.0, float(np.max(absg)))
     limit = n if curve.closed else n - 1
-    cross = np.nonzero(g * np.roll(g, -1) < 0.0)[0]
+    # Signs, not products: a product of neighbours can overflow, or underflow
+    # to -0.0 and hide a sign change.
+    signed = absg > 0.0  # neither zero nor nan
+    neg = np.signbit(g)
+    cross = np.nonzero(signed & np.roll(signed, -1) & (neg != np.roll(neg, -1)))[0]
     bends = kap > curve.kappa_tol
     cross = cross[(cross < limit) & (bends[cross] | bends[(cross + 1) % n])]
     step = curve.length / n
@@ -134,18 +138,19 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     return GZeroSet(sg, kap, g, flat, cross, cross_s, touch, touch_s)
 
 
-def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
+def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES, grids=None):
     """Singular-graph points with height below ur, as one float table of
     shape (m, n + 4): rows `component, s, R, residual, x1..xn`, with the
     residual |mu'' + kappa^2 mu / 4| at s and x the point, sorted stably by
     component, then by s.
 
-    The feet come from the zero set of g (`g_zero_set`): flat runs of 3 or
-    more samples are continua and report their samples (kappa is not
-    consulted here), then the sign-change roots and the touching zeros,
-    except those next to or inside such a run. One array pass per component
-    then builds the rows and cross-checks each against the second-derivative
-    criterion at its offset (see `_graph_points`). Refined zeros scatter
+    The feet come from the zero set of g (`g_zero_set`, on `grids` when
+    given, one `dense_grid` per component): flat runs of 3 or more samples
+    are continua and report their samples (kappa is not consulted here),
+    then the sign-change roots and the touching zeros, except those next to
+    or inside such a run. One array pass per component then builds the rows
+    and cross-checks each against the second-derivative criterion at its
+    offset (see `_graph_points`). Refined zeros scatter
     inside the plateau where g is flat at machine level, so a row within
     half a grid step (0.5 L / grid_samples, periodic distance) of the row
     before it is dropped.
@@ -153,7 +158,7 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
     pairs = as_pairs(pairs)
     tables = []
     for ci, (curve, weight) in enumerate(pairs):
-        z = g_zero_set(curve, weight, tol)
+        z = g_zero_set(curve, weight, tol, grids[ci] if grids else None)
         n = len(z.sg)
         runs = [np.arange(lo, hi) % n for lo, hi in _runs(z.flat, curve.closed) if hi - lo >= 3]
         flat_idx = np.concatenate(runs) if runs else np.zeros(0, dtype=int)

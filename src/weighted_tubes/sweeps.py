@@ -85,9 +85,17 @@ def fiber_trace(curve, weight, s, v, r_max, samples=257):
     foot (negative R reflects the direction). Feet s (m,), directions v
     (m, n) and half-widths r_max (m,), or one half-width for every foot,
     give (R_values (m, samples), points (m, samples, n)) from one `exp_mu`
-    call; one foot gives (samples,) and (samples, n)."""
-    r_max = np.broadcast_to(np.asarray(r_max, dtype=float), np.shape(s))
-    rr = np.linspace(-r_max, r_max, samples, axis=-1)
+    call; one foot gives (samples,) and (samples, n). Every row equals the
+    one-foot call for its foot."""
+    half = np.broadcast_to(np.asarray(r_max, dtype=float), np.shape(s)).ravel()
+    # np.linspace switches every row to its denormal arithmetic once one
+    # row's step is 0, so such rows take a call of their own.
+    alone = (half - -half) / max(samples - 1, 1) == 0.0
+    rr = np.empty((len(half), samples))
+    rr[~alone] = np.linspace(-half[~alone], half[~alone], samples, axis=-1)
+    for k in np.nonzero(alone)[0]:
+        rr[k] = np.linspace(-half[k], half[k], samples)
+    rr = rr.reshape(np.shape(s) + (samples,))
     v = np.asarray(v, dtype=float)[..., None, :]
     dirs = np.where((rr >= 0)[..., None], v, -v)
     return rr, exp_mu(curve, weight, np.asarray(s, dtype=float)[..., None], dirs, np.abs(rr))

@@ -3,9 +3,11 @@ golden-section G with no shortcuts, the weighted closest point with its tie
 report and the finite-difference gradient of G, one-offset forms of the
 offset and second-derivative rows, the fiber-shape membership test, the
 critical-point class, golden-section maxima, the pointwise focal data, the
-closed-form roots of Lemma 3, seeded random unit normals, the pair Newton that runs every active row to the last pass, and the evaluators
-the shared series and piece code replaced: the Fourier weight's own per-mode
-jet, the stadium's per-piece advance and the run finder's loop."""
+closed-form roots of Lemma 3, seeded random unit normals, the pair Newton
+that runs every active row to the last pass, the pair search's per-offset
+seed loop, and the evaluators the shared series and piece code replaced:
+the Fourier weight's own per-mode jet, the stadium's per-piece advance and
+the run finder's loop."""
 
 from dataclasses import dataclass, field
 
@@ -20,6 +22,7 @@ from weighted_tubes import (
     f_value,
     g_potential,
     normal_frames,
+    radii,
 )
 from weighted_tubes.expmap import _hess_rows, _offset_rows, _refine_rows
 from weighted_tubes.radii import (
@@ -27,6 +30,7 @@ from weighted_tubes.radii import (
     _TOL_DC,
     _abc,
     _band,
+    _feet,
     _feet_rows,
     _radius_profiles,
     _sigma_and_grad,
@@ -412,6 +416,61 @@ def newton_every_pass(c1, w1, c2, w2, seeds, grp, ts, tol):
         if not c2.closed:
             t[live] = np.clip(t[live], c2.s_min, c2.s_max)
     return s, t, res, alive
+
+
+def per_offset_pair_search(pairs, i, j, ts, tol):
+    """radii._search_component_pair before the offset-free grid products and
+    the minima search's pad were built once per component pair, kept
+    verbatim: every offset recomputes the whole N x N arithmetic, masks the
+    diagonal band with two np.where copies and allocates its own pads."""
+    c1, w1 = pairs[i]
+    c2, w2 = pairs[j]
+    n = tol.pair_grid
+    sg1 = c1.grid(n)
+    sg2 = c2.grid(n)
+    g1, t1, m1, dm1 = _feet(c1, w1, sg1)
+    g2, t2, m2, dm2 = _feet(c2, w2, sg2)
+    diff = g1[:, None, :] - g2[None, :, :]
+    e = np.einsum("ijk,ijk->ij", diff, diff)
+    dot1 = 2.0 * np.einsum("ijk,ik->ij", diff, t1)
+    dot2 = -2.0 * np.einsum("ijk,jk->ij", diff, t2)
+    band = None
+    if i == j:
+        S, T = np.meshgrid(sg1, sg2, indexing="ij")
+        band = c1.periodic_distance(S, T) < radii._DELTA_MIN_FACTOR * c1.length
+    seeds = []
+    for off in ts:
+        msum = (m1 + off)[:, None] + (m2 + off)[None, :]
+        sigma = e / msum**2
+        ds = (dot1 - 2.0 * e * dm1[:, None] / msum) / msum**2
+        dt = (dot2 - 2.0 * e * dm2[None, :] / msum) / msum**2
+        gnorm = np.hypot(ds, dt)
+        if band is not None:
+            sigma = np.where(band, np.inf, sigma)
+            gnorm = np.where(band, np.inf, gnorm)
+        cells = np.unique(np.concatenate(
+            [fresh_pad_local_minima(mat, c1.closed, c2.closed) for mat in (sigma, gnorm)]
+        ))
+        a, b = np.divmod(cells, len(sg2))
+        seeds.append(np.column_stack([sg1[a], sg2[b]]))
+    grp = np.repeat(np.arange(len(ts)), [len(x) for x in seeds])
+    s, t, res, alive = radii._newton(c1, w1, c2, w2, np.concatenate(seeds), grp, ts, tol)
+    k = np.nonzero(alive & ~(res > _TOL_DC))[0]
+    return radii._verify_rows(pairs, i, j, s[k], t[k], ts, grp[k], res[k])
+
+
+def fresh_pad_local_minima(mat, per_rows, per_cols):
+    """radii._grid_local_minima before it took a reusable pad, kept verbatim."""
+    n, m = mat.shape
+    pad = np.full((n + 2, m + 2), np.inf)
+    pad[1:-1, 1:-1] = mat
+    if per_rows:
+        pad[0], pad[-1] = pad[-2], pad[1]
+    if per_cols:
+        pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
+    low = np.minimum(np.minimum(pad[:-2], pad[1:-1]), pad[2:])
+    low = np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:])
+    return np.flatnonzero((mat <= low) & np.isfinite(mat))
 
 
 def fourier_weight_jet(coeffs, period, s, order):

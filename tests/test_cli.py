@@ -355,8 +355,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("value", [1e160, 1e300])
     def test_overflow_of_g_products_is_harmless(self, tmp_path, capsys, value):
-        # g * roll(g) overflows for a constant weight this large; the sign
-        # test still holds, and the tables stay empty.
+        # A product of neighbouring g values overflows for a constant weight
+        # this large; the sign test compares signs instead, so nothing warns,
+        # and the tables stay empty.
+        import warnings
+
         from weighted_tubes import cli
 
         scene = tmp_path / "scene.json"
@@ -367,8 +370,11 @@ class TestErrors:
         }))
         for verb, extra in (("singular", ["--ur", "inf"]), ("check", [])):
             out = tmp_path / f"{verb}.out"
-            assert cli.main([verb, "--scene", str(scene), "--out", str(out)] + extra) == 0
-            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main([verb, "--scene", str(scene), "--out", str(out)] + extra) == 0
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert capsys.readouterr().err == ""
             text = out.read_text()
             assert text == ("s,R,x1,x2\n" if verb == "singular"
                             else '{\n  "transversal": true,\n  "witnesses": []\n}\n')
@@ -548,6 +554,27 @@ class TestPointExports:
         assert cli.main(["collapse", "--scene", "example1a", "--out", str(tmp_path / "ur.csv"),
                          "--ur", repr(float(calls[0][0]))]) == 0
         assert len(calls) == 2 and (tmp_path / "ur.csv").read_text() == out.read_text()
+
+    def test_singular_without_ur_evaluates_each_dense_grid_once(self, monkeypatch, tmp_path):
+        # The report behind the computed ur and the zero set of g read one
+        # dense grid (order-3 jets of grid_samples feet); --ur set to that
+        # ur prints the same bytes.
+        from weighted_tubes import cli, load_scene, radii
+        from weighted_tubes.curves import ArclengthCurve
+
+        scene = load_scene("example2_stadium")
+        calls = []
+        jet = ArclengthCurve.jet
+        monkeypatch.setattr(ArclengthCurve, "jet", lambda curve, s, order: (
+            calls.append((np.size(s), order)) or jet(curve, s, order)))
+        out = tmp_path / "sing.csv"
+        assert cli.main(["singular", "--scene", "example2_stadium", "--out", str(out)]) == 0
+        assert calls.count((scene.tolerances.grid_samples, 3)) == 1
+        ur = radii.radii_report(scene.pairs, scene.tolerances).ur
+        assert cli.main(["singular", "--scene", "example2_stadium", "--out", str(tmp_path / "ur.csv"),
+                         "--ur", repr(ur)]) == 0
+        assert (tmp_path / "ur.csv").read_text() == out.read_text()
+        assert len(out.read_text().splitlines()) > 1
 
     def test_tube_overlap_file(self, tmp_path):
         out = tmp_path / "tube.csv"

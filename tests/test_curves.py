@@ -253,6 +253,20 @@ class TestCellNodeCount:
         for curve in (scenes["ellipse_mu1"].pairs[0][0], perfbench_style_fourier(5)):
             assert curve._cell_n <= 8
 
+    def test_ellipse_build_sums_its_table_cells_once(self, monkeypatch):
+        # The table has the first length check's 2,048 cells, so the check
+        # sums the table's cell integrals instead of recomputing them.
+        from weighted_tubes.curves import _RawCurve
+
+        sums = []
+        cell_sums = _RawCurve._cell_sums
+        monkeypatch.setattr(_RawCurve, "_cell_sums", lambda self, tg, n: (
+            sums.append((len(tg) - 1, n)) or cell_sums(self, tg, n)))
+        curve = EllipseCurve(2, 1)
+        assert [m for m in sums if m[1] == 16] == [(2048, 16)]
+        fresh = cell_sums(curve, np.linspace(curve._t0, curve._t1, 2049), 16)
+        assert curve.length == float(fresh.sum())
+
     def test_near_cusp_keeps_sixteen_nodes(self):
         curve = near_cusp(5e-4)
         assert np.min(np.linalg.norm(curve._raw(curve._t_grid, 1), axis=-1)) == pytest.approx(1e-3)

@@ -746,6 +746,46 @@ class TestNewtonSettle:
         assert counts["_feet_rows"] == passes
 
 
+def _offsets_21(half):
+    """21 offsets in [-half, half]: 0.0 among them, and the fourth repeated last."""
+    ts = [*np.linspace(-half, -half / 10, 10), 0.0, *np.linspace(half / 10, half, 9)]
+    return ts + [ts[3]]
+
+
+class TestSeedGrid:
+    """The seed grid's offset-free products and the minima search's pad,
+    built once per component pair, give the seeds and the table of the
+    per-offset loop bit for bit."""
+
+    @pytest.mark.parametrize("name, offsets", [
+        ("circle_mu1", None), ("ellipse_mu1", None), ("example1a", None), ("example1b", None),
+        ("example2_stadium", None), ("example3_family", None), ("example4", None),
+        ("example6_family", None), ("two_component", None),
+        ("example3_family", _offsets_21(0.05)), ("example6_family", _offsets_21(0.1)),
+    ])
+    def test_seeds_and_table_are_the_per_offset_loop(self, scenes, monkeypatch, name, offsets):
+        from test_sweeps import TWO_COMPONENT
+        from weighted_tubes import load_scene
+
+        scene = load_scene(TWO_COMPONENT) if name == "two_component" else scenes[name]
+        runs = []
+        newton = radii._newton
+
+        def recording(c1, w1, c2, w2, seeds, grp, ts, tol):
+            runs.append((seeds.tobytes(), grp.tobytes(), ts.tobytes()))
+            return newton(c1, w1, c2, w2, seeds, grp, ts, tol)
+
+        monkeypatch.setattr(radii, "_newton", recording)
+        table = find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
+        got = runs[:]
+        runs.clear()
+        monkeypatch.setattr(radii, "_search_component_pair", oracles.per_offset_pair_search)
+        want = find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
+        n = len(scene.pairs)
+        assert len(got) == n * (n + 1) // 2 and got == runs
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
+
+
 # The focal refinement as it ran before its families shared one call: four
 # row-wise golden-section calls per component, each paying its own _abc
 # evaluations (oracle for the merged call).
@@ -821,7 +861,7 @@ DYADIC = [2.0**-k for k in range(4, 21)]
 
 
 class TestMergedFocalRefinement:
-    """The one deduplicated refinement call returns the four calls' radii."""
+    """The one merged refinement call returns the four calls' radii."""
 
     @pytest.mark.parametrize("name, offsets", [
         ("circle_mu1", None), ("ellipse_mu1", None), ("example1a", None), ("example1b", None),
@@ -844,10 +884,10 @@ class TestMergedFocalRefinement:
 
     @pytest.mark.parametrize("name", ["two_component", "chebyshev_arc", "example2_stadium"])
     def test_abc_of_each_foot_alone_equals_its_batch_value(self, scenes, name):
-        # The merged objective evaluates each distinct foot once, wherever it
-        # sits in the call; that is exact only if no foot's values depend on
-        # the other feet evaluated with it (Fourier, Chebyshev and stadium
-        # curves, with their weights, at several offsets).
+        # The merged objective evaluates every row's feet in one call; that
+        # is exact only if no foot's values depend on the other feet
+        # evaluated with it (Fourier, Chebyshev and stadium curves, with
+        # their weights, at several offsets).
         from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
         from weighted_tubes import load_scene
 
@@ -863,14 +903,15 @@ class TestMergedFocalRefinement:
             for i, values in enumerate(batch):
                 assert values.tobytes() == np.concatenate([x[i] for x in alone]).tobytes()
 
-    # The ellipse's two profiles agree everywhere, so its open-band rows are
-    # free: 404 feet -> 110. The stadium's open-band rows share six of their
-    # eight brackets with the discriminant rows and none with the
-    # closed-band rows, and its discriminant rows (tolerance 1e-13) run about
-    # five iterations past the profile rows: 1,422 -> 998.
-    @pytest.mark.parametrize("name, saved", [("ellipse_mu1", 0.4), ("example2_stadium", 0.25)])
-    def test_one_report_evaluates_fewer_feet(self, scenes, monkeypatch, name, saved):
-        scene = scenes[name]
+    # Every row of the merged call follows its own golden-section sequence,
+    # so the call evaluates exactly the feet of the four calls (ellipse 404,
+    # stadium 1,422, two_component 1,017), duplicates included.
+    @pytest.mark.parametrize("name", ["ellipse_mu1", "example2_stadium", "two_component"])
+    def test_one_report_evaluates_the_four_calls_feet(self, scenes, monkeypatch, name):
+        from test_sweeps import TWO_COMPONENT
+        from weighted_tubes import load_scene
+
+        scene = load_scene(TWO_COMPONENT) if name == "two_component" else scenes[name]
         feet = []
         abc = radii._abc
 
@@ -883,7 +924,7 @@ class TestMergedFocalRefinement:
         merged = sum(feet)
         feet.clear()
         four_call_focal_radii(scene.pairs, scene.tolerances)
-        assert 0 < merged <= (1.0 - saved) * sum(feet)
+        assert merged == sum(feet) > 0
 
 
 class TestOneDenseGrid:
@@ -973,6 +1014,7 @@ def test_grid_minima_equal_the_rolled_neighbours(per_rows, per_cols):
     found = 0
     for n in range(1, 13):
         for m in range(1, 13):
+            pad = np.full((n + 2, m + 2), np.inf)  # reused by the three draws
             for _ in range(3):
                 mat = rng.integers(0, 4, (n, m)).astype(float)
                 u = rng.random((n, m))
@@ -982,5 +1024,6 @@ def test_grid_minima_equal_the_rolled_neighbours(per_rows, per_cols):
                 got = radii._grid_local_minima(mat, per_rows, per_cols).tolist()
                 want = rolled_grid_local_minima(mat, per_rows, per_cols)
                 assert got == [a * m + b for a, b in want], (n, m)
+                assert radii._grid_local_minima(mat, per_rows, per_cols, pad).tolist() == got
                 found += len(got)
     assert found > 1000

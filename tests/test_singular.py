@@ -613,6 +613,27 @@ class TestGZeroSet:
                 count += len(z.cross)
         assert count >= 4
 
+    @pytest.mark.parametrize("kind, seed", [("planar", 1), ("two_component", 2)])
+    def test_sign_changes_survive_a_tiny_weight(self, kind, seed):
+        # Scaling the weight by 2^-565 scales g exactly, to |g| ~ 1e-170; a
+        # product of neighbours would underflow to 0 and hide the change.
+        import copy
+
+        from test_radii import _seeded_fourier_scene
+        from weighted_tubes import load_scene
+
+        doc = _seeded_fourier_scene(kind, seed)
+        tiny = copy.deepcopy(doc)
+        for w in tiny["weights"]:
+            w["params"]["coefficients"] = [c * 2.0**-565 for c in w["params"]["coefficients"]]
+        count = 0
+        for (curve, weight), (_, small) in zip(load_scene(doc).pairs, load_scene(tiny).pairs):
+            z, zt = (g_zero_set(curve, w) for w in (weight, small))
+            assert 1e-172 < np.max(np.abs(zt.g)) < 1e-169
+            assert zt.cross.tolist() == z.cross.tolist()
+            count += len(z.cross)
+        assert count >= 2
+
     def test_grid_curvature_is_carried(self, scenes):
         # transversality_check reads the grid's curvature from the zero set
         # instead of evaluating it again on the same feet.

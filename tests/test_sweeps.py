@@ -341,6 +341,17 @@ class TestFiberTrace:
             one_rr, one_pts = fiber_trace(curve, weight, s[k], v[k], 0.5, samples=17)
             assert rr[k].tobytes() == one_rr.tobytes() and pts[k].tobytes() == one_pts.tobytes()
 
+    def test_an_underflowing_step_leaves_the_other_rows(self, scenes):
+        # np.linspace takes its denormal path for every row once one row's
+        # step is 0; that row's neighbour must still equal its one-foot call.
+        curve, weight = scenes["circle_mu1"].pairs[0]
+        s = np.array([0.0, 1.0])
+        v = curve.second_derivative(s)
+        rr, pts = fiber_trace(curve, weight, s, v, [5e-324, 0.3], samples=7)
+        for k, r_max in enumerate([5e-324, 0.3]):
+            one_rr, one_pts = fiber_trace(curve, weight, s[k], v[k], r_max, samples=7)
+            assert rr[k].tobytes() == one_rr.tobytes() and pts[k].tobytes() == one_pts.tobytes()
+
     def test_constant_weight_straight_normals(self):
         curve, weight = CircleArcCurve(0, 2 * np.pi, closed=True), ConstantWeight(1.0)
         rr, pts = fiber_trace(curve, weight, 1.0, -curve.point(1.0), 0.9, samples=11)

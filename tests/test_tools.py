@@ -63,8 +63,9 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     calls = digests.bundled_calls(BUNDLED_SCENES)
     # Then one labelled call whose feet reach the stadium's straight sides,
-    # and one with a finite height cutoff whose square overflows.
-    *calls, straight, overflow = calls
+    # one with a finite height cutoff whose square overflows, and two sweeps
+    # over more than two offsets.
+    *calls, straight, overflow, sweep6, sweep3 = calls
     assert straight == {
         "label": "example2_stadium/fibers-straight-sides",
         "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
@@ -75,6 +76,18 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
         "argv": ["singular", "--scene", "example1a", "--ur", "1e300"],
         "ext": "csv",
     }
+    assert sweep6 == {
+        "label": "example6_family/sweep-21",
+        "argv": ["sweep", "--scene", "example6_family", "--t-min=-0.1", "--t-max=0.1", "--t-count=21"],
+        "ext": "csv",
+    }
+    assert sweep3 == {
+        "label": "example3_family/sweep-7",
+        "argv": ["sweep", "--scene", "example3_family", "--t-min=-0.03", "--t-max=0.03", "--t-count=7"],
+        "ext": "csv",
+    }
+    for call in (sweep6, sweep3):
+        assert parser.parse_args(call["argv"]).t_count > 2
     pairs = [(c["argv"][2], c["argv"][0]) for c in calls]
     assert sorted(pairs) == sorted((scene, verb) for scene in BUNDLED_SCENES for verb in verbs)
     for call in calls:

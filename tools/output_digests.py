@@ -83,14 +83,22 @@ BUNDLED_VERBS = (
 
 # Labelled calls the bundled set makes beyond one per (scene, verb): fibers on
 # the stadium's straight sides, where the curvature vanishes and the fiber
-# direction comes from the normal frame (no default foot lies there), and
-# singular with a finite height cutoff whose square overflows.
+# direction comes from the normal frame (no default foot lies there),
+# singular with a finite height cutoff whose square overflows, and two family
+# sweeps over more than two offsets, which drive the pair search's
+# multi-offset seed loop.
 BUNDLED_EXTRA = (
     {"label": "example2_stadium/fibers-straight-sides",
      "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
      "ext": "csv"},
     {"label": "example1a/singular-ur-1e300",
      "argv": ["singular", "--scene", "example1a", "--ur", "1e300"],
+     "ext": "csv"},
+    {"label": "example6_family/sweep-21",
+     "argv": ["sweep", "--scene", "example6_family", "--t-min=-0.1", "--t-max=0.1", "--t-count=21"],
+     "ext": "csv"},
+    {"label": "example3_family/sweep-7",
+     "argv": ["sweep", "--scene", "example3_family", "--t-min=-0.03", "--t-max=0.03", "--t-count=7"],
      "ext": "csv"},
 )
 
