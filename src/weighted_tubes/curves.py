@@ -434,10 +434,6 @@ class FourierCurve(_RawCurve):
         self._series = _FourierSeries(coeffs, period)
         super().__init__(True, (0.0, float(period)))
 
-    def t_of_s(self, s):
-        s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), self.length)
-        return super().t_of_s(s)
-
     def _raw_orders(self, t, orders):
         return self._series.orders(t, orders)
 
@@ -614,11 +610,7 @@ class CurvatureProfileCurve(ArclengthCurve):
 
 def make_stadium(circle_turn=0.3, transition=0.05, line_length=7.0):
     """Smoothed stadium: exact unit-circle arc |s| <= circle_turn, straight
-    sides, and a far cap whose curvature is solved so the curve closes.
-
-    Returns (curve, layout) where layout records the piece boundaries needed
-    by the matching weight preset.
-    """
+    sides, and a far cap whose curvature is solved so the curve closes."""
     p1 = float(circle_turn)
     d2 = 2.0 * float(transition)
     ell = float(line_length)
@@ -646,16 +638,7 @@ def make_stadium(circle_turn=0.3, transition=0.05, line_length=7.0):
         return np.array([build(float(k))._end_state[1] for k in kappa2])
 
     kappa2 = float(brent_rows(end_y, 1e-3, 0.9, 1e-14, 1e-15)[0])
-    curve = build(kappa2)
-    layout = {
-        "circle_end": s1,
-        "transition_end": s2,
-        "line_end": s3,
-        "cap_start": s4,
-        "cap_curvature": kappa2,
-        "half_length": curve.length / 2.0,
-    }
-    return curve, layout
+    return build(kappa2)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +662,7 @@ CURVE_KINDS = {
     "unit_circle": _unit_circle,
     "circle_arc": _circle_arc,
     "ellipse": EllipseCurve,
-    "stadium": lambda **params: make_stadium(**params)[0],
+    "stadium": make_stadium,
     "segment": SegmentCurve,
 }
 

@@ -83,7 +83,7 @@ def _radius_profiles(b, disc, lam, band):
     return r0, rm
 
 
-def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
+def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     """Global focal radii over all components.
 
     Dense profiles plus golden-section refinement. Per component, one
@@ -102,14 +102,14 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
     are evaluated once, and the bracket rows of every t share the
     refinement call, each row carrying its t and band. The slope maxima do
     not depend on t, so one set of rows serves every t. The profiles are
-    sampled on each component's `singular.dense_grid`, or on `grids`.
+    sampled on each component's `singular.dense_grid`.
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
     n = len(ts)
     best = [[(np.inf, None), (np.inf, None)] for _ in ts]  # closed band, open band
-    grids = grids or [singular.dense_grid(c, w, tol.grid_samples) for c, w in pairs]
-    for ci, ((curve, weight), (sg, _, (mu, d1, d2), kap)) in enumerate(zip(pairs, grids)):
+    for ci, (curve, weight) in enumerate(pairs):
+        sg, _, (mu, d1, d2), kap = singular.dense_grid(curve, weight, tol.grid_samples)
         a, b, _, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
         band = np.array([_band(np.max(row**2)) for row in a])
         profiles = _radius_profiles(b, disc, lam, band[:, None])
@@ -520,7 +520,7 @@ def dcsd_half(table):
 # ---------------------------------------------------------------------------
 
 
-def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
+def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     """Full radii report; the topological radius comes from collapse arcs.
 
     With offsets, a list with one report per value t, in the order given,
@@ -533,7 +533,7 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
     `pair_count` their number. A floating-point overflow anywhere in the
     report raises NumericError, so an out-of-range weight never yields a
     quiet wrong radius. The focal and collapse stages read each component's
-    `singular.dense_grid`, built once here, or `grids`.
+    `singular.dense_grid`.
     """
     pairs = as_pairs(pairs)
     ts = [0.0] if offsets is None else [float(t) for t in offsets]
@@ -541,12 +541,11 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
     if not distinct:
         return []
     with _overflow_raises("radii report"):
-        grids = grids or [singular.dense_grid(c, w, tol.grid_samples) for c, w in pairs]
-        focal = focal_radii(pairs, tol, distinct, grids)
+        focal = focal_radii(pairs, tol, distinct)
         table = find_double_critical_pairs(pairs, tol, distinct)
         by_t = [table[table[:, 0] == t] for t in distinct]  # each offset's pair rows
         urs = [min(dcsd_half(rows), fm) for rows, (_, fm, _) in zip(by_t, focal)]
-        arcs_by_t = singular.detect_collapse_arcs(pairs, urs, tol, offsets=distinct, grids=grids)
+        arcs_by_t = singular.detect_collapse_arcs(pairs, urs, tol, offsets=distinct)
     reports = {}
     for t, ur, arcs, rows, (focrad0, focradminus, fwit) in zip(distinct, urs, arcs_by_t, by_t, focal):
         dc = dcsd_half(rows)

@@ -29,6 +29,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .config import DEFAULT_TOLERANCES, Tolerances, integer_at_least
 from .curves import CURVE_KINDS, build_arclength_curve
 from .errors import SceneError, WeightedTubesError
@@ -101,12 +103,7 @@ def parse_scene(doc):
         curve = _build_component(cdoc, dim, idx)
         if curve.ambient_dim != dim:
             raise SceneError(f"components[{idx}] has dimension {curve.ambient_dim} != {dim}")
-        weight = _build_scene_weight(wdoc, curve, idx)
-        try:
-            weight.validate_on(curve)
-        except WeightedTubesError as exc:
-            raise SceneError(f"weights[{idx}]: {exc}") from exc
-        pairs.append((curve, weight))
+        pairs.append((curve, _build_scene_weight(wdoc, curve, idx)))
     _check_disjoint(pairs)
     return Scene(
         ambient_dim=dim,
@@ -132,9 +129,14 @@ def _build_component(cdoc, dim, idx):
 
 
 def _build_scene_weight(wdoc, curve, idx):
+    """The weight of component idx, validated on its curve."""
     where = f"weights[{idx}]"
     kind = _kind(wdoc, "kind", WEIGHT_KINDS, where)
-    return _build(where, build_weight, kind, _params(wdoc, where), curve=curve)
+
+    def validated(kind, **params):
+        return build_weight(kind, curve=curve, **params).validate_on(curve)
+
+    return _build(where, validated, kind, _params(wdoc, where))
 
 
 def _kind(doc, key, kinds, where):
@@ -152,21 +154,21 @@ def _params(doc, where):
     return dict(params)
 
 
-def _build(where, factory, kind, params, **context):
-    """factory(kind, **context, **params); a library error or a parameter the
-    kind does not take or needs becomes a SceneError naming `where`."""
+def _build(where, factory, kind, params):
+    """factory(kind, **params); a library error, a parameter the kind does not
+    take or needs, or a floating-point overflow, invalid value or division by
+    zero becomes a SceneError naming `where`."""
     try:
-        return factory(kind, **context, **params)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return factory(kind, **params)
     except WeightedTubesError as exc:
         raise SceneError(f"{where}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FloatingPointError) as exc:
         raise SceneError(f"{where}: bad parameters ({exc})") from exc
 
 
 def _check_disjoint(pairs, samples=512):
     """Components must be pairwise disjoint (sampled minimum distance > 0)."""
-    import numpy as np
-
     clouds = [curve.point(curve.grid(samples)) for curve, _ in pairs]
     for i in range(len(clouds)):
         for j in range(i + 1, len(clouds)):

@@ -9,6 +9,7 @@ those arcs set the topological radius (see radii.radii_report).
 """
 
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -35,6 +36,9 @@ _EPS_R = 1e-7
 _EPS_P = 1e-7
 _ELL_MIN_FACTOR = 1e-3  # x L: minimal collapse-arc length
 _EPS_REG = 1e-6  # transversality |g'| threshold
+
+# Dense grids by weight, then by (curve, n): an entry lives while its weight does.
+_DENSE_GRIDS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -75,17 +79,29 @@ def _graph_height(weight_jet):
 def dense_grid(curve, weight, n):
     """The dense foot grid of one component that the focal profiles, the zero
     set of g and the collapse arcs read: the feet sg = curve.grid(n), the
-    curve jet of order 3, (mu, mu', mu'') and kappa = `curve.curvature(sg)`."""
-    sg = curve.grid(n)
-    jet = curve.jet(sg, 3)
-    weight_jet = tuple(np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
-    return sg, jet, weight_jet, np.linalg.norm(jet[2], axis=-1)
+    curve jet of order 3, (mu, mu', mu'') and kappa = `curve.curvature(sg)`.
+
+    Built once per (curve, weight, n) and kept, as read-only arrays, while
+    the weight lives. The build runs under an overflow guard, so an overflow
+    raises NumericError (an enclosing guard's message wins) and keeps nothing.
+    """
+    grids = _DENSE_GRIDS.setdefault(weight, {})
+    if (curve, n) not in grids:
+        with _overflow_raises("dense grid"):
+            sg = curve.grid(n)
+            jet = tuple(curve.jet(sg, 3))
+            weight_jet = tuple(np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
+            kap = np.linalg.norm(jet[2], axis=-1)
+        for array in (sg, *jet, *weight_jet, kap):
+            array.flags.writeable = False
+        grids[curve, n] = sg, jet, weight_jet, kap
+    return grids[curve, n]
 
 
-def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES, grid=None):
+def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     """The zero set of g = mu'' + kappa^2 mu / 4 on one component, as a
-    GZeroSet: the dense grid `sg` of tol.grid_samples feet (`dense_grid`, or
-    `grid` when given), the curvature `kap` and `g` on it, the `flat`
+    GZeroSet: the dense grid `sg` of tol.grid_samples feet (`dense_grid`),
+    the curvature `kap` and `g` on it, the `flat`
     samples, the sign changes (grid index k of the bracket [s_k, s_k + step]
     in `cross`, root in `cross_s`) and the touching zeros (grid index in
     `touch`, refined foot in `touch_s`, smallest |g| first).
@@ -104,7 +120,7 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES, grid=None):
     touching zero attains one step away), refined in one golden-section
     call and kept where |g| <= _TOL_SNG.
     """
-    sg, _, weight_jet, kap = grid or dense_grid(curve, weight, tol.grid_samples)
+    sg, _, weight_jet, kap = dense_grid(curve, weight, tol.grid_samples)
     n = len(sg)
     g = _g(kap, weight_jet)
     absg = np.abs(g)
@@ -138,14 +154,14 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES, grid=None):
     return GZeroSet(sg, kap, g, flat, cross, cross_s, touch, touch_s)
 
 
-def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES, grids=None):
+def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
     """Singular-graph points with height below ur, as one float table of
     shape (m, n + 4): rows `component, s, R, residual, x1..xn`, with the
     residual |mu'' + kappa^2 mu / 4| at s and x the point, sorted stably by
     component, then by s.
 
-    The feet come from the zero set of g (`g_zero_set`, on `grids` when
-    given, one `dense_grid` per component): flat runs of 3 or more samples
+    The feet come from the zero set of g (`g_zero_set`, on each component's
+    `dense_grid`): flat runs of 3 or more samples
     are continua and report their samples (kappa is not consulted here),
     then the sign-change roots and the touching zeros, except those next to
     or inside such a run. One array pass per component then builds the rows
@@ -158,7 +174,7 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES, grids=None):
     pairs = as_pairs(pairs)
     tables = []
     for ci, (curve, weight) in enumerate(pairs):
-        z = g_zero_set(curve, weight, tol, grids[ci] if grids else None)
+        z = g_zero_set(curve, weight, tol)
         n = len(z.sg)
         runs = [np.arange(lo, hi) % n for lo, hi in _runs(z.flat, curve.closed) if hi - lo >= 3]
         flat_idx = np.concatenate(runs) if runs else np.zeros(0, dtype=int)
@@ -318,10 +334,10 @@ def jacobian_determinant(curve, weight, s, v, R):
 # ---------------------------------------------------------------------------
 
 
-def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None, grids=None):
+def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
     """Maximal intervals where all collapse conditions hold with height < ur.
 
-    Conditions on the dense grid (`dense_grid`, or `grids` when given):
+    Conditions on the dense grid (`dense_grid`):
     kappa locked (|kappa'| small), the circular third-derivative identity,
     mu'' + kappa^2 mu / 4 = 0, the graph height defined and constant, all
     within the _EPS_* bands; runs shorter than _ELL_MIN_FACTOR * L are
@@ -339,8 +355,8 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None, grids=
     urs = np.broadcast_to(np.asarray(ur, dtype=float), ts.shape)
     arcs = [[] for _ in ts]
     with _overflow_raises("collapse arcs"):
-        grids = grids or [dense_grid(c, w, tol.grid_samples) for c, w in pairs]
-        for ci, ((curve, weight), (sg, jet, (mu, d1, d2), kap)) in enumerate(zip(pairs, grids)):
+        for ci, (curve, weight) in enumerate(pairs):
+            sg, jet, (mu, d1, d2), kap = dense_grid(curve, weight, tol.grid_samples)
             n = len(sg)
             kap_rate = np.abs(_kappa_rate(jet, curve.kappa_tol))
             ode = collapse_ode_residual(jet)

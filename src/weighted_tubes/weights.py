@@ -70,6 +70,8 @@ class PolynomialWeight(WeightFunction):
 
     def __init__(self, coefficients):
         c = np.asarray(coefficients, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise NonpositiveWeightError("polynomial weight needs [c0, c1, ...]")
         self._p = [c] + [nppoly.polyder(c, m) for m in range(1, 4)]
 
     def jet(self, s, order):

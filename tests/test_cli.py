@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from test_scene import KNOWN, REMOVED_TOLERANCES
+from test_scene import KNOWN, REMOVED_TOLERANCES, bundled_doc
 
 
 def run_cli(*args, check=True):
@@ -297,23 +297,22 @@ class TestErrors:
         # Brent's method needed more than 100 iterations on a sign change
         # where g is flat; its budget now grows with the grid step.
         ("example2_stadium", {("weights", 0, "params", "cos_end"): 4e-6}, ("check", "singular"), 0),
+        # Polynomial coefficients that are empty or not 1-D reached numpy's
+        # polyval (IndexError, ValueError) in the weight's validation.
+        ("example4", {("weights", 0, "params", "coefficients"): []}, VERBS, 2),
+        ("example4", {("weights", 0, "params", "coefficients"): [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]},
+         VERBS, 2),
+        ("example4", {("weights", 0, "params", "coefficients"): [[]]}, VERBS, 2),
     ], ids=["stadium_line_length", "stadium_transition", "blend_shoulder", "blend_stage_a",
-            "cosine_frequency", "blend_cos_end"])
+            "cosine_frequency", "blend_cos_end", "polynomial_empty", "polynomial_2d",
+            "polynomial_empty_2d"])
     def test_fuzzed_scene_exit_code(self, tmp_path, capsys, name, edits, verbs, code):
         # Each of these bundled scenes with one edit used to end in a
         # traceback (exit 1) on every verb listed.
-        from importlib import resources
-
         from weighted_tubes import cli
 
-        doc = json.loads(resources.files("weighted_tubes.scenes").joinpath(f"{name}.json").read_text())
-        for (*path, key), value in edits.items():
-            target = doc
-            for k in path:
-                target = target[k]
-            target[key] = value
         scene = tmp_path / "scene.json"
-        scene.write_text(json.dumps(doc))
+        scene.write_text(json.dumps(bundled_doc(name, edits.items())))
         prefix = {2: "configuration error: ", 3: "numeric failure: "}.get(code)
         for verb in verbs:
             assert cli.main([verb, "--scene", str(scene)]) == code
@@ -339,14 +338,11 @@ class TestErrors:
         # R = 2e-160, but (mu')^2 overflows: singular printed an empty table
         # and collapse raised ZeroDivisionError; both are numeric failures,
         # as the report already was.
-        from importlib import resources
-
         from weighted_tubes import cli
 
-        doc = json.loads(resources.files("weighted_tubes.scenes").joinpath("example1a.json").read_text())
-        doc["weights"][0]["params"]["amplitude"] = 1e160
         scene = tmp_path / "scene.json"
-        scene.write_text(json.dumps(doc))
+        edit = (("weights", 0, "params", "amplitude"), 1e160)
+        scene.write_text(json.dumps(bundled_doc("example1a", [edit])))
         for argv in ([verb, "--ur", "inf"], ["report"]):
             assert cli.main(argv + ["--scene", str(scene), "--out", str(tmp_path / "out")]) == 3
             err = capsys.readouterr().err

@@ -39,7 +39,7 @@ ALL_CURVES = [
     ("ellipse", lambda: EllipseCurve(2, 1)),
     ("fourier", wobbly_fourier),
     ("cheb", cheb_half_circle),
-    ("stadium", lambda: make_stadium()[0]),
+    ("stadium", lambda: make_stadium()),
 ]
 
 
@@ -128,7 +128,7 @@ class TestArclengthInvariants:
     def test_stadium_derivatives_match_fd_within_pieces(self):
         # Transition pieces have a large fourth derivative; sample away from
         # the joints and shrink the step accordingly.
-        c = make_stadium()[0]
+        c = make_stadium()
         h = 1e-6
         s = np.linspace(0.01, c.length - 0.01, 400)
         for order in (1, 2, 3):
@@ -171,14 +171,14 @@ class TestFrames:
             c.point(1.5)
 
     def test_stadium_circle_section_is_exact(self):
-        c, layout = make_stadium()
-        s = np.linspace(-layout["circle_end"], layout["circle_end"], 41)
+        c = make_stadium()
+        s = np.linspace(-0.3, 0.3, 41)  # the default circle_turn
         assert np.max(np.abs(c.curvature(s) - 1.0)) <= 1e-13
         assert np.max(collapse_ode_residual(c.jet(s, 3))) <= 1e-13
         assert np.max(np.abs(np.linalg.norm(c.point(s), axis=-1) - 1.0)) <= 1e-12
 
     def test_stadium_closes(self):
-        c, _ = make_stadium()
+        c = make_stadium()
         gap = np.linalg.norm(c.point(0.0) - c.point(c.length * (1 - 1e-15)))
         assert gap <= 1e-10
 

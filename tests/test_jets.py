@@ -153,7 +153,7 @@ CURVES = [
     ("ellipse", lambda: EllipseCurve(2, 1)),
     ("fourier_3d", wobbly_3d),
     ("cheb", lambda: ChebyshevCurve([[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0))),
-    ("stadium", lambda: make_stadium()[0]),
+    ("stadium", make_stadium),
 ]
 
 
@@ -349,7 +349,7 @@ CHEB = ([1.0, 0.2, -0.1, 0.05], (-1.0, 2.0))
 
 
 def _stadium_blend():
-    curve, _ = make_stadium()
+    curve = make_stadium()
     return SymmetricPiecewiseWeight(curve.length, 0.4, 0.8, 6.0, 0.2)
 
 
@@ -438,7 +438,7 @@ def test_series_weights_are_curve_coordinates():
 def test_stadium_piece_end_states_are_the_advance(params):
     # The constructor takes each piece's end state from the piece evaluator
     # that the jets use; it is the state the per-piece advance gave.
-    curve, _ = make_stadium(**params)
+    curve = make_stadium(**params)
     pieces = curve._pieces
     ends = [(p.x0, p.y0, p.theta0) for p in pieces[1:]] + [curve._end_state]
     for p, end in zip(pieces, ends):

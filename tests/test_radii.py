@@ -928,58 +928,73 @@ class TestMergedFocalRefinement:
 
 
 class TestOneDenseGrid:
-    """A report evaluates each component's dense grid once and hands it to
-    the focal and the collapse stage; a sweep batch shares it through its
-    report."""
+    """Each call builds each component's dense grid once: one
+    `curve.grid(grid_samples)` and one order-3 jet of its feet, which the
+    focal and collapse stages, a sweep batch and the zero set of g share.
+    Every scene is loaded fresh, so no earlier test has built its grids."""
 
     @staticmethod
     def assert_built_once(monkeypatch, scene, run):
-        from weighted_tubes import singular
         from weighted_tubes.curves import ArclengthCurve
 
-        built, gridded = [], []
-        dense, grid = singular.dense_grid, ArclengthCurve.grid
-
-        def counting_dense(curve, weight, n):
-            built.append((id(curve), n))
-            return dense(curve, weight, n)
+        gridded, jets = [], []
+        grid, jet = ArclengthCurve.grid, ArclengthCurve.jet
 
         def counting_grid(curve, n):
             gridded.append((id(curve), n))
             return grid(curve, n)
 
-        monkeypatch.setattr(singular, "dense_grid", counting_dense)
+        def counting_jet(curve, s, order):
+            if order == 3:
+                jets.append((id(curve), np.size(s)))
+            return jet(curve, s, order)
+
         monkeypatch.setattr(ArclengthCurve, "grid", counting_grid)
+        monkeypatch.setattr(ArclengthCurve, "jet", counting_jet)
         run()
         n = scene.tolerances.grid_samples
         ids = sorted(id(curve) for curve, _ in scene.pairs)
-        assert sorted(c for c, _ in built) == ids and {m for _, m in built} == {n}
         assert sorted(c for c, m in gridded if m == n) == ids
+        assert sorted(c for c, _ in jets) == ids and {m for _, m in jets} == {n}
 
     @pytest.mark.parametrize("name, offsets", [
         ("example2_stadium", None), ("two_component", None), ("example1a", None),
         ("example3_family", [-0.01, 0.0, 0.01]),
     ])
-    def test_report(self, scenes, monkeypatch, name, offsets):
+    def test_report(self, monkeypatch, name, offsets):
         from test_sweeps import TWO_COMPONENT
         from weighted_tubes import load_scene
 
-        scene = load_scene(TWO_COMPONENT) if name == "two_component" else scenes[name]
+        scene = load_scene(TWO_COMPONENT if name == "two_component" else name)
         self.assert_built_once(
             monkeypatch, scene, lambda: radii_report(scene.pairs, scene.tolerances, offsets)
         )
 
-    def test_sweep_batch(self, scenes, monkeypatch):
-        from weighted_tubes import radii_sweep
+    def test_sweep_batch(self, monkeypatch):
+        from weighted_tubes import load_scene, radii_sweep
 
         # grid_samples is 8192 here, so the weight checks' 4096-foot grids
         # are told apart from the dense one.
-        scene = scenes["example3_family"]
+        scene = load_scene("example3_family")
         rows = []
         self.assert_built_once(monkeypatch, scene, lambda: rows.extend(radii_sweep(
             scene.pairs, np.linspace(-0.05, 0.05, 11), scene.tolerances
         )))
         assert len(rows) == 11 and all(row.status == "ok" for row in rows)
+
+    def test_singular_without_ur(self, monkeypatch, tmp_path):
+        # The report behind the computed ur and the zero set of g share one
+        # grid per component.
+        from test_sweeps import TWO_COMPONENT
+        from weighted_tubes import cli, load_scene
+
+        scene = load_scene(TWO_COMPONENT)
+        monkeypatch.setattr(cli, "load_scene", lambda source: scene)
+        codes = []
+        self.assert_built_once(monkeypatch, scene, lambda: codes.append(cli.main(
+            ["singular", "--scene", "two_component", "--out", str(tmp_path / "sing.csv")]
+        )))
+        assert codes == [0]
 
 
 # The grid seeding before the 3x3 minimum filter: eight rolled copies of the

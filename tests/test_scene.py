@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from weighted_tubes import BUNDLED_SCENES, SceneError, load_scene, parse_scene
+from weighted_tubes import BUNDLED_SCENES, Scene, SceneError, load_scene, parse_scene
 from weighted_tubes.config import DEFAULT_TOLERANCES
 
 
@@ -449,3 +451,68 @@ class TestToleranceOverrides:
         from weighted_tubes.config import Tolerances
 
         assert [f.name for f in fields(Tolerances)] == ["grid_samples", "pair_grid"]
+
+
+def bundled_doc(name, edits=()):
+    """A fresh copy of the bundled scene document `name` with each
+    (path, value) of `edits` set in order, a path being the keys and list
+    indices down to the value."""
+    from importlib import resources
+
+    doc = json.loads(resources.files("weighted_tubes.scenes").joinpath(f"{name}.json").read_text())
+    for (*path, key), value in edits:
+        target = doc
+        for k in path:
+            target = target[k]
+        target[key] = value
+    return doc
+
+
+def leaf_paths(node, path=()):
+    """The paths of every value under a document node that is not an
+    object: numbers, strings, booleans, null, and lists with their items."""
+    if isinstance(node, dict):
+        return [p for key, child in node.items() for p in leaf_paths(child, path + (key,))]
+    children = enumerate(node) if isinstance(node, list) else ()
+    return [path] + [p for k, child in children for p in leaf_paths(child, path + (k,))]
+
+
+# Extreme, subnormal and non-finite floats, 0, -1, strings, null, booleans,
+# and empty and nested lists.
+LEAF_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, -1, -1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308, float("inf"), float("-inf"),
+                     float("nan"), True, False, None, "", "x", [], [[]]]),
+    st.floats(allow_subnormal=True),
+    st.text(max_size=4),
+    st.lists(st.floats(), max_size=4),
+    st.lists(st.lists(st.floats(), max_size=3), max_size=3),
+)
+
+
+@st.composite
+def mutated_scenes(draw):
+    """A bundled scene name and one or two leaf edits of its document; a
+    path under another drawn path is dropped."""
+    name = draw(st.sampled_from(sorted(BUNDLED_SCENES)))
+    paths = draw(st.lists(st.sampled_from(leaf_paths(bundled_doc(name))),
+                          min_size=1, max_size=2, unique=True))
+    paths = [p for p in paths if not any(p != q and p[:len(q)] == q for q in paths)]
+    return name, tuple((p, draw(LEAF_VALUES)) for p in paths)
+
+
+COEFFICIENTS = ("weights", 0, "params", "coefficients")
+
+
+@example(("example4", ((COEFFICIENTS, []),)))
+@example(("example4", ((COEFFICIENTS, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),)))
+@example(("example4", ((COEFFICIENTS, [[]]),)))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(mutated_scenes())
+def test_mutated_bundled_scene_loads_or_raises_scene_error(case):
+    name, edits = case
+    try:
+        scene = load_scene(bundled_doc(name, edits))
+    except SceneError:
+        return
+    assert isinstance(scene, Scene)

@@ -45,7 +45,7 @@ from oracles import f_second_at_offset, make_offset, random_unit_normals, runs_l
 
 @pytest.fixture(scope="module")
 def stadium_pair():
-    curve, _ = make_stadium()
+    curve = make_stadium()
     return curve, SymmetricPiecewiseWeight(curve.length, 0.4, 0.8, 6.0, 0.2)
 
 
@@ -756,6 +756,49 @@ def test_dense_grid_is_the_order_two_evaluation(scenes, name, n):
         assert kap.tobytes() == curve.curvature(sg).tobytes()
         for got, want in zip(weight_jet, weight.jet(sg, 2)):
             assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_dense_grid_is_shared_and_read_only(scenes):
+    curve, weight = scenes["example1a"].pairs[0]
+    grid = dense_grid(curve, weight, 300)
+    assert dense_grid(curve, weight, 300) is grid
+    sg, jet, weight_jet, kap = grid
+    for array in (sg, *jet, *weight_jet, kap):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_dense_grid_lives_while_its_weight_does(scenes):
+    # A caller that loops over fresh offset weights (check --t) keeps no grid.
+    import gc
+    import weakref
+
+    curve, base = scenes["example1a"].pairs[0]
+    weight = OffsetWeight(base, 0.5)
+    sg = weakref.ref(dense_grid(curve, weight, 300)[0])
+    gc.collect()
+    assert sg() is not None
+    del weight
+    gc.collect()
+    assert sg() is None
+
+
+def test_dense_grid_that_overflows_is_not_kept():
+    # mu = 1e300 x 1e10 overflows: the build raises under its own guard, or
+    # under the report's, whose message wins, and keeps nothing.
+    class Scaled(ConstantWeight):
+        scale = 1e10
+
+        def jet(self, s, order):
+            return tuple(x * self.scale for x in super().jet(s, order))
+
+    curve, weight = CircleArcCurve(0, 2 * np.pi, closed=True), Scaled(1e300)
+    with pytest.raises(NumericError, match="dense grid overflowed"):
+        dense_grid(curve, weight, 300)
+    with pytest.raises(NumericError, match="radii report overflowed"):
+        radii_report([(curve, weight)])
+    weight.scale = 1.0
+    assert np.all(dense_grid(curve, weight, 300)[2][0] == 1e300)
 
 
 def test_runs_equal_the_loop():

@@ -537,7 +537,7 @@ class TestTubeBoundary:
         from weighted_tubes import make_stadium
         from weighted_tubes.weights import SymmetricPiecewiseWeight
 
-        curve, _ = make_stadium()
+        curve = make_stadium()
         weight = SymmetricPiecewiseWeight(curve.length, 0.4, 0.8, 6.0, 0.2)
         pairs = [(curve, weight)]
         _, overlap = tube_boundary(pairs, 4.0, s_samples=128)  # below air = 4.14

@@ -91,7 +91,7 @@ class TestDerivativeConsistency:
 
 @pytest.fixture(scope="module")
 def blend():
-    curve, _ = make_stadium()
+    curve = make_stadium()
     return curve, SymmetricPiecewiseWeight(curve.length, 0.4, 0.8, 6.0, 0.2)
 
 
