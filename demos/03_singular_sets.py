@@ -46,5 +46,5 @@ for s, R in ((0.3, 1.0), (0.3, 2.0), (0.3, 2.5)):
     flag, hess = is_singular(curve, weight, s, v, R)
     det = jacobian_determinant(curve, weight, s, v, R)
     print(f"  s={s}, R={R}: second-derivative {hess: .3e} -> singular={flag}; "
-          f"finite-difference det {det: .3e}")
+          f"closed-form det {det: .3e}")
 print("both tests flag exactly the height-2 offsets.")

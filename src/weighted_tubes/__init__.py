@@ -37,6 +37,7 @@ from .expmap import (
     PLANE,
     SPHERE,
     FiberShape,
+    differential,
     exp_mu,
     f_prime,
     f_second,

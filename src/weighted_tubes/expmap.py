@@ -33,7 +33,6 @@ class FiberShape:
     radius: float | None = None  # SPHERE
 
 
-
 def w_bound(weight, s):
     """Admissible height bound 1/|mu'(s)| (+inf where mu' = 0)."""
     return _bound(weight.d1(s))
@@ -112,8 +111,7 @@ def exp_mu(curve, weight, s, v, R):
     shape, feet, rows, v, R = _broadcast_rows(s, v, R)
     jets = _take((curve.jet(feet, 1), weight.jet(feet, 1)), rows)
     v, _, fault = _offset_rows(jets, feet[rows], v, R)
-    if fault is not None:
-        raise fault[1]
+    _raise_first(fault)
     with np.errstate(over="ignore", invalid="ignore"):
         pts = _exp_rows(jets, v, R)
     finite = np.isfinite(pts).all(axis=1)
@@ -121,6 +119,59 @@ def exp_mu(curve, weight, s, v, R):
         k = int(np.argmin(finite))
         raise NumericError(f"image of R={float(R[k])} at s={float(feet[rows[k]])} is not finite")
     return pts.reshape(shape + v.shape[1:])
+
+
+def differential(curve, weight, s, v, R):
+    """The map's differential over rows: feet s, directions v (last axis
+    ambient) and heights R broadcast together to a shape B as in `exp_mu`;
+    returns B + (n, n), one column per coordinate.
+
+    The coordinates are the arclength s and the coefficients c of the
+    offset R v = R sum c_j e_j on the normal frame e of `normal_frames` at
+    the foot, carried along the curve by projection (e_j' = -(e_j . gamma'')
+    T); the columns are d/ds, then d/dc_j. With rho = sqrt(1 - mu'^2 R^2):
+
+        dE/ds   = [1 - (mu'^2 + mu mu'') R^2 - mu R rho (v . gamma'')] T
+                  - mu mu' R^2 gamma'' + (mu' R rho - mu mu' mu'' R^3 / rho) v
+        dE/dc_j = R [mu rho e_j - 2 mu mu' R c_j T - (mu mu'^2 R^2 / rho) c_j v]
+
+    One curve jet and one weight jet of order 2 are evaluated on the feet as
+    given. Raises OutOfWError for the first row, in C order, that fails
+    `exp_mu`'s offset check, or else is not strictly inside the admissible
+    set (so rho > 0).
+    """
+    shape, feet, rows, v, R = _broadcast_rows(s, v, R)
+    jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
+    v, bound, fault = _offset_rows(jets, feet[rows], v, R)
+    _raise_first(fault, _inside_fault(R, bound))
+    _, t, g2 = jets[0][:3]
+    mu, d1, d2 = (np.asarray(x, dtype=float) for x in jets[1][:3])
+    frames = _frames(t)
+    c = np.matmul(frames, v[:, :, None])
+    rho = np.sqrt(1.0 - (d1 * R) ** 2)
+    along = 1.0 - (d1**2 + mu * d2) * R**2 - mu * R * rho * _rowdot(v, g2)
+    d_s = (along[:, None] * t - (mu * d1 * R**2)[:, None] * g2
+           + (d1 * R * rho - mu * d1 * d2 * R**3 / rho)[:, None] * v)
+    mu, d1, R, rho = (x[:, None, None] for x in (mu, d1, R, rho))
+    d_c = R * (mu * rho * frames - 2.0 * mu * d1 * R * c * t[:, None]
+               - mu * d1**2 * R**2 / rho * c * v[:, None])
+    cols = np.concatenate([d_s[:, None], d_c], axis=1)
+    return cols.swapaxes(1, 2).reshape(shape + cols.shape[1:])
+
+
+def _inside_fault(R, bound):
+    """(row, OutOfWError) for the first height not strictly inside the
+    admissible set, R < 1/|mu'| (1 - 1e-12), else None."""
+    return _first_fault([(R >= bound * (1.0 - 1e-12), lambda k: OutOfWError(
+        "offset must be strictly inside the admissible set"))])
+
+
+def _raise_first(*faults):
+    """Raise the error of the earliest row among the (row, error) faults (None
+    for none); on a tie the fault listed first wins."""
+    faults = [f for f in faults if f is not None]
+    if faults:
+        raise min(faults, key=lambda f: f[0])[1]
 
 
 def _broadcast_rows(s, v, R=0.0):
@@ -227,8 +278,7 @@ def f_second_critical(curve, weight, s, p):
     shape, feet, rows, p, _ = _broadcast_rows(s, p)
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
     values, fault = _f_second_critical_rows(curve, jets, p)
-    if fault is not None:
-        raise fault[1]
+    _raise_first(fault)
     values = values.reshape(shape)
     return float(values) if values.ndim == 0 else values
 
@@ -419,44 +469,26 @@ def _grid_argmin(pts, gp, mug):
 def normal_frames(curve, s):
     """Orthonormal bases of the normal spaces at feet s (m,): (m, n-1, n),
     from the standard basis (nan rows where the tangent is not finite)."""
-    frames, _ = _frames(curve.tangent(np.asarray(s, dtype=float)))
-    return frames
+    return _frames(curve.tangent(np.asarray(s, dtype=float)))
 
 
-def _frames(t, reference=None):
-    """Frames of the normal spaces of unit tangents t (m, n): Gram-Schmidt of
-    the standard basis, residuals at most 0.5 skipped, or of each row's
-    reference frame (reference (m, k, n)), residuals at most 1e-8 skipped.
-    A row left short is redone from the standard basis with unconditional
-    pivoting. Returns (frames, per-row frame counts)."""
-    frames, count = _frame_rows(t, 0.5 if reference is None else 1e-8, reference)
-    short = count < t.shape[1] - 1
-    if short.any():
-        frames[short], count[short] = _frame_rows(t[short], 1e-10)
-    return frames, count
+def _frames(t, threshold=0.5):
+    """Frames of the normal spaces of unit tangents t (m, n): (m, n-1, n).
 
-
-def _frame_rows(t, threshold, reference=None):
-    """Row-wise Gram-Schmidt against tangents t (m, n) of the standard basis,
-    or of the rows' reference frames (m, k, n) when given.
-
-    Every row runs the sequential loop: each seed vector loses its tangent
-    part and its parts along the row's frame vectors so far, in order, and
-    joins the frame when its residual norm exceeds `threshold`, until the
-    frame has n - 1 vectors. Returns (frames (m, n-1, n), counts (m,));
-    slots a row does not fill stay nan.
+    Every row runs the sequential Gram-Schmidt loop: each standard basis
+    vector loses its tangent part and its parts along the row's frame
+    vectors so far, in order, and joins the frame when its residual norm
+    exceeds `threshold`, until the frame has n - 1 vectors. A row left short
+    is redone with unconditional pivoting (threshold 1e-10); slots it still
+    does not fill stay nan.
     """
     m, n = t.shape
-    if reference is None:
-        # e_i . t has one nonzero product, so it is t_i exactly (for finite t)
-        # and the seeds e_i - (e_i . t) t need no dot products.
-        seeds = np.eye(n) - t[:, :, None] * t[:, None, :]
-    else:
-        dots = np.stack([_rowdot(r, t) for r in reference.swapaxes(0, 1)], axis=1)
-        seeds = reference - dots[:, :, None] * t[:, None, :]
+    # e_i . t has one nonzero product, so it is t_i exactly (for finite t)
+    # and the seeds e_i - (e_i . t) t need no dot products.
+    seeds = np.eye(n) - t[:, :, None] * t[:, None, :]
     frames = np.full((m, n - 1, n), np.nan)
     count = np.zeros(m, dtype=int)
-    for i in range(seeds.shape[1]):
+    for i in range(n):
         w = seeds[:, i]
         for j in range(count.max(initial=0)):
             b = frames[:, j]
@@ -467,5 +499,8 @@ def _frame_rows(t, threshold, reference=None):
         count[k] += 1
         if count.min(initial=n - 1) == n - 1:
             break
-    return frames, count
+    short = count < n - 1
+    if threshold > 1e-10 and short.any():
+        frames[short] = _frames(t[short], 1e-10)
+    return frames
 

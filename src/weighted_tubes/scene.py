@@ -25,6 +25,7 @@ index. The loader returns a Scene holding constructed (curve, weight)
 pairs, the validated sample counts, and the seed for randomized sampling.
 """
 
+import contextlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -104,7 +105,8 @@ def parse_scene(doc):
         if curve.ambient_dim != dim:
             raise SceneError(f"components[{idx}] has dimension {curve.ambient_dim} != {dim}")
         pairs.append((curve, _build_scene_weight(wdoc, curve, idx)))
-    _check_disjoint(pairs)
+    with _guard("components"):
+        _check_disjoint(pairs)
     return Scene(
         ambient_dim=dim,
         pairs=pairs,
@@ -125,18 +127,17 @@ def _build_component(cdoc, dim, idx):
     params = _params(cdoc, where)
     if kind in ("unit_circle", "circle_arc"):
         params.setdefault("ambient_dim", dim)
-    return _build(where, build_arclength_curve, kind, params)
+    with _guard(where):
+        return build_arclength_curve(kind, **params)
 
 
 def _build_scene_weight(wdoc, curve, idx):
     """The weight of component idx, validated on its curve."""
     where = f"weights[{idx}]"
     kind = _kind(wdoc, "kind", WEIGHT_KINDS, where)
-
-    def validated(kind, **params):
+    params = _params(wdoc, where)
+    with _guard(where):
         return build_weight(kind, curve=curve, **params).validate_on(curve)
-
-    return _build(where, validated, kind, _params(wdoc, where))
 
 
 def _kind(doc, key, kinds, where):
@@ -154,13 +155,14 @@ def _params(doc, where):
     return dict(params)
 
 
-def _build(where, factory, kind, params):
-    """factory(kind, **params); a library error, a parameter the kind does not
-    take or needs, or a floating-point overflow, invalid value or division by
-    zero becomes a SceneError naming `where`."""
+@contextlib.contextmanager
+def _guard(where):
+    """A library error, a parameter a kind does not take or needs, or a
+    floating-point overflow, invalid value or division by zero in the block
+    becomes a SceneError naming `where`."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return factory(kind, **params)
+            yield
     except WeightedTubesError as exc:
         raise SceneError(f"{where}: {exc}") from exc
     except (KeyError, TypeError, ValueError, FloatingPointError) as exc:

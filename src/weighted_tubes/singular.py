@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
-from .errors import NumericError, OutOfWError, _overflow_raises
+from .errors import NumericError, _overflow_raises
 from .expmap import (
-    _broadcast_rows, _exp_rows, _first_fault, _frames, _hess_rows, _offset_rows, _rownorm, _take,
+    _broadcast_rows, _exp_rows, _hess_rows, _inside_fault, _raise_first, _rownorm, _take, differential,
 )
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
@@ -234,9 +234,7 @@ def _graph_points(curve, weight, ci, s, ur):
         normal = d2[keep] / kap[keep][:, None]
         jets = _take((curve_jet, weight_jet), keep)
         location, hess, _, faults = _hess_rows(curve, jets, s, normal, height)
-        faults = [f for f in faults if f is not None]
-        if faults:
-            raise min(faults, key=lambda f: f[0])[1]
+        _raise_first(*faults)
         mu = np.asarray(weight_jet[0], dtype=float)[keep]
         tol_hess = _TOL_HESS_FACTOR * 2.0 / mu**2 * cutoff
         resid = np.abs(_g(kap, weight_jet))[keep]
@@ -266,11 +264,7 @@ def is_singular(curve, weight, s, v, R):
     shape, feet, rows, v, R = _broadcast_rows(s, v, R)
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
     _, hess, bound, (fault, hess_fault) = _hess_rows(curve, jets, feet[rows], v, R)
-    inside_fault = _first_fault([(R >= bound * (1.0 - 1e-12), lambda k: OutOfWError(
-        "offset must be strictly inside the admissible set"))])
-    faults = [f for f in (fault, inside_fault, hess_fault) if f is not None]
-    if faults:
-        raise min(faults, key=lambda f: f[0])[1]
+    _raise_first(fault, _inside_fault(R, bound), hess_fault)
     mu = np.asarray(jets[1][0], dtype=float)
     flags = np.abs(hess) <= _TOL_HESS_FACTOR * 2.0 / mu**2 * np.maximum(1.0, R**2)
     if not shape:
@@ -279,53 +273,19 @@ def is_singular(curve, weight, s, v, R):
 
 
 def jacobian_determinant(curve, weight, s, v, R):
-    """Finite-difference determinants of the map's differential over rows:
-    feet s, directions v (last axis ambient) and heights R broadcast
-    together to a shape B; returns B (one offset gives a float).
+    """Determinants of the map's differential over rows: feet s, directions
+    v (last axis ambient) and heights R broadcast together to a shape B as
+    in `exp_mu`; returns B (one offset gives a float).
 
-    Coordinates: arclength plus coefficients on a normal frame transported
-    from s by projection (smooth nearby), central differences of step
-    h = 1e-6 max(1, L / 2 pi). One curve jet and one weight jet on the feet
-    as given, each also moved by +-h, give every row's offset, its base and
-    transported frames and all 2n chart points of a row, which are mapped
-    in one pass. Independent of the closed-form second-derivative
-    criterion; used to cross-validate it. Raises OutOfWError for the first
-    row whose direction is tangent or whose height is not finite, negative
-    or above 1/|mu'|, else for the first chart point outside the
-    admissible set.
+    The differential is `expmap.differential`, in closed form from the
+    order-2 jets: columns dE/ds and dE/dc_j in the coordinates arclength s
+    and coefficients c of R v on the normal frame at the foot, carried along
+    the curve by projection. Independent of the second-derivative criterion;
+    used to cross-validate it. Raises OutOfWError for the first row, in C
+    order, whose direction is tangent or whose height is not finite,
+    negative or above 1/|mu'|, or else not strictly inside the admissible set.
     """
-    shape, s, foot, v, R = _broadcast_rows(s, v, R)
-    h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
-    m, n = len(foot), curve.ambient_dim
-    given = np.concatenate([s, s + h, s - h])
-    at = np.concatenate([foot, foot + len(s), foot + 2 * len(s)])
-    jets = _take((curve.jet(given, 1), weight.jet(given, 1)), at)
-    feet = given[at]
-    s = feet[:m]
-    v, _, fault = _offset_rows(_take(jets, slice(m)), s, v, R)
-    if fault is not None:
-        raise fault[1]
-    tangents = jets[0][1]
-    base, _ = _frames(tangents[:m])
-    frames = _frames(tangents, np.concatenate([base] * 3))[0].reshape(3, m, n - 1, n)
-    # Charts in the determinant's column order: v's coefficients on the base
-    # frame at the feet s + h and s - h, then at s with each moved by +-h.
-    coeffs = np.matmul(base, v[:, :, None])[:, :, 0]
-    dc = h * np.eye(n - 1)
-    shifted = np.stack([coeffs[:, None] + dc, coeffs[:, None] - dc], axis=2)
-    shifted = shifted.reshape(m, 2 * n - 2, n - 1)
-    cc = np.concatenate([coeffs[:, None], coeffs[:, None], shifted], axis=1)
-    block = np.r_[1, 2, np.zeros(2 * n - 2, dtype=int)]
-    vec = np.matmul(frames[block].transpose(1, 0, 3, 2), cc[..., None]).reshape(-1, n)
-    norm = _rownorm(vec)
-    rows = (block[None, :] * m + np.arange(m)[:, None]).ravel()
-    chart_jets, height = _take(jets, rows), R[rows % m] * norm
-    u, _, fault = _offset_rows(chart_jets, feet[rows], vec / norm[:, None], height)
-    if fault is not None:
-        raise fault[1]
-    pts = _exp_rows(chart_jets, u, height).reshape(m, 2 * n, n)
-    cols = (pts[:, 0::2] - pts[:, 1::2]) / (2 * h)
-    det = np.linalg.det(cols.swapaxes(1, 2)).reshape(shape)
+    det = np.linalg.det(differential(curve, weight, s, v, R))
     return float(det) if det.ndim == 0 else det
 
 

@@ -1,13 +1,14 @@
 """Oracles shared by the test modules: the dense grid argmin and a
 golden-section G with no shortcuts, the weighted closest point with its tie
 report and the finite-difference gradient of G, one-offset forms of the
-offset and second-derivative rows, the fiber-shape membership test, the
-critical-point class, golden-section maxima, the pointwise focal data, the
-closed-form roots of Lemma 3, seeded random unit normals, the pair Newton
-that runs every active row to the last pass, the pair search's per-offset
-seed loop, and the evaluators the shared series and piece code replaced:
-the Fourier weight's own per-mode jet, the stadium's per-piece advance and
-the run finder's loop."""
+offset and second-derivative rows, the finite-difference differential of
+the map, the fiber-shape membership test, the critical-point class,
+golden-section maxima, the pointwise focal data, the closed-form roots of
+Lemma 3, seeded random unit normals, the pair Newton that runs every active
+row to the last pass, the pair search's per-offset seed loop, and the
+evaluators the shared series and piece code replaced: the Fourier weight's
+own per-mode jet, the stadium's per-piece advance and the run finder's
+loop."""
 
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ from weighted_tubes import (
     PLANE,
     NumericError,
     WeightedTubesError,
+    exp_mu,
     f_prime,
     f_second,
     f_value,
@@ -303,6 +305,37 @@ def f_second_at_offset(curve, weight, s, v, R):
         if fault is not None:
             raise fault[1]
     return float(hess[0])
+
+
+def fd_differential(curve, weight, s, v, R, h=None):
+    """Central differences of the map over rows s (m,), v (m, n), R (m,),
+    in the coordinates of `expmap.differential`: (m, n, n), the columns
+    d/ds, then d/dc_j.
+
+    The chart at a foot s' takes the offset R sum c_j b_j, b the
+    `normal_frames` frame at s, projected into the normal space at s'
+    (b - (b . T) T): it is smooth and is the base frame itself at s. Every
+    chart point goes through `exp_mu`, so one outside the admissible set
+    raises OutOfWError. The step h defaults to 1e-6 max(1, L / 2 pi).
+    """
+    if h is None:
+        h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
+    s, R = np.asarray(s, dtype=float), np.asarray(R, dtype=float)
+    m, n = len(s), curve.ambient_dim
+    v, _, fault = _offset_rows((curve.jet(s, 1), weight.jet(s, 1)), s,
+                               np.asarray(v, dtype=float), R)
+    if fault is not None:
+        raise fault[1]
+    # Chart points in column order, each column's + point before its - point.
+    step = h * normal_frames(curve, s)
+    feet = np.stack([s + h, s - h] + [s] * (2 * n - 2), axis=1)
+    vecs = np.concatenate([np.stack([v, v], axis=1),
+                           np.stack([v[:, None] + step, v[:, None] - step], axis=2)
+                           .reshape(m, 2 * n - 2, n)], axis=1)
+    t = curve.tangent(feet.ravel()).reshape(m, 2 * n, n)
+    vecs = vecs - np.sum(vecs * t, axis=-1, keepdims=True) * t
+    pts = exp_mu(curve, weight, feet, vecs, R[:, None] * np.linalg.norm(vecs, axis=-1))
+    return (pts[:, 0::2] - pts[:, 1::2]).swapaxes(1, 2) / (2 * h)
 
 
 def fiber_contains(fib, points, tol=1e-10):

@@ -21,7 +21,7 @@ from weighted_tubes import (
     normal_frames,
     w_bound,
 )
-from weighted_tubes.expmap import _exp_rows, _frames
+from weighted_tubes.expmap import _exp_rows
 
 from oracles import (
     CP_PLUS,
@@ -393,10 +393,10 @@ class TestScalarMapRows:
 # ---------------------------------------------------------------------------
 
 
-def scalar_gram_schmidt(t, rows, threshold):
-    """Sequential Gram-Schmidt of the given rows against the unit tangent t."""
+def scalar_gram_schmidt(t, threshold):
+    """Sequential Gram-Schmidt of the standard basis against the unit tangent t."""
     frame = []
-    for row in rows:
+    for row in np.eye(t.size):
         w = row - (row @ t) * t
         for b in frame:
             w = w - (w @ b) * b
@@ -408,21 +408,14 @@ def scalar_gram_schmidt(t, rows, threshold):
     return np.array(frame)
 
 
-def scalar_frame(t, reference=None):
-    """The per-foot frame: the standard basis (residuals above 0.5 join) or
-    a reference frame (above 1e-8), redone from the standard basis with
-    unconditional pivoting (above 1e-10) when it comes out short."""
-    n = t.size
-    rows, threshold = (np.eye(n), 0.5) if reference is None else (reference, 1e-8)
-    frame = scalar_gram_schmidt(t, rows, threshold)
-    if len(frame) < n - 1:
-        frame = scalar_gram_schmidt(t, np.eye(n), 1e-10)
-    return frame
-
-
 def scalar_normal_frame(curve, s):
-    """The per-foot standard-basis Gram-Schmidt with its fallback."""
-    return scalar_frame(curve.tangent(s))
+    """The per-foot frame: residuals above 0.5 join, redone with
+    unconditional pivoting (above 1e-10) when it comes out short."""
+    t = curve.tangent(s)
+    frame = scalar_gram_schmidt(t, 0.5)
+    if len(frame) < t.size - 1:
+        frame = scalar_gram_schmidt(t, 1e-10)
+    return frame
 
 
 def fourier_3d():
@@ -659,40 +652,3 @@ class TestNormalFrameRows:
         rows = normal_frames(stub, np.arange(2))
         assert np.all(np.isnan(rows[0]))
         assert rows[1].tobytes() == scalar_normal_frame(stub, 1).tobytes()
-
-    def test_reference_fallback_uses_the_standard_basis(self):
-        # A reference frame along the tangent leaves no residual above 1e-8.
-        curve = StubTangents([[0.0, 0.0, 1.0]])
-        reference = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        frames, count = _frames(curve.tangent(0)[None, :], reference[None])
-        assert frames[0, :count[0]].tobytes() == np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).tobytes()
-
-    def test_reference_rows_are_the_scalar_loop(self, scenes):
-        # Frames transported from a base frame to nearby and distant feet,
-        # with a row whose reference lies close to the tangent, and rows whose
-        # reference runs along the tangent or is too short to span the normal
-        # space, which fall back to the standard basis.
-        rng = np.random.default_rng(8)
-        for curve in (scenes["ellipse_mu1"].pairs[0][0], scenes["example1b"].pairs[0][0],
-                      fourier_3d(), fourier_4d()):
-            n = curve.ambient_dim
-            s = rng.uniform(curve.s_min + 0.3, curve.s_max - 0.3, 48)
-            base = normal_frames(curve, s)
-            feet = np.concatenate([s + 1e-6, s - 1e-6, s + 0.3, s])
-            reference = np.concatenate([base] * 4)
-            tangents = curve.tangent(feet)
-            reference[-1] = tangents[-1]  # every reference row along the tangent
-            reference[-3] = tangents[-3] + 0.01 * reference[-3]  # small residuals still join
-            if n > 2:
-                reference[-2, 1:] = np.nan  # a short reference frame
-            frames, count = _frames(tangents, reference)
-            fell_back = 0
-            for k in range(len(feet)):
-                ref = reference[k][np.isfinite(reference[k]).all(axis=1)]
-                expected = scalar_frame(tangents[k], ref)
-                fell_back += len(scalar_gram_schmidt(tangents[k], ref, 1e-8)) < n - 1
-                assert count[k] == n - 1
-                assert frames[k].tobytes() == expected.tobytes()
-                one, c = _frames(curve.tangent(feet[k])[None, :], ref[None])
-                assert one[0, :c[0]].tobytes() == expected.tobytes()
-            assert fell_back == (2 if n > 2 else 1)

@@ -516,3 +516,12 @@ def test_mutated_bundled_scene_loads_or_raises_scene_error(case):
     except SceneError:
         return
     assert isinstance(scene, Scene)
+
+
+def test_ellipse_whose_samples_overflow_raises_scene_error():
+    # Its curve builds, but sampling it for the disjointness check overflows
+    # in the arclength table's interpolant; that sampling runs under the
+    # builds' floating-point guard, so the scene is refused, not loaded.
+    doc = bundled_doc("ellipse_mu1", [(("components", 0, "params", "a"), 3.9e134)])
+    with pytest.raises(SceneError, match=r"^components: bad parameters \(overflow"):
+        parse_scene(doc)

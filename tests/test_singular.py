@@ -13,6 +13,7 @@ from weighted_tubes import (
     OutOfWError,
     PolynomialWeight,
     detect_collapse_arcs,
+    differential,
     exp_mu,
     f_second_critical,
     is_singular,
@@ -25,7 +26,6 @@ from weighted_tubes import (
     transversality_check,
 )
 from test_acceptance import random_offsets
-from test_expmap import scalar_frame
 from weighted_tubes import singular
 from weighted_tubes.config import DEFAULT_TOLERANCES
 from weighted_tubes.expmap import _hess_rows, w_bound
@@ -40,7 +40,7 @@ from weighted_tubes.singular import (
 from weighted_tubes.util import brent_rows
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
-from oracles import f_second_at_offset, make_offset, random_unit_normals, runs_loop
+from oracles import fd_differential, f_second_at_offset, make_offset, random_unit_normals, runs_loop
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +191,8 @@ class TestIsSingular:
             is_singular(curve, weight, 1.0, -curve.point(1.0), bound)
 
     def test_jacobian_agrees_across_scenes(self, scenes):
-        # Independent cross-check: the finite-difference determinant of the
-        # map must flag exactly the points the closed form flags.
+        # Independent cross-check: the determinant of the map's differential
+        # must flag exactly the points the second-derivative criterion flags.
         for name in ("circle_mu1", "example1a", "example4", "ellipse_mu1", "example1b"):
             scene = scenes[name]
             rng = np.random.default_rng(scene.seed)
@@ -234,7 +234,8 @@ class TestIsSingular:
     def test_jacobian_vanishes_at_collapse(self):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
         det = jacobian_determinant(curve, weight, 0.3, -curve.point(0.3), 2.0)
-        assert abs(det) <= 1e-8
+        # Rounding level: a few roundings in each column, of size mu each.
+        assert abs(det) <= 32 * EPS * float(weight.mu(0.3)) ** curve.ambient_dim
 
 
 def _same_bits(scalar, row):
@@ -338,29 +339,101 @@ class TestIsSingularRows:
         with pytest.raises(OutOfWError, match="strictly inside"):
             is_singular(curve, weight, s, inward, [1.0, bound, 1.0])
 
-def scalar_jacobian_determinant(curve, weight, s, v, R, h=None):
-    """The determinant one offset at a time: per-foot frames, and every chart
-    point mapped through the scalar exp_mu."""
-    off = make_offset(curve, weight, s, v, R)
-    if h is None:
-        h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
-    n = curve.ambient_dim
-    feet = np.array([off.s, off.s + h, off.s - h])
-    tangents = curve.tangent(feet)
-    base_frame = scalar_frame(tangents[0])
-    coeffs = base_frame @ off.v
 
-    def chart(k, cc):
-        vec = scalar_frame(tangents[k], reference=base_frame).T @ cc
-        norm = np.linalg.norm(vec)
-        return exp_mu(curve, weight, feet[k], vec / norm, off.R * norm)
+EPS = np.finfo(float).eps
 
-    cols = [(chart(1, coeffs) - chart(2, coeffs)) / (2 * h)]
-    for k in range(n - 1):
-        dc = np.zeros(n - 1)
-        dc[k] = h
-        cols.append((chart(0, coeffs + dc) - chart(0, coeffs - dc)) / (2 * h))
-    return float(np.linalg.det(np.stack(cols, axis=1)))
+
+def offsets_named(scenes, name, count):
+    """Deterministic in-range offsets (s, v, R) on a bundled scene, or on
+    `test_expmap.fourier_3d` with a linear weight, and the (curve, weight)."""
+    if name != "fourier_3d":
+        scene = scenes[name]
+        return scene.pairs[0], random_offsets(scene, count, r_cap=4.0, margin=0.1)
+    from test_expmap import fourier_3d
+
+    curve, weight = fourier_3d(), PolynomialWeight([1.0, 0.05])
+    rng = np.random.default_rng(2)
+    s = rng.uniform(curve.s_min, curve.s_max, count)
+    return (curve, weight), (s, random_unit_normals(curve, s, rng), rng.uniform(0.05, 1.0, count))
+
+
+def oracle_band(curve, weight, s, v, R, cols):
+    """Per row and column, a bound on |FD oracle - exact| for the oracle's
+    step h = 1e-6 max(1, L / 2 pi).
+
+    Truncation is c h^2 per column; Richardson's difference of the oracle at
+    2h and h, (D_2h - D_h) / 3, estimates it. Rounding is delta / h, delta
+    bounding the error of one chart point: the arclength inversion's foot
+    error of 4e-16 L moves the image along d/ds, and each of the map's three
+    terms carries a few roundings (8 eps of its size). D_2h's rounding is
+    half of D_h's, so |D_h - exact| <= |D_2h - D_h| / 3 + 1.5 delta / h;
+    the band takes 2 delta / h.
+    """
+    h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
+    fd_h, fd_2h = fd_differential(curve, weight, s, v, R), fd_differential(curve, weight, s, v, R, 2 * h)
+    mu, d1 = (np.asarray(x, dtype=float) for x in weight.jet(s, 1))
+    terms = np.linalg.norm(curve.point(s), axis=-1) + np.abs(mu * d1) * R**2 + mu * R
+    delta = 4e-16 * curve.length * np.linalg.norm(cols[:, :, :1], axis=1) + 8 * EPS * terms[:, None]
+    return fd_h, np.linalg.norm(fd_2h - fd_h, axis=1) / 3 + 2 * delta / h
+
+
+class TestDifferential:
+    """The closed-form differential against the finite-difference oracle, and
+    its kernel on the singular graph."""
+
+    @pytest.mark.parametrize("name", [
+        "circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
+        "example3_family", "example4", "example6_family", "fourier_3d",
+    ])
+    def test_matches_the_fd_oracle(self, scenes, name):
+        (curve, weight), (s, v, R) = offsets_named(scenes, name, 1000)
+        cols = differential(curve, weight, s, v, R)
+        fd, band = oracle_band(curve, weight, s, v, R, cols)
+        assert np.all(np.linalg.norm(cols - fd, axis=1) <= band)
+        # The determinants to first order in the column errors (Hadamard).
+        norms = np.linalg.norm(cols, axis=1) + band
+        det_band = np.sum(band * np.prod(norms, axis=1)[:, None] / norms, axis=1)
+        assert np.all(np.abs(np.linalg.det(cols) - np.linalg.det(fd)) <= det_band)
+
+    @pytest.mark.parametrize("name", ["example1a", "example1b", "example2_stadium", "example4"])
+    def test_singular_rows_have_one_kernel_direction_along_d_ds(self, scenes, name):
+        # On the graph dE/ds vanishes exactly where g = 0; its T part is
+        # -mu R^2 g to first order, so a row's residual g adds |mu R^2 g| to
+        # rounding (16 eps of the largest singular value). By Wedin's
+        # theorem the kernel then leans off d/ds by at most that band over
+        # the next singular value.
+        scene = scenes[name]
+        air = radii_report(scene.pairs, scene.tolerances).air
+        rows = singular_set(scene.pairs, air, scene.tolerances)
+        assert len(rows)
+        for ci, (curve, weight) in enumerate(scene.pairs):
+            ci_rows = rows[rows[:, 0] == ci]
+            s, R, resid = ci_rows[:, 1], ci_rows[:, 2], ci_rows[:, 3]
+            d2 = curve.second_derivative(s)
+            cols = differential(curve, weight, s, d2, R)
+            _, sigma, vt = np.linalg.svd(cols)
+            mu = np.asarray(weight.mu(s), dtype=float)
+            band = 16 * EPS * sigma[:, 0] + np.abs(mu * R**2 * resid)
+            assert np.all(sigma[:, -1] <= band)
+            assert np.all(sigma[:, -2] > 1e-2 * sigma[:, 0])
+            assert np.all(np.linalg.norm(vt[:, -1, 1:], axis=1) <= band / sigma[:, -2])
+
+    @pytest.mark.parametrize("name", [
+        "circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
+        "example3_family", "example4", "example6_family",
+    ])
+    def test_off_the_singular_graph_the_determinant_is_nonzero(self, scenes, name):
+        # Rows whose second derivative is well away from zero (outside
+        # criterion 09's gray band) are regular: their determinant is above
+        # the rounding of an n x n determinant of these columns.
+        (curve, weight), (s, v, R) = offsets_named(scenes, name, 1000)
+        _, hess = is_singular(curve, weight, s, v, R)
+        mu = np.asarray(weight.mu(s), dtype=float)
+        regular = np.abs(hess) >= 1e-2 * 2.0 / mu**2 * np.maximum(1.0, R**2)
+        assert regular.sum() >= len(s) // 2
+        cols = differential(curve, weight, s[regular], v[regular], R[regular])
+        rounding = 16 * curve.ambient_dim * EPS * np.prod(np.linalg.norm(cols, axis=1), axis=1)
+        assert np.all(np.abs(np.linalg.det(cols)) > rounding)
 
 
 class TestJacobianRows:
@@ -373,20 +446,19 @@ class TestJacobianRows:
         curve, weight = scene.pairs[0]
         s, v, R = (x[:300] for x in random_offsets(scene, 1000, r_cap=4.0, margin=0.1))
         rows = jacobian_determinant(curve, weight, s, v, R)
-        expected = [scalar_jacobian_determinant(curve, weight, s[k], v[k], R[k]) for k in range(300)]
-        np.testing.assert_array_equal(rows, expected)
-        assert jacobian_determinant(curve, weight, s[7], v[7], R[7]) == expected[7]
+        np.testing.assert_array_equal(rows, np.linalg.det(differential(curve, weight, s, v, R)))
+        for k in range(300):
+            one = jacobian_determinant(curve, weight, s[k], v[k], R[k])
+            assert type(one) is float and _same_bits(one, rows[k])
 
-    def test_fourier_3d_with_a_tilted_direction(self):
-        from test_expmap import fourier_3d
-
-        curve, weight = fourier_3d(), PolynomialWeight([1.0, 0.05])
-        rng = np.random.default_rng(2)
-        s = rng.uniform(curve.s_min, curve.s_max, 40)
-        v = random_unit_normals(curve, s, rng) + 0.3 * curve.tangent(s)
-        R = rng.uniform(0.05, 1.0, 40)
-        expected = [scalar_jacobian_determinant(curve, weight, s[k], v[k], R[k]) for k in range(40)]
-        np.testing.assert_array_equal(jacobian_determinant(curve, weight, s, v, R), expected)
+    def test_fourier_3d_with_a_tilted_direction(self, scenes):
+        # A direction with a tangent part is projected first, as in exp_mu.
+        (curve, weight), (s, v, R) = offsets_named(scenes, "fourier_3d", 40)
+        tilted = v + 0.3 * curve.tangent(s)
+        cols = differential(curve, weight, s, tilted, R)
+        fd, band = oracle_band(curve, weight, s, v, R, cols)
+        assert np.all(np.linalg.norm(cols - fd, axis=1) <= band)
+        np.testing.assert_array_equal(np.linalg.det(cols), jacobian_determinant(curve, weight, s, tilted, R))
 
     def test_one_curve_jet_and_one_weight_jet_per_call(self, monkeypatch):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2, ambient_dim=3), CosineWeight()
@@ -410,11 +482,15 @@ class TestJacobianRows:
                 patch.setattr(obj, "jet", lambda s, order, jet=jet: (
                     sizes.append(np.size(s)) or jet(s, order)))
             rows = jacobian_determinant(curve, weight, feet[:, None, None], dirs[:, :, None], heights)
-        # Each jet is evaluated on the two feet as given, each moved by +-h.
-        assert rows.shape == (2, 2, 3) and sizes == [6, 6]
+            cols = differential(curve, weight, feet[:, None, None], dirs[:, :, None], heights)
+        # Each jet is evaluated on the two feet as given.
+        assert rows.shape == (2, 2, 3) and sizes == [2, 2, 2, 2]
+        assert cols.shape == (2, 2, 3, 3, 3)
         for i, j, k in np.ndindex(rows.shape):
             one = jacobian_determinant(curve, weight, feet[i], dirs[i, j], heights[k])
             assert type(one) is float and rows[i, j, k] == one
+            np.testing.assert_array_equal(differential(curve, weight, feet[i], dirs[i, j], heights[k]),
+                                          cols[i, j, k])
 
     def test_no_rows(self, scenes):
         curve, weight = scenes["ellipse_mu1"].pairs[0]
@@ -422,13 +498,20 @@ class TestJacobianRows:
 
     def test_offset_checks_come_first(self):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
-        s = np.array([0.2, 0.5])
+        s = np.array([0.2, 0.5, 0.5])
         v = -curve.point(s)
         bound = np.asarray(w_bound(weight, s), dtype=float)
         with pytest.raises(OutOfWError, match="exceeds admissible bound"):
-            jacobian_determinant(curve, weight, s, v, np.array([0.5, 1.01 * bound[1]]))
+            jacobian_determinant(curve, weight, s, v, np.array([0.5, 1.01 * bound[1], bound[2]]))
         with pytest.raises(OutOfWError, match="tangent"):
-            jacobian_determinant(curve, weight, s, curve.tangent(s), np.array([0.5, 0.5]))
+            jacobian_determinant(curve, weight, s, curve.tangent(s), np.array([0.5, 0.5, 0.5]))
+        # At the bound rho = 0: the earlier row's error, and within a row the
+        # offset check before "strictly inside".
+        with pytest.raises(OutOfWError, match="strictly inside"):
+            jacobian_determinant(curve, weight, s, v, np.array([0.5, bound[1], 2.0 * bound[2]]))
+        with pytest.raises(OutOfWError, match="tangent"):
+            jacobian_determinant(curve, weight, s, np.stack([v[0], curve.tangent(0.5), v[2]]),
+                                 np.array([0.5, bound[1], bound[2]]))
 
 
 class TestCollapseArcs:
