@@ -21,9 +21,10 @@ import numpy as np
 
 from . import singular
 from .config import DEFAULT_TOLERANCES
-from .errors import _overflow_raises
+from .curves import _kappa_rate
+from .errors import NumericError, _overflow_raises
 from .expmap import _bound, _rowdot, _rownorm
-from .util import _bracket, _extrema_indices, _offset_array, as_pairs, golden_min
+from .util import _bracket, _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, golden_min
 
 _DELTA_MIN_FACTOR = 1e-3  # x L: excluded diagonal band in pair search
 _DELTA_BAND_FACTOR = 1e-12  # x max(1, kappa^2 mu^2): focal-sign band
@@ -55,12 +56,6 @@ class RadiiReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _abc(curve, weight, s, t=0.0):
-    """(a, b, c, disc, lam) at the feet s for the weight mu + t."""
-    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
-    return _focal_terms(curve.curvature(s), mu + t, d1, d2)
-
-
 def _focal_terms(kap, mu, d1, d2):
     a = kap * mu
     b = np.abs(d1)
@@ -77,22 +72,25 @@ def _band(a_sq_max):
 def _radius_profiles(b, disc, lam, band):
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_rad = np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0, lam, 1.0)), np.inf)
-    b_rad = _bound(b)
-    r0 = np.where(disc >= -band, lam_rad, b_rad)
-    rm = np.where(disc > band, lam_rad, b_rad)
-    return r0, rm
+    return _in_bands(disc, band, lam_rad, _bound(b))
+
+
+def _in_bands(disc, band, inside, outside):
+    """inside where disc is in the closed band (disc >= -band), else outside;
+    then the same for the open band (disc > band)."""
+    return np.where(disc >= -band, inside, outside), np.where(disc > band, inside, outside)
 
 
 def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     """Global focal radii over all components.
 
-    Dense profiles plus golden-section refinement. Per component, one
-    row-wise call refines four families of brackets: the local maxima of
-    the discriminant (so isolated touching zeros, which only the closed band
-    sees, are not lost between grid nodes; tolerance 1e-13), the best local
-    minima of the closed-band and of the open-band profile (1e-12), and the
-    local maxima of |mu'| (1e-13), with one objective (`_focal_rows`). The
-    discriminant and slope maxima serve both profiles. Each profile's
+    Dense profiles, then refinement. Per component, the local maxima of the
+    discriminant (so isolated touching zeros, which only the closed band
+    sees, are not lost between grid nodes) and the best local minima of the
+    closed-band and of the open-band profile are refined as roots of their
+    exact slopes, all in one `brent_rows` call (see `_refined_rows`); the
+    local maxima of |mu'| are refined by golden section (tolerance 1e-13).
+    The discriminant and slope maxima serve both profiles. Each profile's
     candidates are its grid minimum, its refined minima, the refined
     discriminant maxima its band admits and the slope maxima, in that
     order; the first smallest one is the witness.
@@ -115,30 +113,30 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         profiles = _radius_profiles(b, disc, lam, band[:, None])
         i_min = [[int(np.argmin(p)) for p in profile] for profile in profiles]
         # Bracket rows by family (discriminant maxima, closed-band minima,
-        # open-band minima), then by t, and last the slope maxima, one row
-        # set for every t.
-        lo, hi, row = _bracket_rows(
-            curve, sg,
+        # open-band minima), then by t.
+        idx, row = _stack_rows(
             [_extrema_indices(d, curve.closed, "max", 8) for d in disc]
             + [[i] + _extrema_indices(p, curve.closed, "min", 8)
                for profile, im in zip(profiles, i_min) for i, p in zip(im, profile)]
-            + [_extrema_indices(b, curve.closed, "max", 4)],
         )
         fam, ti = np.divmod(row, n)
-        x, fx = golden_min(
-            lambda s, t, bd, fam: _focal_rows(curve, weight, s, t, bd, fam),
-            lo, hi, tol=np.array([1e-13, 1e-12, 1e-12, 1e-13])[fam], args=(ts[ti], band[ti], fam),
+        x, fx, lam_x = _refined_rows(
+            curve, weight, sg, idx, fam, ts[ti], band[ti],
+            np.choose(fam, (-disc[ti, idx], profiles[0][ti, idx], profiles[1][ti, idx])), lam[ti, idx],
         )
-        refined = _split_rows(row, 3 * n + 1, x, fx)
-        s_d, rd = x[fam == 0], ti[fam == 0]
-        lam_d = _abc(curve, weight, s_d, ts[rd])[4]
-        disc_rows = _split_rows(rd, n, s_d, -fx[fam == 0], lam_d)
-        # Slope maxima (the max |mu'|^2 term applies unconditionally).
-        slope = [(1.0 / float(-v), float(x)) for x, v in zip(*refined[3 * n]) if -v > 0]
+        refined = _split_rows(row, 3 * n, x, fx, lam_x)
+        # Slope maxima, one row set for every t (the max |mu'|^2 term
+        # applies unconditionally).
+        x_b, v_b = golden_min(
+            lambda s: -np.abs(weight.d1(s)),
+            *_bracket(curve, sg, _extrema_indices(b, curve.closed, "max", 4)), tol=1e-13,
+        )
+        slope = [(1.0 / float(-v), float(x)) for x, v in zip(x_b, v_b) if -v > 0]
         for which, profile in enumerate(profiles):
-            for k, (xd, dv, ld) in enumerate(disc_rows):
-                xs, vs = refined[(which + 1) * n + k]
-                in_band = dv >= -band[k] if which == 0 else dv > band[k]
+            for k in range(n):
+                xd, neg_disc, ld = refined[k]
+                xs, vs, _ = refined[(which + 1) * n + k]
+                in_band = -neg_disc >= -band[k] if which == 0 else -neg_disc > band[k]
                 cands = [(float(profile[k, i_min[which][k]]), float(sg[i_min[which][k]]))]
                 cands += [(float(v), float(x)) for v, x in zip(vs, xs)]
                 cands += [
@@ -155,28 +153,88 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     return out[0] if offsets is None else out
 
 
-def _focal_rows(curve, weight, s, t, band, fam):
-    """Per row, -disc (fam 0), the closed-band (1) or the open-band (2)
-    radius profile at the foot s for the weight mu + t, or -|mu'| (3).
-    The slope rows read mu' alone, as they need no curvature; the other
-    rows share one _abc call. A foot's values do not depend on the other
-    feet of the call."""
-    out = np.empty(len(s))
-    slope = fam == 3
-    out[slope] = -np.abs(weight.d1(s[slope]))
-    k = np.nonzero(~slope)[0]
+def _refined_rows(curve, weight, sg, idx, fam, t, band, grid_value, grid_lam):
+    """Per bracket row around the grid index idx, of family fam (0: -disc,
+    1 and 2: the closed- and the open-band profile) for the weight mu + t
+    with its band, whose objective and lam at the grid node are grid_value
+    and grid_lam: the refined foot, the objective there and lam there.
+
+    A row whose bracket ends have finite slopes <= 0 and >= 0 is refined to
+    the root of its slope, all such rows in one `brent_rows` call (xtol
+    1e-14 max(1, L), `brent_maxiter` of the grid step); an end whose slope
+    is 0 is then the answer. Every other row takes the first smallest of its
+    grid node and its two ends. The ends of every row are evaluated in one
+    call, and the Brent roots in one more, for their values and lam.
+    """
+    lo, hi = _bracket(curve, sg, idx)
+    lam_e, obj_e, slope_e = _focal_slopes(
+        curve, weight, np.concatenate([lo, hi]), np.tile(t, 2), np.tile(band, 2)
+    )
+    fam2 = np.tile(fam, 2)
+    (sa, sb), (va, vb), (la, lb) = (
+        np.split(v, 2) for v in (np.choose(fam2, slope_e), np.choose(fam2, obj_e), lam_e)
+    )
+    x, fx, lx = sg[idx], grid_value, grid_lam
+    for xc, fc, lc in ((lo, va, la), (hi, vb, lb)):
+        better = fc < fx
+        x, fx, lx = np.where(better, xc, x), np.where(better, fc, fx), np.where(better, lc, lx)
+    k = np.nonzero(np.isfinite(sa) & np.isfinite(sb) & (sa <= 0.0) & (sb >= 0.0))[0]
     if len(k):
-        _, b, _, disc, lam = _abc(curve, weight, s[k], t[k])
-        out[k] = np.choose(fam[k], (-disc, *_radius_profiles(b, disc, lam, band[k])))
-    return out
+        xtol = 1e-14 * max(1.0, curve.length)
+        try:
+            root = brent_rows(
+                lambda s, f, t, bd: np.choose(f, _focal_slopes(curve, weight, s, t, bd)[2]),
+                lo[k], hi[k], xtol, maxiter=brent_maxiter(curve.length / len(sg), xtol),
+                args=(fam[k], t[k], band[k]),
+            )
+        except RuntimeError as exc:
+            raise NumericError(f"focal extremum not refined: {exc}") from exc
+        lam_r, obj_r, _ = _focal_slopes(curve, weight, root, t[k], band[k])
+        x[k], fx[k], lx[k] = root, np.choose(fam[k], obj_r), lam_r
+    return x, fx, lx
 
 
-def _bracket_rows(curve, sg, index_lists):
-    """Brackets around the grid indices of every row, stacked in row order,
-    and the row number of each bracket."""
+def _focal_slopes(curve, weight, s, t, band):
+    """At the feet s for the weights mu + t, each with its band: lam, the
+    objectives of the focal families (-disc, the closed-band and the
+    open-band profile) as a (3, m) array, and their exact slopes in s as
+    another, from order-3 jets.
+
+    With g = mu'' + kappa^2 mu / 4 and q = sqrt(max(disc, 0)):
+    disc' = mu' g + mu (mu''' + kappa kappa' mu / 2 + kappa^2 mu' / 4),
+    q' = disc' / (2 q) where disc > 0 (else 0), and
+    lam' = 2 |mu'| |mu'|' + 2 (q + a/2)(q' + a'/2). A profile's slope is
+    -lam' / (2 lam^{3/2}) inside its band, written with r = lam^{-1/2} so
+    that it overflows no sooner than r does, and -|mu'|' / |mu'|^2 outside;
+    it is 0 where lam = 0 or mu' = 0. A slope whose terms overflow where
+    the values do not is +-inf, not a failure. A foot's values do not
+    depend on the other feet of the call.
+    """
+    jet = curve.jet(s, 3)
+    kap = np.linalg.norm(jet[2], axis=-1)
+    mu, d1, d2, d3 = (np.asarray(x, dtype=float) for x in weight.jet(s, 3))
+    mu = mu + t
+    a, b, _, disc, lam = _focal_terms(kap, mu, d1, d2)
+    profiles = _radius_profiles(b, disc, lam, band)
+    kr = _kappa_rate(jet, curve.kappa_tol)
+    db = np.sign(d1) * d2
+    r = np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0.0, lam, 1.0)), 0.0)
+    rb = _bound(b)
+    rb = np.where(np.isfinite(rb), rb, 0.0)
+    with np.errstate(over="ignore"):
+        d_disc = d1 * singular._g(kap, (mu, d1, d2)) + mu * (d3 + 0.5 * kap * kr * mu + 0.25 * kap**2 * d1)
+        q = np.sqrt(np.clip(disc, 0.0, None))
+        dq = np.where(disc > 0.0, d_disc / (2.0 * np.where(disc > 0.0, q, 1.0)), 0.0)
+        lam_slope = -((b * r) * db + ((q + 0.5 * a) * r) * (dq + 0.5 * (kr * mu + kap * d1))) * r * r
+        b_slope = -(db * rb) * rb
+    return lam, np.stack([-disc, *profiles]), np.stack([-d_disc, *_in_bands(disc, band, lam_slope, b_slope)])
+
+
+def _stack_rows(index_lists):
+    """The grid indices of every row, stacked in row order, and the row
+    number of each."""
     idx = np.concatenate([np.asarray(i, dtype=int) for i in index_lists])
-    row = np.repeat(np.arange(len(index_lists)), [len(i) for i in index_lists])
-    return (*_bracket(curve, sg, idx), row)
+    return idx, np.repeat(np.arange(len(index_lists)), [len(i) for i in index_lists])
 
 
 def _split_rows(row, n_rows, *arrays):

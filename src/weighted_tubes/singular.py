@@ -8,7 +8,6 @@ above exact circular arcs carrying mu = (2/(kappa r)) cos(kappa s / 2 + a);
 those arcs set the topological radius (see radii.radii_report).
 """
 
-import math
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .expmap import (
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
-from .util import _bracket, _extrema_indices, _offset_array, as_pairs, brent_rows, golden_min
+from .util import _bracket, _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, golden_min
 
 _TOL_HESS_FACTOR = 1e-8  # x (2/mu^2): second-order zero band
 _TOL_SNG = 1e-9  # singular-set zero band for mu'' + kappa^2 mu / 4
@@ -111,10 +110,9 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     opposite sign; the last sample and the first also neighbour on a closed
     curve) are refined in one `brent_rows` call to xtol 1e-14, but not those
     with kappa <= kappa_tol at both grid ends: both callers drop a zero
-    where the curve is straight. Where g is flat near its zero, Brent's
-    method can take more steps than bisection's log2(step / xtol),
-    step = L / n, so it may take max(100, 4 ceil(log2(step / xtol))); a
-    root it does not converge on raises NumericError.
+    where the curve is straight. Brent's budget is
+    `util.brent_maxiter(step, xtol)`, step = L / n; a root it does not
+    converge on raises NumericError.
     Touching zeros are the best 64 local minima of |g| within _TOL_SNG
     plus the discrete second difference there (the value a quadratic
     touching zero attains one step away), refined in one golden-section
@@ -135,10 +133,9 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     cross = cross[(cross < limit) & (bends[cross] | bends[(cross + 1) % n])]
     step = curve.length / n
     hi = sg[cross] + step if curve.closed else sg[cross + 1]
-    maxiter = max(100, 4 * math.ceil(math.log2(step / 1e-14)))
     try:
         cross_s = brent_rows(lambda s: _sng_condition(curve, weight, s), sg[cross], hi, 1e-14,
-                             maxiter=maxiter)
+                             maxiter=brent_maxiter(step, 1e-14))
     except RuntimeError as exc:
         raise NumericError(f"sign change of g not refined: {exc}") from exc
     touch = np.array(_extrema_indices(absg, curve.closed, "min", 64), dtype=int)

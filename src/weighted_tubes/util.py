@@ -2,6 +2,7 @@
 nodes, number formatting, pair and offset lists."""
 
 import functools
+import math
 
 import numpy as np
 
@@ -118,7 +119,7 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
     return x, fx
 
 
-def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
+def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100, args=()):
     """Row-wise roots of f in the brackets [a, b] by Brent's method.
 
     A row-wise transcription of the common `brentq` routine (R. P. Brent,
@@ -130,12 +131,17 @@ def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     then once per iteration on the rows still active. Raises ValueError
     where the ends of a bracket share a sign or f is nan, and RuntimeError
     when a row has not converged after maxiter iterations.
+
+    args are extra per-row parameters: arrays with one value per bracket,
+    passed to f as f(x, *args), doubled for the call on both ends and
+    sliced to the active rows after it.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if not len(b):
         return b
-    fa, fb = np.split(_checked(f, np.concatenate([a, b])), 2)
+    args = [np.asarray(p) for p in args]
+    fa, fb = np.split(_checked(f, np.concatenate([a, b]), [np.concatenate([p, p]) for p in args]), 2)
     x = np.where(fa == 0, a, b)
     active = (fa != 0) & (fb != 0)
     if np.any(active & (np.signbit(fa) == np.signbit(fb))):
@@ -178,15 +184,22 @@ def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
         step = np.where(np.abs(sc) > delta, sc, np.where(sbis > 0, delta, -delta))
         kg = k[~done]
         state[:, kg] = np.stack([xc, xc + step, xb, fc, fc, fb, sp, sc])[:, ~done]
-        state[4, kg] = _checked(f, state[1, kg])
+        state[4, kg] = _checked(f, state[1, kg], [p[kg] for p in args])
     if np.any(active):
         raise RuntimeError(f"Failed to converge after {maxiter} iterations")
     return x
 
 
-def _checked(f, x):
-    """f(x) as a float array; ValueError where it is nan."""
-    fx = np.asarray(f(x), dtype=float)
+def brent_maxiter(step, xtol):
+    """Brent's iteration budget for brackets of width step: where f is flat
+    near its root, Brent's method can take more steps than bisection's
+    log2(step / xtol), so max(100, 4 ceil(log2(step / xtol)))."""
+    return max(100, 4 * math.ceil(math.log2(step / xtol)))
+
+
+def _checked(f, x, args):
+    """f(x, *args) as a float array; ValueError where it is nan."""
+    fx = np.asarray(f(x, *args), dtype=float)
     if np.any(np.isnan(fx)):
         raise ValueError(f"The function value at x={x[np.isnan(fx)][0]} is NaN")
     return fx

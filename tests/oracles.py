@@ -30,10 +30,10 @@ from weighted_tubes.expmap import _hess_rows, _offset_rows, _refine_rows
 from weighted_tubes.radii import (
     _NEWTON_MAX_ITER,
     _TOL_DC,
-    _abc,
     _band,
     _feet,
     _feet_rows,
+    _focal_terms,
     _radius_profiles,
     _sigma_and_grad,
     _stencil,
@@ -189,10 +189,17 @@ class PointwiseFocal:
     focradminus_pt: float
 
 
+def abc(curve, weight, s, t=0.0):
+    """(a, b, c, disc, lam) at the feet s for the weight mu + t, from the
+    order-2 jets, as the focal refinement read them before it took slopes."""
+    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
+    return _focal_terms(curve.curvature(s), mu + t, d1, d2)
+
+
 def delta_lambda(curve, weight, s):
     """Pointwise focal data at s (band on the discriminant sign); lambda is
     None where the discriminant is below the band."""
-    a, b, c, disc, lam = _abc(curve, weight, np.asarray(s, dtype=float))
+    a, b, c, disc, lam = abc(curve, weight, np.asarray(s, dtype=float))
     band = _band(np.max(a**2))
     r0, rm = _radius_profiles(b, disc, lam, band)
     if np.ndim(s) == 0:

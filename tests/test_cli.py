@@ -773,7 +773,7 @@ def _fourier_weight(*coefficients):
 
 # Three Fourier scenes with fixed coefficients and the sha256 of their
 # `wtube report` stdout, recorded while every partial arclength cell took 16
-# Gauss-Legendre nodes.
+# Gauss-Legendre nodes and the focal extrema were roots of the exact slopes.
 FOURIER_REPORT_SCENES = {
     "planar": (
         {
@@ -782,7 +782,7 @@ FOURIER_REPORT_SCENES = {
                                     [0.0, 0.0, 1.0, -0.006, 0.007, 0.002, -0.003, 0.001, 0.0018])],
             "weights": [_fourier_weight(1.0, 0.06, -0.07, 0.03, 0.04)],
         },
-        "24630c5464b86a55081c06e71a2d4425c46bd68cd6b61ff2cc9c5a601dc3661a",
+        "677574af531f32a8a38d955e3592171b51e5131d6374f4897fe2caeeb31363cd",
     ),
     "3d": (
         {
@@ -792,7 +792,7 @@ FOURIER_REPORT_SCENES = {
                                     [0.0, 0.0, 0.0, 0.12, -0.09])],
             "weights": [_fourier_weight(1.0, -0.05, 0.08, 0.04, -0.02)],
         },
-        "a64d7fb972fdd21a0599c0bc30a3433312d1992bb43dfbbcd47f7b58bc4c9ae4",
+        "f1e5877bef097277b19dca71e9899fd9411825f1d0534c2cfd9edba871b12d24",
     ),
     "two_component": (
         {
@@ -806,7 +806,7 @@ FOURIER_REPORT_SCENES = {
             "weights": [_fourier_weight(1.0, 0.07, 0.05, -0.03, 0.04),
                         {"kind": "constant", "params": {"value": 0.8}}],
         },
-        "89e63736a96278d48817ceec68f205b8f1367ffb616f750063b557c12c9e5d6d",
+        "ca2c71398a71279d697459ae6273cd298f27d9359321b8b8f8fc9538b23b15c6",
     ),
 }
 
@@ -828,11 +828,11 @@ SWEEP_SHA256 = {
         ("--t-values=" + ",".join(
             ["-2"] + [repr(-2.0**-k) for k in range(1, 11)] + [repr(2.0**-k) for k in range(10, 0, -1)]
         ),),
-        "e925a58e8dffe12be1d9f80774c67188179dde938020ae7d601c082db85e9046",
+        "8f201c9ab710ffd3eb69a0270fe45418946596a91cd30a446830043e219baaf0",
     ),
     "example3_family": (
         ("--t-min=-0.05", "--t-max=0.05", "--t-count=11"),
-        "521b8ca9926a425037a9c2be1fd5050737680158de48ea800265a8e23a1ec0f2",
+        "fcb5970282bc1c6e0cd820ecd4a1fe9c4c03e3ea9715d0c7ccf09e73fadeb6c5",
     ),
 }
 

@@ -313,3 +313,25 @@ def test_brent_rows_rejects_same_sign_and_nan():
     with pytest.raises(ValueError, match="NaN"):
         brent_rows(lambda x: np.where(x > 0.25, np.nan, x), [-1.0], [1.0], 1e-12)
     assert brent_rows(np.cos, [], [], 1e-12).shape == (0,)
+
+
+def test_brent_rows_args_give_each_row_alone():
+    # Per-row parameters passed through args give, bit for bit, the roots of
+    # separate one-row calls whose function closes over each row's
+    # parameters; f sees them doubled on the ends, then sliced to the
+    # active rows.
+    rng = np.random.default_rng(29)
+    p = rng.uniform(-1.0, 1.0, 50)
+    q = rng.uniform(0.5, 3.0, 50)
+    a, b = p - rng.uniform(0.1, 2.0, 50), p + rng.uniform(0.1, 2.0, 50)
+    seen = []
+
+    def f(x, p, q):
+        seen.append((len(x), len(p), len(q)))
+        return np.tanh(q * (x - p)) + 0.05 * (x - p) ** 3
+
+    roots = brent_rows(f, a, b, 1e-14, args=(p, q))
+    assert seen[0] == (100, 100, 100) and all(n == m == k for n, m, k in seen)
+    for k in range(len(a)):
+        alone = brent_rows(lambda x: f(x, p[k:k + 1], q[k:k + 1]), a[k], b[k], 1e-14)
+        assert roots[k] == alone[0]
