@@ -21,10 +21,9 @@ import numpy as np
 
 from . import singular
 from .config import DEFAULT_TOLERANCES
-from .curves import _kappa_rate
-from .errors import NumericError, _overflow_raises
+from .errors import _overflow_raises
 from .expmap import _bound, _rowdot, _rownorm
-from .util import _bracket, _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, golden_min
+from .util import _bracket, _extrema_indices, _offset_array, as_pairs, golden_min, refine_minima
 
 _DELTA_MIN_FACTOR = 1e-3  # x L: excluded diagonal band in pair search
 _DELTA_BAND_FACTOR = 1e-12  # x max(1, kappa^2 mu^2): focal-sign band
@@ -88,8 +87,8 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     discriminant (so isolated touching zeros, which only the closed band
     sees, are not lost between grid nodes) and the best local minima of the
     closed-band and of the open-band profile are refined as roots of their
-    exact slopes, all in one `brent_rows` call (see `_refined_rows`); the
-    local maxima of |mu'| are refined by golden section (tolerance 1e-13).
+    exact slopes by `util.refine_minima`, all in one call; the local
+    maxima of |mu'| are refined by golden section (tolerance 1e-13).
     The discriminant and slope maxima serve both profiles. Each profile's
     candidates are its grid minimum, its refined minima, the refined
     discriminant maxima its band admits and the slope maxima, in that
@@ -120,9 +119,10 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
                for profile, im in zip(profiles, i_min) for i, p in zip(im, profile)]
         )
         fam, ti = np.divmod(row, n)
-        x, fx, lam_x = _refined_rows(
-            curve, weight, sg, idx, fam, ts[ti], band[ti],
-            np.choose(fam, (-disc[ti, idx], profiles[0][ti, idx], profiles[1][ti, idx])), lam[ti, idx],
+        x, fx, lam_x = refine_minima(
+            lambda s, *p: _focal_slopes(curve, weight, s, *p), curve, sg, idx,
+            (np.choose(fam, (-disc[ti, idx], profiles[0][ti, idx], profiles[1][ti, idx])), lam[ti, idx]),
+            "focal extremum", args=(fam, ts[ti], band[ti]),
         )
         refined = _split_rows(row, 3 * n, x, fx, lam_x)
         # Slope maxima, one row set for every t (the max |mu'|^2 term
@@ -153,56 +153,14 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     return out[0] if offsets is None else out
 
 
-def _refined_rows(curve, weight, sg, idx, fam, t, band, grid_value, grid_lam):
-    """Per bracket row around the grid index idx, of family fam (0: -disc,
-    1 and 2: the closed- and the open-band profile) for the weight mu + t
-    with its band, whose objective and lam at the grid node are grid_value
-    and grid_lam: the refined foot, the objective there and lam there.
-
-    A row whose bracket ends have finite slopes <= 0 and >= 0 is refined to
-    the root of its slope, all such rows in one `brent_rows` call (xtol
-    1e-14 max(1, L), `brent_maxiter` of the grid step); an end whose slope
-    is 0 is then the answer. Every other row takes the first smallest of its
-    grid node and its two ends. The ends of every row are evaluated in one
-    call, and the Brent roots in one more, for their values and lam.
-    """
-    lo, hi = _bracket(curve, sg, idx)
-    lam_e, obj_e, slope_e = _focal_slopes(
-        curve, weight, np.concatenate([lo, hi]), np.tile(t, 2), np.tile(band, 2)
-    )
-    fam2 = np.tile(fam, 2)
-    (sa, sb), (va, vb), (la, lb) = (
-        np.split(v, 2) for v in (np.choose(fam2, slope_e), np.choose(fam2, obj_e), lam_e)
-    )
-    x, fx, lx = sg[idx], grid_value, grid_lam
-    for xc, fc, lc in ((lo, va, la), (hi, vb, lb)):
-        better = fc < fx
-        x, fx, lx = np.where(better, xc, x), np.where(better, fc, fx), np.where(better, lc, lx)
-    k = np.nonzero(np.isfinite(sa) & np.isfinite(sb) & (sa <= 0.0) & (sb >= 0.0))[0]
-    if len(k):
-        xtol = 1e-14 * max(1.0, curve.length)
-        try:
-            root = brent_rows(
-                lambda s, f, t, bd: np.choose(f, _focal_slopes(curve, weight, s, t, bd)[2]),
-                lo[k], hi[k], xtol, maxiter=brent_maxiter(curve.length / len(sg), xtol),
-                args=(fam[k], t[k], band[k]),
-            )
-        except RuntimeError as exc:
-            raise NumericError(f"focal extremum not refined: {exc}") from exc
-        lam_r, obj_r, _ = _focal_slopes(curve, weight, root, t[k], band[k])
-        x[k], fx[k], lx[k] = root, np.choose(fam[k], obj_r), lam_r
-    return x, fx, lx
-
-
-def _focal_slopes(curve, weight, s, t, band):
-    """At the feet s for the weights mu + t, each with its band: lam, the
-    objectives of the focal families (-disc, the closed-band and the
-    open-band profile) as a (3, m) array, and their exact slopes in s as
-    another, from order-3 jets.
+def _focal_slopes(curve, weight, s, fam, t, band):
+    """At the feet s, per row of focal family fam (0: -disc, 1 and 2: the
+    closed- and the open-band profile) for the weight mu + t with its band:
+    the family's objective, its exact slope in s and lam, from g, g' and
+    kappa' of `singular.g_slope`.
 
     With g = mu'' + kappa^2 mu / 4 and q = sqrt(max(disc, 0)):
-    disc' = mu' g + mu (mu''' + kappa kappa' mu / 2 + kappa^2 mu' / 4),
-    q' = disc' / (2 q) where disc > 0 (else 0), and
+    disc' = mu' g + mu g', q' = disc' / (2 q) where disc > 0 (else 0), and
     lam' = 2 |mu'| |mu'|' + 2 (q + a/2)(q' + a'/2). A profile's slope is
     -lam' / (2 lam^{3/2}) inside its band, written with r = lam^{-1/2} so
     that it overflows no sooner than r does, and -|mu'|' / |mu'|^2 outside;
@@ -210,24 +168,21 @@ def _focal_slopes(curve, weight, s, t, band):
     the values do not is +-inf, not a failure. A foot's values do not
     depend on the other feet of the call.
     """
-    jet = curve.jet(s, 3)
-    kap = np.linalg.norm(jet[2], axis=-1)
-    mu, d1, d2, d3 = (np.asarray(x, dtype=float) for x in weight.jet(s, 3))
-    mu = mu + t
+    kap, g, dg, kr, (mu, d1, d2) = singular.g_slope(curve, weight, s, t)
     a, b, _, disc, lam = _focal_terms(kap, mu, d1, d2)
     profiles = _radius_profiles(b, disc, lam, band)
-    kr = _kappa_rate(jet, curve.kappa_tol)
     db = np.sign(d1) * d2
     r = np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0.0, lam, 1.0)), 0.0)
     rb = _bound(b)
     rb = np.where(np.isfinite(rb), rb, 0.0)
     with np.errstate(over="ignore"):
-        d_disc = d1 * singular._g(kap, (mu, d1, d2)) + mu * (d3 + 0.5 * kap * kr * mu + 0.25 * kap**2 * d1)
+        d_disc = d1 * g + mu * dg
         q = np.sqrt(np.clip(disc, 0.0, None))
         dq = np.where(disc > 0.0, d_disc / (2.0 * np.where(disc > 0.0, q, 1.0)), 0.0)
         lam_slope = -((b * r) * db + ((q + 0.5 * a) * r) * (dq + 0.5 * (kr * mu + kap * d1))) * r * r
         b_slope = -(db * rb) * rb
-    return lam, np.stack([-disc, *profiles]), np.stack([-d_disc, *_in_bands(disc, band, lam_slope, b_slope)])
+    slopes = (-d_disc, *_in_bands(disc, band, lam_slope, b_slope))
+    return np.choose(fam, (-disc, *profiles)), np.choose(fam, slopes), lam
 
 
 def _stack_rows(index_lists):
@@ -432,6 +387,7 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
         )
         gs, gt = gs[jac], gt[jac]
         span1, span2 = (sp[jac] if np.ndim(sp) else sp for sp in (span1, span2))
+        # Central differences: the exact Hessian's determinant rounds to 0 on continua of pairs.
         _, gs_p, gt_p = _sigma_and_grad(at_sp, at_t)
         _, gs_m, gt_m = _sigma_and_grad(at_sm, at_t)
         j11 = (gs_p - gs_m) / span1

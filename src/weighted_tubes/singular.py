@@ -23,7 +23,7 @@ from .expmap import (
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
-from .util import _bracket, _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, golden_min
+from .util import _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, refine_minima
 
 _TOL_HESS_FACTOR = 1e-8  # x (2/mu^2): second-order zero band
 _TOL_SNG = 1e-9  # singular-set zero band for mu'' + kappa^2 mu / 4
@@ -55,9 +55,19 @@ class CollapseArc:
 GZeroSet = namedtuple("GZeroSet", "sg kap g flat cross cross_s touch touch_s")
 
 
-def _sng_condition(curve, weight, s):
-    """g(s) = mu'' + kappa^2 mu / 4 (zero exactly on the singular graph)."""
-    return _g(curve.curvature(s), weight.jet(s, 2))
+def g_slope(curve, weight, s, t=0.0):
+    """kappa, g = mu'' + kappa^2 mu / 4 (zero exactly on the singular graph)
+    and its exact slope g' = mu''' + kappa kappa' mu / 2 + kappa^2 mu' / 4 at
+    the feet s for the weight mu + t, from order-3 jets; then kappa' and
+    (mu + t, mu', mu''). Where the terms of g' overflow, g' is +-inf.
+    """
+    jet = curve.jet(s, 3)
+    mu, d1, d2, d3 = (np.asarray(x, dtype=float) for x in weight.jet(s, 3))
+    mu = mu + t
+    kap, kr = np.linalg.norm(jet[2], axis=-1), _kappa_rate(jet, curve.kappa_tol)
+    with np.errstate(over="ignore"):
+        dg = d3 + 0.5 * kap * kr * mu + 0.25 * kap**2 * d1
+    return kap, _g(kap, (mu, d1, d2)), dg, kr, (mu, d1, d2)
 
 
 def _g(kap, weight_jet):
@@ -100,23 +110,25 @@ def dense_grid(curve, weight, n):
 def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     """The zero set of g = mu'' + kappa^2 mu / 4 on one component, as a
     GZeroSet: the dense grid `sg` of tol.grid_samples feet (`dense_grid`),
-    the curvature `kap` and `g` on it, the `flat`
-    samples, the sign changes (grid index k of the bracket [s_k, s_k + step]
-    in `cross`, root in `cross_s`) and the touching zeros (grid index in
-    `touch`, refined foot in `touch_s`, smallest |g| first).
+    the curvature `kap` and `g` on it, the `flat` samples, the sign changes
+    (grid index k of the bracket [s_k, s_k + step] in `cross`, root in
+    `cross_s`) and the touching zeros (grid index in `touch`, refined foot
+    in `touch_s`, smallest |g| first).
 
     Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
     consulted. The sign changes (neighbouring samples, both nonzero, of
     opposite sign; the last sample and the first also neighbour on a closed
     curve) are refined in one `brent_rows` call to xtol 1e-14, but not those
-    with kappa <= kappa_tol at both grid ends: both callers drop a zero
-    where the curve is straight. Brent's budget is
+    with kappa <= kappa_tol at both grid ends (both callers drop a zero
+    where the curve is straight). Brent's budget is
     `util.brent_maxiter(step, xtol)`, step = L / n; a root it does not
     converge on raises NumericError.
     Touching zeros are the best 64 local minima of |g| within _TOL_SNG
     plus the discrete second difference there (the value a quadratic
-    touching zero attains one step away), refined in one golden-section
-    call and kept where |g| <= _TOL_SNG.
+    touching zero attains one step away) with kappa > kappa_tol at the
+    node or a neighbour, refined by `util.refine_minima` (value |g|, slope
+    sign(g) g' from `g_slope`) and kept where |g| <= _TOL_SNG; a row it
+    does not refine raises NumericError.
     """
     sg, _, weight_jet, kap = dense_grid(curve, weight, tol.grid_samples)
     n = len(sg)
@@ -134,20 +146,20 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     step = curve.length / n
     hi = sg[cross] + step if curve.closed else sg[cross + 1]
     try:
-        cross_s = brent_rows(lambda s: _sng_condition(curve, weight, s), sg[cross], hi, 1e-14,
+        cross_s = brent_rows(lambda s: g_slope(curve, weight, s)[1], sg[cross], hi, 1e-14,
                              maxiter=brent_maxiter(step, 1e-14))
     except RuntimeError as exc:
         raise NumericError(f"sign change of g not refined: {exc}") from exc
     touch = np.array(_extrema_indices(absg, curve.closed, "min", 64), dtype=int)
     bend = np.abs(g[(touch + 1) % n] - 2.0 * g[touch] + g[touch - 1])
-    touch = touch[absg[touch] <= _TOL_SNG + bend]
-    touch_s = np.zeros(0)
-    if len(touch):
-        lo, hi = _bracket(curve, sg, touch)
-        touch_s, v_ref = golden_min(
-            lambda s: np.abs(_sng_condition(curve, weight, s)), lo, hi, tol=1e-13
-        )
-        touch, touch_s = touch[v_ref <= _TOL_SNG], touch_s[v_ref <= _TOL_SNG]
+    near_bend = bends | np.roll(bends, 1) | np.roll(bends, -1)
+    touch = touch[(absg[touch] <= _TOL_SNG + bend) & near_bend[touch]]
+
+    def abs_g(s):
+        _, g_s, dg, *_ = g_slope(curve, weight, s)
+        return np.abs(g_s), np.sign(g_s) * dg
+    touch_s, v_ref = refine_minima(abs_g, curve, sg, touch, (absg[touch],), "touching zero of g")
+    touch, touch_s = touch[v_ref <= _TOL_SNG], touch_s[v_ref <= _TOL_SNG]
     return GZeroSet(sg, kap, g, flat, cross, cross_s, touch, touch_s)
 
 
@@ -158,15 +170,15 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
     component, then by s.
 
     The feet come from the zero set of g (`g_zero_set`, on each component's
-    `dense_grid`): flat runs of 3 or more samples
-    are continua and report their samples (kappa is not consulted here),
-    then the sign-change roots and the touching zeros, except those next to
-    or inside such a run. One array pass per component then builds the rows
-    and cross-checks each against the second-derivative criterion at its
-    offset (see `_graph_points`). Refined zeros scatter
-    inside the plateau where g is flat at machine level, so a row within
-    half a grid step (0.5 L / grid_samples, periodic distance) of the row
-    before it is dropped.
+    `dense_grid`): flat runs of 3 or more samples are continua and report
+    their samples (kappa is not consulted here), then the roots of g's sign
+    changes and of the slope of |g| at its touching zeros, both by Brent's
+    method, except those next to or inside such a run. One array pass per
+    component then builds the rows and cross-checks each against the
+    second-derivative criterion at its offset (see `_graph_points`).
+    Refined zeros scatter inside the plateau where g is flat at machine
+    level, so a row within half a grid step (0.5 L / grid_samples, periodic
+    distance) of the row before it is dropped.
     """
     pairs = as_pairs(pairs)
     tables = []
@@ -365,7 +377,8 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
 
 def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
     """True iff every zero of g = mu'' + kappa^2 mu / 4 with kappa > 0 is
-    transversal (|g'| > _EPS_REG); returns (flag, witnesses).
+    transversal (|g'| > _EPS_REG); returns (flag, witnesses). The zeros are
+    those of `g_zero_set`; kappa and the exact g' there come from `g_slope`.
 
     Zeros with kappa = 0 are exempt: there the first-height expression
     collapses to |mu'|^2, which both focal radii already include, so such
@@ -381,13 +394,7 @@ def transversality_check(pairs, tol=DEFAULT_TOLERANCES):
             if hi - lo >= 3:
                 witnesses.append((ci, None, 0.0))
         zeros = np.concatenate([z.cross_s, z.touch_s])
-        zeros = zeros[curve.curvature(zeros) > curve.kappa_tol]
-        h = 1e-7 * max(1.0, curve.length / (2 * np.pi))
-        lo_s, hi_s = zeros - h, zeros + h
-        if not curve.closed:
-            lo_s = np.maximum(lo_s, curve.s_min)
-            hi_s = np.minimum(hi_s, curve.s_max)
-        g_hi, g_lo = _sng_condition(curve, weight, hi_s), _sng_condition(curve, weight, lo_s)
-        gp = np.abs((g_hi - g_lo) / (hi_s - lo_s))
-        witnesses.extend((ci, float(x), float(v)) for x, v in zip(zeros, gp) if v <= _EPS_REG)
+        kap, _, dg, *_ = g_slope(curve, weight, zeros)
+        witnesses.extend((ci, float(x), float(abs(v))) for x, k, v in zip(zeros, kap, dg)
+                         if k > curve.kappa_tol and abs(v) <= _EPS_REG)
     return (not witnesses), witnesses

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericError
+
 
 def as_pairs(pairs):
     """A list of (curve, weight) pairs from one pair or a list of them."""
@@ -188,6 +190,41 @@ def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100, args=()
     if np.any(active):
         raise RuntimeError(f"Failed to converge after {maxiter} iterations")
     return x
+
+
+def refine_minima(f, curve, sg, idx, node, what, args=()):
+    """Per bracket row around the grid index idx (`_bracket`), the foot
+    minimizing f's value and f's outputs there. f(s, *args) returns (value,
+    slope, *rest) over the feet s, with args one array per row; node holds
+    (value, *rest) at the nodes sg[idx]. The ends of every row are evaluated
+    in one call, and a row takes the first smallest value of its node and
+    ends. The rows whose end slopes are finite, <= 0 and >= 0 are refined to
+    the roots of their slopes in one `brent_rows` call (xtol 1e-14 max(1, L),
+    `brent_maxiter` of the grid step; an end whose slope is 0 is the
+    answer), and f is evaluated once more, at the roots. A row that does not
+    converge raises NumericError ("<what> not refined"). Returns
+    (x, value, *rest).
+    """
+    ends = np.concatenate(_bracket(curve, sg, idx))
+    value, slope, *rest = f(ends, *[np.concatenate([p, p]) for p in args])
+    out = [sg[idx], *node]
+    for end in np.split(np.stack([ends, value, *rest]), 2, axis=1):
+        better = end[1] < out[1]
+        out = [np.where(better, v, o) for v, o in zip(end, out)]
+    (lo, hi), (sa, sb) = np.split(ends, 2), np.split(slope, 2)
+    k = np.nonzero(np.isfinite(sa) & np.isfinite(sb) & (sa <= 0.0) & (sb >= 0.0))[0]
+    if len(k):
+        xtol = 1e-14 * max(1.0, curve.length)
+        args = [p[k] for p in args]
+        try:
+            root = brent_rows(lambda s, *p: f(s, *p)[1], lo[k], hi[k], xtol,
+                              maxiter=brent_maxiter(curve.length / len(sg), xtol), args=args)
+        except RuntimeError as exc:
+            raise NumericError(f"{what} not refined: {exc}") from exc
+        value, _, *rest = f(root, *args)
+        for o, v in zip(out, (root, value, *rest)):
+            o[k] = v
+    return out
 
 
 def brent_maxiter(step, xtol):

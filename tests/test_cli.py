@@ -852,14 +852,14 @@ EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 TRANSVERSAL_SHA256 = "7cdcc4dfb4fd97246cba84e1a4e32ec366965fb1c8a020e7e26d6c5fffa2731a"
 CHECK_SHA256 = {
     ("example3_family", "0"): (
-        0, "793c1cba95803b0b4d5151236f983a5ae6e35cab30e1cee9b7d9e99b75d68ef2", EMPTY_SHA256,
+        0, "d46715b4bc155b27d3bab9676fcf975541b02832a0621538be57aacb3976c4be", EMPTY_SHA256,
     ),
     ("example3_family", "0.05"): (0, TRANSVERSAL_SHA256, EMPTY_SHA256),
     ("example3_family", "-2"): (
         3, EMPTY_SHA256, "dcdfaa4b401f054c20ecb822fe53b1309293edc42556afd2677bd5543edef169",
     ),
     ("example6_family", "0"): (
-        0, "bb4728737b6a61416952f45bf67a3265b332815bd2badb44b2c5fa301284fa84", EMPTY_SHA256,
+        0, "714b7e28acd306b613d4e7130983fc48f5c25c12e0a97c02e1b928e51dcbb750", EMPTY_SHA256,
     ),
     ("example6_family", "0.05"): (0, TRANSVERSAL_SHA256, EMPTY_SHA256),
     ("example6_family", "-2"): (

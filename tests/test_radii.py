@@ -989,7 +989,7 @@ class TestMergedFocalRefinement:
         # and one per Brent pass the rows still active; each row follows its
         # own sequence only if no foot's focal terms and slopes depend on
         # the other feet evaluated with it (Fourier, Chebyshev and stadium
-        # curves, with their weights, at several offsets and bands).
+        # curves, with their weights, at several families, offsets and bands).
         from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
         from weighted_tubes import load_scene
 
@@ -1001,8 +1001,9 @@ class TestMergedFocalRefinement:
             s = np.concatenate([rng.uniform(curve.s_min, curve.s_max, 200), grid, grid * (1.0 + 1e-13)])
             t = rng.choice([0.0, -0.03, 0.02, 2.0**-20], len(s))
             band = rng.choice([1e-12, 4e-12], len(s))
-            batch = radii._focal_slopes(curve, weight, s, t, band)
-            alone = [radii._focal_slopes(curve, weight, s[k:k + 1], t[k:k + 1], band[k:k + 1])
+            fam = rng.integers(0, 3, len(s))
+            batch = radii._focal_slopes(curve, weight, s, fam, t, band)
+            alone = [radii._focal_slopes(curve, weight, s[k:k + 1], fam[k:k + 1], t[k:k + 1], band[k:k + 1])
                      for k in range(len(s))]
             for i, values in enumerate(batch):
                 assert values.tobytes() == np.concatenate([x[i] for x in alone], axis=-1).tobytes()

@@ -33,8 +33,8 @@ from weighted_tubes.singular import (
     _TOL_HESS_FACTOR,
     _TOL_SNG,
     _runs,
-    _sng_condition,
     dense_grid,
+    g_slope,
     g_zero_set,
 )
 from weighted_tubes.util import brent_rows
@@ -142,7 +142,7 @@ def test_table_is_sorted_and_spaced(scenes, name):
         gap = 0.5 * curve.length / tol.grid_samples
         assert np.all(curve.periodic_distance(rows[:-1, 1], rows[1:, 1]) > gap)
         np.testing.assert_allclose(
-            rows[:, 3], np.abs(_sng_condition(curve, weight, rows[:, 1])), rtol=0, atol=1e-15
+            rows[:, 3], np.abs(g_slope(curve, weight, rows[:, 1])[1]), rtol=0, atol=1e-15
         )
 
 
@@ -671,6 +671,48 @@ class TestTransversality:
         assert not ok
         assert any(w[1] is not None and abs(w[1]) <= 1e-6 for w in witnesses)
 
+    @pytest.mark.parametrize("name", ["example4", "example6_family"])
+    def test_touching_zero_witness_has_the_exact_slope(self, scenes, name):
+        # On the unit arc with mu = 1 - s^2 / 8, g = -s^2 / 32 touches zero
+        # at s = 0. Both touching-zero rows (the grid nodes either side of
+        # 0) refine to within 1e-15 of it, where the exact slope is
+        # |g'| = |s| / 16; golden section left the feet 1e-8 off, where the
+        # central difference read 6.9e-10 and 1.1e-9.
+        scene = scenes[name]
+        ok, witnesses = transversality_check(scene.pairs, scene.tolerances)
+        assert not ok and len(witnesses) == 2
+        for ci, s, slope in witnesses:
+            assert ci == 0 and abs(s) <= 1e-15 and slope <= 1e-15
+
+
+def test_no_singular_stage_calls_golden_section(scenes, monkeypatch):
+    # The zero set of g is found by Brent's method alone: golden_min, at
+    # util and at every module that binds it, sees no call from
+    # singular_set, transversality_check or detect_collapse_arcs, but does
+    # from the focal radii (the |mu'| maxima).
+    import weighted_tubes
+    from weighted_tubes import focal_radii, util
+
+    calls = []
+    golden_min = util.golden_min
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return golden_min(*args, **kwargs)
+
+    for scene in scenes.values():
+        ur = radii_report(scene.pairs, scene.tolerances).ur
+        with monkeypatch.context() as patch:
+            for module in [util] + [m for m in vars(weighted_tubes).values() if hasattr(m, "golden_min")]:
+                patch.setattr(module, "golden_min", counting)
+            singular_set(scene.pairs, ur, scene.tolerances)
+            transversality_check(scene.pairs, scene.tolerances)
+            detect_collapse_arcs(scene.pairs, ur, scene.tolerances)
+            assert calls == []
+            focal_radii(scene.pairs, scene.tolerances)
+            assert calls
+            calls.clear()
+
 
 class TestGZeroSet:
     def test_roots_equal_brentq_on_bundled_scenes(self, scenes):
@@ -688,7 +730,7 @@ class TestGZeroSet:
                 for k, root in zip(z.cross, z.cross_s):
                     b = z.sg[k] + curve.length / n if curve.closed else z.sg[k + 1]
                     oracle = optimize.brentq(
-                        lambda s: float(_sng_condition(curve, weight, s)),
+                        lambda s: float(g_slope(curve, weight, s)[1]),
                         float(z.sg[k]), float(b), xtol=1e-14,
                     )
                     assert root == oracle
@@ -724,14 +766,42 @@ class TestGZeroSet:
             for curve, weight in scene.pairs:
                 z = g_zero_set(curve, weight, scene.tolerances)
                 np.testing.assert_array_equal(z.kap, curve.curvature(z.sg))
-                np.testing.assert_array_equal(z.g, _sng_condition(curve, weight, z.sg))
+                np.testing.assert_array_equal(z.g, g_slope(curve, weight, z.sg)[1])
 
     def test_touching_zero_of_example4(self, scenes):
         curve, weight = scenes["example4"].pairs[0]
         z = g_zero_set(curve, weight, scenes["example4"].tolerances)
         assert len(z.touch_s) >= 1
-        assert np.all(np.abs(_sng_condition(curve, weight, z.touch_s)) <= _TOL_SNG)
+        assert np.all(np.abs(g_slope(curve, weight, z.touch_s)[1]) <= _TOL_SNG)
         assert not np.any(z.flat[z.touch])
+
+    def test_straight_touching_zeros_are_not_refined(self, scenes):
+        # The stadium's |g| has four touching-zero candidates on its
+        # straight sides, two of them at sign changes of g where Brent's
+        # method on the slope of |g| bisected a jump for about 50 passes.
+        # Both callers drop a zero where kappa <= kappa_tol, so none of them
+        # is refined: every touching zero has a bend at its node or beside it.
+        from weighted_tubes.util import _extrema_indices
+
+        curve, weight = scenes["example2_stadium"].pairs[0]
+        z = g_zero_set(curve, weight, scenes["example2_stadium"].tolerances)
+        near_bend = (z.kap > curve.kappa_tol) | (np.roll(z.kap, 1) > curve.kappa_tol) \
+            | (np.roll(z.kap, -1) > curve.kappa_tol)
+        k = np.array(_extrema_indices(np.abs(z.g), curve.closed, "min", 64))
+        bend = np.abs(np.roll(z.g, -1) - 2.0 * z.g + np.roll(z.g, 1))[k]
+        straight = k[(np.abs(z.g[k]) <= _TOL_SNG + bend) & ~near_bend[k]]
+        assert len(straight) == 4 and not np.any(np.isin(straight, z.touch))
+        assert np.all(near_bend[z.touch]) and len(z.touch) == len(z.touch_s) == 17
+
+    @pytest.mark.parametrize("name", ["example4", "example6_family"])
+    def test_touching_zeros_refine_to_the_zero(self, scenes, name):
+        # The touching zero of g = -s^2 / 32 at s = 0 is refined as the root
+        # of the slope of |g|, to within 1e-15 from both grid nodes beside
+        # it; golden section on |g| stopped about 1e-8 off.
+        curve, weight = scenes[name].pairs[0]
+        z = g_zero_set(curve, weight, scenes[name].tolerances)
+        assert len(z.touch_s) == 2
+        assert np.max(np.abs(z.touch_s)) <= 1e-15
 
     def test_flat_sign_change_converges(self):
         # The stadium's blend with cos_end 4e-6 has four sign changes of g.
@@ -754,12 +824,12 @@ class TestGZeroSet:
         lo = z.sg[z.cross]
         step = curve.length / len(z.sg)
         assert np.all((lo <= z.cross_s) & (z.cross_s <= lo + step))
-        fast = brent_rows(lambda s: _sng_condition(curve, weight, s), lo, lo + step, 1e-14, maxiter=6)
+        fast = brent_rows(lambda s: g_slope(curve, weight, s)[1], lo, lo + step, 1e-14, maxiter=6)
         assert fast.tobytes() == z.cross_s.tobytes()
         width = 1e-14 + 4 * np.finfo(float).eps * np.abs(z.cross_s)
-        g_lo, g_hi = (_sng_condition(curve, weight, z.cross_s + d) for d in (-width, width))
+        g_lo, g_hi = (g_slope(curve, weight, z.cross_s + d)[1] for d in (-width, width))
         assert np.all(g_lo * g_hi <= 0.0)
-        assert np.all(np.abs(_sng_condition(curve, weight, z.cross_s))
+        assert np.all(np.abs(g_slope(curve, weight, z.cross_s)[1])
                       <= np.maximum(np.abs(g_lo), np.abs(g_hi)))
 
     @pytest.mark.parametrize("cos_end, refined", [(None, 0), (4e-6, 2)])

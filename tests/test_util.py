@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from weighted_tubes.util import brent_rows, float17, golden_min
+from weighted_tubes import util
+from weighted_tubes.util import _bracket, brent_rows, float17, golden_min, refine_minima
 
 from oracles import golden_max
 
@@ -335,3 +336,121 @@ def test_brent_rows_args_give_each_row_alone():
     for k in range(len(a)):
         alone = brent_rows(lambda x: f(x, p[k:k + 1], q[k:k + 1]), a[k], b[k], 1e-14)
         assert roots[k] == alone[0]
+
+
+# ---------------------------------------------------------------------------
+# refine_minima: the bracket rule of the focal extrema and the touching zeros
+# ---------------------------------------------------------------------------
+
+
+def _well(s, c, w):
+    """A tilted well with its minimum near c: (value, slope, a carried output)."""
+    return w * (s - c) ** 2 + 1e-3 * np.cos(3.0 * s), 2.0 * w * (s - c) - 3e-3 * np.sin(3.0 * s), np.cos(s)
+
+
+def _grid_and_rows(closed, m, seed):
+    from weighted_tubes import CircleArcCurve
+
+    curve = CircleArcCurve(0.0, 2.0 * np.pi, closed=True) if closed else CircleArcCurve(-1.0, 1.0)
+    sg = curve.grid(33)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(sg), m)
+    step = curve.length / len(sg)
+    return curve, sg, idx, sg[idx] + rng.uniform(-1.5, 1.5, m) * step, rng.uniform(0.5, 2.0, m)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_refine_minima_rows_equal_one_row_calls(closed):
+    # Each row, refined by Brent, taken from its node or from an end, is
+    # the row's own one-row call with its own args, bit for bit.
+    curve, sg, idx, c, w = _grid_and_rows(closed, 60, 5 if closed else 6)
+    value, _, rest = _well(sg[idx], c, w)
+    out = refine_minima(_well, curve, sg, idx, (value, rest), "well", args=(c, w))
+    assert len(out) == 3
+    for k in range(len(idx)):
+        alone = refine_minima(_well, curve, sg, idx[k:k + 1], (value[k:k + 1], rest[k:k + 1]), "well",
+                              args=(c[k:k + 1], w[k:k + 1]))
+        for batch, one in zip(out, alone):
+            assert batch[k:k + 1].tobytes() == one.tobytes()
+    lo, hi = _bracket(curve, sg, idx)
+    x, v, r = out
+    assert np.all((lo <= x) & (x <= hi))
+    np.testing.assert_array_equal(r, np.cos(x))
+    # The refined value is never above the node's or an end's.
+    ends = np.minimum(_well(lo, c, w)[0], _well(hi, c, w)[0])
+    assert np.all(v <= np.minimum(value, ends))
+    inside = (lo < c) & (c < hi)
+    assert np.max(np.abs(_well(x[inside], c[inside], w[inside])[1])) < 1e-12
+
+
+def test_refine_minima_unbracketed_rows_take_the_first_smallest_candidate():
+    curve, sg, idx, _, _ = _grid_and_rows(True, 10, 7)
+    lo, hi = _bracket(curve, sg, idx)
+    one = np.ones_like
+
+    # Slopes of one sign: the smaller end.
+    x, v, r = refine_minima(lambda s: (s, one(s), 10.0 * s), curve, sg, idx, (sg[idx], 10.0 * sg[idx]), "s")
+    np.testing.assert_array_equal(x, lo)
+    np.testing.assert_array_equal(r, 10.0 * lo)
+    x, _, _ = refine_minima(lambda s: (-s, -one(s), s), curve, sg, idx, (-sg[idx], sg[idx]), "-s")
+    np.testing.assert_array_equal(x, hi)
+    # A node no larger than both ends is kept, with its own outputs (ties
+    # keep the first candidate).
+    for node in (0.0, 1.0):
+        x, v, r = refine_minima(lambda s: (one(s), one(s), s), curve, sg, idx,
+                                (np.full(len(idx), node), np.full(len(idx), -7.0)), "flat")
+        np.testing.assert_array_equal(x, sg[idx])
+        assert v.tolist() == [node] * len(idx) and r.tolist() == [-7.0] * len(idx)
+    # An end slope that is not finite sends no row to Brent: f is called on
+    # the ends only.
+    for bad in (-np.inf, np.nan):
+        calls = []
+
+        def f(s):
+            calls.append(len(s))
+            return (s - sg[idx[0]]) ** 2, np.where(s < sg[idx[0]], bad, 1.0), s
+
+        x, v, _ = refine_minima(f, curve, sg, idx[:1], (np.array([1.0]), sg[idx[:1]]), "f")
+        assert calls == [2] and x[0] == lo[0] and v[0] == (lo[0] - sg[idx[0]]) ** 2
+
+
+def test_refine_minima_end_slope_zero_returns_that_end():
+    curve, sg, idx, _, _ = _grid_and_rows(False, 12, 8)
+    idx = np.clip(idx, 1, len(sg) - 2)
+    lo, hi = _bracket(curve, sg, idx)
+    # The nodes' values are the smallest, so only Brent's exit on a zero end
+    # slope can return the ends.
+    for end in (lo, hi):
+        x, v, r = refine_minima(lambda s, c: (1.0 + (s - c) ** 2, 2.0 * (s - c), s), curve, sg, idx,
+                                (np.full(len(idx), 0.5), sg[idx]), "well", args=(end,))
+        np.testing.assert_array_equal(x, end)
+        np.testing.assert_array_equal(r, end)
+        assert v.tolist() == [1.0] * len(idx)
+
+
+def test_refine_minima_empty_rows_give_empty_arrays():
+    curve, sg, _, _, _ = _grid_and_rows(True, 0, 9)
+    empty = np.zeros(0)
+    out = refine_minima(_well, curve, sg, np.zeros(0, dtype=int), (empty, empty), "well", args=(empty, empty))
+    assert [a.shape for a in out] == [(0,), (0,), (0,)]
+
+
+def test_unrefined_row_is_a_numeric_failure(monkeypatch, tmp_path, capsys):
+    # A row that Brent's method does not converge on raises NumericError
+    # from the focal radii and from the touching zeros of g, and the CLI
+    # exits 3.
+    from weighted_tubes import NumericError, cli, focal_radii, load_scene, singular
+
+    def brent_rows(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 100 iterations")
+
+    monkeypatch.setattr(util, "brent_rows", brent_rows)
+    scene = load_scene("example4")
+    curve, weight = scene.pairs[0]
+    with pytest.raises(NumericError, match="focal extremum not refined: Failed to converge"):
+        focal_radii(scene.pairs, scene.tolerances)
+    with pytest.raises(NumericError, match="touching zero of g not refined: Failed to converge"):
+        singular.g_zero_set(curve, weight, scene.tolerances)
+    for verb in ("report", "singular", "check"):
+        assert cli.main([verb, "--scene", "example4", "--out", str(tmp_path / "out")]) == 3
+        assert "not refined: Failed to converge" in capsys.readouterr().err
