@@ -15,6 +15,7 @@ derived radii are mins of these, and the ordering dir <= tir <= air is
 enforced on every report.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,17 @@ from . import singular
 from .config import DEFAULT_TOLERANCES
 from .errors import _overflow_raises
 from .expmap import _bound, _rowdot, _rownorm
-from .util import _bracket, _extrema_indices, _offset_array, as_pairs, golden_min, refine_minima
+from .util import (
+    _bracket,
+    _distinct,
+    _extrema_indices,
+    _grid_local_minima,
+    _hypot_local_minima,
+    _offset_array,
+    as_pairs,
+    golden_min,
+    refine_minima,
+)
 
 _DELTA_MIN_FACTOR = 1e-3  # x L: excluded diagonal band in pair search
 _DELTA_BAND_FACTOR = 1e-12  # x max(1, kappa^2 mu^2): focal-sign band
@@ -270,12 +281,12 @@ def _search_component_pair(pairs, i, j, ts, tol):
     sg1 = c1.grid(n)
     sg2 = c2.grid(n)
     # Broadcast the 1-D grid evaluations into the sigma matrix directly. What
-    # no offset changes (the geometry, its products with the weight slopes,
-    # the diagonal band and the minima search's pad) is built once; the
-    # offset loop keeps every operation's operands and order, so its seeds
-    # are those of a search for each offset alone.
+    # no offset changes (the geometry, its products with the weight slopes
+    # and the diagonal band) is built once; the offset loop keeps every
+    # operation's operands and order, so its seeds are those of a search for
+    # each offset alone.
     g1, t1, m1, dm1 = _feet(c1, w1, sg1)
-    g2, t2, m2, dm2 = _feet(c2, w2, sg2)
+    g2, t2, m2, dm2 = (g1, t1, m1, dm1) if i == j else _feet(c2, w2, sg2)
     diff = g1[:, None, :] - g2[None, :, :]
     e = np.einsum("ijk,ijk->ij", diff, diff)
     dot1 = 2.0 * np.einsum("ijk,ik->ij", diff, t1)
@@ -283,28 +294,26 @@ def _search_component_pair(pairs, i, j, ts, tol):
     del diff  # its N x N x n floats are not read again; the loop holds e1, e2
     e1 = 2.0 * e * dm1[:, None]
     e2 = 2.0 * e * dm2[None, :]
-    pad = np.full((len(sg1) + 2, len(sg2) + 2), np.inf)
-    band = None
-    if i == j:
-        band = np.nonzero(
-            c1.periodic_distance(*np.meshgrid(sg1, sg2, indexing="ij")) < _DELTA_MIN_FACTOR * c1.length
-        )
+    band = _diagonal_band(c1, sg1) if i == j else None
     seeds = []
     for off in ts:
         msum = (m1 + off)[:, None] + (m2 + off)[None, :]
         msq = msum**2
         sigma = e / msq
-        gnorm = np.hypot((dot1 - e1 / msum) / msq, (dot2 - e2 / msum) / msq)
+        # The gradient (a, b); the band's cells read inf in sigma and a, so
+        # hypot(a, b) is inf there.
+        a = (dot1 - e1 / msum) / msq
+        b = (dot2 - e2 / msum) / msq
         if band is not None:
-            sigma[band] = np.inf
-            gnorm[band] = np.inf
-        # np.unique sorts the linear cell indices; both grids increase
-        # strictly, so the seeds are in (s, t) order.
-        cells = np.unique(np.concatenate(
-            [_grid_local_minima(mat, c1.closed, c2.closed, pad) for mat in (sigma, gnorm)]
-        ))
-        a, b = np.divmod(cells, len(sg2))
-        seeds.append(np.column_stack([sg1[a], sg2[b]]))
+            np.put(sigma, band, np.inf)
+            np.put(a, band, np.inf)
+        # msq, and sigma once its minima are taken, are the searches' buffers.
+        # Both grids increase strictly, so the ascending cells give the seeds
+        # in (s, t) order.
+        cells = np.concatenate([_grid_local_minima(sigma, c1.closed, c2.closed, msq),
+                                _hypot_local_minima(a, b, c1.closed, c2.closed, (sigma, msq))])
+        ia, ib = np.divmod(_distinct(cells), len(sg2))
+        seeds.append(np.column_stack([sg1[ia], sg2[ib]]))
     grp = np.repeat(np.arange(len(ts)), [len(x) for x in seeds])
     s, t, res, alive = _newton(c1, w1, c2, w2, np.concatenate(seeds), grp, ts, tol)
     k = np.nonzero(alive & ~(res > _TOL_DC))[0]
@@ -427,28 +436,30 @@ def _stencil(curve, s, h):
     return hi, lo, np.where(clipped, hi - lo, 2 * h)
 
 
-def _grid_local_minima(mat, per_rows, per_cols, pad=None):
-    """Linear indices, ascending, of the grid cells that are finite and no
-    larger than any of their eight neighbours; the neighbours wrap around
-    periodic axes, and none lie beyond the ends of open ones. A nan
-    neighbour rules a cell out.
+def _diagonal_band(curve, sg):
+    """Linear indices, ascending, of the cells (a, b) of the grid sg x sg
+    that lie within _DELTA_MIN_FACTOR * L of each other in
+    `curve.periodic_distance`.
 
-    pad, an (n + 2, m + 2) array that starts as +inf, may be handed to
-    every call on the same axes: each call rewrites all of it that it reads
-    apart from the edges of open axes, which stay +inf."""
-    n, m = mat.shape
-    if pad is None:
-        pad = np.full((n + 2, m + 2), np.inf)
-    pad[1:-1, 1:-1] = mat
-    if per_rows:
-        pad[0], pad[-1] = pad[-2], pad[1]
-    if per_cols:
-        pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
-    # The 3x3 minimum around every cell, one axis at a time (nan passes on).
-    low = np.minimum(np.minimum(pad[:-2], pad[1:-1]), pad[2:])
-    low = np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:])
-    cells = np.flatnonzero(mat <= low)
-    return cells[np.isfinite(mat.ravel()[cells])]
+    Only the diagonals |a - b| <= ceil((width + slack) / step) + 2 (wrapped
+    on a closed curve) are measured, with the grid step L / n closed and
+    L / (n - 1) open; slack, four spacings of the largest |s|, bounds the
+    rounding of the feet and of their distance, so no band cell lies off
+    those diagonals."""
+    n = len(sg)
+    width = _DELTA_MIN_FACTOR * curve.length
+    step = curve.length / (n if curve.closed else max(n - 1, 1))
+    slack = 4.0 * np.spacing(max(abs(curve.s_min), abs(curve.s_max)))
+    k = min(math.ceil((width + slack) / step) + 2, n - 1)
+    rows = np.repeat(np.arange(n), 2 * k + 1)
+    cols = rows + np.tile(np.arange(-k, k + 1), n)
+    if curve.closed:
+        cols %= n
+    else:
+        inside = (cols >= 0) & (cols < n)
+        rows, cols = rows[inside], cols[inside]
+    near = curve.periodic_distance(sg[rows], sg[cols]) < width
+    return _distinct(rows[near] * n + cols[near])
 
 
 def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
@@ -501,7 +512,7 @@ def _dedup_rows(pairs, rows):
     n = len(pairs)
     group = (rows["grp"] * n + rows["component_1"]) * n + rows["component_2"]
     keep = np.zeros(len(order), dtype=bool)
-    for g in np.unique(group):
+    for g in _distinct(group):
         idx = np.flatnonzero(group[order] == g)
         i, j = divmod(int(g) % (n * n), n)
         c1, c2 = pairs[i][0], pairs[j][0]

@@ -1,5 +1,5 @@
-"""Small helpers: 1-D searches and root finding, grid extrema and brackets, quadrature
-nodes, number formatting, pair and offset lists."""
+"""Small helpers: 1-D searches and root finding, extrema on 1-D and 2-D grids and
+brackets, quadrature nodes, number formatting, pair and offset lists."""
 
 import functools
 import math
@@ -44,6 +44,119 @@ def _extrema_indices(values, closed, kind, cap):
     idx = np.nonzero(ok)[0]
     idx = idx[np.argsort(v[idx], kind="stable")]
     return [int(i) for i in idx[:cap]]
+
+
+def _distinct(values):
+    """The distinct values of an integer array, ascending, as np.unique
+    gives them, from one sort: np.unique took 5-14x as long on arrays of
+    300-3,000 grid cells."""
+    v = np.sort(values)
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
+def _grid_local_minima(mat, per_rows, per_cols, low=None):
+    """Linear indices, ascending, of the grid cells that are finite and no
+    larger than any of their eight neighbours; the neighbours wrap around
+    periodic axes, and none lie beyond the ends of open ones. A nan
+    neighbour rules a cell out.
+
+    One pass takes the minimum of every cell's two row neighbours; the cells
+    no larger than theirs are then compared with the cells above and below
+    and with those cells' row-neighbour minima. low, a C-contiguous array of
+    mat's shape, may be given to hold the row-neighbour minima; all of it is
+    rewritten."""
+    low = _row_neighbours(mat, per_cols, np.minimum, low)
+    cells = np.flatnonzero(mat <= low)
+    flat, low = mat.reshape(-1), low.reshape(-1)
+    own = flat[cells]
+    keep = np.isfinite(own)
+    for nb, on in _column_neighbours(cells, mat.shape, per_rows):
+        keep &= ~on | ((own <= flat[nb]) & (own <= low[nb]))
+    return cells[keep]
+
+
+# Wherever q = a a + b b is at least _Q_FLOOR, it is within a few ulp of
+# hypot(a, b)^2, far inside _Q_MARGIN: a square errs by half an ulp, or by
+# at most 2^-1075 where it is subnormal, which is below 2^-105 of q there.
+_Q_MARGIN = 1.0 + 2.0**-40
+_Q_FLOOR = 2.0**-969
+
+
+def _hypot_local_minima(a, b, per_rows, per_cols, bufs=None):
+    """_grid_local_minima(np.hypot(a, b), per_rows, per_cols), with hypot
+    evaluated only on the 3x3 blocks of candidate cells.
+
+    Where a cell's hypot is no larger than a neighbour's, its q = a a + b b
+    is at most max((1 + 2^-40) q', 2^-969), q' the neighbour's: below
+    2^-969 the squares lose their relative accuracy, and where a square
+    overflows q is inf, which passes only where the neighbour's bound is inf
+    too. So every local minimum passes that bound against each neighbour,
+    and one whose q' is nan passes too (hypot may be inf there). The
+    candidates pass it against fmin(row neighbours' q), then against the
+    cells above and below and their row neighbours. bufs, two C-contiguous
+    arrays of a's shape, may be given to hold q and the bound; all of both
+    is rewritten."""
+    q, low = (np.empty_like(a), np.empty_like(a)) if bufs is None else bufs
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a, a, out=q)
+        np.multiply(b, b, out=low)
+        np.add(q, low, out=q)
+        _row_neighbours(q, per_cols, np.fmin, low)
+        np.multiply(low, _Q_MARGIN, out=low)
+        np.maximum(low, _Q_FLOOR, out=low)
+        cells = np.flatnonzero(~(q > low))
+        q, low = q.reshape(-1), low.reshape(-1)
+        own = q[cells]
+        keep = np.ones(len(cells), dtype=bool)
+        for nb, on in _column_neighbours(cells, a.shape, per_rows):
+            keep &= ~on | ~(own > np.fmin(low[nb], np.maximum(_Q_MARGIN * q[nb], _Q_FLOOR)))
+    shape, a, b = a.shape, a.reshape(-1), b.reshape(-1)
+    return _block_minima(cells[keep], lambda k: np.hypot(a[k], b[k]), shape, per_rows, per_cols)
+
+
+def _row_neighbours(mat, per_cols, fn, out=None):
+    """fn (np.minimum or np.fmin) of each cell's left and right neighbour in
+    its row, into out (a new array by default; C-contiguous when given);
+    they wrap on periodic columns, and one beyond the end of an open axis
+    reads +inf."""
+    m = mat.shape[1]
+    out = np.empty_like(mat) if out is None else out
+    # One pass over the flat arrays; the first and last columns, which it
+    # pairs with the neighbouring rows, are redone.
+    fn(mat.reshape(-1)[:-2], mat.reshape(-1)[2:], out=out.reshape(-1)[1:-1])
+    for j in {0, m - 1}:
+        left = mat[:, (j - 1) % m] if per_cols or j > 0 else np.inf
+        right = mat[:, (j + 1) % m] if per_cols or j < m - 1 else np.inf
+        fn(left, right, out=out[:, j])
+    return out
+
+
+def _column_neighbours(cells, shape, per_rows):
+    """For the cells above and then below the given ones (linear indices):
+    their linear indices, wrapped on periodic rows, and whether each lies
+    on the grid."""
+    size = shape[0] * shape[1]
+    for nb in (cells - shape[1], cells + shape[1]):
+        yield nb % size, per_rows | ((nb >= 0) & (nb < size))
+
+
+def _block_minima(cells, value_at, shape, per_rows, per_cols):
+    """The cells, linear indices ascending, whose value is finite and no
+    larger than their eight neighbours' (with the neighbours of
+    _grid_local_minima); value_at maps an array of linear indices to
+    values."""
+    n, m = shape
+    r, c = np.divmod(cells, m)
+    step = np.array([-1, 0, 1])
+    rows, cols = r[:, None] + step, c[:, None] + step
+    # Neighbours beyond an open axis's ends read +inf.
+    ok = ((rows >= 0) & (rows < n) | per_rows)[:, :, None] & ((cols >= 0) & (cols < m) | per_cols)[:, None, :]
+    block = ((rows % n)[:, :, None] * m + (cols % m)[:, None, :]).reshape(len(cells), 9)
+    values = np.where(ok.reshape(len(cells), 9), value_at(block), np.inf)
+    own = values[:, 4]
+    return cells[np.isfinite(own) & np.all(own[:, None] <= values, axis=1)]
 
 
 def _bracket(curve, sg, idx):
@@ -121,7 +234,7 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
     return x, fx
 
 
-def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100, args=()):
+def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100, args=(), ends=None):
     """Row-wise roots of f in the brackets [a, b] by Brent's method.
 
     A row-wise transcription of the common `brentq` routine (R. P. Brent,
@@ -130,9 +243,10 @@ def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100, args=()
     extrapolation or bisection, the tolerance delta = (xtol + rtol |x|) / 2
     and the exits where f is 0, and stops on its own test. f maps an array
     of abscissae to an array of values; it is called once on both ends,
-    then once per iteration on the rows still active. Raises ValueError
-    where the ends of a bracket share a sign or f is nan, and RuntimeError
-    when a row has not converged after maxiter iterations.
+    unless ends gives their values (f(a), f(b)), then once per iteration on
+    the rows still active. Raises ValueError where the ends of a bracket
+    share a sign or f is nan, and RuntimeError when a row has not converged
+    after maxiter iterations.
 
     args are extra per-row parameters: arrays with one value per bracket,
     passed to f as f(x, *args), doubled for the call on both ends and
@@ -143,7 +257,9 @@ def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100, args=()
     if not len(b):
         return b
     args = [np.asarray(p) for p in args]
-    fa, fb = np.split(_checked(f, np.concatenate([a, b]), [np.concatenate([p, p]) for p in args]), 2)
+    x = np.concatenate([a, b])
+    fx = f(x, *[np.concatenate([p, p]) for p in args]) if ends is None else np.concatenate(ends)
+    fa, fb = np.split(_checked(x, fx), 2)
     x = np.where(fa == 0, a, b)
     active = (fa != 0) & (fb != 0)
     if np.any(active & (np.signbit(fa) == np.signbit(fb))):
@@ -186,7 +302,7 @@ def brent_rows(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100, args=()
         step = np.where(np.abs(sc) > delta, sc, np.where(sbis > 0, delta, -delta))
         kg = k[~done]
         state[:, kg] = np.stack([xc, xc + step, xb, fc, fc, fb, sp, sc])[:, ~done]
-        state[4, kg] = _checked(f, state[1, kg], [p[kg] for p in args])
+        state[4, kg] = _checked(state[1, kg], f(state[1, kg], *[p[kg] for p in args]))
     if np.any(active):
         raise RuntimeError(f"Failed to converge after {maxiter} iterations")
     return x
@@ -199,7 +315,8 @@ def refine_minima(f, curve, sg, idx, node, what, args=()):
     (value, *rest) at the nodes sg[idx]. The ends of every row are evaluated
     in one call, and a row takes the first smallest value of its node and
     ends. The rows whose end slopes are finite, <= 0 and >= 0 are refined to
-    the roots of their slopes in one `brent_rows` call (xtol 1e-14 max(1, L),
+    the roots of their slopes in one `brent_rows` call, which takes those
+    slopes as its end values (xtol 1e-14 max(1, L),
     `brent_maxiter` of the grid step; an end whose slope is 0 is the
     answer), and f is evaluated once more, at the roots. A row that does not
     converge raises NumericError ("<what> not refined"). Returns
@@ -218,7 +335,8 @@ def refine_minima(f, curve, sg, idx, node, what, args=()):
         args = [p[k] for p in args]
         try:
             root = brent_rows(lambda s, *p: f(s, *p)[1], lo[k], hi[k], xtol,
-                              maxiter=brent_maxiter(curve.length / len(sg), xtol), args=args)
+                              maxiter=brent_maxiter(curve.length / len(sg), xtol), args=args,
+                              ends=(sa[k], sb[k]))
         except RuntimeError as exc:
             raise NumericError(f"{what} not refined: {exc}") from exc
         value, _, *rest = f(root, *args)
@@ -234,9 +352,9 @@ def brent_maxiter(step, xtol):
     return max(100, 4 * math.ceil(math.log2(step / xtol)))
 
 
-def _checked(f, x, args):
-    """f(x, *args) as a float array; ValueError where it is nan."""
-    fx = np.asarray(f(x, *args), dtype=float)
+def _checked(x, fx):
+    """The values fx of f at x as a float array; ValueError where one is nan."""
+    fx = np.asarray(fx, dtype=float)
     if np.any(np.isnan(fx)):
         raise ValueError(f"The function value at x={x[np.isnan(fx)][0]} is NaN")
     return fx

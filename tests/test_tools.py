@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -8,15 +9,24 @@ import pytest
 from weighted_tubes import cli
 from weighted_tubes.scene import BUNDLED_SCENES
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def digests():
-    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("output_digests")
+
+
+@pytest.fixture(scope="module")
+def ab_bench():
+    return _load("ab_bench")
 
 
 def _sha(data):
@@ -95,3 +105,53 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
         assert call["label"] == f"{args.scene}/{args.command}"
         assert getattr(args, "format", "svg") == "svg"
         assert getattr(args, "ur", None) is None
+
+
+def _result(units, rss, failed=0):
+    return {"correct": True, "attempted": 45, "failed": failed, "metrics": {
+        "units_per_cpu_s": {"value": units, "unit": "1/s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+    }}
+
+
+def test_ab_bench_seed_ranges(ab_bench):
+    assert ab_bench.parse_seeds("31-34") == [31, 32, 33, 34]
+    assert ab_bench.parse_seeds("7") == [7]
+    with pytest.raises(argparse.ArgumentTypeError):
+        ab_bench.parse_seeds("5-4")
+
+
+def test_ab_bench_summary_is_signed_by_the_better_direction(ab_bench):
+    specs = [("units_per_cpu_s", "1/s", "higher"), ("peak_rss_mb", "MB", "lower"), ("absent", "s", "lower")]
+    parent = [_result(u, r) for u, r in ((80.0, 50.0), (90.0, 50.0), (85.0, 51.0), (100.0, 49.0))]
+    change = [_result(u, r) for u, r in ((88.0, 50.5), (99.0, 50.0), (84.0, 50.0), (110.0, 48.0))]
+    units, rss = ab_bench.summarize(parent, change, specs)
+    assert units["parent_median"] == 87.5 and units["change_median"] == 93.5
+    assert (units["parent_q1"], units["parent_q3"]) == (83.75, 92.5)
+    assert units["gain"] == 6.0 and units["won"] == 3 and units["pairs"] == 4
+    assert units["ratio_min"] == 84.0 / 85.0 and units["ratio_max"] == 1.1
+    # Lower is better: a fall is a gain, and a tie is not a win.
+    assert rss["gain"] == 0.0 and rss["won"] == 2
+    rss["gain"] = -1.0
+    lines = ab_bench.format_rows([units, rss])
+    assert "(within the iqr)" in lines[0] and "(worse by more than the iqr)" in lines[1]
+
+
+def test_ab_bench_alternates_the_side_that_runs_first(ab_bench, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, "end_to_end": [
+        {"name": "units_per_cpu_s", "unit": "1/s", "better": "higher"}]}))
+    calls = []
+
+    def run(root, workload, seed, seconds, trace):
+        calls.append((root.name, workload, seed, seconds, trace))
+        return _result(90.0 if root.name == "parent" else 99.0, 50.0, failed=int(seed == 4))
+
+    argv = [str(tmp_path / "parent"), str(tmp_path), "--workload", "report_mix", "--seeds", "3-5"]
+    assert ab_bench.main(argv, run=run) == 0
+    change = tmp_path.name
+    assert calls == [("parent", "report_mix", 3, 45, 0), (change, "report_mix", 3, 45, 0),
+                     (change, "report_mix", 4, 45, 0), ("parent", "report_mix", 4, 45, 0),
+                     ("parent", "report_mix", 5, 45, 0), (change, "report_mix", 5, 45, 0)]
+    out = capsys.readouterr().out
+    assert "won 3 of 3 pairs" in out and "gain +9" in out
+    assert "note: seed 4" not in out  # both sides failed one call

@@ -238,6 +238,13 @@ def test_float17_matches_the_branching_form():
     assert [float17(x) for x in (np.inf, -np.inf, np.nan, -0.0)] == ["inf", "-inf", "nan", "-0"]
 
 
+def test_distinct_is_unique():
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 2, 17, 3000):
+        values = rng.integers(0, max(n // 3, 1), n)
+        assert util._distinct(values).tolist() == np.unique(values).tolist()
+
+
 # ---------------------------------------------------------------------------
 # brent_rows against scipy's brentq
 # ---------------------------------------------------------------------------
@@ -336,6 +343,21 @@ def test_brent_rows_args_give_each_row_alone():
     for k in range(len(a)):
         alone = brent_rows(lambda x: f(x, p[k:k + 1], q[k:k + 1]), a[k], b[k], 1e-14)
         assert roots[k] == alone[0]
+
+
+def test_brent_rows_given_ends_skip_their_call():
+    # End values from the caller give the same roots bit for bit, and f is
+    # called only on the iterates; a nan end value is still rejected.
+    f = BRENT_FUNCTIONS[3]
+    rng = np.random.default_rng(31)
+    a, b = rng.uniform(-3.0, 0.2, 40), rng.uniform(0.4, 3.0, 40)
+    g, sizes = counted(f)
+    roots = brent_rows(g, a, b, 1e-14, ends=(f(a), f(b)))
+    g_all, sizes_all = counted(f)
+    assert roots.tobytes() == brent_rows(g_all, a, b, 1e-14).tobytes()
+    assert sizes_all[0] == 2 * len(a) and sizes == sizes_all[1:]
+    with pytest.raises(ValueError, match="NaN"):
+        brent_rows(f, a, b, 1e-14, ends=(f(a), np.where(b > 1.0, np.nan, f(b))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,141 @@
+"""Alternating parent/change runs of a benchmark workload, summarized per
+metric, so that a speed claim takes one command:
+
+    python3 tools/ab_bench.py PARENT CHANGE --workload W --seeds A-B [--trace 0|1]
+
+PARENT and CHANGE are checkouts. For each seed from A to B (or the one seed
+A), `python3 perfbench/run.py --workload W --seed N --seconds S --trace T`
+runs in PARENT and in CHANGE, each from its own root, one after the other:
+parent first on even pairs and change first on odd ones, so that a drift
+of the machine's speed favours neither side. Each run's last stdout line is
+its JSON result. S is the run_seconds of CHANGE's BENCHMARK.json, whose
+end_to_end list (--trace 0) or per_layer list (--trace 1) names the
+metrics and which way is better.
+
+One line per run is printed as it ends; then, per metric: the median of
+each side, the parent's quartiles and interquartile range, the median gain
+(change over parent, signed so that > 0 is better), the median, least and
+largest paired ratio change / parent, and the pairs the change won. Runs
+whose result is not `correct`, or that failed more calls than their pair
+partner, are named below the table. The tool only runs perfbench/run.py;
+it writes nothing of its own in either checkout.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text):
+    """The seeds of "A-B" (inclusive) or of one seed "A"."""
+    lo, _, hi = text.partition("-")
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def run_once(root, workload, seed, seconds, trace):
+    """The JSON result of one perfbench run in the checkout root."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(argv[1:])} in {root} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summarize(parent, change, specs):
+    """One row per metric of specs ((name, unit, better) with better
+    "lower" or "higher") that every run reports: a dict of the statistics
+    printed by `format_rows`. parent and change are lists of run results,
+    paired by position."""
+    rows = []
+    for name, unit, better in specs:
+        try:
+            p = [float(r["metrics"][name]["value"]) for r in parent]
+            c = [float(r["metrics"][name]["value"]) for r in change]
+        except KeyError:
+            continue
+        sign = 1.0 if better == "higher" else -1.0
+        q1, p_med, q3 = quartiles(p)
+        c_med = statistics.median(c)
+        ratios = [y / x if x else float("nan") for x, y in zip(p, c)]
+        rows.append({
+            "name": name, "unit": unit, "better": better,
+            "parent_median": p_med, "change_median": c_med,
+            "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
+            "gain": sign * (c_med - p_med),
+            "ratio_median": statistics.median(ratios), "ratio_min": min(ratios),
+            "ratio_max": max(ratios),
+            "won": sum(sign * (y - x) > 0 for x, y in zip(p, c)), "pairs": len(p),
+        })
+    return rows
+
+
+def format_rows(rows):
+    """The summary table, one line per metric."""
+    out = []
+    for r in rows:
+        side = "better" if r["gain"] > 0 else "worse"
+        spread = f"{side} by more than the iqr" if abs(r["gain"]) > r["parent_iqr"] else "within the iqr"
+        out.append(
+            f"{r['name']} [{r['unit']}, {r['better']} is better]: "
+            f"parent median {r['parent_median']:.6g} (q1 {r['parent_q1']:.6g}, q3 {r['parent_q3']:.6g}, "
+            f"iqr {r['parent_iqr']:.6g}), change median {r['change_median']:.6g}, "
+            f"gain {r['gain']:+.6g} ({spread}); "
+            f"ratio change/parent median {r['ratio_median']:.4f} "
+            f"[{r['ratio_min']:.4f}, {r['ratio_max']:.4f}]; won {r['won']} of {r['pairs']} pairs"
+        )
+    return out
+
+
+def main(argv=None, run=run_once):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    specs = [(m["name"], m["unit"], m["better"])
+             for m in bench["per_layer" if args.trace else "end_to_end"]]
+    sides = {"parent": args.parent, "change": args.change}
+    results = {"parent": [], "change": []}
+    for k, seed in enumerate(args.seeds):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            res = run(sides[side], args.workload, seed, seconds, args.trace)
+            results[side].append(res)
+            shown = ", ".join(f"{name} {res['metrics'][name]['value']:.6g}"
+                              for name, _, _ in specs[:5] if name in res["metrics"])
+            print(f"pair {k} seed {seed} {side}: correct {res['correct']}, "
+                  f"failed {res['failed']} of {res['attempted']}; {shown}", flush=True)
+    print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {len(args.seeds)} pairs, "
+          f"--seconds {seconds:g}, --trace {args.trace}")
+    for line in format_rows(summarize(results["parent"], results["change"], specs)):
+        print(line)
+    for k, seed in enumerate(args.seeds):
+        p, c = results["parent"][k], results["change"][k]
+        for side, res, other in (("parent", p, c), ("change", c, p)):
+            if not res["correct"] or res["failed"] > other["failed"]:
+                print(f"note: seed {seed} {side}: correct {res['correct']}, "
+                      f"failed {res['failed']} of {res['attempted']} (its pair: {other['failed']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
