@@ -397,23 +397,32 @@ def _refine_rows(curve, weight, pts, s, step, iters):
     return best_s, best_f
 
 
-# Cells (points x grid samples) in one block of the G grid stage: the two
-# float64 block buffers take 512 KiB each whatever the number of points.
+# Cells (points x grid samples) in one block of the G grid stage: the
+# filter's one float64 block buffer takes 512 KiB whatever the number of
+# points; the dense rule's two buffers hold only the rows it has to decide.
 _G_BLOCK_CELLS = 1 << 16
 # Most Newton passes of one point's refinement; smooth minima take about three.
 _G_REFINE_PASSES = 40
+# The grid filter's band (`_grid_argmin`), per term of its product: 32
+# rounding units u = 2^-53 of the row's scale W (|q| + H)^2, and 128 times
+# the 2^-1075 one underflowing operation can lose, of its size bound Z.
+_G_BAND_ROUNDING = 2.0**-48
+_G_BAND_UNDERFLOW = 2.0**-1068
 
 
 def g_potential(pairs, points, samples=2048):
     """Vectorized G(p) = min_s F_p over all components for many ambient points.
 
-    The grid minimum is taken in row blocks of fixed size (`_grid_argmin`),
-    so memory does not grow with the number of points. Each point's grid
-    minimum is then refined within one grid step by the row-wise
-    safeguarded Newton of `_refine_rows`: at most _G_REFINE_PASSES passes of
-    one curve and one weight jet, about three on smooth minima. G never
-    exceeds the grid value, and a point's G does not depend on the other
-    points of the call. Returns (values, component_index, s_values).
+    Each component's grid minimum is the dense grid's index bit for bit
+    (`_grid_argmin`): one matrix product per block of rows bounds every
+    cell's value within a certified rounding band, and only the rows that
+    band cannot decide take the dense formula. Memory does not grow with
+    the number of points. Each point's grid minimum is then refined within
+    one grid step by the row-wise safeguarded Newton of `_refine_rows`: at
+    most _G_REFINE_PASSES passes of one curve and one weight jet, about three
+    on smooth minima. G never exceeds the grid value, and a point's G does
+    not depend on the other points of the call. Returns (values,
+    component_index, s_values).
     """
     pairs = as_pairs(pairs)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -433,16 +442,81 @@ def g_potential(pairs, points, samples=2048):
 
 
 def _grid_argmin(pts, gp, mug):
-    """Grid index minimizing |p - g|^2 / mu^2 for every point p.
+    """Grid index minimizing |p - g|^2 / mu^2 for every point p: the dense
+    grid's `argmin` bit for bit, the first index of the least value.
 
-    Works through blocks of at most _G_BLOCK_CELLS (point, sample) cells in
-    two buffers allocated once, accumulating the squared distance one
-    coordinate at a time; the sums run in the same order as a dense
-    `((p - g) ** 2).sum(axis=-1)`, so the values and indices are the dense
-    ones bit for bit.
+    The dense value of a cell is D = ((p0 - g0)^2 + (p1 - g1)^2 + ...) / mu^2,
+    summed in that order. With the grid shifted by its centroid c (h = g - c,
+    q = p - c, w = 1/mu^2), D = w |q - h|^2 = [|q|^2, q, 1] . [w, -2 w h, w |h|^2]
+    up to rounding, so one matrix product per block of at most
+    _G_BLOCK_CELLS cells approximates every cell of the block. Per row, j0
+    is the product's argmin, E0 the dense value at j0 and A2 the product's
+    least value off j0. With W = max w, H = max |h| and
+    Z = (1 + W)(1 + |q| + H)^2, the row's band is
+
+        (n + 2) (2^-48 W (|q| + H)^2 + 2^-1068 Z).
+
+    Rounding errs by at most gamma_{n+2} sum |x_i y_i| <= (n + 2) u W (|q| + H)^2
+    (1 + O(u)) in the product, u = 2^-53, whatever its summation order and
+    with or without FMA (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1); the shift, the product's entries and the dense
+    formula add at most (2n + 10) u W (|q| + H)^2, and underflow at most
+    (6n + 5) 2^-1075 Z. So every cell whose dense value is <= E0 has a product
+    value <= E0 + band: a row with A2 > E0 + band has j0 as its strict dense
+    minimum, provided max(1, W)(|q| + H)^2 <= 2^1000, so that nothing
+    overflows. The other rows (ties, near-ties, nan or inf, rows at the
+    edges of the float range), and every row of a grid whose mu^2 or
+    product rows are not finite, take the dense formula
+    (`_dense_grid_argmin`) with its usual floating-point warnings.
+    """
+    mu2 = mug**2
+    n = pts.shape[1]
+    idx = np.empty(len(pts), dtype=np.intp)
+    undecided = np.ones(len(pts), dtype=bool)
+    with np.errstate(all="ignore"):
+        c = gp.mean(axis=0)
+        h = gp - c
+        w = 1.0 / mu2
+        hh = np.sum(h * h, axis=1)
+        right = np.vstack([w, -2.0 * w * h.T, w * hh])
+        if np.all(np.isfinite(right)) and np.all(np.isfinite(mu2)):
+            left = np.empty((len(pts), n + 2))
+            q = np.subtract(pts, c, out=left[:, 1:-1])
+            qq = left[:, 0] = np.sum(q * q, axis=1)
+            left[:, -1] = 1.0
+            rows = max(1, _G_BLOCK_CELLS // len(gp))
+            buf = np.empty((min(rows, len(pts)), len(gp)))
+            at = np.arange(len(buf))
+            second = np.empty(len(pts))
+            for start in range(0, len(pts), rows):
+                block = left[start:start + rows]
+                a = buf[:len(block)]
+                np.matmul(block, right, out=a)
+                j = idx[start:start + rows] = a.argmin(axis=1)
+                a[at[:len(a)], j] = np.inf
+                second[start:start + rows] = a.min(axis=1)
+            # E0: the dense formula at j0, in its own order.
+            diff = pts - gp[idx]
+            e0 = diff[:, 0] * diff[:, 0]
+            for k in range(1, n):
+                e0 = e0 + diff[:, k] * diff[:, k]
+            e0 = e0 / mu2[idx]
+            big_w, size = w.max(), np.sqrt(qq) + np.sqrt(hh.max())
+            z = (1.0 + big_w) * (1.0 + size) ** 2
+            band = (n + 2) * (big_w * size**2 * _G_BAND_ROUNDING + z * _G_BAND_UNDERFLOW)
+            undecided = ~((second > e0 + band) & (max(1.0, big_w) * size**2 <= 2.0**1000))
+    if np.any(undecided):
+        idx[undecided] = _dense_grid_argmin(pts[undecided], gp, mu2)
+    return idx
+
+
+def _dense_grid_argmin(pts, gp, mu2):
+    """`_grid_argmin` by the dense formula, for the rows its band cannot
+    decide: blocks of at most _G_BLOCK_CELLS cells in two buffers, the
+    squared distance accumulated one coordinate at a time in the order of
+    `((p - g) ** 2).sum(axis=-1)`, then divided by mu^2.
     """
     rows = max(1, _G_BLOCK_CELLS // len(gp))
-    mu2 = mug**2
     cols = np.ascontiguousarray(gp.T)
     fbuf = np.empty((min(rows, len(pts)), len(gp)))
     ebuf = np.empty_like(fbuf)

@@ -290,9 +290,16 @@ def jacobian_determinant(curve, weight, s, v, R):
     order-2 jets: columns dE/ds and dE/dc_j in the coordinates arclength s
     and coefficients c of R v on the normal frame at the foot, carried along
     the curve by projection. Independent of the second-derivative criterion;
-    used to cross-validate it. Raises OutOfWError for the first row, in C
-    order, whose direction is tangent or whose height is not finite,
-    negative or above 1/|mu'|, or else not strictly inside the admissible set.
+    used to cross-validate it away from R = 0. The c-columns scale the
+    offset by R (dE/dc_j = R [...]), so the determinant carries a factor
+    R^(n-1) and reads 0 at R = 0, where the map is regular: on ellipse_mu1
+    at s = 0.4 along gamma'' it is 0.0, -1.0e-3 and -8.8e-2 at R = 0, 1e-3
+    and 0.1, while F'' = 2.0, 1.998 and 1.759 call all three regular. Near
+    R = 0 the singularity test is `is_singular`, not this determinant.
+
+    Raises OutOfWError for the first row, in C order, whose direction is
+    tangent or whose height is not finite, negative or above 1/|mu'|, or
+    else not strictly inside the admissible set.
     """
     det = np.linalg.det(differential(curve, weight, s, v, R))
     return float(det) if det.ndim == 0 else det

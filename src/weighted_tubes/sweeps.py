@@ -110,9 +110,10 @@ def tube_boundary(pairs, R, s_samples=256):
     exceeds the almost-injectivity height. Feet whose admissible bound is
     below R contribute nothing. The directions come from the feet's normal
     frames; all (foot, direction) rows of a component are mapped in one
-    array pass. Returns (boundary, overlap), each an (m, n + 3) array of
-    rows (component, s, G, x1..xn). Raises SceneError when one component's
-    (foot, direction) rows would need more than GRID_BUDGET_BYTES.
+    array pass, and one G call takes the rows of every component. Returns
+    (boundary, overlap), each an (m, n + 3) array of rows (component, s, G,
+    x1..xn). Raises SceneError when one component's (foot, direction) rows
+    would need more than GRID_BUDGET_BYTES.
     """
     pairs = as_pairs(pairs)
     if R <= 0:
@@ -124,8 +125,7 @@ def tube_boundary(pairs, R, s_samples=256):
             f"tube with {s_samples} feet needs {need} bytes per row array in {n} "
             f"dimensions, above the {GRID_BUDGET_BYTES}-byte budget"
         )
-    boundary = [np.zeros((0, n + 3))]
-    overlap = [np.zeros((0, n + 3))]
+    rows = [np.zeros((0, n + 3))]
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(s_samples)
         bounds = w_bound(weight, sg)
@@ -133,14 +133,14 @@ def tube_boundary(pairs, R, s_samples=256):
         if not len(feet):
             continue
         dirs = _directions(normal_frames(curve, feet), n, _DIR_SAMPLES)
-        s_rows = np.repeat(feet, dirs.shape[1])
         pts = exp_mu(curve, weight, feet[:, None], dirs, float(R)).reshape(-1, n)
-        vals, _, _ = g_potential(pairs, pts)
-        inside = vals >= R * R - _TUBE_TOL_FACTOR * R * R
-        rows = np.column_stack([np.full(len(s_rows), ci), s_rows, vals, pts])
-        boundary.append(rows[inside])
-        overlap.append(rows[~inside])
-    return np.concatenate(boundary), np.concatenate(overlap)
+        rows.append(np.column_stack([np.full(len(pts), ci), np.repeat(feet, dirs.shape[1]),
+                                     np.zeros(len(pts)), pts]))
+    rows = np.concatenate(rows)
+    if len(rows):
+        rows[:, 2] = g_potential(pairs, rows[:, 3:])[0]
+    inside = rows[:, 2] >= R * R - _TUBE_TOL_FACTOR * R * R
+    return rows[inside], rows[~inside]
 
 
 def _directions(frames, ambient_dim, dir_samples):

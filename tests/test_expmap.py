@@ -437,6 +437,49 @@ def points_near(curve, rng, m, spread):
     return curve.point(s) + rng.normal(0.0, spread, (m, curve.ambient_dim))
 
 
+def seeded_fourier_3d_scene(seed=31):
+    """A closed 3D Fourier curve with a Fourier weight drawn from one seed,
+    like the generated 3D scene of the benchmark's geometry workload."""
+    from weighted_tubes import parse_scene
+
+    rng = np.random.default_rng(seed)
+    cx, cy = [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+    for k in (2, 3, 4):
+        px, py = rng.uniform(0.0, 2.0 * np.pi, 2)
+        cx += [0.04 / k**2 * np.cos(px), 0.04 / k**2 * np.sin(px)]
+        cy += [0.04 / k**2 * np.cos(py), 0.04 / k**2 * np.sin(py)]
+    ph, lift = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.1, 0.2)
+    cz = [0.0, 0.0, 0.0, lift * np.cos(ph), lift * np.sin(ph)]
+    w = [1.0]
+    for k in (1, 2):
+        ph = rng.uniform(0.0, 2.0 * np.pi)
+        w += [0.1 / k * np.cos(ph), 0.1 / k * np.sin(ph)]
+    return parse_scene({
+        "ambient_dim": 3,
+        "components": [{"kind": "fourier", "params": {"coefficients": [cx, cy, cz]}}],
+        "weights": [{"kind": "fourier", "params": {"coefficients": w}}],
+    })
+
+
+def dense_in_chunks(pts, gp, mug, chunk=64):
+    """oracles.dense_grid_argmin a few points at a time, to bound its memory;
+    overflow and invalid values are the cases under test, not failures."""
+    with np.errstate(all="ignore"):
+        parts = [dense_grid_argmin(pts[k:k + chunk], gp, mug) for k in range(0, len(pts), chunk)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+
+def grid_argmin_quietly(pts, gp, mug):
+    from weighted_tubes.expmap import _grid_argmin
+
+    with np.errstate(all="ignore"):
+        return _grid_argmin(pts, gp, mug)
+
+
+def assert_dense_indices(pts, gp, mug):
+    np.testing.assert_array_equal(grid_argmin_quietly(pts, gp, mug), dense_in_chunks(pts, gp, mug))
+
+
 class StubTangents:
     """Stand-in curve whose tangent at s = k is the k-th given row."""
 
@@ -447,18 +490,35 @@ class StubTangents:
         return self.rows[np.asarray(s, dtype=int)]
 
 
+BUNDLED = ["circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
+           "example3_family", "example4", "example6_family"]
+
+
 class TestGPotentialAgainstDenseGrid:
-    @pytest.mark.parametrize("name", ["ellipse_mu1", "example1b"])
-    def test_blocked_grid_argmin_is_the_dense_one(self, scenes, name):
+    @pytest.mark.parametrize("name", BUNDLED + ["fourier_3d_seeded"])
+    def test_blocked_grid_argmin_is_the_dense_one(self, scenes, monkeypatch, name):
+        from weighted_tubes import radii_report, sweeps, tube_boundary
         from weighted_tubes.expmap import _G_BLOCK_CELLS, _grid_argmin
 
-        curve, weight = scenes[name].pairs[0]
+        scene = scenes[name] if name in scenes else seeded_fourier_3d_scene()
+        curve, weight = scene.pairs[0]
         sg = curve.grid(2048)
         gp, mug = curve.point(sg), np.asarray(weight.mu(sg), dtype=float)
         pts = points_near(curve, np.random.default_rng(5), 700, 0.4)
         rows = _G_BLOCK_CELLS // len(sg)  # points per block
         assert len(pts) > 2 * rows and len(pts) % rows  # three blocks or more, the last one short
         np.testing.assert_array_equal(_grid_argmin(pts, gp, mug), dense_grid_argmin(pts, gp, mug))
+        # The candidate points of the tube calls below and above air.
+        mapped = []
+        g_potential = sweeps.g_potential
+        monkeypatch.setattr(sweeps, "g_potential",
+                            lambda pairs, p: mapped.append(p) or g_potential(pairs, p))
+        air = radii_report(scene.pairs, scene.tolerances).air
+        for factor in (0.6, 1.3):
+            tube_boundary(scene.pairs, factor * air)
+        assert len(mapped) == 2 and all(len(p) > 2 * rows for p in mapped)
+        for p in mapped:
+            np.testing.assert_array_equal(_grid_argmin(p, gp, mug), dense_in_chunks(p, gp, mug))
 
     @staticmethod
     def assert_close_to_the_two_point_loop(pairs, pts, vtol):
@@ -516,6 +576,149 @@ class TestGPotentialAgainstDenseGrid:
         _, c, _ = g_potential(pairs, pts)
         assert set(c) == {0, 1}
         self.assert_close_to_the_two_point_loop(pairs, pts, 1e-14)
+
+
+def loop_grid(rng, n, N, scale, shift=0.0):
+    """N samples of a closed loop in R^n with bumps, scaled and shifted."""
+    t = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+    bumps = [0.3 * np.sin((k + 2) * t + k) for k in range(n - 2)]
+    loop = np.stack([np.cos(t), np.sin(t)] + bumps, axis=1)
+    return shift + scale * (loop + 0.01 * rng.normal(size=(N, n)))
+
+
+def hard_points(rng, gp, scale, shift=0.0):
+    """Points near the grid, on grid samples, far off, at the centroid, and
+    with nan or inf coordinates."""
+    n = gp.shape[1]
+    near = gp[rng.integers(0, len(gp), 40)] + scale * rng.normal(0.0, 0.05, (40, n))
+    on = gp[rng.integers(0, len(gp), 8)]
+    far = shift + scale * rng.normal(0.0, 10.0, (8, n))
+    bad = np.full((4, n), shift + scale)
+    bad[0, 0], bad[1, -1], bad[2, 0], bad[3] = np.nan, np.inf, -np.inf, np.nan
+    return np.concatenate([near, on, far, gp.mean(axis=0)[None], bad])
+
+
+def near_tie_rows(rng, m=200, N=512):
+    """Points within 1e-16 of the centre of the unit circle, mu = 1: every
+    dense value is 1 to within a few ulp, and the least ones tie or lie one
+    ulp apart."""
+    t = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+    gp = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return rng.normal(0.0, 1e-16, (m, 2)), gp, np.ones(N)
+
+
+class TestGridArgminCertificate:
+    """`_grid_argmin`'s certified filter returns the dense oracle's indices
+    where rounding, scale, ties and non-finite values make that hardest."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("N", [1, 2, 7, 2048])
+    @pytest.mark.parametrize("scale, shift", [
+        (1.0, 0.0), (1.0, 1e8), (1e-150, 0.0), (1e-170, 0.0), (1e150, 0.0), (1e200, 0.0),
+    ])
+    def test_scales_and_sizes(self, n, N, scale, shift):
+        rng = np.random.default_rng([n, N, int(np.log10(scale)) + 200])
+        gp = loop_grid(rng, n, N, scale, shift)
+        pts = hard_points(rng, gp, scale, shift)
+        # mu spanning e^-3..1, and mu at the grid's own scale.
+        for mug in (np.exp(rng.uniform(-3.0, 0.0, N)), scale * np.exp(rng.uniform(-3.0, 0.0, N))):
+            assert_dense_indices(pts, gp, mug)
+
+    @pytest.fixture
+    def dense_rows(self, monkeypatch):
+        """The points each call of the dense rule receives."""
+        from weighted_tubes import expmap
+
+        seen = []
+        dense = expmap._dense_grid_argmin
+        monkeypatch.setattr(expmap, "_dense_grid_argmin",
+                            lambda p, gp, mu2: seen.append(p.copy()) or dense(p, gp, mu2))
+        return seen
+
+    def test_exact_ties_take_the_dense_rule(self, dense_rows):
+        # At the centre of the unit circle with mu = 1 the dense values tie
+        # exactly, and the first least one is the answer.
+        t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+        gp, mug = np.stack([np.cos(t), np.sin(t)], axis=1), np.ones(2048)
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.3, -0.2]])
+        with np.errstate(all="ignore"):
+            values = ((pts[0] - gp) ** 2).sum(axis=1)
+        assert np.sum(values == values.min()) > 1
+        assert_dense_indices(pts, gp, mug)
+        assert len(dense_rows) == 1 and dense_rows[0].tobytes() == pts[:1].tobytes()
+
+    def test_near_ties_take_the_dense_rule(self, dense_rows):
+        pts, gp, mug = near_tie_rows(np.random.default_rng(8))
+        values = ((pts[:, None, :] - gp) ** 2).sum(axis=2) / mug**2
+        least = values.min(axis=1)
+        above = np.where(values > least[:, None], values, np.inf).min(axis=1)
+        assert np.all(above == np.nextafter(least, 2.0))  # one ulp apart
+        assert np.any(np.sum(values == least[:, None], axis=1) == 1)  # some rows have no tie
+        assert_dense_indices(pts, gp, mug)
+        assert sum(len(p) for p in dense_rows) == len(pts)
+
+    def test_without_its_band_the_filter_fails(self, monkeypatch):
+        # Mutation check: with band 0 the near-tie rows come out wrong, and
+        # without the underflow term so do rows whose squared distances
+        # underflow while w = 1/mu^2 is large (mu = 1e-50 at 1e-170): the
+        # dense values there all round to 0, so the first index wins.
+        from weighted_tubes import expmap
+
+        pts, gp, mug = near_tie_rows(np.random.default_rng(8))
+        tiny = (np.array([[1e-170, 0.0], [2e-170, 0.0], [5e-171, 1e-171]]),
+                np.array([[-1e-170, 0.0]] * 3 + [[3e-170, 0.0]]), np.full(4, 1e-50))
+        for case in ((pts, gp, mug), tiny):
+            assert_dense_indices(*case)
+        monkeypatch.setattr(expmap, "_G_BAND_UNDERFLOW", 0.0)
+        assert np.all(grid_argmin_quietly(*tiny) == 3)
+        assert np.all(dense_in_chunks(*tiny) == 0)
+        monkeypatch.setattr(expmap, "_G_BAND_ROUNDING", 0.0)
+        assert np.any(grid_argmin_quietly(pts, gp, mug) != dense_in_chunks(pts, gp, mug))
+
+    @pytest.mark.parametrize("signs", ["widening the gap", "random"])
+    def test_any_product_within_the_rounding_bound(self, monkeypatch, signs):
+        # A matrix product that errs by up to gamma_{n+2} sum |x_i y_i| per
+        # cell, as a BLAS with another summation order may: lowered on each
+        # row's least cell and raised elsewhere, so that a wrong j0 looks
+        # certain, or random.
+        rng = np.random.default_rng(21)
+        matmul = np.matmul
+
+        def erring(x, y, out):
+            k = x.shape[1]
+            bound = k * 2.0**-53 / (1.0 - k * 2.0**-53) * matmul(np.abs(x), np.abs(y))
+            exact = matmul(x, y)
+            if signs == "random":
+                sign = rng.choice([-1.0, 1.0], size=exact.shape)
+            else:
+                sign = np.ones(exact.shape)
+                sign[np.arange(len(exact)), np.argmin(exact, axis=1)] = -1.0
+            out[...] = exact + sign * bound
+            return out
+
+        cases = [near_tie_rows(rng)]
+        for n in (2, 3, 4):
+            for scale, shift in ((1.0, 0.0), (1.0, 1e8), (1e-150, 0.0)):
+                gp = loop_grid(rng, n, 2048, scale, shift)
+                mug = np.exp(rng.uniform(-3.0, 0.0, 2048))
+                cases.append((hard_points(rng, gp, scale, shift), gp, mug))
+        want = [dense_in_chunks(*case) for case in cases]
+        monkeypatch.setattr(np, "matmul", erring)
+        for case, ref in zip(cases, want):
+            np.testing.assert_array_equal(grid_argmin_quietly(*case), ref)
+
+    @pytest.mark.parametrize("bad", ["zero mu", "inf mu", "nan mu", "inf grid", "nan grid"])
+    def test_a_grid_the_filter_cannot_take_is_dense(self, dense_rows, bad):
+        rng = np.random.default_rng(4)
+        gp = loop_grid(rng, 2, 64, 1.0)
+        mug = np.exp(rng.uniform(-3.0, 0.0, 64))
+        if bad.endswith("mu"):
+            mug[5] = {"zero": 0.0, "inf": np.inf, "nan": np.nan}[bad.split()[0]]
+        else:
+            gp[9, 1] = {"inf": np.inf, "nan": np.nan}[bad.split()[0]]
+        pts = hard_points(rng, gp, 1.0)
+        assert_dense_indices(pts, gp, mug)
+        assert len(dense_rows) == 1 and len(dense_rows[0]) == len(pts)
 
 
 class TestNewtonRefinement:

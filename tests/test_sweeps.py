@@ -453,6 +453,34 @@ class TestTubeBoundary:
             assert set(rows[:, 0]) <= set(range(len(scene.pairs)))
             assert np.all(np.diff(boundary[:, 0]) >= 0) and np.all(np.diff(overlap[:, 0]) >= 0)
 
+    def test_one_potential_call_is_the_per_component_calls(self, monkeypatch):
+        # G is taken once over the rows of both components; per component,
+        # as tube_boundary used to, it gives the same arrays bit for bit.
+        from weighted_tubes import exp_mu, g_potential, normal_frames
+        from weighted_tubes.expmap import w_bound
+
+        pairs = load_scene(TWO_COMPONENT).pairs
+        calls = []
+        monkeypatch.setattr(sweeps, "g_potential", lambda p, pts: calls.append(len(pts)) or g_potential(p, pts))
+        for R in (0.3, 1.0):
+            calls.clear()
+            got = tube_boundary(pairs, R, s_samples=64)
+            boundary, overlap = [], []
+            for ci, (curve, weight) in enumerate(pairs):
+                sg = curve.grid(64)
+                feet = sg[w_bound(weight, sg) * (1.0 - sweeps._W_MARGIN) > R]
+                dirs = sweeps._directions(normal_frames(curve, feet), 2, sweeps._DIR_SAMPLES)
+                pts = exp_mu(curve, weight, feet[:, None], dirs, R).reshape(-1, 2)
+                vals, _, _ = g_potential(pairs, pts)
+                inside = vals >= R * R - sweeps._TUBE_TOL_FACTOR * R * R
+                rows = np.column_stack([np.full(len(pts), ci), np.repeat(feet, 2), vals, pts])
+                boundary.append(rows[inside])
+                overlap.append(rows[~inside])
+            assert calls == [len(got[0]) + len(got[1])] == [256]
+            assert set(got[0][:, 0]) == {0.0, 1.0}
+            for rows, ref in zip(got, (np.concatenate(boundary), np.concatenate(overlap))):
+                assert rows.shape == ref.shape and rows.tobytes() == ref.tobytes()
+
     def test_maps_the_distinct_feet_once(self, scenes, monkeypatch):
         # Sixteen (foot, direction) rows per foot share their foot's jets:
         # no first-order jet is evaluated on a repeated foot.

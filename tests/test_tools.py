@@ -155,3 +155,25 @@ def test_ab_bench_alternates_the_side_that_runs_first(ab_bench, tmp_path, capsys
     out = capsys.readouterr().out
     assert "won 3 of 3 pairs" in out and "gain +9" in out
     assert "note: seed 4" not in out  # both sides failed one call
+
+
+@pytest.mark.parametrize("bad", ["not correct", "failed more"])
+def test_ab_bench_exits_1_on_a_run_no_claim_may_rest_on(ab_bench, tmp_path, capsys, bad):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, "end_to_end": [
+        {"name": "units_per_cpu_s", "unit": "1/s", "better": "higher"}]}))
+
+    def run(root, workload, seed, seconds, trace):
+        res = _result(90.0 if root.name == "parent" else 99.0, 50.0)
+        if seed == 8 and root.name != "parent":
+            if bad == "not correct":
+                res["correct"] = False
+            else:
+                res["failed"] = 1
+        return res
+
+    argv = [str(tmp_path / "parent"), str(tmp_path), "--workload", "geometry", "--seeds", "7-9"]
+    assert ab_bench.main(argv, run=run) == 1
+    out = capsys.readouterr().out
+    assert "won 3 of 3 pairs" in out
+    notes = [line for line in out.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1 and notes[0].startswith("note: seed 8 change:")

@@ -17,8 +17,9 @@ each side, the parent's quartiles and interquartile range, the median gain
 (change over parent, signed so that > 0 is better), the median, least and
 largest paired ratio change / parent, and the pairs the change won. Runs
 whose result is not `correct`, or that failed more calls than their pair
-partner, are named below the table. The tool only runs perfbench/run.py;
-it writes nothing of its own in either checkout.
+partner, are named below the table, and the tool then exits 1: no claim
+may rest on such a run. The tool only runs perfbench/run.py; it writes
+nothing of its own in either checkout.
 """
 
 import argparse
@@ -128,13 +129,15 @@ def main(argv=None, run=run_once):
           f"--seconds {seconds:g}, --trace {args.trace}")
     for line in format_rows(summarize(results["parent"], results["change"], specs)):
         print(line)
+    status = 0
     for k, seed in enumerate(args.seeds):
         p, c = results["parent"][k], results["change"][k]
         for side, res, other in (("parent", p, c), ("change", c, p)):
             if not res["correct"] or res["failed"] > other["failed"]:
+                status = 1
                 print(f"note: seed {seed} {side}: correct {res['correct']}, "
                       f"failed {res['failed']} of {res['attempted']} (its pair: {other['failed']})")
-    return 0
+    return status
 
 
 if __name__ == "__main__":
