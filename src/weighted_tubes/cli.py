@@ -84,13 +84,18 @@ def _write_text(path, text):
 
 
 def _csv_text(header, rows):
-    """CSV with one %-format per column, picked from its cells' types (see
-    _cell_format); a row whose columns mix kinds is formatted cell by cell."""
-    rows = [tuple(row) for row in rows]
-    fmts = [{_cell_format(kind) for kind in set(map(type, col))} for col in zip(*rows)]
-    fmt = ",".join(f.pop() for f in fmts) if all(len(f) == 1 for f in fmts) else None
-    lines = [(fmt or ",".join(_cell_format(type(cell)) for cell in row)) % row for row in rows]
-    return "\n".join([",".join(header)] + lines) + "\n"
+    """CSV of rows (or a 2-D array), column by column: a column of floats
+    formats each distinct value once, keyed by its bits (-0.0, 0.0 and each
+    nan keep their text), any other column each cell by its type (_cell_format)."""
+    texts = []
+    for col in rows.T if isinstance(rows, np.ndarray) else zip(*rows):
+        if (isinstance(col, np.ndarray) and col.dtype.kind == "f") or all(
+                issubclass(kind, (float, np.floating)) for kind in set(map(type, col))):
+            keys, at = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
+            texts.append(np.array(["%.17g" % x for x in keys.view(float).tolist()], dtype=object)[at])
+        else:
+            texts.append([_cell_format(type(cell)) % cell for cell in col])
+    return "\n".join([",".join(header)] + list(map(",".join, zip(*texts)))) + "\n"
 
 
 def _cell_format(kind):
@@ -105,8 +110,8 @@ def _point_csv(scene, s, R, points):
     height per point or one for all."""
     s = np.asarray(s, dtype=float)
     points = np.reshape(points, (len(s), scene.ambient_dim))
-    rows = np.column_stack([s, np.broadcast_to(R, s.shape), points]).tolist()
-    return _csv_text(["s", "R"] + [f"x{i + 1}" for i in range(scene.ambient_dim)], rows)
+    table = np.column_stack([s, np.broadcast_to(R, s.shape), points])
+    return _csv_text(["s", "R"] + [f"x{i + 1}" for i in range(scene.ambient_dim)], table)
 
 
 def _write_points(args, scene, s, R, points, **layers):

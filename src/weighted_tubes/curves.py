@@ -181,9 +181,12 @@ class _RawCurve(ArclengthCurve):
     partial cell with the curve's own node count: the smallest n in
     {4, 6, 8} whose full-cell sums match every 16-node cell integral of
     the table to within 2 ulp of L, or 16 when none does (a speed that
-    varies fast within a cell, as near a cusp). `_s_of_t` evaluates those
-    nodes and t itself in one pass and returns the speed at t with s(t), so
-    a Newton step costs one raw evaluation.
+    varies fast within a cell, as near a cusp). A match certifies the table,
+    as two Gauss-Legendre rules that agree on a cell have converged there,
+    so L is the sum of its cells; a 16-node table has L checked by the
+    doubling rule of `_length_refined` instead. `_s_of_t` evaluates the
+    chosen nodes and t itself in one pass and returns the speed at t with
+    s(t), so a Newton step costs one raw evaluation.
     """
 
     _GL_N = 16
@@ -202,22 +205,19 @@ class _RawCurve(ArclengthCurve):
             raise NonRegularCurveError("raw parametrization has vanishing speed")
         cell = self._cell_sums(tg, self._GL_N)
         cum = np.concatenate([[0.0], np.cumsum(cell)])
-        length = float(cum[-1])
-        # Budget-checked refinement of the total length (doubling rule).
-        check, ok = self._length_refined(length, cell)
-        if not ok:
-            raise QuadratureFailureError("arclength quadrature did not stabilize")
-        length = check
-        cum *= length / cum[-1] if cum[-1] > 0 else 1.0
-        super().__init__(self._raw(np.array([self._t0]), 0).shape[-1], length, closed, 0.0)
-        self._t_grid = tg
-        self._s_grid = cum
-        self._pchip = _pchip_coefficients(cum, tg)
+        length = float(cell.sum())
         ulps = 2.0 * np.spacing(length)
         self._cell_n = next(
             (m for m in self._CELL_NS if np.max(np.abs(self._cell_sums(tg, m) - cell)) <= ulps),
             self._GL_N,
         )
+        if self._cell_n == self._GL_N:
+            length = self._length_refined(float(cum[-1]))
+        cum *= length / cum[-1] if cum[-1] > 0 else 1.0
+        super().__init__(self._raw(np.array([self._t0]), 0).shape[-1], length, closed, 0.0)
+        self._t_grid = tg
+        self._s_grid = cum
+        self._pchip = _pchip_coefficients(cum, tg)
 
     def _cell_sums(self, tg, n):
         """Speed integrals over the cells of the knots tg, n Gauss-Legendre
@@ -230,24 +230,17 @@ class _RawCurve(ArclengthCurve):
             raise NonRegularCurveError("raw parametrization has vanishing speed")
         return (sp * wts[None, :]).sum(axis=1) * h
 
-    def _length_refined(self, base, table_cells, max_doublings=6):
-        """The total length from _CHECK_N cells, doubled until two
-        successive sums agree to _LENGTH_TOL, and whether they did; a check
-        on the table's own cells sums table_cells instead of recomputing
-        them."""
-        prev = base
+    def _length_refined(self, prev, max_doublings=6):
+        """The total length from _CHECK_N cells, doubled until two successive
+        sums, the first against prev, agree to _LENGTH_TOL; raises
+        QuadratureFailureError when they never do."""
         m = self._CHECK_N
         for _ in range(max_doublings):
-            if m == len(table_cells):
-                cells = table_cells
-            else:
-                cells = self._cell_sums(np.linspace(self._t0, self._t1, m + 1), self._GL_N)
-            val = float(cells.sum())
+            val = float(self._cell_sums(np.linspace(self._t0, self._t1, m + 1), self._GL_N).sum())
             if abs(val - prev) <= self._LENGTH_TOL * max(1.0, abs(val)):
-                return val, True
-            prev = val
-            m *= 2
-        return prev, False
+                return val
+            prev, m = val, 2 * m
+        raise QuadratureFailureError("arclength quadrature did not stabilize")
 
     def _raw(self, t, order):
         return self._raw_orders(t, (order,))[0]
@@ -510,15 +503,19 @@ class CurvatureProfileCurve(ArclengthCurve):
     _GL_N = 24
 
     def __init__(self, pieces):
+        self._pieces = pieces
+        self._end_state = self._walk(pieces, (1.0, 0.0, np.pi / 2.0))
+        super().__init__(2, 2.0 * pieces[-1].s1, True, 0.0)
+
+    def _walk(self, pieces, state):
+        """Set the pieces' start states from `state` = (x, y, theta) on; returns the end state."""
         if any(p.s1 <= p.s0 for p in pieces):
             raise NonRegularCurveError("a curvature-profile piece has zero width")
-        self._pieces = pieces
-        x, y, th = 1.0, 0.0, np.pi / 2.0
+        x, y, th = state
         for p in pieces:
             p.theta0, p.x0, p.y0 = th, x, y
             th, x, y = self._piece_state(p, p.s1)
-        self._end_state = (x, y, th)
-        super().__init__(2, 2.0 * pieces[-1].s1, True, 0.0)
+        return x, y, th
 
     # -- profile primitives --------------------------------------------------
 
@@ -620,22 +617,25 @@ def make_stadium(circle_turn=0.3, transition=0.05, line_length=7.0):
     s3, s4 = s2 + ell, s2 + ell + d2
     turn_fixed = p1 + 0.5 * d2  # circle + down-transition turning
 
-    def build(kappa2):
+    def cap(kappa2):  # the pieces kappa2 sets: the up-transition and the cap
         cap_turn = np.pi - turn_fixed - kappa2 * 0.5 * d2
         if cap_turn <= 0:
             raise NonRegularCurveError("stadium cap turn is non-positive")
         s5 = s4 + cap_turn / kappa2
-        pieces = [
-            _Piece(0.0, s1, "const", 1.0, 1.0),
-            _Piece(s1, s2, "step", 1.0, 0.0),
-            _Piece(s2, s3, "const", 0.0, 0.0),
-            _Piece(s3, s4, "step", 0.0, kappa2),
-            _Piece(s4, s5, "const", kappa2, kappa2),
-        ]
-        return CurvatureProfileCurve(pieces)
+        return [_Piece(s3, s4, "step", 0.0, kappa2), _Piece(s4, s5, "const", kappa2, kappa2)]
+
+    def build(kappa2):
+        return CurvatureProfileCurve([
+            _Piece(0.0, s1, "const", 1.0, 1.0), _Piece(s1, s2, "step", 1.0, 0.0),
+            _Piece(s2, s3, "const", 0.0, 0.0)] + cap(kappa2))
+
+    # The root finder's first trial, the bracket's lower end, is built whole: it
+    # raises what any build would. Each trial then walks only the cap pieces.
+    first = build(1e-3)
+    start = (first._pieces[3].x0, first._pieces[3].y0, first._pieces[3].theta0)
 
     def end_y(kappa2):
-        return np.array([build(float(k))._end_state[1] for k in kappa2])
+        return np.array([first._walk(cap(float(k)), start)[1] for k in kappa2])
 
     kappa2 = float(brent_rows(end_y, 1e-3, 0.9, 1e-14, 1e-15)[0])
     return build(kappa2)

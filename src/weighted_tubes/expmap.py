@@ -401,6 +401,9 @@ def _refine_rows(curve, weight, pts, s, step, iters):
 # filter's one float64 block buffer takes 512 KiB whatever the number of
 # points; the dense rule's two buffers hold only the rows it has to decide.
 _G_BLOCK_CELLS = 1 << 16
+# Multiply-adds of one block's product, cells x (n + 2). OpenBLAS threads a product of
+# about 650k, so blocks stay below that for every n; for n <= 6 the cell cap binds first.
+_G_BLOCK_MADDS = 1 << 19
 # Most Newton passes of one point's refinement; smooth minima take about three.
 _G_REFINE_PASSES = 40
 # The grid filter's band (`_grid_argmin`), per term of its product: 32
@@ -449,10 +452,10 @@ def _grid_argmin(pts, gp, mug):
     summed in that order. With the grid shifted by its centroid c (h = g - c,
     q = p - c, w = 1/mu^2), D = w |q - h|^2 = [|q|^2, q, 1] . [w, -2 w h, w |h|^2]
     up to rounding, so one matrix product per block of at most
-    _G_BLOCK_CELLS cells approximates every cell of the block. Per row, j0
-    is the product's argmin, E0 the dense value at j0 and A2 the product's
-    least value off j0. With W = max w, H = max |h| and
-    Z = (1 + W)(1 + |q| + H)^2, the row's band is
+    _G_BLOCK_CELLS cells and _G_BLOCK_MADDS multiply-adds approximates every
+    cell of the block. Per row, j0 is the product's argmin, E0 the dense
+    value at j0 and A2 the product's least value off j0. With W = max w,
+    H = max |h| and Z = (1 + W)(1 + |q| + H)^2, the row's band is
 
         (n + 2) (2^-48 W (|q| + H)^2 + 2^-1068 Z).
 
@@ -484,7 +487,7 @@ def _grid_argmin(pts, gp, mug):
             q = np.subtract(pts, c, out=left[:, 1:-1])
             qq = left[:, 0] = np.sum(q * q, axis=1)
             left[:, -1] = 1.0
-            rows = max(1, _G_BLOCK_CELLS // len(gp))
+            rows = max(1, min(_G_BLOCK_CELLS, _G_BLOCK_MADDS // (n + 2)) // len(gp))
             buf = np.empty((min(rows, len(pts)), len(gp)))
             at = np.arange(len(buf))
             second = np.empty(len(pts))
@@ -512,11 +515,11 @@ def _grid_argmin(pts, gp, mug):
 
 def _dense_grid_argmin(pts, gp, mu2):
     """`_grid_argmin` by the dense formula, for the rows its band cannot
-    decide: blocks of at most _G_BLOCK_CELLS cells in two buffers, the
-    squared distance accumulated one coordinate at a time in the order of
+    decide: blocks of the filter's size in two buffers, the squared
+    distance accumulated one coordinate at a time in the order of
     `((p - g) ** 2).sum(axis=-1)`, then divided by mu^2.
     """
-    rows = max(1, _G_BLOCK_CELLS // len(gp))
+    rows = max(1, min(_G_BLOCK_CELLS, _G_BLOCK_MADDS // (pts.shape[1] + 2)) // len(gp))
     cols = np.ascontiguousarray(gp.T)
     fbuf = np.empty((min(rows, len(pts)), len(gp)))
     ebuf = np.empty_like(fbuf)

@@ -170,7 +170,9 @@ def _guard(where):
 
 
 def _check_disjoint(pairs, samples=512):
-    """Components must be pairwise disjoint (sampled minimum distance > 0)."""
+    """Components must be pairwise disjoint (sampled minimum distance > 0).
+    A lone component is sampled too: under the loader's floating-point guard
+    its samples check that the curve can be evaluated at all."""
     clouds = [curve.point(curve.grid(samples)) for curve, _ in pairs]
     for i in range(len(clouds)):
         for j in range(i + 1, len(clouds)):

@@ -8,7 +8,7 @@ Lemma 3, seeded random unit normals, the pair Newton that runs every active
 row to the last pass, the pair search's per-offset seed loop, and the
 evaluators the shared series and piece code replaced: the Fourier weight's
 own per-mode jet, the stadium's per-piece advance and the run finder's
-loop."""
+loop, and the stadium solve that built the whole curve on every trial."""
 
 from dataclasses import dataclass, field
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from weighted_tubes import (
     PLANE,
+    NonRegularCurveError,
     NumericError,
     WeightedTubesError,
     exp_mu,
@@ -26,6 +27,7 @@ from weighted_tubes import (
     normal_frames,
     radii,
 )
+from weighted_tubes.curves import CurvatureProfileCurve, _Piece
 from weighted_tubes.expmap import _hess_rows, _offset_rows, _refine_rows
 from weighted_tubes.radii import (
     _NEWTON_MAX_ITER,
@@ -38,7 +40,7 @@ from weighted_tubes.radii import (
     _sigma_and_grad,
     _stencil,
 )
-from weighted_tubes.util import as_pairs, gauss_legendre, golden_min
+from weighted_tubes.util import as_pairs, brent_rows, gauss_legendre, golden_min
 
 
 def dense_grid_argmin(pts, gp, mug):
@@ -589,3 +591,36 @@ def runs_loop(mask, periodic):
         lo, _ = runs.pop()
         runs.append((lo, first[1] + n))
     return runs
+
+
+def stadium_by_full_builds(circle_turn=0.3, transition=0.05, line_length=7.0):
+    """curves.make_stadium before its trials walked only the cap pieces,
+    kept verbatim: every trial of the kappa2 solve builds the whole curve."""
+    p1 = float(circle_turn)
+    d2 = 2.0 * float(transition)
+    ell = float(line_length)
+    if p1 <= 0 or transition <= 0 or ell <= 0:
+        raise NonRegularCurveError("stadium parameters must be positive")
+    s1, s2 = p1, p1 + d2
+    s3, s4 = s2 + ell, s2 + ell + d2
+    turn_fixed = p1 + 0.5 * d2
+
+    def build(kappa2):
+        cap_turn = np.pi - turn_fixed - kappa2 * 0.5 * d2
+        if cap_turn <= 0:
+            raise NonRegularCurveError("stadium cap turn is non-positive")
+        s5 = s4 + cap_turn / kappa2
+        pieces = [
+            _Piece(0.0, s1, "const", 1.0, 1.0),
+            _Piece(s1, s2, "step", 1.0, 0.0),
+            _Piece(s2, s3, "const", 0.0, 0.0),
+            _Piece(s3, s4, "step", 0.0, kappa2),
+            _Piece(s4, s5, "const", kappa2, kappa2),
+        ]
+        return CurvatureProfileCurve(pieces)
+
+    def end_y(kappa2):
+        return np.array([build(float(k))._end_state[1] for k in kappa2])
+
+    kappa2 = float(brent_rows(end_y, 1e-3, 0.9, 1e-14, 1e-15)[0])
+    return build(kappa2)

@@ -906,7 +906,9 @@ def per_cell_csv(header, rows):
 
 
 def test_csv_columns_format_like_float17_per_cell():
-    from weighted_tubes.cli import _csv_text
+    from types import SimpleNamespace
+
+    from weighted_tubes.cli import _csv_text, _point_csv
 
     rng = np.random.default_rng(7)
     specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
@@ -925,3 +927,24 @@ def test_csv_columns_format_like_float17_per_cell():
     mixed = [(1, 2.5, "a"), (np.float64(-0.0), np.int32(7), 3.0), ("b", np.nan, 4)]
     assert _csv_text(["a", "b", "c"], mixed) == per_cell_csv(["a", "b", "c"], mixed)
     assert _csv_text(["a"], []) == "a\n"
+    # Repeated values in a column, which the writer formats once each.
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+    column = [0.1, 1.0 / 3.0, 0.1, 0.1, 1.0 / 3.0, 2.0]
+    signed = [0.0, -0.0, np.nan, -0.0, 0.0, np.nan, nan_payload, np.inf, -np.inf, np.inf, -np.inf]
+    # A float32 cell beside the float64 of the same value.
+    narrow = [np.float32(0.1), float(np.float32(0.1)), np.float32(0.5), 0.5, np.float64(0.5)]
+    for col in (column, signed, narrow):
+        rows = [(x, k) for k, x in enumerate(col)]
+        assert _csv_text(["x", "k"], rows) == per_cell_csv(["x", "k"], rows)
+        table = np.column_stack([np.asarray(col, dtype=float), np.arange(len(col))])
+        assert _csv_text(["x", "k"], table) == per_cell_csv(["x", "k"], table.tolist())
+    # A tube's point table: one height for every row, each foot once per
+    # direction.
+    feet = np.sort(rng.uniform(0.0, 2.0 * np.pi, 64))
+    s = np.concatenate([feet, feet])
+    points = np.column_stack([np.cos(s), np.sin(s)]) * np.repeat([0.7, 1.3], len(feet))[:, None]
+    points[5] = points[6]  # a repeated point, -0.0 and 0.0 in one column
+    points[7:9, 0] = 0.0, -0.0
+    rows = np.column_stack([s, np.full(len(s), 0.3), points]).tolist()
+    text = _point_csv(SimpleNamespace(ambient_dim=2), s, 0.3, points)
+    assert text == per_cell_csv(["s", "R", "x1", "x2"], rows)

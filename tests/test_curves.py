@@ -10,6 +10,7 @@ from weighted_tubes import (
     FourierCurve,
     NonRegularCurveError,
     OutOfDomainError,
+    QuadratureFailureError,
     SegmentCurve,
     build_arclength_curve,
     collapse_ode_residual,
@@ -17,6 +18,7 @@ from weighted_tubes import (
 )
 
 from conftest import adaptive_simpson
+from oracles import stadium_by_full_builds
 
 
 def wobbly_fourier():
@@ -183,6 +185,47 @@ class TestFrames:
         assert gap <= 1e-10
 
 
+class TestStadiumSolve:
+    def test_kappa2_bits(self):
+        # The defaults are the bundled example2_stadium's parameters.
+        assert make_stadium()._pieces[4].k0.hex() == "0x1.9092b21a6a587p-5"
+
+    @pytest.mark.parametrize("params", [
+        {},
+        {"circle_turn": 0.5, "transition": 0.1, "line_length": 3.0},
+        {"circle_turn": 1.0, "transition": 0.02, "line_length": 10.0},
+        # The cap turn is non-positive at the first trial, and only at the second.
+        {"circle_turn": 4.0},
+        {"circle_turn": 3.07, "transition": 0.05},
+        # A zero-width down-transition, and a zero-width straight side.
+        {"transition": 1e-19},
+        {"line_length": 1e-18},
+        # Bracket ends of one sign.
+        {"circle_turn": 3.1, "transition": 0.01},
+    ])
+    def test_curve_or_error_of_the_full_build_solve(self, params):
+        def outcome(make):
+            try:
+                c = make(**params)
+            except (NonRegularCurveError, ValueError) as exc:
+                return type(exc), str(exc)
+            s = np.linspace(0.0, c.length, 1001)
+            return c._pieces[4].k0.hex(), c.length.hex(), b"".join(x.tobytes() for x in c.jet(s, 3))
+
+        assert outcome(make_stadium) == outcome(stadium_by_full_builds)
+
+    def test_two_full_builds(self, monkeypatch):
+        # The first trial and the result; the other trials walk the cap only.
+        from weighted_tubes.curves import CurvatureProfileCurve
+
+        builds = []
+        init = CurvatureProfileCurve.__init__
+        monkeypatch.setattr(CurvatureProfileCurve, "__init__",
+                            lambda self, pieces: builds.append(len(pieces)) or init(self, pieces))
+        make_stadium()
+        assert builds == [5, 5]
+
+
 class TestFactories:
     def test_non_regular_rejected(self):
         with pytest.raises(NonRegularCurveError):
@@ -254,23 +297,69 @@ class TestCellNodeCount:
             assert curve._cell_n <= 8
 
     def test_ellipse_build_sums_its_table_cells_once(self, monkeypatch):
-        # The table has the first length check's 2,048 cells, so the check
-        # sums the table's cell integrals instead of recomputing them.
+        # Fewer nodes match the 2,048-cell table, so its cells sum to the
+        # length (the bits of the length check the table once stood in for).
+        sums = self.record_cell_sums(monkeypatch)
+        curve = EllipseCurve(2, 1)
+        assert [m for m in sums if m[1] == 16] == [(2048, 16)]
+        monkeypatch.undo()
+        fresh = curve._cell_sums(np.linspace(curve._t0, curve._t1, 2049), 16)
+        assert curve.length == float(fresh.sum())
+
+    @staticmethod
+    def record_cell_sums(monkeypatch):
+        """The (cells, nodes) of every `_cell_sums` call from now on."""
         from weighted_tubes.curves import _RawCurve
 
         sums = []
         cell_sums = _RawCurve._cell_sums
         monkeypatch.setattr(_RawCurve, "_cell_sums", lambda self, tg, n: (
             sums.append((len(tg) - 1, n)) or cell_sums(self, tg, n)))
-        curve = EllipseCurve(2, 1)
-        assert [m for m in sums if m[1] == 16] == [(2048, 16)]
-        fresh = cell_sums(curve, np.linspace(curve._t0, curve._t1, 2049), 16)
-        assert curve.length == float(fresh.sum())
+        return sums
 
-    def test_near_cusp_keeps_sixteen_nodes(self):
+    def test_series_table_certifies_its_length(self, monkeypatch):
+        # Four nodes match the table on every cell, so the length is the sum
+        # of the table's own cells and no 2,048-cell check runs.
+        sums = self.record_cell_sums(monkeypatch)
+        curve = perfbench_style_fourier(5)
+        assert curve._cell_n == 4
+        assert sums == [(1024, 16), (1024, 4)]
+        monkeypatch.undo()
+        assert curve.length == float(curve._cell_sums(curve._t_grid, 16).sum())
+
+    def test_near_cusp_keeps_sixteen_nodes(self, monkeypatch):
+        # No lower node count matches, so the doubling rule checks the length.
+        sums = self.record_cell_sums(monkeypatch)
         curve = near_cusp(5e-4)
         assert np.min(np.linalg.norm(curve._raw(curve._t_grid, 1), axis=-1)) == pytest.approx(1e-3)
         assert curve._cell_n == 16
+        assert (2048, 16) in sums
+
+    def test_a_length_that_never_stabilizes_exits_2(self, monkeypatch, tmp_path):
+        # Pass k of the quadrature scales its cells by 1 + k 1e-8, so no node
+        # count matches the table and no two successive length checks agree;
+        # the loader refuses the scene.
+        import itertools
+        import json
+
+        from weighted_tubes import cli
+        from weighted_tubes.curves import _RawCurve
+
+        passes = itertools.count()
+        cell_sums = _RawCurve._cell_sums
+        monkeypatch.setattr(_RawCurve, "_cell_sums", lambda self, tg, n: (
+            cell_sums(self, tg, n) * (1.0 + 1e-8 * next(passes))))
+        d = 5e-4
+        coeffs = [[0.0, 2.0, 0.0, -(1.0 - d), 0.0], [0.0, 0.0, 2.0, 0.0, -(1.0 - d)]]
+        with pytest.raises(QuadratureFailureError, match="did not stabilize"):
+            FourierCurve(coeffs)
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 2,
+            "components": [{"kind": "fourier", "params": {"coefficients": coeffs}}],
+            "weights": [{"kind": "constant", "params": {"value": 1.0}}],
+        }))
+        assert cli.main(["check", "--scene", str(path), "--out", str(tmp_path / "out.json")]) == 2
 
     @pytest.mark.parametrize(
         "make",

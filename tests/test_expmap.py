@@ -707,6 +707,31 @@ class TestGridArgminCertificate:
         for case, ref in zip(cases, want):
             np.testing.assert_array_equal(grid_argmin_quietly(*case), ref)
 
+    @pytest.mark.parametrize("n, rows", [(2, 32), (3, 32), (8, 25), (12, 18)])
+    def test_blocks_stay_within_the_multiply_add_budget(self, monkeypatch, n, rows):
+        # At most 2^16 cells and 2^19 multiply-adds per block product, so that
+        # BLAS keeps it on one thread in every dimension; rows is the points
+        # per block on a 2,048-sample grid.
+        from weighted_tubes.expmap import _dense_grid_argmin
+
+        rng = np.random.default_rng(n)
+        gp = loop_grid(rng, n, 2048, 1.0)
+        mug = np.exp(rng.uniform(-3.0, 0.0, 2048))
+        pts = np.concatenate([hard_points(rng, gp, 1.0) for _ in range(3)])
+        shapes = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda x, y, out: (
+            shapes.append(x.shape + y.shape) or matmul(x, y, out=out)))
+        idx = grid_argmin_quietly(pts, gp, mug)
+        monkeypatch.undo()
+        assert [shape[0] for shape in shapes] == [rows] * (len(pts) // rows) + [len(pts) % rows]
+        for m, k, k2, N in shapes:
+            assert k == k2 == n + 2 and N == 2048
+            assert m * N <= 2**16 and m * N * (n + 2) <= 2**19
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(idx, _dense_grid_argmin(pts, gp, mug**2))
+        np.testing.assert_array_equal(idx, dense_in_chunks(pts, gp, mug))
+
     @pytest.mark.parametrize("bad", ["zero mu", "inf mu", "nan mu", "inf grid", "nan grid"])
     def test_a_grid_the_filter_cannot_take_is_dense(self, dense_rows, bad):
         rng = np.random.default_rng(4)
