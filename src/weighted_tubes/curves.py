@@ -637,7 +637,10 @@ def make_stadium(circle_turn=0.3, transition=0.05, line_length=7.0):
     def end_y(kappa2):
         return np.array([first._walk(cap(float(k)), start)[1] for k in kappa2])
 
-    kappa2 = float(brent_rows(end_y, 1e-3, 0.9, 1e-14, 1e-15)[0])
+    try:
+        kappa2 = float(brent_rows(end_y, 1e-3, 0.9, 1e-14, 1e-15)[0])
+    except (ValueError, RuntimeError) as exc:  # no sign change, nan, or no convergence
+        raise NonRegularCurveError(f"stadium cap curvature not solved on [0.001, 0.9]: {exc}") from exc
     return build(kappa2)
 
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import singular
 from .config import DEFAULT_TOLERANCES
@@ -246,7 +247,8 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
 
     Seeds are discrete local minima of sigma and of |grad sigma| over an
     N x N parameter grid per component pair (same-component grids exclude a
-    diagonal band of arclength width _DELTA_MIN_FACTOR * L). Newton runs on
+    diagonal band of arclength width _DELTA_MIN_FACTOR * L; being symmetric,
+    they are searched over half their cells). Newton runs on
     all seeds of a component pair at once, with the analytic gradient and a
     central finite-difference Jacobian; each iteration evaluates the foot
     arrays s, s +- h, t and t +- h (in one call on a same-component pair,
@@ -274,7 +276,13 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
 def _search_component_pair(pairs, i, j, ts, tol):
     """Verified critical pairs of components i and j as rows (see
     _verify_rows), each with its offset's index in ts (`grp`) and its Newton
-    residual, in the order of the Newton rows."""
+    residual, in the order of the Newton rows.
+
+    On one component, sigma, the gradient (a, b) = (b^T, a^T) and the
+    diagonal band are symmetric bit for bit, and so are the seeds. There
+    the grid is built in the circulant layout of `util._layout`, cell [p, k]
+    the pair (p, (p + k - 1) mod N) with the full grid's value, and each
+    minimum in its owned columns gives the seed cells (p, q) and (q, p)."""
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
     n = tol.pair_grid
@@ -285,34 +293,48 @@ def _search_component_pair(pairs, i, j, ts, tol):
     # and the diagonal band) is built once; the offset loop keeps every
     # operation's operands and order, so its seeds are those of a search for
     # each offset alone.
+    same = i == j
+    w, take = (n // 2 + 4, np.arange(-1, n + n // 2 + 2) % n) if same else (n, np.arange(n))
+
+    def cols(x):  # the values x at sg2 at the grid's cells: windows over x[take]
+        return np.moveaxis(sliding_window_view(x[take], w, axis=0), -1, 1)
+
     g1, t1, m1, dm1 = _feet(c1, w1, sg1)
-    g2, t2, m2, dm2 = (g1, t1, m1, dm1) if i == j else _feet(c2, w2, sg2)
-    diff = g1[:, None, :] - g2[None, :, :]
+    g2, t2, m2, dm2 = (g1, t1, m1, dm1) if same else _feet(c2, w2, sg2)
+    # Per coordinate: subtracting n-vectors runs an n-element inner loop per cell.
+    diff = np.stack([x[:, None] - cols(y) for x, y in zip(g1.T, g2.T)], axis=-1)
     e = np.einsum("ijk,ijk->ij", diff, diff)
     dot1 = 2.0 * np.einsum("ijk,ik->ij", diff, t1)
-    dot2 = -2.0 * np.einsum("ijk,jk->ij", diff, t2)
-    del diff  # its N x N x n floats are not read again; the loop holds e1, e2
+    dot2 = -2.0 * np.einsum("ijk,ijk->ij", diff, np.broadcast_to(cols(t2), diff.shape))
+    del diff  # its grid of ambient vectors is not read again; the loop holds e1, e2
     e1 = 2.0 * e * dm1[:, None]
-    e2 = 2.0 * e * dm2[None, :]
-    band = _diagonal_band(c1, sg1) if i == j else None
+    e2 = 2.0 * e * cols(dm2)
+    if same:  # the diagonal band's cells, in every column that holds one
+        r, q = np.divmod(_diagonal_band(c1, sg1), n)
+        k = np.concatenate([(q - r + 1) % n, (q - r + 1) % n + n])
+        band = (np.tile(r, 2) * w + k)[k < w]
     seeds = []
     for off in ts:
-        msum = (m1 + off)[:, None] + (m2 + off)[None, :]
+        msum = (m1 + off)[:, None] + cols(m2 + off)
         msq = msum**2
         sigma = e / msq
         # The gradient (a, b); the band's cells read inf in sigma and a, so
         # hypot(a, b) is inf there.
         a = (dot1 - e1 / msum) / msq
         b = (dot2 - e2 / msum) / msq
-        if band is not None:
+        if same:
             np.put(sigma, band, np.inf)
             np.put(a, band, np.inf)
         # msq, and sigma once its minima are taken, are the searches' buffers.
         # Both grids increase strictly, so the ascending cells give the seeds
         # in (s, t) order.
-        cells = np.concatenate([_grid_local_minima(sigma, c1.closed, c2.closed, msq),
-                                _hypot_local_minima(a, b, c1.closed, c2.closed, (sigma, msq))])
-        ia, ib = np.divmod(_distinct(cells), len(sg2))
+        cells = np.concatenate([_grid_local_minima(sigma, c1.closed, c2.closed, msq, same),
+                                _hypot_local_minima(a, b, c1.closed, c2.closed, (sigma, msq), same)])
+        if same:  # each owned cell [p, k] stands for (p, q) and (q, p)
+            p, k = np.divmod(cells, w)
+            q = (p + k - 1) % n
+            cells = np.concatenate([p * n + q, q * n + p])
+        ia, ib = np.divmod(_distinct(cells), n)
         seeds.append(np.column_stack([sg1[ia], sg2[ib]]))
     grp = np.repeat(np.arange(len(ts)), [len(x) for x in seeds])
     s, t, res, alive = _newton(c1, w1, c2, w2, np.concatenate(seeds), grp, ts, tol)

@@ -56,23 +56,24 @@ def _distinct(values):
     return v[keep]
 
 
-def _grid_local_minima(mat, per_rows, per_cols, low=None):
+def _grid_local_minima(mat, per_rows, per_cols, low=None, circulant=False):
     """Linear indices, ascending, of the grid cells that are finite and no
     larger than any of their eight neighbours; the neighbours wrap around
     periodic axes, and none lie beyond the ends of open ones. A nan
-    neighbour rules a cell out.
+    neighbour rules a cell out. With circulant, only the owned cells of a
+    circulant layout (see _layout) are searched.
 
     One pass takes the minimum of every cell's two row neighbours; the cells
     no larger than theirs are then compared with the cells above and below
     and with those cells' row-neighbour minima. low, a C-contiguous array of
     mat's shape, may be given to hold the row-neighbour minima; all of it is
     rewritten."""
-    low = _row_neighbours(mat, per_cols, np.minimum, low)
-    cells = np.flatnonzero(mat <= low)
+    low = _row_neighbours(mat, per_cols, np.minimum, low, circulant)
+    cells = _owned(mat <= low, circulant)
     flat, low = mat.reshape(-1), low.reshape(-1)
     own = flat[cells]
     keep = np.isfinite(own)
-    for nb, on in _column_neighbours(cells, mat.shape, per_rows):
+    for nb, on in _column_neighbours(cells, mat.shape, per_rows, circulant):
         keep &= ~on | ((own <= flat[nb]) & (own <= low[nb]))
     return cells[keep]
 
@@ -84,9 +85,9 @@ _Q_MARGIN = 1.0 + 2.0**-40
 _Q_FLOOR = 2.0**-969
 
 
-def _hypot_local_minima(a, b, per_rows, per_cols, bufs=None):
-    """_grid_local_minima(np.hypot(a, b), per_rows, per_cols), with hypot
-    evaluated only on the 3x3 blocks of candidate cells.
+def _hypot_local_minima(a, b, per_rows, per_cols, bufs=None, circulant=False):
+    """_grid_local_minima(np.hypot(a, b), ...) in the layout of a, with
+    hypot evaluated only on the 3x3 blocks of candidate cells.
 
     Where a cell's hypot is no larger than a neighbour's, its q = a a + b b
     is at most max((1 + 2^-40) q', 2^-969), q' the neighbour's: below
@@ -103,58 +104,91 @@ def _hypot_local_minima(a, b, per_rows, per_cols, bufs=None):
         np.multiply(a, a, out=q)
         np.multiply(b, b, out=low)
         np.add(q, low, out=q)
-        _row_neighbours(q, per_cols, np.fmin, low)
+        _row_neighbours(q, per_cols, np.fmin, low, circulant)
         np.multiply(low, _Q_MARGIN, out=low)
         np.maximum(low, _Q_FLOOR, out=low)
-        cells = np.flatnonzero(~(q > low))
+        cells = _owned(~(q > low), circulant)
         q, low = q.reshape(-1), low.reshape(-1)
         own = q[cells]
         keep = np.ones(len(cells), dtype=bool)
-        for nb, on in _column_neighbours(cells, a.shape, per_rows):
+        for nb, on in _column_neighbours(cells, a.shape, per_rows, circulant):
             keep &= ~on | ~(own > np.fmin(low[nb], np.maximum(_Q_MARGIN * q[nb], _Q_FLOOR)))
     shape, a, b = a.shape, a.reshape(-1), b.reshape(-1)
-    return _block_minima(cells[keep], lambda k: np.hypot(a[k], b[k]), shape, per_rows, per_cols)
+    return _block_minima(cells[keep], lambda k: np.hypot(a[k], b[k]), shape, per_rows, per_cols, circulant)
 
 
-def _row_neighbours(mat, per_cols, fn, out=None):
+def _layout(shape, circulant):
+    """(m, shear) of the grid M an array of this shape holds: cell [r, k]
+    holds M[r, (k + shear (r - 1)) mod m]. The plain layout (shear 0) is M.
+    The circulant one (shear 1) holds a symmetric n x n grid in n x
+    (n // 2 + 4) cells, column k the cells q - p = k - 1 (mod n). Its owned
+    columns 2 ... n // 2 + 1 hold each off-diagonal cell or its mirror (both
+    where q - p = n / 2), and the neighbours of their cells lie in the
+    array: M[p, q +- 1] at [p, k +- 1], M[p -+ 1, q] at [p -+ 1, k +- 1]."""
+    return (shape[0], 1) if circulant else (shape[1], 0)
+
+
+def _owned(mask, circulant):
+    """Linear indices of the True cells of mask (rewritten) that a search owns."""
+    if circulant:
+        mask[:, :2] = mask[:, mask.shape[0] // 2 + 2:] = False
+    return np.flatnonzero(mask)
+
+
+def _row_neighbours(mat, per_cols, fn, out=None, circulant=False):
     """fn (np.minimum or np.fmin) of each cell's left and right neighbour in
-    its row, into out (a new array by default; C-contiguous when given);
-    they wrap on periodic columns, and one beyond the end of an open axis
-    reads +inf."""
-    m = mat.shape[1]
+    its row of M, into out (a new array by default; C-contiguous when
+    given); they wrap on periodic columns, and one beyond the end of an open
+    axis reads +inf. A circulant layout's first and last columns, which no
+    search reads, may hold any value."""
     out = np.empty_like(mat) if out is None else out
-    # One pass over the flat arrays; the first and last columns, which it
-    # pairs with the neighbouring rows, are redone.
-    fn(mat.reshape(-1)[:-2], mat.reshape(-1)[2:], out=out.reshape(-1)[1:-1])
-    for j in {0, m - 1}:
-        left = mat[:, (j - 1) % m] if per_cols or j > 0 else np.inf
-        right = mat[:, (j + 1) % m] if per_cols or j < m - 1 else np.inf
-        fn(left, right, out=out[:, j])
+    flat, dest = mat.reshape(-1), out.reshape(-1)
+    fn(flat[:-2], flat[2:], out=dest[1:-1])
+    for cells, left, right in _row_ends(mat.shape, per_cols, circulant):
+        dest[cells] = fn(np.inf if left is None else flat[left], np.inf if right is None else flat[right])
     return out
 
 
-def _column_neighbours(cells, shape, per_rows):
+@functools.cache
+def _row_ends(shape, per_cols, circulant):
+    """Flat indices of the cells in M's first and last columns and of their
+    left and right neighbours (None beyond an open end) in an array of this
+    shape, which a flat pass misreads; none in a periodic circulant one."""
+    n, w = shape
+    m, shear = _layout(shape, circulant)
+    r = np.tile(np.arange(n), 2)
+    ends = []
+    for c in () if circulant and per_cols else (0, m - 1):
+        k = (c - shear * (r - 1)) % m + np.repeat([0, m], n)
+        rw, k = r[k < w] * w, k[k < w]
+        ends.append((rw + k, rw + (k - 1) % w if per_cols or c > 0 else None,
+                     rw + (k + 1) % w if per_cols or c < m - 1 else None))
+    return ends
+
+
+def _column_neighbours(cells, shape, per_rows, circulant=False):
     """For the cells above and then below the given ones (linear indices):
     their linear indices, wrapped on periodic rows, and whether each lies
     on the grid."""
-    size = shape[0] * shape[1]
-    for nb in (cells - shape[1], cells + shape[1]):
+    size, step = shape[0] * shape[1], shape[1] - _layout(shape, circulant)[1]
+    for nb in (cells - step, cells + step):
         yield nb % size, per_rows | ((nb >= 0) & (nb < size))
 
 
-def _block_minima(cells, value_at, shape, per_rows, per_cols):
+def _block_minima(cells, value_at, shape, per_rows, per_cols, circulant=False):
     """The cells, linear indices ascending, whose value is finite and no
     larger than their eight neighbours' (with the neighbours of
     _grid_local_minima); value_at maps an array of linear indices to
     values."""
-    n, m = shape
-    r, c = np.divmod(cells, m)
+    n, w = shape
+    m, shear = _layout(shape, circulant)
+    r, k = np.divmod(cells, w)
     step = np.array([-1, 0, 1])
-    rows, cols = r[:, None] + step, c[:, None] + step
+    rows, cols = r[:, None] + step, ((k + shear * (r - 1)) % m)[:, None] + step
     # Neighbours beyond an open axis's ends read +inf.
     ok = ((rows >= 0) & (rows < n) | per_rows)[:, :, None] & ((cols >= 0) & (cols < m) | per_cols)[:, None, :]
-    block = ((rows % n)[:, :, None] * m + (cols % m)[:, None, :]).reshape(len(cells), 9)
-    values = np.where(ok.reshape(len(cells), 9), value_at(block), np.inf)
+    block = ((rows % n)[:, :, None] * w + (cols[:, None, :] - shear * (rows[:, :, None] - 1)) % m)
+    values = np.where(ok.reshape(len(cells), 9), value_at(block.reshape(len(cells), 9)), np.inf)
     own = values[:, 4]
     return cells[np.isfinite(own) & np.all(own[:, None] <= values, axis=1)]
 

@@ -319,6 +319,22 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith(prefix) if prefix else err == ""
 
+    def test_unsolvable_stadium_cap_exit_2(self, tmp_path, capsys):
+        # No cap curvature in the solve's bracket closes this stadium: the
+        # error names the stadium, not only the root finder's bracket.
+        from weighted_tubes import cli
+
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(bundled_doc("example2_stadium", [
+            (("components", 0, "params", "circle_turn"), 3.1),
+            (("components", 0, "params", "transition"), 0.01),
+        ])))
+        assert cli.main(["check", "--scene", str(scene)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: components[0]: stadium cap curvature not solved on [0.001, 0.9]: "
+            "f(a) and f(b) must have different signs\n"
+        )
+
     def test_height_cutoff_whose_square_overflows(self, tmp_path, capsys):
         # --ur 1e300 raised OverflowError (exit 1) at ur**2; it now acts as
         # --ur inf, byte for byte.

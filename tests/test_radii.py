@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import decimal
 import functools
 
@@ -821,23 +822,56 @@ def _offsets_21(half):
     return ts + [ts[3]]
 
 
+# The seed grid's scenes: the bundled ones, two_component, scenes like the
+# benchmark's generated fourier_3d, chebyshev_arc and circle_arc_mu1 ones,
+# and circle arcs far from s = 0, where band cells lie far off the diagonal.
+SEED_SCENES = ("circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
+               "example3_family", "example4", "example6_family", "two_component", "fourier_3d",
+               "chebyshev_arc", "circle_arc_mu1", "arc_at_1e6_closed", "arc_at_1e9", "arc_at_1e15")
+
+
+def seed_grid_pairs(scenes, name):
+    """The (curve, weight) pairs and tolerances of a bundled or an extra scene."""
+    from test_expmap import seeded_fourier_3d_scene
+    from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
+    from weighted_tubes import load_scene
+
+    docs = {"two_component": TWO_COMPONENT, "chebyshev_arc": CHEBYSHEV_ARC}
+    if name in scenes or name in docs:
+        scene = scenes[name] if name in scenes else load_scene(docs[name])
+    elif name == "fourier_3d":
+        scene = seeded_fourier_3d_scene()
+    else:
+        curve = {
+            "circle_arc_mu1": CircleArcCurve(0.7, 0.7 + 4.5),
+            "arc_at_1e6_closed": CircleArcCurve(1e6, 1e6 + 2.0 * np.pi, closed=True),
+            "arc_at_1e9": CircleArcCurve(1e9, 1e9 + 3.0),
+            "arc_at_1e15": CircleArcCurve(1e15, 1e15 + 3.0),
+        }[name]
+        weight = ConstantWeight(1.0) if name == "circle_arc_mu1" else CosineWeight(0.2, 1.0, 0.3, 1.0)
+        return [(curve, weight)], DEFAULT_TOLERANCES
+    return scene.pairs, scene.tolerances
+
+
 class TestSeedGrid:
     """The seed grid's offset-free products and diagonal band, built once
-    per component pair, and its minima searches (hypot only around
-    candidate cells) give the seeds and the table of the per-offset loop
-    bit for bit."""
+    per component pair, its circulant layout on one component, and its
+    minima searches (hypot only around candidate cells) give the seeds and
+    the table of the per-offset loop bit for bit."""
 
-    @pytest.mark.parametrize("name, offsets", [
-        ("circle_mu1", None), ("ellipse_mu1", None), ("example1a", None), ("example1b", None),
-        ("example2_stadium", None), ("example3_family", None), ("example4", None),
-        ("example6_family", None), ("two_component", None),
-        ("example3_family", _offsets_21(0.05)), ("example6_family", _offsets_21(0.1)),
+    @pytest.mark.parametrize("name, offsets, pair_grid", [
+        *[pytest.param(name, None, None, id=f"{name}-None") for name in SEED_SCENES],
+        pytest.param("example3_family", _offsets_21(0.05), None, id="example3_family-offsets9"),
+        pytest.param("example6_family", _offsets_21(0.1), None, id="example6_family-offsets10"),
+        *[pytest.param(name, None, n, id=f"{name}-pair_grid{n}")
+          for n in (3, 4, 5, 7, 8, 9, 255) for name in SEED_SCENES],
+        pytest.param("example6_family", _offsets_21(0.1), 7, id="example6_family-offsets-pair_grid7"),
+        pytest.param("chebyshev_arc", [-0.04, 0.0, 0.05], 8, id="chebyshev_arc-offsets-pair_grid8"),
     ])
-    def test_seeds_and_table_are_the_per_offset_loop(self, scenes, monkeypatch, name, offsets):
-        from test_sweeps import TWO_COMPONENT
-        from weighted_tubes import load_scene
-
-        scene = load_scene(TWO_COMPONENT) if name == "two_component" else scenes[name]
+    def test_seeds_and_table_are_the_per_offset_loop(self, scenes, monkeypatch, name, offsets, pair_grid):
+        pairs, tol = seed_grid_pairs(scenes, name)
+        if pair_grid is not None:
+            tol = dataclasses.replace(tol, pair_grid=pair_grid)
         runs = []
         newton = radii._newton
 
@@ -846,12 +880,12 @@ class TestSeedGrid:
             return newton(c1, w1, c2, w2, seeds, grp, ts, tol)
 
         monkeypatch.setattr(radii, "_newton", recording)
-        table = find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
+        table = find_double_critical_pairs(pairs, tol, offsets)
         got = runs[:]
         runs.clear()
         monkeypatch.setattr(radii, "_search_component_pair", oracles.per_offset_pair_search)
-        want = find_double_critical_pairs(scene.pairs, scene.tolerances, offsets)
-        n = len(scene.pairs)
+        want = find_double_critical_pairs(pairs, tol, offsets)
+        n = len(pairs)
         assert len(got) == n * (n + 1) // 2 and got == runs
         assert table.shape == want.shape and table.tobytes() == want.tobytes()
 
@@ -1209,6 +1243,76 @@ def test_hypot_minima_equal_the_grid_minima_of_hypot(per_rows, per_cols):
     assert radii._hypot_local_minima(a, b, per_rows, per_cols).tolist() == [1]
 
 
+def circulant_cells(mat):
+    """The n x (n // 2 + 4) circulant layout of util._layout of an n x n grid."""
+    n = len(mat)
+    p, k = np.indices((n, n // 2 + 4))
+    return np.ascontiguousarray(mat[p, (p + k - 1) % n])
+
+
+def mirrored_cells(cells, n):
+    """The full grid's linear indices of the circulant cells and of their mirrors."""
+    p, k = np.divmod(cells, n // 2 + 4)
+    q = (p + k - 1) % n
+    return np.unique(np.concatenate([p * n + q, q * n + p])).tolist()
+
+
+def with_inf_band(mat, closed, rng):
+    """mat with +inf on the cells within 0, 1 or 2 of the diagonal (cyclically
+    on a closed grid), as the diagonal band sets sigma and a."""
+    n = len(mat)
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    d = np.minimum(d, n - d) if closed else d
+    return np.where(d <= rng.integers(3), np.inf, mat)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_circulant_minima_are_the_full_grid_minima(closed):
+    # Symmetric grids with ties, +-inf and nan off an inf diagonal band: the
+    # minima found in the owned columns, mirrored, are the full grid's.
+    rng = np.random.default_rng(32)
+    found = 0
+    for n in range(3, 14):
+        w = n // 2 + 4
+        low = np.empty((n, w))  # reused by every draw
+        for _ in range(20):
+            mat = rng.integers(0, 4, (n, n)).astype(float)
+            u = rng.random((n, n))
+            mat[u < 0.08] = np.inf
+            mat[(u >= 0.08) & (u < 0.14)] = -np.inf
+            mat[(u >= 0.14) & (u < 0.2)] = np.nan
+            mat = with_inf_band(np.triu(mat) + np.triu(mat, 1).T, closed, rng)
+            want = radii._grid_local_minima(mat, closed, closed).tolist()
+            got = radii._grid_local_minima(circulant_cells(mat), closed, closed, circulant=True)
+            assert mirrored_cells(got, n) == want, (n, mat)
+            got = radii._grid_local_minima(circulant_cells(mat), closed, closed, low, True)
+            assert mirrored_cells(got, n) == want
+            found += len(want)
+    assert found > 500
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_circulant_hypot_minima_are_the_full_grid_minima(closed):
+    # b = a^T, as the gradient's components are on one component, so hypot(a, b)
+    # is symmetric; a's diagonal band is +inf.
+    rng = np.random.default_rng(33)
+    found = 0
+    for n in range(3, 14):
+        w = n // 2 + 4
+        bufs = (np.empty((n, w)), np.empty((n, w)))  # reused by every draw
+        for scale in HYPOT_SCALES:
+            for _ in range(4):
+                a = with_inf_band(hypot_test_grids(rng, n, n, scale)[0], closed, rng)
+                want = radii._hypot_local_minima(a, a.T, closed, closed).tolist()
+                ca, cb = circulant_cells(a), circulant_cells(a.T)
+                got = radii._hypot_local_minima(ca, cb, closed, closed, circulant=True)
+                assert mirrored_cells(got, n) == want, (n, scale)
+                got = radii._hypot_local_minima(ca, cb, closed, closed, bufs, True)
+                assert mirrored_cells(got, n) == want
+                found += len(want)
+    assert found > 500
+
+
 def meshgrid_band_cells(curve, sg, rows=256):
     """The linear indices of the band of oracles.per_offset_pair_search,
     its meshgrid expression evaluated `rows` grid rows at a time (every
@@ -1248,3 +1352,37 @@ def test_diagonal_band_is_the_meshgrid_band(scenes, n):
         widths.append(int(np.max(np.minimum(d, n - d) if curve.closed else d)))
     if n == 4096:
         assert min(widths) >= 4
+
+
+# Two open arcs: example4 (A), and the unit-circle arc on [1.2, 2.0] with
+# mu = (2/3) cos(s / 2 - 0.8) (B). The inward fibres of A at s = 0 and of B
+# at s = 1.6 both reach the origin, at heights 1 and 1.5.
+TWO_ARCS = {
+    "ambient_dim": 2,
+    "components": [
+        {"kind": "preset", "preset": "circle_arc", "params": {"s_start": -1.0, "s_end": 1.0}},
+        {"kind": "preset", "preset": "circle_arc", "params": {"s_start": 1.2, "s_end": 2.0}},
+    ],
+    "weights": [
+        {"kind": "polynomial", "params": {"coefficients": [1.0, 0.0, -0.125]}},
+        {"kind": "cosine", "params": {"amplitude": 2.0 / 3.0, "frequency": 0.5, "phase": -0.8}},
+    ],
+}
+
+
+class TestTwoArcs:
+    def test_two_interior_fibres_meet_at_the_origin(self):
+        from weighted_tubes import exp_mu, load_scene
+
+        (a, mu_a), (b, mu_b) = load_scene(TWO_ARCS).pairs
+        for curve, weight, s, height in ((a, mu_a, 0.0, 1.0), (b, mu_b, 1.6, 1.5)):
+            inward = -curve.point(np.array([s]))[0]
+            assert np.max(np.abs(exp_mu(curve, weight, s, inward, height))) <= 2e-16
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the radii ignore the arc ends, so this "
+                                           "scene reports dir 2, tir 3 and air 4")
+    def test_air_is_at_most_the_height_of_a_second_preimage(self):
+        from weighted_tubes import load_scene
+
+        scene = load_scene(TWO_ARCS)
+        assert radii_report(scene.pairs, scene.tolerances).air <= 1.5

@@ -107,6 +107,16 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
         assert getattr(args, "ur", None) is None
 
 
+def test_bundled_output_bytes_are_the_recorded_digests(digests, tmp_path):
+    # The digest lines of the bundled set, as `tools/output_digests.py bundled`
+    # prints them. A change that moves an output byte re-records the file
+    # (python3 tools/output_digests.py bundled > tests/data/bundled_digests.txt)
+    # and quotes the lines that moved.
+    want = (Path(__file__).parent / "data" / "bundled_digests.txt").read_text().splitlines()
+    calls = digests.bundled_calls(BUNDLED_SCENES)
+    assert list(digests.call_lines(cli, "-", calls, str(tmp_path))) == want
+
+
 def _result(units, rss, failed=0):
     return {"correct": True, "attempted": 45, "failed": failed, "metrics": {
         "units_per_cpu_s": {"value": units, "unit": "1/s"},

@@ -113,6 +113,17 @@ def bundled_calls(scenes):
     ] + list(BUNDLED_EXTRA)
 
 
+def call_lines(cli, seed, calls, work):
+    """The digest line of each call, its output written under
+    work/seed<seed>/out."""
+    out_dir = Path(work) / f"seed{seed}" / "out"
+    out_dir.mkdir(parents=True)
+    for k, call in enumerate(calls):
+        out = str(out_dir / f"{k}.{call['ext']}")
+        rc, digests = run_call(cli, call["argv"], out, work)
+        yield " ".join([str(seed), call["label"], f"rc={rc}", *digests])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
@@ -134,18 +145,13 @@ def main(argv=None):
         raise SystemExit(f"weighted_tubes was imported from {where}, not from {root / 'src'}")
     with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
         for seed in args.seeds or ["-"]:
-            run_dir = Path(work) / f"seed{seed}"
             if seed == "-":
                 calls = bundled_calls(BUNDLED_SCENES)
             else:
-                inputs = perfbench_run.Inputs(args.workload, seed, seconds, run_dir)
+                inputs = perfbench_run.Inputs(args.workload, seed, seconds, Path(work) / f"seed{seed}")
                 calls = [c for calls in inputs.rounds for c in calls]
-            out_dir = run_dir / "out"
-            out_dir.mkdir(parents=True)
-            for k, call in enumerate(calls):
-                out = str(out_dir / f"{k}.{call['ext']}")
-                rc, digests = run_call(cli, call["argv"], out, work)
-                print(seed, call["label"], f"rc={rc}", *digests, flush=True)
+            for line in call_lines(cli, seed, calls, work):
+                print(line, flush=True)
     return 0
 
 
