@@ -30,7 +30,7 @@ class OutOfWError(WeightedTubesError):
 
 
 class NotCriticalFootError(WeightedTubesError):
-    """Closed-form second derivative requested at a non-critical foot."""
+    """`f_second_critical` was given a foot that is not critical for its point."""
 
 
 class SceneError(WeightedTubesError):

@@ -131,10 +131,12 @@ def differential(curve, weight, s, v, R):
     the foot, carried along the curve by projection (e_j' = -(e_j . gamma'')
     T); the columns are d/ds, then d/dc_j. With rho = sqrt(1 - mu'^2 R^2):
 
-        dE/ds   = [1 - (mu'^2 + mu mu'') R^2 - mu R rho (v . gamma'')] T
-                  - mu mu' R^2 gamma'' + (mu' R rho - mu mu' mu'' R^3 / rho) v
+        dE/ds   = A T - mu mu' R^2 gamma'' + (mu' R rho - mu mu' mu'' R^3 / rho) v
         dE/dc_j = R [mu rho e_j - 2 mu mu' R c_j T - (mu mu'^2 R^2 / rho) c_j v]
 
+    with A = 1 - (mu'^2 + mu mu'') R^2 - mu R rho (v . gamma'') from
+    `_along_rows`, the one closed form of the map's second order: F'' at an
+    image is (2/mu^2) A, which `is_singular` and `f_second_critical` read.
     One curve jet and one weight jet of order 2 are evaluated on the feet as
     given. Raises OutOfWError for the first row, in C order, that fails
     `exp_mu`'s offset check, or else is not strictly inside the admissible
@@ -148,8 +150,7 @@ def differential(curve, weight, s, v, R):
     mu, d1, d2 = (np.asarray(x, dtype=float) for x in jets[1][:3])
     frames = _frames(t)
     c = np.matmul(frames, v[:, :, None])
-    rho = np.sqrt(1.0 - (d1 * R) ** 2)
-    along = 1.0 - (d1**2 + mu * d2) * R**2 - mu * R * rho * _rowdot(v, g2)
+    along, rho, _ = _along_rows(jets, v, R)
     d_s = (along[:, None] * t - (mu * d1 * R**2)[:, None] * g2
            + (d1 * R * rho - mu * d1 * d2 * R**3 / rho)[:, None] * v)
     mu, d1, R, rho = (x[:, None, None] for x in (mu, d1, R, rho))
@@ -198,6 +199,22 @@ def _exp_rows(jets, v, R):
     mu, d1 = (np.asarray(x, dtype=float) for x in jets[1][:2])
     rad = np.sqrt(np.clip(1.0 - (d1 * R) ** 2, 0.0, None))
     return g - (mu * d1 * R**2)[:, None] * t + (mu * R * rad)[:, None] * v
+
+
+def _along_rows(jets, v, R):
+    """(A, rho, the sum of the sizes of A's three terms) over rows, from the
+    (curve, weight) jets of order >= 2 at the feet, unit normals v (m, n)
+    and heights R (m,), unchecked: A = 1 - (mu'^2 + mu mu'') R^2 -
+    mu R rho (v . gamma'') is the tangential part of the map's d/ds column,
+    rho = sqrt(1 - (mu' R)^2) (0 outside the admissible set), and at the
+    image p of an offset F_p'' = (2/mu^2) A at its foot.
+    """
+    g2 = jets[0][2]
+    mu, d1, d2 = (np.asarray(x, dtype=float) for x in jets[1][:3])
+    rho = np.sqrt(np.clip(1.0 - (d1 * R) ** 2, 0.0, None))
+    quad = (d1**2 + mu * d2) * R**2
+    bend = mu * R * rho * _rowdot(v, g2)
+    return 1.0 - quad - bend, rho, 1.0 + np.abs(quad) + np.abs(bend)
 
 
 def fiber_geometry(curve, weight, s):
@@ -262,12 +279,11 @@ def _f_second(diff, t, g2, mu, d1, d2):
 
 
 def f_second_critical(curve, weight, s, p):
-    """Closed-form d^2F_p/ds^2 at a critical foot s of p:
+    """Closed-form d^2F_p/ds^2 at a critical foot s of p: (2/mu^2) A with A
+    as in `_along_rows`, R = |p - gamma(s)| / mu(s) and v the unit normal
+    part of p - gamma(s) (0 where that part vanishes). For a point that is
+    an image of the map this is `is_singular`'s value, read without the map.
 
-        (2/mu^2) (1 - kappa R mu sqrt(1-(mu' R)^2) cos(beta) - (R^2/2)(mu^2)''),
-
-    with R = |p - gamma(s)| / mu(s) and beta the angle between gamma''(s)
-    and the normal part of the direction to p (0 when either vanishes).
     Feet s and points p (last axis ambient) broadcast together to a shape B
     as in `exp_mu`; returns B (one row gives a float). One curve jet and one
     weight jet are evaluated on the feet as given. For the first row, in C
@@ -277,60 +293,39 @@ def f_second_critical(curve, weight, s, p):
     """
     shape, feet, rows, p, _ = _broadcast_rows(s, p)
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
-    values, fault = _f_second_critical_rows(curve, jets, p)
-    _raise_first(fault)
-    values = values.reshape(shape)
-    return float(values) if values.ndim == 0 else values
-
-
-def _f_second_critical_rows(curve, jets, p):
-    """Row-wise f_second_critical from the (curve, weight) jets of order 2 at
-    the feet and the points p (m, n).
-
-    Returns (values, fault); the fault is (row, error) for the first row
-    failing the recovered-height or the criticality check, else None.
-    """
-    g, t, g2 = jets[0][:3]
-    mu, d1, d2 = (np.asarray(x, dtype=float) for x in jets[1][:3])
+    g, t = jets[0][:2]
+    mu, d1 = (np.asarray(x, dtype=float) for x in jets[1][:2])
     diff = p - g
-    dist = _rownorm(diff)
-    R = dist / mu
-    bound = _bound(d1)
+    R = _rownorm(diff) / mu
+    v, bound, _ = _offset_rows(jets, feet[rows], diff, R)
     grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
     fp = np.abs(_f_prime(diff, t, mu, d1))
-    fault = _first_fault([
+    _raise_first(_first_fault([
         (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
             f"recovered height {float(R[k])} exceeds admissible bound {float(bound[k])}"
         )),
         (fp > grad_tol, lambda k: NotCriticalFootError(
             f"foot not critical: |F'|={float(fp[k])} > {float(grad_tol[k])}"
         )),
-    ])
-    kap = _rownorm(g2)
-    u = diff / np.where(dist > 0.0, dist, 1.0)[:, None]
-    un = u - _rowdot(u, t)[:, None] * t
-    nun = _rownorm(un)
-    tilted = (R > 0) & (kap > curve.kappa_tol) & (nun > 1e-14)
-    cosb = np.where(tilted, _rowdot(g2, un) / np.where(tilted, kap * nun, 1.0), 1.0)
-    musq2 = 2.0 * (d1**2 + mu * d2)  # (mu^2)''
-    root = np.sqrt(np.maximum(0.0, 1.0 - (d1 * R) ** 2))
-    return (2.0 / mu**2) * (1.0 - kap * R * mu * root * cosb - 0.5 * R**2 * musq2), fault
+    ]))
+    values = ((2.0 / mu**2) * _along_rows(jets, v, R)[0]).reshape(shape)
+    return float(values) if values.ndim == 0 else values
 
 
-def _hess_rows(curve, jets, s, v, R):
+def _hess_rows(jets, s, v, R):
     """The second-derivative criterion over offset rows s (m,), v (m, n),
     R (m,), from the (curve, weight) jets of order 2 at the feet.
 
-    Each row is projected and normalized (`_offset_rows`) and mapped to its
-    image; the criterion projects that normal again, maps it and evaluates
-    the closed-form F'' at the point. Returns (images, F'', admissible
-    bounds, (offset fault, F'' fault)), each fault (row, error) or None.
+    Each row is projected and normalized once (`_offset_rows`) and mapped
+    once to its image (`_exp_rows`); F'' at the image's foot is (2/mu^2) A
+    from the same jets (`_along_rows`), with no second map. Returns (images,
+    F'', its scale (2/mu^2 times the sizes of A's terms), admissible bounds,
+    offset fault), the fault (row, error) or None.
     """
     v, bound, fault = _offset_rows(jets, s, v, R)
-    images = _exp_rows(jets, v, R)
-    v, _, _ = _offset_rows(jets, s, v, R)
-    hess, hess_fault = _f_second_critical_rows(curve, jets, _exp_rows(jets, v, R))
-    return images, hess, bound, (fault, hess_fault)
+    along, _, size = _along_rows(jets, v, R)
+    scale = 2.0 / np.asarray(jets[1][0], dtype=float) ** 2
+    return _exp_rows(jets, v, R), scale * along, scale * size, bound, fault
 
 
 # ---------------------------------------------------------------------------

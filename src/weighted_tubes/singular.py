@@ -17,15 +17,14 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
 from .errors import NumericError, _overflow_raises
-from .expmap import (
-    _broadcast_rows, _exp_rows, _hess_rows, _inside_fault, _raise_first, _rownorm, _take, differential,
-)
+from .expmap import (_broadcast_rows, _exp_rows, _first_fault, _hess_rows, _inside_fault, _raise_first,
+                     _rownorm, _take, differential)
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
 from .util import _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, refine_minima
 
-_TOL_HESS_FACTOR = 1e-8  # x (2/mu^2): second-order zero band
+_TOL_HESS_FACTOR = 1e-8  # x the scale of F'': second-order zero band
 _TOL_SNG = 1e-9  # singular-set zero band for mu'' + kappa^2 mu / 4
 _FLAT_FACTOR = 1e-12  # x scale: flat-run (continuum) detection
 _EPS_KAPPA = 1e-7  # collapse-arc residuals (four conditions + image)
@@ -222,13 +221,12 @@ def _graph_points(curve, weight, ci, s, ur):
 
     A foot is dropped where kappa <= kappa_tol, where the graph height R(s)
     is undefined or outside (0, ur), and where the map's second derivative
-    at exp(s, n, R), n the principal normal, is not within
-    _TOL_HESS_FACTOR * 2/mu^2 * max(1, ur^2) of zero (inf where ur^2
+    at exp(s, n, R), n the principal normal (`expmap._hess_rows`), is not
+    within _TOL_HESS_FACTOR * 2/mu^2 * max(1, ur^2) of zero (inf where ur^2
     overflows): every foot's band widens with the height cutoff ur, not with
-    the foot's own R. A direction tangent to the curve, a height above
-    1/|mu'|, a recovered height above it, or a foot that is not critical for
-    its image raises the scalar checks' error for the first offending foot;
-    an overflow raises NumericError.
+    the foot's own R. The only errors are `exp_mu`'s offset check
+    (OutOfWError for the first foot whose normal is tangent or whose height
+    is above 1/|mu'|) and NumericError on an overflow.
     """
     with np.errstate(over="ignore"):
         cutoff = max(1.0, np.square(ur))
@@ -242,8 +240,8 @@ def _graph_points(curve, weight, ci, s, ur):
         s, height = s[keep], height[keep]
         normal = d2[keep] / kap[keep][:, None]
         jets = _take((curve_jet, weight_jet), keep)
-        location, hess, _, faults = _hess_rows(curve, jets, s, normal, height)
-        _raise_first(*faults)
+        location, hess, _, _, fault = _hess_rows(jets, s, normal, height)
+        _raise_first(fault)
         mu = np.asarray(weight_jet[0], dtype=float)[keep]
         tol_hess = _TOL_HESS_FACTOR * 2.0 / mu**2 * cutoff
         resid = np.abs(_g(kap, weight_jet))[keep]
@@ -260,22 +258,28 @@ def is_singular(curve, weight, s, v, R):
     """(flags, values) over rows: feet s, directions v (last axis ambient)
     and heights R broadcast together to a shape B as in `exp_mu`; one offset
     gives (bool, float). The map is singular at an offset iff the second
-    derivative of the squared weighted distance at its foot lies within
-    _TOL_HESS_FACTOR * 2/mu^2 * max(1, R^2) of zero, one band per row from
-    that row's own height R (`_graph_points` instead widens every foot's
-    band by the height cutoff ur); values are those second derivatives.
+    derivative of the squared weighted distance at its foot,
+    F'' = (2/mu^2) A with A the tangential part of the map's d/ds column
+    (`expmap._hess_rows`), lies within _TOL_HESS_FACTOR of its scale
+
+        (2/mu^2) (1 + |mu'^2 + mu mu''| R^2 + mu R rho |v . gamma''|),
+
+    the sizes of A's terms at that row (`_graph_points` instead widens every
+    foot's band by the height cutoff ur); values are those F''.
 
     One curve jet and one weight jet are evaluated on the feet as given.
     Raises for the first failing row in C order; within a row the offset
-    check (`exp_mu`'s), then "strictly inside the admissible set", then the
-    criterion's own error (`f_second_critical`'s).
+    check (`exp_mu`'s OutOfWError), then OutOfWError unless the height is
+    strictly inside the admissible set, then NumericError where F'' is not
+    finite.
     """
     shape, feet, rows, v, R = _broadcast_rows(s, v, R)
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
-    _, hess, bound, (fault, hess_fault) = _hess_rows(curve, jets, feet[rows], v, R)
-    _raise_first(fault, _inside_fault(R, bound), hess_fault)
-    mu = np.asarray(jets[1][0], dtype=float)
-    flags = np.abs(hess) <= _TOL_HESS_FACTOR * 2.0 / mu**2 * np.maximum(1.0, R**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, hess, scale, bound, fault = _hess_rows(jets, feet[rows], v, R)
+    _raise_first(fault, _inside_fault(R, bound), _first_fault([(~np.isfinite(hess), lambda k: (
+        NumericError(f"F'' at R={float(R[k])}, s={float(feet[rows[k]])} is not finite")))]))
+    flags = np.abs(hess) <= _TOL_HESS_FACTOR * scale
     if not shape:
         return bool(flags[0]), float(hess[0])
     return flags.reshape(shape), hess.reshape(shape)

@@ -1,8 +1,8 @@
 """Oracles shared by the test modules: the dense grid argmin and a
 golden-section G with no shortcuts, the weighted closest point with its tie
-report and the finite-difference gradient of G, one-offset forms of the
-offset and second-derivative rows, the finite-difference differential of
-the map, the fiber-shape membership test, the critical-point class,
+report and the finite-difference gradient of G, a one-offset form of the
+offset rows, F'' by the project-map-recover-angle chain that the closed
+form replaced, the finite-difference differential of the map, the fiber-shape membership test, the critical-point class,
 golden-section maxima, the pointwise focal data, the closed-form roots of
 Lemma 3, seeded random unit normals, the pair Newton that runs every active
 row to the last pass, the pair search's per-offset seed loop, and the
@@ -17,7 +17,9 @@ import numpy as np
 from weighted_tubes import (
     PLANE,
     NonRegularCurveError,
+    NotCriticalFootError,
     NumericError,
+    OutOfWError,
     WeightedTubesError,
     exp_mu,
     f_prime,
@@ -26,9 +28,10 @@ from weighted_tubes import (
     g_potential,
     normal_frames,
     radii,
+    w_bound,
 )
 from weighted_tubes.curves import CurvatureProfileCurve, _Piece
-from weighted_tubes.expmap import _hess_rows, _offset_rows, _refine_rows
+from weighted_tubes.expmap import _offset_rows, _refine_rows, _rowdot, _rownorm
 from weighted_tubes.radii import (
     _NEWTON_MAX_ITER,
     _TOL_DC,
@@ -303,17 +306,46 @@ def make_offset(curve, weight, s, v, R):
 
 
 def f_second_at_offset(curve, weight, s, v, R):
-    """Closed-form second derivative at the foot of exp(s, v, R): one row of
-    `_hess_rows`."""
-    s = np.array([float(s)])
-    _, hess, _, faults = _hess_rows(
-        curve, (curve.jet(s, 2), weight.jet(s, 2)), s, np.asarray(v, dtype=float)[None, :],
-        np.array([float(R)]),
-    )
-    for fault in faults:
-        if fault is not None:
-            raise fault[1]
-    return float(hess[0])
+    """The second derivative at the foot of exp(s, v, R) by the chain that
+    the jets' closed form replaced: project and normalize v (`_offset_rows`),
+    map the offset with `exp_mu` (which projects v again), recover R as
+    |p - gamma| / mu from the image p and take the angle formula there,
+
+        (2/mu^2) (1 - kappa R mu sqrt(1-(mu' R)^2) cos(beta) - (R^2/2)(mu^2)''),
+
+    beta the angle between gamma'' and the normal part of the direction to
+    p (cos beta = 1 where R, kappa (<= kappa_tol) or that part vanishes).
+    Rows s (m,), v (m, n), R (m,) give (m,); one offset gives a float.
+    Raises the offset check's OutOfWError, then OutOfWError where the
+    recovered height exceeds the admissible bound, then NotCriticalFootError
+    where a foot fails the first-order test for its image.
+    """
+    one = np.ndim(s) == 0 and np.ndim(R) == 0 and np.ndim(v) == 1
+    s, R = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (s, R))
+    v, _, fault = _offset_rows((curve.jet(s, 1), weight.jet(s, 1)), s, np.atleast_2d(v), R)
+    if fault is not None:
+        raise fault[1]
+    p = exp_mu(curve, weight, s, v, R)
+    (g, t, g2), (mu, d1, d2) = curve.jet(s, 2), (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
+    diff = p - g
+    dist = _rownorm(diff)
+    R = dist / mu
+    bound = np.asarray(w_bound(weight, s), dtype=float)
+    if np.any(R > bound * (1.0 + 1e-12)):
+        raise OutOfWError("recovered height exceeds admissible bound")
+    grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
+    if np.any(np.abs(f_prime(curve, weight, s, p)) > grad_tol):
+        raise NotCriticalFootError("foot not critical")
+    kap = _rownorm(g2)
+    u = diff / np.where(dist > 0.0, dist, 1.0)[:, None]
+    un = u - _rowdot(u, t)[:, None] * t
+    nun = _rownorm(un)
+    tilted = (R > 0) & (kap > curve.kappa_tol) & (nun > 1e-14)
+    cosb = np.where(tilted, _rowdot(g2, un) / np.where(tilted, kap * nun, 1.0), 1.0)
+    musq2 = 2.0 * (d1**2 + mu * d2)  # (mu^2)''
+    root = np.sqrt(np.maximum(0.0, 1.0 - (d1 * R) ** 2))
+    hess = (2.0 / mu**2) * (1.0 - kap * R * mu * root * cosb - 0.5 * R**2 * musq2)
+    return float(hess[0]) if one else hess
 
 
 def fd_differential(curve, weight, s, v, R, h=None):

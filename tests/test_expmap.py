@@ -30,7 +30,6 @@ from oracles import (
     NonUniqueFootError,
     classify_critical,
     dense_grid_argmin,
-    f_second_at_offset,
     fiber_contains,
     g_potential_two_point,
     grad_g_check,
@@ -234,9 +233,10 @@ class TestDistanceFunction:
             assert f_value(curve, weight, s, [0.0, 0.0]) == pytest.approx(1.0)
 
     def test_closed_form_second_derivative(self, circle_mu1):
-        # kappa = 1, mu = 1, cos beta = 1: F'' = 2 (1 - R).
+        # kappa = 1, mu = 1, v . gamma'' = 1: F'' = 2 (1 - R) at the image
+        # (0.5, 0) of height R = 0.5 inward from gamma(0) = (1, 0).
         curve, weight = circle_mu1
-        val = f_second_at_offset(curve, weight, 0.0, [-1.0, 0.0], 0.5)
+        val = f_second_critical(curve, weight, 0.0, [0.5, 0.0])
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_requires_critical_foot(self, arc1a):

@@ -40,7 +40,7 @@ from weighted_tubes.singular import (
 from weighted_tubes.util import brent_rows
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
-from oracles import fd_differential, f_second_at_offset, make_offset, random_unit_normals, runs_loop
+from oracles import fd_differential, f_second_at_offset, random_unit_normals, runs_loop
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestSingularSet:
             v = random_unit_normals(curve, [s], rng)[0]
             if abs(float(v @ principal)) > 0.99:
                 v = normal_frames(curve, [s])[0, 1]
-            val = f_second_at_offset(curve, weight, s, v, height)
+            _, val = is_singular(curve, weight, s, v, height)
             assert val > 1e-6
 
 
@@ -114,8 +114,8 @@ def test_graph_points_match_the_scalar_map(scenes, name):
         normal = jets[0][2] / np.linalg.norm(jets[0][2], axis=-1)[:, None]
         images = exp_mu(curve, weight, s, normal, R)
         assert np.max(np.abs(images - rows[:, 4:])) <= 1e-12
-        _, hess, _, faults = _hess_rows(curve, jets, s, normal, R)
-        assert faults == (None, None)
+        _, hess, _, _, fault = _hess_rows(jets, s, normal, R)
+        assert fault is None
         band = _TOL_HESS_FACTOR * 2.0 / np.asarray(jets[1][0]) ** 2 * max(1.0, ur**2)
         assert np.all(np.abs(hess) <= band + 1e-12)
         assert np.all((0.0 < R) & (R < ur))
@@ -123,6 +123,23 @@ def test_graph_points_match_the_scalar_map(scenes, name):
         for k in range(0, len(s), 97):
             _, value = is_singular(curve, weight, s[k], normal[k], R[k])
             assert value == hess[k] and abs(value) <= band[k]
+
+
+def test_hess_rows_projects_and_maps_each_row_once(monkeypatch):
+    from weighted_tubes import expmap
+
+    calls = []
+    for name in ("_offset_rows", "_exp_rows"):
+        monkeypatch.setattr(expmap, name, lambda *args, f=getattr(expmap, name), name=name: (
+            calls.append(name) or f(*args)))
+    curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
+    s = np.linspace(-1.2, 1.2, 5)
+    images, hess, _, _, fault = _hess_rows((curve.jet(s, 2), weight.jet(s, 2)), s, -curve.point(s),
+                                           np.full(5, 2.0))
+    assert sorted(calls) == ["_exp_rows", "_offset_rows"]
+    assert fault is None and np.max(np.abs(hess)) <= 1e-12
+    # The collapse: every foot's image at height 2 is (-1, 0).
+    np.testing.assert_allclose(images, np.tile([-1.0, 0.0], (5, 1)), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENES)
@@ -190,6 +207,34 @@ class TestIsSingular:
         with pytest.raises(OutOfWError):
             is_singular(curve, weight, 1.0, -curve.point(1.0), bound)
 
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4])
+    def test_band_scales_with_the_weight(self, scenes, c):
+        # On the unit circle with constant mu the map is singular only at
+        # mu R = 1 along the inward normal. The terms of F'' scale like mu R,
+        # and so does the band, so (mu, R) -> (c mu, R / c) keeps every flag.
+        curve = scenes["circle_mu1"].pairs[0][0]
+        feet = np.linspace(0.0, 6.0, 7)
+        inward = -curve.point(feet)
+        dirs = np.stack([inward, -inward], axis=1)[:, :, None, :]
+        heights = np.array([0.5, 0.9, 1.0, 1.1, 2.0, 10.0, 1e3, 1e8])  # mu R
+        flags, _ = is_singular(curve, ConstantWeight(c), feet[:, None, None], dirs, heights / c)
+        expected = np.array([True, False])[:, None] & (heights == 1.0)
+        np.testing.assert_array_equal(flags, np.broadcast_to(expected, flags.shape))
+
+    def test_huge_heights_are_regular_until_f_second_overflows(self, scenes):
+        curve, weight = scenes["circle_mu1"].pairs[0]
+        outward = curve.point(0.3)
+        heights = 10.0 ** np.arange(1, 151, 7)
+        for v in (outward, -outward):
+            flags, values = is_singular(curve, weight, 0.3, v, heights)
+            assert not flags.any() and np.all(np.isfinite(values))
+        # R^2 overflows from about 1.3e154: the row raises, after the
+        # earlier rows' own checks.
+        with pytest.raises(NumericError, match="not finite"):
+            is_singular(curve, weight, 0.3, outward, [1.0, 1e155])
+        with pytest.raises(OutOfWError, match="tangent"):
+            is_singular(curve, weight, 0.3, np.stack([curve.tangent(0.3), outward]), [1.0, 1e155])
+
     def test_jacobian_agrees_across_scenes(self, scenes):
         # Independent cross-check: the determinant of the map's differential
         # must flag exactly the points the second-derivative criterion flags.
@@ -218,18 +263,33 @@ class TestIsSingular:
                     disagreements += 1
             assert disagreements == 0, name
 
-    @pytest.mark.parametrize("name", ["ellipse_mu1", "example1b", "example4", "example2_stadium"])
+    @pytest.mark.parametrize("name", BUNDLED_SCENES)
     def test_value_is_the_scalar_chain(self, scenes, name):
-        # Project the offset, map its normal (exp_mu projects it again) and
-        # take the closed form at the image.
+        # The oracle is the chain the jets' closed form replaced: project the
+        # offset, map it, recover R from the image and take the angle
+        # formula there. is_singular reads (2/mu^2) A from the jets, and
+        # f_second_critical reads it at the image.
         scene = scenes[name]
         curve, weight = scene.pairs[0]
         s, v, R = (x[:300] for x in random_offsets(scene, 1000, r_cap=4.0, margin=0.1))
-        for k in range(300):
-            off = make_offset(curve, weight, s[k], v[k], R[k])
-            p = exp_mu(curve, weight, off.s, off.v, off.R)
-            expected = f_second_critical(curve, weight, off.s, p)
-            assert is_singular(curve, weight, s[k], v[k], R[k])[1] == expected
+        expected = f_second_at_offset(curve, weight, s, v, R)
+        images = exp_mu(curve, weight, s, v, R)
+        values = is_singular(curve, weight, s, v, R)[1], f_second_critical(curve, weight, s, images)
+        # Both sides evaluate (2/mu^2) (1 - X - Y), X = (mu'^2 + mu mu'') R^2
+        # and Y = mu R rho (v . gamma''), from the same jets. At these heights
+        # (R <= 0.9 / |mu'|) rho's radicand is at least 0.19, so rho carries
+        # at most 10 u (u = EPS / 2), and each side is within 16 u of each
+        # term's size: 16 EPS (1 + |X| + |Y|) covers both. Recovering R and v
+        # from the image adds EPS (|gamma| + mu R) / mu to R (and as much to
+        # v, against its normal part mu R rho); A moves by at most
+        # 2 |mu'^2 + mu mu''| R + mu kappa / rho per unit of R.
+        (gamma, _, g2), (mu, d1, d2) = curve.jet(s, 2), weight.jet(s, 2)
+        kap, rho, c1 = np.linalg.norm(g2, axis=1), np.sqrt(1.0 - (d1 * R) ** 2), d1**2 + mu * d2
+        terms = 1.0 + np.abs(c1) * R**2 + mu * R * rho * kap
+        recovery = (2.0 * np.abs(c1) * R + mu * kap / rho) * (np.linalg.norm(gamma, axis=1) + mu * R) / mu
+        band = 2.0 / mu**2 * EPS * (16.0 * terms + 2.0 * recovery)
+        for value in values:
+            assert np.all(np.abs(value - expected) <= band)
 
     def test_jacobian_vanishes_at_collapse(self):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
@@ -318,27 +378,6 @@ class TestIsSingularRows:
         with pytest.raises(OutOfWError, match="finite and nonnegative"):
             is_singular(curve, weight, s, inward, [1.0, np.nan, bound])
 
-    def test_criterion_error_comes_last_within_a_row(self, arc, monkeypatch):
-        from weighted_tubes import expmap
-
-        curve, weight = arc
-        criterion = expmap._f_second_critical_rows
-
-        def failing_row_one(curve, jets, p):
-            values, _ = criterion(curve, jets, p)
-            return values, (1, NotCriticalFootError("row 1 is not critical"))
-
-        monkeypatch.setattr(expmap, "_f_second_critical_rows", failing_row_one)
-        s = np.array([0.0, 1.0, 1.0])
-        bound = float(w_bound(weight, 1.0))
-        inward = -curve.point(s)
-        with pytest.raises(NotCriticalFootError, match="row 1"):
-            is_singular(curve, weight, s, inward, 1.0)
-        with pytest.raises(NotCriticalFootError, match="row 1"):
-            is_singular(curve, weight, s, inward, [1.0, 1.0, bound])
-        with pytest.raises(OutOfWError, match="strictly inside"):
-            is_singular(curve, weight, s, inward, [1.0, bound, 1.0])
-
 
 EPS = np.finfo(float).eps
 
@@ -417,6 +456,31 @@ class TestDifferential:
             assert np.all(sigma[:, -1] <= band)
             assert np.all(sigma[:, -2] > 1e-2 * sigma[:, 0])
             assert np.all(np.linalg.norm(vt[:, -1, 1:], axis=1) <= band / sigma[:, -2])
+
+    @pytest.mark.parametrize("name", [*BUNDLED_SCENES, "circle_arc_3d"])
+    def test_singular_rows_below_air_collapse_horizontally(self, scenes, name):
+        # The Horizontal Collapsing Property at every singular-graph row
+        # below air. The row was admitted by |F''| <= _TOL_HESS_FACTOR 2/mu^2
+        # max(1, air^2), F'' = (2/mu^2) A, and the whole d/ds column lies in
+        # that band of A. The c-columns over R have the singular values mu rho
+        # (n - 2 of them) and mu / rho, so with rho > 0 they have rank n - 1
+        # and the kernel is horizontal.
+        if name == "circle_arc_3d":
+            pairs = [(CircleArcCurve(-1.2, 1.2, ambient_dim=3), PolynomialWeight([1.0, 0.0, -0.125]))]
+            tol = DEFAULT_TOLERANCES
+        else:
+            pairs, tol = scenes[name].pairs, scenes[name].tolerances
+        air = radii_report(pairs, tol).air
+        rows = singular_set(pairs, air, tol)
+        rows = rows[rows[:, 2] < air]
+        for ci, (curve, weight) in enumerate(pairs):
+            s, R = rows[rows[:, 0] == ci, 1], rows[rows[:, 0] == ci, 2]
+            cols = differential(curve, weight, s, curve.second_derivative(s), R)
+            assert np.all(np.linalg.norm(cols[:, :, 0], axis=1) <= _TOL_HESS_FACTOR * max(1.0, air**2))
+            sigma = np.linalg.svd(cols[:, :, 1:] / R[:, None, None], compute_uv=False)
+            mu, d1 = (np.asarray(x, dtype=float) for x in weight.jet(s, 1))
+            rho = np.sqrt(1.0 - (d1 * R) ** 2)
+            assert np.all(sigma[:, -1] >= (1.0 - 16 * curve.ambient_dim * EPS) * mu * rho)
 
     @pytest.mark.parametrize("name", [
         "circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
