@@ -138,26 +138,38 @@ def differential(curve, weight, s, v, R):
     `_along_rows`, the one closed form of the map's second order: F'' at an
     image is (2/mu^2) A, which `is_singular` and `f_second_critical` read.
     One curve jet and one weight jet of order 2 are evaluated on the feet as
-    given. Raises OutOfWError for the first row, in C order, that fails
-    `exp_mu`'s offset check, or else is not strictly inside the admissible
-    set (so rho > 0).
+    given. Raises for the first failing row in C order; within a row
+    OutOfWError where it fails `exp_mu`'s offset check, then OutOfWError
+    unless it is strictly inside the admissible set (so rho > 0), then
+    NumericError where a column is not finite (a term can overflow where
+    the image does not).
     """
     shape, feet, rows, v, R = _broadcast_rows(s, v, R)
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
     v, bound, fault = _offset_rows(jets, feet[rows], v, R)
-    _raise_first(fault, _inside_fault(R, bound))
     _, t, g2 = jets[0][:3]
     mu, d1, d2 = (np.asarray(x, dtype=float) for x in jets[1][:3])
     frames = _frames(t)
     c = np.matmul(frames, v[:, :, None])
-    along, rho, _ = _along_rows(jets, v, R)
-    d_s = (along[:, None] * t - (mu * d1 * R**2)[:, None] * g2
-           + (d1 * R * rho - mu * d1 * d2 * R**3 / rho)[:, None] * v)
-    mu, d1, R, rho = (x[:, None, None] for x in (mu, d1, R, rho))
-    d_c = R * (mu * rho * frames - 2.0 * mu * d1 * R * c * t[:, None]
-               - mu * d1**2 * R**2 / rho * c * v[:, None])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        along, rho, _ = _along_rows(jets, v, R)
+        d_s = (along[:, None] * t - (mu * d1 * R**2)[:, None] * g2
+               + (d1 * R * rho - mu * d1 * d2 * R**3 / rho)[:, None] * v)
+        mu, d1, r, rho = (x[:, None, None] for x in (mu, d1, R, rho))
+        d_c = r * (mu * rho * frames - 2.0 * mu * d1 * r * c * t[:, None]
+                   - mu * d1**2 * r**2 / rho * c * v[:, None])
     cols = np.concatenate([d_s[:, None], d_c], axis=1)
+    _raise_first(fault, _inside_fault(R, bound), _nonfinite_fault("differential", cols, R, feet[rows]))
     return cols.swapaxes(1, 2).reshape(shape + cols.shape[1:])
+
+
+def _nonfinite_fault(what, values, R, s):
+    """(row, NumericError) for the first row of values (m, ...) that holds a
+    value that is not finite, else None; R and s are the rows' heights and
+    feet."""
+    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    return _first_fault([(bad, lambda k: NumericError(
+        f"{what} at R={float(R[k])}, s={float(s[k])} is not finite"))])
 
 
 def _inside_fault(R, bound):
@@ -289,17 +301,20 @@ def f_second_critical(curve, weight, s, p):
     weight jet are evaluated on the feet as given. For the first row, in C
     order, that fails a check, raises OutOfWError when the recovered height
     exceeds the admissible bound, else NotCriticalFootError when s fails the
-    first-order criticality test for p.
+    first-order criticality test for p, else NumericError when the value is
+    not finite.
     """
     shape, feet, rows, p, _ = _broadcast_rows(s, p)
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
     g, t = jets[0][:2]
     mu, d1 = (np.asarray(x, dtype=float) for x in jets[1][:2])
-    diff = p - g
-    R = _rownorm(diff) / mu
-    v, bound, _ = _offset_rows(jets, feet[rows], diff, R)
-    grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
-    fp = np.abs(_f_prime(diff, t, mu, d1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = p - g
+        R = _rownorm(diff) / mu
+        v, bound, _ = _offset_rows(jets, feet[rows], diff, R)
+        grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
+        fp = np.abs(_f_prime(diff, t, mu, d1))
+        values = (2.0 / mu**2) * _along_rows(jets, v, R)[0]
     _raise_first(_first_fault([
         (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
             f"recovered height {float(R[k])} exceeds admissible bound {float(bound[k])}"
@@ -307,8 +322,8 @@ def f_second_critical(curve, weight, s, p):
         (fp > grad_tol, lambda k: NotCriticalFootError(
             f"foot not critical: |F'|={float(fp[k])} > {float(grad_tol[k])}"
         )),
-    ]))
-    values = ((2.0 / mu**2) * _along_rows(jets, v, R)[0]).reshape(shape)
+    ]), _nonfinite_fault("F''", values, R, feet[rows]))
+    values = values.reshape(shape)
     return float(values) if values.ndim == 0 else values
 
 

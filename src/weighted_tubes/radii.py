@@ -30,7 +30,6 @@ from .util import (
     _distinct,
     _extrema_indices,
     _grid_local_minima,
-    _hypot_local_minima,
     _offset_array,
     as_pairs,
     golden_min,
@@ -278,7 +277,10 @@ def _search_component_pair(pairs, i, j, ts, tol):
     _verify_rows), each with its offset's index in ts (`grp`) and its Newton
     residual, in the order of the Newton rows.
 
-    On one component, sigma, the gradient (a, b) = (b^T, a^T) and the
+    Newton starts from the 3x3 minima of sigma and of its gradient norm
+    hypot(a, b), both found by one search, `util._grid_local_minima`: the
+    gradient norm is written over sigma's buffer once sigma's minima are
+    taken, so no further grid is allocated. On one component, sigma, the gradient (a, b) = (b^T, a^T) and the
     diagonal band are symmetric bit for bit, and so are the seeds. There
     the grid is built in the circulant layout of `util._layout`, cell [p, k]
     the pair (p, (p + k - 1) mod N) with the full grid's value, and each
@@ -325,11 +327,13 @@ def _search_component_pair(pairs, i, j, ts, tol):
         if same:
             np.put(sigma, band, np.inf)
             np.put(a, band, np.inf)
-        # msq, and sigma once its minima are taken, are the searches' buffers.
+        # One search takes both grids: sigma's minima, then those of
+        # hypot(a, b), written over sigma; msq holds the row-neighbour minima.
         # Both grids increase strictly, so the ascending cells give the seeds
         # in (s, t) order.
-        cells = np.concatenate([_grid_local_minima(sigma, c1.closed, c2.closed, msq, same),
-                                _hypot_local_minima(a, b, c1.closed, c2.closed, (sigma, msq), same)])
+        cells = _grid_local_minima(sigma, c1.closed, c2.closed, msq, same)
+        np.hypot(a, b, out=sigma)
+        cells = np.concatenate([cells, _grid_local_minima(sigma, c1.closed, c2.closed, msq, same)])
         if same:  # each owned cell [p, k] stands for (p, q) and (q, p)
             p, k = np.divmod(cells, w)
             q = (p + k - 1) % n

@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
 from .errors import NumericError, _overflow_raises
-from .expmap import (_broadcast_rows, _exp_rows, _first_fault, _hess_rows, _inside_fault, _raise_first,
+from .expmap import (_broadcast_rows, _exp_rows, _hess_rows, _inside_fault, _nonfinite_fault, _raise_first,
                      _rownorm, _take, differential)
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
@@ -87,7 +87,8 @@ def _graph_height(weight_jet):
 def dense_grid(curve, weight, n):
     """The dense foot grid of one component that the focal profiles, the zero
     set of g and the collapse arcs read: the feet sg = curve.grid(n), the
-    curve jet of order 3, (mu, mu', mu'') and kappa = `curve.curvature(sg)`.
+    curve jet of order 3, (mu, mu', mu'') and kappa = |gamma''|, the norm of
+    the jet's second derivative (arclength parametrized).
 
     Built once per (curve, weight, n) and kept, as read-only arrays, while
     the weight lives. The build runs under an overflow guard, so an overflow
@@ -174,7 +175,8 @@ def singular_set(pairs, ur, tol=DEFAULT_TOLERANCES):
     changes and of the slope of |g| at its touching zeros, both by Brent's
     method, except those next to or inside such a run. One array pass per
     component then builds the rows and cross-checks each against the
-    second-derivative criterion at its offset (see `_graph_points`).
+    second-derivative criterion at its offset, in `is_singular`'s band (see
+    `_graph_points`).
     Refined zeros scatter inside the plateau where g is flat at machine
     level, so a row within half a grid step (0.5 L / grid_samples, periodic
     distance) of the row before it is dropped.
@@ -221,15 +223,14 @@ def _graph_points(curve, weight, ci, s, ur):
 
     A foot is dropped where kappa <= kappa_tol, where the graph height R(s)
     is undefined or outside (0, ur), and where the map's second derivative
-    at exp(s, n, R), n the principal normal (`expmap._hess_rows`), is not
-    within _TOL_HESS_FACTOR * 2/mu^2 * max(1, ur^2) of zero (inf where ur^2
-    overflows): every foot's band widens with the height cutoff ur, not with
-    the foot's own R. The only errors are `exp_mu`'s offset check
-    (OutOfWError for the first foot whose normal is tangent or whose height
-    is above 1/|mu'|) and NumericError on an overflow.
+    F'' at exp(s, n, R), n the principal normal (`expmap._hess_rows`), is
+    not within _TOL_HESS_FACTOR of its scale, the sizes of A's terms at
+    that row: `is_singular`'s band, so one band decides singularity in both
+    places, and the cutoff ur only bounds the heights. The only errors are
+    `exp_mu`'s offset check (OutOfWError for the first foot whose normal is
+    tangent or whose height is above 1/|mu'|) and NumericError on an
+    overflow.
     """
-    with np.errstate(over="ignore"):
-        cutoff = max(1.0, np.square(ur))
     with _overflow_raises("singular set"):
         s = curve.wrap(s)
         curve_jet, weight_jet = curve.jet(s, 2), weight.jet(s, 2)
@@ -240,13 +241,11 @@ def _graph_points(curve, weight, ci, s, ur):
         s, height = s[keep], height[keep]
         normal = d2[keep] / kap[keep][:, None]
         jets = _take((curve_jet, weight_jet), keep)
-        location, hess, _, _, fault = _hess_rows(jets, s, normal, height)
+        location, hess, scale, _, fault = _hess_rows(jets, s, normal, height)
         _raise_first(fault)
-        mu = np.asarray(weight_jet[0], dtype=float)[keep]
-        tol_hess = _TOL_HESS_FACTOR * 2.0 / mu**2 * cutoff
         resid = np.abs(_g(kap, weight_jet))[keep]
         rows = np.column_stack([np.full(len(s), float(ci)), s, height, resid, location])
-        return rows[np.abs(hess) <= tol_hess]
+        return rows[np.abs(hess) <= _TOL_HESS_FACTOR * scale]
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +263,8 @@ def is_singular(curve, weight, s, v, R):
 
         (2/mu^2) (1 + |mu'^2 + mu mu''| R^2 + mu R rho |v . gamma''|),
 
-    the sizes of A's terms at that row (`_graph_points` instead widens every
-    foot's band by the height cutoff ur); values are those F''.
+    the sizes of A's terms at that row (`_graph_points` gates the singular
+    set's rows by the same band); values are those F''.
 
     One curve jet and one weight jet are evaluated on the feet as given.
     Raises for the first failing row in C order; within a row the offset
@@ -277,8 +276,7 @@ def is_singular(curve, weight, s, v, R):
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
     with np.errstate(over="ignore", invalid="ignore"):
         _, hess, scale, bound, fault = _hess_rows(jets, feet[rows], v, R)
-    _raise_first(fault, _inside_fault(R, bound), _first_fault([(~np.isfinite(hess), lambda k: (
-        NumericError(f"F'' at R={float(R[k])}, s={float(feet[rows[k]])} is not finite")))]))
+    _raise_first(fault, _inside_fault(R, bound), _nonfinite_fault("F''", hess, R, feet[rows]))
     flags = np.abs(hess) <= _TOL_HESS_FACTOR * scale
     if not shape:
         return bool(flags[0]), float(hess[0])
@@ -301,11 +299,15 @@ def jacobian_determinant(curve, weight, s, v, R):
     and 0.1, while F'' = 2.0, 1.998 and 1.759 call all three regular. Near
     R = 0 the singularity test is `is_singular`, not this determinant.
 
-    Raises OutOfWError for the first row, in C order, whose direction is
-    tangent or whose height is not finite, negative or above 1/|mu'|, or
-    else not strictly inside the admissible set.
+    Raises as `differential` does, then NumericError for the first row, in
+    C order, whose determinant is not finite (a product of n columns can
+    overflow where each column is finite).
     """
-    det = np.linalg.det(differential(curve, weight, s, v, R))
+    cols = differential(curve, weight, s, v, R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(cols)
+    _, feet, rows, _, R = _broadcast_rows(s, v, R)
+    _raise_first(_nonfinite_fault("determinant", det.reshape(-1), R, feet[rows]))
     return float(det) if det.ndim == 0 else det
 
 

@@ -67,8 +67,10 @@ def _grid_local_minima(mat, per_rows, per_cols, low=None, circulant=False):
     no larger than theirs are then compared with the cells above and below
     and with those cells' row-neighbour minima. low, a C-contiguous array of
     mat's shape, may be given to hold the row-neighbour minima; all of it is
-    rewritten."""
-    low = _row_neighbours(mat, per_cols, np.minimum, low, circulant)
+    rewritten, and mat is only read. The pair search seeds Newton from the
+    minima of both its grids, sigma and its gradient norm, through this one
+    search."""
+    low = _row_neighbours(mat, per_cols, low, circulant)
     cells = _owned(mat <= low, circulant)
     flat, low = mat.reshape(-1), low.reshape(-1)
     own = flat[cells]
@@ -76,45 +78,6 @@ def _grid_local_minima(mat, per_rows, per_cols, low=None, circulant=False):
     for nb, on in _column_neighbours(cells, mat.shape, per_rows, circulant):
         keep &= ~on | ((own <= flat[nb]) & (own <= low[nb]))
     return cells[keep]
-
-
-# Wherever q = a a + b b is at least _Q_FLOOR, it is within a few ulp of
-# hypot(a, b)^2, far inside _Q_MARGIN: a square errs by half an ulp, or by
-# at most 2^-1075 where it is subnormal, which is below 2^-105 of q there.
-_Q_MARGIN = 1.0 + 2.0**-40
-_Q_FLOOR = 2.0**-969
-
-
-def _hypot_local_minima(a, b, per_rows, per_cols, bufs=None, circulant=False):
-    """_grid_local_minima(np.hypot(a, b), ...) in the layout of a, with
-    hypot evaluated only on the 3x3 blocks of candidate cells.
-
-    Where a cell's hypot is no larger than a neighbour's, its q = a a + b b
-    is at most max((1 + 2^-40) q', 2^-969), q' the neighbour's: below
-    2^-969 the squares lose their relative accuracy, and where a square
-    overflows q is inf, which passes only where the neighbour's bound is inf
-    too. So every local minimum passes that bound against each neighbour,
-    and one whose q' is nan passes too (hypot may be inf there). The
-    candidates pass it against fmin(row neighbours' q), then against the
-    cells above and below and their row neighbours. bufs, two C-contiguous
-    arrays of a's shape, may be given to hold q and the bound; all of both
-    is rewritten."""
-    q, low = (np.empty_like(a), np.empty_like(a)) if bufs is None else bufs
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(a, a, out=q)
-        np.multiply(b, b, out=low)
-        np.add(q, low, out=q)
-        _row_neighbours(q, per_cols, np.fmin, low, circulant)
-        np.multiply(low, _Q_MARGIN, out=low)
-        np.maximum(low, _Q_FLOOR, out=low)
-        cells = _owned(~(q > low), circulant)
-        q, low = q.reshape(-1), low.reshape(-1)
-        own = q[cells]
-        keep = np.ones(len(cells), dtype=bool)
-        for nb, on in _column_neighbours(cells, a.shape, per_rows, circulant):
-            keep &= ~on | ~(own > np.fmin(low[nb], np.maximum(_Q_MARGIN * q[nb], _Q_FLOOR)))
-    shape, a, b = a.shape, a.reshape(-1), b.reshape(-1)
-    return _block_minima(cells[keep], lambda k: np.hypot(a[k], b[k]), shape, per_rows, per_cols, circulant)
 
 
 def _layout(shape, circulant):
@@ -135,17 +98,17 @@ def _owned(mask, circulant):
     return np.flatnonzero(mask)
 
 
-def _row_neighbours(mat, per_cols, fn, out=None, circulant=False):
-    """fn (np.minimum or np.fmin) of each cell's left and right neighbour in
-    its row of M, into out (a new array by default; C-contiguous when
-    given); they wrap on periodic columns, and one beyond the end of an open
-    axis reads +inf. A circulant layout's first and last columns, which no
-    search reads, may hold any value."""
+def _row_neighbours(mat, per_cols, out=None, circulant=False):
+    """The minimum of each cell's left and right neighbour in its row of M,
+    into out (a new array by default; C-contiguous when given); they wrap on
+    periodic columns, and one beyond the end of an open axis reads +inf. A
+    nan neighbour gives nan. A circulant layout's first and last columns,
+    which no search reads, may hold any value."""
     out = np.empty_like(mat) if out is None else out
     flat, dest = mat.reshape(-1), out.reshape(-1)
-    fn(flat[:-2], flat[2:], out=dest[1:-1])
+    np.minimum(flat[:-2], flat[2:], out=dest[1:-1])
     for cells, left, right in _row_ends(mat.shape, per_cols, circulant):
-        dest[cells] = fn(np.inf if left is None else flat[left], np.inf if right is None else flat[right])
+        dest[cells] = np.minimum(np.inf if left is None else flat[left], np.inf if right is None else flat[right])
     return out
 
 
@@ -173,24 +136,6 @@ def _column_neighbours(cells, shape, per_rows, circulant=False):
     size, step = shape[0] * shape[1], shape[1] - _layout(shape, circulant)[1]
     for nb in (cells - step, cells + step):
         yield nb % size, per_rows | ((nb >= 0) & (nb < size))
-
-
-def _block_minima(cells, value_at, shape, per_rows, per_cols, circulant=False):
-    """The cells, linear indices ascending, whose value is finite and no
-    larger than their eight neighbours' (with the neighbours of
-    _grid_local_minima); value_at maps an array of linear indices to
-    values."""
-    n, w = shape
-    m, shear = _layout(shape, circulant)
-    r, k = np.divmod(cells, w)
-    step = np.array([-1, 0, 1])
-    rows, cols = r[:, None] + step, ((k + shear * (r - 1)) % m)[:, None] + step
-    # Neighbours beyond an open axis's ends read +inf.
-    ok = ((rows >= 0) & (rows < n) | per_rows)[:, :, None] & ((cols >= 0) & (cols < m) | per_cols)[:, None, :]
-    block = ((rows % n)[:, :, None] * w + (cols[:, None, :] - shear * (rows[:, :, None] - 1)) % m)
-    values = np.where(ok.reshape(len(cells), 9), value_at(block.reshape(len(cells), 9)), np.inf)
-    own = values[:, 4]
-    return cells[np.isfinite(own) & np.all(own[:, None] <= values, axis=1)]
 
 
 def _bracket(curve, sg, idx):

@@ -1188,10 +1188,9 @@ def test_grid_minima_equal_the_rolled_neighbours(per_rows, per_cols):
     assert found > 1000
 
 
-# Magnitudes of the gradient components in test_hypot_minima_equal_the_grid_minima_of_hypot:
-# plain, squares that overflow (1e200), squares that flush to 0 (1e-170), at
-# the edge of the subnormal squares (1.6e-162: a square rounds to 0 or to the
-# least subnormal) and subnormal components (5e-324).
+# Magnitudes of the gradient components in
+# test_circulant_hypot_minima_are_the_full_grid_minima: plain, large (1e200),
+# tiny (1e-170, 1.6e-162) and subnormal (5e-324).
 HYPOT_SCALES = (1.0, 1e200, 1e-170, 1.6e-162, 5e-324)
 
 
@@ -1211,36 +1210,12 @@ def hypot_test_grids(rng, n, m, scale):
         mat[v < 0.03] = np.nan
         mat[(v >= 0.03) & (v < 0.05)] = np.inf
         mat[(v >= 0.05) & (v < 0.06)] = -np.inf
-    # Cells whose q is nan and whose hypot is inf.
+    # Cells where hypot is inf although b is nan.
     w = rng.random((n, m)) < 0.1
     a[w], b[w] = np.inf, np.nan
     if rng.random() < 0.3:
         a[rng.integers(n)] = np.inf
     return a, b
-
-
-@pytest.mark.parametrize("per_rows", [False, True])
-@pytest.mark.parametrize("per_cols", [False, True])
-def test_hypot_minima_equal_the_grid_minima_of_hypot(per_rows, per_cols):
-    # hypot is evaluated only around candidates taken from a a + b b; the
-    # cells are those of the minima of hypot(a, b) on the whole grid.
-    rng = np.random.default_rng(29)
-    found = 0
-    for n in range(1, 13):
-        for m in range(1, 13):
-            bufs = (np.empty((n, m)), np.empty((n, m)))  # reused by every draw
-            for scale in HYPOT_SCALES:
-                for _ in range(2):
-                    a, b = hypot_test_grids(rng, n, m, scale)
-                    want = radii._grid_local_minima(np.hypot(a, b), per_rows, per_cols).tolist()
-                    got = radii._hypot_local_minima(a, b, per_rows, per_cols).tolist()
-                    assert got == want, (n, m, scale)
-                    assert radii._hypot_local_minima(a, b, per_rows, per_cols, bufs).tolist() == want
-                    found += len(want)
-    assert found > 4000
-    # A finite cell between two whose q is nan is a minimum.
-    a, b = np.array([[np.inf, 1.0, np.inf]]), np.array([[np.nan, 1.0, np.nan]])
-    assert radii._hypot_local_minima(a, b, per_rows, per_cols).tolist() == [1]
 
 
 def circulant_cells(mat):
@@ -1294,7 +1269,9 @@ def test_circulant_minima_are_the_full_grid_minima(closed):
 @pytest.mark.parametrize("closed", [False, True])
 def test_circulant_hypot_minima_are_the_full_grid_minima(closed):
     # b = a^T, as the gradient's components are on one component, so hypot(a, b)
-    # is symmetric; a's diagonal band is +inf.
+    # is symmetric; a's diagonal band is +inf. As the pair search does, hypot
+    # is written into a reused buffer of the circulant layout and searched
+    # there: the minima, mirrored, are the full grid's and the rolled oracle's.
     rng = np.random.default_rng(33)
     found = 0
     for n in range(3, 14):
@@ -1303,11 +1280,13 @@ def test_circulant_hypot_minima_are_the_full_grid_minima(closed):
         for scale in HYPOT_SCALES:
             for _ in range(4):
                 a = with_inf_band(hypot_test_grids(rng, n, n, scale)[0], closed, rng)
-                want = radii._hypot_local_minima(a, a.T, closed, closed).tolist()
-                ca, cb = circulant_cells(a), circulant_cells(a.T)
-                got = radii._hypot_local_minima(ca, cb, closed, closed, circulant=True)
+                mat = np.hypot(a, a.T)
+                want = radii._grid_local_minima(mat, closed, closed).tolist()
+                assert want == [p * n + q for p, q in rolled_grid_local_minima(mat, closed, closed)]
+                hyp = np.hypot(circulant_cells(a), circulant_cells(a.T), out=bufs[0])
+                got = radii._grid_local_minima(hyp, closed, closed, circulant=True)
                 assert mirrored_cells(got, n) == want, (n, scale)
-                got = radii._hypot_local_minima(ca, cb, closed, closed, bufs, True)
+                got = radii._grid_local_minima(hyp, closed, closed, bufs[1], True)
                 assert mirrored_cells(got, n) == want
                 found += len(want)
     assert found > 500

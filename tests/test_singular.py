@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ class TestSingularSet:
         pairs = [(CircleArcCurve(-1, 1), PolynomialWeight([1.0, 0.0, -0.125]))]
         assert singular_set(pairs, 1.5).shape == (0, 6)
 
+    @pytest.mark.parametrize("c, ur", [(1.0, 1e300), (1e-4, 4e4)])
+    def test_graph_rows_take_is_singulars_band(self, c, ur):
+        # example4's weight times c: the graph heights at s = 0, 0.5 and -0.7
+        # are all below ur, but only s = 0 is singular. A band widened by
+        # ur^2 (void where it overflows) or not scaled with the weight kept
+        # all three rows; is_singular's band keeps only s = 0.
+        curve, weight = CircleArcCurve(-1, 1), PolynomialWeight([c, 0.0, -0.125 * c])
+        feet = np.array([0.0, 0.5, -0.7])
+        rows = singular._graph_points(curve, weight, 0, feet, ur)
+        assert rows[:, 1].tolist() == [0.0]
+        heights = singular._graph_height(weight.jet(feet, 2))
+        assert np.all(heights < ur)
+        flags, _ = is_singular(curve, weight, feet, curve.second_derivative(feet), heights)
+        assert flags.tolist() == [True, False, False]
+
     def test_principal_normal_is_the_worst_direction(self):
         # Re-testing the graph point with non-principal directions must give
         # a strictly positive second derivative.
@@ -99,7 +116,7 @@ def test_graph_points_match_the_scalar_map(scenes, name):
     """Each batched point agrees with the map and the closed-form second
     derivative evaluated at its foot along the principal normal, all feet of
     a component in one row-wise call (exp_mu, expmap._hess_rows);
-    is_singular gives the same value on a sample of them."""
+    is_singular gives the same value, and flags it, on a sample of them."""
     scene = scenes[name]
     tol = scene.tolerances
     ur = radii_report(scene.pairs, tol).ur
@@ -114,15 +131,15 @@ def test_graph_points_match_the_scalar_map(scenes, name):
         normal = jets[0][2] / np.linalg.norm(jets[0][2], axis=-1)[:, None]
         images = exp_mu(curve, weight, s, normal, R)
         assert np.max(np.abs(images - rows[:, 4:])) <= 1e-12
-        _, hess, _, _, fault = _hess_rows(jets, s, normal, R)
+        _, hess, scale, _, fault = _hess_rows(jets, s, normal, R)
         assert fault is None
-        band = _TOL_HESS_FACTOR * 2.0 / np.asarray(jets[1][0]) ** 2 * max(1.0, ur**2)
-        assert np.all(np.abs(hess) <= band + 1e-12)
+        assert np.all(np.abs(hess) <= _TOL_HESS_FACTOR * scale)
         assert np.all((0.0 < R) & (R < ur))
-        # is_singular gives the same second derivative at the same offset.
+        # is_singular gives the same second derivative at the same offset
+        # and, in the same band, flags it.
         for k in range(0, len(s), 97):
-            _, value = is_singular(curve, weight, s[k], normal[k], R[k])
-            assert value == hess[k] and abs(value) <= band[k]
+            flag, value = is_singular(curve, weight, s[k], normal[k], R[k])
+            assert flag and value == hess[k]
 
 
 def test_hess_rows_projects_and_maps_each_row_once(monkeypatch):
@@ -234,6 +251,32 @@ class TestIsSingular:
             is_singular(curve, weight, 0.3, outward, [1.0, 1e155])
         with pytest.raises(OutOfWError, match="tangent"):
             is_singular(curve, weight, 0.3, np.stack([curve.tangent(0.3), outward]), [1.0, 1e155])
+
+    def test_differential_and_f_second_raise_where_not_finite(self, scenes):
+        # On circle_mu1 (mu' = mu'' = 0) along the outward normal the image
+        # is finite at R = 1e110, but the differential's mu mu' mu'' R^3 / rho
+        # term is inf times 0 from about 5.6e102; at (1 + 1e155) gamma(0.3)
+        # the recovered R^2 of f_second_critical overflows. Each raises
+        # NumericError for its first such row, after the earlier rows' own
+        # checks, and no warning escapes (the suite makes them errors).
+        curve, weight = scenes["circle_mu1"].pairs[0]
+        outward = curve.point(0.3)
+        assert np.all(np.isfinite(exp_mu(curve, weight, 0.3, outward, 1e110)))
+        for R in (1e110, 1e155):
+            for call in (differential, jacobian_determinant):
+                with pytest.raises(NumericError, match=re.escape(f"differential at R={R!r}, s=0.3 is not finite")):
+                    call(curve, weight, 0.3, outward, [1.0, R, R])
+                with pytest.raises(OutOfWError, match="tangent"):
+                    call(curve, weight, 0.3, np.stack([outward, curve.tangent(0.3), outward]), [1.0, 1.0, R])
+        with pytest.raises(NumericError, match="F'' at R=inf, s=0.3 is not finite"):
+            f_second_critical(curve, weight, 0.3, np.stack([2.0 * outward, (1.0 + 1e155) * outward]))
+        with pytest.raises(NotCriticalFootError):
+            f_second_critical(curve, weight, 0.3, np.stack([curve.point(0.5), (1.0 + 1e155) * outward]))
+        # In four dimensions the determinant of finite columns overflows.
+        arc = CircleArcCurve(-1.2, 1.2, ambient_dim=4)
+        assert np.all(np.isfinite(differential(arc, ConstantWeight(1.0), 0.3, arc.point(0.3), 1e80)))
+        with pytest.raises(NumericError, match="determinant at R=1e\\+80, s=0.3 is not finite"):
+            jacobian_determinant(arc, ConstantWeight(1.0), 0.3, arc.point(0.3), 1e80)
 
     def test_jacobian_agrees_across_scenes(self, scenes):
         # Independent cross-check: the determinant of the map's differential
@@ -460,11 +503,14 @@ class TestDifferential:
     @pytest.mark.parametrize("name", [*BUNDLED_SCENES, "circle_arc_3d"])
     def test_singular_rows_below_air_collapse_horizontally(self, scenes, name):
         # The Horizontal Collapsing Property at every singular-graph row
-        # below air. The row was admitted by |F''| <= _TOL_HESS_FACTOR 2/mu^2
-        # max(1, air^2), F'' = (2/mu^2) A, and the whole d/ds column lies in
-        # that band of A. The c-columns over R have the singular values mu rho
-        # (n - 2 of them) and mu / rho, so with rho > 0 they have rank n - 1
-        # and the kernel is horizontal.
+        # below air. The row was admitted by is_singular's band: F'' =
+        # (2/mu^2) A within _TOL_HESS_FACTOR of its scale, so |A| <=
+        # _TOL_HESS_FACTOR (1 + |mu'^2 + mu mu''| R^2 + mu R rho kappa). Along
+        # the principal normal v the d/ds column is A (T + (mu' R / rho) v),
+        # of norm |A| / rho, so the whole column lies in that band over rho.
+        # The c-columns over R have the singular values mu rho (n - 2 of
+        # them) and mu / rho, so with rho > 0 they have rank n - 1 and the
+        # kernel is horizontal.
         if name == "circle_arc_3d":
             pairs = [(CircleArcCurve(-1.2, 1.2, ambient_dim=3), PolynomialWeight([1.0, 0.0, -0.125]))]
             tol = DEFAULT_TOLERANCES
@@ -475,11 +521,13 @@ class TestDifferential:
         rows = rows[rows[:, 2] < air]
         for ci, (curve, weight) in enumerate(pairs):
             s, R = rows[rows[:, 0] == ci, 1], rows[rows[:, 0] == ci, 2]
-            cols = differential(curve, weight, s, curve.second_derivative(s), R)
-            assert np.all(np.linalg.norm(cols[:, :, 0], axis=1) <= _TOL_HESS_FACTOR * max(1.0, air**2))
-            sigma = np.linalg.svd(cols[:, :, 1:] / R[:, None, None], compute_uv=False)
-            mu, d1 = (np.asarray(x, dtype=float) for x in weight.jet(s, 1))
+            d2 = curve.second_derivative(s)
+            cols = differential(curve, weight, s, d2, R)
+            mu, d1, dd1 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
             rho = np.sqrt(1.0 - (d1 * R) ** 2)
+            size = 1.0 + np.abs(d1**2 + mu * dd1) * R**2 + mu * R * rho * np.linalg.norm(d2, axis=1)
+            assert np.all(np.linalg.norm(cols[:, :, 0], axis=1) <= _TOL_HESS_FACTOR * size / rho)
+            sigma = np.linalg.svd(cols[:, :, 1:] / R[:, None, None], compute_uv=False)
             assert np.all(sigma[:, -1] >= (1.0 - 16 * curve.ambient_dim * EPS) * mu * rho)
 
     @pytest.mark.parametrize("name", [

@@ -22,6 +22,7 @@ from weighted_tubes import (
     tube_boundary,
 )
 from weighted_tubes import sweeps
+from weighted_tubes.expmap import g_potential, w_bound
 
 from oracles import fiber_contains, g_potential_two_point, random_unit_normals
 
@@ -572,3 +573,46 @@ class TestTubeBoundary:
         assert len(overlap) == 0
         _, overlap = tube_boundary(pairs, 4.5, s_samples=128)  # above air
         assert len(overlap)
+
+
+def interior_overlap(pairs, R):
+    """The overlap points of tube_boundary at 1,024 feet whose weighted-nearest
+    foot (g_potential's) is not an end of an open arc."""
+    _, overlap = tube_boundary(pairs, R, s_samples=1024)
+    _, comp, s = g_potential(pairs, overlap[:, 3:])
+    curves = [pairs[c][0] for c in comp]
+    end = np.array([not c.closed and x in (c.s_min, c.s_max) for c, x in zip(curves, s)], dtype=bool)
+    return overlap[~end]
+
+
+# Where air is the least admissible bound 1/|mu'| (the domain bounds the
+# tube); elsewhere a double-critical pair or a focal radius sets it.
+DOMAIN_BOUND = ("example1a", "example1b", "example4", "example6_family")
+
+
+@pytest.mark.parametrize("name", sorted(TUBE_COUNTS))
+def test_air_measured_from_outside(scenes, name):
+    # air from the outside: bisect R over [0.5, 2] air, 34 halvings, for the
+    # onset of interior overlap. The tube's membership band (1e-8 R^2) and
+    # its foot grid only delay the onset past air, so the first R seen to
+    # overlap may lie below air only by rounding: a few units of the
+    # rounding of air and of the overlap points' G, which 64 eps covers.
+    # Measured onsets: R/air - 1 = 2.5e-9 (circle_mu1), 8.7e-5 (ellipse_mu1)
+    # and 7.6e-5 (the stadium scenes).
+    scene = scenes[name]
+    air = radii_report(scene.pairs, scene.tolerances).air
+    if name in DOMAIN_BOUND:
+        bound = min(float(np.min(w_bound(w, c.grid(scene.tolerances.grid_samples)))) for c, w in scene.pairs)
+        assert air == bound
+        for factor in (0.5, 0.9, 0.999):
+            assert len(tube_boundary(scene.pairs, factor * air, s_samples=1024)[1]) == 0, factor
+        return
+    lo, hi = 0.5 * air, 2.0 * air
+    assert not len(interior_overlap(scene.pairs, lo)) and len(interior_overlap(scene.pairs, hi))
+    for _ in range(34):
+        mid = 0.5 * (lo + hi)
+        if len(interior_overlap(scene.pairs, mid)):
+            hi = mid
+        else:
+            lo = mid
+    assert hi >= air * (1.0 - 64 * np.finfo(float).eps), hi / air - 1.0

@@ -9,7 +9,8 @@ import pytest
 from weighted_tubes import cli
 from weighted_tubes.scene import BUNDLED_SCENES
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def _load(name):
@@ -115,6 +116,25 @@ def test_bundled_output_bytes_are_the_recorded_digests(digests, tmp_path):
     want = (Path(__file__).parent / "data" / "bundled_digests.txt").read_text().splitlines()
     calls = digests.bundled_calls(BUNDLED_SCENES)
     assert list(digests.call_lines(cli, "-", calls, str(tmp_path))) == want
+
+
+def test_generated_output_bytes_are_the_recorded_digests(digests, tmp_path, monkeypatch):
+    # Round 0 of report_mix seed 0 (17 calls: Chebyshev-arc, Fourier, 3D and
+    # two-component scenes, the last with the one cross-component pair grid)
+    # and of geometry seed 0 (44 calls), which the bundled scenes do not
+    # cover. The file holds the lines of `tools/output_digests.py report_mix 0`
+    # and `tools/output_digests.py geometry 0` whose label starts with r0/.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    want = (Path(__file__).parent / "data" / "generated_digests.txt").read_text().splitlines()
+    got = []
+    for workload in ("report_mix", "geometry"):
+        work = tmp_path / workload
+        inputs = run.Inputs(workload, 0, seconds, work / "seed0")
+        got += digests.call_lines(cli, 0, inputs.rounds[0], str(work))
+    assert got == want
 
 
 def _result(units, rss, failed=0):
