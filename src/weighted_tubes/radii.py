@@ -311,10 +311,8 @@ def _search_component_pair(pairs, i, j, ts, tol):
     del diff  # its grid of ambient vectors is not read again; the loop holds e1, e2
     e1 = 2.0 * e * dm1[:, None]
     e2 = 2.0 * e * cols(dm2)
-    if same:  # the diagonal band's cells, in every column that holds one
-        r, q = np.divmod(_diagonal_band(c1, sg1), n)
-        k = np.concatenate([(q - r + 1) % n, (q - r + 1) % n + n])
-        band = (np.tile(r, 2) * w + k)[k < w]
+    if same:
+        band = _diagonal_band(c1, sg1, w)
     seeds = []
     for off in ts:
         msum = (m1 + off)[:, None] + cols(m2 + off)
@@ -462,30 +460,28 @@ def _stencil(curve, s, h):
     return hi, lo, np.where(clipped, hi - lo, 2 * h)
 
 
-def _diagonal_band(curve, sg):
-    """Linear indices, ascending, of the cells (a, b) of the grid sg x sg
-    that lie within _DELTA_MIN_FACTOR * L of each other in
-    `curve.periodic_distance`.
+def _diagonal_band(curve, sg, w):
+    """Linear indices, ascending, of the cells [p, k] of the circulant
+    layout of the grid sg x sg in w columns (see `util._layout`), the pairs
+    (p, (p + k - 1) mod n), whose feet lie within _DELTA_MIN_FACTOR * L of
+    each other in `curve.periodic_distance`.
 
-    Only the diagonals |a - b| <= ceil((width + slack) / step) + 2 (wrapped
-    on a closed curve) are measured, with the grid step L / n closed and
+    Only the diagonals |a - b| <= k = ceil((width + slack) / step) + 2 of
+    the full grid can hold band cells, with the grid step L / n closed and
     L / (n - 1) open; slack, four spacings of the largest |s|, bounds the
-    rounding of the feet and of their distance, so no band cell lies off
-    those diagonals."""
+    rounding of the feet and of their distance. The layout holds those
+    diagonals in its first k + 2 columns and in its columns from n - k + 1
+    on, so all w columns are measured once the latter reach into it
+    (k >= n - w + 1)."""
     n = len(sg)
     width = _DELTA_MIN_FACTOR * curve.length
     step = curve.length / (n if curve.closed else max(n - 1, 1))
     slack = 4.0 * np.spacing(max(abs(curve.s_min), abs(curve.s_max)))
-    k = min(math.ceil((width + slack) / step) + 2, n - 1)
-    rows = np.repeat(np.arange(n), 2 * k + 1)
-    cols = rows + np.tile(np.arange(-k, k + 1), n)
-    if curve.closed:
-        cols %= n
-    else:
-        inside = (cols >= 0) & (cols < n)
-        rows, cols = rows[inside], cols[inside]
-    near = curve.periodic_distance(sg[rows], sg[cols]) < width
-    return _distinct(rows[near] * n + cols[near])
+    k = math.ceil((width + slack) / step) + 2
+    p = np.arange(n)[:, None]
+    q = (p + np.arange(w if k >= n - w + 1 else k + 2) - 1) % n
+    rows, cols = np.nonzero(curve.periodic_distance(sg[p], sg[q]) < width)
+    return rows * w + cols
 
 
 def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):

@@ -164,9 +164,8 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
     part in the final pick over (a, b, x1, x2), which keeps the first value
     unless a later one is strictly smaller (the rule of Python's min, so
     ties and nan resolve as in a scalar loop), and boundary minima are
-    reported exactly at the boundary. An end that was once an interior
-    point keeps the value f had there, so the last call of f takes only the
-    ends never visited. Returns arrays (x, f(x)).
+    reported exactly at the boundary; the last call of f takes both ends of
+    every row. Returns arrays (x, f(x)).
 
     args are extra per-row parameters: arrays with one value per bracket,
     passed to f as f(x, *args) and sliced to the rows of x once some row
@@ -183,9 +182,6 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2]), *twice), dtype=float), 2)
-    # f at the ends (a's half first), and whether f has seen each end.
-    fend = np.empty(2 * len(a))
-    seen = np.zeros(2 * len(a), dtype=bool)
     active = (b - a) > tol
     for _ in range(maxiter):
         k = np.nonzero(active)[0]
@@ -193,19 +189,15 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
             break
         left = f1[k] <= f2[k]
         kl, kr = k[left], k[~left]
-        b[kl], x2[kl], f2[kl], fend[len(a) + kl] = x2[kl], x1[kl], f1[kl], f2[kl]
-        a[kr], x1[kr], f1[kr], fend[kr] = x1[kr], x2[kr], f2[kr], f1[kr]
-        seen[len(a) + kl] = seen[kr] = True
+        b[kl], x2[kl], f2[kl] = x2[kl], x1[kl], f1[kl]
+        a[kr], x1[kr], f1[kr] = x1[kr], x2[kr], f2[kr]
         xn = np.where(left, b[k] - _GOLDEN * (b[k] - a[k]), a[k] + _GOLDEN * (b[k] - a[k]))
         rows = args if len(k) == len(a) else [p[k] for p in args]
         fn = np.asarray(f(xn, *rows), dtype=float)
         x1[kl], f1[kl] = xn[left], fn[left]
         x2[kr], f2[kr] = xn[~left], fn[~left]
         active[k] = (b[k] - a[k]) > tol[k]
-    new = np.nonzero(~seen)[0]
-    if len(new):
-        fend[new] = f(np.concatenate([a, b])[new], *[p[new % len(a)] for p in args])
-    fa, fb = np.split(fend, 2)
+    fa, fb = np.split(np.asarray(f(np.concatenate([a, b]), *twice), dtype=float), 2)
     x, fx = a, fa
     for xc, fc in ((b, fb), (x1, f1), (x2, f2)):
         better = fc < fx

@@ -216,6 +216,74 @@ class TestFocalRadii:
         assert abs(coarse[1] - dense[1]) <= 1e-8 * coarse[1]
 
 
+# A closed Fourier ellipse with semi-axes 2.7007931887265513 and 1, far from
+# the origin, whose Fourier weight (period L) makes g touch zero from below
+# at both vertices on the major axis.
+TOUCHING_ELLIPSE = {
+    "ambient_dim": 2,
+    "components": [{"kind": "fourier", "params": {"coefficients": [[200.0, 2.7007931887265513, 0.0],
+                                                                   [0.0, 0.0, 1.0]]}}],
+    "weights": [{"kind": "fourier", "params": {"coefficients": [
+        0.17936067821354346, 0, 0, 0.08935979745955897, 0, 0, 0, 0.14072656404633993, 0, 0, 0,
+        0.007861789928376217, 0]}}],
+}
+
+
+class TestClosedCurveSeparation:
+    def test_touching_ellipse_separates_the_radii_and_breaks_semicontinuity(self):
+        # The abstract's distinction on a closed curve: focrad0 comes from the
+        # touching zero at s = 0, which only the closed band sees, so
+        # dir < tir there. In the offset family mu + t, dir jumps up on the
+        # left of t = 0 (not upper semicontinuous) and air jumps down on its
+        # right (not lower semicontinuous), by more than 0.1 while t moves
+        # by 1e-9.
+        from weighted_tubes import load_scene
+
+        scene = load_scene(TOUCHING_ELLIPSE)
+        f0, fm, wit = focal_radii(scene.pairs, scene.tolerances)
+        assert (f0, fm) == (1.7745207541065005, 2.356413330849016)
+        assert wit["focrad0"].s == 0.0
+        below, at, above = radii_report(scene.pairs, scene.tolerances, offsets=[-1e-9, 0.0, 1e-9])
+        assert [(r.dir, r.tir, r.air) for r in (below, at, above)] == [
+            (2.3564133330917785, 2.3564133330917785, 2.3564133330917785),
+            (1.7745207541065005, 2.356413330849016, 2.356413330849016),
+            (1.774433924723859, 1.774433924723859, 1.774433924723859),
+        ]
+        assert at.dir < at.tir
+        assert below.dir - at.dir > 0.1
+        assert at.air - above.air > 0.1
+
+    def test_circle_with_a_touching_zero_keeps_one_focal_radius(self):
+        # On a closed curve of constant curvature focrad0 = focradminus for
+        # every weight: a touching zero s0 of g from below has mu' monotone
+        # through it, so H = mu'^2 + kappa^2 mu^2 / 4 grows on one side
+        # toward the open band, whose radius 1 / sqrt(H) is then no larger.
+        # The weight is offset so that a non-global local maximum of g is 0.
+        from weighted_tubes import load_scene
+        from weighted_tubes.util import _extrema_indices, brent_rows
+
+        scene = load_scene({
+            "ambient_dim": 2,
+            "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
+            "weights": [{"kind": "fourier", "params": {
+                "coefficients": [1.0, 0.029, -0.02, 0.027, 0.003, -0.035, 0.046, -0.01, -0.02]}}],
+        })
+        (curve, weight), = scene.pairs
+        sg = curve.grid(4096)
+        _, g, _, _, (mu, _, _) = singular.g_slope(curve, weight, sg)
+        maxima = _extrema_indices(g, True, "max", 8)
+        assert len(maxima) == 4
+        h = curve.length / len(sg)
+        s0 = brent_rows(lambda s: singular.g_slope(curve, weight, s)[2],
+                        sg[maxima[-1]] - h, sg[maxima[-1]] + h, 1e-15)
+        kap0, g0 = singular.g_slope(curve, weight, s0)[:2]
+        t = float(-g0[0] / (kap0[0] ** 2 / 4.0))
+        assert singular.g_slope(curve, weight, s0, t)[1][0] == 0.0
+        assert np.min(mu) + t > 0.1 and np.max(g) + 0.25 * t > 0.1
+        (f0, fm, _), = focal_radii(scene.pairs, scene.tolerances, offsets=[t])
+        assert f0 == fm == 2.089269733672531
+
+
 # Column index of each name of the pair table.
 COL = {name: k for k, name in enumerate(PAIR_COLUMNS)}
 
@@ -253,6 +321,17 @@ class TestDoubleCriticalPairs:
             [(CircleArcCurve(-1, 1), PolynomialWeight([0.95, 0.0, -0.125]))]
         )
         assert table.shape == (0, 9 + 2)
+
+    @pytest.mark.parametrize("name, half", [
+        ("circle_mu1", 0.9999999999999999), ("ellipse_mu1", 1.0), ("example2_stadium", 33.50279546973922),
+    ])
+    def test_dcsd_half_does_not_depend_on_the_pair_grid(self, scenes, name, half):
+        # The seeds, and so pair_count, grow with the grid on continua of
+        # pairs; the least ratio does not move by a bit.
+        scene = scenes[name]
+        for n in (128, 256, 512, 1024):
+            tol = dataclasses.replace(scene.tolerances, pair_grid=n)
+            assert dcsd_half(find_double_critical_pairs(scene.pairs, tol)) == half, n
 
     def test_two_far_circles(self):
         one = ConstantWeight(1.0)
@@ -1321,13 +1400,19 @@ def test_diagonal_band_is_the_meshgrid_band(scenes, n):
         CircleArcCurve(1e9, 1e9 + 3.0),
         CircleArcCurve(1e15, 1e15 + 3.0),  # feet rounded to 1/8: equal feet far off the diagonal
     ]
+    # The layout band is the meshgrid band mapped into the circulant layout
+    # of the pair search: full-grid cell (a, b) lies in column b - a + 1
+    # (mod n), and once more n columns on where the layout is that wide.
+    w = n // 2 + 4
     widths = []
     for curve in curves:
         sg = curve.grid(n)
-        band = radii._diagonal_band(curve, sg)
-        assert band.tolist() == meshgrid_band_cells(curve, sg).tolist(), (curve, n)
-        a, b = np.divmod(band, n)
-        d = np.abs(a - b)
+        r, q = np.divmod(meshgrid_band_cells(curve, sg), n)
+        k = np.concatenate([(q - r + 1) % n, (q - r + 1) % n + n])
+        band = radii._diagonal_band(curve, sg, w)
+        assert band.tolist() == np.sort((np.tile(r, 2) * w + k)[k < w]).tolist(), (curve, n)
+        a, k = np.divmod(band, w)
+        d = np.abs(a - (a + k - 1) % n)
         widths.append(int(np.max(np.minimum(d, n - d) if curve.closed else d)))
     if n == 4096:
         assert min(widths) >= 4

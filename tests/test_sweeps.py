@@ -13,10 +13,12 @@ from weighted_tubes import (
     OutOfWError,
     PolynomialWeight,
     SceneError,
+    exp_mu,
     family_weights,
     fiber_geometry,
     fiber_trace,
     load_scene,
+    normal_frames,
     radii_report,
     radii_sweep,
     tube_boundary,
@@ -616,3 +618,54 @@ def test_air_measured_from_outside(scenes, name):
         else:
             lo = mid
     assert hi >= air * (1.0 - 64 * np.finfo(float).eps), hi / air - 1.0
+
+
+def least_fibre_gap(pairs, n, R):
+    """The least distance between the images at height R of (foot, +-frame
+    vector) rows over n feet per component, taken over distant feet: feet of
+    two components, or two or more grid steps apart on one (periodically on
+    a closed curve). Also returns the largest |coordinate| of the images."""
+    pts, comp, idx = [], [], []
+    for ci, (curve, weight) in enumerate(pairs):
+        s = curve.grid(n)
+        for v in np.moveaxis(normal_frames(curve, s), 1, 0):
+            for sign in (1.0, -1.0):
+                pts.append(exp_mu(curve, weight, s, sign * v, R))
+                comp.append(np.full(n, ci))
+                idx.append(np.arange(n))
+    pts, comp, idx = np.concatenate(pts), np.concatenate(comp), np.concatenate(idx)
+    gap = np.abs(idx[:, None] - idx)
+    closed = np.array([curve.closed for curve, _ in pairs])[comp]
+    gap = np.where(closed[:, None], np.minimum(gap, n - gap), gap)
+    sq = sum(np.subtract.outer(x, x) ** 2 for x in pts.T)
+    sq[(comp[:, None] == comp) & (gap < 2)] = np.inf
+    return float(np.sqrt(np.min(sq))), float(np.max(np.abs(pts)))
+
+
+@pytest.mark.parametrize("name", ["example1a", "example1b", "example2_stadium", "example4"])
+def test_tir_measured_from_outside(scenes, name):
+    # tir from coincident images, without the paper's formulas: 2,048 rows
+    # per scene (1,024 feet with +-normal in the plane, 512 feet with both
+    # frame vectors' +-directions in 3D). A zero is a gap within 64 ulps of
+    # the largest coordinate. On a collapse arc the images of distant feet
+    # coincide exactly at R = tir, and nowhere below tir (1 - delta) or at
+    # tir (1 + delta), delta the relative foot spacing; the smallest such
+    # gap measured is 5.9e-9 (example1a at tir (1 +- delta)). example4 has
+    # no collapse arc: no zero below air, with its least gap 1.1e-9, at its
+    # touching zero (dir = 2), where neighbouring images nearly meet.
+    scene = scenes[name]
+    rep = radii_report(scene.pairs, scene.tolerances)
+    n = 2048 // (2 * (scene.ambient_dim - 1))
+    delta = max(1.0 / (n if curve.closed else n - 1) for curve, _ in scene.pairs)
+
+    def zero(R):
+        gap, size = least_fibre_gap(scene.pairs, n, R)
+        return gap <= 64 * np.spacing(size)
+
+    if name == "example4":
+        assert not rep.witnesses["collapse_arcs"] and rep.tir == rep.air
+        assert not any(zero(rep.air * k / 8) for k in range(1, 9))
+        return
+    assert zero(rep.tir)
+    assert not zero(rep.tir * (1.0 + delta))
+    assert not any(zero(rep.tir * (1.0 - delta) * k / 4) for k in range(1, 5))

@@ -152,7 +152,8 @@ def test_ab_bench_seed_ranges(ab_bench):
 
 
 def test_ab_bench_summary_is_signed_by_the_better_direction(ab_bench):
-    specs = [("units_per_cpu_s", "1/s", "higher"), ("peak_rss_mb", "MB", "lower"), ("absent", "s", "lower")]
+    specs = [("units_per_cpu_s", "1/s", "higher", 0.25), ("peak_rss_mb", "MB", "lower", 0.1),
+             ("absent", "s", "lower", None)]
     parent = [_result(u, r) for u, r in ((80.0, 50.0), (90.0, 50.0), (85.0, 51.0), (100.0, 49.0))]
     change = [_result(u, r) for u, r in ((88.0, 50.5), (99.0, 50.0), (84.0, 50.0), (110.0, 48.0))]
     units, rss = ab_bench.summarize(parent, change, specs)
@@ -162,6 +163,7 @@ def test_ab_bench_summary_is_signed_by_the_better_direction(ab_bench):
     assert units["ratio_min"] == 84.0 / 85.0 and units["ratio_max"] == 1.1
     # Lower is better: a fall is a gain, and a tie is not a win.
     assert rss["gain"] == 0.0 and rss["won"] == 2
+    assert units["verdict"] == rss["verdict"] == "within bound"
     rss["gain"] = -1.0
     lines = ab_bench.format_rows([units, rss])
     assert "(within the iqr)" in lines[0] and "(worse by more than the iqr)" in lines[1]
@@ -207,3 +209,51 @@ def test_ab_bench_exits_1_on_a_run_no_claim_may_rest_on(ab_bench, tmp_path, caps
     assert "won 3 of 3 pairs" in out
     notes = [line for line in out.splitlines() if line.startswith("note:")]
     assert len(notes) == 1 and notes[0].startswith("note: seed 8 change:")
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_ab_bench_verdicts(ab_bench, tmp_path, capsys, trace):
+    # Ten pairs per metric, the parent's medians 100 and its iqr 2 (4 on the
+    # last metric). End to end, with bound 0.25 of the parent's median (25):
+    # a gain won 9 of 10 pairs by more than the iqr, a metric 30 worse is
+    # worse, one whose parent spread exceeds the bound is unresolved unless
+    # every change run beats every parent run, and the rest is within
+    # bound. Per layer, without a bound, only gain or unresolved.
+    parent = [99.0, 101.0] * 5
+    wide = [60.0, 140.0] * 5
+    metrics = {
+        "gain": (parent, [104.0] * 9 + [98.0], "higher"),
+        "nine_won_within_iqr": (parent, [101.5] * 9 + [98.0], "higher"),
+        "eight_won": (parent, [110.0] * 8 + [90.0] * 2, "higher"),
+        "worse": (parent, [130.0] * 10, "lower"),
+        "wide": (wide, [99.0] * 10, "lower"),
+        "wide_every_run_better": (wide, [59.0] * 10, "lower"),
+        "slightly_worse": (parent, [110.0] * 10, "lower"),
+    }
+    entries = [{"name": name, "unit": "ms", "better": better, "bound": 0.25}
+               for name, (_, _, better) in metrics.items()]
+    key = "per_layer" if trace else "end_to_end"
+    if trace:
+        for entry in entries:
+            del entry["bound"]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, key: entries}))
+
+    def run(root, workload, seed, seconds, t):
+        k = seed - 10
+        side = 0 if root.name == "parent" else 1
+        return {"correct": True, "attempted": 45, "failed": 0, "metrics": {
+            name: {"value": values[side][k], "unit": "ms"} for name, values in metrics.items()}}
+
+    argv = [str(tmp_path / "parent"), str(tmp_path), "--workload", "report_mix", "--seeds", "10-19",
+            "--trace", str(trace)]
+    assert ab_bench.main(argv, run=run) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "verdict:" in line]
+    got = {line.split(" ")[0]: line.split("verdict: ")[1] for line in lines}
+    if trace:
+        assert got == {name: "gain" if name == "gain" else "unresolved" for name in metrics}
+        return
+    assert got == {
+        "gain": "gain", "nine_won_within_iqr": "within bound", "eight_won": "within bound",
+        "worse": "worse", "wide": "unresolved", "wide_every_run_better": "within bound",
+        "slightly_worse": "within bound",
+    }

@@ -104,26 +104,25 @@ def test_rows_follow_the_scalar_sequence(f, tol, maxiter):
     np.testing.assert_array_equal(x, [o[0] for o in oracle])
     np.testing.assert_array_equal(fx, [o[1] for o in oracle])
     # One call for the start, one per iteration on the active rows, and one
-    # for the ends that were never interior points, if any.
+    # for both ends of every row.
     iters = np.array([o[2] for o in oracle])
-    fresh = sum(o[3] for o in oracle)
     assert len(set(iters)) > 1 or maxiter == 7
-    assert sizes[0] == 2 * len(a) and 0 < fresh < 2 * len(a)
+    assert sizes[0] == 2 * len(a)
     assert len(sizes) == int(iters.max()) + 2
     assert sizes[1:-1] == [int(np.sum(iters > k)) for k in range(int(iters.max()))]
-    assert sizes[-1] == fresh
+    assert sizes[-1] == 2 * len(a)
 
 
 def test_endpoint_minimum_is_the_boundary():
     # The minimum sits at one end of every bracket (reversed ones included),
-    # which the bracket never leaves: the last call takes just those ends.
+    # which the bracket never leaves; the last call takes both ends.
     a, b = np.array([-1.0, 2.0, 0.0]), np.array([1.0, 0.5, 1e-3])
     for f, ends in ((monotone, np.minimum(a, b)), (falling, np.maximum(a, b))):
         g, sizes = counted(f)
         x, fx = golden_min(g, a, b)
         assert x.tolist() == ends.tolist()
         assert fx.tolist() == [f(e) for e in ends]
-        assert sizes[-1] == 3
+        assert sizes[-1] == 6
         oracle = [scalar_golden_min(f, ai, bi) for ai, bi in zip(a, b)]
         assert [(o[0], o[1], o[3]) for o in oracle] == [(xi, fi, 1) for xi, fi in zip(x, fx)]
 
@@ -195,8 +194,8 @@ def test_golden_args_slices_to_active_rows():
 
     golden_min(f, [0.0, 0.0], [1.0, 1e-3], tol=1e-2, args=(np.array([0.3, 0.0]),))
     assert all(n == m for n, m in seen)
-    # The last call takes the second row's two ends, which it never moved off.
-    assert seen[0] == (4, 4) and seen[-1] == (2, 2)
+    # The last call takes the ends of both rows.
+    assert seen[0] == (4, 4) and seen[-1] == (4, 4)
     assert (1, 1) in seen
 
 

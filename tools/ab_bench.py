@@ -15,7 +15,19 @@ metrics and which way is better.
 One line per run is printed as it ends; then, per metric: the median of
 each side, the parent's quartiles and interquartile range, the median gain
 (change over parent, signed so that > 0 is better), the median, least and
-largest paired ratio change / parent, and the pairs the change won. Runs
+largest paired ratio change / parent, the pairs the change won, and a
+verdict. With bound the metric's `bound` in BENCHMARK.json, taken relative
+to the parent's median, the verdict is the first that holds of:
+
+- `gain`: the change won at least 9 of 10 pairs (ties count for neither
+  side) and its median gain exceeds the parent's interquartile range;
+- `worse`: the change's median is worse than the parent's by more than the
+  bound;
+- `unresolved`: the parent's interquartile range is wider than the bound,
+  and some change run does not beat every parent run;
+- `within bound`: anything else.
+
+Per-layer metrics have no bound, so they read `gain` or `unresolved`. Runs
 whose result is not `correct`, or that failed more calls than their pair
 partner, are named below the table, and the tool then exits 1: no claim
 may rest on such a run. The tool only runs perfbench/run.py; it writes
@@ -59,12 +71,12 @@ def quartiles(values):
 
 
 def summarize(parent, change, specs):
-    """One row per metric of specs ((name, unit, better) with better
-    "lower" or "higher") that every run reports: a dict of the statistics
-    printed by `format_rows`. parent and change are lists of run results,
-    paired by position."""
+    """One row per metric of specs ((name, unit, better, bound) with better
+    "lower" or "higher" and bound relative, or None) that every run reports:
+    a dict of the statistics printed by `format_rows`. parent and change are
+    lists of run results, paired by position."""
     rows = []
-    for name, unit, better in specs:
+    for name, unit, better, bound in specs:
         try:
             p = [float(r["metrics"][name]["value"]) for r in parent]
             c = [float(r["metrics"][name]["value"]) for r in change]
@@ -74,7 +86,7 @@ def summarize(parent, change, specs):
         q1, p_med, q3 = quartiles(p)
         c_med = statistics.median(c)
         ratios = [y / x if x else float("nan") for x, y in zip(p, c)]
-        rows.append({
+        row = {
             "name": name, "unit": unit, "better": better,
             "parent_median": p_med, "change_median": c_med,
             "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
@@ -82,8 +94,25 @@ def summarize(parent, change, specs):
             "ratio_median": statistics.median(ratios), "ratio_min": min(ratios),
             "ratio_max": max(ratios),
             "won": sum(sign * (y - x) > 0 for x, y in zip(p, c)), "pairs": len(p),
-        })
+        }
+        row["verdict"] = verdict(row, bound, min(sign * y for y in c) > max(sign * x for x in p))
+        rows.append(row)
     return rows
+
+
+def verdict(row, bound, every_run_better):
+    """The verdict of a summary row (see the module docstring); bound is
+    relative to the parent's median, or None for a per-layer metric."""
+    if 10 * row["won"] >= 9 * row["pairs"] and row["gain"] > row["parent_iqr"]:
+        return "gain"
+    if bound is None:
+        return "unresolved"
+    limit = bound * abs(row["parent_median"])
+    if row["gain"] < -limit:
+        return "worse"
+    if row["parent_iqr"] > limit and not every_run_better:
+        return "unresolved"
+    return "within bound"
 
 
 def format_rows(rows):
@@ -98,7 +127,8 @@ def format_rows(rows):
             f"iqr {r['parent_iqr']:.6g}), change median {r['change_median']:.6g}, "
             f"gain {r['gain']:+.6g} ({spread}); "
             f"ratio change/parent median {r['ratio_median']:.4f} "
-            f"[{r['ratio_min']:.4f}, {r['ratio_max']:.4f}]; won {r['won']} of {r['pairs']} pairs"
+            f"[{r['ratio_min']:.4f}, {r['ratio_max']:.4f}]; won {r['won']} of {r['pairs']} pairs; "
+            f"verdict: {r['verdict']}"
         )
     return out
 
@@ -113,7 +143,7 @@ def main(argv=None, run=run_once):
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    specs = [(m["name"], m["unit"], m["better"])
+    specs = [(m["name"], m["unit"], m["better"], m.get("bound"))
              for m in bench["per_layer" if args.trace else "end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
     results = {"parent": [], "change": []}
@@ -122,7 +152,7 @@ def main(argv=None, run=run_once):
             res = run(sides[side], args.workload, seed, seconds, args.trace)
             results[side].append(res)
             shown = ", ".join(f"{name} {res['metrics'][name]['value']:.6g}"
-                              for name, _, _ in specs[:5] if name in res["metrics"])
+                              for name, *_ in specs[:5] if name in res["metrics"])
             print(f"pair {k} seed {seed} {side}: correct {res['correct']}, "
                   f"failed {res['failed']} of {res['attempted']}; {shown}", flush=True)
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {len(args.seeds)} pairs, "
