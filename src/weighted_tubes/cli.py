@@ -278,10 +278,7 @@ def cmd_singular(args, scene):
 
 
 def cmd_collapse(args, scene):
-    if args.ur is None:  # the report finds the arcs at its own ur
-        arcs = radii.radii_report(scene.pairs, scene.tolerances).witnesses["collapse_arcs"]
-    else:
-        arcs = singular.detect_collapse_arcs(scene.pairs, _ur(args, scene), scene.tolerances)
+    arcs = singular.detect_collapse_arcs(scene.pairs, _ur(args, scene), scene.tolerances)
     header = list(_ARC) + [f"p0_x{i + 1}" for i in range(scene.ambient_dim)]
     rows = [[getattr(a, k) for k in _ARC] + a.p0.tolist() for a in arcs]
     _write_text(args.out, _csv_text(header, rows))

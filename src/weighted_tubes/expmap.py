@@ -40,7 +40,7 @@ def w_bound(weight, s):
 
 def _bound(d1):
     """1/|mu'| from mu' (+inf where mu' = 0)."""
-    d1 = np.abs(np.asarray(d1, dtype=float))
+    d1 = np.abs(d1)
     with np.errstate(divide="ignore", over="ignore"):
         return np.where(d1 > 0.0, 1.0 / np.where(d1 > 0, d1, 1.0), np.inf)
 
@@ -148,7 +148,7 @@ def differential(curve, weight, s, v, R):
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
     v, bound, fault = _offset_rows(jets, feet[rows], v, R)
     _, t, g2 = jets[0][:3]
-    mu, d1, d2 = (np.asarray(x, dtype=float) for x in jets[1][:3])
+    mu, d1, d2 = jets[1][:3]
     frames = _frames(t)
     c = np.matmul(frames, v[:, :, None])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -201,14 +201,14 @@ def _broadcast_rows(s, v, R=0.0):
 
 def _take(jets, rows):
     """The (curve, weight) jets at the given rows of their feet."""
-    return tuple(tuple(np.asarray(x)[rows] for x in jet) for jet in jets)
+    return tuple(tuple(x[rows] for x in jet) for jet in jets)
 
 
 def _exp_rows(jets, v, R):
     """The map over rows from the (curve, weight) jets of order >= 1 at the
     feet, unit normals v (m, n) and heights R (m,), unchecked."""
     g, t = jets[0][:2]
-    mu, d1 = (np.asarray(x, dtype=float) for x in jets[1][:2])
+    mu, d1 = jets[1][:2]
     rad = np.sqrt(np.clip(1.0 - (d1 * R) ** 2, 0.0, None))
     return g - (mu * d1 * R**2)[:, None] * t + (mu * R * rad)[:, None] * v
 
@@ -222,7 +222,7 @@ def _along_rows(jets, v, R):
     image p of an offset F_p'' = (2/mu^2) A at its foot.
     """
     g2 = jets[0][2]
-    mu, d1, d2 = (np.asarray(x, dtype=float) for x in jets[1][:3])
+    mu, d1, d2 = jets[1][:3]
     rho = np.sqrt(np.clip(1.0 - (d1 * R) ** 2, 0.0, None))
     quad = (d1**2 + mu * d2) * R**2
     bend = mu * R * rho * _rowdot(v, g2)
@@ -234,7 +234,7 @@ def fiber_geometry(curve, weight, s):
     else the sphere of radius mu/(2|mu'|) centered at gamma - (mu/(2 mu')) gamma'."""
     s = float(s)
     g, t = curve.jet(s, 1)
-    mu, d1 = (float(x) for x in weight.jet(s, 1))
+    mu, d1 = weight.jet(s, 1)
     if abs(d1) <= 1e-10:
         return FiberShape(PLANE, g, normal=t)
     center = g - (mu / (2.0 * d1)) * t
@@ -251,14 +251,13 @@ def f_value(curve, weight, s, p):
     g = curve.point(s)
     diff = p - g
     e = np.sum(diff * diff, axis=-1)
-    mu = np.asarray(weight.mu(s), dtype=float)
-    return e / mu**2
+    return e / weight.mu(s) ** 2
 
 
 def f_prime(curve, weight, s, p):
     """dF_p/ds via logarithmic differentiation of E / mu^2."""
     g, t = curve.jet(s, 1)
-    mu, d1 = (np.asarray(x, dtype=float) for x in weight.jet(s, 1))
+    mu, d1 = weight.jet(s, 1)
     return _f_prime(np.asarray(p, dtype=float) - g, t, mu, d1)
 
 
@@ -272,7 +271,7 @@ def _f_prime(diff, t, mu, d1):
 def f_second(curve, weight, s, p):
     """d^2F_p/ds^2, valid at any s (not only critical feet)."""
     g, t, g2 = curve.jet(s, 2)
-    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
+    mu, d1, d2 = weight.jet(s, 2)
     return _f_second(np.asarray(p, dtype=float) - g, t, g2, mu, d1, d2)
 
 
@@ -307,7 +306,7 @@ def f_second_critical(curve, weight, s, p):
     shape, feet, rows, p, _ = _broadcast_rows(s, p)
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
     g, t = jets[0][:2]
-    mu, d1 = (np.asarray(x, dtype=float) for x in jets[1][:2])
+    mu, d1 = jets[1][:2]
     with np.errstate(over="ignore", invalid="ignore"):
         diff = p - g
         R = _rownorm(diff) / mu
@@ -339,7 +338,7 @@ def _hess_rows(jets, s, v, R):
     """
     v, bound, fault = _offset_rows(jets, s, v, R)
     along, _, size = _along_rows(jets, v, R)
-    scale = 2.0 / np.asarray(jets[1][0], dtype=float) ** 2
+    scale = 2.0 / jets[1][0] ** 2
     return _exp_rows(jets, v, R), scale * along, scale * size, bound, fault
 
 
@@ -445,7 +444,7 @@ def g_potential(pairs, points, samples=2048):
     best_s = np.zeros(m)
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(samples)
-        idx = _grid_argmin(pts, curve.point(sg), np.asarray(weight.mu(sg), dtype=float))
+        idx = _grid_argmin(pts, curve.point(sg), weight.mu(sg))
         s, v = _refine_rows(curve, weight, pts, sg[idx], curve.length / samples, _G_REFINE_PASSES)
         better = v < best_v
         best_v = np.where(better, v, best_v)

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import singular
 from .config import DEFAULT_TOLERANCES
-from .errors import _overflow_raises
+from .errors import SceneError, _overflow_raises
 from .expmap import _bound, _rowdot, _rownorm
 from .util import (
     _bracket,
@@ -217,7 +217,7 @@ def _split_rows(row, n_rows, *arrays):
 def _feet(curve, weight, s, t=0.0):
     """(point, tangent, mu + t, mu') at the feet s: one jet per foot array."""
     mu, d1 = weight.jet(s, 1)
-    return curve.jet(s, 1) + (np.asarray(mu, dtype=float) + t, np.asarray(d1, dtype=float))
+    return curve.jet(s, 1) + (mu + t, d1)
 
 
 def _feet_rows(curve, weight, arrays, t):
@@ -493,6 +493,12 @@ def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
     same-component pair's diagonal band, with a zero chord, or whose larger
     angle residual (Python's max: the first unless the second is strictly
     larger) exceeds 1e-6 are dropped.
+
+    Two components meet where a row of theirs has a chord so short that any
+    feet with it pass Newton's stopping test, |grad sigma| <= _TOL_DC
+    (sigma < 1): grad sigma = 2 r grad r for the ratio r, and |dr/ds| <=
+    (1 + r |mu'(s)|) / (mu1 + mu2). Such a row raises SceneError, as the
+    loader does for components whose samples meet.
     """
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
@@ -511,6 +517,13 @@ def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
             )
             for tan, d1, uu in ((t1, dm1, u), (t2, dm2, -u))
         )
+    if i != j:
+        with np.errstate(over="ignore"):  # an infinite reach is no meeting
+            reach = 2.0 * ratio * np.hypot(1.0 + ratio * np.abs(dm1), 1.0 + ratio * np.abs(dm2)) / (m1 + m2)
+        meet = np.flatnonzero(reach <= _TOL_DC)
+        if len(meet):
+            raise SceneError(f"components {i} and {j} are not disjoint: they meet at "
+                             f"feet s1={float(s1[meet[0]])} and s2={float(s2[meet[0]])}")
     keep = ~(dist <= 0) & ~(np.where(ang2 > ang1, ang2, ang1) > 1e-6)
     if i == j:
         keep &= ~(c1.periodic_distance(s1, s2) < _DELTA_MIN_FACTOR * c1.length)

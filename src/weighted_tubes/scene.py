@@ -54,6 +54,7 @@ BUNDLED_SCENES = (
     "example3_family",
     "example4",
     "example6_family",
+    "example_separation",
 )
 
 

@@ -61,7 +61,7 @@ def g_slope(curve, weight, s, t=0.0):
     (mu + t, mu', mu''). Where the terms of g' overflow, g' is +-inf.
     """
     jet = curve.jet(s, 3)
-    mu, d1, d2, d3 = (np.asarray(x, dtype=float) for x in weight.jet(s, 3))
+    mu, d1, d2, d3 = weight.jet(s, 3)
     mu = mu + t
     kap, kr = np.linalg.norm(jet[2], axis=-1), _kappa_rate(jet, curve.kappa_tol)
     with np.errstate(over="ignore"):
@@ -71,14 +71,14 @@ def g_slope(curve, weight, s, t=0.0):
 
 def _g(kap, weight_jet):
     """g from the curvature and a weight jet of order 2 at the same feet."""
-    mu, d2 = (np.asarray(weight_jet[k], dtype=float) for k in (0, 2))
-    return d2 + 0.25 * np.asarray(kap, dtype=float) ** 2 * mu
+    mu, _, d2 = weight_jet[:3]
+    return d2 + 0.25 * kap**2 * mu
 
 
 def _graph_height(weight_jet):
     """R(s) = ((mu')^2 - mu mu'')^{-1/2} from a weight jet of order 2; nan
     where the radicand is <= 0."""
-    mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight_jet[:3])
+    mu, d1, d2 = weight_jet[:3]
     rad = d1**2 - mu * d2
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rad > 0.0, 1.0 / np.sqrt(np.where(rad > 0, rad, 1.0)), np.nan)
@@ -99,7 +99,7 @@ def dense_grid(curve, weight, n):
         with _overflow_raises("dense grid"):
             sg = curve.grid(n)
             jet = tuple(curve.jet(sg, 3))
-            weight_jet = tuple(np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
+            weight_jet = weight.jet(sg, 2)
             kap = np.linalg.norm(jet[2], axis=-1)
         for array in (sg, *jet, *weight_jet, kap):
             array.flags.writeable = False

@@ -19,13 +19,19 @@ from .errors import NonpositiveWeightError
 class WeightFunction:
     """Scalar weight mu(s) > 0 with derivatives up to third order.
 
-    Subclasses implement `jet(s, order)`, the tuple (mu, mu', ...,
-    mu^(order)) at s for order <= 3 from one pass over s; the named
+    Subclasses implement `_jet(s, order)` on float arrays of at least one
+    dimension. `jet(s, order)`, (mu, mu', ..., mu^(order)) for order <= 3,
+    takes scalars or arrays as `ArclengthCurve.jet` does and returns float64
+    arrays shaped like s (np.float64 values for a scalar s); the named
     derivatives read one jet each.
     """
 
     def jet(self, s, order):
-        raise NotImplementedError
+        if order > 3:
+            raise ValueError(f"order {order}")
+        s = np.asarray(s, dtype=float)
+        out = self._jet(np.atleast_1d(s), order)
+        return tuple(x[0] for x in out) if s.ndim == 0 else out
 
     def mu(self, s):
         return self.jet(s, 0)[0]
@@ -40,7 +46,7 @@ class WeightFunction:
         """Reject weights that are not finite and positive on 4096 samples
         of the curve's domain."""
         sg = curve.grid(4096)
-        vals = np.asarray(self.mu(sg), dtype=float)
+        vals = self.mu(sg)
         if not np.all(np.isfinite(vals)):
             raise NonpositiveWeightError("weight is not finite on the domain")
         if np.min(vals) <= 0.0:
@@ -57,12 +63,8 @@ class ConstantWeight(WeightFunction):
             raise NonpositiveWeightError("constant weight must be positive")
         self.value = float(value)
 
-    def jet(self, s, order):
-        if not np.ndim(s):
-            return (self.value,) + (0.0,) * order
-        return (np.full(np.shape(s), self.value, dtype=float),) + tuple(
-            np.zeros(np.shape(s)) for _ in range(order)
-        )
+    def _jet(self, s, order):
+        return (np.full(s.shape, self.value),) + tuple(np.zeros(s.shape) for _ in range(order))
 
 
 class PolynomialWeight(WeightFunction):
@@ -74,7 +76,7 @@ class PolynomialWeight(WeightFunction):
             raise NonpositiveWeightError("polynomial weight needs [c0, c1, ...]")
         self._p = [c] + [nppoly.polyder(c, m) for m in range(1, 4)]
 
-    def jet(self, s, order):
+    def _jet(self, s, order):
         return tuple(nppoly.polyval(s, p) for p in self._p[:order + 1])
 
 
@@ -93,8 +95,8 @@ class CosineWeight(WeightFunction):
         if not np.isfinite([cube, top]).all():
             raise NonpositiveWeightError("cosine weight needs a finite amplitude * frequency^3")
 
-    def jet(self, s, order):
-        ph = self.frequency * np.asarray(s, dtype=float) + self.phase
+    def _jet(self, s, order):
+        ph = self.frequency * s + self.phase
         cos, sin = np.cos(ph), np.sin(ph)
         return (
             self.amplitude * cos + self.offset,
@@ -114,17 +116,15 @@ class FourierWeight(WeightFunction):
             raise NonpositiveWeightError("Fourier weight needs [a0, a1, b1, ...]")
         self._series = _FourierSeries([c], period)
 
-    def jet(self, s, order):
-        rows = self._series.orders(s, range(order + 1))
-        return tuple(x[..., 0] if np.ndim(s) else x[0, 0] for x in rows)
+    def _jet(self, s, order):
+        return tuple(x[..., 0] for x in self._series.orders(s, range(order + 1)))
 
 
 class ChebyshevWeight(WeightFunction):
     def __init__(self, coefficients, domain):
         self._p = _chebyshev_derivatives(coefficients, domain)
 
-    def jet(self, s, order):
-        s = np.asarray(s, dtype=float)
+    def _jet(self, s, order):
         return tuple(p(s) for p in self._p[:order + 1])
 
 
@@ -135,9 +135,9 @@ class OffsetWeight(WeightFunction):
         self.base = base
         self.t = float(t)
 
-    def jet(self, s, order):
-        base = self.base.jet(s, order)
-        return (base[0] + self.t,) + tuple(base[1:])
+    def _jet(self, s, order):
+        base = self.base._jet(s, order)
+        return (base[0] + self.t,) + base[1:]
 
 
 class SymmetricPiecewiseWeight(WeightFunction):
@@ -225,14 +225,14 @@ class SymmetricPiecewiseWeight(WeightFunction):
         return (u_lo, u_lo + width, mu, end_val, end_slope)
 
     def _fold(self, s):
-        s = np.mod(np.asarray(s, dtype=float), self.period)
+        s = np.mod(s, self.period)
         half = self.period / 2.0
         hi = s > half
         u = np.where(hi, self.period - s, s)
         sign = np.where(hi, -1.0, 1.0)  # du/ds
         return u, sign
 
-    def jet(self, s, order):
+    def _jet(self, s, order):
         u, sign = self._fold(s)
         outs = [np.empty_like(u) for _ in range(order + 1)]
         m_cos = u <= self.u1

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weighted_tubes import load_scene
+from weighted_tubes import BUNDLED_SCENES, load_scene
 
 # pyproject.toml puts src on the import path of the tests; the subprocesses
 # that run `python -m weighted_tubes` or the demos get it through PYTHONPATH,
@@ -16,17 +16,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.ge
 @pytest.fixture(scope="session")
 def scenes():
     """All bundled scenes, loaded once."""
-    names = [
-        "circle_mu1",
-        "ellipse_mu1",
-        "example1a",
-        "example1b",
-        "example2_stadium",
-        "example3_family",
-        "example4",
-        "example6_family",
-    ]
-    return {name: load_scene(name) for name in names}
+    return {name: load_scene(name) for name in BUNDLED_SCENES}
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, depth=48):

@@ -241,6 +241,32 @@ class TestErrors:
         assert "numeric failure" in proc.stderr and "not finite" in proc.stderr
         assert "Warning" not in proc.stderr and proc.stdout == ""
 
+    def test_crossing_components_exit_2(self, tmp_path):
+        # The loader's 512 samples per component miss these crossings; the
+        # pair search converges onto them, and a meeting is a scene error.
+        doc = {
+            "ambient_dim": 2,
+            "components": [{"kind": "preset", "preset": "unit_circle"},
+                           {"kind": "fourier", "params": {"coefficients": [[1.3, 1.0, 0.0], [0.00123, 0.0, 1.0]]}}],
+            "weights": [{"kind": "constant", "params": {"value": 1}}] * 2,
+        }
+        scene = tmp_path / "crossing.json"
+        scene.write_text(json.dumps(doc))
+        proc = run_cli("report", "--scene", str(scene), check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "configuration error: components 0 and 1 are not disjoint: they meet at feet s1=" in proc.stderr
+        proc = run_cli("sweep", "--scene", str(scene), "--family", "offset", "--t-values=-0.01,0.01")
+        rows = proc.stdout.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert ",nan,nan,nan,0,failed: components 0 and 1 are not disjoint: they meet at feet s1=" in row
+        # Moved clear of the unit circle, the second circle passes within
+        # 1.4e-6 of it: a pair of feet that do not meet.
+        doc["components"][1]["params"]["coefficients"][0][0] = 2.000001
+        scene.write_text(json.dumps(doc))
+        proc = run_cli("report", "--scene", str(scene))
+        assert json.loads(proc.stdout)["dcsd_half"] == 6.8911238757681687e-07
+
     def test_nan_t_value_is_a_failed_row(self):
         proc = run_cli("sweep", "--scene", "example6_family", "--t-values=nan,0.01")
         rows = proc.stdout.splitlines()[1:]
@@ -547,9 +573,9 @@ class TestPointExports:
         assert float(cells[3]) == pytest.approx(1.0, abs=1e-9)  # kappa
         assert float(cells[4]) == pytest.approx(2.0, abs=1e-9)  # r
 
-    def test_collapse_without_ur_finds_the_arcs_once(self, monkeypatch, tmp_path):
-        # The report behind the computed ur finds the arcs at that ur, so the
-        # verb prints them instead of searching again; --ur still searches.
+    def test_collapse_without_ur_searches_at_the_reported_ur(self, monkeypatch, tmp_path):
+        # Without --ur the verb takes the path --ur takes, at the report's ur,
+        # and prints the same bytes.
         from weighted_tubes import cli, singular
 
         calls = []
@@ -562,10 +588,11 @@ class TestPointExports:
         monkeypatch.setattr(singular, "detect_collapse_arcs", counting)
         out = tmp_path / "col.csv"
         assert cli.main(["collapse", "--scene", "example1a", "--out", str(out)]) == 0
-        assert len(calls) == 1
+        (ur,), searched = calls  # the report's search over its one offset, then the verb's
+        assert searched == ur
         assert cli.main(["collapse", "--scene", "example1a", "--out", str(tmp_path / "ur.csv"),
-                         "--ur", repr(float(calls[0][0]))]) == 0
-        assert len(calls) == 2 and (tmp_path / "ur.csv").read_text() == out.read_text()
+                         "--ur", repr(float(ur))]) == 0
+        assert calls[2:] == [ur] and (tmp_path / "ur.csv").read_text() == out.read_text()
 
     def test_singular_without_ur_evaluates_each_dense_grid_once(self, monkeypatch, tmp_path):
         # The report behind the computed ur and the zero set of g read one

@@ -18,6 +18,7 @@ from weighted_tubes import (
     dcsd_half,
     find_double_critical_pairs,
     focal_radii,
+    is_singular,
     radii_report,
 )
 from weighted_tubes import radii, singular
@@ -252,6 +253,31 @@ class TestClosedCurveSeparation:
         assert at.dir < at.tir
         assert below.dir - at.dir > 0.1
         assert at.air - above.air > 0.1
+
+    def test_bundled_scene_separates_all_three_radii(self, scenes):
+        # example_separation puts the touching ellipse beside the stadium, so
+        # dir < tir < air with closed components only: dir is the ellipse's
+        # touching zero (its s = 0), tir the stadium's collapse arc and air
+        # the ellipse's open band.
+        scene = scenes["example_separation"]
+        rep = radii_report(scene.pairs, scene.tolerances)
+        assert (rep.focrad0, rep.dir, rep.tir, rep.air) == (
+            1.7745207541065005, 1.7745207541065005, 2.0, 2.356413330849016)
+        assert rep.dir < rep.tir < rep.air
+        assert rep.air == rep.focradminus < rep.dcsd_half
+        wit = rep.witnesses
+        assert (wit["focrad0"].component, wit["focrad0"].s) == (1, 0.0)
+        assert wit["focradminus"].component == 1
+        assert [(arc.component, arc.r) for arc in wit["collapse_arcs"]] == [(0, 2.0)]
+        # The map is singular at the dir witness along the principal normal,
+        # and regular 1% below and above it.
+        curve, weight = scene.pairs[1]
+        v = curve.second_derivative(0.0)
+        flags = [is_singular(curve, weight, 0.0, v, f * rep.dir)[0] for f in (0.99, 1.0, 1.01)]
+        assert flags == [False, True, False]
+        # The touching zero is not transversal.
+        ok, witnesses = singular.transversality_check(scene.pairs, scene.tolerances)
+        assert not ok and any(ci == 1 and abs(s) < 1e-8 for ci, s, _ in witnesses)
 
     def test_circle_with_a_touching_zero_keeps_one_focal_radius(self):
         # On a closed curve of constant curvature focrad0 = focradminus for
@@ -1450,3 +1476,84 @@ class TestTwoArcs:
 
         scene = load_scene(TWO_ARCS)
         assert radii_report(scene.pairs, scene.tolerances).air <= 1.5
+
+
+# Scenes of the invariance tests: seeded planar Fourier loops, and the bundled
+# scenes whose weights scale linearly through their parameters.
+INVARIANCE_FOURIER = tuple(f"fourier-{seed}" for seed in (1, 2, 3, 4))
+LINEAR_WEIGHTS = ("circle_mu1", "ellipse_mu1", "example1a", "example1b", "example4")
+RADII = ("focrad0", "focradminus", "dcsd_half", "lr", "ur", "dir", "tir", "air")
+EPS = np.finfo(float).eps
+# A radius recomputed from rounded inputs: the scaled or moved coefficients
+# round once each (EPS / 2 of their size), and the radius, the value of a
+# closed form at feet where it is stationary, adds a few roundings in each
+# of the two runs. 4 EPS covers both; a shift adds its size to every
+# point's coordinates, so a moved scene's band is 4 EPS (1 + |shift|).
+INVARIANCE_BAND = 4 * EPS
+
+
+class TestInvariances:
+    @staticmethod
+    def doc(name):
+        from test_scene import bundled_doc
+
+        if name.startswith("fourier-"):
+            return _seeded_fourier_scene("planar", int(name.split("-")[1]))
+        return bundled_doc(name)
+
+    @staticmethod
+    def radii(doc):
+        from weighted_tubes import load_scene
+
+        scene = load_scene(doc)
+        rep = radii_report(scene.pairs, scene.tolerances)
+        return np.array([getattr(rep, k) for k in RADII])
+
+    @staticmethod
+    def scale_weights(doc, c):
+        for w in doc["weights"]:
+            params = w["params"]
+            if w["kind"] == "constant":
+                params["value"] *= c
+            elif w["kind"] == "cosine":
+                params["amplitude"] *= c
+                params["offset"] = c * params.get("offset", 0.0)
+            else:
+                params["coefficients"] = [c * x for x in params["coefficients"]]
+        return doc
+
+    @pytest.mark.parametrize("name", INVARIANCE_FOURIER + LINEAR_WEIGHTS)
+    def test_weight_scale_divides_every_radius(self, name):
+        # mu -> c mu divides every radius by c. A power of two scales every
+        # intermediate value exactly, so c = 2 and c = 0.5 agree bit for bit.
+        base = self.radii(self.doc(name))
+        for c in (2.0, 0.5, 3.0):
+            scaled = self.radii(self.scale_weights(self.doc(name), c))
+            if c != 3.0:
+                assert (scaled * c).tobytes() == base.tobytes(), c
+                continue
+            finite = np.isfinite(base)
+            assert np.array_equal(np.isfinite(scaled), finite)
+            np.testing.assert_allclose(scaled[finite] * c, base[finite], rtol=INVARIANCE_BAND, atol=0)
+
+    @pytest.mark.parametrize("name", INVARIANCE_FOURIER)
+    def test_curve_and_weight_scale_keep_every_radius(self, name):
+        # (gamma, mu) -> (c gamma, c mu): heights are ratios |p - gamma| / mu.
+        doc = self.scale_weights(self.doc(name), 3.0)
+        for comp in doc["components"]:
+            comp["params"]["coefficients"] = [[3.0 * x for x in row] for row in comp["params"]["coefficients"]]
+        np.testing.assert_allclose(self.radii(doc), self.radii(self.doc(name)), rtol=INVARIANCE_BAND, atol=0)
+
+    @pytest.mark.parametrize("name", INVARIANCE_FOURIER)
+    def test_rigid_motion_keeps_every_radius(self, name):
+        # A rotation by 0.7 and a shift by (5, -3), applied to the
+        # coefficients of every coordinate row.
+        doc = self.doc(name)
+        shift = np.array([5.0, -3.0])
+        rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+        for comp in doc["components"]:
+            rows = rot @ np.array(comp["params"]["coefficients"])
+            rows[:, 0] += shift
+            comp["params"]["coefficients"] = rows.tolist()
+        band = INVARIANCE_BAND * (1.0 + np.linalg.norm(shift))
+        np.testing.assert_allclose(self.radii(doc), self.radii(self.doc(name)), rtol=band, atol=0)

@@ -389,6 +389,8 @@ TUBE_COUNTS = {
     "example3_family": (4.140313876743611, (512, 0), (480, 20)),
     "example4": (4.0, (512, 0), (392, 0)),
     "example6_family": (4.0, (512, 0), (392, 0)),
+    # Counted when the scene was added; its two components give twice the feet.
+    "example_separation": (2.356413330849016, (1024, 0), (868, 76)),
 }
 
 
@@ -599,8 +601,8 @@ def test_air_measured_from_outside(scenes, name):
     # its foot grid only delay the onset past air, so the first R seen to
     # overlap may lie below air only by rounding: a few units of the
     # rounding of air and of the overlap points' G, which 64 eps covers.
-    # Measured onsets: R/air - 1 = 2.5e-9 (circle_mu1), 8.7e-5 (ellipse_mu1)
-    # and 7.6e-5 (the stadium scenes).
+    # Measured onsets: R/air - 1 = 2.5e-9 (circle_mu1), 8.7e-5 (ellipse_mu1),
+    # 7.6e-5 (the stadium scenes) and 2.8e-5 (example_separation).
     scene = scenes[name]
     air = radii_report(scene.pairs, scene.tolerances).air
     if name in DOMAIN_BOUND:

@@ -14,6 +14,7 @@ from weighted_tubes import (
     build_weight,
     make_stadium,
 )
+from weighted_tubes.weights import WEIGHT_KINDS
 
 
 class TestEvaluation:
@@ -46,6 +47,44 @@ class TestEvaluation:
         w = CosineWeight()
         s = np.linspace(-1.5, 1.5, 11)
         assert np.allclose(np.abs(w.d1(s)), np.abs(np.sin(s / 2) / 2))
+
+
+# One parameter set per weight kind, built on the stadium (its length is
+# the blend's and the Fourier weight's period, its domain the Chebyshev's).
+KIND_PARAMS = {
+    "constant": {"value": 0.7},
+    "polynomial": {"coefficients": [1.0, 0.1, -0.05, 0.01]},
+    "cosine": {"amplitude": 0.3, "frequency": 0.5, "phase": 0.2, "offset": 1.0},
+    "fourier": {"coefficients": [1.5, 0.2, 0.1, 0.05, -0.03]},
+    "chebyshev": {"coefficients": [1.0, 0.2, -0.1, 0.05]},
+    "stadium_blend": {},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+@pytest.mark.parametrize("offset", [False, True])
+def test_jet_form_is_fixed_by_the_base(kind, offset):
+    # Every kind, and an offset of it, gives np.float64 for a scalar foot
+    # and float64 arrays of the feet's shape for array feet.
+    assert set(KIND_PARAMS) == set(WEIGHT_KINDS)
+    weight = build_weight(kind, curve=make_stadium(), **KIND_PARAMS[kind])
+    if offset:
+        weight = OffsetWeight(weight, -0.05)
+    for s in (1, 0.3, np.float32(0.3), np.array(2.5), -4.0):
+        for order in range(4):
+            rows = weight.jet(s, order)
+            assert len(rows) == order + 1
+            assert all(type(x) is np.float64 for x in rows), (s, order, [type(x) for x in rows])
+    for s in ([0.3, 1.0], np.arange(6).reshape(2, 3), np.linspace(-3.0, 3.0, 5), np.empty(0)):
+        for order in range(4):
+            rows = weight.jet(s, order)
+            assert len(rows) == order + 1
+            for x in rows:
+                assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == np.shape(s)
+    # A scalar foot gives the values of the one-element array.
+    np.testing.assert_array_equal(weight.jet(0.3, 3), [x[0] for x in weight.jet([0.3], 3)])
+    with pytest.raises(ValueError, match="order 4"):
+        weight.jet(0.3, 4)
 
 
 class TestValidation:
