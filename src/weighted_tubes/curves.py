@@ -21,11 +21,24 @@ from .util import (
 )
 
 
+def _shaped_jet(evaluate, s, order):
+    """`evaluate(feet, order)` on s flattened to 1-D floats, each output
+    given back the shape of s: a scalar s gives rows with no leading axis
+    (np.float64 values for a weight)."""
+    if order > 3:
+        raise ValueError(f"order {order}")
+    s = np.asarray(s, dtype=float)
+    out = evaluate(s.reshape(-1), order)
+    if s.ndim == 0:
+        return tuple(x[0] for x in out)
+    return out if s.ndim == 1 else tuple(x.reshape(s.shape + x.shape[1:]) for x in out)
+
+
 class ArclengthCurve:
     """A single C^3 component parametrized by arclength.
 
-    Subclasses implement `_jet(s, order)` on arrays of in-domain,
-    already-wrapped arclength values. `jet` accepts scalars or arrays,
+    Subclasses implement `_jet(s, order)` on 1-D float arrays of in-domain,
+    already-wrapped arclength values. `jet` accepts feet of any shape,
     wraps closed components periodically and rejects out-of-domain values
     on open arcs; the named evaluators read one jet each.
     """
@@ -77,14 +90,10 @@ class ArclengthCurve:
         """(gamma, gamma', ..., gamma^(order)) at s, for order <= 3.
 
         s is wrapped once and every order comes from one pass over it (one
-        arclength inversion, one piece lookup). A scalar s gives rows with
-        no leading axis.
+        arclength inversion, one piece lookup). Each order is an array of
+        shape s.shape + (ambient_dim,); a scalar s gives rows.
         """
-        if order > 3:
-            raise ValueError(f"order {order}")
-        s = self.wrap(s)
-        out = self._jet(np.atleast_1d(s), order)
-        return tuple(x[0] for x in out) if s.ndim == 0 else out
+        return _shaped_jet(self._jet, self.wrap(s), order)
 
     def _jet(self, s, order):
         raise NotImplementedError
@@ -246,13 +255,12 @@ class _RawCurve(ArclengthCurve):
         return self._raw_orders(t, (order,))[0]
 
     def _raw_orders(self, t, orders):
-        """Raw-parameter derivatives of the given orders at t, one array each."""
+        """Raw-parameter derivatives of the given orders at 1-D t, one each."""
         raise NotImplementedError
 
     def _s_of_t(self, t):
-        """(arclength from the table start, raw speed) at t: the partial cell
+        """(arclength from the table start, raw speed) at 1-D t: the partial cell
         by `_cell_n`-node Gauss-Legendre, its nodes and t in one raw pass."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.clip(np.searchsorted(self._t_grid, t, side="right") - 1, 0, len(self._t_grid) - 2)
         a = self._t_grid[idx]
         nodes, wts = gauss_legendre(self._cell_n)
@@ -265,7 +273,6 @@ class _RawCurve(ArclengthCurve):
         # downstream quantities divide by h^2 and would amplify any slack.
         # Each foot stops on its own residual, so its value does not depend
         # on the other feet of the call.
-        s = np.atleast_1d(np.asarray(s, dtype=float))
         t = _pchip_eval(self._s_grid, self._pchip, np.clip(s, 0.0, self.length))
         tol = 4e-16 * self.length
         k = np.arange(len(t))
@@ -365,23 +372,20 @@ class _FourierSeries:
         self.omega = 2.0 * np.pi / float(period)
 
     def orders(self, t, orders):
-        """Derivatives of the given orders at t, one t.shape + (d,) array
-        each; a scalar t gives shape (1, d)."""
+        """Derivatives of the given orders at 1-D t, one (len(t), d) array each."""
         # Per mode, one cos/sin pass and the two combinations every order
         # reads, even = a cos + b sin and odd = b cos - a sin: d/dt rotates
         # (cos, sin) a quarter period per order, so order n adds even, odd,
         # -even, -odd (n mod 4 = 0, 1, 2, 3) times (k w)^n. Each mode updates
         # all its coordinates at once in (d, N) order.
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        tf = t.ravel()
-        accs = [np.zeros((len(self._const), tf.size)) for _ in orders]
+        accs = [np.zeros((len(self._const), t.size)) for _ in orders]
         for order, acc in zip(orders, accs):
             if order == 0:
                 acc += self._const
         parities = {order % 2 for order in orders}
         for k, (sel, ak, bk) in enumerate(self._modes, 1):
             w = k * self.omega
-            ph = w * tf
+            ph = w * t
             cos, sin = np.cos(ph), np.sin(ph)
             if 0 in parities:
                 even = ak * cos
@@ -400,7 +404,7 @@ class _FourierSeries:
                     acc[sel] += x
         # C-contiguous (N, d) arrays, as reductions over their last axis
         # round by memory layout.
-        return [np.ascontiguousarray(acc.T).reshape(t.shape + (len(acc),)) for acc in accs]
+        return [np.ascontiguousarray(acc.T) for acc in accs]
 
 
 def _chebyshev_derivatives(coeffs, domain):
@@ -447,12 +451,11 @@ class ChebyshevCurve(_RawCurve):
         super().__init__(False, dom)
 
     def _raw_orders(self, t, orders):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         outs = []
         for order in orders:
-            out = np.zeros(t.shape + (len(self._series),))
+            out = np.zeros((len(t), len(self._series)))
             for i, p in enumerate(self._series):
-                out[..., i] = p[order](t)
+                out[:, i] = p[order](t)
             outs.append(out)
         return outs
 
@@ -567,7 +570,6 @@ class CurvatureProfileCurve(ArclengthCurve):
 
     def _half_jet(self, s, order):
         """Jet on the stored half-profile domain [0, half-length]."""
-        s = np.asarray(s, dtype=float)
         idx = self._piece_index(s)
         outs = [np.zeros(s.shape + (2,)) for _ in range(order + 1)]
         for j, p in enumerate(self._pieces):

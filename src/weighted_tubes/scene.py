@@ -175,9 +175,10 @@ def _check_disjoint(pairs, samples=512):
     A lone component is sampled too: under the loader's floating-point guard
     its samples check that the curve can be evaluated at all."""
     clouds = [curve.point(curve.grid(samples)) for curve, _ in pairs]
-    for i in range(len(clouds)):
-        for j in range(i + 1, len(clouds)):
-            d2 = ((clouds[i][:, None, :] - clouds[j][None, :, :]) ** 2).sum(axis=2)
+    for i, a in enumerate(clouds):
+        for j, b in enumerate(clouds[i + 1:], i + 1):
+            # One coordinate at a time: no (samples, samples, n) temporary.
+            d2 = sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1]))
             if float(np.min(d2)) <= 1e-20:
                 raise SceneError(f"components {i} and {j} are not disjoint")
 

@@ -12,26 +12,22 @@ and positive on the curve's domain.
 import numpy as np
 from numpy.polynomial import polynomial as nppoly
 
-from .curves import _chebyshev_derivatives, _FourierSeries
+from .curves import _chebyshev_derivatives, _FourierSeries, _shaped_jet
 from .errors import NonpositiveWeightError
 
 
 class WeightFunction:
     """Scalar weight mu(s) > 0 with derivatives up to third order.
 
-    Subclasses implement `_jet(s, order)` on float arrays of at least one
-    dimension. `jet(s, order)`, (mu, mu', ..., mu^(order)) for order <= 3,
-    takes scalars or arrays as `ArclengthCurve.jet` does and returns float64
-    arrays shaped like s (np.float64 values for a scalar s); the named
-    derivatives read one jet each.
+    Subclasses implement `_jet(s, order)` on 1-D float arrays. `jet(s,
+    order)`, (mu, mu', ..., mu^(order)) for order <= 3, takes feet of any
+    shape as `ArclengthCurve.jet` does and returns float64 arrays shaped like
+    s (np.float64 values for a scalar s); the named derivatives read one jet
+    each.
     """
 
     def jet(self, s, order):
-        if order > 3:
-            raise ValueError(f"order {order}")
-        s = np.asarray(s, dtype=float)
-        out = self._jet(np.atleast_1d(s), order)
-        return tuple(x[0] for x in out) if s.ndim == 0 else out
+        return _shaped_jet(self._jet, s, order)
 
     def mu(self, s):
         return self.jet(s, 0)[0]
@@ -117,7 +113,7 @@ class FourierWeight(WeightFunction):
         self._series = _FourierSeries([c], period)
 
     def _jet(self, s, order):
-        return tuple(x[..., 0] for x in self._series.orders(s, range(order + 1)))
+        return tuple(x[:, 0] for x in self._series.orders(s, range(order + 1)))
 
 
 class ChebyshevWeight(WeightFunction):

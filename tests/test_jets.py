@@ -27,6 +27,7 @@ from weighted_tubes import (
     make_stadium,
 )
 from weighted_tubes.curves import CurvatureProfileCurve, _RawCurve
+from weighted_tubes.expmap import f_prime, f_second, f_value
 from weighted_tubes.util import gauss_legendre, quintic_smoothstep, quintic_smoothstep_d1
 
 from oracles import fourier_weight_jet, profile_advance
@@ -146,13 +147,17 @@ def wobbly_3d():
     )
 
 
+def cheb_arc():
+    return ChebyshevCurve([[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0))
+
+
 CURVES = [
     ("circle", lambda: CircleArcCurve(0, 2 * np.pi, closed=True)),
     ("arc_3d", lambda: CircleArcCurve(-1.0, 2.0, ambient_dim=3)),
     ("segment", lambda: SegmentCurve([0.0, 1.0, 0.0], [3.0, 4.0, 1.0])),
     ("ellipse", lambda: EllipseCurve(2, 1)),
     ("fourier_3d", wobbly_3d),
-    ("cheb", lambda: ChebyshevCurve([[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0))),
+    ("cheb", cheb_arc),
     ("stadium", make_stadium),
 ]
 
@@ -250,8 +255,8 @@ def test_fourier_raw_orders_equal_per_coordinate_form(name, coeffs, period):
     # and C-contiguous: reductions over the last axis depend on the layout.
     curve = FourierCurve(coeffs, period=period)
     rng = np.random.default_rng(11)
-    feet = [rng.uniform(-1.0, 8.0, 500), rng.uniform(0.0, 7.0, (4, 3)), 0.7, 0.0, -0.0,
-            np.array([0.0, -0.0, np.pi, 2.0 * np.pi])]
+    feet = [rng.uniform(-1.0, 8.0, 500), rng.uniform(0.0, 7.0, 12), np.array([0.7]), np.array([0.0]),
+            np.array([-0.0]), np.array([0.0, -0.0, np.pi, 2.0 * np.pi])]
     for t in feet:
         new = curve._raw_orders(t, range(4))
         old = _fourier_raw_orders([np.asarray(c, dtype=float) for c in coeffs], curve._series.omega, t, range(4))
@@ -266,7 +271,7 @@ RAW_CURVES = [
     ("ellipse", lambda: EllipseCurve(2, 1)),
     ("fourier_3d", wobbly_3d),
     ("fourier_4d", lambda: FourierCurve(RAW_FOURIER[2][1])),
-    ("cheb", lambda: ChebyshevCurve([[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0))),
+    ("cheb", cheb_arc),
 ]
 
 
@@ -386,6 +391,82 @@ def test_weight_jet_equals_per_order_evaluators(name, make, oracle):
         for order in range(4):
             assert type(rows[order]) is np.float64, (order, type(rows[order]))
             assert rows[order] == oracle(x, order)
+
+
+# ---------------------------------------------------------------------------
+# One shape contract: `jet` flattens the feet, everything below it sees 1-D
+# float64 arrays
+# ---------------------------------------------------------------------------
+
+
+FEET_SHAPES = [(), (0,), (0, 3), (7,), (2, 3), (2, 1, 3)]
+JET_KINDS = [(f"curve-{name}", make) for name, make in CURVES] + [
+    (f"weight-{name}", make) for name, make, _ in WEIGHTS
+]
+
+
+def _spy_on_feet(obj, seen):
+    """Record the feet of every evaluator below `jet` on obj, its series and
+    its base weight."""
+    def spy(fn):
+        def wrapped(x, *rest):
+            seen.append(x)
+            return fn(x, *rest)
+        return wrapped
+
+    for name in ("_jet", "_half_jet", "t_of_s", "_s_of_t", "_raw", "_raw_orders", "orders"):
+        if hasattr(obj, name):
+            setattr(obj, name, spy(getattr(obj, name)))
+    for child in (getattr(obj, "_series", None), getattr(obj, "base", None)):
+        if hasattr(child, "__dict__"):
+            _spy_on_feet(child, seen)
+
+
+@pytest.mark.parametrize("name,make", JET_KINDS, ids=[k[0] for k in JET_KINDS])
+def test_jet_takes_feet_of_any_shape(name, make):
+    # Feet of any shape give the flat feet's jets reshaped, bit for bit, and
+    # no evaluator below `jet` sees anything but a 1-D float64 array.
+    obj = make()
+    lo, hi = (obj.s_min, obj.s_max) if name.startswith("curve") else (-1.0, 2.0)
+    rng = np.random.default_rng(19)
+    seen = []
+    _spy_on_feet(obj, seen)
+    for shape in FEET_SHAPES:
+        s = rng.uniform(lo, hi, shape)
+        got, flat = obj.jet(s, 3), obj.jet(s.reshape(-1), 3)
+        for x, y in zip(got, flat):
+            assert x.shape == shape + y.shape[1:] and x.tobytes() == y.tobytes()
+        if shape == ():
+            assert all(type(x) is (np.ndarray if name.startswith("curve") else np.float64) for x in got)
+    assert seen and all(type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64 for x in seen)
+
+
+def _fourier_pair(scenes):
+    curve = wobbly_3d()
+    return curve, FourierWeight(FOURIER[0], curve.length)
+
+
+def _cheb_pair(scenes):
+    curve = cheb_arc()
+    return curve, ChebyshevWeight(CHEB[0], (curve.s_min, curve.s_max))
+
+
+MAP_PAIRS = [
+    ("ellipse_mu1", lambda scenes: scenes["ellipse_mu1"].pairs[0]),
+    ("fourier_3d", _fourier_pair),
+    ("cheb", _cheb_pair),
+]
+
+
+@pytest.mark.parametrize("name,make", MAP_PAIRS, ids=[m[0] for m in MAP_PAIRS])
+def test_map_values_take_feet_of_any_shape(scenes, name, make):
+    # The map's values on 2 x 2 feet are the flat feet's values reshaped.
+    curve, weight = make(scenes)
+    s = np.random.default_rng(20).uniform(curve.s_min, curve.s_max, (2, 2))
+    p = np.full(curve.ambient_dim, 0.3)
+    for fn in (f_value, f_prime, f_second):
+        got, flat = fn(curve, weight, s, p), fn(curve, weight, s.reshape(-1), p)
+        assert got.shape == (2, 2) and got.tobytes() == flat.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,34 @@ TOUCHING_ELLIPSE = {
 }
 
 
+def unit_circle_scene(coefficients):
+    """The unit circle with the Fourier weight of `coefficients`."""
+    from weighted_tubes import load_scene
+
+    return load_scene({
+        "ambient_dim": 2,
+        "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
+        "weights": [{"kind": "fourier", "params": {"coefficients": coefficients}}],
+    })
+
+
+def touching_offsets(curve, weight, samples=4096):
+    """(s0, t) per local maximum of g on `samples` feet of a closed curve:
+    s0 refined as a root of g', and the offset t that makes g_t(s0) =
+    g(s0) + kappa(s0)^2 t / 4 zero."""
+    from weighted_tubes.util import _extrema_indices, brent_rows
+
+    sg = curve.grid(samples)
+    g = singular.g_slope(curve, weight, sg)[1]
+    h = curve.length / samples
+    out = []
+    for m in _extrema_indices(g, True, "max", 8):
+        s0 = brent_rows(lambda s: singular.g_slope(curve, weight, s)[2], sg[m] - h, sg[m] + h, 1e-15)
+        kap0, g0 = singular.g_slope(curve, weight, s0)[:2]
+        out.append((s0, float(-g0[0] / (kap0[0] ** 2 / 4.0))))
+    return out
+
+
 class TestClosedCurveSeparation:
     def test_touching_ellipse_separates_the_radii_and_breaks_semicontinuity(self):
         # The abstract's distinction on a closed curve: focrad0 comes from the
@@ -279,35 +307,63 @@ class TestClosedCurveSeparation:
         ok, witnesses = singular.transversality_check(scene.pairs, scene.tolerances)
         assert not ok and any(ci == 1 and abs(s) < 1e-8 for ci, s, _ in witnesses)
 
+    def test_bundled_scene_breaks_semicontinuity(self, scenes):
+        # The offset family of example_separation (what `sweep --family
+        # offset --t-values=-1e-9,0,1e-9` prints): the strict order holds at
+        # t = 0 only. dir jumps up on the left (not upper semicontinuous) and
+        # air down on the right (not lower semicontinuous), each by more than
+        # 0.5 while t moves by 1e-9.
+        scene = scenes["example_separation"]
+        reps = radii_report(scene.pairs, scene.tolerances, offsets=[-1e-9, 0.0, 1e-9])
+        assert [(r.dir, r.tir, r.air, len(r.witnesses["collapse_arcs"])) for r in reps] == [
+            (2.3564133330917785, 2.3564133330917785, 2.3564133330917785, 1),
+            (1.7745207541065005, 2.0, 2.356413330849016, 1),
+            (1.774433924723859, 1.774433924723859, 1.774433924723859, 0),
+        ]
+        below, at, above = reps
+        assert at.dir < at.tir < at.air
+        assert below.dir - at.dir > 0.5
+        assert at.air - above.air > 0.5
+
     def test_circle_with_a_touching_zero_keeps_one_focal_radius(self):
         # On a closed curve of constant curvature focrad0 = focradminus for
         # every weight: a touching zero s0 of g from below has mu' monotone
         # through it, so H = mu'^2 + kappa^2 mu^2 / 4 grows on one side
         # toward the open band, whose radius 1 / sqrt(H) is then no larger.
         # The weight is offset so that a non-global local maximum of g is 0.
-        from weighted_tubes import load_scene
-        from weighted_tubes.util import _extrema_indices, brent_rows
-
-        scene = load_scene({
-            "ambient_dim": 2,
-            "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
-            "weights": [{"kind": "fourier", "params": {
-                "coefficients": [1.0, 0.029, -0.02, 0.027, 0.003, -0.035, 0.046, -0.01, -0.02]}}],
-        })
+        scene = unit_circle_scene([1.0, 0.029, -0.02, 0.027, 0.003, -0.035, 0.046, -0.01, -0.02])
         (curve, weight), = scene.pairs
-        sg = curve.grid(4096)
-        _, g, _, _, (mu, _, _) = singular.g_slope(curve, weight, sg)
-        maxima = _extrema_indices(g, True, "max", 8)
-        assert len(maxima) == 4
-        h = curve.length / len(sg)
-        s0 = brent_rows(lambda s: singular.g_slope(curve, weight, s)[2],
-                        sg[maxima[-1]] - h, sg[maxima[-1]] + h, 1e-15)
-        kap0, g0 = singular.g_slope(curve, weight, s0)[:2]
-        t = float(-g0[0] / (kap0[0] ** 2 / 4.0))
+        _, g, _, _, (mu, _, _) = singular.g_slope(curve, weight, curve.grid(4096))
+        touching = touching_offsets(curve, weight)
+        assert len(touching) == 4
+        s0, t = touching[-1]
         assert singular.g_slope(curve, weight, s0, t)[1][0] == 0.0
         assert np.min(mu) + t > 0.1 and np.max(g) + 0.25 * t > 0.1
         (f0, fm, _), = focal_radii(scene.pairs, scene.tolerances, offsets=[t])
         assert f0 == fm == 2.089269733672531
+
+    def test_circle_with_seeded_weights_keeps_one_focal_radius(self):
+        # The identity above, bit for bit, on 12 seeded weights of 3 modes
+        # with amplitudes up to 0.3, and on every touching offset of theirs
+        # that keeps mu > 0 (one: a local maximum of seed 8's g). The
+        # touching ellipse above is the contrast, with focrad0 < focradminus.
+        cases = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            amp, phase = rng.uniform(0.0, 0.3, 3), rng.uniform(0.0, 2.0 * np.pi, 3)
+            modes = np.stack([amp * np.cos(phase), amp * np.sin(phase)], axis=1).ravel()
+            scene = unit_circle_scene([1.0] + modes.tolist())
+            (curve, weight), = scene.pairs
+            mu_min = np.min(weight.mu(curve.grid(4096)))
+            offsets = [0.0]
+            for s0, t in touching_offsets(curve, weight):
+                if mu_min + t > 0.0:
+                    assert singular.g_slope(curve, weight, s0, t)[1][0] == 0.0
+                    offsets.append(t)
+            for f0, fm, _ in focal_radii(scene.pairs, scene.tolerances, offsets=offsets):
+                assert f0 == fm, (seed, offsets)
+            cases += len(offsets)
+        assert cases == 13
 
 
 # Column index of each name of the pair table.
@@ -569,7 +625,7 @@ class TestPinnedRefinement:
         s = wit["focrad0"].s
         value, foot = mp_focal_minimum(
             list(FOURIER_FOCAL_CURVE) + ([lift] if lift else []),
-            FOURIER_FOCAL_WEIGHT, curve.length, float(curve.t_of_s(s)[0]),
+            FOURIER_FOCAL_WEIGHT, curve.length, float(curve.t_of_s(np.array([s]))[0]),
         )
         with mpmath.workdps(40):
             ulps = float(abs(f0 - value)) / np.spacing(float(value))
@@ -1502,12 +1558,38 @@ class TestInvariances:
         return bundled_doc(name)
 
     @staticmethod
-    def radii(doc):
+    def report(doc):
         from weighted_tubes import load_scene
 
         scene = load_scene(doc)
-        rep = radii_report(scene.pairs, scene.tolerances)
+        return radii_report(scene.pairs, scene.tolerances)
+
+    @classmethod
+    def radii(cls, doc):
+        rep = cls.report(doc)
         return np.array([getattr(rep, k) for k in RADII])
+
+    @staticmethod
+    def rotated(row, angle):
+        """The Fourier row [a0, a1, b1, ...] of x(t + angle / w) for the row
+        of x(t): mode k turns by k angle."""
+        row = np.array(row, dtype=float)
+        k = np.arange(1, len(row) // 2 + 1)
+        a, b = row[1::2], row[2::2]
+        cos, sin = np.cos(k * angle), np.sin(k * angle)
+        row[1::2], row[2::2] = a * cos + b * sin, b * cos - a * sin
+        return row.tolist()
+
+    @staticmethod
+    def reflected(row):
+        """The Fourier row of x(-t) for the row of x(t): every b_k changes sign."""
+        return [-x if i > 0 and i % 2 == 0 else x for i, x in enumerate(row)]
+
+    def assert_same_report(self, doc, name):
+        got, want = self.report(doc), self.report(self.doc(name))
+        np.testing.assert_allclose([getattr(got, k) for k in RADII], [getattr(want, k) for k in RADII],
+                                   rtol=INVARIANCE_BAND, atol=0)
+        assert got.witnesses["pair_count"] == want.witnesses["pair_count"] == 4
 
     @staticmethod
     def scale_weights(doc, c):
@@ -1557,3 +1639,52 @@ class TestInvariances:
             comp["params"]["coefficients"] = rows.tolist()
         band = INVARIANCE_BAND * (1.0 + np.linalg.norm(shift))
         np.testing.assert_allclose(self.radii(doc), self.radii(self.doc(name)), rtol=band, atol=0)
+
+    @pytest.mark.parametrize("name", INVARIANCE_FOURIER)
+    def test_reversed_orientation_keeps_every_radius(self, name):
+        # gamma(-t) with mu(-s). Measured: at most 2 EPS.
+        doc = self.doc(name)
+        for comp, w in zip(doc["components"], doc["weights"]):
+            comp["params"]["coefficients"] = [self.reflected(row) for row in comp["params"]["coefficients"]]
+            w["params"]["coefficients"] = self.reflected(w["params"]["coefficients"])
+        self.assert_same_report(doc, name)
+
+    @pytest.mark.parametrize("name", INVARIANCE_FOURIER)
+    def test_shifted_start_keeps_every_radius(self, name):
+        # gamma(t + 0.37) with mu(s + s(0.37)), s(t) the arclength from t = 0.
+        # Measured: at most 2.5 EPS.
+        from weighted_tubes import load_scene
+
+        doc, delta = self.doc(name), 0.37
+        for (curve, _), comp, w in zip(load_scene(doc).pairs, doc["components"], doc["weights"]):
+            sigma = float(curve._s_of_t(np.array([delta]))[0][0])
+            comp["params"]["coefficients"] = [self.rotated(row, delta) for row in comp["params"]["coefficients"]]
+            w["params"]["coefficients"] = self.rotated(w["params"]["coefficients"],
+                                                       2.0 * np.pi / curve.length * sigma)
+        self.assert_same_report(doc, name)
+
+    @pytest.mark.parametrize("name", INVARIANCE_FOURIER)
+    def test_unit_weight_gives_classical_thickness(self, name):
+        # With mu = 1 the radii are classical thickness (Litherland, Simon,
+        # Durumeric and Rawdon 1999; Gonzalez and Maddocks 1999): focrad0 =
+        # focradminus = 1 / max kappa, and dir = air = min(focrad0, dcsd_half).
+        # 2^18 samples miss max kappa by at most max|kappa''| h^2 / 8, as
+        # kappa' = 0 at the maximum and a sample lies within h / 2 of it;
+        # max|kappa''| is read from differences of the exact kappa'.
+        from weighted_tubes import load_scene
+        from weighted_tubes.curves import _kappa_rate
+
+        doc = self.doc(name)
+        doc["weights"] = [{"kind": "constant", "params": {"value": 1.0}} for _ in doc["weights"]]
+        rep = self.report(doc)
+        assert rep.focrad0 == rep.focradminus
+        assert rep.dir == rep.air == min(rep.focrad0, rep.dcsd_half)
+        (curve, _), = load_scene(doc).pairs
+        n = 2**18
+        h = curve.length / n
+        jet = curve.jet(curve.grid(n), 3)
+        kappa_max = np.max(np.linalg.norm(jet[2], axis=-1))
+        rate = _kappa_rate(jet, curve.kappa_tol)
+        kappa2_max = np.max(np.abs(np.diff(rate, append=rate[:1]))) / h
+        gap = 1.0 / kappa_max - rep.focrad0
+        assert 0.0 <= gap <= rep.focrad0 * kappa2_max * h**2 / 8.0 / kappa_max

@@ -74,9 +74,10 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     calls = digests.bundled_calls(BUNDLED_SCENES)
     # Then one labelled call whose feet reach the stadium's straight sides,
-    # one with a finite height cutoff whose square overflows, and two sweeps
-    # over more than two offsets.
-    *calls, straight, overflow, sweep6, sweep3 = calls
+    # one with a finite height cutoff whose square overflows, two sweeps
+    # over more than two offsets, and one over the offsets -1e-9, 0 and 1e-9
+    # where dir and air jump.
+    *calls, straight, overflow, sweep6, sweep3, semicontinuity = calls
     assert straight == {
         "label": "example2_stadium/fibers-straight-sides",
         "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
@@ -95,6 +96,11 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
     assert sweep3 == {
         "label": "example3_family/sweep-7",
         "argv": ["sweep", "--scene", "example3_family", "--t-min=-0.03", "--t-max=0.03", "--t-count=7"],
+        "ext": "csv",
+    }
+    assert semicontinuity == {
+        "label": "example_separation/sweep-semicontinuity",
+        "argv": ["sweep", "--scene", "example_separation", "--family", "offset", "--t-values=-1e-9,0,1e-9"],
         "ext": "csv",
     }
     for call in (sweep6, sweep3):

@@ -100,6 +100,9 @@ BUNDLED_EXTRA = (
     {"label": "example3_family/sweep-7",
      "argv": ["sweep", "--scene", "example3_family", "--t-min=-0.03", "--t-max=0.03", "--t-count=7"],
      "ext": "csv"},
+    {"label": "example_separation/sweep-semicontinuity",
+     "argv": ["sweep", "--scene", "example_separation", "--family", "offset", "--t-values=-1e-9,0,1e-9"],
+     "ext": "csv"},
 )
 
 
