@@ -291,8 +291,6 @@ def cmd_check(args, scene):
         if scene.family_kind is None:
             raise SceneError("scene defines no family; --t needs one")
         pairs = sweeps.family_weights(pairs, _finite(args.t, "--t"))
-        for curve, weight in pairs:
-            weight.validate_on(curve)
     ok, witnesses = singular.transversality_check(pairs, scene.tolerances)
     payload = {
         "transversal": ok,

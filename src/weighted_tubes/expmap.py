@@ -247,46 +247,39 @@ def fiber_geometry(curve, weight, s):
 
 
 def f_value(curve, weight, s, p):
-    p = np.asarray(p, dtype=float)
-    g = curve.point(s)
-    diff = p - g
-    e = np.sum(diff * diff, axis=-1)
-    return e / weight.mu(s) ** 2
+    return _f_rows(p, curve.jet(s, 0), weight.jet(s, 0))[0]
 
 
 def f_prime(curve, weight, s, p):
     """dF_p/ds via logarithmic differentiation of E / mu^2."""
-    g, t = curve.jet(s, 1)
-    mu, d1 = weight.jet(s, 1)
-    return _f_prime(np.asarray(p, dtype=float) - g, t, mu, d1)
-
-
-def _f_prime(diff, t, mu, d1):
-    """dF_p/ds from diff = p - gamma, the tangent, mu and mu' at the feet."""
-    e = np.sum(diff * diff, axis=-1)
-    e1 = -2.0 * np.sum(diff * t, axis=-1)
-    return (e1 - 2.0 * e * d1 / mu) / mu**2
+    return _f_rows(p, curve.jet(s, 1), weight.jet(s, 1))[1]
 
 
 def f_second(curve, weight, s, p):
     """d^2F_p/ds^2, valid at any s (not only critical feet)."""
-    g, t, g2 = curve.jet(s, 2)
-    mu, d1, d2 = weight.jet(s, 2)
-    return _f_second(np.asarray(p, dtype=float) - g, t, g2, mu, d1, d2)
+    return _f_rows(p, curve.jet(s, 2), weight.jet(s, 2))[2]
 
 
-def _f_second(diff, t, g2, mu, d1, d2):
-    """d^2F_p/ds^2 from diff = p - gamma, gamma', gamma'', mu, mu' and mu''
-    at the feet."""
-    e = np.sum(diff * diff, axis=-1)
-    e1 = -2.0 * np.sum(diff * t, axis=-1)
-    e2 = 2.0 * (1.0 - np.sum(diff * g2, axis=-1))
-    return (
-        e2 / mu**2
-        - 4.0 * e1 * d1 / mu**3
-        + 6.0 * e * d1**2 / mu**4
-        - 2.0 * e * d2 / mu**3
-    )
+def _f_rows(p, curve_jet, weight_jet):
+    """(F_p, dF_p/ds, ...) from the (curve, weight) jets at the feet, one
+    s-derivative per order the jets carry past 0 (at most 2), by logarithmic
+    differentiation of E / mu^2 with E = |p - gamma|^2 and its derivatives
+    each computed once. np.add.reduce is np.sum without the wrapper cost
+    that dominates a typical pair-Newton call of a few rows."""
+    diff = np.asarray(p, dtype=float) - curve_jet[0]
+    mu = weight_jet[0]
+    mu2 = mu**2
+    e = np.add.reduce(diff * diff, axis=-1)
+    out = [e / mu2]
+    if len(curve_jet) > 1:
+        d1 = weight_jet[1]
+        e1 = -2.0 * np.add.reduce(diff * curve_jet[1], axis=-1)
+        out.append((e1 - 2.0 * e * d1 / mu) / mu2)
+    if len(curve_jet) > 2:
+        d2 = weight_jet[2]
+        e2 = 2.0 * (1.0 - np.add.reduce(diff * curve_jet[2], axis=-1))
+        out.append(e2 / mu2 - 4.0 * e1 * d1 / mu**3 + 6.0 * e * d1**2 / mu**4 - 2.0 * e * d2 / mu**3)
+    return tuple(out)
 
 
 def f_second_critical(curve, weight, s, p):
@@ -305,14 +298,13 @@ def f_second_critical(curve, weight, s, p):
     """
     shape, feet, rows, p, _ = _broadcast_rows(s, p)
     jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
-    g, t = jets[0][:2]
-    mu, d1 = jets[1][:2]
+    mu = jets[1][0]
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = p - g
+        diff = p - jets[0][0]
         R = _rownorm(diff) / mu
         v, bound, _ = _offset_rows(jets, feet[rows], diff, R)
         grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
-        fp = np.abs(_f_prime(diff, t, mu, d1))
+        fp = np.abs(_f_rows(p, jets[0][:2], jets[1][:2])[1])
         values = (2.0 / mu**2) * _along_rows(jets, v, R)[0]
     _raise_first(_first_fault([
         (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
@@ -381,11 +373,7 @@ def _refine_rows(curve, weight, pts, s, step, iters):
         if not len(k):
             break
         sk = s[k]
-        (g, t, g2), (mu, d1, d2) = curve.jet(sk, 2), weight.jet(sk, 2)
-        diff = pts[k] - g
-        f = np.sum(diff * diff, axis=-1) / mu**2
-        fp = _f_prime(diff, t, mu, d1)
-        fpp = _f_second(diff, t, g2, mu, d1, d2)
+        f, fp, fpp = _f_rows(pts[k], curve.jet(sk, 2), weight.jet(sk, 2))
         better = (f < best_f[k]) | (n == 0)
         best_s[k[better]], best_f[k[better]] = sk[better], f[better]
         # The side of sk the minimum lies on.

@@ -10,9 +10,9 @@ control the first height at which the second derivative of the squared
 weighted distance can vanish (lam^{-1/2}) or become negative. The two
 focal radii aggregate the pointwise values with a closed band (>= 0) or an
 open band (> 0) on the discriminant; the double-critical self distance
-comes from critical pairs of |q1 - q2|^2 (mu(q1) + mu(q2))^{-2}. The
-derived radii are mins of these, and the ordering dir <= tir <= air is
-enforced on every report.
+comes from critical pairs of sigma = |q1 - q2|^2 (mu(q1) + mu(q2))^{-2},
+F_p at p = q2 for the weight mu + mu(q2). The derived radii are mins of
+these, and the ordering dir <= tir <= air is enforced on every report.
 """
 
 import math
@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import singular
 from .config import DEFAULT_TOLERANCES
 from .errors import SceneError, _overflow_raises
-from .expmap import _bound, _rowdot, _rownorm
+from .expmap import _bound, _f_rows, _rowdot, _rownorm
 from .util import (
     _bracket,
     _distinct,
@@ -69,10 +69,9 @@ class RadiiReport:
 def _focal_terms(kap, mu, d1, d2):
     a = kap * mu
     b = np.abs(d1)
-    c = 2.0 * (d1**2 + mu * d2)
     disc = mu * singular._g(kap, (mu, d1, d2))
     lam = b**2 + (np.sqrt(np.clip(disc, 0.0, None)) + 0.5 * a) ** 2
-    return a, b, c, disc, lam
+    return a, b, disc, lam
 
 
 def _band(a_sq_max):
@@ -118,7 +117,7 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     best = [[(np.inf, None), (np.inf, None)] for _ in ts]  # closed band, open band
     for ci, (curve, weight) in enumerate(pairs):
         sg, _, (mu, d1, d2), kap = singular.dense_grid(curve, weight, tol.grid_samples)
-        a, b, _, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
+        a, b, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
         band = np.array([_band(np.max(row**2)) for row in a])
         profiles = _radius_profiles(b, disc, lam, band[:, None])
         i_min = [[int(np.argmin(p)) for p in profile] for profile in profiles]
@@ -180,7 +179,7 @@ def _focal_slopes(curve, weight, s, fam, t, band):
     depend on the other feet of the call.
     """
     kap, g, dg, kr, (mu, d1, d2) = singular.g_slope(curve, weight, s, t)
-    a, b, _, disc, lam = _focal_terms(kap, mu, d1, d2)
+    a, b, disc, lam = _focal_terms(kap, mu, d1, d2)
     profiles = _radius_profiles(b, disc, lam, band)
     db = np.sign(d1) * d2
     r = np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0.0, lam, 1.0)), 0.0)
@@ -229,15 +228,14 @@ def _feet_rows(curve, weight, arrays, t):
 
 
 def _sigma_and_grad(feet1, feet2):
-    """sigma and its analytic gradient from matched foot data (see _feet)."""
+    """sigma and its analytic gradient from matched foot data (see _feet):
+    sigma(s, t) is F_p(s) at p = gamma(t) for the weight mu + mu(t), and
+    symmetrically in t."""
     g1, t1, m1, dm1 = feet1
     g2, t2, m2, dm2 = feet2
-    diff = g1 - g2
-    e = np.sum(diff * diff, axis=-1)
     msum = m1 + m2
-    sigma = e / msum**2
-    ds = (2.0 * np.sum(diff * t1, axis=-1) - 2.0 * e * dm1 / msum) / msum**2
-    dt = (-2.0 * np.sum(diff * t2, axis=-1) - 2.0 * e * dm2 / msum) / msum**2
+    sigma, ds = _f_rows(g2, (g1, t1), (msum, dm1))
+    dt = _f_rows(g1, (g2, t2), (msum, dm2))[1]
     return sigma, ds, dt
 
 

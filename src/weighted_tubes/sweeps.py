@@ -29,8 +29,9 @@ class SweepRow:
 
 
 def family_weights(pairs, t):
-    """The offset family's weights mu + t at family parameter t."""
-    return [(c, OffsetWeight(w, t)) for c, w in as_pairs(pairs)]
+    """The offset family's weights mu + t at family parameter t, each
+    validated on its curve in component order (`WeightFunction.validate_on`)."""
+    return [(c, OffsetWeight(w, t).validate_on(c)) for c, w in as_pairs(pairs)]
 
 
 def radii_sweep(pairs, t_grid, tol=DEFAULT_TOLERANCES):
@@ -47,8 +48,7 @@ def radii_sweep(pairs, t_grid, tol=DEFAULT_TOLERANCES):
     todo = []
     for k, t in enumerate(ts):
         try:
-            for curve, weight in family_weights(pairs, t):
-                weight.validate_on(curve)
+            family_weights(pairs, t)
         except WeightedTubesError as exc:
             rows[k] = _failed_row(t, exc)
         else:

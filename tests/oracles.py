@@ -4,8 +4,10 @@ report and the finite-difference gradient of G, a one-offset form of the
 offset rows, F'' by the project-map-recover-angle chain that the closed
 form replaced, the finite-difference differential of the map, the fiber-shape membership test, the critical-point class,
 golden-section maxima, the pointwise focal data, the closed-form roots of
-Lemma 3, seeded random unit normals, the pair Newton that runs every active
-row to the last pass, the pair search's per-offset seed loop, and the
+Lemma 3, seeded random unit normals, the separate formulas of F_p, its
+s-derivatives and sigma's gradient that one closed form replaced, the pair
+Newton that runs every active row to the last pass, the pair search's
+per-offset seed loop, and the
 evaluators the shared series and piece code replaced: the Fourier weight's
 own per-mode jet, the stadium's per-piece advance and the run finder's
 loop, and the stadium solve that built the whole curve on every trial."""
@@ -40,7 +42,6 @@ from weighted_tubes.radii import (
     _feet_rows,
     _focal_terms,
     _radius_profiles,
-    _sigma_and_grad,
     _stencil,
 )
 from weighted_tubes.util import as_pairs, brent_rows, gauss_legendre, golden_min
@@ -196,9 +197,11 @@ class PointwiseFocal:
 
 def abc(curve, weight, s, t=0.0):
     """(a, b, c, disc, lam) at the feet s for the weight mu + t, from the
-    order-2 jets, as the focal refinement read them before it took slopes."""
+    order-2 jets, as the focal refinement read them before it took slopes;
+    c = (mu^2)'' = 2 (mu'^2 + mu mu'')."""
     mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
-    return _focal_terms(curve.curvature(s), mu + t, d1, d2)
+    a, b, disc, lam = _focal_terms(curve.curvature(s), mu + t, d1, d2)
+    return a, b, 2.0 * (d1**2 + (mu + t) * d2), disc, lam
 
 
 def delta_lambda(curve, weight, s):
@@ -418,9 +421,57 @@ def golden_max(f, a, b, tol=1e-12, maxiter=200, args=()):
     return x, -fx
 
 
+# F_p = |p - gamma|^2 / mu^2, its s-derivatives and sigma's gradient as
+# separate formulas, each recomputing |p - gamma|^2, kept verbatim from
+# before `expmap._f_rows` gave them one closed form.
+
+
+def split_f_value(curve, weight, s, p):
+    p = np.asarray(p, dtype=float)
+    g = curve.point(s)
+    diff = p - g
+    e = np.sum(diff * diff, axis=-1)
+    return e / weight.mu(s) ** 2
+
+
+def split_f_prime(diff, t, mu, d1):
+    """dF_p/ds from diff = p - gamma, the tangent, mu and mu' at the feet."""
+    e = np.sum(diff * diff, axis=-1)
+    e1 = -2.0 * np.sum(diff * t, axis=-1)
+    return (e1 - 2.0 * e * d1 / mu) / mu**2
+
+
+def split_f_second(diff, t, g2, mu, d1, d2):
+    """d^2F_p/ds^2 from diff = p - gamma, gamma', gamma'', mu, mu' and mu''
+    at the feet."""
+    e = np.sum(diff * diff, axis=-1)
+    e1 = -2.0 * np.sum(diff * t, axis=-1)
+    e2 = 2.0 * (1.0 - np.sum(diff * g2, axis=-1))
+    return (
+        e2 / mu**2
+        - 4.0 * e1 * d1 / mu**3
+        + 6.0 * e * d1**2 / mu**4
+        - 2.0 * e * d2 / mu**3
+    )
+
+
+def split_sigma_and_grad(feet1, feet2):
+    """sigma and its analytic gradient from matched foot data (see _feet)."""
+    g1, t1, m1, dm1 = feet1
+    g2, t2, m2, dm2 = feet2
+    diff = g1 - g2
+    e = np.sum(diff * diff, axis=-1)
+    msum = m1 + m2
+    sigma = e / msum**2
+    ds = (2.0 * np.sum(diff * t1, axis=-1) - 2.0 * e * dm1 / msum) / msum**2
+    dt = (-2.0 * np.sum(diff * t2, axis=-1) - 2.0 * e * dm2 / msum) / msum**2
+    return sigma, ds, dt
+
+
 def newton_every_pass(c1, w1, c2, w2, seeds, grp, ts, tol):
-    """radii._newton before it settled cycling rows, kept verbatim: every
-    active row runs to the last pass. Damped Newton over every (offset,
+    """radii._newton before it settled cycling rows, kept verbatim with
+    sigma's separate formulas (`split_sigma_and_grad`): every active row
+    runs to the last pass. Damped Newton over every (offset,
     seed) row; row k belongs to group grp[k] and carries the offset
     ts[grp[k]].
 
@@ -453,7 +504,7 @@ def newton_every_pass(c1, w1, c2, w2, seeds, grp, ts, tol):
         t_p, t_m, span2 = _stencil(c2, t[live], h2)
         at_s, at_sp, at_sm = _feet_rows(c1, w1, (s[live], s_p, s_m), off[live])
         at_t, at_tp, at_tm = _feet_rows(c2, w2, (t[live], t_p, t_m), off[live])
-        sig, gs, gt = _sigma_and_grad(at_s, at_t)
+        sig, gs, gt = split_sigma_and_grad(at_s, at_t)
         res[live] = np.hypot(gs, gt) / np.maximum(1.0, sig)
         if it == _NEWTON_MAX_ITER:
             break
@@ -467,12 +518,12 @@ def newton_every_pass(c1, w1, c2, w2, seeds, grp, ts, tol):
         )
         gs, gt = gs[jac], gt[jac]
         span1, span2 = (sp[jac] if np.ndim(sp) else sp for sp in (span1, span2))
-        _, gs_p, gt_p = _sigma_and_grad(at_sp, at_t)
-        _, gs_m, gt_m = _sigma_and_grad(at_sm, at_t)
+        _, gs_p, gt_p = split_sigma_and_grad(at_sp, at_t)
+        _, gs_m, gt_m = split_sigma_and_grad(at_sm, at_t)
         j11 = (gs_p - gs_m) / span1
         j21 = (gt_p - gt_m) / span1
-        _, gs_p, gt_p = _sigma_and_grad(at_s, at_tp)
-        _, gs_m, gt_m = _sigma_and_grad(at_s, at_tm)
+        _, gs_p, gt_p = split_sigma_and_grad(at_s, at_tp)
+        _, gs_m, gt_m = split_sigma_and_grad(at_s, at_tm)
         j12 = (gs_p - gs_m) / span2
         j22 = (gt_p - gt_m) / span2
         det = j11 * j22 - j12 * j21

@@ -12,6 +12,7 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from weighted_tubes import (
+    BUNDLED_SCENES,
     ChebyshevCurve,
     ChebyshevWeight,
     CircleArcCurve,
@@ -25,12 +26,20 @@ from weighted_tubes import (
     SegmentCurve,
     SymmetricPiecewiseWeight,
     make_stadium,
+    radii,
 )
 from weighted_tubes.curves import CurvatureProfileCurve, _RawCurve
 from weighted_tubes.expmap import f_prime, f_second, f_value
 from weighted_tubes.util import gauss_legendre, quintic_smoothstep, quintic_smoothstep_d1
 
-from oracles import fourier_weight_jet, profile_advance
+from oracles import (
+    fourier_weight_jet,
+    profile_advance,
+    split_f_prime,
+    split_f_second,
+    split_f_value,
+    split_sigma_and_grad,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +476,49 @@ def test_map_values_take_feet_of_any_shape(scenes, name, make):
     for fn in (f_value, f_prime, f_second):
         got, flat = fn(curve, weight, s, p), fn(curve, weight, s.reshape(-1), p)
         assert got.shape == (2, 2) and got.tobytes() == flat.tobytes()
+
+
+def _f_cases(scenes):
+    """(label, curve, weight, feet s, points p): every bundled scene's dense
+    feet with random points, random feet on a 3D Fourier curve, a Chebyshev
+    arc's feet with its ends, a scalar foot and 2 x 2 feet."""
+    rng = np.random.default_rng(39)
+    for name in BUNDLED_SCENES:
+        scene = scenes[name]
+        for ci, (curve, weight) in enumerate(scene.pairs):
+            s = curve.grid(scene.tolerances.grid_samples)
+            p = curve.point(s) + rng.normal(scale=0.25 * curve.length, size=(len(s), curve.ambient_dim))
+            yield f"{name}[{ci}]", curve, weight, s, p
+    for label, make in MAP_PAIRS[1:]:
+        curve, weight = make(scenes)
+        s = rng.uniform(curve.s_min, curve.s_max, 1000)
+        if not curve.closed:
+            s = np.concatenate([[curve.s_min, curve.s_max], s])
+        yield label, curve, weight, s, rng.normal(size=(len(s), curve.ambient_dim))
+        yield f"{label} scalar", curve, weight, float(s[2]), rng.normal(size=curve.ambient_dim)
+        yield f"{label} 2x2", curve, weight, s[:4].reshape(2, 2), rng.normal(size=(2, 2, curve.ambient_dim))
+
+
+def _same_bits(got, want):
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes()
+
+
+def test_f_closed_form_is_the_separate_formulas_bit_for_bit(scenes):
+    # F_p, F' and F'' from one closed form are the separate formulas' bits,
+    # and so is sigma's gradient read as F_p at p = gamma(t) for the weight
+    # mu + mu(t): -2 sum((-diff) t) is 2 sum(diff t) exactly.
+    for label, curve, weight, s, p in _f_cases(scenes):
+        g, t, g2 = curve.jet(s, 2)
+        mu, d1, d2 = weight.jet(s, 2)
+        diff = np.asarray(p, dtype=float) - g
+        assert _same_bits(f_value(curve, weight, s, p), split_f_value(curve, weight, s, p)), label
+        assert _same_bits(f_prime(curve, weight, s, p), split_f_prime(diff, t, mu, d1)), label
+        assert _same_bits(f_second(curve, weight, s, p), split_f_second(diff, t, g2, mu, d1, d2)), label
+        s2 = np.roll(s, 1) if np.ndim(s) else curve.s_min + 0.5 * curve.length
+        for off in (0.0, 0.25):
+            feet1, feet2 = radii._feet(curve, weight, s, off), radii._feet(curve, weight, s2, off)
+            for got, want in zip(radii._sigma_and_grad(feet1, feet2), split_sigma_and_grad(feet1, feet2)):
+                assert _same_bits(got, want), (label, off)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ class TestRootAlgebra:
         rng = np.random.default_rng(11)
         a, b = np.abs(rng.normal(size=(2, 2000)))
         c = rng.normal(scale=2.0, size=2000)
-        lam = radii._focal_terms(a, np.ones_like(a), b, 0.5 * c - b**2)[4]
+        lam = radii._focal_terms(a, np.ones_like(a), b, 0.5 * c - b**2)[3]
         checked = 0
         for k in range(len(a)):
             try:
@@ -1069,7 +1069,7 @@ def four_call_focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         sg = curve.grid(tol.grid_samples)
         kap = curve.curvature(sg)
         mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
-        a, b, _, disc, lam = radii._focal_terms(kap, mu + ts[:, None], d1, d2)
+        a, b, disc, lam = radii._focal_terms(kap, mu + ts[:, None], d1, d2)
         band = np.array([radii._band(np.max(row**2)) for row in a])
         r0, rm = radii._radius_profiles(b, disc, lam, band[:, None])
 

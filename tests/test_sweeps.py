@@ -644,7 +644,7 @@ def least_fibre_gap(pairs, n, R):
     return float(np.sqrt(np.min(sq))), float(np.max(np.abs(pts)))
 
 
-@pytest.mark.parametrize("name", ["example1a", "example1b", "example2_stadium", "example4"])
+@pytest.mark.parametrize("name", ["example1a", "example1b", "example2_stadium", "example4", "example_separation"])
 def test_tir_measured_from_outside(scenes, name):
     # tir from coincident images, without the paper's formulas: 2,048 rows
     # per scene (1,024 feet with +-normal in the plane, 512 feet with both
@@ -655,6 +655,10 @@ def test_tir_measured_from_outside(scenes, name):
     # gap measured is 5.9e-9 (example1a at tir (1 +- delta)). example4 has
     # no collapse arc: no zero below air, with its least gap 1.1e-9, at its
     # touching zero (dir = 2), where neighbouring images nearly meet.
+    # example_separation's two components give dir 1.7745 < tir 2 < air
+    # 2.3564: its gap is 1.1e-17 at tir (the zero band is 1.8e-12), 2.4e-7
+    # at tir (1 +- delta), 2.0e-5 at dir (the ellipse's touching zero) and
+    # at least 5.9e-4 at tir (1 - delta) k/4 for k < 4.
     scene = scenes[name]
     rep = radii_report(scene.pairs, scene.tolerances)
     n = 2048 // (2 * (scene.ambient_dim - 1))
