@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import radii, singular, sweeps
+from .config import check_budget
 from .errors import SceneError, WeightedTubesError
 from .expmap import _rownorm, normal_frames, w_bound
 from .scene import load_scene
@@ -175,17 +176,24 @@ def _positive(value, flag, finite=True):
     return value
 
 
-def _t_grid(args):
+def _t_grid(args, grid_samples):
+    """The sweep's t list. Its focal stage builds (t, foot) arrays over
+    grid_samples feet, so their size must fit the budget, checked before a
+    --t-count list is built."""
     if args.t_values:
-        return _numbers(args.t_values, "--t-values")
-    if args.t_count is not None:
-        if args.t_min is None or args.t_max is None:
-            raise SceneError("--t-count needs --t-min and --t-max")
-        if args.t_count < 1:
-            raise SceneError(f"--t-count must be >= 1, got {args.t_count}")
-        return list(np.linspace(_finite(args.t_min, "--t-min"), _finite(args.t_max, "--t-max"),
-                                args.t_count))
-    raise SceneError("sweep needs --t-values or --t-min/--t-max/--t-count")
+        ts = _numbers(args.t_values, "--t-values")
+        count = len(ts)
+    elif args.t_count is None:
+        raise SceneError("sweep needs --t-values or --t-min/--t-max/--t-count")
+    elif args.t_min is None or args.t_max is None:
+        raise SceneError("--t-count needs --t-min and --t-max")
+    elif args.t_count < 1:
+        raise SceneError(f"--t-count must be >= 1, got {args.t_count}")
+    else:
+        ts, count = None, args.t_count
+        lo, hi = _finite(args.t_min, "--t-min"), _finite(args.t_max, "--t-max")
+    check_budget(f"sweep of {count} offsets x {grid_samples} feet", count * grid_samples)
+    return list(np.linspace(lo, hi, count)) if ts is None else ts
 
 
 def _ur(args, scene):
@@ -218,7 +226,8 @@ def cmd_report(args, scene):
 def cmd_sweep(args, scene):
     if scene.family_kind is None and args.family is None:
         raise SceneError("scene defines no family; pass --family offset")
-    rows = sweeps.radii_sweep(scene.pairs, _t_grid(args), scene.tolerances)
+    rows = sweeps.radii_sweep(scene.pairs, _t_grid(args, scene.tolerances.grid_samples),
+                              scene.tolerances)
     _write_text(args.out, _csv_text(_SWEEP, [[getattr(r, k) for k in _SWEEP] for r in rows]))
     return EXIT_OK
 
@@ -278,7 +287,11 @@ def cmd_singular(args, scene):
 
 
 def cmd_collapse(args, scene):
-    arcs = singular.detect_collapse_arcs(scene.pairs, _ur(args, scene), scene.tolerances)
+    # Without --ur, the report's arcs: it searched them below its own ur.
+    if args.ur is None:
+        arcs = radii.radii_report(scene.pairs, scene.tolerances).witnesses["collapse_arcs"]
+    else:
+        arcs = singular.detect_collapse_arcs(scene.pairs, _ur(args, scene), scene.tolerances)
     header = list(_ARC) + [f"p0_x{i + 1}" for i in range(scene.ambient_dim)]
     rows = [[getattr(a, k) for k in _ARC] + a.p0.tolist() for a in arcs]
     _write_text(args.out, _csv_text(header, rows))

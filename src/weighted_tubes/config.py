@@ -4,8 +4,16 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import SceneError
 
-# Largest float64 grid array one sample count may make a search allocate.
+# Largest float64 array one sample count or flag may make the program allocate.
 GRID_BUDGET_BYTES = 1 << 30
+
+
+def check_budget(what, floats):
+    """SceneError naming `what` unless a float64 array of `floats` values
+    fits GRID_BUDGET_BYTES."""
+    need = int(floats) * 8
+    if need > GRID_BUDGET_BYTES:
+        raise SceneError(f"{what} needs {need} bytes per array, above the {GRID_BUDGET_BYTES}-byte budget")
 
 
 def integer_at_least(value, least, what):
@@ -39,7 +47,7 @@ class Tolerances:
         and is an integer >= 3 (`integer_at_least`; the three-point
         neighbourhoods of the grid searches need three samples) and every
         count's grid array (n x ambient_dim float64, N x N x ambient_dim for
-        pair_grid) fits GRID_BUDGET_BYTES."""
+        pair_grid) fits the budget (`check_budget`)."""
         known = [f.name for f in fields(self)]
         clean = {}
         for key, value in overrides.items():
@@ -49,12 +57,7 @@ class Tolerances:
         counts = replace(self, **clean)
         for key in known:
             n = getattr(counts, key)
-            need = (n * n if key == "pair_grid" else n) * int(ambient_dim) * 8
-            if need > GRID_BUDGET_BYTES:
-                raise SceneError(
-                    f"{key}={n} needs {need} bytes per grid array in {ambient_dim} "
-                    f"dimensions, above the {GRID_BUDGET_BYTES}-byte budget"
-                )
+            check_budget(f"{key}={n}", (n * n if key == "pair_grid" else n) * int(ambient_dim))
         return counts
 
 

@@ -203,6 +203,7 @@ class _RawCurve(ArclengthCurve):
     _CELL_NS = (4, 6, 8)
     _CHECK_N = 2048  # cells of the first length check, doubled up to 6 times
     _LENGTH_TOL = 1e-10  # relative agreement of two successive length checks
+    _NEWTON_BLOCK = 1 << 15  # most feet one Newton pass of t_of_s inverts at once
 
     def __init__(self, closed, raw_domain):
         self._t0, self._t1 = float(raw_domain[0]), float(raw_domain[1])
@@ -272,18 +273,20 @@ class _RawCurve(ArclengthCurve):
         # Newton is pushed to the roundoff floor: second differences of
         # downstream quantities divide by h^2 and would amplify any slack.
         # Each foot stops on its own residual, so its value does not depend
-        # on the other feet of the call.
+        # on the other feet of the call, and blocks of _NEWTON_BLOCK feet
+        # bound the raw pass of `_s_of_t` without changing a bit.
         t = _pchip_eval(self._s_grid, self._pchip, np.clip(s, 0.0, self.length))
         tol = 4e-16 * self.length
-        k = np.arange(len(t))
-        for _ in range(6):
-            s_k, speed = self._s_of_t(t[k])
-            resid = s_k - s[k]
-            going = ~(np.abs(resid) <= tol)
-            k, resid, speed = k[going], resid[going], speed[going]
-            if not len(k):
-                break
-            t[k] = np.clip(t[k] - resid / speed, self._t0, self._t1)
+        for start in range(0, len(t), self._NEWTON_BLOCK):
+            k = np.arange(start, min(start + self._NEWTON_BLOCK, len(t)))
+            for _ in range(6):
+                s_k, speed = self._s_of_t(t[k])
+                resid = s_k - s[k]
+                going = ~(np.abs(resid) <= tol)
+                k, resid, speed = k[going], resid[going], speed[going]
+                if not len(k):
+                    break
+                t[k] = np.clip(t[k] - resid / speed, self._t0, self._t1)
         return t
 
     def _jet(self, s, order):

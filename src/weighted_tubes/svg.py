@@ -37,12 +37,11 @@ def render_svg(curves=(), fibers=(), tube_points=(), singular_points=()):
     curves/fibers: iterables of (m, 2) polyline arrays; tube_points and
     singular_points: (m, 2) dot clouds.
     """
+    tube_points = np.reshape(np.asarray(tube_points, dtype=float), (-1, 2))
+    singular_points = np.reshape(np.asarray(singular_points, dtype=float), (-1, 2))
     clouds = [np.asarray(c, dtype=float) for c in curves]
     clouds += [np.asarray(f, dtype=float) for f in fibers]
-    if len(np.atleast_2d(tube_points)) and np.size(tube_points):
-        clouds.append(np.atleast_2d(np.asarray(tube_points, dtype=float)))
-    if len(np.atleast_2d(singular_points)) and np.size(singular_points):
-        clouds.append(np.atleast_2d(np.asarray(singular_points, dtype=float)))
+    clouds += [dots for dots in (tube_points, singular_points) if len(dots)]
     if not clouds:
         raise ValueError("nothing to render")
     allpts = np.concatenate([c.reshape(-1, 2) for c in clouds], axis=0)
@@ -67,10 +66,8 @@ def render_svg(curves=(), fibers=(), tube_points=(), singular_points=()):
     for f in fibers:
         parts.append(_polyline(np.asarray(f), _STYLE["fibers"]))
     parts.append('</g><g id="tube">')
-    parts.extend(_dots(np.atleast_2d(tube_points) if np.size(tube_points) else [], _STYLE["tube"], dot))
+    parts.extend(_dots(tube_points, _STYLE["tube"], dot))
     parts.append('</g><g id="singular">')
-    parts.extend(
-        _dots(np.atleast_2d(singular_points) if np.size(singular_points) else [], _STYLE["singular"], 1.5 * dot)
-    )
+    parts.extend(_dots(singular_points, _STYLE["singular"], 1.5 * dot))
     parts.append("</g></g></svg>")
     return "\n".join(parts) + "\n"

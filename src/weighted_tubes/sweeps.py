@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, GRID_BUDGET_BYTES
-from .errors import SceneError, WeightedTubesError
+from .config import DEFAULT_TOLERANCES, check_budget
+from .errors import WeightedTubesError
 from .expmap import exp_mu, g_potential, normal_frames, w_bound
 from .radii import radii_report
 from .util import as_pairs
@@ -86,8 +86,10 @@ def fiber_trace(curve, weight, s, v, r_max, samples=257):
     (m, n) and half-widths r_max (m,), or one half-width for every foot,
     give (R_values (m, samples), points (m, samples, n)) from one `exp_mu`
     call; one foot gives (samples,) and (samples, n). Every row equals the
-    one-foot call for its foot."""
+    one-foot call for its foot. Raises SceneError when the points would not
+    fit the budget (`config.check_budget`)."""
     half = np.broadcast_to(np.asarray(r_max, dtype=float), np.shape(s)).ravel()
+    check_budget(f"fibers of {len(half)} feet x {samples} samples", len(half) * samples * curve.ambient_dim)
     # np.linspace switches every row to its denormal arithmetic once one
     # row's step is 0, so such rows take a call of their own.
     alone = (half - -half) / max(samples - 1, 1) == 0.0
@@ -113,18 +115,13 @@ def tube_boundary(pairs, R, s_samples=256):
     array pass, and one G call takes the rows of every component. Returns
     (boundary, overlap), each an (m, n + 3) array of rows (component, s, G,
     x1..xn). Raises SceneError when one component's (foot, direction) rows
-    would need more than GRID_BUDGET_BYTES.
+    would not fit the budget (`config.check_budget`).
     """
     pairs = as_pairs(pairs)
     if R <= 0:
         raise WeightedTubesError("tube height R must be positive")
     n = pairs[0][0].ambient_dim
-    need = s_samples * (2 if n == 2 else _DIR_SAMPLES) * n * 8
-    if need > GRID_BUDGET_BYTES:
-        raise SceneError(
-            f"tube with {s_samples} feet needs {need} bytes per row array in {n} "
-            f"dimensions, above the {GRID_BUDGET_BYTES}-byte budget"
-        )
+    check_budget(f"tube with {s_samples} feet", s_samples * (2 if n == 2 else _DIR_SAMPLES) * n)
     rows = [np.zeros((0, n + 3))]
     for ci, (curve, weight) in enumerate(pairs):
         sg = curve.grid(s_samples)

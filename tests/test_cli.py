@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -9,15 +11,33 @@ import pytest
 from test_scene import KNOWN, REMOVED_TOLERANCES, bundled_doc
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, **options):
     proc = subprocess.run(
         [sys.executable, "-m", "weighted_tubes", *args],
         capture_output=True,
         text=True,
+        **options,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
+
+
+# Address space of the child in the over-budget cases. A request that no
+# budget check stops then ends at once in numpy's _ArrayMemoryError (exit
+# 1) instead of paging the machine; one BLAS thread keeps the child's own
+# reservations small.
+CAPPED_AS_BYTES = 4 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CAPPED_AS_BYTES, CAPPED_AS_BYTES))
+
+
+def run_capped_cli(*args):
+    """run_cli(*args, check=False) in a child capped at CAPPED_AS_BYTES."""
+    return run_cli(*args, check=False, preexec_fn=_cap_address_space,
+                   env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
 
 
 class TestReport:
@@ -105,7 +125,7 @@ class TestErrors:
         ("singular_samples=1000000000000", "singular_samples'; known: grid_samples, pair_grid"),
     ])
     def test_bad_sample_count_override_exit_2(self, override, message):
-        proc = run_cli("report", "--scene", "ellipse_mu1", "--tol-override", override, check=False)
+        proc = run_capped_cli("report", "--scene", "ellipse_mu1", "--tol-override", override)
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr and message in proc.stderr
 
@@ -126,7 +146,7 @@ class TestErrors:
         }
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(doc))
-        proc = run_cli("report", "--scene", str(path), check=False)
+        proc = run_capped_cli("report", "--scene", str(path))
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr and message in proc.stderr
 
@@ -161,8 +181,7 @@ class TestErrors:
     def test_oversized_pair_grid_exit_2(self):
         # 200000^2 x 2 float64 would be 640 GB; the budget check rejects it
         # before any grid is built.
-        proc = run_cli("report", "--scene", "example4", "--tol-override", "pair_grid=200000",
-                       check=False)
+        proc = run_capped_cli("report", "--scene", "example4", "--tol-override", "pair_grid=200000")
         assert proc.returncode == 2
         assert "pair_grid=200000" in proc.stderr and "budget" in proc.stderr
 
@@ -172,9 +191,17 @@ class TestErrors:
         (("fibers", "--scene", "example4", "--samples", "1"), "--samples N >= 2"),
         # 10^9 feet x 16 directions x 3 float64 would be 384 GB.
         (("tube", "--scene", "example1b", "--radius", "1", "--samples", "1000000000"), "budget"),
+        # 5 feet x 10^9 samples x 2 float64 would be 80 GB of fiber points.
+        (("fibers", "--scene", "example4", "--samples", "1000000000"), "budget"),
+        # 10^9 offsets x 4096 feet float64 would be 32 TB of focal arrays,
+        # and 3 x 2^26 feet are 1.5 GiB.
+        (("sweep", "--scene", "example6_family", "--t-min=0", "--t-max=0.01",
+          "--t-count=1000000000"), "budget"),
+        (("sweep", "--scene", "example6_family", "--tol-override", "grid_samples=67108864",
+          "--t-values=0,0.001,0.002"), "budget"),
     ])
     def test_bad_sample_count_exit_2(self, args, message):
-        proc = run_cli(*args, check=False)
+        proc = run_capped_cli(*args)
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr and message in proc.stderr
         assert proc.stdout == ""
@@ -573,9 +600,9 @@ class TestPointExports:
         assert float(cells[3]) == pytest.approx(1.0, abs=1e-9)  # kappa
         assert float(cells[4]) == pytest.approx(2.0, abs=1e-9)  # r
 
-    def test_collapse_without_ur_searches_at_the_reported_ur(self, monkeypatch, tmp_path):
-        # Without --ur the verb takes the path --ur takes, at the report's ur,
-        # and prints the same bytes.
+    def test_collapse_without_ur_prints_the_reports_arcs(self, monkeypatch, tmp_path):
+        # Without --ur the verb prints the arcs the report searched below its
+        # ur, with no second search, and the same bytes as --ur at that ur.
         from weighted_tubes import cli, singular
 
         calls = []
@@ -588,11 +615,10 @@ class TestPointExports:
         monkeypatch.setattr(singular, "detect_collapse_arcs", counting)
         out = tmp_path / "col.csv"
         assert cli.main(["collapse", "--scene", "example1a", "--out", str(out)]) == 0
-        (ur,), searched = calls  # the report's search over its one offset, then the verb's
-        assert searched == ur
+        ((ur,),) = calls  # the report's one search over its one offset
         assert cli.main(["collapse", "--scene", "example1a", "--out", str(tmp_path / "ur.csv"),
                          "--ur", repr(float(ur))]) == 0
-        assert calls[2:] == [ur] and (tmp_path / "ur.csv").read_text() == out.read_text()
+        assert calls[1:] == [ur] and (tmp_path / "ur.csv").read_text() == out.read_text()
 
     def test_singular_without_ur_evaluates_each_dense_grid_once(self, monkeypatch, tmp_path):
         # The report behind the computed ur and the zero set of g read one

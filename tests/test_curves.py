@@ -274,6 +274,25 @@ class TestArclengthInversionPerFoot:
         np.testing.assert_array_equal(alone, batch)
 
 
+class TestArclengthInversionBlocks:
+    def test_no_raw_pass_takes_more_than_one_block(self, monkeypatch):
+        # A Newton pass over every foot used to evaluate all N x (_cell_n + 1)
+        # raw nodes at once; 2^16 feet now take two blocks of 2^15.
+        curve = wobbly_fourier()
+        sizes = []
+        raw = curve._raw
+        monkeypatch.setattr(curve, "_raw", lambda t, order: sizes.append(len(t)) or raw(t, order))
+        curve.t_of_s(np.linspace(0.0, curve.length, 2**16))
+        assert sizes and max(sizes) <= 2**15 * (curve._cell_n + 1)
+
+    def test_jet_equals_its_halves_joined(self):
+        curve = wobbly_fourier()
+        s = curve.grid(2**16)
+        halves = [curve.jet(part, 3) for part in np.split(s, 2)]
+        for whole, *parts in zip(curve.jet(s, 3), *halves):
+            assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
 def perfbench_style_fourier(seed):
     """A closed planar curve as the benchmark draws them: the unit circle
     plus modes 2-4 of amplitude 0.04 / k^2 at seeded phases."""
