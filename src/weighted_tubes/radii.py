@@ -74,20 +74,20 @@ def _focal_terms(kap, mu, d1, d2):
     return a, b, disc, lam
 
 
-def _band(a_sq_max):
-    return _DELTA_BAND_FACTOR * max(1.0, float(a_sq_max))
-
-
 def _radius_profiles(b, disc, lam, band):
+    return _in_bands(disc, band, _lam_radius(lam), _bound(b))
+
+
+def _lam_radius(lam):
+    """lam^{-1/2} (+inf where lam <= 0 or nan)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam_rad = np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0, lam, 1.0)), np.inf)
-    return _in_bands(disc, band, lam_rad, _bound(b))
+        return np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0, lam, 1.0)), np.inf)
 
 
 def _in_bands(disc, band, inside, outside):
-    """inside where disc is in the closed band (disc >= -band), else outside;
-    then the same for the open band (disc > band)."""
-    return np.where(disc >= -band, inside, outside), np.where(disc > band, inside, outside)
+    """inside where disc is in the closed band (disc >= -band), else outside,
+    stacked over the same for the open band (disc > band)."""
+    return np.where(np.stack([disc >= -band, disc > band]), inside, outside)
 
 
 def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
@@ -99,10 +99,15 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     closed-band and of the open-band profile are refined as roots of their
     exact slopes by `util.refine_minima`, all in one call; the local
     maxima of |mu'| are refined by golden section (tolerance 1e-13).
-    The discriminant and slope maxima serve both profiles. Each profile's
-    candidates are its grid minimum, its refined minima, the refined
-    discriminant maxima its band admits and the slope maxima, in that
-    order; the first smallest one is the witness.
+
+    Every candidate is a row of one float table (group = profile x
+    len(offsets) + offset index, value, foot, component); per component in
+    turn, each group's grid minimum, refined minima and discriminant maxima
+    (+inf where its band does not admit them or lam <= 0), then 1/|mu'| at
+    the slope maxima. A stable sort by (group, value) gives each group's
+    first smallest row: its radius and witness (None at +inf). No candidate
+    is nan, so this is Python's `min` in row order: the first component
+    wins a tie.
 
     With offsets, the radii of the weights mu + t for every t, as a list of
     (focrad0, focradminus, witnesses): the curve and weight jets on the grid
@@ -114,52 +119,50 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
     n = len(ts)
-    best = [[(np.inf, None), (np.inf, None)] for _ in ts]  # closed band, open band
+    groups = np.arange(2 * n)
+    table = []
     for ci, (curve, weight) in enumerate(pairs):
         sg, _, (mu, d1, d2), kap = singular.dense_grid(curve, weight, tol.grid_samples)
         a, b, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
-        band = np.array([_band(np.max(row**2)) for row in a])
-        profiles = _radius_profiles(b, disc, lam, band[:, None])
-        i_min = [[int(np.argmin(p)) for p in profile] for profile in profiles]
+        band = _DELTA_BAND_FACTOR * np.fmax(1.0, np.max(a**2, axis=1))
+        profiles = _radius_profiles(b, disc, lam, band[:, None]).reshape(2 * n, -1)
+        i_min = np.argmin(profiles, axis=-1)
         # Bracket rows by family (discriminant maxima, closed-band minima,
-        # open-band minima), then by t.
+        # open-band minima), then by t: row n + g holds group g's minima.
         idx, row = _stack_rows(
             [_extrema_indices(d, curve.closed, "max", 8) for d in disc]
-            + [[i] + _extrema_indices(p, curve.closed, "min", 8)
-               for profile, im in zip(profiles, i_min) for i, p in zip(im, profile)]
+            + [np.r_[i, _extrema_indices(p, curve.closed, "min", 8)] for i, p in zip(i_min, profiles)]
         )
         fam, ti = np.divmod(row, n)
         x, fx, lam_x = refine_minima(
             lambda s, *p: _focal_slopes(curve, weight, s, *p), curve, sg, idx,
-            (np.choose(fam, (-disc[ti, idx], profiles[0][ti, idx], profiles[1][ti, idx])), lam[ti, idx]),
+            (np.choose(fam, (-disc[ti, idx], profiles[ti, idx], profiles[n + ti, idx])), lam[ti, idx]),
             "focal extremum", args=(fam, ts[ti], band[ti]),
         )
-        refined = _split_rows(row, 3 * n, x, fx, lam_x)
-        # Slope maxima, one row set for every t (the max |mu'|^2 term
+        # Slope maxima, one row set for every group (the max |mu'|^2 term
         # applies unconditionally).
         x_b, v_b = golden_min(
             lambda s: -np.abs(weight.d1(s)),
             *_bracket(curve, sg, _extrema_indices(b, curve.closed, "max", 4)), tol=1e-13,
         )
-        slope = [(1.0 / float(-v), float(x)) for x, v in zip(x_b, v_b) if -v > 0]
-        for which, profile in enumerate(profiles):
-            for k in range(n):
-                xd, neg_disc, ld = refined[k]
-                xs, vs, _ = refined[(which + 1) * n + k]
-                in_band = -neg_disc >= -band[k] if which == 0 else -neg_disc > band[k]
-                cands = [(float(profile[k, i_min[which][k]]), float(sg[i_min[which][k]]))]
-                cands += [(float(v), float(x)) for v, x in zip(vs, xs)]
-                cands += [
-                    (float(1.0 / np.sqrt(lv)), float(x))
-                    for ok, lv, x in zip(in_band, ld, xd)
-                    if ok and lv > 0
-                ]
-                cands += slope
-                v_best, s_best = min(cands, key=lambda c: c[0])
-                if v_best < best[k][which][0]:
-                    best[k][which] = (v_best, FocalWitness(ci, s_best, v_best))
+        x_b, v_b = x_b[-v_b > 0], v_b[-v_b > 0]
+        at_max = fam == 0  # the discriminant maxima, one copy per profile
+        at_disc = _in_bands(-fx[at_max], band[ti[at_max]], _lam_radius(lam_x[at_max]), np.inf)
+        cands = (
+            (groups, profiles[groups, i_min], sg[i_min]),
+            (row[~at_max] - n, fx[~at_max], x[~at_max]),
+            (np.r_[ti[at_max], n + ti[at_max]], at_disc.ravel(), np.tile(x[at_max], 2)),
+            (np.repeat(groups, len(x_b)), np.tile(1.0 / -v_b, 2 * n), np.tile(x_b, 2 * n)),
+        )
+        table += [np.column_stack([g, v, s, np.full(len(g), ci)]) for g, v, s in cands]
+    table = np.concatenate(table)
+    order = np.lexsort((table[:, 1], table[:, 0]))
+    # Every group has a grid minimum, so each has a first row in the order.
+    _, value, foot, comp = table[order[np.searchsorted(table[order, 0], groups)]].T.tolist()
+    wit = [FocalWitness(int(c), s, v) if v < np.inf else None for c, s, v in zip(comp, foot, value)]
     # the open band can only be larger
-    out = [(f0, max(fm, f0), {"focrad0": w0, "focradminus": wm}) for (f0, w0), (fm, wm) in best]
+    out = [(f0, max(fm, f0), {"focrad0": w0, "focradminus": wm})
+           for f0, fm, w0, wm in zip(value[:n], value[n:], wit[:n], wit[n:])]
     return out[0] if offsets is None else out
 
 
@@ -198,14 +201,8 @@ def _focal_slopes(curve, weight, s, fam, t, band):
 def _stack_rows(index_lists):
     """The grid indices of every row, stacked in row order, and the row
     number of each."""
-    idx = np.concatenate([np.asarray(i, dtype=int) for i in index_lists])
+    idx = np.concatenate(index_lists)
     return idx, np.repeat(np.arange(len(index_lists)), [len(i) for i in index_lists])
-
-
-def _split_rows(row, n_rows, *arrays):
-    """Per row number in range(n_rows), the slices of arrays stacked in row order."""
-    cuts = np.searchsorted(row, np.arange(1, n_rows))
-    return list(zip(*(np.split(a, cuts) for a in arrays)))
 
 
 # ---------------------------------------------------------------------------

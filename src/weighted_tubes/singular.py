@@ -150,7 +150,7 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
                              maxiter=brent_maxiter(step, 1e-14))
     except RuntimeError as exc:
         raise NumericError(f"sign change of g not refined: {exc}") from exc
-    touch = np.array(_extrema_indices(absg, curve.closed, "min", 64), dtype=int)
+    touch = _extrema_indices(absg, curve.closed, "min", 64)
     bend = np.abs(g[(touch + 1) % n] - 2.0 * g[touch] + g[touch - 1])
     near_bend = bends | np.roll(bends, 1) | np.roll(bends, -1)
     touch = touch[(absg[touch] <= _TOL_SNG + bend) & near_bend[touch]]

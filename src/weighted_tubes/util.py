@@ -27,7 +27,8 @@ def _extrema_indices(values, closed, kind, cap):
     A point qualifies when it is no worse than both neighbors and strictly
     better than at least one (so flat plateaus are skipped but symmetric
     ties around an off-grid extremum are kept). Open arcs pad with the
-    worst value, letting endpoints qualify. At most `cap` best indices.
+    worst value, letting endpoints qualify. An int array of at most `cap`
+    indices, best first.
     """
     v = np.asarray(values, dtype=float)
     sign = 1.0 if kind == "min" else -1.0
@@ -43,7 +44,7 @@ def _extrema_indices(values, closed, kind, cap):
         ok = (v <= left) & (v <= right) & ((v < left) | (v < right)) & np.isfinite(v)
     idx = np.nonzero(ok)[0]
     idx = idx[np.argsort(v[idx], kind="stable")]
-    return [int(i) for i in idx[:cap]]
+    return idx[:cap]
 
 
 def _distinct(values):
@@ -141,7 +142,6 @@ def _column_neighbours(cells, shape, per_rows, circulant=False):
 def _bracket(curve, sg, idx):
     """Brackets (lo, hi) around the grid indices idx: one grid step either
     side, clamped to the ends on open arcs."""
-    idx = np.asarray(idx, dtype=int)
     n = len(sg)
     if curve.closed:
         step = curve.length / n

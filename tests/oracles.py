@@ -35,9 +35,9 @@ from weighted_tubes import (
 from weighted_tubes.curves import CurvatureProfileCurve, _Piece
 from weighted_tubes.expmap import _offset_rows, _refine_rows, _rowdot, _rownorm
 from weighted_tubes.radii import (
+    _DELTA_BAND_FACTOR,
     _NEWTON_MAX_ITER,
     _TOL_DC,
-    _band,
     _feet,
     _feet_rows,
     _focal_terms,
@@ -208,7 +208,7 @@ def delta_lambda(curve, weight, s):
     """Pointwise focal data at s (band on the discriminant sign); lambda is
     None where the discriminant is below the band."""
     a, b, c, disc, lam = abc(curve, weight, np.asarray(s, dtype=float))
-    band = _band(np.max(a**2))
+    band = _DELTA_BAND_FACTOR * max(1.0, float(np.max(a**2)))
     r0, rm = _radius_profiles(b, disc, lam, band)
     if np.ndim(s) == 0:
         lam_val = float(lam) if disc >= -band else None

@@ -551,6 +551,8 @@ FOCAL_PINS = {
     "example3_family": (2.0, 4.140313876743611, (0, 0.0, 2.0), (0, 2.1311296085252267, 4.140313876743611)),
     "example4": (2.0, 4.0, (0, 3.256580054012322e-19, 2.0), (0, -1.0, 4.0)),
     "example6_family": (2.0, 4.0, (0, 3.256580054012322e-19, 2.0), (0, -1.0, 4.0)),
+    "example_separation": (1.7745207541065005, 2.356413330849016, (1, 0.0, 1.7745207541065005),
+                           (1, 11.336304289922417, 2.356413330849016)),
 }
 STADIUM_PAIRS = (  # (s1, s2, ratio)
     (0.0, 64.54003177342173, 33.50279546973922),
@@ -641,6 +643,78 @@ class TestPinnedRefinement:
         table = find_double_critical_pairs(scene.pairs, scene.tolerances)
         got = table[:, [COL["s1"], COL["s2"], COL["ratio"]]].tolist()
         assert [tuple(row) for row in got] == list(expected)
+
+
+class TestFocalTable:
+    def test_an_infinite_radius_has_no_witness(self):
+        # A straight segment of constant weight: lam = 0 and mu' = 0 at every
+        # foot, so every candidate reads +inf.
+        from weighted_tubes import load_scene
+
+        scene = load_scene({
+            "ambient_dim": 2,
+            "components": [{"kind": "chebyshev", "params": {
+                "coefficients": [[0.0, 1.0], [0.0, 0.0]], "raw_domain": [-1.0, 1.0]}}],
+            "weights": [{"kind": "constant", "params": {"value": 1.0}}],
+        })
+        nowhere = (np.inf, np.inf, {"focrad0": None, "focradminus": None})
+        assert focal_radii(scene.pairs, scene.tolerances) == nowhere
+        assert focal_radii(scene.pairs, scene.tolerances, [0.0, 1.0]) == [nowhere] * 2
+
+    @pytest.mark.parametrize("x0", [(0.0, 16.0), (0.0, -16.0)])
+    def test_a_tie_across_components_goes_to_the_first(self, x0):
+        # Two copies of one Fourier curve and weight, translated to each x0.
+        # A translation changes no candidate's bits, so every candidate of
+        # the second copy ties with the first's; each copy alone has the
+        # same radii and feet.
+        from weighted_tubes import load_scene
+
+        scene = load_scene({
+            "ambient_dim": 2,
+            "components": [{"kind": "fourier", "params": {"coefficients": [
+                [x, 2.0, 0.0, 0.1, 0.0], [0.0, 0.0, 1.0, 0.0, 0.05]]}} for x in x0],
+            "weights": [{"kind": "fourier", "params": {"coefficients": [1.0, 0.1, 0.05]}}] * 2,
+        })
+        pinned = (0.462794781921752, 0.0028973992364389003)
+        for pairs in (scene.pairs[:1], scene.pairs[1:]):
+            f0, fm, wit = focal_radii(pairs, scene.tolerances)
+            assert [(w.value, w.s) for w in wit.values()] == [pinned, pinned]
+        f0, fm, wit = focal_radii(scene.pairs, scene.tolerances)
+        assert (f0, fm) == (pinned[0], pinned[0])
+        assert [(w.component, w.s, w.value) for w in wit.values()] == [(0, pinned[1], pinned[0])] * 2
+
+
+# Offsets t = +-2^-k, k = 20..45, batched in one report per scene. Where
+# t = -2^-k for the listed k, the ordering clamp tir = min(max(tir, lr), ur)
+# lifts tir from its least collapse arc radius to lr or ur.
+DYADIC_CLAMPS = {"example3_family": range(28, 46), "example_separation": range(28, 40)}
+DYADIC_ROWS = [(name, sign, k) for name in DYADIC_CLAMPS for k in range(20, 46) for sign in (1, -1)]
+
+
+@functools.cache
+def dyadic_reports(name):
+    from weighted_tubes import load_scene
+
+    scene = load_scene(name)
+    ts = [sign * 2.0**-k for n, sign, k in DYADIC_ROWS if n == name]
+    return dict(zip(ts, radii_report(scene.pairs, scene.tolerances, ts)))
+
+
+def dyadic_row(name, sign, k):
+    clamped = sign < 0 and k in DYADIC_CLAMPS[name]
+    return pytest.param(name, sign * 2.0**-k, id=f"{name}-{'+-'[sign < 0]}2^-{k}", marks=[pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: the clamp tir = min(max(tir, lr), ur) lifts tir off its "
+                            "least collapse arc radius")] if clamped else [])
+
+
+class TestDyadicSelfConsistency:
+    @pytest.mark.parametrize("name, t", [dyadic_row(*row) for row in DYADIC_ROWS])
+    def test_ordering_and_tir_is_the_least_arc_radius(self, name, t):
+        r = dyadic_reports(name)[t]
+        arcs = r.witnesses["collapse_arcs"]
+        assert r.dir <= r.tir <= r.air
+        if arcs:
+            assert r.tir == min(arc.r for arc in arcs)
 
 
 # The scalar pair verification and deduplication the search once ran on each
@@ -1058,9 +1132,23 @@ def bracket_rows(curve, sg, index_lists):
     return (*radii._bracket(curve, sg, idx), row)
 
 
+def split_rows(row, n_rows, *arrays):
+    """Per row number in range(n_rows), the slices of arrays stacked in row order."""
+    cuts = np.searchsorted(row, np.arange(1, n_rows))
+    return list(zip(*(np.split(a, cuts) for a in arrays)))
+
+
+def focal_band(a_sq_max):
+    """The focal-sign band of one offset from its largest kappa^2 mu^2."""
+    return radii._DELTA_BAND_FACTOR * max(1.0, float(a_sq_max))
+
+
 # The focal refinement by golden section, as it ran before its families
 # shared one call: four row-wise golden-section calls per component, each
-# paying its own order-2 evaluations (oracle for the slope-root refinement).
+# paying its own order-2 evaluations, and per (profile, t) the first
+# smallest of a Python list of candidates, a later component winning only
+# when strictly smaller (oracle for the slope-root refinement and for the
+# candidate table).
 def four_call_focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     pairs = as_pairs(pairs)
     ts = radii._offset_array(offsets)
@@ -1070,7 +1158,7 @@ def four_call_focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         kap = curve.curvature(sg)
         mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
         a, b, disc, lam = radii._focal_terms(kap, mu + ts[:, None], d1, d2)
-        band = np.array([radii._band(np.max(row**2)) for row in a])
+        band = np.array([focal_band(np.max(row**2)) for row in a])
         r0, rm = radii._radius_profiles(b, disc, lam, band[:, None])
 
         def radius(s, t, bd, which):
@@ -1090,17 +1178,17 @@ def four_call_focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
             tol=1e-13,
         )
         slope = [(1.0 / float(v), float(x)) for v, x in zip(b_val, s_b) if v > 0]
-        disc_rows = radii._split_rows(rd, len(ts), s_d, d_val, lam_d)
+        disc_rows = split_rows(rd, len(ts), s_d, d_val, lam_d)
         for which, profile in ((0, r0), (1, rm)):
             i_min = [int(np.argmin(p)) for p in profile]
             lo, hi, rp = bracket_rows(curve, sg, [
-                [i] + radii._extrema_indices(p, curve.closed, "min", 8) for i, p in zip(i_min, profile)
+                np.r_[i, radii._extrema_indices(p, curve.closed, "min", 8)] for i, p in zip(i_min, profile)
             ])
             s_ref, v_ref = golden_min(
                 lambda s, t, bd, which=which: radius(s, t, bd, which),
                 lo, hi, tol=1e-12, args=(ts[rp], band[rp]),
             )
-            ref_rows = radii._split_rows(rp, len(ts), s_ref, v_ref)
+            ref_rows = split_rows(rp, len(ts), s_ref, v_ref)
             for k, ((xs, vs), (xd, dv, ld)) in enumerate(zip(ref_rows, disc_rows)):
                 in_band = dv >= -band[k] if which == 0 else dv > band[k]
                 cands = [(float(profile[k, i_min[k]]), float(sg[i_min[k]]))]
@@ -1525,7 +1613,7 @@ class TestTwoArcs:
             inward = -curve.point(np.array([s]))[0]
             assert np.max(np.abs(exp_mu(curve, weight, s, inward, height))) <= 2e-16
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the radii ignore the arc ends, so this "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the radii ignore the arc ends, so this "
                                            "scene reports dir 2, tir 3 and air 4")
     def test_air_is_at_most_the_height_of_a_second_preimage(self):
         from weighted_tubes import load_scene
