@@ -8,6 +8,8 @@ or closed-form differentiation, never finite differences, so curvature
 and the third derivative are trustworthy at machine precision.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
@@ -484,15 +486,18 @@ class EllipseCurve(FourierCurve):
 class _Piece:
     """One maximal piece of a curvature profile on [s0, s1].
 
-    kind 'const': kappa = k0.
+    kind 'const': kappa = k0, of shape 'line' where k0 = 0 and 'arc' otherwise.
     kind 'step':  kappa = k0 + (k1 - k0) * S((s - s0) / (s1 - s0)) with the
     quintic smoothstep S, so the profile is C^2 and the curve C^4.
+    The walk sets the start state theta0, x0, y0 and cos0, sin0 of theta0.
     """
 
-    __slots__ = ("s0", "s1", "kind", "k0", "k1", "theta0", "x0", "y0")
+    FIELDS = ("s0", "s1", "k0", "k1", "theta0", "x0", "y0", "cos0", "sin0")
+    __slots__ = ("kind", "shape") + FIELDS
 
     def __init__(self, s0, s1, kind, k0, k1):
         self.s0, self.s1, self.kind, self.k0, self.k1 = s0, s1, kind, k0, k1
+        self.shape = "step" if kind == "step" else "arc" if k0 != 0.0 else "line"
 
 
 class CurvatureProfileCurve(ArclengthCurve):
@@ -503,15 +508,20 @@ class CurvatureProfileCurve(ArclengthCurve):
     exact integral of kappa (piecewise polynomial), positions use closed
     forms on constant pieces and Gauss-Legendre on the short smoothstep
     transitions. Only [0, L/2] is stored; s in [L/2, L] is evaluated by
-    mirror symmetry about the x-axis.
+    mirror symmetry about the x-axis. The walked pieces' constants form one
+    table, a column per piece, that the jets gather per foot.
     """
 
     _GL_N = 24
+    _SHAPES = ("arc", "line", "step")
 
     def __init__(self, pieces):
         self._pieces = pieces
         self._end_state = self._walk(pieces, (1.0, 0.0, np.pi / 2.0))
         super().__init__(2, 2.0 * pieces[-1].s1, True, 0.0)
+        self._table = np.array([[getattr(p, f) for p in pieces] for f in _Piece.FIELDS])
+        self._shapes = np.array([self._SHAPES.index(p.shape) for p in pieces])
+        self._ends = np.array([p.s1 for p in pieces[:-1]])  # past them all: the last piece
 
     def _walk(self, pieces, state):
         """Set the pieces' start states from `state` = (x, y, theta) on; returns the end state."""
@@ -519,94 +529,69 @@ class CurvatureProfileCurve(ArclengthCurve):
             raise NonRegularCurveError("a curvature-profile piece has zero width")
         x, y, th = state
         for p in pieces:
-            p.theta0, p.x0, p.y0 = th, x, y
-            th, x, y = self._piece_state(p, p.s1)
+            p.theta0, p.x0, p.y0, p.cos0, p.sin0 = th, x, y, np.cos(th), np.sin(th)
+            th, x, y = self._piece_jet(p.shape, p, p.s1, 0)[:3]
         return x, y, th
 
-    # -- profile primitives --------------------------------------------------
-
-    def _theta_local(self, p, s):
-        """theta(s) - theta(p.s0) for s within piece p (vectorized)."""
+    def _piece_jet(self, shape, p, s, order):
+        """(theta, x, y, cos theta, sin theta, kappa, kappa') at the feet s of
+        pieces of one shape (a transition leaves those above `order` None); p
+        holds the pieces' constants (see _Piece), scalars or one per foot.
+        Positions are closed forms on lines and arcs, where the position's cos
+        and sin of theta (theta0 on a line) serve the tangent, and
+        Gauss-Legendre over [s0, s] on transitions. The walk and the jets
+        share it."""
         ds = s - p.s0
-        if p.kind == "const":
-            return p.k0 * ds
-        w = p.s1 - p.s0
-        u = ds / w
-        return p.k0 * ds + (p.k1 - p.k0) * w * quintic_smoothstep_int(u)
-
-    def _kappa_local(self, p, s):
-        if p.kind == "const":
-            return np.full(np.shape(s), p.k0, dtype=float)
-        u = (s - p.s0) / (p.s1 - p.s0)
-        return p.k0 + (p.k1 - p.k0) * quintic_smoothstep(u)
-
-    def _kappa_rate_local(self, p, s):
-        if p.kind == "const":
-            return np.zeros(np.shape(s), dtype=float)
-        w = p.s1 - p.s0
-        u = (s - p.s0) / w
-        return (p.k1 - p.k0) / w * quintic_smoothstep_d1(u)
-
-    # -- vectorized evaluation -------------------------------------------------
-
-    def _piece_index(self, s):
-        bounds = np.array([p.s1 for p in self._pieces])
-        return np.clip(np.searchsorted(bounds, s, side="left"), 0, len(self._pieces) - 1)
-
-    def _piece_state(self, p, s):
-        """(theta, x, y) at the feet s inside piece p (a scalar or an array):
-        positions in closed form on constant pieces and by Gauss-Legendre
-        over [p.s0, s] on transitions."""
-        th = p.theta0 + self._theta_local(p, s)
-        if p.kind == "const" and p.k0 == 0.0:
-            ds = s - p.s0
-            return th, p.x0 + ds * np.cos(p.theta0), p.y0 + ds * np.sin(p.theta0)
-        if p.kind == "const":
-            k = p.k0
-            return (th, p.x0 + (np.sin(th) - np.sin(p.theta0)) / k,
-                    p.y0 + (-np.cos(th) + np.cos(p.theta0)) / k)
-        nodes, wts = gauss_legendre(self._GL_N)
-        h = np.asarray(s, dtype=float) - p.s0
-        tt = p.theta0 + self._theta_local(p, p.s0 + h[..., None] * nodes)
-        return (th, p.x0 + (np.cos(tt) * wts).sum(axis=-1) * h,
-                p.y0 + (np.sin(tt) * wts).sum(axis=-1) * h)
-
-    def _half_jet(self, s, order):
-        """Jet on the stored half-profile domain [0, half-length]."""
-        idx = self._piece_index(s)
-        outs = [np.zeros(s.shape + (2,)) for _ in range(order + 1)]
-        for j, p in enumerate(self._pieces):
-            m = idx == j
-            if not np.any(m):
-                continue
-            sj = s[m]
-            th, x, y = self._piece_state(p, sj)
-            outs[0][m, 0], outs[0][m, 1] = x, y
-            if order == 0:
-                continue
+        if shape == "line":
+            return p.theta0 + p.k0 * ds, p.x0 + ds * p.cos0, p.y0 + ds * p.sin0, p.cos0, p.sin0, p.k0, 0.0
+        if shape == "arc":
+            th = p.theta0 + p.k0 * ds
             cos, sin = np.cos(th), np.sin(th)
-            outs[1][m, 0], outs[1][m, 1] = cos, sin
-            if order == 1:
-                continue
-            k = self._kappa_local(p, sj)
-            outs[2][m, 0], outs[2][m, 1] = -k * sin, k * cos
-            if order == 2:
-                continue
-            kr = self._kappa_rate_local(p, sj)
-            outs[3][m, 0] = -kr * sin - k * k * cos
-            outs[3][m, 1] = kr * cos - k * k * sin
-        return outs
+            return th, p.x0 + (sin - p.sin0) / p.k0, p.y0 + (-cos + p.cos0) / p.k0, cos, sin, p.k0, 0.0
+        w, dk = p.s1 - p.s0, p.k1 - p.k0
+
+        def turn(d, k0, dkw, w):  # theta - theta0 at d = s - s0
+            return k0 * d + dkw * quintic_smoothstep_int(d / w)
+
+        # The nodes on [s0, s] run along a last axis, so the constants get one.
+        nodes, wts = gauss_legendre(self._GL_N)
+        s0, th0, k0, dkw, wc = (np.asarray(a)[..., None] for a in (p.s0, p.theta0, p.k0, dk * w, w))
+        tt = th0 + turn(s0 + np.asarray(ds)[..., None] * nodes - s0, k0, dkw, wc)
+        th = p.theta0 + turn(ds, p.k0, dk * w, w)
+        x = p.x0 + (np.cos(tt) * wts).sum(axis=-1) * ds
+        y = p.y0 + (np.sin(tt) * wts).sum(axis=-1) * ds
+        cos, sin = (np.cos(th), np.sin(th)) if order >= 1 else (None, None)
+        k = p.k0 + dk * quintic_smoothstep(ds / w) if order >= 2 else None
+        kr = dk / w * quintic_smoothstep_d1(ds / w) if order >= 3 else None
+        return th, x, y, cos, sin, k, kr
 
     def _jet(self, s, order):
+        """The feet of each piece shape at once, each with its own piece's
+        constants, on the stored half [0, L/2]; mirrored beyond it."""
         hi = s > self.length / 2.0
-        outs = self._half_jet(np.where(hi, self.length - s, s), order)
+        s = np.where(hi, self.length - s, s)
+        j = np.searchsorted(self._ends, s, side="left")
+        shapes = self._shapes[j]
+        outs = [np.empty(s.shape + (2,)) for _ in range(order + 1)]
+        for code, shape in enumerate(self._SHAPES):
+            feet = np.flatnonzero(shapes == code)
+            if not len(feet):
+                continue
+            p = SimpleNamespace(**dict(zip(_Piece.FIELDS, np.take(self._table, j[feet], axis=1))))
+            _, x, y, cos, sin, k, kr = self._piece_jet(shape, p, s[feet], order)
+            outs[0][feet, 0], outs[0][feet, 1] = x, y
+            if order >= 1:
+                outs[1][feet, 0], outs[1][feet, 1] = cos, sin
+            if order >= 2:
+                outs[2][feet, 0], outs[2][feet, 1] = -k * sin, k * cos
+            if order >= 3:
+                outs[3][feet, 0], outs[3][feet, 1] = -kr * sin - k * k * cos, kr * cos - k * k * sin
         # Mirror about the x-axis: gamma(L-s) = M gamma(s), M = diag(1,-1);
-        # odd derivative orders pick up an extra overall sign.
-        sign_y = np.where(hi, -1.0, 1.0)
+        # odd derivative orders pick up an extra overall sign, so y changes
+        # sign on even orders and x on odd ones.
+        sign = np.where(hi, -1.0, 1.0)
         for n, out in enumerate(outs):
-            out = out * np.where(hi & (n % 2 == 1), -1.0, 1.0)[..., None]
-            out[..., 1] *= sign_y
-            outs[n] = out
+            out[:, (n + 1) % 2] *= sign
         return tuple(outs)
 
 

@@ -113,12 +113,14 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     (focrad0, focradminus, witnesses): the curve and weight jets on the grid
     are evaluated once, and the bracket rows of every t share the
     refinement call, each row carrying its t and band. The slope maxima do
-    not depend on t, so one set of rows serves every t. The profiles are
-    sampled on each component's `singular.dense_grid`.
+    not depend on t, so one set of rows serves every t; no offsets give [].
+    The profiles are sampled on each component's `singular.dense_grid`.
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
     n = len(ts)
+    if not n:
+        return []
     groups = np.arange(2 * n)
     table = []
     for ci, (curve, weight) in enumerate(pairs):
@@ -256,11 +258,13 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     PAIR_COLUMNS (Newton's residual, the angle law's at each foot), then the
     midpoint x1..xn, in the order of _dedup_rows. With offsets (distinct
     values), the pairs of mu + t for every t, grouped by t in the order
-    given (t = 0.0 without): the grid geometry is shared, and one Newton
-    runs over the seeds of every t.
+    given (t = 0.0 without; none for an empty list): the grid geometry is
+    shared, and one Newton runs over the seeds of every t.
     """
     pairs = as_pairs(pairs)
     ts = _offset_array(offsets)
+    if not len(ts):
+        return np.empty((0, len(PAIR_COLUMNS) + pairs[0][0].ambient_dim))
     found = [_search_component_pair(pairs, i, j, ts, tol)
              for i in range(len(pairs)) for j in range(i, len(pairs))]
     rows = {key: np.concatenate([f[key] for f in found]) for key in found[0]}

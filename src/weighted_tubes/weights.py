@@ -9,11 +9,23 @@ for weight families. `validate_on` rejects a weight that is not finite
 and positive on the curve's domain.
 """
 
+from itertools import zip_longest
+
 import numpy as np
 from numpy.polynomial import polynomial as nppoly
 
 from .curves import _chebyshev_derivatives, _FourierSeries, _shaped_jet
 from .errors import NonpositiveWeightError
+
+
+def _horner(x, c):
+    """The polynomials sum_i c[i] x^i (c's first axis; the rest broadcast
+    against x) by `nppoly.polyval`'s own operations and so with its bits: at
+    finite x, high-order zero rows change nothing."""
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return acc
 
 
 class WeightFunction:
@@ -73,7 +85,7 @@ class PolynomialWeight(WeightFunction):
         self._p = [c] + [nppoly.polyder(c, m) for m in range(1, 4)]
 
     def _jet(self, s, order):
-        return tuple(nppoly.polyval(s, p) for p in self._p[:order + 1])
+        return tuple(_horner(s, p) for p in self._p[:order + 1])
 
 
 class CosineWeight(WeightFunction):
@@ -204,21 +216,19 @@ class SymmetricPiecewiseWeight(WeightFunction):
         self.plateau = float(pieces[-1][3])
         if self.plateau <= 0:
             raise NonpositiveWeightError("blend plateau is non-positive; widen the stages")
-        # Coefficients of mu and its first three derivatives, per piece.
-        self._pieces = [
-            (lo, hi, [coeffs] + [nppoly.polyder(coeffs, m) for m in range(1, 4)])
-            for lo, hi, coeffs, _, _ in pieces
-        ]
-        self._starts = np.array([lo for lo, _, _ in self._pieces])
+        # Per order, every piece's coefficients in one table, a column per
+        # piece padded with high-order zeros; a piece's own are its column.
+        mu = np.array(list(zip_longest(*(c for _, _, c, _, _ in pieces), fillvalue=0.0)))
+        self._tables = [mu] + [nppoly.polyder(mu, m) for m in range(1, 4)]
+        self._starts = np.array([lo for lo, *_ in pieces])
+        self._pieces = [(lo, hi, [c[:, j] for c in self._tables]) for j, (lo, hi, *_) in enumerate(pieces)]
 
     @staticmethod
     def _integrate_piece(u_lo, width, d2_coeffs, value0, slope0):
         """Integrate mu'' coefficients twice on local x in [0, width]."""
         d1 = nppoly.polyint(d2_coeffs, 1, k=[slope0])
         mu = nppoly.polyint(d1, 1, k=[value0])
-        end_val = float(nppoly.polyval(width, mu))
-        end_slope = float(nppoly.polyval(width, d1))
-        return (u_lo, u_lo + width, mu, end_val, end_slope)
+        return (u_lo, u_lo + width, mu, float(_horner(width, mu)), float(_horner(width, d1)))
 
     def _fold(self, s):
         s = np.mod(s, self.period)
@@ -241,14 +251,14 @@ class SymmetricPiecewiseWeight(WeightFunction):
         for n, out in enumerate(outs):
             out[m_flat] = self.plateau if n == 0 else 0.0
         # A foot between the cosine and the plateau belongs to the last piece
-        # starting at or below it, so a foot on a piece start is evaluated too.
-        piece = np.where(m_cos | m_flat, -1, np.searchsorted(self._starts, u, side="right") - 1)
-        for j, (lo, _, coeffs) in enumerate(self._pieces):
-            m = piece == j
-            if not np.any(m):
-                continue
-            for n, out in enumerate(outs):
-                out[m] = nppoly.polyval(u[m] - lo, coeffs[n])
+        # starting at or below it, so a foot on a piece start is evaluated
+        # too; it gathers that piece's coefficients once per order.
+        feet = np.flatnonzero(~(m_cos | m_flat))
+        if len(feet):
+            piece = np.searchsorted(self._starts, u[feet], side="right") - 1
+            x = u[feet] - self._starts[piece]
+            for out, table in zip(outs, self._tables):
+                out[feet] = _horner(x, table[:, piece])
         # Odd derivatives change sign under the fold.
         return tuple(out * sign if n % 2 == 1 else out for n, out in enumerate(outs))
 

@@ -9,8 +9,9 @@ s-derivatives and sigma's gradient that one closed form replaced, the pair
 Newton that runs every active row to the last pass, the pair search's
 per-offset seed loop, and the
 evaluators the shared series and piece code replaced: the Fourier weight's
-own per-mode jet, the stadium's per-piece advance and the run finder's
-loop, and the stadium solve that built the whole curve on every trial."""
+own per-mode jet, the stadium's per-piece advance and its per-piece jet,
+the run finder's loop, and the stadium solve that built the whole curve on
+every trial."""
 
 from dataclasses import dataclass, field
 
@@ -44,7 +45,15 @@ from weighted_tubes.radii import (
     _radius_profiles,
     _stencil,
 )
-from weighted_tubes.util import as_pairs, brent_rows, gauss_legendre, golden_min
+from weighted_tubes.util import (
+    as_pairs,
+    brent_rows,
+    gauss_legendre,
+    golden_min,
+    quintic_smoothstep,
+    quintic_smoothstep_d1,
+    quintic_smoothstep_int,
+)
 
 
 def dense_grid_argmin(pts, gp, mug):
@@ -641,13 +650,108 @@ def profile_advance(curve, p, s_end):
         return dx, dy, th1 - p.theta0
     nodes, wts = gauss_legendre(curve._GL_N)
     ss = p.s0 + (s_end - p.s0) * nodes
-    th = p.theta0 + curve._theta_local(p, ss)
+    th = p.theta0 + theta_local(p, ss)
     h = s_end - p.s0
     return (
         float(np.sum(np.cos(th) * wts) * h),
         float(np.sum(np.sin(th) * wts) * h),
-        float(curve._theta_local(p, np.asarray(s_end))),
+        float(theta_local(p, np.asarray(s_end))),
     )
+
+
+# CurvatureProfileCurve before its jets gathered piece constants per foot,
+# kept verbatim: the per-piece profile primitives and the loop over pieces.
+
+
+def theta_local(p, s):
+    """theta(s) - theta(p.s0) for s within piece p (vectorized)."""
+    ds = s - p.s0
+    if p.kind == "const":
+        return p.k0 * ds
+    w = p.s1 - p.s0
+    u = ds / w
+    return p.k0 * ds + (p.k1 - p.k0) * w * quintic_smoothstep_int(u)
+
+
+def kappa_local(p, s):
+    if p.kind == "const":
+        return np.full(np.shape(s), p.k0, dtype=float)
+    u = (s - p.s0) / (p.s1 - p.s0)
+    return p.k0 + (p.k1 - p.k0) * quintic_smoothstep(u)
+
+
+def kappa_rate_local(p, s):
+    if p.kind == "const":
+        return np.zeros(np.shape(s), dtype=float)
+    w = p.s1 - p.s0
+    u = (s - p.s0) / w
+    return (p.k1 - p.k0) / w * quintic_smoothstep_d1(u)
+
+
+def piece_index(curve, s):
+    bounds = np.array([p.s1 for p in curve._pieces])
+    return np.clip(np.searchsorted(bounds, s, side="left"), 0, len(curve._pieces) - 1)
+
+
+def piece_state(curve, p, s):
+    """(theta, x, y) at the feet s inside piece p (a scalar or an array):
+    positions in closed form on constant pieces and by Gauss-Legendre
+    over [p.s0, s] on transitions."""
+    th = p.theta0 + theta_local(p, s)
+    if p.kind == "const" and p.k0 == 0.0:
+        ds = s - p.s0
+        return th, p.x0 + ds * np.cos(p.theta0), p.y0 + ds * np.sin(p.theta0)
+    if p.kind == "const":
+        k = p.k0
+        return (th, p.x0 + (np.sin(th) - np.sin(p.theta0)) / k,
+                p.y0 + (-np.cos(th) + np.cos(p.theta0)) / k)
+    nodes, wts = gauss_legendre(curve._GL_N)
+    h = np.asarray(s, dtype=float) - p.s0
+    tt = p.theta0 + theta_local(p, p.s0 + h[..., None] * nodes)
+    return (th, p.x0 + (np.cos(tt) * wts).sum(axis=-1) * h,
+            p.y0 + (np.sin(tt) * wts).sum(axis=-1) * h)
+
+
+def per_piece_half_jet(curve, s, order):
+    """Jet on the stored half-profile domain [0, half-length]."""
+    idx = piece_index(curve, s)
+    outs = [np.zeros(s.shape + (2,)) for _ in range(order + 1)]
+    for j, p in enumerate(curve._pieces):
+        m = idx == j
+        if not np.any(m):
+            continue
+        sj = s[m]
+        th, x, y = piece_state(curve, p, sj)
+        outs[0][m, 0], outs[0][m, 1] = x, y
+        if order == 0:
+            continue
+        cos, sin = np.cos(th), np.sin(th)
+        outs[1][m, 0], outs[1][m, 1] = cos, sin
+        if order == 1:
+            continue
+        k = kappa_local(p, sj)
+        outs[2][m, 0], outs[2][m, 1] = -k * sin, k * cos
+        if order == 2:
+            continue
+        kr = kappa_rate_local(p, sj)
+        outs[3][m, 0] = -kr * sin - k * k * cos
+        outs[3][m, 1] = kr * cos - k * k * sin
+    return outs
+
+
+def per_piece_profile_jet(curve, s, order):
+    """curve.jet(s, order) of a CurvatureProfileCurve by the loop over pieces:
+    wrapped feet, the half jet and the mirror of the old `_jet`."""
+    s = curve.wrap(s)
+    s1 = np.atleast_1d(s)
+    hi = s1 > curve.length / 2.0
+    outs = per_piece_half_jet(curve, np.where(hi, curve.length - s1, s1), order)
+    sign_y = np.where(hi, -1.0, 1.0)
+    for n, out in enumerate(outs):
+        out = out * np.where(hi & (n % 2 == 1), -1.0, 1.0)[..., None]
+        out[..., 1] *= sign_y
+        outs[n] = out
+    return tuple(out[0] for out in outs) if s.ndim == 0 else tuple(outs)
 
 
 def runs_loop(mask, periodic):

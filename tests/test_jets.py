@@ -30,15 +30,20 @@ from weighted_tubes import (
 )
 from weighted_tubes.curves import CurvatureProfileCurve, _RawCurve
 from weighted_tubes.expmap import f_prime, f_second, f_value
-from weighted_tubes.util import gauss_legendre, quintic_smoothstep, quintic_smoothstep_d1
+from weighted_tubes.util import gauss_legendre
 
 from oracles import (
     fourier_weight_jet,
+    kappa_local,
+    kappa_rate_local,
+    per_piece_profile_jet,
+    piece_index,
     profile_advance,
     split_f_prime,
     split_f_second,
     split_f_value,
     split_sigma_and_grad,
+    theta_local,
 )
 
 
@@ -85,14 +90,14 @@ def _raw_order(curve, s, order):
 
 
 def _profile_half_order(curve, s, order):
-    idx = curve._piece_index(s)
+    idx = piece_index(curve, s)
     out = np.zeros(s.shape + (2,))
     for j, p in enumerate(curve._pieces):
         m = idx == j
         if not np.any(m):
             continue
         sj = s[m]
-        th = p.theta0 + curve._theta_local(p, sj)
+        th = p.theta0 + theta_local(p, sj)
         if order == 0:
             if p.kind == "const" and p.k0 == 0.0:
                 ds = sj - p.s0
@@ -106,18 +111,18 @@ def _profile_half_order(curve, s, order):
                 nodes, wts = gauss_legendre(curve._GL_N)
                 h = sj - p.s0
                 ss = p.s0 + h[:, None] * nodes[None, :]
-                tt = p.theta0 + curve._theta_local(p, ss)
+                tt = p.theta0 + theta_local(p, ss)
                 x = p.x0 + (np.cos(tt) * wts[None, :]).sum(axis=1) * h
                 y = p.y0 + (np.sin(tt) * wts[None, :]).sum(axis=1) * h
             out[m, 0], out[m, 1] = x, y
         elif order == 1:
             out[m, 0], out[m, 1] = np.cos(th), np.sin(th)
         elif order == 2:
-            k = curve._kappa_local(p, sj)
+            k = kappa_local(p, sj)
             out[m, 0], out[m, 1] = -k * np.sin(th), k * np.cos(th)
         else:
-            k = curve._kappa_local(p, sj)
-            kr = curve._kappa_rate_local(p, sj)
+            k = kappa_local(p, sj)
+            kr = kappa_rate_local(p, sj)
             out[m, 0] = -kr * np.sin(th) - k * k * np.cos(th)
             out[m, 1] = kr * np.cos(th) - k * k * np.sin(th)
     return out
@@ -576,3 +581,29 @@ def test_stadium_piece_end_states_are_the_advance(params):
         dx, dy, dth = profile_advance(curve, p, p.s1)
         want = np.array([p.x0 + dx, p.y0 + dy, p.theta0 + dth])
         assert np.array(end).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    {}, {"circle_turn": 0.5, "transition": 0.1, "line_length": 3.0},
+    {"circle_turn": 0.2, "transition": 0.02, "line_length": 11.0},
+])
+def test_stadium_jet_is_the_per_piece_loop(params):
+    # The jet evaluates each piece shape's feet at once with their pieces'
+    # gathered constants; the loop over pieces it replaced gives its bytes,
+    # the sign of every zero included.
+    curve = make_stadium(**params)
+    length = curve.length
+    ends = np.array([x for p in curve._pieces for x in (p.s0, p.s1)])
+    s = np.concatenate([
+        ends, [length / 2], length - ends, [-0.3, -length / 2 - 1.0, -2.5 * length],
+        [length + 0.2, 2.5 * length, length], np.random.default_rng(4).uniform(0.0, length, 2000),
+    ])
+    for order in range(4):
+        jet, old = curve.jet(s, order), per_piece_profile_jet(curve, s, order)
+        assert len(jet) == len(old) == order + 1
+        for a, b in zip(jet, old):
+            np.testing.assert_array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+        for x in np.r_[ends, length / 2, length - ends, -0.3, length + 0.2]:
+            for a, b in zip(curve.jet(float(x), order), per_piece_profile_jet(curve, float(x), order)):
+                assert a.shape == b.shape == (2,) and a.tobytes() == b.tobytes()

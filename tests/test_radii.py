@@ -922,6 +922,15 @@ class TestPairTable:
             midpoint = q1 + row[COL["ratio"]] * mu1 * (q2 - q1) / np.linalg.norm(q2 - q1)
             np.testing.assert_allclose(row[9:], midpoint, rtol=0, atol=1e-12)
 
+    def test_no_offsets(self, scenes):
+        # An empty offset list has no radii and no pair rows, as
+        # radii_report has no reports.
+        pairs = scenes["example4"].pairs
+        assert focal_radii(pairs, DEFAULT_TOLERANCES, offsets=[]) == []
+        table = find_double_critical_pairs(pairs, DEFAULT_TOLERANCES, offsets=[])
+        assert table.shape == (0, len(PAIR_COLUMNS) + 2) and table.dtype == float
+        assert radii_report(pairs, DEFAULT_TOLERANCES, offsets=[]) == []
+
     def test_no_pairs_is_an_empty_table(self):
         pairs = [(CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight())]
         assert find_double_critical_pairs(pairs).shape == (0, 9 + 2)

@@ -244,6 +244,36 @@ def test_distinct_is_unique():
         assert util._distinct(values).tolist() == np.unique(values).tolist()
 
 
+def python_extrema(values, closed, kind, cap):
+    """The candidates of util._extrema_indices by a loop over the samples,
+    ranked by Python's stable sort: best first, ties in index order."""
+    v = [(1.0 if kind == "min" else -1.0) * float(x) for x in values]
+    n = len(v)
+    found = []
+    for i, x in enumerate(v):
+        left = v[i - 1] if closed or i > 0 else np.inf
+        right = v[(i + 1) % n] if closed or i < n - 1 else np.inf
+        if x <= left and x <= right and (x < left or x < right) and np.isfinite(x):
+            found.append(i)
+    return sorted(found, key=lambda i: v[i])[:cap]
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("kind", ["min", "max"])
+def test_extrema_cap_keeps_ties_in_index_order(closed, kind):
+    # Noise on a few levels has hundreds of extrema and ties at the cap-th
+    # value: the cut keeps the first of the tied candidates in index order.
+    rng = np.random.default_rng(12)
+    row = rng.integers(0, 5, 2001).astype(float)
+    row[::2] = rng.integers(-3, 9, 1001)  # every other sample a spike or a dip
+    for cap in (1, 4, 8, 37, 64, 10_000):
+        want = python_extrema(row, closed, kind, cap)
+        got = util._extrema_indices(row, closed, kind, cap)
+        assert got.dtype == np.intp and got.tolist() == want, cap
+    ranked = [(1.0 if kind == "min" else -1.0) * row[i] for i in python_extrema(row, closed, kind, 10_000)]
+    assert len(ranked) > 64 and ranked[7] == ranked[8]  # a cut inside a tie at cap = 8
+
+
 # ---------------------------------------------------------------------------
 # brent_rows against scipy's brentq
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as nppoly
 
+import weighted_tubes
 from weighted_tubes import (
     ChebyshevWeight,
     CircleArcCurve,
@@ -14,7 +18,7 @@ from weighted_tubes import (
     build_weight,
     make_stadium,
 )
-from weighted_tubes.weights import WEIGHT_KINDS
+from weighted_tubes.weights import WEIGHT_KINDS, _horner
 
 
 class TestEvaluation:
@@ -184,6 +188,47 @@ class TestStadiumBlend:
         curve, w = blend
         s = curve.grid(4096)
         assert float(np.min(w.mu(s))) > 0.25
+
+
+def horner_feet(size, seed):
+    """size feet: every special value first (negative, -0.0, +-inf), then
+    uniform noise on [-4, 4]."""
+    special = np.array([-0.0, -1.5, np.inf, 0.0, -np.inf, -3.0, 2.0, -1e-300])
+    rng = np.random.default_rng(seed)
+    return np.concatenate([special, rng.uniform(-4.0, 4.0, max(size - len(special), 0))])[:size]
+
+
+class TestHorner:
+    ROWS = [[0.0], [2.0], [-0.0, 1.0], [1.0, 0.1, -0.05, 0.01], [0.3, -2.0, 0.0, 1e-3, -7.0, 0.25, 3.0, -0.5]]
+
+    @pytest.mark.parametrize("size", [0, 1, 17, 4096])
+    @np.errstate(invalid="ignore")  # inf * 0 at the infinite feet
+    def test_polyval_bits(self, size):
+        # One row at every foot, padded or not, and one row per foot (the
+        # gathered tables) all give nppoly.polyval's bytes, nan included.
+        x = horner_feet(size, size)
+        for row in self.ROWS:
+            c = np.array(row)
+            want = nppoly.polyval(x, c)
+            assert _horner(x, c).tobytes() == want.tobytes(), row
+            assert _horner(x, np.r_[c, 0.0, 0.0, 0.0]).tobytes() == want.tobytes(), row
+        table = np.zeros((8, 3))
+        for j, row in enumerate(self.ROWS[2:]):
+            table[:len(row), j] = row
+        piece = np.random.default_rng(size).integers(0, 3, size)
+        want = [nppoly.polyval(x[k], table[:, piece[k]]) for k in range(size)]
+        assert _horner(x, table[:, piece]).tobytes() == np.array(want, dtype=float).tobytes()
+
+    def test_scalar_foot(self):
+        for row in self.ROWS:
+            for x in (-0.0, -2.5, 1.75):
+                got, want = _horner(x, np.array(row)), nppoly.polyval(x, np.array(row))
+                assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+    def test_no_polyval_in_the_package(self):
+        # Every polynomial in the package is evaluated by the one helper.
+        for path in Path(weighted_tubes.__file__).parent.glob("*.py"):
+            assert "polyval(" not in path.read_text(), path.name
 
 
 class TestFactory:
