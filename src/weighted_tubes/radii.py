@@ -3,16 +3,16 @@
 At each foot the quantities
 
     A = kappa mu,  B = |mu'|,  C = (mu^2)'' = 2 (mu'^2 + mu mu''),
-    discriminant  = mu (mu'' + kappa^2 mu / 4) = C/2 + A^2/4 - B^2,
+    discriminant  = mu g = C/2 + A^2/4 - B^2,  g = mu'' + kappa^2 mu / 4,
     lam           = B^2 + (sqrt(max(disc, 0)) + A/2)^2,
 
 control the first height at which the second derivative of the squared
 weighted distance can vanish (lam^{-1/2}) or become negative. The two
-focal radii aggregate the pointwise values with a closed band (>= 0) or an
-open band (> 0) on the discriminant; the double-critical self distance
-comes from critical pairs of sigma = |q1 - q2|^2 (mu(q1) + mu(q2))^{-2},
-F_p at p = q2 for the weight mu + mu(q2). The derived radii are mins of
-these, and the ordering dir <= tir <= air is enforced on every report.
+focal radii aggregate the pointwise values with a closed (g >= 0) or an
+open band (g > 0), g = 0 in `singular._g_band`; the double-critical self
+distance comes from critical pairs of sigma = |q1 - q2|^2 (mu(q1) +
+mu(q2))^{-2}, F_p at p = q2 for the weight mu + mu(q2). The derived radii
+are mins of these; dir <= tir <= air holds by construction (see radii_report).
 """
 
 import math
@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import singular
 from .config import DEFAULT_TOLERANCES
-from .errors import SceneError, _overflow_raises
+from .errors import NumericError, SceneError, _overflow_raises
 from .expmap import _bound, _f_rows, _rowdot, _rownorm
 from .util import (
     _bracket,
@@ -37,7 +37,6 @@ from .util import (
 )
 
 _DELTA_MIN_FACTOR = 1e-3  # x L: excluded diagonal band in pair search
-_DELTA_BAND_FACTOR = 1e-12  # x max(1, kappa^2 mu^2): focal-sign band
 _TOL_DC = 1e-9  # normalized residual of the pair gradient
 _NEWTON_MAX_ITER = 50
 
@@ -69,25 +68,15 @@ class RadiiReport:
 def _focal_terms(kap, mu, d1, d2):
     a = kap * mu
     b = np.abs(d1)
-    disc = mu * singular._g(kap, (mu, d1, d2))
+    g, band = singular._g_band(kap, (mu, d1, d2))
+    disc = mu * g
     lam = b**2 + (np.sqrt(np.clip(disc, 0.0, None)) + 0.5 * a) ** 2
-    return a, b, disc, lam
+    return a, b, g, band, disc, lam
 
 
-def _radius_profiles(b, disc, lam, band):
-    return _in_bands(disc, band, _lam_radius(lam), _bound(b))
-
-
-def _lam_radius(lam):
-    """lam^{-1/2} (+inf where lam <= 0 or nan)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0, lam, 1.0)), np.inf)
-
-
-def _in_bands(disc, band, inside, outside):
-    """inside where disc is in the closed band (disc >= -band), else outside,
-    stacked over the same for the open band (disc > band)."""
-    return np.where(np.stack([disc >= -band, disc > band]), inside, outside)
+def _in_bands(g, band, inside, outside):
+    """inside where g >= -band (closed band), else outside, over the same for g > band (open)."""
+    return np.where(np.stack([g >= -band, g > band]), inside, outside)
 
 
 def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
@@ -103,16 +92,16 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     Every candidate is a row of one float table (group = profile x
     len(offsets) + offset index, value, foot, component); per component in
     turn, each group's grid minimum, refined minima and discriminant maxima
-    (+inf where its band does not admit them or lam <= 0), then 1/|mu'| at
-    the slope maxima. A stable sort by (group, value) gives each group's
-    first smallest row: its radius and witness (None at +inf). No candidate
-    is nan, so this is Python's `min` in row order: the first component
-    wins a tie.
+    (+inf where its band at the foot does not admit them or lam <= 0), then
+    1/|mu'| at the slope maxima. A stable sort by (group, value) gives each
+    group's first smallest row: its radius and witness (None at +inf). No
+    candidate is nan, so this is Python's `min` in row order: the first
+    component wins a tie.
 
     With offsets, the radii of the weights mu + t for every t, as a list of
     (focrad0, focradminus, witnesses): the curve and weight jets on the grid
     are evaluated once, and the bracket rows of every t share the
-    refinement call, each row carrying its t and band. The slope maxima do
+    refinement call, each row carrying its t. The slope maxima do
     not depend on t, so one set of rows serves every t; no offsets give [].
     The profiles are sampled on each component's `singular.dense_grid`.
     """
@@ -125,9 +114,9 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     table = []
     for ci, (curve, weight) in enumerate(pairs):
         sg, _, (mu, d1, d2), kap = singular.dense_grid(curve, weight, tol.grid_samples)
-        a, b, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
-        band = _DELTA_BAND_FACTOR * np.fmax(1.0, np.max(a**2, axis=1))
-        profiles = _radius_profiles(b, disc, lam, band[:, None]).reshape(2 * n, -1)
+        _, b, g, band, disc, lam = _focal_terms(kap, mu + ts[:, None], d1, d2)
+        inside = singular._inv_sqrt(lam, np.inf)
+        profiles = _in_bands(g, band, inside, _bound(b)).reshape(2 * n, -1)
         i_min = np.argmin(profiles, axis=-1)
         # Bracket rows by family (discriminant maxima, closed-band minima,
         # open-band minima), then by t: row n + g holds group g's minima.
@@ -136,10 +125,11 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
             + [np.r_[i, _extrema_indices(p, curve.closed, "min", 8)] for i, p in zip(i_min, profiles)]
         )
         fam, ti = np.divmod(row, n)
-        x, fx, lam_x = refine_minima(
+        x, fx, in_closed, in_open = refine_minima(
             lambda s, *p: _focal_slopes(curve, weight, s, *p), curve, sg, idx,
-            (np.choose(fam, (-disc[ti, idx], profiles[ti, idx], profiles[n + ti, idx])), lam[ti, idx]),
-            "focal extremum", args=(fam, ts[ti], band[ti]),
+            (np.choose(fam, (-disc[ti, idx], profiles[ti, idx], profiles[n + ti, idx])),
+             *_in_bands(g[ti, idx], band[ti, idx], inside[ti, idx], np.inf)),
+            "focal extremum", args=(fam, ts[ti]),
         )
         # Slope maxima, one row set for every group (the max |mu'|^2 term
         # applies unconditionally).
@@ -149,11 +139,10 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         )
         x_b, v_b = x_b[-v_b > 0], v_b[-v_b > 0]
         at_max = fam == 0  # the discriminant maxima, one copy per profile
-        at_disc = _in_bands(-fx[at_max], band[ti[at_max]], _lam_radius(lam_x[at_max]), np.inf)
         cands = (
             (groups, profiles[groups, i_min], sg[i_min]),
             (row[~at_max] - n, fx[~at_max], x[~at_max]),
-            (np.r_[ti[at_max], n + ti[at_max]], at_disc.ravel(), np.tile(x[at_max], 2)),
+            (np.r_[ti[at_max], n + ti[at_max]], np.r_[in_closed[at_max], in_open[at_max]], np.tile(x[at_max], 2)),
             (np.repeat(groups, len(x_b)), np.tile(1.0 / -v_b, 2 * n), np.tile(x_b, 2 * n)),
         )
         table += [np.column_stack([g, v, s, np.full(len(g), ci)]) for g, v, s in cands]
@@ -168,11 +157,11 @@ def focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     return out[0] if offsets is None else out
 
 
-def _focal_slopes(curve, weight, s, fam, t, band):
+def _focal_slopes(curve, weight, s, fam, t):
     """At the feet s, per row of focal family fam (0: -disc, 1 and 2: the
-    closed- and the open-band profile) for the weight mu + t with its band:
-    the family's objective, its exact slope in s and lam, from g, g' and
-    kappa' of `singular.g_slope`.
+    closed- and the open-band profile) for the weight mu + t: the family's
+    objective, its exact slope in s, and lam^{-1/2} in the closed and in the
+    open band (+inf outside or where lam <= 0), from `singular.g_slope`.
 
     With g = mu'' + kappa^2 mu / 4 and q = sqrt(max(disc, 0)):
     disc' = mu' g + mu g', q' = disc' / (2 q) where disc > 0 (else 0), and
@@ -184,10 +173,11 @@ def _focal_slopes(curve, weight, s, fam, t, band):
     depend on the other feet of the call.
     """
     kap, g, dg, kr, (mu, d1, d2) = singular.g_slope(curve, weight, s, t)
-    a, b, disc, lam = _focal_terms(kap, mu, d1, d2)
-    profiles = _radius_profiles(b, disc, lam, band)
+    a, b, _, band, disc, lam = _focal_terms(kap, mu, d1, d2)
+    inside = singular._inv_sqrt(lam, np.inf)
+    profiles = _in_bands(g, band, inside, _bound(b))
     db = np.sign(d1) * d2
-    r = np.where(lam > 0.0, 1.0 / np.sqrt(np.where(lam > 0.0, lam, 1.0)), 0.0)
+    r = singular._inv_sqrt(lam, 0.0)
     rb = _bound(b)
     rb = np.where(np.isfinite(rb), rb, 0.0)
     with np.errstate(over="ignore"):
@@ -196,8 +186,8 @@ def _focal_slopes(curve, weight, s, fam, t, band):
         dq = np.where(disc > 0.0, d_disc / (2.0 * np.where(disc > 0.0, q, 1.0)), 0.0)
         lam_slope = -((b * r) * db + ((q + 0.5 * a) * r) * (dq + 0.5 * (kr * mu + kap * d1))) * r * r
         b_slope = -(db * rb) * rb
-    slopes = (-d_disc, *_in_bands(disc, band, lam_slope, b_slope))
-    return np.choose(fam, (-disc, *profiles)), np.choose(fam, slopes), lam
+    slopes = (-d_disc, *_in_bands(g, band, lam_slope, b_slope))
+    return np.choose(fam, (-disc, *profiles)), np.choose(fam, slopes), *_in_bands(g, band, inside, np.inf)
 
 
 def _stack_rows(index_lists):
@@ -585,14 +575,15 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     With offsets, a list with one report per value t, in the order given,
     for the weights mu + t of an offset family: the focal and pair stages
     and the collapse arcs run once over every distinct t (see focal_radii,
-    find_double_critical_pairs and singular.detect_collapse_arcs), the
-    ordering clamp per t. Each report equals the one computed for the
-    weights mu + t alone, and repeated values share one report: its
-    `dcsd_pair` is the first of its t's pair rows without t (or None), and
-    `pair_count` their number. A floating-point overflow anywhere in the
-    report raises NumericError, so an out-of-range weight never yields a
-    quiet wrong radius. The focal and collapse stages read each component's
-    `singular.dense_grid`.
+    find_double_critical_pairs and singular.detect_collapse_arcs). Each
+    report equals the one computed for the weights mu + t alone, and
+    repeated values share one report: its `dcsd_pair` is the first of its
+    t's pair rows without t (or None), and `pair_count` their number. A
+    floating-point overflow anywhere in the report raises NumericError, so
+    an out-of-range weight never yields a quiet wrong radius. The focal and
+    collapse stages read each component's `singular.dense_grid` and one band
+    of g = 0, so tir, the least arc radius or else ur, lies in [lr, ur]; if
+    not, NumericError names both stages.
     """
     pairs = as_pairs(pairs)
     ts = [0.0] if offsets is None else [float(t) for t in offsets]
@@ -609,7 +600,10 @@ def radii_report(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     for t, ur, arcs, rows, (focrad0, focradminus, fwit) in zip(distinct, urs, arcs_by_t, by_t, focal):
         dc = dcsd_half(rows)
         lr = min(dc, focrad0)
-        tir_val = min(max(min(arc.r for arc in arcs) if arcs else ur, lr), ur)
+        tir_val = min((arc.r for arc in arcs), default=ur)
+        if not lr <= tir_val <= ur:
+            raise NumericError(f"the collapse arcs and the focal and pair radii disagree at t={t!r}: least "
+                               f"arc radius {tir_val!r} outside [lr, ur] = [{lr!r}, {ur!r}]")
         witnesses = {
             "focrad0": fwit["focrad0"],
             "focradminus": fwit["focradminus"],

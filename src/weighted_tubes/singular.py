@@ -25,11 +25,12 @@ from .expmap import exp_mu  # noqa: F401
 from .util import _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, refine_minima
 
 _TOL_HESS_FACTOR = 1e-8  # x the scale of F'': second-order zero band
-_TOL_SNG = 1e-9  # singular-set zero band for mu'' + kappa^2 mu / 4
-_FLAT_FACTOR = 1e-12  # x scale: flat-run (continuum) detection
+# x (|mu''| + kappa^2 |mu| / 4): g = 0 (`_g_band`). On the bundled scenes that
+# ratio |g| / scale is <= 2.2e-16 or 0/0 where g vanishes and >= 3.7e-9 at
+# every other grid foot; 2^-40 = 9.1e-13 sits 3-4 decades from either side.
+_G_BAND = 2.0**-40
 _EPS_KAPPA = 1e-7  # collapse-arc residuals (four conditions + image)
 _EPS_GAMMA = 1e-7
-_EPS_MU = 1e-9  # tight: an isolated touching zero must not pass as an arc
 _EPS_R = 1e-7
 _EPS_P = 1e-7
 _ELL_MIN_FACTOR = 1e-3  # x L: minimal collapse-arc length
@@ -66,22 +67,27 @@ def g_slope(curve, weight, s, t=0.0):
     kap, kr = np.linalg.norm(jet[2], axis=-1), _kappa_rate(jet, curve.kappa_tol)
     with np.errstate(over="ignore"):
         dg = d3 + 0.5 * kap * kr * mu + 0.25 * kap**2 * d1
-    return kap, _g(kap, (mu, d1, d2)), dg, kr, (mu, d1, d2)
+    return kap, _g_band(kap, (mu, d1, d2))[0], dg, kr, (mu, d1, d2)
 
 
-def _g(kap, weight_jet):
-    """g from the curvature and a weight jet of order 2 at the same feet."""
+def _g_band(kap, weight_jet):
+    """g from the curvature and a weight jet of order 2 at the same feet, and
+    the band |g| <= _G_BAND (|mu''| + kappa^2 |mu| / 4) of "g = 0" there, the
+    one that the zero set, the collapse arcs and the focal bands read."""
     mu, _, d2 = weight_jet[:3]
-    return d2 + 0.25 * kap**2 * mu
+    k2 = 0.25 * kap**2
+    return d2 + k2 * mu, _G_BAND * (np.abs(d2) + k2 * np.abs(mu))
+
+
+def _inv_sqrt(x, fill):
+    """x^{-1/2} where x > 0, else fill (nan included)."""
+    return np.where(x > 0.0, 1.0 / np.sqrt(np.where(x > 0.0, x, 1.0)), fill)
 
 
 def _graph_height(weight_jet):
-    """R(s) = ((mu')^2 - mu mu'')^{-1/2} from a weight jet of order 2; nan
-    where the radicand is <= 0."""
+    """R(s) = ((mu')^2 - mu mu'')^{-1/2} from a weight jet of order 2; nan where the radicand is <= 0."""
     mu, d1, d2 = weight_jet[:3]
-    rad = d1**2 - mu * d2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rad > 0.0, 1.0 / np.sqrt(np.where(rad > 0, rad, 1.0)), np.nan)
+    return _inv_sqrt(d1**2 - mu * d2, np.nan)
 
 
 def dense_grid(curve, weight, n):
@@ -115,26 +121,25 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     `cross_s`) and the touching zeros (grid index in `touch`, refined foot
     in `touch_s`, smallest |g| first).
 
-    Flat samples have |g| <= _FLAT_FACTOR * max(1, max |g|); kappa is not
-    consulted. The sign changes (neighbouring samples, both nonzero, of
-    opposite sign; the last sample and the first also neighbour on a closed
-    curve) are refined in one `brent_rows` call to xtol 1e-14, but not those
-    with kappa <= kappa_tol at both grid ends (both callers drop a zero
-    where the curve is straight). Brent's budget is
-    `util.brent_maxiter(step, xtol)`, step = L / n; a root it does not
-    converge on raises NumericError.
-    Touching zeros are the best 64 local minima of |g| within _TOL_SNG
+    Flat samples have |g| within `_g_band` (kappa is not consulted). The
+    sign changes (neighbouring samples, both nonzero, of opposite sign; the
+    last sample and the first also neighbour on a closed curve) are refined
+    in one `brent_rows` call to xtol 1e-14, but not those with kappa <=
+    kappa_tol at both grid ends (both callers drop a zero where the curve is
+    straight). Brent's budget is `util.brent_maxiter(step, xtol)`, step =
+    L / n; a root it does not converge on raises NumericError.
+    Touching zeros are the best 64 local minima of |g| within the band
     plus the discrete second difference there (the value a quadratic
     touching zero attains one step away) with kappa > kappa_tol at the
     node or a neighbour, refined by `util.refine_minima` (value |g|, slope
-    sign(g) g' from `g_slope`) and kept where |g| <= _TOL_SNG; a row it
-    does not refine raises NumericError.
+    sign(g) g' from `g_slope`) and kept where |g| is within the band there;
+    a row it does not refine raises NumericError.
     """
     sg, _, weight_jet, kap = dense_grid(curve, weight, tol.grid_samples)
     n = len(sg)
-    g = _g(kap, weight_jet)
+    g, band = _g_band(kap, weight_jet)
     absg = np.abs(g)
-    flat = absg <= _FLAT_FACTOR * max(1.0, float(np.max(absg)))
+    flat = absg <= band
     limit = n if curve.closed else n - 1
     # Signs, not products: a product of neighbours can overflow, or underflow
     # to -0.0 and hide a sign change.
@@ -153,13 +158,14 @@ def g_zero_set(curve, weight, tol=DEFAULT_TOLERANCES):
     touch = _extrema_indices(absg, curve.closed, "min", 64)
     bend = np.abs(g[(touch + 1) % n] - 2.0 * g[touch] + g[touch - 1])
     near_bend = bends | np.roll(bends, 1) | np.roll(bends, -1)
-    touch = touch[(absg[touch] <= _TOL_SNG + bend) & near_bend[touch]]
+    touch = touch[(absg[touch] <= band[touch] + bend) & near_bend[touch]]
 
     def abs_g(s):
-        _, g_s, dg, *_ = g_slope(curve, weight, s)
-        return np.abs(g_s), np.sign(g_s) * dg
-    touch_s, v_ref = refine_minima(abs_g, curve, sg, touch, (absg[touch],), "touching zero of g")
-    touch, touch_s = touch[v_ref <= _TOL_SNG], touch_s[v_ref <= _TOL_SNG]
+        kap_s, g_s, dg, _, weight_jet_s = g_slope(curve, weight, s)
+        return np.abs(g_s), np.sign(g_s) * dg, _g_band(kap_s, weight_jet_s)[1]
+    touch_s, v_ref, band_ref = refine_minima(abs_g, curve, sg, touch, (absg[touch], band[touch]),
+                                             "touching zero of g")
+    touch, touch_s = touch[v_ref <= band_ref], touch_s[v_ref <= band_ref]
     return GZeroSet(sg, kap, g, flat, cross, cross_s, touch, touch_s)
 
 
@@ -243,7 +249,7 @@ def _graph_points(curve, weight, ci, s, ur):
         jets = _take((curve_jet, weight_jet), keep)
         location, hess, scale, _, fault = _hess_rows(jets, s, normal, height)
         _raise_first(fault)
-        resid = np.abs(_g(kap, weight_jet))[keep]
+        resid = np.abs(_g_band(kap, weight_jet)[0])[keep]
         rows = np.column_stack([np.full(len(s), float(ci)), s, height, resid, location])
         return rows[np.abs(hess) <= _TOL_HESS_FACTOR * scale]
 
@@ -319,12 +325,12 @@ def jacobian_determinant(curve, weight, s, v, R):
 def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
     """Maximal intervals where all collapse conditions hold with height < ur.
 
-    Conditions on the dense grid (`dense_grid`):
-    kappa locked (|kappa'| small), the circular third-derivative identity,
-    mu'' + kappa^2 mu / 4 = 0, the graph height defined and constant, all
-    within the _EPS_* bands; runs shorter than _ELL_MIN_FACTOR * L are
-    ignored. Each run is fitted (mean curvature, mean height, least-squares
-    phase) and the common image is verified.
+    Conditions on the dense grid (`dense_grid`), in the _EPS_* bands: kappa
+    locked (|kappa'| small), the circular third-derivative identity, g = 0
+    (in `_g_band`) and a constant height (mu'^2 + (kappa mu / 2)^2)^{-1/2},
+    the closed-band focal height, never below focrad0; runs shorter than
+    _ELL_MIN_FACTOR * L are ignored. Each run is fitted (mean curvature,
+    mean height, least-squares phase) and the common image is verified.
 
     With offsets, the arcs of the weights mu + t for every t, as one list
     per t, with ur holding one height per t: the curve and weight jets, the
@@ -347,9 +353,9 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
             min_len = _ELL_MIN_FACTOR * curve.length
             for found, t, ur_t in zip(arcs, ts, urs):
                 weight_jet = (mu + t, d1, d2)
-                g = np.abs(_g(kap, weight_jet))
-                height = _graph_height(weight_jet)
-                ok = locked & (g <= _EPS_MU) & np.isfinite(height) & (height < ur_t)
+                g, band = _g_band(kap, weight_jet)
+                height = _inv_sqrt(d1**2 + (0.5 * (kap * weight_jet[0]))**2, np.inf)
+                ok = locked & (np.abs(g) <= band) & (height < ur_t)
                 for lo, hi in _runs(ok, curve.closed):
                     if (hi - lo) * step < min_len:
                         continue
@@ -378,7 +384,7 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
                         continue
                     residuals = {
                         "kappa_rate": float(np.max(kap_rate[idx])), "ode": float(np.max(ode[idx])),
-                        "condition": float(np.max(g[idx])),
+                        "condition": float(np.max(np.abs(g[idx]))),
                         "height": float(np.max(np.abs(height[idx] - hbar))),
                         "image": image_gap, "mu_fit": fit_gap,
                     }

@@ -3,7 +3,8 @@ golden-section G with no shortcuts, the weighted closest point with its tie
 report and the finite-difference gradient of G, a one-offset form of the
 offset rows, F'' by the project-map-recover-angle chain that the closed
 form replaced, the finite-difference differential of the map, the fiber-shape membership test, the critical-point class,
-golden-section maxima, the pointwise focal data, the closed-form roots of
+golden-section maxima, the pointwise focal data and the band of "g = 0"
+written out, the closed-form roots of
 Lemma 3, seeded random unit normals, the separate formulas of F_p, its
 s-derivatives and sigma's gradient that one closed form replaced, the pair
 Newton that runs every active row to the last pass, the pair search's
@@ -34,17 +35,17 @@ from weighted_tubes import (
     w_bound,
 )
 from weighted_tubes.curves import CurvatureProfileCurve, _Piece
-from weighted_tubes.expmap import _offset_rows, _refine_rows, _rowdot, _rownorm
+from weighted_tubes.expmap import _bound, _offset_rows, _refine_rows, _rowdot, _rownorm
 from weighted_tubes.radii import (
-    _DELTA_BAND_FACTOR,
     _NEWTON_MAX_ITER,
     _TOL_DC,
     _feet,
     _feet_rows,
     _focal_terms,
-    _radius_profiles,
+    _in_bands,
     _stencil,
 )
+from weighted_tubes.singular import _G_BAND, _inv_sqrt
 from weighted_tubes.util import (
     as_pairs,
     brent_rows,
@@ -209,29 +210,37 @@ def abc(curve, weight, s, t=0.0):
     order-2 jets, as the focal refinement read them before it took slopes;
     c = (mu^2)'' = 2 (mu'^2 + mu mu'')."""
     mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
-    a, b, disc, lam = _focal_terms(curve.curvature(s), mu + t, d1, d2)
+    a, b, _, _, disc, lam = _focal_terms(curve.curvature(s), mu + t, d1, d2)
     return a, b, 2.0 * (d1**2 + (mu + t) * d2), disc, lam
 
 
+def g_band(curve, weight, s, t=0.0):
+    """(g, band) at the feet s for the weight mu + t, written out here: g =
+    mu'' + kappa^2 mu / 4 and the band _G_BAND (|mu''| + kappa^2 |mu| / 4)
+    within which g counts as zero."""
+    mu, _, d2 = (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
+    k2 = curve.curvature(s) ** 2
+    return d2 + 0.25 * k2 * (mu + t), _G_BAND * (np.abs(d2) + 0.25 * k2 * np.abs(mu + t))
+
+
+def radius_profiles(b, g, band, lam):
+    """The closed- and the open-band focal profile, stacked: lam^{-1/2} where
+    the band admits g (+inf where lam <= 0), 1/|mu'| elsewhere."""
+    return _in_bands(g, band, _inv_sqrt(lam, np.inf), _bound(b))
+
+
 def delta_lambda(curve, weight, s):
-    """Pointwise focal data at s (band on the discriminant sign); lambda is
-    None where the discriminant is below the band."""
-    a, b, c, disc, lam = abc(curve, weight, np.asarray(s, dtype=float))
-    band = _DELTA_BAND_FACTOR * max(1.0, float(np.max(a**2)))
-    r0, rm = _radius_profiles(b, disc, lam, band)
-    if np.ndim(s) == 0:
-        lam_val = float(lam) if disc >= -band else None
-        return PointwiseFocal(float(s), float(disc), lam_val, float(r0), float(rm))
-    return [
-        PointwiseFocal(
-            float(si),
-            float(di),
-            float(li) if di >= -band else None,
-            float(ri0),
-            float(rim),
-        )
-        for si, di, li, ri0, rim in zip(s, disc, lam, r0, rm)
+    """Pointwise focal data at s (band on the sign of g); lambda is None
+    where g is below the band."""
+    s = np.asarray(s, dtype=float)
+    _, b, _, disc, lam = abc(curve, weight, s)
+    g, band = g_band(curve, weight, s)
+    r0, rm = radius_profiles(b, g, band, lam)
+    rows = [
+        PointwiseFocal(float(si), float(di), float(li) if gi >= -bi else None, float(ri0), float(rim))
+        for si, di, li, gi, bi, ri0, rim in zip(*np.atleast_1d(s, disc, lam, g, band, r0, rm))
     ]
+    return rows[0] if np.ndim(s) == 0 else rows
 
 
 def lemma3_roots(a, b, c):

@@ -122,7 +122,7 @@ class TestRootAlgebra:
         rng = np.random.default_rng(11)
         a, b = np.abs(rng.normal(size=(2, 2000)))
         c = rng.normal(scale=2.0, size=2000)
-        lam = radii._focal_terms(a, np.ones_like(a), b, 0.5 * c - b**2)[3]
+        lam = radii._focal_terms(a, np.ones_like(a), b, 0.5 * c - b**2)[-1]
         checked = 0
         for k in range(len(a)):
             try:
@@ -316,7 +316,7 @@ class TestClosedCurveSeparation:
         scene = scenes["example_separation"]
         reps = radii_report(scene.pairs, scene.tolerances, offsets=[-1e-9, 0.0, 1e-9])
         assert [(r.dir, r.tir, r.air, len(r.witnesses["collapse_arcs"])) for r in reps] == [
-            (2.3564133330917785, 2.3564133330917785, 2.3564133330917785, 1),
+            (2.3564133330917785, 2.3564133330917785, 2.3564133330917785, 0),
             (1.7745207541065005, 2.0, 2.356413330849016, 1),
             (1.774433924723859, 1.774433924723859, 1.774433924723859, 0),
         ]
@@ -684,11 +684,9 @@ class TestFocalTable:
         assert [(w.component, w.s, w.value) for w in wit.values()] == [(0, pinned[1], pinned[0])] * 2
 
 
-# Offsets t = +-2^-k, k = 20..45, batched in one report per scene. Where
-# t = -2^-k for the listed k, the ordering clamp tir = min(max(tir, lr), ur)
-# lifts tir from its least collapse arc radius to lr or ur.
-DYADIC_CLAMPS = {"example3_family": range(28, 46), "example_separation": range(28, 40)}
-DYADIC_ROWS = [(name, sign, k) for name in DYADIC_CLAMPS for k in range(20, 46) for sign in (1, -1)]
+# Offsets t = +-2^-k, k = 20..45, batched in one report per scene.
+DYADIC_ROWS = [(name, sign, k) for name in ("example3_family", "example_separation")
+               for k in range(20, 46) for sign in (1, -1)]
 
 
 @functools.cache
@@ -701,10 +699,7 @@ def dyadic_reports(name):
 
 
 def dyadic_row(name, sign, k):
-    clamped = sign < 0 and k in DYADIC_CLAMPS[name]
-    return pytest.param(name, sign * 2.0**-k, id=f"{name}-{'+-'[sign < 0]}2^-{k}", marks=[pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 2: the clamp tir = min(max(tir, lr), ur) lifts tir off its "
-                            "least collapse arc radius")] if clamped else [])
+    return pytest.param(name, sign * 2.0**-k, id=f"{name}-{'+-'[sign < 0]}2^-{k}")
 
 
 class TestDyadicSelfConsistency:
@@ -715,6 +710,88 @@ class TestDyadicSelfConsistency:
         assert r.dir <= r.tir <= r.air
         if arcs:
             assert r.tir == min(arc.r for arc in arcs)
+
+
+@functools.cache
+def radius_jumps(name, span=2.0**-36, rounds=4):
+    """The jumps of dir, tir and air of the offset family of a bundled scene
+    on [-span, span]: per jump (radius, t*, component, foot), with t* the
+    middle of a bracket narrowed 16-fold per round from a 32-step grid, and
+    the foot the witness of the radius on the bracket's smaller side (the
+    least arc's middle for tir with an arc). A jump is a step above 0.01
+    between neighbouring offsets."""
+    from weighted_tubes import load_scene
+
+    scene = load_scene(name)
+    reports = {}
+
+    def run(ts):
+        new = list(dict.fromkeys(t for t in map(float, ts) if t not in reports))
+        reports.update(zip(new, radii_report(scene.pairs, scene.tolerances, new)))
+
+    def steps(key, ts):
+        return [(lo, hi) for lo, hi in zip(ts[:-1], ts[1:])
+                if abs(getattr(reports[hi], key) - getattr(reports[lo], key)) > 0.01]
+
+    grid = np.linspace(-span, span, 33).tolist()
+    run(grid)
+    brackets = [(key, lo, hi) for key in ("dir", "tir", "air") for lo, hi in steps(key, grid)]
+    for _ in range(rounds):
+        run([t for _, lo, hi in brackets for t in np.linspace(lo, hi, 17)])
+        brackets = [(key, *b) for key, lo, hi in brackets for b in steps(key, np.linspace(lo, hi, 17).tolist())]
+    jumps = []
+    for key, lo, hi in brackets:
+        small = min(reports[lo], reports[hi], key=lambda r: getattr(r, key))
+        arcs = small.witnesses["collapse_arcs"]
+        if key == "tir" and arcs:
+            arc = min(arcs, key=lambda a: a.r)
+            ci, s, value = arc.component, 0.5 * (arc.s_start + arc.s_end), arc.r
+        else:
+            w = small.witnesses["focrad0" if key == "dir" else "focradminus"]
+            ci, s, value = w.component, w.s, w.value
+        assert getattr(small, key) == value
+        jumps.append((key, 0.5 * (lo + hi), ci, scene.pairs[ci][0].wrap(s)))
+    return scene, jumps
+
+
+class TestJumpsNearZero:
+    @pytest.mark.parametrize("name, pinned", [
+        ("example3_family", [("dir", -1.8189e-12), ("tir", -1.8180e-12), ("air", 1.7986e-12)]),
+        ("example_separation", [("dir", -1.8189e-12), ("dir", -7.5931e-13), ("tir", -1.8180e-12),
+                                ("tir", 7.5892e-13), ("air", 7.5892e-13)]),
+    ])
+    def test_each_jump_lies_within_the_band_of_its_witness(self, name, pinned):
+        # g_t = g + kappa^2 t / 4, so a foot where g = 0 leaves the band of
+        # "g = 0" once |t| passes 4 band / kappa^2 there: every jump of a
+        # radius near t = 0 lies within twice that of its witness foot, and
+        # nowhere else on [-2^-36, 2^-36]. On example_separation dir jumps
+        # twice, first where the ellipse's touching zero leaves the closed
+        # band, then where the stadium's collapse arc does.
+        scene, jumps = radius_jumps(name)
+        assert [key for key, *_ in jumps] == [key for key, _ in pinned]
+        for (key, t, ci, s), (_, t_pin) in zip(jumps, pinned):
+            assert t == pytest.approx(t_pin, rel=1e-4), key
+            curve, weight = scene.pairs[ci]
+            _, band = oracles.g_band(curve, weight, s, t)
+            assert abs(t) <= 2.0 * 4.0 * band / curve.curvature(s) ** 2, key
+
+
+class TestArcBelowLr:
+    def test_an_arc_below_lr_raises_naming_both_stages(self, monkeypatch, scenes, tmp_path, capsys):
+        # tir is the least arc radius with no clamp; an arc below lr, which
+        # the shared band of "g = 0" rules out, is a numeric failure.
+        from weighted_tubes import cli
+
+        scene = scenes["example3_family"]
+        lr = radii_report(scene.pairs, scene.tolerances).lr
+        arc = singular.CollapseArc(0, 0.0, 1.0, 1.0, 0.5 * lr, 0.0, np.zeros(2), {})
+        monkeypatch.setattr(singular, "detect_collapse_arcs",
+                            lambda pairs, ur, tol, offsets: [[arc] for _ in offsets])
+        with pytest.raises(NumericError, match="collapse arcs and the focal and pair radii"):
+            radii_report(scene.pairs, scene.tolerances)
+        assert cli.main(["report", "--scene", "example3_family", "--out", str(tmp_path / "out")]) == 3
+        assert "collapse arcs and the focal and pair radii" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # The scalar pair verification and deduplication the search once ran on each
@@ -1147,11 +1224,6 @@ def split_rows(row, n_rows, *arrays):
     return list(zip(*(np.split(a, cuts) for a in arrays)))
 
 
-def focal_band(a_sq_max):
-    """The focal-sign band of one offset from its largest kappa^2 mu^2."""
-    return radii._DELTA_BAND_FACTOR * max(1.0, float(a_sq_max))
-
-
 # The focal refinement by golden section, as it ran before its families
 # shared one call: four row-wise golden-section calls per component, each
 # paying its own order-2 evaluations, and per (profile, t) the first
@@ -1166,40 +1238,40 @@ def four_call_focal_radii(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         sg = curve.grid(tol.grid_samples)
         kap = curve.curvature(sg)
         mu, d1, d2 = (np.asarray(x, dtype=float) for x in weight.jet(sg, 2))
-        a, b, disc, lam = radii._focal_terms(kap, mu + ts[:, None], d1, d2)
-        band = np.array([focal_band(np.max(row**2)) for row in a])
-        r0, rm = radii._radius_profiles(b, disc, lam, band[:, None])
+        _, b, _, _, disc, lam = radii._focal_terms(kap, mu + ts[:, None], d1, d2)
+        r0, rm = oracles.radius_profiles(b, *oracles.g_band(curve, weight, sg, ts[:, None]), lam)
 
-        def radius(s, t, bd, which):
-            _, bb, _, dd, ll = oracles.abc(curve, weight, s, t)
-            return radii._radius_profiles(bb, dd, ll, bd)[which]
+        def radius(s, t, which):
+            _, bb, _, _, ll = oracles.abc(curve, weight, s, t)
+            return oracles.radius_profiles(bb, *oracles.g_band(curve, weight, s, t), ll)[which]
 
         lo, hi, rd = bracket_rows(
             curve, sg, [radii._extrema_indices(d, curve.closed, "max", 8) for d in disc]
         )
-        s_d, d_val = golden_max(
+        s_d, _ = golden_max(
             lambda s, t: oracles.abc(curve, weight, s, t)[3], lo, hi, tol=1e-13, args=(ts[rd],)
         )
         lam_d = oracles.abc(curve, weight, s_d, ts[rd])[4]
+        g_d, band_d = oracles.g_band(curve, weight, s_d, ts[rd])
         s_b, b_val = golden_max(
             lambda s: np.abs(weight.d1(s)),
             *radii._bracket(curve, sg, radii._extrema_indices(b, curve.closed, "max", 4)),
             tol=1e-13,
         )
         slope = [(1.0 / float(v), float(x)) for v, x in zip(b_val, s_b) if v > 0]
-        disc_rows = split_rows(rd, len(ts), s_d, d_val, lam_d)
+        disc_rows = split_rows(rd, len(ts), s_d, lam_d, g_d, band_d)
         for which, profile in ((0, r0), (1, rm)):
             i_min = [int(np.argmin(p)) for p in profile]
             lo, hi, rp = bracket_rows(curve, sg, [
                 np.r_[i, radii._extrema_indices(p, curve.closed, "min", 8)] for i, p in zip(i_min, profile)
             ])
             s_ref, v_ref = golden_min(
-                lambda s, t, bd, which=which: radius(s, t, bd, which),
-                lo, hi, tol=1e-12, args=(ts[rp], band[rp]),
+                lambda s, t, which=which: radius(s, t, which),
+                lo, hi, tol=1e-12, args=(ts[rp],),
             )
             ref_rows = split_rows(rp, len(ts), s_ref, v_ref)
-            for k, ((xs, vs), (xd, dv, ld)) in enumerate(zip(ref_rows, disc_rows)):
-                in_band = dv >= -band[k] if which == 0 else dv > band[k]
+            for k, ((xs, vs), (xd, ld, gd, bd)) in enumerate(zip(ref_rows, disc_rows)):
+                in_band = gd >= -bd if which == 0 else gd > bd
                 cands = [(float(profile[k, i_min[k]]), float(sg[i_min[k]]))]
                 cands += [(float(v), float(x)) for v, x in zip(vs, xs)]
                 cands += [
@@ -1282,7 +1354,7 @@ class TestMergedFocalRefinement:
         # and one per Brent pass the rows still active; each row follows its
         # own sequence only if no foot's focal terms and slopes depend on
         # the other feet evaluated with it (Fourier, Chebyshev and stadium
-        # curves, with their weights, at several families, offsets and bands).
+        # curves, with their weights, at several families and offsets).
         from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
         from weighted_tubes import load_scene
 
@@ -1293,10 +1365,9 @@ class TestMergedFocalRefinement:
             grid = curve.grid(64)
             s = np.concatenate([rng.uniform(curve.s_min, curve.s_max, 200), grid, grid * (1.0 + 1e-13)])
             t = rng.choice([0.0, -0.03, 0.02, 2.0**-20], len(s))
-            band = rng.choice([1e-12, 4e-12], len(s))
             fam = rng.integers(0, 3, len(s))
-            batch = radii._focal_slopes(curve, weight, s, fam, t, band)
-            alone = [radii._focal_slopes(curve, weight, s[k:k + 1], fam[k:k + 1], t[k:k + 1], band[k:k + 1])
+            batch = radii._focal_slopes(curve, weight, s, fam, t)
+            alone = [radii._focal_slopes(curve, weight, s[k:k + 1], fam[k:k + 1], t[k:k + 1])
                      for k in range(len(s))]
             for i, values in enumerate(batch):
                 assert values.tobytes() == np.concatenate([x[i] for x in alone], axis=-1).tobytes()

@@ -33,7 +33,6 @@ from weighted_tubes.config import DEFAULT_TOLERANCES
 from weighted_tubes.expmap import _hess_rows, w_bound
 from weighted_tubes.singular import (
     _TOL_HESS_FACTOR,
-    _TOL_SNG,
     _runs,
     dense_grid,
     g_slope,
@@ -42,7 +41,7 @@ from weighted_tubes.singular import (
 from weighted_tubes.util import brent_rows
 from weighted_tubes.weights import SymmetricPiecewiseWeight
 
-from oracles import fd_differential, f_second_at_offset, random_unit_normals, runs_loop
+from oracles import fd_differential, f_second_at_offset, g_band, random_unit_normals, runs_loop
 
 
 @pytest.fixture(scope="module")
@@ -884,7 +883,8 @@ class TestGZeroSet:
         curve, weight = scenes["example4"].pairs[0]
         z = g_zero_set(curve, weight, scenes["example4"].tolerances)
         assert len(z.touch_s) >= 1
-        assert np.all(np.abs(g_slope(curve, weight, z.touch_s)[1]) <= _TOL_SNG)
+        g, band = g_band(curve, weight, z.touch_s)
+        assert np.all(np.abs(g) <= band)
         assert not np.any(z.flat[z.touch])
 
     def test_straight_touching_zeros_are_not_refined(self, scenes):
@@ -901,7 +901,8 @@ class TestGZeroSet:
             | (np.roll(z.kap, -1) > curve.kappa_tol)
         k = np.array(_extrema_indices(np.abs(z.g), curve.closed, "min", 64))
         bend = np.abs(np.roll(z.g, -1) - 2.0 * z.g + np.roll(z.g, 1))[k]
-        straight = k[(np.abs(z.g[k]) <= _TOL_SNG + bend) & ~near_bend[k]]
+        band = g_band(curve, weight, z.sg)[1][k]
+        straight = k[(np.abs(z.g[k]) <= band + bend) & ~near_bend[k]]
         assert len(straight) == 4 and not np.any(np.isin(straight, z.touch))
         assert np.all(near_bend[z.touch]) and len(z.touch) == len(z.touch_s) == 17
 

@@ -75,9 +75,10 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
     calls = digests.bundled_calls(BUNDLED_SCENES)
     # Then one labelled call whose feet reach the stadium's straight sides,
     # one with a finite height cutoff whose square overflows, two sweeps
-    # over more than two offsets, and one over the offsets -1e-9, 0 and 1e-9
-    # where dir and air jump.
-    *calls, straight, overflow, sweep6, sweep3, semicontinuity = calls
+    # over more than two offsets, one over the offsets -1e-9, 0 and 1e-9
+    # where dir and air jump, and one whose offsets straddle the band of
+    # "g = 0", where example3_family's collapse arc appears and vanishes.
+    *calls, straight, overflow, sweep6, sweep3, semicontinuity, near_zero = calls
     assert straight == {
         "label": "example2_stadium/fibers-straight-sides",
         "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
@@ -101,6 +102,11 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
     assert semicontinuity == {
         "label": "example_separation/sweep-semicontinuity",
         "argv": ["sweep", "--scene", "example_separation", "--family", "offset", "--t-values=-1e-9,0,1e-9"],
+        "ext": "csv",
+    }
+    assert near_zero == {
+        "label": "example3_family/sweep-near-zero",
+        "argv": ["sweep", "--scene", "example3_family", "--t-values=-4e-9,-1e-9,-1e-12,0,1e-12"],
         "ext": "csv",
     }
     for call in (sweep6, sweep3):

@@ -84,9 +84,10 @@ BUNDLED_VERBS = (
 # Labelled calls the bundled set makes beyond one per (scene, verb): fibers on
 # the stadium's straight sides, where the curvature vanishes and the fiber
 # direction comes from the normal frame (no default foot lies there),
-# singular with a finite height cutoff whose square overflows, and two family
+# singular with a finite height cutoff whose square overflows, two family
 # sweeps over more than two offsets, which drive the pair search's
-# multi-offset seed loop.
+# multi-offset seed loop, and two sweeps within the band of "g = 0" around
+# t = 0, where the collapse arcs appear and vanish.
 BUNDLED_EXTRA = (
     {"label": "example2_stadium/fibers-straight-sides",
      "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
@@ -102,6 +103,9 @@ BUNDLED_EXTRA = (
      "ext": "csv"},
     {"label": "example_separation/sweep-semicontinuity",
      "argv": ["sweep", "--scene", "example_separation", "--family", "offset", "--t-values=-1e-9,0,1e-9"],
+     "ext": "csv"},
+    {"label": "example3_family/sweep-near-zero",
+     "argv": ["sweep", "--scene", "example3_family", "--t-values=-4e-9,-1e-9,-1e-12,0,1e-12"],
      "ext": "csv"},
 )
 
