@@ -21,7 +21,7 @@ import numpy as np
 
 from . import radii, singular, sweeps
 from .config import check_budget
-from .errors import SceneError, WeightedTubesError
+from .errors import OutOfDomainError, SceneError, WeightedTubesError
 from .expmap import _rownorm, normal_frames, w_bound
 from .scene import load_scene
 from .svg import render_svg
@@ -242,6 +242,10 @@ def cmd_fibers(args, scene):
     curve, weight = scene.pairs[args.component]
     if args.s_values:
         feet = np.array([_finite(s, "--s-values") for s in _numbers(args.s_values, "--s-values")])
+        try:
+            curve.wrap(feet)
+        except OutOfDomainError as exc:
+            raise SceneError(f"--s-values: {exc}") from exc
     else:
         feet = np.linspace(curve.s_min + 0.1 * curve.length, curve.s_max - 0.1 * curve.length, 5)
     # The principal normal, or the first normal-frame vector where kappa <= kappa_tol.

@@ -212,7 +212,8 @@ class _RawCurve(ArclengthCurve):
         if self._t1 <= self._t0:
             raise NonRegularCurveError("raw domain is empty")
         tg = np.linspace(self._t0, self._t1, self._TABLE_N + 1)
-        speeds = np.linalg.norm(self._raw(tg, 1), axis=-1)
+        velocity = self._raw(tg, 1)
+        speeds = np.linalg.norm(velocity, axis=-1)
         if np.min(speeds) <= 0 or not np.all(np.isfinite(speeds)):
             raise NonRegularCurveError("raw parametrization has vanishing speed")
         cell = self._cell_sums(tg, self._GL_N)
@@ -226,7 +227,7 @@ class _RawCurve(ArclengthCurve):
         if self._cell_n == self._GL_N:
             length = self._length_refined(float(cum[-1]))
         cum *= length / cum[-1] if cum[-1] > 0 else 1.0
-        super().__init__(self._raw(np.array([self._t0]), 0).shape[-1], length, closed, 0.0)
+        super().__init__(velocity.shape[-1], length, closed, 0.0)
         self._t_grid = tg
         self._s_grid = cum
         self._pchip = _pchip_coefficients(cum, tg)
@@ -517,7 +518,7 @@ class CurvatureProfileCurve(ArclengthCurve):
 
     def __init__(self, pieces):
         self._pieces = pieces
-        self._end_state = self._walk(pieces, (1.0, 0.0, np.pi / 2.0))
+        self._walk(pieces, (1.0, 0.0, np.pi / 2.0))
         super().__init__(2, 2.0 * pieces[-1].s1, True, 0.0)
         self._table = np.array([[getattr(p, f) for p in pieces] for f in _Piece.FIELDS])
         self._shapes = np.array([self._SHAPES.index(p.shape) for p in pieces])

@@ -9,6 +9,10 @@ F_p(s) = |p - gamma(s)|^2 / mu(s)^2, drives everything else: feet of the
 map are critical points of F_p, and the second derivative of F_p decides
 regularity of the map. The ambient potential G(p), the minimum of F_p over
 every component, comes with each point's minimizing component and foot.
+
+The batched functions, here and in `singular`, share one row entry (`_rows`:
+one curve jet and one weight jet on each call's feet) and one error rule
+(`_raise_first`: the first failing row in C order, its first failed check).
 """
 
 from dataclasses import dataclass
@@ -60,64 +64,87 @@ def _rownorm(a):
     return np.sqrt(_rowdot(a, a))
 
 
-def _first_fault(checks):
-    """(row, error) for the first row failing any check, else None.
+def _rows(curve, weight, s, v, R, order):
+    """One row entry for the map's batched functions: feet s, directions or
+    points v (last axis ambient) and heights R broadcast to a shape B, as
+    rows in C order, and one curve jet and one weight jet of the given order
+    on the feet as given: (B, each row's foot, its jets, v (m, n), R (m,))."""
+    s, v, R = (np.asarray(x, dtype=float) for x in (s, v, R))
+    shape = np.broadcast_shapes(s.shape, v.shape[:-1], R.shape)
+    feet = s.ravel()
+    rows = np.broadcast_to(np.arange(feet.size).reshape(s.shape), shape).ravel()
+    jets = _take((curve.jet(feet, order), weight.jet(feet, order)), rows)
+    v = np.broadcast_to(v, shape + v.shape[-1:]).reshape(-1, v.shape[-1])
+    return shape, feet[rows], jets, v, np.broadcast_to(R, shape).ravel()
 
-    `checks` lists (mask, make_error) in the order a single row is checked;
-    make_error builds the exception for a row index.
-    """
+
+def _take(jets, rows):
+    """The (curve, weight) jets at the given rows of their feet."""
+    return tuple(tuple(x[rows] for x in jet) for jet in jets)
+
+
+def _raise_first(*checks):
+    """The one error rule of the map's rows: for the first row, in C order,
+    that fails any check (mask, make_error), raise make_error(row) of the
+    first listed check it fails."""
     bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if not np.any(bad):
-        return None
-    k = int(np.argmax(bad))
-    return k, next(make_error(k) for mask, make_error in checks if mask[k])
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise next(make_error(k) for mask, make_error in checks if mask[k])
 
 
 def _offset_rows(jets, s, v, R):
-    """Row-wise offsets: (unit normals, admissible bounds, first fault).
+    """Row-wise offsets: (unit normals, admissible bounds, offset checks).
 
     `jets` are the (curve, weight) jets of order >= 1 at the feet s. Each
     row is projected into the normal space at its foot and normalized; the
-    fault is (row, OutOfWError) for the first row whose direction is
-    tangent or whose height is not finite, negative or above 1/|mu'|, else
-    None.
+    three checks (for `_raise_first`) refuse with OutOfWError a direction
+    that is tangent, then a height that is not finite or negative, then one
+    above 1/|mu'|.
     """
     t = jets[0][1]
     v = v - _rowdot(v, t)[:, None] * t
     nv = _rownorm(v)
     v = v / np.where(nv > 0.0, nv, 1.0)[:, None]
     bound = _bound(jets[1][1])
-    fault = _first_fault([
+    return v, bound, (
         (nv <= 1e-14, lambda k: OutOfWError("direction is tangent to the curve at s")),
-        (~(np.isfinite(R) & (R >= 0)),
-         lambda k: OutOfWError("height R must be finite and nonnegative")),
+        (~(np.isfinite(R) & (R >= 0)), lambda k: OutOfWError("height R must be finite and nonnegative")),
         (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
-            f"R={float(R[k])} exceeds admissible bound {float(bound[k])} at s={float(s[k])}"
-        )),
-    ])
-    return v, bound, fault
+            f"R={float(R[k])} exceeds admissible bound {float(bound[k])} at s={float(s[k])}")),
+    )
+
+
+def _nonfinite(what, values, R, s):
+    """The check refusing with NumericError a row of values (m, ...) holding
+    a value that is not finite; R and s are the rows' heights and feet."""
+    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    return bad, lambda k: NumericError(f"{what} at R={float(R[k])}, s={float(s[k])} is not finite")
+
+
+def _inside(R, bound):
+    """The check refusing with OutOfWError a height not strictly inside the
+    admissible set, R < 1/|mu'| (1 - 1e-12)."""
+    return R >= bound * (1.0 - 1e-12), lambda k: OutOfWError(
+        "offset must be strictly inside the admissible set")
 
 
 def exp_mu(curve, weight, s, v, R):
     """The map over rows: feet s, directions v (last axis ambient) and
-    heights R broadcast together to a shape B; returns the images, B + (n,).
+    heights R broadcast together to a shape B (`_rows`); returns B + (n,).
 
     One curve jet and one weight jet are evaluated on the feet as given.
     Every direction is projected into the normal space at its foot and
-    normalized. Raises OutOfWError for the first row, in C order, whose
-    direction is tangent or whose height is not finite, negative or above
-    1/|mu'|, and NumericError when an image is not finite.
+    normalized. Raises for the first failing row in C order: OutOfWError
+    where the direction is tangent or the height is not finite, negative or
+    above 1/|mu'|, then (all rows mapped) NumericError for a non-finite image.
     """
-    shape, feet, rows, v, R = _broadcast_rows(s, v, R)
-    jets = _take((curve.jet(feet, 1), weight.jet(feet, 1)), rows)
-    v, _, fault = _offset_rows(jets, feet[rows], v, R)
-    _raise_first(fault)
+    shape, s, jets, v, R = _rows(curve, weight, s, v, R, 1)
+    v, _, checks = _offset_rows(jets, s, v, R)
+    _raise_first(*checks)
     with np.errstate(over="ignore", invalid="ignore"):
         pts = _exp_rows(jets, v, R)
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise NumericError(f"image of R={float(R[k])} at s={float(feet[rows[k]])} is not finite")
+    _raise_first(_nonfinite("image", pts, R, s))
     return pts.reshape(shape + v.shape[1:])
 
 
@@ -138,15 +165,21 @@ def differential(curve, weight, s, v, R):
     `_along_rows`, the one closed form of the map's second order: F'' at an
     image is (2/mu^2) A, which `is_singular` and `f_second_critical` read.
     One curve jet and one weight jet of order 2 are evaluated on the feet as
-    given. Raises for the first failing row in C order; within a row
-    OutOfWError where it fails `exp_mu`'s offset check, then OutOfWError
-    unless it is strictly inside the admissible set (so rho > 0), then
-    NumericError where a column is not finite (a term can overflow where
-    the image does not).
+    given. Raises for the first failing row in C order (`_raise_first`);
+    within a row OutOfWError where it fails `exp_mu`'s offset checks, then
+    OutOfWError unless it is strictly inside the admissible set (so
+    rho > 0), then NumericError where a column is not finite (a term can
+    overflow where the image does not).
     """
-    shape, feet, rows, v, R = _broadcast_rows(s, v, R)
-    jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
-    v, bound, fault = _offset_rows(jets, feet[rows], v, R)
+    shape, cols, _, _ = _differential(curve, weight, s, v, R)
+    return cols.swapaxes(1, 2).reshape(shape + cols.shape[1:])
+
+
+def _differential(curve, weight, s, v, R):
+    """`differential`'s rows, checked: (B, the columns (m, n, n), one column
+    per row of each matrix, the rows' feet, R (m,))."""
+    shape, s, jets, v, R = _rows(curve, weight, s, v, R, 2)
+    v, bound, checks = _offset_rows(jets, s, v, R)
     _, t, g2 = jets[0][:3]
     mu, d1, d2 = jets[1][:3]
     frames = _frames(t)
@@ -159,49 +192,8 @@ def differential(curve, weight, s, v, R):
         d_c = r * (mu * rho * frames - 2.0 * mu * d1 * r * c * t[:, None]
                    - mu * d1**2 * r**2 / rho * c * v[:, None])
     cols = np.concatenate([d_s[:, None], d_c], axis=1)
-    _raise_first(fault, _inside_fault(R, bound), _nonfinite_fault("differential", cols, R, feet[rows]))
-    return cols.swapaxes(1, 2).reshape(shape + cols.shape[1:])
-
-
-def _nonfinite_fault(what, values, R, s):
-    """(row, NumericError) for the first row of values (m, ...) that holds a
-    value that is not finite, else None; R and s are the rows' heights and
-    feet."""
-    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-    return _first_fault([(bad, lambda k: NumericError(
-        f"{what} at R={float(R[k])}, s={float(s[k])} is not finite"))])
-
-
-def _inside_fault(R, bound):
-    """(row, OutOfWError) for the first height not strictly inside the
-    admissible set, R < 1/|mu'| (1 - 1e-12), else None."""
-    return _first_fault([(R >= bound * (1.0 - 1e-12), lambda k: OutOfWError(
-        "offset must be strictly inside the admissible set"))])
-
-
-def _raise_first(*faults):
-    """Raise the error of the earliest row among the (row, error) faults (None
-    for none); on a tie the fault listed first wins."""
-    faults = [f for f in faults if f is not None]
-    if faults:
-        raise min(faults, key=lambda f: f[0])[1]
-
-
-def _broadcast_rows(s, v, R=0.0):
-    """Feet s, directions or points v (last axis ambient) and heights R
-    broadcast together to a shape B, as rows in C order: (B, the feet as
-    given (flattened), each row's index into them, v (m, n), R (m,))."""
-    s, v, R = (np.asarray(x, dtype=float) for x in (s, v, R))
-    shape = np.broadcast_shapes(s.shape, v.shape[:-1], R.shape)
-    feet = s.ravel()
-    rows = np.broadcast_to(np.arange(feet.size).reshape(s.shape), shape).ravel()
-    v = np.broadcast_to(v, shape + v.shape[-1:]).reshape(-1, v.shape[-1])
-    return shape, feet, rows, v, np.broadcast_to(R, shape).ravel()
-
-
-def _take(jets, rows):
-    """The (curve, weight) jets at the given rows of their feet."""
-    return tuple(tuple(x[rows] for x in jet) for jet in jets)
+    _raise_first(*checks, _inside(R, bound), _nonfinite("differential", cols, R, s))
+    return shape, cols, s, R
 
 
 def _exp_rows(jets, v, R):
@@ -291,31 +283,26 @@ def f_second_critical(curve, weight, s, p):
     Feet s and points p (last axis ambient) broadcast together to a shape B
     as in `exp_mu`; returns B (one row gives a float). One curve jet and one
     weight jet are evaluated on the feet as given. For the first row, in C
-    order, that fails a check, raises OutOfWError when the recovered height
-    exceeds the admissible bound, else NotCriticalFootError when s fails the
-    first-order criticality test for p, else NumericError when the value is
-    not finite.
+    order, that fails a check (`_raise_first`), raises OutOfWError when the
+    recovered height exceeds the admissible bound, else NotCriticalFootError
+    when s fails the first-order criticality test for p, else NumericError
+    when the value is not finite.
     """
-    shape, feet, rows, p, _ = _broadcast_rows(s, p)
-    jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
+    shape, s, jets, p, _ = _rows(curve, weight, s, p, 0.0, 2)
     mu = jets[1][0]
     with np.errstate(over="ignore", invalid="ignore"):
         diff = p - jets[0][0]
         R = _rownorm(diff) / mu
-        v, bound, _ = _offset_rows(jets, feet[rows], diff, R)
+        v, bound, _ = _offset_rows(jets, s, diff, R)
         grad_tol = 1e-8 * 2.0 / mu**2 * np.fmax(1.0, R) * max(1.0, curve.length)
         fp = np.abs(_f_rows(p, jets[0][:2], jets[1][:2])[1])
         values = (2.0 / mu**2) * _along_rows(jets, v, R)[0]
-    _raise_first(_first_fault([
-        (R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
-            f"recovered height {float(R[k])} exceeds admissible bound {float(bound[k])}"
-        )),
-        (fp > grad_tol, lambda k: NotCriticalFootError(
-            f"foot not critical: |F'|={float(fp[k])} > {float(grad_tol[k])}"
-        )),
-    ]), _nonfinite_fault("F''", values, R, feet[rows]))
-    values = values.reshape(shape)
-    return float(values) if values.ndim == 0 else values
+    _raise_first((R > bound * (1.0 + 1e-12), lambda k: OutOfWError(
+        f"recovered height {float(R[k])} exceeds admissible bound {float(bound[k])}"
+    )), (fp > grad_tol, lambda k: NotCriticalFootError(
+        f"foot not critical: |F'|={float(fp[k])} > {float(grad_tol[k])}"
+    )), _nonfinite("F''", values, R, s))
+    return float(values[0]) if not shape else values.reshape(shape)
 
 
 def _hess_rows(jets, s, v, R):
@@ -326,12 +313,12 @@ def _hess_rows(jets, s, v, R):
     once to its image (`_exp_rows`); F'' at the image's foot is (2/mu^2) A
     from the same jets (`_along_rows`), with no second map. Returns (images,
     F'', its scale (2/mu^2 times the sizes of A's terms), admissible bounds,
-    offset fault), the fault (row, error) or None.
+    `_offset_rows`' checks for the caller's `_raise_first`).
     """
-    v, bound, fault = _offset_rows(jets, s, v, R)
+    v, bound, checks = _offset_rows(jets, s, v, R)
     along, _, size = _along_rows(jets, v, R)
     scale = 2.0 / jets[1][0] ** 2
-    return _exp_rows(jets, v, R), scale * along, scale * size, bound, fault
+    return _exp_rows(jets, v, R), scale * along, scale * size, bound, checks
 
 
 # ---------------------------------------------------------------------------

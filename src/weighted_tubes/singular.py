@@ -17,8 +17,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .curves import _kappa_rate, collapse_ode_residual
 from .errors import NumericError, _overflow_raises
-from .expmap import (_broadcast_rows, _exp_rows, _hess_rows, _inside_fault, _nonfinite_fault, _raise_first,
-                     _rownorm, _take, differential)
+from .expmap import (_differential, _exp_rows, _hess_rows, _inside, _nonfinite, _raise_first, _rownorm, _rows,
+                     _take)
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
@@ -247,8 +247,8 @@ def _graph_points(curve, weight, ci, s, ur):
         s, height = s[keep], height[keep]
         normal = d2[keep] / kap[keep][:, None]
         jets = _take((curve_jet, weight_jet), keep)
-        location, hess, scale, _, fault = _hess_rows(jets, s, normal, height)
-        _raise_first(fault)
+        location, hess, scale, _, checks = _hess_rows(jets, s, normal, height)
+        _raise_first(*checks)
         resid = np.abs(_g_band(kap, weight_jet)[0])[keep]
         rows = np.column_stack([np.full(len(s), float(ci)), s, height, resid, location])
         return rows[np.abs(hess) <= _TOL_HESS_FACTOR * scale]
@@ -272,17 +272,17 @@ def is_singular(curve, weight, s, v, R):
     the sizes of A's terms at that row (`_graph_points` gates the singular
     set's rows by the same band); values are those F''.
 
-    One curve jet and one weight jet are evaluated on the feet as given.
-    Raises for the first failing row in C order; within a row the offset
-    check (`exp_mu`'s OutOfWError), then OutOfWError unless the height is
+    The rows and their one curve jet and one weight jet, evaluated on the
+    feet as given, come from `expmap._rows`. Raises for the first failing
+    row in C order (`expmap._raise_first`); within a row the offset checks
+    (`exp_mu`'s OutOfWError), then OutOfWError unless the height is
     strictly inside the admissible set, then NumericError where F'' is not
     finite.
     """
-    shape, feet, rows, v, R = _broadcast_rows(s, v, R)
-    jets = _take((curve.jet(feet, 2), weight.jet(feet, 2)), rows)
+    shape, s, jets, v, R = _rows(curve, weight, s, v, R, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, hess, scale, bound, fault = _hess_rows(jets, feet[rows], v, R)
-    _raise_first(fault, _inside_fault(R, bound), _nonfinite_fault("F''", hess, R, feet[rows]))
+        _, hess, scale, bound, checks = _hess_rows(jets, s, v, R)
+    _raise_first(*checks, _inside(R, bound), _nonfinite("F''", hess, R, s))
     flags = np.abs(hess) <= _TOL_HESS_FACTOR * scale
     if not shape:
         return bool(flags[0]), float(hess[0])
@@ -305,16 +305,16 @@ def jacobian_determinant(curve, weight, s, v, R):
     and 0.1, while F'' = 2.0, 1.998 and 1.759 call all three regular. Near
     R = 0 the singularity test is `is_singular`, not this determinant.
 
-    Raises as `differential` does, then NumericError for the first row, in
-    C order, whose determinant is not finite (a product of n columns can
+    The rows are `differential`'s own (`expmap._differential`), read once:
+    it raises as `differential` does, then NumericError for the first row,
+    in C order, whose determinant is not finite (a product of n columns can
     overflow where each column is finite).
     """
-    cols = differential(curve, weight, s, v, R)
+    shape, cols, s, R = _differential(curve, weight, s, v, R)
     with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(cols)
-    _, feet, rows, _, R = _broadcast_rows(s, v, R)
-    _raise_first(_nonfinite_fault("determinant", det.reshape(-1), R, feet[rows]))
-    return float(det) if det.ndim == 0 else det
+        det = np.linalg.det(cols.swapaxes(1, 2))
+    _raise_first(_nonfinite("determinant", det, R, s))
+    return float(det[0]) if not shape else det.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

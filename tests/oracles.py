@@ -35,7 +35,7 @@ from weighted_tubes import (
     w_bound,
 )
 from weighted_tubes.curves import CurvatureProfileCurve, _Piece
-from weighted_tubes.expmap import _bound, _offset_rows, _refine_rows, _rowdot, _rownorm
+from weighted_tubes.expmap import _bound, _offset_rows, _raise_first, _refine_rows, _rowdot, _rownorm
 from weighted_tubes.radii import (
     _NEWTON_MAX_ITER,
     _TOL_DC,
@@ -316,11 +316,10 @@ def make_offset(curve, weight, s, v, R):
     one row of `_offset_rows`. `boundary` flags a height within 1e-12
     (relative) of the admissible bound."""
     s, R = np.array([float(s)]), float(R)
-    rows, bound, fault = _offset_rows(
+    rows, bound, checks = _offset_rows(
         (curve.jet(s, 1), weight.jet(s, 1)), s, np.asarray(v, dtype=float)[None, :], np.array([R])
     )
-    if fault is not None:
-        raise fault[1]
+    _raise_first(*checks)
     bound = float(bound[0])
     boundary = np.isfinite(bound) and abs(R - bound) <= 1e-12 * max(1.0, bound)
     return NormalOffset(float(s[0]), rows[0], R, boundary)
@@ -343,9 +342,8 @@ def f_second_at_offset(curve, weight, s, v, R):
     """
     one = np.ndim(s) == 0 and np.ndim(R) == 0 and np.ndim(v) == 1
     s, R = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (s, R))
-    v, _, fault = _offset_rows((curve.jet(s, 1), weight.jet(s, 1)), s, np.atleast_2d(v), R)
-    if fault is not None:
-        raise fault[1]
+    v, _, checks = _offset_rows((curve.jet(s, 1), weight.jet(s, 1)), s, np.atleast_2d(v), R)
+    _raise_first(*checks)
     p = exp_mu(curve, weight, s, v, R)
     (g, t, g2), (mu, d1, d2) = curve.jet(s, 2), (np.asarray(x, dtype=float) for x in weight.jet(s, 2))
     diff = p - g
@@ -384,10 +382,9 @@ def fd_differential(curve, weight, s, v, R, h=None):
         h = 1e-6 * max(1.0, curve.length / (2.0 * np.pi))
     s, R = np.asarray(s, dtype=float), np.asarray(R, dtype=float)
     m, n = len(s), curve.ambient_dim
-    v, _, fault = _offset_rows((curve.jet(s, 1), weight.jet(s, 1)), s,
-                               np.asarray(v, dtype=float), R)
-    if fault is not None:
-        raise fault[1]
+    v, _, checks = _offset_rows((curve.jet(s, 1), weight.jet(s, 1)), s,
+                                np.asarray(v, dtype=float), R)
+    _raise_first(*checks)
     # Chart points in column order, each column's + point before its - point.
     step = h * normal_frames(curve, s)
     feet = np.stack([s + h, s - h] + [s] * (2 * n - 2), axis=1)
@@ -644,6 +641,14 @@ def fourier_weight_jet(coeffs, period, s, order):
     return tuple(acc)
 
 
+def end_state(curve):
+    """(x, y, theta) at the end of a CurvatureProfileCurve's last piece: the
+    state its constructor's walk ends in, from the same piece evaluator."""
+    p = curve._pieces[-1]
+    theta, x, y = curve._piece_jet(p.shape, p, p.s1, 0)[:3]
+    return x, y, theta
+
+
 def profile_advance(curve, p, s_end):
     """CurvatureProfileCurve._advance before the constructor asked the piece
     evaluator for a piece's end state, kept verbatim: (dx, dy, dtheta) from
@@ -816,7 +821,7 @@ def stadium_by_full_builds(circle_turn=0.3, transition=0.05, line_length=7.0):
         return CurvatureProfileCurve(pieces)
 
     def end_y(kappa2):
-        return np.array([build(float(k))._end_state[1] for k in kappa2])
+        return np.array([end_state(build(float(k)))[1] for k in kappa2])
 
     kappa2 = float(brent_rows(end_y, 1e-3, 0.9, 1e-14, 1e-15)[0])
     return build(kappa2)

@@ -235,6 +235,7 @@ class TestErrors:
          "--t-max must be finite"),
         (("sweep", "--scene", "example6_family", "--t-min", "nan", "--t-max", "0", "--t-count", "2"),
          "--t-min must be finite"),
+        (("fibers", "--scene", "example1a", "--s-values", "5"), "--s-values: s outside"),
     ])
     def test_bad_number_exit_2(self, args, message):
         proc = run_cli(*args, check=False)
@@ -300,11 +301,13 @@ class TestErrors:
         assert rows[0].startswith("nan,") and "failed:" in rows[0]
         assert rows[1].endswith(",ok")
 
-    def test_out_of_domain_feet_exit_3(self):
-        # All feet are evaluated in one call, so the range spans every foot.
+    def test_out_of_domain_feet_exit_2(self):
+        # A foot outside an open arc's domain is a flag value the verb cannot
+        # use; all feet are checked at once, so the range spans every foot.
         proc = run_cli("fibers", "--scene", "example1a", "--s-values=0.5,5.0", check=False)
-        assert proc.returncode == 3
-        assert "numeric failure" in proc.stderr and "got range [0.5, 5.0]" in proc.stderr
+        assert proc.returncode == 2
+        assert "configuration error: --s-values: s outside" in proc.stderr
+        assert "got range [0.5, 5.0]" in proc.stderr
         assert proc.stdout == ""
 
     def test_overflowing_sweep_rows_fail(self):

@@ -168,17 +168,21 @@ class TestBroadcastRows:
         for k in range(7):
             np.testing.assert_array_equal(rows[k, 0], exp_mu(curve, weight, s, v, float(heights[k, 0])))
 
-    def test_one_jet_each_on_the_feet_as_given(self, monkeypatch):
+    @pytest.mark.parametrize("fn", [exp_mu, f_second_critical])
+    def test_one_jet_each_on_the_feet_as_given(self, monkeypatch, fn):
         curve = CircleArcCurve(-1.2, 1.2, ambient_dim=3)
         weight = CosineWeight()
         feet = np.linspace(-1.0, 1.0, 5)
         dirs = np.stack([-curve.point(feet)] * 4, axis=1)
+        heights = np.array([0.1, 0.2, 0.3, 0.4])
+        # f_second_critical reads the images, each critical at its foot.
+        args = (dirs, heights) if fn is exp_mu else (exp_mu(curve, weight, feet[:, None], dirs, heights),)
         calls = []
         for obj in (curve, weight):
             jet = obj.jet
             monkeypatch.setattr(obj, "jet", lambda s, order, jet=jet, obj=obj: (
                 calls.append((obj, np.array(s))) or jet(s, order)))
-        exp_mu(curve, weight, feet[:, None], dirs, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert fn(curve, weight, feet[:, None], *args).shape[:2] == (5, 4)
         assert [obj for obj, _ in calls] == [curve, weight]
         for _, s in calls:
             np.testing.assert_array_equal(s, feet)

@@ -33,6 +33,7 @@ from weighted_tubes.expmap import f_prime, f_second, f_value
 from weighted_tubes.util import gauss_legendre
 
 from oracles import (
+    end_state,
     fourier_weight_jet,
     kappa_local,
     kappa_rate_local,
@@ -576,7 +577,7 @@ def test_stadium_piece_end_states_are_the_advance(params):
     # that the jets use; it is the state the per-piece advance gave.
     curve = make_stadium(**params)
     pieces = curve._pieces
-    ends = [(p.x0, p.y0, p.theta0) for p in pieces[1:]] + [curve._end_state]
+    ends = [(p.x0, p.y0, p.theta0) for p in pieces[1:]] + [end_state(curve)]
     for p, end in zip(pieces, ends):
         dx, dy, dth = profile_advance(curve, p, p.s1)
         want = np.array([p.x0 + dx, p.y0 + dy, p.theta0 + dth])

@@ -130,8 +130,8 @@ def test_graph_points_match_the_scalar_map(scenes, name):
         normal = jets[0][2] / np.linalg.norm(jets[0][2], axis=-1)[:, None]
         images = exp_mu(curve, weight, s, normal, R)
         assert np.max(np.abs(images - rows[:, 4:])) <= 1e-12
-        _, hess, scale, _, fault = _hess_rows(jets, s, normal, R)
-        assert fault is None
+        _, hess, scale, _, checks = _hess_rows(jets, s, normal, R)
+        assert not any(mask.any() for mask, _ in checks)
         assert np.all(np.abs(hess) <= _TOL_HESS_FACTOR * scale)
         assert np.all((0.0 < R) & (R < ur))
         # is_singular gives the same second derivative at the same offset
@@ -150,10 +150,10 @@ def test_hess_rows_projects_and_maps_each_row_once(monkeypatch):
             calls.append(name) or f(*args)))
     curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
     s = np.linspace(-1.2, 1.2, 5)
-    images, hess, _, _, fault = _hess_rows((curve.jet(s, 2), weight.jet(s, 2)), s, -curve.point(s),
-                                           np.full(5, 2.0))
+    images, hess, _, _, checks = _hess_rows((curve.jet(s, 2), weight.jet(s, 2)), s, -curve.point(s),
+                                            np.full(5, 2.0))
     assert sorted(calls) == ["_exp_rows", "_offset_rows"]
-    assert fault is None and np.max(np.abs(hess)) <= 1e-12
+    assert not any(mask.any() for mask, _ in checks) and np.max(np.abs(hess)) <= 1e-12
     # The collapse: every foot's image at height 2 is (-1, 0).
     np.testing.assert_allclose(images, np.tile([-1.0, 0.0], (5, 1)), rtol=0, atol=1e-12)
 
@@ -581,7 +581,7 @@ class TestJacobianRows:
         jacobian_determinant(curve, weight, 0.3, [-1.0, 0.0, 0.5], 1.5)
         assert sorted(calls) == ["curve", "weight"]
 
-    def test_broadcast_rows_are_the_scalar_determinants(self, monkeypatch):
+    def test_broadcast_offsets_are_the_scalar_determinants(self, monkeypatch):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2, ambient_dim=3), CosineWeight()
         feet = np.array([-0.4, 0.3])
         dirs = normal_frames(curve, feet)
@@ -607,22 +607,24 @@ class TestJacobianRows:
         curve, weight = scenes["ellipse_mu1"].pairs[0]
         assert jacobian_determinant(curve, weight, np.zeros(0), np.zeros((0, 2)), np.zeros(0)).shape == (0,)
 
-    def test_offset_checks_come_first(self):
+    @pytest.mark.parametrize("rows", [jacobian_determinant, differential, is_singular])
+    def test_offset_checks_come_first(self, rows):
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
         s = np.array([0.2, 0.5, 0.5])
         v = -curve.point(s)
         bound = np.asarray(w_bound(weight, s), dtype=float)
         with pytest.raises(OutOfWError, match="exceeds admissible bound"):
-            jacobian_determinant(curve, weight, s, v, np.array([0.5, 1.01 * bound[1], bound[2]]))
+            rows(curve, weight, s, v, np.array([0.5, 1.01 * bound[1], bound[2]]))
         with pytest.raises(OutOfWError, match="tangent"):
-            jacobian_determinant(curve, weight, s, curve.tangent(s), np.array([0.5, 0.5, 0.5]))
-        # At the bound rho = 0: the earlier row's error, and within a row the
-        # offset check before "strictly inside".
+            rows(curve, weight, s, curve.tangent(s), np.array([0.5, 0.5, 0.5]))
+        # At the bound rho = 0: the earlier row's error, although the later
+        # row fails an earlier-listed check, and within a row the offset
+        # check before "strictly inside".
         with pytest.raises(OutOfWError, match="strictly inside"):
-            jacobian_determinant(curve, weight, s, v, np.array([0.5, bound[1], 2.0 * bound[2]]))
+            rows(curve, weight, s, v, np.array([0.5, bound[1], 2.0 * bound[2]]))
         with pytest.raises(OutOfWError, match="tangent"):
-            jacobian_determinant(curve, weight, s, np.stack([v[0], curve.tangent(0.5), v[2]]),
-                                 np.array([0.5, bound[1], bound[2]]))
+            rows(curve, weight, s, np.stack([v[0], curve.tangent(0.5), v[2]]),
+                 np.array([0.5, bound[1], bound[2]]))
 
 
 class TestCollapseArcs:
