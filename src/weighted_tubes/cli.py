@@ -237,8 +237,8 @@ def cmd_fibers(args, scene):
         raise SceneError("fibers needs --samples N >= 2")
     if not 0 <= args.component < len(scene.pairs):
         raise SceneError(f"--component must be in [0, {len(scene.pairs)}), got {args.component}")
-    if args.r_max is not None:
-        _positive(args.r_max, "--r-max")
+    if args.r_max is not None and not np.isfinite(2.0 * _positive(args.r_max, "--r-max")):
+        raise SceneError(f"--r-max must be at most half the largest float (the grid spans [-r, r]), got {args.r_max!r}")
     curve, weight = scene.pairs[args.component]
     if args.s_values:
         feet = np.array([_finite(s, "--s-values") for s in _numbers(args.s_values, "--s-values")])

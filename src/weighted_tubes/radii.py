@@ -208,12 +208,15 @@ def _feet(curve, weight, s, t=0.0):
     return curve.jet(s, 1) + (mu + t, d1)
 
 
-def _feet_rows(curve, weight, arrays, t):
-    """_feet of several equal-length foot arrays, all with offsets t, from
-    one evaluation of their concatenation; one tuple per array."""
-    n = len(arrays[0])
-    feet = _feet(curve, weight, np.concatenate(arrays), np.tile(t, len(arrays)))
-    return [tuple(x[k * n:(k + 1) * n] for x in feet) for k in range(len(arrays))]
+def _pair_feet(c1, w1, c2, w2, arrays1, arrays2, t):
+    """_feet of the foot arrays arrays1 on (c1, w1), then arrays2 on (c2,
+    w2), all of t's length with offsets t, as one table: per quantity one
+    array whose first axis runs over the arrays, from one _feet call on a
+    same-component pair and from two joined ones otherwise."""
+    calls = [(c1, w1, arrays1 + arrays2)] if c1 is c2 and w1 is w2 else [(c1, w1, arrays1), (c2, w2, arrays2)]
+    feet = [_feet(c, w, np.concatenate(a), np.tile(t, len(a))) for c, w, a in calls]
+    joined = feet[0] if len(feet) == 1 else [np.concatenate(x) for x in zip(*feet)]
+    return tuple(x.reshape(len(arrays1) + len(arrays2), len(t), *x.shape[1:]) for x in joined)
 
 
 def _sigma_and_grad(feet1, feet2):
@@ -236,13 +239,12 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     diagonal band of arclength width _DELTA_MIN_FACTOR * L; being symmetric,
     they are searched over half their cells). Newton runs on
     all seeds of a component pair at once, with the analytic gradient and a
-    central finite-difference Jacobian; each iteration evaluates the foot
-    arrays s, s +- h, t and t +- h (in one call on a same-component pair,
-    one per curve otherwise) and combines them into the five gradients it
-    needs; rows that cycle settle early (see _newton). Non-converged seeds
-    are dropped, converged ones are verified
-    against the critical-angle law at both feet and deduplicated, all as
-    rows.
+    central finite-difference Jacobian; each pass evaluates the foot arrays
+    s, s +- h, t and t +- h into one table (`_pair_feet`) and reads sigma's
+    gradient from it in two calls; rows that cycle settle early (see
+    _newton). Non-converged seeds are dropped, converged ones are verified
+    against the critical-angle law at both feet (one table per component
+    pair, `_verify_rows`) and the concatenated tables deduplicated.
 
     Returns one float table of shape (m, 9 + n): per pair the columns
     PAIR_COLUMNS (Newton's residual, the angle law's at each foot), then the
@@ -257,14 +259,14 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
         return np.empty((0, len(PAIR_COLUMNS) + pairs[0][0].ambient_dim))
     found = [_search_component_pair(pairs, i, j, ts, tol)
              for i in range(len(pairs)) for j in range(i, len(pairs))]
-    rows = {key: np.concatenate([f[key] for f in found]) for key in found[0]}
-    return np.column_stack([rows[key] for key in PAIR_COLUMNS + ("midpoint",)])[_dedup_rows(pairs, rows)]
+    rows = np.concatenate(found)
+    return rows[_dedup_rows(pairs, rows), :-1]
 
 
 def _search_component_pair(pairs, i, j, ts, tol):
-    """Verified critical pairs of components i and j as rows (see
-    _verify_rows), each with its offset's index in ts (`grp`) and its Newton
-    residual, in the order of the Newton rows.
+    """Verified critical pairs of components i and j as _verify_rows'
+    table, each row with its Newton residual and its offset's index in ts
+    (`grp`), in the order of the Newton rows.
 
     Newton starts from the 3x3 minima of sigma and of its gradient norm
     hypot(a, b), both found by one search, `util._grid_local_minima`: the
@@ -354,6 +356,11 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
     determinant check. So the row would repeat its cycle of one or two
     states, active, to the last pass. A row that stalls without repeating
     a state runs to the last pass.
+
+    Each pass evaluates the feet s, s +- h, t, t +- h of the live rows into
+    one `_pair_feet` table and reads sigma from it in two `_sigma_and_grad`
+    calls: the gradient at (s, t) of the live rows, then at the four
+    stencil pairs (s +- h, t) and (s, t +- h) of the rows that step.
     Returns the final (s, t, residual, alive) of every row.
     """
     s = seeds[:, 0].copy()
@@ -365,7 +372,6 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
     # (s, t, residual) one pass back and (s, t) two passes back.
     s1, t1, res1, s2, t2 = (np.full(len(seeds), np.nan) for _ in range(5))
     settled = np.zeros(len(ts), dtype=bool)
-    same_pair = c1 is c2 and w1 is w2
     n = tol.pair_grid
     h1 = 1e-6 * c1.length
     h2 = 1e-6 * c2.length
@@ -374,18 +380,12 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
     for it in range(_NEWTON_MAX_ITER + 1):
         if not len(live):
             break
-        # The feet s, s +- h and t, t +- h of the live rows in one evaluation
-        # (one per component when they differ); only the rows that take a
-        # step use the stencils.
+        # One table of the feet s, s + h, s - h, t, t + h, t - h of the live
+        # rows; only the rows that take a step use the stencils.
         s_p, s_m, span1 = _stencil(c1, s[live], h1)
         t_p, t_m, span2 = _stencil(c2, t[live], h2)
-        feet_s, feet_t = (s[live], s_p, s_m), (t[live], t_p, t_m)
-        if same_pair:
-            feet = _feet_rows(c1, w1, feet_s + feet_t, off[live])
-        else:
-            feet = _feet_rows(c1, w1, feet_s, off[live]) + _feet_rows(c2, w2, feet_t, off[live])
-        at_s, at_sp, at_sm, at_t, at_tp, at_tm = feet
-        sig, gs, gt = _sigma_and_grad(at_s, at_t)
+        feet = _pair_feet(c1, w1, c2, w2, (s[live], s_p, s_m), (t[live], t_p, t_m), off[live])
+        sig, gs, gt = _sigma_and_grad([x[0] for x in feet], [x[3] for x in feet])
         res[live] = np.hypot(gs, gt) / np.maximum(1.0, sig)
         if it == _NEWTON_MAX_ITER:
             break
@@ -404,20 +404,13 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
         running[grp[live[active]]] = True
         jac = alive[live] & running[grp[live]] & ~settle
         kj = live[jac]
-        at_s, at_sp, at_sm, at_t, at_tp, at_tm = (
-            tuple(x[jac] for x in feet) for feet in (at_s, at_sp, at_sm, at_t, at_tp, at_tm)
-        )
         gs, gt = gs[jac], gt[jac]
         span1, span2 = (sp[jac] if np.ndim(sp) else sp for sp in (span1, span2))
         # Central differences: the exact Hessian's determinant rounds to 0 on continua of pairs.
-        _, gs_p, gt_p = _sigma_and_grad(at_sp, at_t)
-        _, gs_m, gt_m = _sigma_and_grad(at_sm, at_t)
-        j11 = (gs_p - gs_m) / span1
-        j21 = (gt_p - gt_m) / span1
-        _, gs_p, gt_p = _sigma_and_grad(at_s, at_tp)
-        _, gs_m, gt_m = _sigma_and_grad(at_s, at_tm)
-        j12 = (gs_p - gs_m) / span2
-        j22 = (gt_p - gt_m) / span2
+        # The stepping rows' stencil pairs (s +- h, t), (s, t +- h): table arrays 1, 2, 0, 0 with 3, 3, 4, 5.
+        _, ds, dt = _sigma_and_grad(*([x[np.ix_(k, jac)] for x in feet] for k in ([1, 2, 0, 0], [3, 3, 4, 5])))
+        j11, j21 = (ds[0] - ds[1]) / span1, (dt[0] - dt[1]) / span1
+        j12, j22 = (ds[2] - ds[3]) / span2, (dt[2] - dt[3]) / span2
         det = j11 * j22 - j12 * j21
         bad = np.abs(det) < 1e-300
         alive[kj[bad]] = False
@@ -475,9 +468,10 @@ def _diagonal_band(curve, sg, w):
 
 def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
     """The rows (s1, s2) of components i and j (row k for the weights
-    mu + ts[grp[k]]) that pass the critical-angle law at both feet, as a
-    dict of arrays: the PAIR_COLUMNS (the angle law's residual at each foot
-    is angle_1, angle_2), the midpoint and grp. Where mu' = 0, alpha is pi/2
+    mu + ts[grp[k]]) that pass the critical-angle law at both feet, as one
+    float table from one `_pair_feet` call: the PAIR_COLUMNS (the angle
+    law's residual at each foot is angle_1, angle_2), the midpoint x1..xn,
+    then grp. Where mu' = 0, alpha is pi/2
     by convention and the chord must be normal. Rows inside a
     same-component pair's diagonal band, with a zero chord, or whose larger
     angle residual (Python's max: the first unless the second is strictly
@@ -491,8 +485,7 @@ def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
     """
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
-    q1, t1, m1, dm1 = _feet(c1, w1, s1, ts[grp])
-    q2, t2, m2, dm2 = _feet(c2, w2, s2, ts[grp])
+    (q1, q2), (t1, t2), (m1, m2), (dm1, dm2) = _pair_feet(c1, w1, c2, w2, (s1,), (s2,), ts[grp])
     dist = _rownorm(q1 - q2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = dist / (m1 + m2)
@@ -516,13 +509,14 @@ def _verify_rows(pairs, i, j, s1, s2, ts, grp, residual):
     keep = ~(dist <= 0) & ~(np.where(ang2 > ang1, ang2, ang1) > 1e-6)
     if i == j:
         keep &= ~(c1.periodic_distance(s1, s2) < _DELTA_MIN_FACTOR * c1.length)
-    cols = (ts[grp], np.full(len(s1), i), np.full(len(s1), j), s1, s2, ratio, residual, ang1, ang2)
-    rows = dict(zip(PAIR_COLUMNS, cols), midpoint=midpoint, grp=grp)
-    return {key: v[keep] for key, v in rows.items()}
+    n = len(s1)
+    return np.column_stack([ts[grp], np.full(n, i), np.full(n, j), s1, s2, ratio, residual, ang1, ang2,
+                            midpoint, grp])[keep]
 
 
 def _dedup_rows(pairs, rows):
-    """Indices of the distinct pairs among verified rows, in output order.
+    """Indices of the distinct pairs among the rows of _verify_rows'
+    tables, in output order.
 
     Each offset's rows are sorted stably by (ratio, component_1,
     component_2, s1, s2), the offsets in order. Walking that order, a row
@@ -532,15 +526,17 @@ def _dedup_rows(pairs, rows):
     the swapped feet's distance). The first of each cluster is kept; its
     duplicates, and only they, are dropped.
     """
-    order = np.lexsort([rows[k] for k in ("s2", "s1", "component_2", "component_1", "ratio", "grp")])
+    _, c_1, c_2, s_1, s_2, ratio = rows[:, :6].T  # the first six PAIR_COLUMNS
+    grp = rows[:, -1]
+    order = np.lexsort((s_2, s_1, c_2, c_1, ratio, grp))
     n = len(pairs)
-    group = (rows["grp"] * n + rows["component_1"]) * n + rows["component_2"]
+    group = (grp * n + c_1) * n + c_2
     keep = np.zeros(len(order), dtype=bool)
     for g in _distinct(group):
         idx = np.flatnonzero(group[order] == g)
         i, j = divmod(int(g) % (n * n), n)
         c1, c2 = pairs[i][0], pairs[j][0]
-        a, b = rows["s1"][order[idx]], rows["s2"][order[idx]]
+        a, b = s_1[order[idx]], s_2[order[idx]]
         dist = c1.periodic_distance(a[:, None], a) + c2.periodic_distance(b[:, None], b)
         if i == j:
             swapped = c1.periodic_distance(a[:, None], b) + c2.periodic_distance(b[:, None], a)

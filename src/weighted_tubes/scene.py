@@ -45,17 +45,10 @@ _FAMILY_KEYS = {"kind"}
 _SERIES_KINDS = ("fourier", "chebyshev")  # component kinds of their own; the others are presets
 _FAMILY_KINDS = {"offset"}
 
-BUNDLED_SCENES = (
-    "circle_mu1",
-    "ellipse_mu1",
-    "example1a",
-    "example1b",
-    "example2_stadium",
-    "example3_family",
-    "example4",
-    "example6_family",
-    "example_separation",
-)
+# The names of the package's scene files, sorted.
+BUNDLED_SCENES = tuple(sorted(
+    f.name.removesuffix(".json") for f in resources.files("weighted_tubes.scenes").iterdir() if f.name.endswith(".json")
+))
 
 
 @dataclass

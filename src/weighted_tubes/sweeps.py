@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, check_budget
-from .errors import WeightedTubesError
+from .errors import NumericError, WeightedTubesError
 from .expmap import exp_mu, g_potential, normal_frames, w_bound
 from .radii import radii_report
 from .util import as_pairs
@@ -87,12 +87,18 @@ def fiber_trace(curve, weight, s, v, r_max, samples=257):
     give (R_values (m, samples), points (m, samples, n)) from one `exp_mu`
     call; one foot gives (samples,) and (samples, n). Every row equals the
     one-foot call for its foot. Raises SceneError when the points would not
-    fit the budget (`config.check_budget`)."""
+    fit the budget (`config.check_budget`), NumericError when a grid's width
+    2 r_max is not finite."""
     half = np.broadcast_to(np.asarray(r_max, dtype=float), np.shape(s)).ravel()
     check_budget(f"fibers of {len(half)} feet x {samples} samples", len(half) * samples * curve.ambient_dim)
+    with np.errstate(over="ignore"):
+        width = half - -half
+    wide = np.flatnonzero(~np.isfinite(width))
+    if len(wide):
+        raise NumericError(f"fiber half-width {float(half[wide[0]])!r}: the grid's width 2 r_max is not finite")
     # np.linspace switches every row to its denormal arithmetic once one
     # row's step is 0, so such rows take a call of their own.
-    alone = (half - -half) / max(samples - 1, 1) == 0.0
+    alone = width / max(samples - 1, 1) == 0.0
     rr = np.empty((len(half), samples))
     rr[~alone] = np.linspace(-half[~alone], half[~alone], samples, axis=-1)
     for k in np.nonzero(alone)[0]:

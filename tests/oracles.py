@@ -40,7 +40,6 @@ from weighted_tubes.radii import (
     _NEWTON_MAX_ITER,
     _TOL_DC,
     _feet,
-    _feet_rows,
     _focal_terms,
     _in_bands,
     _stencil,
@@ -481,6 +480,15 @@ def split_sigma_and_grad(feet1, feet2):
     ds = (2.0 * np.sum(diff * t1, axis=-1) - 2.0 * e * dm1 / msum) / msum**2
     dt = (-2.0 * np.sum(diff * t2, axis=-1) - 2.0 * e * dm2 / msum) / msum**2
     return sigma, ds, dt
+
+
+def _feet_rows(curve, weight, arrays, t):
+    """radii's helper before the one foot table, kept verbatim: _feet of
+    several equal-length foot arrays, all with offsets t, from one
+    evaluation of their concatenation; one tuple per array."""
+    n = len(arrays[0])
+    feet = _feet(curve, weight, np.concatenate(arrays), np.tile(t, len(arrays)))
+    return [tuple(x[k * n:(k + 1) * n] for x in feet) for k in range(len(arrays))]
 
 
 def newton_every_pass(c1, w1, c2, w2, seeds, grp, ts, tol):

@@ -218,6 +218,7 @@ class TestErrors:
         (("fibers", "--scene", "example1a", "--component", "-1"), "--component must be in [0, 1)"),
         (("fibers", "--scene", "example1a", "--r-max", "nan"), "--r-max must be finite and > 0"),
         (("fibers", "--scene", "example1a", "--r-max", "-1"), "--r-max must be finite and > 0"),
+        (("fibers", "--scene", "example1a", "--r-max", "1e308"), "--r-max must be at most half the largest float"),
         (("tube", "--scene", "example1a", "--radius", "nan"), "--radius must be finite and > 0"),
         (("tube", "--scene", "example1a", "--radius", "inf"), "--radius must be finite and > 0"),
         (("singular", "--scene", "example1a", "--ur", "nan"), "--ur must be > 0"),
@@ -268,6 +269,20 @@ class TestErrors:
         assert proc.returncode == 3
         assert "numeric failure" in proc.stderr and "not finite" in proc.stderr
         assert "Warning" not in proc.stderr and proc.stdout == ""
+
+    def test_fiber_grid_wider_than_the_float_range_exit_3(self, tmp_path):
+        # The default half-width 0.9 / |mu'| = 9e307 spans a grid of width inf.
+        doc = {
+            "ambient_dim": 2,
+            "components": [{"kind": "preset", "preset": "unit_circle", "params": {}}],
+            "weights": [{"kind": "polynomial", "params": {"coefficients": [1.0, 1e-308]}}],
+        }
+        scene = tmp_path / "tiny_slope.json"
+        scene.write_text(json.dumps(doc))
+        proc = run_cli("fibers", "--scene", str(scene), check=False)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "numeric failure: fiber half-width 9e+307: the grid's width 2 r_max is not finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_crossing_components_exit_2(self, tmp_path):
         # The loader's 512 samples per component miss these crossings; the

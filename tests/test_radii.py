@@ -927,10 +927,10 @@ class TestPairRows:
         res = rng.uniform(0, 1e-10, len(s1))
         rows = radii._verify_rows(pairs, 0, 0, s1, s2, ts, grp, res)
         got = [
-            (float(rows["s1"][k]), float(rows["s2"][k]), float(rows["ratio"][k]),
-             rows["midpoint"][k].tobytes(), (float(rows["angle_1"][k]), float(rows["angle_2"][k])),
-             float(rows["residual"][k]), float(rows["t"][k]))
-            for k in range(len(rows["s1"]))
+            (float(row[COL["s1"]]), float(row[COL["s2"]]), float(row[COL["ratio"]]),
+             row[len(PAIR_COLUMNS):-1].tobytes(), (float(row[COL["angle_1"]]), float(row[COL["angle_2"]])),
+             float(row[COL["residual"]]), float(row[COL["t"]]))
+            for row in rows
         ]
         oracle = []
         for k in range(len(s1)):
@@ -953,12 +953,11 @@ class TestPairRows:
                 (1.0 + 1.4 * scale, 1.0 + np.pi), (1.0 + np.pi, 1.0), (1.0, 1.0 + np.pi)]
         ratio = [1.0, 1.0 + 1e-16, 1.0 + 3e-16, 1.0 + 2e-16, 1.0]
         grp = [0, 0, 0, 0, 1]
-        rows = {
-            "grp": np.array(grp),
-            "component_1": np.zeros(5, dtype=int), "component_2": np.zeros(5, dtype=int),
-            "s1": np.array([f[0] for f in feet]), "s2": np.array([f[1] for f in feet]),
-            "ratio": np.array(ratio),
-        }
+        # _verify_rows' table: PAIR_COLUMNS, the midpoint x1, x2, then grp.
+        rows = np.zeros((5, len(PAIR_COLUMNS) + 3))
+        rows[:, -1] = grp
+        rows[:, [COL["s1"], COL["s2"]]] = feet
+        rows[:, COL["ratio"]] = ratio
         found = [[], []]
         for k in range(5):  # t carries the row's index
             found[grp[k]].append(ScalarPair(k, 0, 0, *feet[k], ratio[k], 0.0, 0.0, 0.0, None))
@@ -1120,10 +1119,11 @@ class TestNewtonSettle:
         ("circle_mu1", 6), ("ellipse_mu1", 6), ("example2_stadium", 14),
     ])
     def test_cycling_rows_settle_early(self, scenes, monkeypatch, name, most):
-        # Every pass builds two stencils and, on one component, evaluates
-        # all six foot arrays in one call. Running every row to the last
+        # Every pass builds two stencils, evaluates its six foot arrays into
+        # one table and reads sigma from it in at most two calls; the
+        # verification takes one more table. Running every row to the last
         # pass took 51 passes on each of these scenes.
-        counts = {"_stencil": 0, "_feet_rows": 0}
+        counts = {"_stencil": 0, "_pair_feet": 0, "_sigma_and_grad": 0}
         for fn in counts:
             def counting(*args, _fn=getattr(radii, fn), _name=fn):
                 counts[_name] += 1
@@ -1134,7 +1134,8 @@ class TestNewtonSettle:
         find_double_critical_pairs(scene.pairs, scene.tolerances)
         passes = counts["_stencil"] // 2
         assert 1 <= passes <= most
-        assert counts["_feet_rows"] == passes
+        assert counts["_pair_feet"] == passes + 1
+        assert passes <= counts["_sigma_and_grad"] <= 2 * passes
 
 
 def _offsets_21(half):

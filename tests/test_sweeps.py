@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,15 @@ class TestFiberTrace:
         curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
         with pytest.raises(OutOfWError, match="R=100.0 exceeds admissible bound .* at s=1.0"):
             fiber_trace(curve, weight, 1.0, -curve.point(1.0), 100.0)
+
+    @pytest.mark.parametrize("r_max", [1e308, [1.0, 9e307], np.inf, np.nan])
+    def test_a_grid_wider_than_the_float_range_is_a_numeric_failure(self, r_max):
+        # 2 r_max overflows (or is not finite): no overflow warning, no
+        # complaint about a height the caller never gave.
+        curve, weight = CircleArcCurve(-np.pi / 2, np.pi / 2), CosineWeight()
+        bad = np.broadcast_to(r_max, 2)[-1]
+        with pytest.raises(NumericError, match=re.escape(f"fiber half-width {float(bad)!r}: the grid's width")):
+            fiber_trace(curve, weight, [0.0, 0.5], [[-1.0, 0.0], [-1.0, 0.0]], r_max, samples=5)
 
     @pytest.mark.parametrize("name", [
         "circle_mu1", "ellipse_mu1", "example1a", "example1b", "example2_stadium",
@@ -594,7 +604,9 @@ def interior_overlap(pairs, R):
 DOMAIN_BOUND = ("example1a", "example1b", "example4", "example6_family")
 
 
-@pytest.mark.parametrize("name", sorted(TUBE_COUNTS))
+@pytest.mark.parametrize("name", sorted(TUBE_COUNTS) + [
+    pytest.param(("3d", seed), id=f"seeded_3d_{seed}") for seed in (1, 2)
+])
 def test_air_measured_from_outside(scenes, name):
     # air from the outside: bisect R over [0.5, 2] air, 34 halvings, for the
     # onset of interior overlap. The tube's membership band (1e-8 R^2) and
@@ -602,8 +614,14 @@ def test_air_measured_from_outside(scenes, name):
     # overlap may lie below air only by rounding: a few units of the
     # rounding of air and of the overlap points' G, which 64 eps covers.
     # Measured onsets: R/air - 1 = 2.5e-9 (circle_mu1), 8.7e-5 (ellipse_mu1),
-    # 7.6e-5 (the stadium scenes) and 2.8e-5 (example_separation).
-    scene = scenes[name]
+    # 7.6e-5 (the stadium scenes), 2.8e-5 (example_separation), and on the
+    # seeded 3D Fourier loops 1.2e-4 (seed 1) and 1.4e-2 (seed 2).
+    if isinstance(name, tuple):
+        from test_radii import _seeded_fourier_scene
+
+        scene = load_scene(_seeded_fourier_scene(*name))
+    else:
+        scene = scenes[name]
     air = radii_report(scene.pairs, scene.tolerances).air
     if name in DOMAIN_BOUND:
         bound = min(float(np.min(w_bound(w, c.grid(scene.tolerances.grid_samples)))) for c, w in scene.pairs)

@@ -269,3 +269,24 @@ def test_ab_bench_verdicts(ab_bench, tmp_path, capsys, trace):
         "worse": "worse", "wide": "unresolved", "wide_every_run_better": "within bound",
         "slightly_worse": "within bound",
     }
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_ab_bench_claims_no_gain_on_fewer_than_ten_pairs(ab_bench, tmp_path, capsys, trace):
+    # The change wins all 4 pairs by 10, five times the parent's iqr of 2:
+    # too few pairs for a gain, so within bound end to end, unresolved per layer.
+    entry = {"name": "units_per_cpu_s", "unit": "1/s", "better": "higher"}
+    if not trace:
+        entry["bound"] = 0.25
+    key = "per_layer" if trace else "end_to_end"
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, key: [entry]}))
+
+    def run(root, workload, seed, seconds, t):
+        return _result(110.0 if root.name != "parent" else [99.0, 101.0][seed % 2], 50.0)
+
+    argv = [str(tmp_path / "parent"), str(tmp_path), "--workload", "report_mix", "--seeds", "0-3",
+            "--trace", str(trace)]
+    assert ab_bench.main(argv, run=run) == 0
+    out = capsys.readouterr().out
+    assert "iqr 2)" in out and "gain +10 (better by more than the iqr)" in out and "won 4 of 4 pairs" in out
+    assert f"verdict: {'unresolved' if trace else 'within bound'}" in out

@@ -19,8 +19,9 @@ largest paired ratio change / parent, the pairs the change won, and a
 verdict. With bound the metric's `bound` in BENCHMARK.json, taken relative
 to the parent's median, the verdict is the first that holds of:
 
-- `gain`: the change won at least 9 of 10 pairs (ties count for neither
-  side) and its median gain exceeds the parent's interquartile range;
+- `gain`: at least ten pairs ran, the change won at least nine tenths of
+  them (ties count for neither side) and its median gain exceeds the
+  parent's interquartile range;
 - `worse`: the change's median is worse than the parent's by more than the
   bound;
 - `unresolved`: the parent's interquartile range is wider than the bound,
@@ -103,7 +104,7 @@ def summarize(parent, change, specs):
 def verdict(row, bound, every_run_better):
     """The verdict of a summary row (see the module docstring); bound is
     relative to the parent's median, or None for a per-layer metric."""
-    if 10 * row["won"] >= 9 * row["pairs"] and row["gain"] > row["parent_iqr"]:
+    if row["pairs"] >= 10 and 10 * row["won"] >= 9 * row["pairs"] and row["gain"] > row["parent_iqr"]:
         return "gain"
     if bound is None:
         return "unresolved"
