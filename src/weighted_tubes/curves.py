@@ -8,10 +8,12 @@ or closed-form differentiation, never finite differences, so curvature
 and the third derivative are trustworthy at machine precision.
 """
 
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
+from numpy.polynomial import polyutils as pu
 
 from .errors import NonRegularCurveError, OutOfDomainError, QuadratureFailureError
 from .util import (
@@ -183,7 +185,8 @@ class SegmentCurve(ArclengthCurve):
 
 
 class _RawCurve(ArclengthCurve):
-    """Curve given by raw-parameter evaluators, reparametrized to arclength.
+    """Curve given by a series in a raw parameter t (`_FourierSeries` or
+    `_ChebyshevSeries`, read through `orders`), reparametrized to arclength.
 
     The map s -> t is tabulated on a uniform raw grid: 16 Gauss-Legendre
     nodes per cell give the cumulative arclength at the knots. A foot is
@@ -207,8 +210,9 @@ class _RawCurve(ArclengthCurve):
     _LENGTH_TOL = 1e-10  # relative agreement of two successive length checks
     _NEWTON_BLOCK = 1 << 15  # most feet one Newton pass of t_of_s inverts at once
 
-    def __init__(self, closed, raw_domain):
-        self._t0, self._t1 = float(raw_domain[0]), float(raw_domain[1])
+    def __init__(self, series, closed, raw_domain):
+        self._series = series
+        self._t0, self._t1 = raw_domain
         if self._t1 <= self._t0:
             raise NonRegularCurveError("raw domain is empty")
         tg = np.linspace(self._t0, self._t1, self._TABLE_N + 1)
@@ -256,11 +260,7 @@ class _RawCurve(ArclengthCurve):
         raise QuadratureFailureError("arclength quadrature did not stabilize")
 
     def _raw(self, t, order):
-        return self._raw_orders(t, (order,))[0]
-
-    def _raw_orders(self, t, orders):
-        """Raw-parameter derivatives of the given orders at 1-D t, one each."""
-        raise NotImplementedError
+        return self._series.orders(t, (order,))[0]
 
     def _s_of_t(self, t):
         """(arclength from the table start, raw speed) at 1-D t: the partial cell
@@ -294,7 +294,7 @@ class _RawCurve(ArclengthCurve):
 
     def _jet(self, s, order):
         t = self.t_of_s(s - self.s_min)
-        g = self._raw_orders(t, range(order + 1))
+        g = self._series.orders(t, range(order + 1))
         out = [g[0]]
         if order >= 1:
             inv = 1.0 / np.linalg.norm(g[1], axis=-1)  # 1 / speed
@@ -359,37 +359,54 @@ def _pchip_eval(x, c, s):
     return c[3, i] + c[2, i] * z + c[1, i] * z2 + c[0, i] * (z2 * z)
 
 
+def _padded(coeffs):
+    """The coefficient rows as one (terms, coordinates) table, each column
+    padded with high-order zeros. Both series bases read one, and share one
+    contract: `orders(t, orders)` gives the derivatives of the given orders
+    at 1-D t, one C-contiguous (len(t), d) array each. A padded term adds +-0
+    to an accumulator that starts at +0, which changes no bit."""
+    return np.array(list(zip_longest(*coeffs, fillvalue=0.0)))
+
+
+def _finite_pair(values, name):
+    """values as two finite, distinct floats, else a ValueError naming the parameter."""
+    pair = np.asarray(values, dtype=float)
+    if pair.shape != (2,) or not np.all(np.isfinite(pair)) or pair[0] == pair[1]:
+        raise ValueError(f"{name} needs two finite, distinct numbers, got {values!r}")
+    return float(pair[0]), float(pair[1])
+
+
 class _FourierSeries:
     """Real Fourier series x_i(t) = a0 + sum_k a_k cos(k w t) + b_k sin(k w t),
     w = 2 pi / period, one per coordinate (coeffs[i] = [a0, a1, b1, ...]);
     a weight is the one-coordinate case."""
 
     def __init__(self, coeffs, period):
-        # Per mode k: the coordinates that carry it (None: all) and their
-        # (a_k, b_k) columns, so a coordinate with fewer modes gets no padded
-        # term.
-        self._const = np.array([c[0] for c in coeffs])[:, None]
-        self._modes = []
-        for k in range(1, max(c.size for c in coeffs) // 2 + 1):
-            rows = [i for i, c in enumerate(coeffs) if c.size > 2 * k]
-            ab = np.array([coeffs[i][2 * k - 1:2 * k + 1] for i in rows])
-            sel = None if len(rows) == len(coeffs) else np.array(rows)
-            self._modes.append((sel, ab[:, :1], ab[:, 1:]))
-        self.omega = 2.0 * np.pi / float(period)
+        table = _padded(coeffs)
+        self._const = table[0][:, None]
+        self._modes = [(table[2 * k - 1][:, None], table[2 * k][:, None]) for k in range(1, len(table) // 2 + 1)]
+        # The jet scales the top mode's coefficients by (k w)^3; a period of 0
+        # makes it inf, or nan without modes.
+        period, top = float(period), len(self._modes)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cube = (top * (2.0 * np.pi / np.float64(period))) ** 3
+        if not (np.isfinite(period) and np.isfinite(cube)):
+            raise ValueError(f"Fourier period must be finite and nonzero with (k w)^3 finite at the top mode "
+                             f"k = {top}, got {period}")
+        self.omega = 2.0 * np.pi / period
 
     def orders(self, t, orders):
-        """Derivatives of the given orders at 1-D t, one (len(t), d) array each."""
         # Per mode, one cos/sin pass and the two combinations every order
         # reads, even = a cos + b sin and odd = b cos - a sin: d/dt rotates
         # (cos, sin) a quarter period per order, so order n adds even, odd,
         # -even, -odd (n mod 4 = 0, 1, 2, 3) times (k w)^n. Each mode updates
-        # all its coordinates at once in (d, N) order.
+        # all coordinates at once in (d, N) order.
         accs = [np.zeros((len(self._const), t.size)) for _ in orders]
         for order, acc in zip(orders, accs):
             if order == 0:
                 acc += self._const
         parities = {order % 2 for order in orders}
-        for k, (sel, ak, bk) in enumerate(self._modes, 1):
+        for k, (ak, bk) in enumerate(self._modes, 1):
             w = k * self.omega
             ph = w * t
             cos, sin = np.cos(ph), np.sin(ph)
@@ -404,19 +421,39 @@ class _FourierSeries:
                 if order:
                     # The sign rides on the factor: -(x w^n) rounds as x (-w^n).
                     x = x * (w**order if order % 4 < 2 else -(w**order))
-                if sel is None:
-                    acc += x
-                else:
-                    acc[sel] += x
+                acc += x
         # C-contiguous (N, d) arrays, as reductions over their last axis
         # round by memory layout.
         return [np.ascontiguousarray(acc.T) for acc in accs]
 
 
-def _chebyshev_derivatives(coeffs, domain):
-    """[p, p', p'', p'''] of the Chebyshev series coeffs on domain."""
-    p = npcheb.Chebyshev(np.asarray(coeffs, dtype=float), domain=list(domain))
-    return [p] + [p.deriv(m) for m in range(1, 4)]
+class _ChebyshevSeries:
+    """Chebyshev series x_i(t) = sum_k c_ik T_k(off + scl t), one per
+    coordinate, where off + scl t maps the domain onto [-1, 1] as numpy's
+    `Chebyshev` class does; the derivative tables are its `deriv` tables."""
+
+    def __init__(self, coeffs, domain):
+        table = _padded(coeffs)
+        self._off, self._scl = pu.mapparms(np.array(domain, dtype=float), npcheb.chebdomain)
+        self._tables = [table] + [npcheb.chebder(table, m, self._scl) for m in range(1, 4)]
+
+    def orders(self, t, orders):
+        # chebval's Clenshaw recurrence runs on every column of a table at
+        # once, with the operations it does on one column alone.
+        x = self._off + self._scl * t
+        return [np.ascontiguousarray(npcheb.chebval(x, self._tables[order]).T) for order in orders]
+
+
+def _series_rows(coefficients, basis):
+    """A series curve's coefficient rows as 1-D float arrays: two or more, all finite."""
+    coeffs = [np.asarray(c, dtype=float) for c in coefficients]
+    if len(coeffs) < 2:
+        raise NonRegularCurveError("need at least 2 coordinates")
+    if any(c.ndim != 1 for c in coeffs):
+        raise NonRegularCurveError(f"each {basis} coordinate needs a flat list of coefficients")
+    if not all(np.all(np.isfinite(c)) for c in coeffs):
+        raise NonRegularCurveError(f"non-finite {basis} coefficients")
+    return coeffs
 
 
 class FourierCurve(_RawCurve):
@@ -427,43 +464,21 @@ class FourierCurve(_RawCurve):
     """
 
     def __init__(self, coefficients, period=2.0 * np.pi):
-        coeffs = [np.asarray(c, dtype=float) for c in coefficients]
-        if len(coeffs) < 2:
-            raise NonRegularCurveError("need at least 2 coordinates")
+        coeffs = _series_rows(coefficients, "Fourier")
         if any(c.size < 3 or c.size % 2 == 0 for c in coeffs):
             raise NonRegularCurveError("each coordinate needs [a0, a1, b1, ...]")
-        if not all(np.all(np.isfinite(c)) for c in coeffs):
-            raise NonRegularCurveError("non-finite Fourier coefficients")
-        self._series = _FourierSeries(coeffs, period)
-        super().__init__(True, (0.0, float(period)))
-
-    def _raw_orders(self, t, orders):
-        return self._series.orders(t, orders)
+        super().__init__(_FourierSeries(coeffs, period), True, (0.0, float(period)))
 
 
 class ChebyshevCurve(_RawCurve):
     """Open arc with one Chebyshev series per coordinate on [t0, t1]."""
 
     def __init__(self, coefficients, raw_domain):
-        coeffs = [np.asarray(c, dtype=float) for c in coefficients]
-        if len(coeffs) < 2:
-            raise NonRegularCurveError("need at least 2 coordinates")
+        coeffs = _series_rows(coefficients, "Chebyshev")
         if any(c.size < 2 for c in coeffs):
             raise NonRegularCurveError("truncation order must be >= 1")
-        if not all(np.all(np.isfinite(c)) for c in coeffs):
-            raise NonRegularCurveError("non-finite Chebyshev coefficients")
-        dom = [float(raw_domain[0]), float(raw_domain[1])]
-        self._series = [_chebyshev_derivatives(c, dom) for c in coeffs]
-        super().__init__(False, dom)
-
-    def _raw_orders(self, t, orders):
-        outs = []
-        for order in orders:
-            out = np.zeros((len(t), len(self._series)))
-            for i, p in enumerate(self._series):
-                out[:, i] = p[order](t)
-            outs.append(out)
-        return outs
+        dom = _finite_pair(raw_domain, "raw_domain")
+        super().__init__(_ChebyshevSeries(coeffs, dom), False, dom)
 
 
 class EllipseCurve(FourierCurve):

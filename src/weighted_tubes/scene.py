@@ -120,7 +120,7 @@ def _build_component(cdoc, dim, idx):
         raise SceneError(f"{where}: a {kind} component takes no preset")
     params = _params(cdoc, where)
     if kind in ("unit_circle", "circle_arc"):
-        params.setdefault("ambient_dim", dim)
+        params["ambient_dim"] = integer_at_least(params.get("ambient_dim", dim), 2, f"{where}: ambient_dim")
     with _guard(where):
         return build_arclength_curve(kind, **params)
 

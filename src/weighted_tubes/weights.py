@@ -6,15 +6,13 @@ collapse tests use mu, mu' and mu''. Kinds mirror the curve bases:
 constant, polynomial, cosine, Fourier and Chebyshev series, plus the
 piecewise blend used by the stadium scene and an additive-offset wrapper
 for weight families. `validate_on` rejects a weight that is not finite
-and positive on the curve's domain.
+and positive on the curve's domain, or not periodic on a closed curve.
 """
-
-from itertools import zip_longest
 
 import numpy as np
 from numpy.polynomial import polynomial as nppoly
 
-from .curves import _chebyshev_derivatives, _FourierSeries, _shaped_jet
+from .curves import _ChebyshevSeries, _finite_pair, _FourierSeries, _padded, _shaped_jet
 from .errors import NonpositiveWeightError
 
 
@@ -26,6 +24,12 @@ def _horner(x, c):
     for ci in c[-2::-1]:
         acc = ci + acc * x
     return acc
+
+
+# The relative jump of mu, mu' or mu'' across a closed curve's seam that
+# validate_on allows. The bundled closed scenes and 120 generated benchmark
+# scenes read at most 4.2e-15.
+_SEAM_BAND = 2.0**-30
 
 
 class WeightFunction:
@@ -52,9 +56,15 @@ class WeightFunction:
 
     def validate_on(self, curve):
         """Reject weights that are not finite and positive on 4096 samples
-        of the curve's domain."""
+        of the curve's domain. On a closed curve the weight must also be
+        periodic: mu, mu' and mu'' at s_min and at s_min + L may differ by
+        at most _SEAM_BAND times their order's largest size on the samples."""
         sg = curve.grid(4096)
-        vals = self.mu(sg)
+        if curve.closed:
+            jet = self.jet(np.append(sg, curve.s_max), 2)
+            vals = jet[0][:-1]
+        else:
+            jet, vals = (), self.mu(sg)
         if not np.all(np.isfinite(vals)):
             raise NonpositiveWeightError("weight is not finite on the domain")
         if np.min(vals) <= 0.0:
@@ -62,6 +72,12 @@ class WeightFunction:
             raise NonpositiveWeightError(
                 f"weight must be positive; min {float(np.min(vals))} near s={smin}"
             )
+        for name, x in zip(("mu", "mu'", "mu''"), jet):
+            if not abs(x[-1] - x[0]) <= _SEAM_BAND * np.max(np.abs(x[:-1])):
+                raise NonpositiveWeightError(
+                    f"weight is not periodic on the closed curve: {name} is "
+                    f"{float(x[0])} at s={curve.s_min} and {float(x[-1])} at s={curve.s_max}"
+                )
         return self
 
 
@@ -114,9 +130,15 @@ class CosineWeight(WeightFunction):
         )[:order + 1]
 
 
-class FourierWeight(WeightFunction):
-    """Periodic series a0 + sum a_k cos(k w s) + b_k sin(k w s), w = 2 pi / period:
-    a one-coordinate Fourier series of the curves."""
+class _SeriesWeight(WeightFunction):
+    """A one-coordinate series of the curves' bases, evaluated in s."""
+
+    def _jet(self, s, order):
+        return tuple(x[:, 0] for x in self._series.orders(s, range(order + 1)))
+
+
+class FourierWeight(_SeriesWeight):
+    """Periodic series a0 + sum a_k cos(k w s) + b_k sin(k w s), w = 2 pi / period."""
 
     def __init__(self, coefficients, period):
         c = np.asarray(coefficients, dtype=float)
@@ -124,16 +146,15 @@ class FourierWeight(WeightFunction):
             raise NonpositiveWeightError("Fourier weight needs [a0, a1, b1, ...]")
         self._series = _FourierSeries([c], period)
 
-    def _jet(self, s, order):
-        return tuple(x[:, 0] for x in self._series.orders(s, range(order + 1)))
 
+class ChebyshevWeight(_SeriesWeight):
+    """Chebyshev series sum c_k T_k on domain [s0, s1]."""
 
-class ChebyshevWeight(WeightFunction):
     def __init__(self, coefficients, domain):
-        self._p = _chebyshev_derivatives(coefficients, domain)
-
-    def _jet(self, s, order):
-        return tuple(p(s) for p in self._p[:order + 1])
+        c = np.asarray(coefficients, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise NonpositiveWeightError("Chebyshev weight needs [c0, c1, ...]")
+        self._series = _ChebyshevSeries([c], _finite_pair(domain, "domain"))
 
 
 class OffsetWeight(WeightFunction):
@@ -218,7 +239,7 @@ class SymmetricPiecewiseWeight(WeightFunction):
             raise NonpositiveWeightError("blend plateau is non-positive; widen the stages")
         # Per order, every piece's coefficients in one table, a column per
         # piece padded with high-order zeros; a piece's own are its column.
-        mu = np.array(list(zip_longest(*(c for _, _, c, _, _ in pieces), fillvalue=0.0)))
+        mu = _padded([c for _, _, c, _, _ in pieces])
         self._tables = [mu] + [nppoly.polyder(mu, m) for m in range(1, 4)]
         self._starts = np.array([lo for lo, *_ in pieces])
         self._pieces = [(lo, hi, [c[:, j] for c in self._tables]) for j, (lo, hi, *_) in enumerate(pieces)]

@@ -10,13 +10,14 @@ s-derivatives and sigma's gradient that one closed form replaced, the pair
 Newton that runs every active row to the last pass, the pair search's
 per-offset seed loop, and the
 evaluators the shared series and piece code replaced: the Fourier weight's
-own per-mode jet, the stadium's per-piece advance and its per-piece jet,
+own per-mode jet, numpy's per-coordinate Chebyshev objects, the stadium's per-piece advance and its per-piece jet,
 the run finder's loop, and the stadium solve that built the whole curve on
 every trial."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev as npcheb
 
 from weighted_tubes import (
     PLANE,
@@ -647,6 +648,21 @@ def fourier_weight_jet(coeffs, period, s, order):
             else:
                 acc[n] = acc[n] + fac * (ak * sin - bk * cos)
     return tuple(acc)
+
+
+def chebyshev_orders(coeffs, domain, t, orders):
+    """The Chebyshev series evaluator the coefficient table replaced: one
+    numpy `Chebyshev` object per coordinate with its `deriv` objects, each
+    called on t in turn."""
+    polys = [npcheb.Chebyshev(np.asarray(c, dtype=float), domain=list(domain)) for c in coeffs]
+    series = [[p] + [p.deriv(m) for m in range(1, 4)] for p in polys]
+    outs = []
+    for order in orders:
+        out = np.zeros((len(t), len(series)))
+        for i, p in enumerate(series):
+            out[:, i] = p[order](t)
+        outs.append(out)
+    return outs
 
 
 def end_state(curve):

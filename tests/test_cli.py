@@ -8,7 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from test_scene import KNOWN, REMOVED_TOLERANCES, bundled_doc
+from test_scene import (
+    ARC,
+    CHEBYSHEV,
+    FOURIER,
+    KNOWN,
+    REMOVED_TOLERANCES,
+    STADIUM,
+    UNIT_WEIGHT,
+    bundled_doc,
+    entry,
+    preset,
+)
 
 
 def run_cli(*args, check=True, **options):
@@ -1035,3 +1046,80 @@ def test_csv_columns_format_like_float17_per_cell():
     rows = np.column_stack([s, np.full(len(s), 0.3), points]).tolist()
     text = _point_csv(SimpleNamespace(ambient_dim=2), s, 0.3, points)
     assert text == per_cell_csv(["s", "R", "x1", "x2"], rows)
+
+
+# ---------------------------------------------------------------------------
+# Every constructor parameter of every curve and weight kind, set in turn to
+# each value of a fixed table, on a base scene of that kind
+# ---------------------------------------------------------------------------
+
+
+# (component, weight) of a base scene per kind: each loads and reports.
+FUZZ_CURVE_BASES = {
+    "fourier": FOURIER,
+    "chebyshev": CHEBYSHEV,
+    "unit_circle": preset("unit_circle"),
+    "circle_arc": ARC,
+    "ellipse": preset("ellipse", a=2.0, b=1.0),
+    "stadium": STADIUM,
+    "segment": preset("segment", a=[0.0, 0.0], b=[1.0, 0.0]),
+}
+FUZZ_WEIGHT_BASES = {
+    "constant": (ARC, UNIT_WEIGHT),
+    "polynomial": (ARC, entry("polynomial", coefficients=[1.0, 0.0, -0.125])),
+    "cosine": (ARC, entry("cosine")),
+    "fourier": (preset("unit_circle"), entry("fourier", coefficients=[1.0, 0.1, 0.0])),
+    "chebyshev": (ARC, entry("chebyshev", coefficients=[1.0, 0.0, 0.1])),
+    "stadium_blend": (STADIUM, entry("stadium_blend")),
+}
+FUZZ_VALUES = (0, -1, 1e-300, 1e300, float("inf"), float("nan"), [], [1.0], [1, 2, 3], "x", None, True, [[1.0]])
+
+
+# A weight near 1e-300 squares to an underflowed 0: the pair search's sigma =
+# e / (mu1 + mu2)^2 divides by it (a RuntimeWarning), and a constant 1e-300
+# reports every radius as inf where they are 1e300.
+FUZZ_UNDERFLOW = {"weights-constant-value-1e-300", "weights-cosine-amplitude-1e-300"}
+
+
+def _fuzz_cases():
+    """(where, kind, parameter, value) for every parameter of every kind's
+    constructor, read from its signature, and every value of FUZZ_VALUES."""
+    import inspect
+
+    from weighted_tubes.curves import CURVE_KINDS
+    from weighted_tubes.weights import WEIGHT_KINDS
+
+    for where, kinds in (("components", CURVE_KINDS), ("weights", WEIGHT_KINDS)):
+        for kind, make in kinds.items():
+            for name in inspect.signature(make).parameters:
+                for value in FUZZ_VALUES:
+                    case = f"{where}-{kind}-{name}-{json.dumps(value)}"
+                    marks = [pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason=(
+                        "sigma's denominator underflows to 0"))] if case in FUZZ_UNDERFLOW else []
+                    yield pytest.param(where, kind, name, value, marks=marks, id=case)
+
+
+def test_fuzz_bases_cover_every_kind():
+    from weighted_tubes.curves import CURVE_KINDS
+    from weighted_tubes.weights import WEIGHT_KINDS
+
+    assert set(FUZZ_CURVE_BASES) == set(CURVE_KINDS) and set(FUZZ_WEIGHT_BASES) == set(WEIGHT_KINDS)
+
+
+@pytest.mark.parametrize("where,kind,name,value", list(_fuzz_cases()))
+def test_every_parameter_value_exits_0_2_or_3(tmp_path, where, kind, name, value):
+    # The loader's guard turns numpy errors into exit 2; a Python error a
+    # constructor raised (ZeroDivisionError, OverflowError, IndexError)
+    # used to escape it as a traceback with exit 1.
+    import copy
+
+    from weighted_tubes import cli
+
+    component, weight = copy.deepcopy((FUZZ_CURVE_BASES[kind], UNIT_WEIGHT) if where == "components"
+                                      else FUZZ_WEIGHT_BASES[kind])
+    (component if where == "components" else weight)["params"][name] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "components": [component], "weights": [weight]}))
+    code = cli.main(["report", "--scene", str(path), "--out", str(tmp_path / "report.json"),
+                     "--tol-override", "grid_samples=256", "--tol-override", "pair_grid=32"])
+    assert code in (0, 2, 3)

@@ -33,6 +33,7 @@ from weighted_tubes.expmap import f_prime, f_second, f_value
 from weighted_tubes.util import gauss_legendre
 
 from oracles import (
+    chebyshev_orders,
     end_state,
     fourier_weight_jet,
     kappa_local,
@@ -72,8 +73,8 @@ def _segment_order(curve, s, order):
 def _raw_order(curve, s, order):
     t = curve.t_of_s(s - curve.s_min)
     if order == 0:
-        return curve._raw_orders(t, (0,))[0]
-    g1, *higher = curve._raw_orders(t, range(1, order + 1))
+        return curve._series.orders(t, (0,))[0]
+    g1, *higher = curve._series.orders(t, range(1, order + 1))
     speed = np.linalg.norm(g1, axis=-1)
     inv = 1.0 / speed
     if order == 1:
@@ -273,7 +274,7 @@ def test_fourier_raw_orders_equal_per_coordinate_form(name, coeffs, period):
     feet = [rng.uniform(-1.0, 8.0, 500), rng.uniform(0.0, 7.0, 12), np.array([0.7]), np.array([0.0]),
             np.array([-0.0]), np.array([0.0, -0.0, np.pi, 2.0 * np.pi])]
     for t in feet:
-        new = curve._raw_orders(t, range(4))
+        new = curve._series.orders(t, range(4))
         old = _fourier_raw_orders([np.asarray(c, dtype=float) for c in coeffs], curve._series.omega, t, range(4))
         for order in range(4):
             assert new[order].shape == old[order].shape and new[order].flags.c_contiguous
@@ -429,7 +430,7 @@ def _spy_on_feet(obj, seen):
             return fn(x, *rest)
         return wrapped
 
-    for name in ("_jet", "_half_jet", "t_of_s", "_s_of_t", "_raw", "_raw_orders", "orders"):
+    for name in ("_jet", "_half_jet", "t_of_s", "_s_of_t", "_raw", "orders"):
         if hasattr(obj, name):
             setattr(obj, name, spy(getattr(obj, name)))
     for child in (getattr(obj, "_series", None), getattr(obj, "base", None)):
@@ -563,9 +564,70 @@ def test_series_weights_are_curve_coordinates():
         (FourierCurve(fourier, period=7.0), FourierWeight(fourier[1], 7.0)),
         (ChebyshevCurve(cheb, (-1.0, 2.0)), ChebyshevWeight(cheb[1], (-1.0, 2.0))),
     ):
-        raw = curve._raw_orders(t, range(4))
+        raw = curve._series.orders(t, range(4))
         for order, x in enumerate(weight.jet(t, 3)):
             assert x.tobytes() == np.ascontiguousarray(raw[order][:, 1]).tobytes()
+
+
+# Coordinates of unequal length on both bases, so the coefficient table pads
+# some of its columns with high-order zeros; the Fourier period makes the
+# factors (k w)^order inexact.
+SERIES_TABLES = [
+    ("fourier", [[0.1, 1.0, 0.0, 0.02, -0.01, 0.004, 0.003], [-0.2, 0.0, 1.0], [0.3, 0.1, -0.2, 0.05, 0.0]], 3.0),
+    ("chebyshev", [[0.1, 1.0, 0.2, -0.05, 0.01, 0.003, -0.001], [-0.2, 0.3, 0.5, 0.02], [0.4, 0.1]], (-1.0, 2.5)),
+]
+
+
+def _series_feet(lo, hi):
+    """0.0, -0.0, the domain ends, 1,000 random feet and one foot, each a 1-D array."""
+    rng = np.random.default_rng(23)
+    return [np.array([0.0]), np.array([-0.0]), np.array([lo, hi]), rng.uniform(lo, hi, 1000), np.array([0.3])]
+
+
+@pytest.mark.parametrize("basis,coeffs,param", SERIES_TABLES, ids=[c[0] for c in SERIES_TABLES])
+def test_series_orders_are_the_per_coordinate_references(basis, coeffs, param):
+    # One coefficient table per basis gives the bits of the per-coordinate
+    # evaluators it replaced, signed zeros included, in C-contiguous arrays.
+    rows = [np.asarray(c, dtype=float) for c in coeffs]
+    if basis == "fourier":
+        series, (lo, hi) = FourierCurve(coeffs, period=param)._series, (0.0, param)
+
+        def want(t):
+            return _fourier_raw_orders(rows, series.omega, t, range(4))
+    else:
+        series, (lo, hi) = ChebyshevCurve(coeffs, param)._series, param
+
+        def want(t):
+            return chebyshev_orders(rows, param, t, range(4))
+    for t in _series_feet(lo, hi):
+        got = series.orders(t, range(4))
+        assert [series.orders(t, (order,))[0].tobytes() for order in range(4)] == [x.tobytes() for x in got]
+        for order, (x, y) in enumerate(zip(got, want(t))):
+            assert x.shape == y.shape == (len(t), len(coeffs)) and x.flags.c_contiguous
+            assert x.tobytes() == y.tobytes(), (len(t), order)
+
+
+@pytest.mark.parametrize("basis,coeffs,param", SERIES_TABLES, ids=[c[0] for c in SERIES_TABLES])
+def test_series_weight_jets_are_the_references(basis, coeffs, param):
+    # A series weight's jet is its reference evaluator's, bit for bit, on
+    # array feet and on scalar ones (np.float64 values).
+    c = coeffs[0]
+    if basis == "fourier":
+        weight, (lo, hi) = FourierWeight(c, param), (0.0, param)
+
+        def want(s):
+            return fourier_weight_jet(c, param, s, 3)
+    else:
+        weight, (lo, hi) = ChebyshevWeight(c, param), param
+
+        def want(s):
+            rows = chebyshev_orders([c], param, np.atleast_1d(s), range(4))
+            return tuple(x[:, 0] if np.ndim(s) else x[0, 0] for x in rows)
+    feet = _series_feet(lo, hi)
+    for s in feet + [float(x) for x in np.concatenate(feet[:3])] + [float(feet[3][7])]:
+        for x, y in zip(weight.jet(s, 3), want(s)):
+            assert type(x) is type(y) and np.shape(x) == np.shape(y)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
 @pytest.mark.parametrize("params", [

@@ -76,6 +76,22 @@ class TestParsing:
         assert parse_scene(doc).family_kind == "offset"
 
 
+def preset(name, **params):
+    return {"kind": "preset", "preset": name, "params": params}
+
+
+def entry(kind, **params):
+    """A component or weight entry of kind `kind`."""
+    return {"kind": kind, "params": params}
+
+
+ARC = preset("circle_arc", s_start=-1.0, s_end=1.0)
+STADIUM = preset("stadium")
+UNIT_WEIGHT = entry("constant", value=1.0)
+FOURIER = entry("fourier", coefficients=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+CHEBYSHEV = entry("chebyshev", coefficients=[[0.0, 1.0], [0.0, 0.0, 0.5]], raw_domain=[-1.0, 1.0])
+
+
 class TestValidation:
     def test_unknown_top_key(self):
         doc = minimal_doc()
@@ -231,6 +247,68 @@ class TestValidation:
         with pytest.raises(SceneError, match=r"Fourier weight needs \[a0, a1, b1, ...\]"):
             parse_scene(doc)
 
+    @pytest.mark.parametrize("where, item, message", [
+        ("components", {"kind": "fourier", "params": {"coefficients": [[0, 1, 0], [0, 0, 1]], "period": 0}},
+         r"Fourier period must be finite and nonzero with \(k w\)\^3 finite at the top mode k = 1, got 0.0\)"),
+        ("weights", {"kind": "fourier", "params": {"coefficients": [1.0, 0.1, 0.0], "period": 0}},
+         r"Fourier period must be finite and nonzero with \(k w\)\^3 finite at the top mode k = 1, got 0.0\)"),
+        ("weights", {"kind": "fourier", "params": {"coefficients": [1.0, 0.1, 0.0], "period": 1e-300}},
+         r"Fourier period must be finite and nonzero with \(k w\)\^3 finite at the top mode k = 1, got 1e-300\)"),
+        ("components", {"kind": "chebyshev", "params": {"coefficients": [[0, 1], [0, 0, 0.5]], "raw_domain": []}},
+         r"raw_domain needs two finite, distinct numbers, got \[\]"),
+        ("components", {"kind": "chebyshev", "params": {"coefficients": [[0, 1], [0, 0, 0.5]], "raw_domain": [1.0]}},
+         r"raw_domain needs two finite, distinct numbers, got \[1.0\]"),
+        ("components", {"kind": "chebyshev",
+                        "params": {"coefficients": [[0, 1], [0, 0, 0.5]], "raw_domain": [-1, 1, 5]}},
+         r"raw_domain needs two finite, distinct numbers, got \[-1, 1, 5\]"),
+        ("weights", {"kind": "chebyshev", "params": {"coefficients": [1.0, 0.1], "domain": [0.0, float("inf")]}},
+         r"domain needs two finite, distinct numbers, got \[0.0, inf\]"),
+    ], ids=["fourier_curve_period_0", "fourier_weight_period_0", "fourier_weight_period_1e-300",
+            "chebyshev_raw_domain_empty", "chebyshev_raw_domain_one", "chebyshev_raw_domain_three",
+            "chebyshev_weight_domain_inf"])
+    def test_series_parameters(self, where, item, message):
+        # The first five escaped the loader as ZeroDivisionError, OverflowError
+        # (from w**order at order 2, after mu alone had passed) and IndexError
+        # tracebacks, exit 1; a third raw_domain entry was ignored.
+        doc = {"ambient_dim": 2, "components": [preset("unit_circle")], "weights": [UNIT_WEIGHT]}
+        doc[where][0] = item
+        with pytest.raises(SceneError, match=rf"^{where}\[0\]: bad parameters \({message}"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("component, weight, jump", [
+        (preset("unit_circle"), entry("cosine", frequency=0.5, offset=2.0), "mu is 3.0 at s=0.0 and 1.0 at"),
+        (preset("unit_circle"), entry("polynomial", coefficients=[1.0, 0.05]), "mu is 1.0 at s=0.0 and 1.314"),
+        (preset("ellipse", a=2.0, b=1.0), entry("fourier", coefficients=[1.0, 0.1, 0.0], period=5.0),
+         "mu is 1.1 at s=0.0 and 1.092"),
+    ], ids=["circle_cosine", "circle_polynomial", "ellipse_fourier"])
+    def test_weight_not_periodic_on_a_closed_curve(self, component, weight, jump):
+        # The curve wraps s and the weight did not: each of these reported
+        # dir = tir = air with exit 0 (0.367, 0.760 and 0.472).
+        doc = {"ambient_dim": 2, "components": [component], "weights": [weight]}
+        with pytest.raises(SceneError, match=rf"^weights\[0\]: weight is not periodic on the closed curve: {jump}"):
+            parse_scene(doc)
+
+    @pytest.mark.parametrize("component, weight", [
+        (preset("unit_circle"), entry("polynomial", coefficients=[1.0, 1e-308])),
+        (preset("unit_circle"), entry("cosine", frequency=1.0, offset=2.0)),
+        (preset("unit_circle"), entry("fourier", coefficients=[1.0, 0.3, -0.2, 0.0, 0.1])),
+        (ARC, entry("cosine", frequency=0.5, offset=2.0)),
+    ], ids=["polynomial_tiny_slope", "cosine_whole_turn", "fourier_curve_length", "open_arc"])
+    def test_weight_periodic_on_a_closed_curve(self, component, weight):
+        # Within the seam band 2^-30 of each order's largest size; an open arc
+        # is not checked at all.
+        parse_scene({"ambient_dim": 2, "components": [component], "weights": [weight]})
+
+    @pytest.mark.parametrize("name", ["unit_circle", "circle_arc"])
+    @pytest.mark.parametrize("value", [float("inf"), 2.5])
+    def test_circle_ambient_dim_must_be_an_integer(self, name, value):
+        # inf escaped as an OverflowError from int() (exit 1), and 2.5 ran as 2.
+        doc = minimal_doc()
+        doc["components"][0]["preset"] = name
+        doc["components"][0]["params"]["ambient_dim"] = value
+        with pytest.raises(SceneError, match=rf"^components\[0\]: ambient_dim must be an integer, got {value}$"):
+            parse_scene(doc)
+
     def test_overlapping_components_rejected(self):
         doc = minimal_doc()
         doc["components"].append(dict(doc["components"][0]))
@@ -291,22 +369,6 @@ class TestValidation:
         path.write_text("{nope")
         with pytest.raises(SceneError, match="valid JSON"):
             load_scene(str(path))
-
-
-def preset(name, **params):
-    return {"kind": "preset", "preset": name, "params": params}
-
-
-def entry(kind, **params):
-    """A component or weight entry of kind `kind`."""
-    return {"kind": kind, "params": params}
-
-
-ARC = preset("circle_arc", s_start=-1.0, s_end=1.0)
-STADIUM = preset("stadium")
-UNIT_WEIGHT = entry("constant", value=1.0)
-FOURIER = entry("fourier", coefficients=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-CHEBYSHEV = entry("chebyshev", coefficients=[[0.0, 1.0], [0.0, 0.0, 0.5]], raw_domain=[-1.0, 1.0])
 
 
 # (component, weight, where, key, value): the scene loads as given and is
