@@ -17,6 +17,8 @@ from numpy.polynomial import polyutils as pu
 
 from .errors import NonRegularCurveError, OutOfDomainError, QuadratureFailureError
 from .util import (
+    _coord_norm,
+    _coord_sum,
     brent_rows,
     gauss_legendre,
     quintic_smoothstep,
@@ -112,14 +114,14 @@ class ArclengthCurve:
         return self.jet(s, 2)[2]
 
     def curvature(self, s):
-        return np.linalg.norm(self.jet(s, 2)[2], axis=-1)
+        return _coord_norm(self.jet(s, 2)[2])
 
 
 def _kappa_rate(jet, kappa_tol):
     """d(kappa)/ds from a jet of order 3; 0 where kappa <= kappa_tol."""
     d2, d3 = jet[2], jet[3]
-    kap = np.linalg.norm(d2, axis=-1)
-    dot = np.sum(d2 * d3, axis=-1)
+    kap = _coord_norm(d2)
+    dot = _coord_sum(d2 * d3)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(kap > kappa_tol, dot / np.where(kap > 0, kap, 1.0), 0.0)
 
@@ -128,9 +130,9 @@ def collapse_ode_residual(jet):
     """|gamma''' + kappa^2 gamma'| from a jet of order 3 (`curve.jet(s, 3)`);
     zero exactly on circular arcs."""
     _, t, d2, d3 = jet
-    kap = np.linalg.norm(d2, axis=-1)
+    kap = _coord_norm(d2)
     res = d3 + (np.asarray(kap)[..., None] ** 2) * t
-    return np.linalg.norm(res, axis=-1)
+    return _coord_norm(res)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,7 @@ class _RawCurve(ArclengthCurve):
             raise NonRegularCurveError("raw domain is empty")
         tg = np.linspace(self._t0, self._t1, self._TABLE_N + 1)
         velocity = self._raw(tg, 1)
-        speeds = np.linalg.norm(velocity, axis=-1)
+        speeds = _coord_norm(velocity)
         if np.min(speeds) <= 0 or not np.all(np.isfinite(speeds)):
             raise NonRegularCurveError("raw parametrization has vanishing speed")
         cell = self._cell_sums(tg, self._GL_N)
@@ -242,10 +244,10 @@ class _RawCurve(ArclengthCurve):
         nodes, wts = gauss_legendre(n)
         h = tg[1:] - tg[:-1]
         tt = tg[:-1, None] + h[:, None] * nodes[None, :]
-        sp = np.linalg.norm(self._raw(tt.ravel(), 1), axis=-1).reshape(tt.shape)
+        sp = _coord_norm(self._raw(tt.ravel(), 1)).reshape(tt.shape)
         if np.min(sp) <= 0:
             raise NonRegularCurveError("raw parametrization has vanishing speed")
-        return (sp * wts[None, :]).sum(axis=1) * h
+        return _coord_sum(sp * wts[None, :]) * h
 
     def _length_refined(self, prev, max_doublings=6):
         """The total length from _CHECK_N cells, doubled until two successive
@@ -269,8 +271,8 @@ class _RawCurve(ArclengthCurve):
         a = self._t_grid[idx]
         nodes, wts = gauss_legendre(self._cell_n)
         tt = np.concatenate([a[:, None] + (t - a)[:, None] * nodes[None, :], t[:, None]], axis=1)
-        sp = np.linalg.norm(self._raw(tt.ravel(), 1), axis=-1).reshape(tt.shape)
-        return self._s_grid[idx] + (sp[:, :-1] * wts[None, :]).sum(axis=1) * (t - a), sp[:, -1]
+        sp = _coord_norm(self._raw(tt.ravel(), 1)).reshape(tt.shape)
+        return self._s_grid[idx] + _coord_sum(sp[:, :-1] * wts[None, :]) * (t - a), sp[:, -1]
 
     def t_of_s(self, s):
         # Newton is pushed to the roundoff floor: second differences of
@@ -297,14 +299,14 @@ class _RawCurve(ArclengthCurve):
         g = self._series.orders(t, range(order + 1))
         out = [g[0]]
         if order >= 1:
-            inv = 1.0 / np.linalg.norm(g[1], axis=-1)  # 1 / speed
+            inv = 1.0 / _coord_norm(g[1])  # 1 / speed
             out.append(g[1] * inv[..., None])
         if order >= 2:
-            sp1 = np.sum(g[1] * g[2], axis=-1) * inv  # d(speed)/dt
+            sp1 = _coord_sum(g[1] * g[2]) * inv  # d(speed)/dt
             t1, t2 = inv, -sp1 * inv**3
             out.append(g[2] * (t1**2)[..., None] + g[1] * t2[..., None])
         if order >= 3:
-            sp2 = (np.sum(g[2] * g[2], axis=-1) + np.sum(g[1] * g[3], axis=-1)) * inv - sp1**2 * inv
+            sp2 = (_coord_sum(g[2] * g[2]) + _coord_sum(g[1] * g[3])) * inv - sp1**2 * inv
             t3 = -sp2 * inv**4 + 3.0 * sp1**2 * inv**5
             out.append(
                 g[3] * (t1**3)[..., None] + 3.0 * g[2] * (t1 * t2)[..., None] + g[1] * t3[..., None]
@@ -422,8 +424,9 @@ class _FourierSeries:
                     # The sign rides on the factor: -(x w^n) rounds as x (-w^n).
                     x = x * (w**order if order % 4 < 2 else -(w**order))
                 acc += x
-        # C-contiguous (N, d) arrays, as reductions over their last axis
-        # round by memory layout.
+        # C-contiguous (N, d) arrays: `util._coord_sum` adds the same bits in
+        # any layout, but `expmap._rowdot`'s matmul rows take another kernel
+        # on strided rows (d >= 4) and round differently.
         return [np.ascontiguousarray(acc.T) for acc in accs]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCriticalFootError, NumericError, OutOfWError
-from .util import as_pairs
+from .util import _coord_sum, as_pairs
 
 PLANE = "PLANE"
 SPHERE = "SPHERE"
@@ -53,8 +53,9 @@ def _rowdot(a, b):
     """Row-wise dot products of (m, n) arrays.
 
     Each row goes through the same vector-dot kernel as a 1-D `a @ b`, so
-    the rows reproduce the scalar path's dots and norms bit for bit (a
-    row-wise `np.sum(a * b, axis=-1)` does not).
+    the rows reproduce the scalar path's dots and norms bit for bit. A
+    left-to-right sum (`util._coord_sum`, np.sum) differs from that kernel
+    on about a quarter of random rows, so these keep the matmul path.
     """
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
@@ -256,20 +257,20 @@ def _f_rows(p, curve_jet, weight_jet):
     """(F_p, dF_p/ds, ...) from the (curve, weight) jets at the feet, one
     s-derivative per order the jets carry past 0 (at most 2), by logarithmic
     differentiation of E / mu^2 with E = |p - gamma|^2 and its derivatives
-    each computed once. np.add.reduce is np.sum without the wrapper cost
-    that dominates a typical pair-Newton call of a few rows."""
+    each computed once. The sums over the ambient axis are `util._coord_sum`,
+    np.add.reduce's bits from column adds instead of a reduce loop per row."""
     diff = np.asarray(p, dtype=float) - curve_jet[0]
     mu = weight_jet[0]
     mu2 = mu**2
-    e = np.add.reduce(diff * diff, axis=-1)
+    e = _coord_sum(diff * diff)
     out = [e / mu2]
     if len(curve_jet) > 1:
         d1 = weight_jet[1]
-        e1 = -2.0 * np.add.reduce(diff * curve_jet[1], axis=-1)
+        e1 = -2.0 * _coord_sum(diff * curve_jet[1])
         out.append((e1 - 2.0 * e * d1 / mu) / mu2)
     if len(curve_jet) > 2:
         d2 = weight_jet[2]
-        e2 = 2.0 * (1.0 - np.add.reduce(diff * curve_jet[2], axis=-1))
+        e2 = 2.0 * (1.0 - _coord_sum(diff * curve_jet[2]))
         out.append(e2 / mu2 - 4.0 * e1 * d1 / mu**3 + 6.0 * e * d1**2 / mu**4 - 2.0 * e * d2 / mu**3)
     return tuple(out)
 
@@ -464,12 +465,12 @@ def _grid_argmin(pts, gp, mug):
         c = gp.mean(axis=0)
         h = gp - c
         w = 1.0 / mu2
-        hh = np.sum(h * h, axis=1)
+        hh = _coord_sum(h * h)
         right = np.vstack([w, -2.0 * w * h.T, w * hh])
         if np.all(np.isfinite(right)) and np.all(np.isfinite(mu2)):
             left = np.empty((len(pts), n + 2))
             q = np.subtract(pts, c, out=left[:, 1:-1])
-            qq = left[:, 0] = np.sum(q * q, axis=1)
+            qq = left[:, 0] = _coord_sum(q * q)
             left[:, -1] = 1.0
             rows = max(1, min(_G_BLOCK_CELLS, _G_BLOCK_MADDS // (n + 2)) // len(gp))
             buf = np.empty((min(rows, len(pts)), len(gp)))

@@ -22,7 +22,7 @@ from .expmap import (_differential, _exp_rows, _hess_rows, _inside, _nonfinite, 
 # Not called here: the benchmark's tracer patches `singular.exp_mu` as one of
 # the map's lookup sites, so the name stays bound in this module.
 from .expmap import exp_mu  # noqa: F401
-from .util import _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, refine_minima
+from .util import _coord_norm, _extrema_indices, _offset_array, as_pairs, brent_maxiter, brent_rows, refine_minima
 
 _TOL_HESS_FACTOR = 1e-8  # x the scale of F'': second-order zero band
 # x (|mu''| + kappa^2 |mu| / 4): g = 0 (`_g_band`). On the bundled scenes that
@@ -64,7 +64,7 @@ def g_slope(curve, weight, s, t=0.0):
     jet = curve.jet(s, 3)
     mu, d1, d2, d3 = weight.jet(s, 3)
     mu = mu + t
-    kap, kr = np.linalg.norm(jet[2], axis=-1), _kappa_rate(jet, curve.kappa_tol)
+    kap, kr = _coord_norm(jet[2]), _kappa_rate(jet, curve.kappa_tol)
     with np.errstate(over="ignore"):
         dg = d3 + 0.5 * kap * kr * mu + 0.25 * kap**2 * d1
     return kap, _g_band(kap, (mu, d1, d2))[0], dg, kr, (mu, d1, d2)
@@ -106,7 +106,7 @@ def dense_grid(curve, weight, n):
             sg = curve.grid(n)
             jet = tuple(curve.jet(sg, 3))
             weight_jet = weight.jet(sg, 2)
-            kap = np.linalg.norm(jet[2], axis=-1)
+            kap = _coord_norm(jet[2])
         for array in (sg, *jet, *weight_jet, kap):
             array.flags.writeable = False
         grids[curve, n] = sg, jet, weight_jet, kap
@@ -379,7 +379,7 @@ def detect_collapse_arcs(pairs, ur, tol=DEFAULT_TOLERANCES, offsets=None):
                     normals = jet[2][idx] / kap[idx][:, None]
                     pts = _exp_rows(_take((jet, weight_jet), idx), normals, np.full(len(idx), hbar))
                     p0 = pts.mean(axis=0)
-                    image_gap = float(np.max(np.linalg.norm(pts - p0, axis=-1)))
+                    image_gap = float(np.max(_coord_norm(pts - p0)))
                     if image_gap > _EPS_P:
                         continue
                     residuals = {

@@ -8,7 +8,7 @@ from .config import DEFAULT_TOLERANCES, check_budget
 from .errors import NumericError, WeightedTubesError
 from .expmap import exp_mu, g_potential, normal_frames, w_bound
 from .radii import radii_report
-from .util import as_pairs
+from .util import _coord_norm, as_pairs
 from .weights import OffsetWeight
 
 
@@ -159,5 +159,5 @@ def _directions(frames, ambient_dim, dir_samples):
         return c * frames[:, None, 0] + s * frames[:, None, 1]
     rng = np.random.default_rng(1234)
     raw = rng.standard_normal((dir_samples, frames.shape[1]))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    raw /= _coord_norm(raw)[:, None]
     return raw @ frames

@@ -1,5 +1,6 @@
-"""Small helpers: 1-D searches and root finding, extrema on 1-D and 2-D grids and
-brackets, quadrature nodes, number formatting, pair and offset lists."""
+"""Small helpers: sums and norms over a coordinate axis, 1-D searches and root
+finding, extrema on 1-D and 2-D grids and brackets, quadrature nodes, number
+formatting, pair and offset lists."""
 
 import functools
 import math
@@ -14,6 +15,28 @@ def as_pairs(pairs):
     if isinstance(pairs, (list, tuple)) and pairs and isinstance(pairs[0], (list, tuple)):
         return list(pairs)
     return [tuple(pairs)]
+
+
+def _coord_sum(x):
+    """Sums over the last axis, bit for bit `np.add.reduce(x, axis=-1)`.
+
+    Below 8 terms numpy adds left to right from 0.0 (a row of -0.0 sums to
+    +0.0), in any memory layout; here that is d - 1 column adds where numpy
+    runs one reduce loop per row, about a tenth of its time on (N, 3) rows.
+    From 8 terms on numpy sums pairwise, so those rows keep its reduce.
+    """
+    n = x.shape[-1]
+    if not 0 < n < 8:
+        return np.add.reduce(x, axis=-1)
+    out = 0.0 + x[..., 0]
+    for k in range(1, n):
+        out += x[..., k]
+    return out
+
+
+def _coord_norm(x):
+    """Euclidean norms over the last axis, bit for bit `np.linalg.norm(x, axis=-1)`."""
+    return np.sqrt(_coord_sum(x * x))
 
 
 def _offset_array(offsets):

@@ -6,7 +6,8 @@ collapse tests use mu, mu' and mu''. Kinds mirror the curve bases:
 constant, polynomial, cosine, Fourier and Chebyshev series, plus the
 piecewise blend used by the stadium scene and an additive-offset wrapper
 for weight families. `validate_on` rejects a weight that is not finite
-and positive on the curve's domain, or not periodic on a closed curve.
+and positive on the curve's domain, whose square underflows there, or that
+is not periodic on a closed curve.
 """
 
 import numpy as np
@@ -30,6 +31,10 @@ def _horner(x, c):
 # validate_on allows. The bundled closed scenes and 120 generated benchmark
 # scenes read at most 4.2e-15.
 _SEAM_BAND = 2.0**-30
+
+# The least weight validate_on accepts: below it mu^2 is subnormal or 0, and
+# the radii divide by it (sigma = e / (mu1 + mu2)^2 reads inf or nan).
+_MU_FLOOR = 2.0**-511
 
 
 class WeightFunction:
@@ -56,7 +61,8 @@ class WeightFunction:
 
     def validate_on(self, curve):
         """Reject weights that are not finite and positive on 4096 samples
-        of the curve's domain. On a closed curve the weight must also be
+        of the curve's domain, or whose least sample is below _MU_FLOOR,
+        where its square underflows. On a closed curve the weight must also be
         periodic: mu, mu' and mu'' at s_min and at s_min + L may differ by
         at most _SEAM_BAND times their order's largest size on the samples."""
         sg = curve.grid(4096)
@@ -67,10 +73,12 @@ class WeightFunction:
             jet, vals = (), self.mu(sg)
         if not np.all(np.isfinite(vals)):
             raise NonpositiveWeightError("weight is not finite on the domain")
-        if np.min(vals) <= 0.0:
-            smin = float(sg[int(np.argmin(vals))])
+        k = int(np.argmin(vals))
+        if vals[k] <= 0.0:
+            raise NonpositiveWeightError(f"weight must be positive; min {float(vals[k])} near s={float(sg[k])}")
+        if vals[k] < _MU_FLOOR:
             raise NonpositiveWeightError(
-                f"weight must be positive; min {float(np.min(vals))} near s={smin}"
+                f"weight's square underflows; min {float(vals[k])} near s={float(sg[k])} is below 2^-511"
             )
         for name, x in zip(("mu", "mu'", "mu''"), jet):
             if not abs(x[-1] - x[0]) <= _SEAM_BAND * np.max(np.abs(x[:-1])):

@@ -11,10 +11,13 @@ Newton that runs every active row to the last pass, the pair search's
 per-offset seed loop, and the
 evaluators the shared series and piece code replaced: the Fourier weight's
 own per-mode jet, numpy's per-coordinate Chebyshev objects, the stadium's per-piece advance and its per-piece jet,
-the run finder's loop, and the stadium solve that built the whole curve on
-every trial."""
+the run finder's loop, the stadium solve that built the whole curve on
+every trial, and the arclength table, series jets, curvature terms, dense
+grid, F_p and G grid argmin with their coordinate sums and norms taken by
+numpy's reductions, as before `util._coord_sum` and `util._coord_norm`."""
 
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -35,7 +38,8 @@ from weighted_tubes import (
     radii,
     w_bound,
 )
-from weighted_tubes.curves import CurvatureProfileCurve, _Piece
+from weighted_tubes import expmap
+from weighted_tubes.curves import CurvatureProfileCurve, _Piece, _pchip_eval, _RawCurve
 from weighted_tubes.expmap import _bound, _offset_rows, _raise_first, _refine_rows, _rowdot, _rownorm
 from weighted_tubes.radii import (
     _NEWTON_MAX_ITER,
@@ -849,3 +853,112 @@ def stadium_by_full_builds(circle_turn=0.3, transition=0.05, line_length=7.0):
 
     kappa2 = float(brent_rows(end_y, 1e-3, 0.9, 1e-14, 1e-15)[0])
     return build(kappa2)
+
+
+# The readers of `util._coord_sum` and `util._coord_norm` with the numpy
+# reductions they replaced: np.linalg.norm(x, axis=-1) and
+# np.sum(x * y, axis=-1), kept verbatim.
+
+
+def raw_cell_sums(curve, tg, n):
+    """`_RawCurve._cell_sums`: speed integrals over the cells of the knots tg."""
+    nodes, wts = gauss_legendre(n)
+    h = tg[1:] - tg[:-1]
+    tt = tg[:-1, None] + h[:, None] * nodes[None, :]
+    sp = np.linalg.norm(curve._raw(tt.ravel(), 1), axis=-1).reshape(tt.shape)
+    return (sp * wts[None, :]).sum(axis=1) * h
+
+
+def raw_s_of_t(curve, t):
+    """`_RawCurve._s_of_t`: (arclength, raw speed) at 1-D t."""
+    grid = curve._t_grid
+    idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
+    a = grid[idx]
+    nodes, wts = gauss_legendre(curve._cell_n)
+    tt = np.concatenate([a[:, None] + (t - a)[:, None] * nodes[None, :], t[:, None]], axis=1)
+    sp = np.linalg.norm(curve._raw(tt.ravel(), 1), axis=-1).reshape(tt.shape)
+    return curve._s_grid[idx] + (sp[:, :-1] * wts[None, :]).sum(axis=1) * (t - a), sp[:, -1]
+
+
+def raw_t_of_s(curve, s):
+    """`_RawCurve.t_of_s` in one block, each Newton step from raw_s_of_t."""
+    t = _pchip_eval(curve._s_grid, curve._pchip, np.clip(s, 0.0, curve.length))
+    tol = 4e-16 * curve.length
+    k = np.arange(len(t))
+    for _ in range(6):
+        s_k, speed = raw_s_of_t(curve, t[k])
+        resid = s_k - s[k]
+        going = ~(np.abs(resid) <= tol)
+        k, resid, speed = k[going], resid[going], speed[going]
+        if not len(k):
+            break
+        t[k] = np.clip(t[k] - resid / speed, curve._t0, curve._t1)
+    return t
+
+
+def raw_jet(curve, s, order):
+    """A series curve's jet at 1-D feet s through raw_t_of_s."""
+    t = raw_t_of_s(curve, curve.wrap(s) - curve.s_min)
+    g = curve._series.orders(t, range(order + 1))
+    out = [g[0]]
+    if order >= 1:
+        inv = 1.0 / np.linalg.norm(g[1], axis=-1)
+        out.append(g[1] * inv[..., None])
+    if order >= 2:
+        sp1 = np.sum(g[1] * g[2], axis=-1) * inv
+        t1, t2 = inv, -sp1 * inv**3
+        out.append(g[2] * (t1**2)[..., None] + g[1] * t2[..., None])
+    if order >= 3:
+        sp2 = (np.sum(g[2] * g[2], axis=-1) + np.sum(g[1] * g[3], axis=-1)) * inv - sp1**2 * inv
+        t3 = -sp2 * inv**4 + 3.0 * sp1**2 * inv**5
+        out.append(g[3] * (t1**3)[..., None] + 3.0 * g[2] * (t1 * t2)[..., None] + g[1] * t3[..., None])
+    return tuple(out)
+
+
+def kappa_rate_by_norms(jet, kappa_tol):
+    """`curves._kappa_rate`: d(kappa)/ds from a jet of order 3."""
+    d2, d3 = jet[2], jet[3]
+    kap = np.linalg.norm(d2, axis=-1)
+    dot = np.sum(d2 * d3, axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(kap > kappa_tol, dot / np.where(kap > 0, kap, 1.0), 0.0)
+
+
+def collapse_residual_by_norms(jet):
+    """`curves.collapse_ode_residual`: |gamma''' + kappa^2 gamma'|."""
+    _, t, d2, d3 = jet
+    kap = np.linalg.norm(d2, axis=-1)
+    return np.linalg.norm(d3 + (np.asarray(kap)[..., None] ** 2) * t, axis=-1)
+
+
+def dense_grid_by_norms(curve, weight, n):
+    """`singular.dense_grid` (feet, curve jet, weight jet, kappa); a series
+    curve's jet is raw_jet, the other kinds' jets sum over no coordinate."""
+    sg = curve.grid(n)
+    jet = raw_jet(curve, sg, 3) if isinstance(curve, _RawCurve) else tuple(curve.jet(sg, 3))
+    return sg, jet, weight.jet(sg, 2), np.linalg.norm(jet[2], axis=-1)
+
+
+def f_rows_by_sums(p, curve_jet, weight_jet):
+    """`expmap._f_rows`: (F_p, dF_p/ds, ...) from the jets at the feet."""
+    diff = np.asarray(p, dtype=float) - curve_jet[0]
+    mu = weight_jet[0]
+    mu2 = mu**2
+    e = np.sum(diff * diff, axis=-1)
+    out = [e / mu2]
+    if len(curve_jet) > 1:
+        d1 = weight_jet[1]
+        e1 = -2.0 * np.sum(diff * curve_jet[1], axis=-1)
+        out.append((e1 - 2.0 * e * d1 / mu) / mu2)
+    if len(curve_jet) > 2:
+        d2 = weight_jet[2]
+        e2 = 2.0 * (1.0 - np.sum(diff * curve_jet[2], axis=-1))
+        out.append(e2 / mu2 - 4.0 * e1 * d1 / mu**3 + 6.0 * e * d1**2 / mu**4 - 2.0 * e * d2 / mu**3)
+    return tuple(out)
+
+
+def grid_argmin_by_sums(pts, gp, mug):
+    """`expmap._grid_argmin` with its two sums of squares, |h|^2 of the
+    grid and |q|^2 of the points, taken by np.sum(x, axis=1)."""
+    with mock.patch.object(expmap, "_coord_sum", lambda x: np.sum(x, axis=1)):
+        return expmap._grid_argmin(pts, gp, mug)

@@ -364,6 +364,22 @@ class TestErrors:
         assert "numeric failure" in proc.stderr and "overflow" in proc.stderr
         assert "Warning" not in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("weight", [entry("constant", value=1e-300), entry("cosine", amplitude=1e-300),
+                                        entry("constant", value=1e-160)],
+                             ids=["constant_1e-300", "cosine_amplitude_1e-300", "constant_1e-160"])
+    def test_weight_whose_square_underflows_exits_2(self, tmp_path, weight):
+        # mu^2 underflows to 0 (or a subnormal) below 2^-511: the pair
+        # search's sigma = e / (mu1 + mu2)^2 divided by it, so a constant
+        # 1e-300 reported every radius as inf, where they are 1e300, with
+        # RuntimeWarnings and exit 0; 1e-160 exited 3.
+        scene = tmp_path / "tiny.json"
+        scene.write_text(json.dumps({"ambient_dim": 2, "components": [ARC], "weights": [weight]}))
+        proc = run_cli("report", "--scene", str(scene), check=False)
+        assert proc.returncode == 2
+        assert "weights[0]: weight's square underflows; min " in proc.stderr
+        assert "near s=-1.0 is below 2^-511" in proc.stderr
+        assert "Warning" not in proc.stderr and proc.stdout == ""
+
     @pytest.mark.parametrize("name, edits, verbs, code", [
         # A stadium piece that rounds to zero width was divided by its width.
         ("example2_stadium", {("components", 0, "params", "line_length"): 1e300}, VERBS, 2),
@@ -1075,12 +1091,6 @@ FUZZ_WEIGHT_BASES = {
 FUZZ_VALUES = (0, -1, 1e-300, 1e300, float("inf"), float("nan"), [], [1.0], [1, 2, 3], "x", None, True, [[1.0]])
 
 
-# A weight near 1e-300 squares to an underflowed 0: the pair search's sigma =
-# e / (mu1 + mu2)^2 divides by it (a RuntimeWarning), and a constant 1e-300
-# reports every radius as inf where they are 1e300.
-FUZZ_UNDERFLOW = {"weights-constant-value-1e-300", "weights-cosine-amplitude-1e-300"}
-
-
 def _fuzz_cases():
     """(where, kind, parameter, value) for every parameter of every kind's
     constructor, read from its signature, and every value of FUZZ_VALUES."""
@@ -1093,10 +1103,7 @@ def _fuzz_cases():
         for kind, make in kinds.items():
             for name in inspect.signature(make).parameters:
                 for value in FUZZ_VALUES:
-                    case = f"{where}-{kind}-{name}-{json.dumps(value)}"
-                    marks = [pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason=(
-                        "sigma's denominator underflows to 0"))] if case in FUZZ_UNDERFLOW else []
-                    yield pytest.param(where, kind, name, value, marks=marks, id=case)
+                    yield pytest.param(where, kind, name, value, id=f"{where}-{kind}-{name}-{json.dumps(value)}")
 
 
 def test_fuzz_bases_cover_every_kind():

@@ -28,19 +28,28 @@ from weighted_tubes import (
     make_stadium,
     radii,
 )
-from weighted_tubes.curves import CurvatureProfileCurve, _RawCurve
-from weighted_tubes.expmap import f_prime, f_second, f_value
+from weighted_tubes.curves import CurvatureProfileCurve, _kappa_rate, _RawCurve, collapse_ode_residual
+from weighted_tubes.expmap import _f_rows, _grid_argmin, f_prime, f_second, f_value
+from weighted_tubes.singular import dense_grid
 from weighted_tubes.util import gauss_legendre
 
 from oracles import (
     chebyshev_orders,
+    collapse_residual_by_norms,
+    dense_grid_by_norms,
     end_state,
+    f_rows_by_sums,
     fourier_weight_jet,
+    grid_argmin_by_sums,
     kappa_local,
+    kappa_rate_by_norms,
     kappa_rate_local,
     per_piece_profile_jet,
     piece_index,
     profile_advance,
+    raw_cell_sums,
+    raw_jet,
+    raw_s_of_t,
     split_f_prime,
     split_f_second,
     split_f_value,
@@ -670,3 +679,62 @@ def test_stadium_jet_is_the_per_piece_loop(params):
         for x in np.r_[ends, length / 2, length - ends, -0.3, length + 0.2]:
             for a, b in zip(curve.jet(float(x), order), per_piece_profile_jet(curve, float(x), order)):
                 assert a.shape == b.shape == (2,) and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Sums and norms over the coordinate axis: each reader of `util._coord_sum`
+# and `util._coord_norm` against its form with numpy's reductions
+# ---------------------------------------------------------------------------
+
+
+def fourier_9d():
+    # Nine coordinates, so the sums over them take numpy's pairwise branch.
+    rows = [[0.0, 1.0, 0.0, 0.05, 0.02], [0.0, 0.0, 1.0, -0.03, 0.04]]
+    return FourierCurve(rows + [[0.1 * k, 0.02 * k, -0.01 * k, 0.01, 0.03 / k] for k in range(1, 8)])
+
+
+SUM_CURVES = [
+    ("planar", lambda: FourierCurve(RAW_FOURIER[0][1])),
+    ("3d", lambda: FourierCurve(RAW_FOURIER[1][1])),
+    ("4d", lambda: FourierCurve(RAW_FOURIER[2][1])),
+    ("9d", fourier_9d),
+    ("cheb", cheb_arc),
+    ("stadium", make_stadium),
+    ("arc_3d", lambda: CircleArcCurve(-1.0, 2.0, ambient_dim=3)),
+]
+
+
+@pytest.mark.parametrize("name,make", SUM_CURVES, ids=[c[0] for c in SUM_CURVES])
+def test_coordinate_sums_are_numpys_reductions_bit_for_bit(name, make):
+    curve = make()
+    weight = CosineWeight(amplitude=0.2, frequency=1.3, phase=0.4, offset=1.0)
+    rng = np.random.default_rng(49)
+    s = _feet(curve, 2000)
+    if isinstance(curve, _RawCurve):
+        for order in range(4):
+            want = raw_jet(curve, s, order)
+            assert all(_same_bits(x, y) for x, y in zip(curve.jet(s, order), want)), order
+            assert all(_same_bits(x, y[3]) for x, y in zip(curve.jet(s[3], order), want)), order
+        t = np.concatenate([rng.uniform(curve._t0, curve._t1, 2000), curve._t_grid])
+        assert all(_same_bits(x, y) for x, y in zip(curve._s_of_t(t), raw_s_of_t(curve, t)))
+        for n in (4, 6, 8, 16):
+            assert _same_bits(curve._cell_sums(curve._t_grid, n), raw_cell_sums(curve, curve._t_grid, n)), n
+    jet = curve.jet(s, 3)
+    assert _same_bits(curve.curvature(s), np.linalg.norm(jet[2], axis=-1))
+    assert _same_bits(curve.curvature(float(s[3])), np.linalg.norm(jet[2][3], axis=-1))
+    assert _same_bits(_kappa_rate(jet, curve.kappa_tol), kappa_rate_by_norms(jet, curve.kappa_tol))
+    assert _same_bits(collapse_ode_residual(jet), collapse_residual_by_norms(jet))
+    got, want = dense_grid(curve, weight, 1024), dense_grid_by_norms(curve, weight, 1024)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[3], want[3])
+    assert all(_same_bits(x, y) for x, y in zip(got[1] + got[2], want[1] + want[2]))
+    # F_p and its s-derivatives, on rows and on one foot.
+    p = jet[0] + rng.normal(scale=0.3, size=jet[0].shape)
+    weight_jet = weight.jet(s, 2)
+    for order in range(3):
+        cj, wj = jet[:order + 1], weight_jet[:order + 1]
+        assert all(_same_bits(x, y) for x, y in zip(_f_rows(p, cj, wj), f_rows_by_sums(p, cj, wj)))
+        cj, wj = [x[3] for x in cj], [x[3] for x in wj]
+        assert all(_same_bits(x, y) for x, y in zip(_f_rows(p[3], cj, wj), f_rows_by_sums(p[3], cj, wj)))
+    sg = curve.grid(512)
+    gp, mug = curve.point(sg), weight.mu(sg)
+    assert _same_bits(_grid_argmin(p, gp, mug), grid_argmin_by_sums(p, gp, mug))

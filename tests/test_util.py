@@ -505,3 +505,48 @@ def test_unrefined_row_is_a_numeric_failure(monkeypatch, tmp_path, capsys):
     for verb in ("report", "singular", "check"):
         assert cli.main([verb, "--scene", "example4", "--out", str(tmp_path / "out")]) == 3
         assert "not refined: Failed to converge" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Sums and norms over a coordinate axis
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(got, want):
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes()
+
+
+def _coord_cases(rng, d):
+    """Rows of d coordinates: 10^5 random ones of sizes 1e-3 to 1e3 with
+    random signs, rows drawn from signed zeros, nan, infinities, huge,
+    tiny and subnormal values, and rows of one such value each."""
+    n = 10**5
+    rows = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, d))
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 1e200, 1e-170, 5e-324, -5e-324,
+                        2.2250738585072014e-308, 1.0, -3.0])
+    drawn = rng.choice(special, (4000, d))
+    each = np.repeat(special[:, None], d, axis=1)
+    return rows, drawn, each
+
+
+@pytest.mark.parametrize("d", list(range(1, 10)) + [16])
+def test_coord_sum_and_norm_are_numpys_reduce_bit_for_bit(d):
+    # Below 8 terms numpy adds left to right from 0.0 and the helper adds
+    # columns in that order; from 8 on numpy sums pairwise and the helper
+    # calls it. A numpy whose reduce order changes fails here, and every
+    # norm and dot product on the jet, arclength and F_p paths with it.
+    rng = np.random.default_rng(500 + d)
+    with np.errstate(all="ignore"):
+        for rows in _coord_cases(rng, d):
+            shapes = (rows, rows[7], rows[:len(rows) // 4 * 4].reshape(4, -1, d),
+                      np.asfortranarray(rows), rows[::3], rows.T.copy().T)
+            for x in shapes:
+                assert _same_bits(util._coord_sum(x), np.add.reduce(x, axis=-1)), (d, x.shape)
+                assert _same_bits(util._coord_norm(x), np.linalg.norm(x, axis=-1)), (d, x.shape)
+        # A row of -0.0 sums to +0.0, as numpy's reduce from 0.0 gives it.
+        zero = util._coord_sum(np.full((3, d), -0.0))
+        assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
+        # Sums and squares that overflow give inf, and subnormals add exactly.
+        assert np.all(util._coord_sum(np.full((2, d), 1e308)) == (1e308 if d == 1 else np.inf))
+        assert util._coord_norm(np.full(d, 1e200)) == np.inf
+        assert util._coord_sum(np.full(d, 5e-324)) == d * 5e-324

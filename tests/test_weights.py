@@ -101,6 +101,16 @@ class TestValidation:
         arc = CircleArcCurve(-1.0, 1.0)
         PolynomialWeight([1.0, 0.0, -0.125]).validate_on(arc)
 
+    def test_weight_whose_square_underflows_rejected(self):
+        # 2^-511 squares to the smallest normal float; the next float down
+        # squares to a subnormal, and so does a weight that dips below it.
+        arc = CircleArcCurve(-1.0, 1.0)
+        ConstantWeight(2.0**-511).validate_on(arc)
+        with pytest.raises(NonpositiveWeightError, match=r"square underflows; min 1\.4916681462400412e-154 near s=-1"):
+            ConstantWeight(np.nextafter(2.0**-511, 0.0)).validate_on(arc)
+        with pytest.raises(NonpositiveWeightError, match=r"near s=-0\.000244200244200243\d* is below 2\^-511"):
+            PolynomialWeight([1e-160, 0.0, 1e-150]).validate_on(arc)
+
     def test_constant_must_be_positive(self):
         with pytest.raises(NonpositiveWeightError):
             ConstantWeight(0.0)
