@@ -27,14 +27,13 @@ from .util import (
 )
 
 
-def _shaped_jet(evaluate, s, order):
-    """`evaluate(feet, order)` on s flattened to 1-D floats, each output
+def _shaped_jet(evaluate, s, orders):
+    """`evaluate(feet, orders)` on s flattened to 1-D floats, each output
     given back the shape of s: a scalar s gives rows with no leading axis
-    (np.float64 values for a weight)."""
-    if order > 3:
-        raise ValueError(f"order {order}")
+    (np.float64 values for a weight). orders is what the evaluator reads:
+    a curve's top order, or a weight's sequence of orders."""
     s = np.asarray(s, dtype=float)
-    out = evaluate(s.reshape(-1), order)
+    out = evaluate(s.reshape(-1), orders)
     if s.ndim == 0:
         return tuple(x[0] for x in out)
     return out if s.ndim == 1 else tuple(x.reshape(s.shape + x.shape[1:]) for x in out)
@@ -99,7 +98,10 @@ class ArclengthCurve:
         arclength inversion, one piece lookup). Each order is an array of
         shape s.shape + (ambient_dim,); a scalar s gives rows.
         """
-        return _shaped_jet(self._jet, self.wrap(s), order)
+        s = self.wrap(s)
+        if order > 3:
+            raise ValueError(f"order {order}")
+        return _shaped_jet(self._jet, s, order)
 
     def _jet(self, s, order):
         raise NotImplementedError
@@ -267,7 +269,7 @@ class _RawCurve(ArclengthCurve):
     def _s_of_t(self, t):
         """(arclength from the table start, raw speed) at 1-D t: the partial cell
         by `_cell_n`-node Gauss-Legendre, its nodes and t in one raw pass."""
-        idx = np.clip(np.searchsorted(self._t_grid, t, side="right") - 1, 0, len(self._t_grid) - 2)
+        idx = _cell(self._t_grid, t)
         a = self._t_grid[idx]
         nodes, wts = gauss_legendre(self._cell_n)
         tt = np.concatenate([a[:, None] + (t - a)[:, None] * nodes[None, :], t[:, None]], axis=1)
@@ -351,11 +353,18 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
+def _cell(x, s):
+    """The index i of the knot cell [x_i, x_i+1] that holds each s, clamped
+    to the end cells. np.minimum(np.maximum()) rather than np.clip, whose
+    Python wrapper costs about three times as much on every call."""
+    return np.minimum(np.maximum(np.searchsorted(x, s, side="right") - 1, 0), len(x) - 2)
+
+
 def _pchip_eval(x, c, s):
     """The Hermite cubics c on knots x at s, summed lowest power first with
     the powers of z = s - x_i built by repeated multiplication; values
     beyond the ends extend the end cubics."""
-    i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+    i = _cell(x, s)
     z = s - x[i]
     z2 = z * z
     return c[3, i] + c[2, i] * z + c[1, i] * z2 + c[0, i] * (z2 * z)

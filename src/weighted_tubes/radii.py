@@ -39,6 +39,9 @@ from .util import (
 _DELTA_MIN_FACTOR = 1e-3  # x L: excluded diagonal band in pair search
 _TOL_DC = 1e-9  # normalized residual of the pair gradient
 _NEWTON_MAX_ITER = 50
+# The `_pair_feet` arrays (s, s + h, s - h, t, t + h, t - h) of the four
+# stencil pairs (s + h, t), (s - h, t), (s, t + h), (s, t - h): first feet, then second.
+_STENCIL_ARRAYS = np.array([1, 2, 0, 0, 3, 3, 4, 5])
 
 
 # Columns of find_double_critical_pairs' table, before the midpoint x1..xn.
@@ -208,6 +211,24 @@ def _feet(curve, weight, s, t=0.0):
     return curve.jet(s, 1) + (mu + t, d1)
 
 
+def _grid_feet(curve, weight, tol):
+    """(sg, point, tangent, mu, mu') at the pair grid's feet sg =
+    curve.grid(n), n = tol.pair_grid, as _feet gives them. On a closed
+    curve whose dense grid (`singular.dense_grid`, which the focal stage
+    builds first) has tol.grid_samples = r n feet with r a power of two,
+    they are C-contiguous copies of its every r-th row: scaling by r is
+    exact, so s_min + L (r k) / (r n) is s_min + L k / n bit for bit, and
+    a jet reads each foot on its own. Other counts (r = 3 rounds some feet
+    differently) and open arcs (linspace feet) evaluate their own."""
+    n, m = tol.pair_grid, tol.grid_samples
+    r = m // n
+    if curve.closed and r * n == m and r & (r - 1) == 0:
+        sg, (point, tangent, *_), (mu, d1, _), _ = singular.dense_grid(curve, weight, m)
+        return tuple(np.ascontiguousarray(x[::r]) for x in (sg, point, tangent, mu, d1))
+    sg = curve.grid(n)
+    return (sg, *_feet(curve, weight, sg))
+
+
 def _pair_feet(c1, w1, c2, w2, arrays1, arrays2, t):
     """_feet of the foot arrays arrays1 on (c1, w1), then arrays2 on (c2,
     w2), all of t's length with offsets t, as one table: per quantity one
@@ -237,7 +258,11 @@ def find_double_critical_pairs(pairs, tol=DEFAULT_TOLERANCES, offsets=None):
     Seeds are discrete local minima of sigma and of |grad sigma| over an
     N x N parameter grid per component pair (same-component grids exclude a
     diagonal band of arclength width _DELTA_MIN_FACTOR * L; being symmetric,
-    they are searched over half their cells). Newton runs on
+    they are searched over half their cells). A closed component's grid
+    feet are rows of its `singular.dense_grid` when the counts nest (see
+    `_grid_feet`): called after `focal_radii`, as `radii_report` does, the
+    search evaluates no grid jet; called alone, it builds the dense grid
+    that the focal stage would. Newton runs on
     all seeds of a component pair at once, with the analytic gradient and a
     central finite-difference Jacobian; each pass evaluates the foot arrays
     s, s +- h, t and t +- h into one table (`_pair_feet`) and reads sigma's
@@ -271,16 +296,17 @@ def _search_component_pair(pairs, i, j, ts, tol):
     Newton starts from the 3x3 minima of sigma and of its gradient norm
     hypot(a, b), both found by one search, `util._grid_local_minima`: the
     gradient norm is written over sigma's buffer once sigma's minima are
-    taken, so no further grid is allocated. On one component, sigma, the gradient (a, b) = (b^T, a^T) and the
-    diagonal band are symmetric bit for bit, and so are the seeds. There
-    the grid is built in the circulant layout of `util._layout`, cell [p, k]
-    the pair (p, (p + k - 1) mod N) with the full grid's value, and each
-    minimum in its owned columns gives the seed cells (p, q) and (q, p)."""
+    taken, so no further grid is allocated. The grid's feet and their jets
+    come from `_grid_feet`: on a closed curve, rows of the dense grid that
+    the focal stage already evaluated. On one component, sigma, the
+    gradient (a, b) = (b^T, a^T) and the diagonal band are symmetric bit
+    for bit, and so are the seeds. There the grid is built in the
+    circulant layout of `util._layout`, cell [p, k] the pair (p, (p + k -
+    1) mod N) with the full grid's value, and each minimum in its owned
+    columns gives the seed cells (p, q) and (q, p)."""
     c1, w1 = pairs[i]
     c2, w2 = pairs[j]
     n = tol.pair_grid
-    sg1 = c1.grid(n)
-    sg2 = c2.grid(n)
     # Broadcast the 1-D grid evaluations into the sigma matrix directly. What
     # no offset changes (the geometry, its products with the weight slopes
     # and the diagonal band) is built once; the offset loop keeps every
@@ -292,8 +318,8 @@ def _search_component_pair(pairs, i, j, ts, tol):
     def cols(x):  # the values x at sg2 at the grid's cells: windows over x[take]
         return np.moveaxis(sliding_window_view(x[take], w, axis=0), -1, 1)
 
-    g1, t1, m1, dm1 = _feet(c1, w1, sg1)
-    g2, t2, m2, dm2 = (g1, t1, m1, dm1) if same else _feet(c2, w2, sg2)
+    sg1, g1, t1, m1, dm1 = _grid_feet(c1, w1, tol)
+    sg2, g2, t2, m2, dm2 = (sg1, g1, t1, m1, dm1) if same else _grid_feet(c2, w2, tol)
     # Per coordinate: subtracting n-vectors runs an n-element inner loop per cell.
     diff = np.stack([x[:, None] - cols(y) for x, y in zip(g1.T, g2.T)], axis=-1)
     e = np.einsum("ijk,ijk->ij", diff, diff)
@@ -407,8 +433,11 @@ def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):
         gs, gt = gs[jac], gt[jac]
         span1, span2 = (sp[jac] if np.ndim(sp) else sp for sp in (span1, span2))
         # Central differences: the exact Hessian's determinant rounds to 0 on continua of pairs.
-        # The stepping rows' stencil pairs (s +- h, t), (s, t +- h): table arrays 1, 2, 0, 0 with 3, 3, 4, 5.
-        _, ds, dt = _sigma_and_grad(*([x[np.ix_(k, jac)] for x in feet] for k in ([1, 2, 0, 0], [3, 3, 4, 5])))
+        # The stepping rows' stencil pairs (s +- h, t), (s, t +- h): table arrays 1, 2, 0, 0 with 3, 3, 4, 5,
+        # read by one row gather per quantity from the table's arrays laid end to end.
+        rows = (_STENCIL_ARRAYS[:, None] * len(live) + np.flatnonzero(jac)).ravel()
+        stencil = [x.reshape(-1, *x.shape[2:])[rows].reshape(2, 4, -1, *x.shape[2:]) for x in feet]
+        _, ds, dt = _sigma_and_grad(*([x[k] for x in stencil] for k in (0, 1)))
         j11, j21 = (ds[0] - ds[1]) / span1, (dt[0] - dt[1]) / span1
         j12, j22 = (ds[2] - ds[3]) / span2, (dt[2] - dt[3]) / span2
         det = j11 * j22 - j12 * j21

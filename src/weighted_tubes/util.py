@@ -207,19 +207,23 @@ def golden_min(f, a, b, tol=1e-12, maxiter=200, args=()):
     f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2]), *twice), dtype=float), 2)
     active = (b - a) > tol
     for _ in range(maxiter):
-        k = np.nonzero(active)[0]
+        k = active.nonzero()[0]
         if not len(k):
             break
         left = f1[k] <= f2[k]
-        kl, kr = k[left], k[~left]
+        right = ~left
+        kl, kr = k[left], k[right]
         b[kl], x2[kl], f2[kl] = x2[kl], x1[kl], f1[kl]
         a[kr], x1[kr], f1[kr] = x1[kr], x2[kr], f2[kr]
-        xn = np.where(left, b[k] - _GOLDEN * (b[k] - a[k]), a[k] + _GOLDEN * (b[k] - a[k]))
+        # The new bracket, gathered once: its width gives the new point and the stop test.
+        lo, hi = a[k], b[k]
+        width = hi - lo
+        xn = np.where(left, hi - _GOLDEN * width, lo + _GOLDEN * width)
         rows = args if len(k) == len(a) else [p[k] for p in args]
         fn = np.asarray(f(xn, *rows), dtype=float)
         x1[kl], f1[kl] = xn[left], fn[left]
-        x2[kr], f2[kr] = xn[~left], fn[~left]
-        active[k] = (b[k] - a[k]) > tol[k]
+        x2[kr], f2[kr] = xn[right], fn[right]
+        active[k] = width > tol[k]
     fa, fb = np.split(np.asarray(f(np.concatenate([a, b]), *twice), dtype=float), 2)
     x, fx = a, fa
     for xc, fc in ((b, fb), (x1, f1), (x2, f2)):

@@ -32,6 +32,13 @@ def _horner(x, c):
 # scenes read at most 4.2e-15.
 _SEAM_BAND = 2.0**-30
 
+def _cos_sin(ph, orders):
+    """[cos(ph), sin(ph)], each only where an order of its parity (cos for
+    even, sin for odd) is asked for, else None."""
+    return [np.cos(ph) if any(k % 2 == 0 for k in orders) else None,
+            np.sin(ph) if any(k % 2 for k in orders) else None]
+
+
 # The least weight validate_on accepts: below it mu^2 is subnormal or 0, and
 # the radii divide by it (sigma = e / (mu1 + mu2)^2 reads inf or nan).
 _MU_FLOOR = 2.0**-511
@@ -40,24 +47,29 @@ _MU_FLOOR = 2.0**-511
 class WeightFunction:
     """Scalar weight mu(s) > 0 with derivatives up to third order.
 
-    Subclasses implement `_jet(s, order)` on 1-D float arrays. `jet(s,
-    order)`, (mu, mu', ..., mu^(order)) for order <= 3, takes feet of any
-    shape as `ArclengthCurve.jet` does and returns float64 arrays shaped like
-    s (np.float64 values for a scalar s); the named derivatives read one jet
-    each.
+    Subclasses implement `_jet(s, orders)` on 1-D float arrays: one array
+    per given order (each in 0..3, ascending), computed for those orders
+    only and each by the same operations, so with the same bits, whatever
+    else is asked for, as `_FourierSeries.orders` does.
+    `jet(s, order)`, (mu, mu', ..., mu^(order)) for order <= 3, takes feet
+    of any shape as `ArclengthCurve.jet` does and returns float64 arrays
+    shaped like s (np.float64 values for a scalar s); the named derivatives
+    ask for their one order.
     """
 
     def jet(self, s, order):
-        return _shaped_jet(self._jet, s, order)
+        if order > 3:
+            raise ValueError(f"order {order}")
+        return _shaped_jet(self._jet, s, range(order + 1))
 
     def mu(self, s):
-        return self.jet(s, 0)[0]
+        return _shaped_jet(self._jet, s, (0,))[0]
 
     def d1(self, s):
-        return self.jet(s, 1)[1]
+        return _shaped_jet(self._jet, s, (1,))[0]
 
     def d2(self, s):
-        return self.jet(s, 2)[2]
+        return _shaped_jet(self._jet, s, (2,))[0]
 
     def validate_on(self, curve):
         """Reject weights that are not finite and positive on 4096 samples
@@ -95,8 +107,8 @@ class ConstantWeight(WeightFunction):
             raise NonpositiveWeightError("constant weight must be positive")
         self.value = float(value)
 
-    def _jet(self, s, order):
-        return (np.full(s.shape, self.value),) + tuple(np.zeros(s.shape) for _ in range(order))
+    def _jet(self, s, orders):
+        return tuple(np.zeros(s.shape) if k else np.full(s.shape, self.value) for k in orders)
 
 
 class PolynomialWeight(WeightFunction):
@@ -108,8 +120,8 @@ class PolynomialWeight(WeightFunction):
             raise NonpositiveWeightError("polynomial weight needs [c0, c1, ...]")
         self._p = [c] + [nppoly.polyder(c, m) for m in range(1, 4)]
 
-    def _jet(self, s, order):
-        return tuple(_horner(s, p) for p in self._p[:order + 1])
+    def _jet(self, s, orders):
+        return tuple(_horner(s, self._p[k]) for k in orders)
 
 
 class CosineWeight(WeightFunction):
@@ -126,23 +138,22 @@ class CosineWeight(WeightFunction):
             top = self.amplitude * cube
         if not np.isfinite([cube, top]).all():
             raise NonpositiveWeightError("cosine weight needs a finite amplitude * frequency^3")
+        # Order k is scale[k] times cos (k even) or sin (k odd) of the phase.
+        a, w = self.amplitude, self.frequency
+        self._scale = (a, -a * w, -a * w**2, a * w**3)
 
-    def _jet(self, s, order):
+    def _jet(self, s, orders):
         ph = self.frequency * s + self.phase
-        cos, sin = np.cos(ph), np.sin(ph)
-        return (
-            self.amplitude * cos + self.offset,
-            -self.amplitude * self.frequency * sin,
-            -self.amplitude * self.frequency**2 * cos,
-            self.amplitude * self.frequency**3 * sin,
-        )[:order + 1]
+        trig = _cos_sin(ph, orders)
+        rows = tuple(self._scale[k] * trig[k % 2] for k in orders)
+        return tuple(x + self.offset if k == 0 else x for k, x in zip(orders, rows))
 
 
 class _SeriesWeight(WeightFunction):
     """A one-coordinate series of the curves' bases, evaluated in s."""
 
-    def _jet(self, s, order):
-        return tuple(x[:, 0] for x in self._series.orders(s, range(order + 1)))
+    def _jet(self, s, orders):
+        return tuple(x[:, 0] for x in self._series.orders(s, orders))
 
 
 class FourierWeight(_SeriesWeight):
@@ -172,9 +183,8 @@ class OffsetWeight(WeightFunction):
         self.base = base
         self.t = float(t)
 
-    def _jet(self, s, order):
-        base = self.base._jet(s, order)
-        return (base[0] + self.t,) + base[1:]
+    def _jet(self, s, orders):
+        return tuple(x + self.t if k == 0 else x for k, x in zip(orders, self.base._jet(s, orders)))
 
 
 class SymmetricPiecewiseWeight(WeightFunction):
@@ -267,18 +277,20 @@ class SymmetricPiecewiseWeight(WeightFunction):
         sign = np.where(hi, -1.0, 1.0)  # du/ds
         return u, sign
 
-    def _jet(self, s, order):
+    def _jet(self, s, orders):
         u, sign = self._fold(s)
-        outs = [np.empty_like(u) for _ in range(order + 1)]
+        outs = [np.empty_like(u) for _ in orders]
         m_cos = u <= self.u1
         m_flat = u >= self.u2
         if np.any(m_cos):
             ph = u[m_cos] / 2.0
-            cos, sin = np.cos(ph), np.sin(ph)
-            for n, val in enumerate((cos, -sin, -cos, sin)[:order + 1]):
-                outs[n][m_cos] = 0.5**n * val
-        for n, out in enumerate(outs):
-            out[m_flat] = self.plateau if n == 0 else 0.0
+            # Order k is 2^-k times cos, -sin, -cos, sin (k = 0..3) of u / 2.
+            trig = _cos_sin(ph, orders)
+            for k, out in zip(orders, outs):
+                val = trig[k % 2]
+                out[m_cos] = 0.5**k * (-val if k in (1, 2) else val)
+        for k, out in zip(orders, outs):
+            out[m_flat] = self.plateau if k == 0 else 0.0
         # A foot between the cosine and the plateau belongs to the last piece
         # starting at or below it, so a foot on a piece start is evaluated
         # too; it gathers that piece's coefficients once per order.
@@ -286,10 +298,10 @@ class SymmetricPiecewiseWeight(WeightFunction):
         if len(feet):
             piece = np.searchsorted(self._starts, u[feet], side="right") - 1
             x = u[feet] - self._starts[piece]
-            for out, table in zip(outs, self._tables):
-                out[feet] = _horner(x, table[:, piece])
+            for k, out in zip(orders, outs):
+                out[feet] = _horner(x, self._tables[k][:, piece])
         # Odd derivatives change sign under the fold.
-        return tuple(out * sign if n % 2 == 1 else out for n, out in enumerate(outs))
+        return tuple(out * sign if k % 2 == 1 else out for k, out in zip(orders, outs))
 
 
 # Each kind's constructor owns its parameters and their defaults.

@@ -612,6 +612,13 @@ def per_offset_pair_search(pairs, i, j, ts, tol):
     return radii._verify_rows(pairs, i, j, s[k], t[k], ts, grp[k], res[k])
 
 
+def own_grid_feet(curve, weight, tol):
+    """radii._grid_feet before the pair grid read the dense grid: every
+    search evaluates the jets of its own feet curve.grid(tol.pair_grid)."""
+    sg = curve.grid(tol.pair_grid)
+    return (sg, *_feet(curve, weight, sg))
+
+
 def fresh_pad_local_minima(mat, per_rows, per_cols):
     """radii._grid_local_minima before it took a reusable pad, kept verbatim."""
     n, m = mat.shape

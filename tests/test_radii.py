@@ -1471,6 +1471,109 @@ class TestOneDenseGrid:
         assert codes == [0]
 
 
+def _pair_grid_scenes():
+    """The bundled scenes, the two-component scene, a Chebyshev arc and
+    seeded planar and 3D Fourier loops, by name."""
+    from test_sweeps import CHEBYSHEV_ARC, TWO_COMPONENT
+    from weighted_tubes.scene import BUNDLED_SCENES
+
+    return {
+        **{name: name for name in BUNDLED_SCENES},
+        "two_component": TWO_COMPONENT,
+        "chebyshev_arc": CHEBYSHEV_ARC,
+        **{f"fourier_{kind}-{seed}": _seeded_fourier_scene(kind, seed)
+           for kind in ("planar", "3d") for seed in (1, 2)},
+    }
+
+
+def _bits(arrays):
+    return [(x.dtype, x.shape, x.flags.c_contiguous, x.tobytes()) for x in arrays]
+
+
+class TestPairGridFeet:
+    """A closed component's pair grid reads its feet and their jets from the
+    dense grid's every r-th row when r = grid_samples / pair_grid is a
+    power of two, with the bits of evaluating them afresh; other counts
+    and open arcs evaluate their own. Every scene is loaded fresh."""
+
+    @staticmethod
+    def load(name):
+        from weighted_tubes import load_scene
+
+        return load_scene(_pair_grid_scenes()[name])
+
+    @pytest.mark.parametrize("name", sorted(_pair_grid_scenes()))
+    def test_dense_rows_are_the_evaluated_feet(self, name):
+        # Open components take the own evaluation (see below), so every
+        # component is checked.
+        scene = self.load(name)
+        for n in (128, 256, 1024):
+            tol = dataclasses.replace(DEFAULT_TOLERANCES, grid_samples=4096, pair_grid=n)
+            for curve, weight in scene.pairs:
+                sg = curve.grid(n)
+                assert _bits(radii._grid_feet(curve, weight, tol)) == _bits((sg, *radii._feet(curve, weight, sg)))
+
+    @pytest.mark.parametrize("name", ["ellipse_mu1", "example2_stadium", "two_component", "fourier_3d-1"])
+    def test_no_grid_evaluation_once_the_dense_grid_is_cached(self, monkeypatch, name):
+        from weighted_tubes.curves import ArclengthCurve
+
+        scene = self.load(name)
+        tol = scene.tolerances
+        for curve, weight in scene.pairs:
+            singular.dense_grid(curve, weight, tol.grid_samples)
+        grids = {id(c): c.grid(tol.pair_grid) for c, _ in scene.pairs}
+        seen = []
+        jet = ArclengthCurve.jet
+
+        def spying_jet(curve, s, order):
+            sg = grids[id(curve)]
+            seen.append(np.shape(s) == sg.shape and np.array_equal(s, sg))
+            return jet(curve, s, order)
+
+        monkeypatch.setattr(ArclengthCurve, "jet", spying_jet)
+        monkeypatch.setattr(radii, "_feet", lambda *args: pytest.fail("the pair grid evaluated its feet"))
+        for curve, weight in scene.pairs:
+            radii._grid_feet(curve, weight, tol)
+        assert seen == []
+        monkeypatch.undo()
+        monkeypatch.setattr(ArclengthCurve, "jet", spying_jet)
+        assert len(find_double_critical_pairs(scene.pairs, tol))
+        assert seen and not any(seen)
+
+    @pytest.mark.parametrize("name, counts", [
+        ("ellipse_mu1", (3072, 1024)), ("example2_stadium", (3072, 1024)), ("chebyshev_arc", (4096, 256)),
+    ])
+    def test_counts_that_do_not_nest_and_open_arcs_evaluate_their_own(self, monkeypatch, name, counts):
+        scene = self.load(name)
+        tol = dataclasses.replace(DEFAULT_TOLERANCES, grid_samples=counts[0], pair_grid=counts[1])
+        (curve, weight), = scene.pairs
+        singular.dense_grid(curve, weight, tol.grid_samples)
+        calls = []
+        feet = radii._feet
+
+        def spying_feet(c, w, s, t=0.0):
+            calls.append(np.array_equal(s, c.grid(tol.pair_grid)))
+            return feet(c, w, s, t)
+
+        monkeypatch.setattr(radii, "_feet", spying_feet)
+        got = radii._grid_feet(curve, weight, tol)
+        assert calls == [True]
+        sg = curve.grid(tol.pair_grid)
+        assert _bits(got) == _bits((sg, *feet(curve, weight, sg)))
+        if curve.closed:  # some dense feet are not the pair grid's
+            assert not np.array_equal(singular.dense_grid(curve, weight, counts[0])[0][::3], sg)
+
+    @pytest.mark.parametrize("name", sorted(_pair_grid_scenes()))
+    @pytest.mark.parametrize("pair_grid", [128, 256])
+    def test_pair_table_is_the_own_grid_search(self, monkeypatch, name, pair_grid):
+        scene = self.load(name)
+        tol = dataclasses.replace(scene.tolerances, pair_grid=pair_grid)
+        got = find_double_critical_pairs(scene.pairs, tol)
+        monkeypatch.setattr(radii, "_grid_feet", oracles.own_grid_feet)
+        want = find_double_critical_pairs(scene.pairs, tol)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # The grid seeding before the 3x3 minimum filter: eight rolled copies of the
 # matrix, their wrapped rows and columns set to +inf on open axes (oracle).
 def rolled_grid_local_minima(mat, per_rows, per_cols):

@@ -76,9 +76,11 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
     # Then one labelled call whose feet reach the stadium's straight sides,
     # one with a finite height cutoff whose square overflows, two sweeps
     # over more than two offsets, one over the offsets -1e-9, 0 and 1e-9
-    # where dir and air jump, and one whose offsets straddle the band of
-    # "g = 0", where example3_family's collapse arc appears and vanishes.
-    *calls, straight, overflow, sweep6, sweep3, semicontinuity, near_zero = calls
+    # where dir and air jump, one whose offsets straddle the band of
+    # "g = 0", where example3_family's collapse arc appears and vanishes,
+    # and two reports: one whose pair grid nests in the dense grid at a
+    # ratio of 32, and one at 3072 / 1024, where it does not.
+    *calls, straight, overflow, sweep6, sweep3, semicontinuity, near_zero, nested, not_nested = calls
     assert straight == {
         "label": "example2_stadium/fibers-straight-sides",
         "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
@@ -108,6 +110,17 @@ def test_bundled_set_covers_every_verb_and_scene(digests):
         "label": "example3_family/sweep-near-zero",
         "argv": ["sweep", "--scene", "example3_family", "--t-values=-4e-9,-1e-9,-1e-12,0,1e-12"],
         "ext": "csv",
+    }
+    assert nested == {
+        "label": "ellipse_mu1/report-pair-grid-128",
+        "argv": ["report", "--scene", "ellipse_mu1", "--tol-override", "pair_grid=128"],
+        "ext": "json",
+    }
+    assert not_nested == {
+        "label": "ellipse_mu1/report-grid-3072-pair-grid-1024",
+        "argv": ["report", "--scene", "ellipse_mu1", "--tol-override", "grid_samples=3072",
+                 "--tol-override", "pair_grid=1024"],
+        "ext": "json",
     }
     for call in (sweep6, sweep3):
         assert parser.parse_args(call["argv"]).t_count > 2
@@ -186,7 +199,7 @@ def test_ab_bench_alternates_the_side_that_runs_first(ab_bench, tmp_path, capsys
         {"name": "units_per_cpu_s", "unit": "1/s", "better": "higher"}]}))
     calls = []
 
-    def run(root, workload, seed, seconds, trace):
+    def run(root, workload, seed, seconds, trace, env):
         calls.append((root.name, workload, seed, seconds, trace))
         return _result(90.0 if root.name == "parent" else 99.0, 50.0, failed=int(seed == 4))
 
@@ -201,12 +214,51 @@ def test_ab_bench_alternates_the_side_that_runs_first(ab_bench, tmp_path, capsys
     assert "note: seed 4" not in out  # both sides failed one call
 
 
+def test_ab_bench_gives_each_side_its_own_fresh_bytecode(ab_bench, tmp_path, monkeypatch):
+    # Each side reads bytecode compiled before the first pair into a cache
+    # of its own, whatever PYTHONDONTWRITEBYTECODE says, and nothing is
+    # written in either checkout.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "mod.py").write_text("X = 1\n")
+        (root / "perfbench").mkdir()
+        (root / "perfbench" / "run.py").write_text("Y = 2\n")
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, "end_to_end": [
+        {"name": "units_per_cpu_s", "unit": "1/s", "better": "higher"}]}))
+    envs = {}
+
+    def run(root, workload, seed, seconds, trace, env):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        # The cache mirrors each source's absolute path.
+        mirror = cache / root.resolve().relative_to(root.resolve().anchor)
+        assert list(mirror.glob("src/mod.*.pyc")) and list(mirror.glob("perfbench/run.*.pyc"))
+        assert any(cache.rglob("numpy/__init__.*.pyc"))
+        envs.setdefault(root.name, []).append(env)
+        return _result(90.0, 50.0)
+
+    argv = [str(parent), str(change), "--workload", "report_mix", "--seeds", "3-4"]
+    assert ab_bench.main(argv, run=run) == 0
+    assert sorted(envs) == ["change", "parent"]
+    prefixes = set()
+    for side, seen in envs.items():
+        assert len(seen) == 2
+        assert all("PYTHONDONTWRITEBYTECODE" not in env for env in seen)
+        assert len({env["PYTHONPYCACHEPREFIX"] for env in seen}) == 1
+        prefixes.add(seen[0]["PYTHONPYCACHEPREFIX"])
+    assert len(prefixes) == 2
+    assert not list(tmp_path.rglob("__pycache__"))
+    assert not any(Path(p).exists() for p in prefixes)
+
+
 @pytest.mark.parametrize("bad", ["not correct", "failed more"])
 def test_ab_bench_exits_1_on_a_run_no_claim_may_rest_on(ab_bench, tmp_path, capsys, bad):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, "end_to_end": [
         {"name": "units_per_cpu_s", "unit": "1/s", "better": "higher"}]}))
 
-    def run(root, workload, seed, seconds, trace):
+    def run(root, workload, seed, seconds, trace, env):
         res = _result(90.0 if root.name == "parent" else 99.0, 50.0)
         if seed == 8 and root.name != "parent":
             if bad == "not correct":
@@ -250,7 +302,7 @@ def test_ab_bench_verdicts(ab_bench, tmp_path, capsys, trace):
             del entry["bound"]
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, key: entries}))
 
-    def run(root, workload, seed, seconds, t):
+    def run(root, workload, seed, seconds, t, env):
         k = seed - 10
         side = 0 if root.name == "parent" else 1
         return {"correct": True, "attempted": 45, "failed": 0, "metrics": {
@@ -281,7 +333,7 @@ def test_ab_bench_claims_no_gain_on_fewer_than_ten_pairs(ab_bench, tmp_path, cap
     key = "per_layer" if trace else "end_to_end"
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, key: [entry]}))
 
-    def run(root, workload, seed, seconds, t):
+    def run(root, workload, seed, seconds, t, env):
         return _result(110.0 if root.name != "parent" else [99.0, 101.0][seed % 2], 50.0)
 
     argv = [str(tmp_path / "parent"), str(tmp_path), "--workload", "report_mix", "--seeds", "0-3",

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from weighted_tubes import (
     build_weight,
     make_stadium,
 )
+from weighted_tubes.curves import _shaped_jet
 from weighted_tubes.weights import WEIGHT_KINDS, _horner
 
 
@@ -89,6 +91,37 @@ def test_jet_form_is_fixed_by_the_base(kind, offset):
     np.testing.assert_array_equal(weight.jet(0.3, 3), [x[0] for x in weight.jet([0.3], 3)])
     with pytest.raises(ValueError, match="order 4"):
         weight.jet(0.3, 4)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+ORDER_SUBSETS = [orders for k in range(1, 5) for orders in itertools.combinations(range(4), k)]
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+@pytest.mark.parametrize("offset", [False, True])
+def test_each_order_subset_is_the_full_jets_rows(kind, offset):
+    # `_jet(s, orders)` computes only the orders asked for, each with the
+    # bits of the order-3 jet's row; the feet reach every piece of the
+    # stadium blend (cosine, both stages, plateau) on both sides of s = 0.
+    curve = make_stadium()
+    weight = build_weight(kind, curve=curve, **KIND_PARAMS[kind])
+    if offset:
+        weight = OffsetWeight(weight, -0.05)
+    line = np.linspace(-0.6 * curve.length, 0.6 * curve.length, 241)
+    for s in (0.3, np.float64(-7.5), line, line[:240].reshape(12, 20)):
+        full = weight.jet(s, 3)
+        for orders in ORDER_SUBSETS:
+            got = _shaped_jet(weight._jet, s, orders)
+            assert [_bits(x) for x in got] == [_bits(full[k]) for k in orders], (np.shape(s), orders)
+        assert _bits(weight.mu(s)) == _bits(weight.jet(s, 0)[0])
+        assert _bits(weight.d1(s)) == _bits(weight.jet(s, 1)[1])
+        assert _bits(weight.d2(s)) == _bits(weight.jet(s, 2)[2])
+        for order in range(3):
+            assert [_bits(x) for x in weight.jet(s, order)] == [_bits(x) for x in full[:order + 1]]
 
 
 class TestValidation:

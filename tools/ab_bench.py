@@ -31,15 +31,24 @@ to the parent's median, the verdict is the first that holds of:
 Per-layer metrics have no bound, so they read `gain` or `unresolved`. Runs
 whose result is not `correct`, or that failed more calls than their pair
 partner, are named below the table, and the tool then exits 1: no claim
-may rest on such a run. The tool only runs perfbench/run.py; it writes
-nothing of its own in either checkout.
+may rest on such a run.
+
+Each side runs with its own PYTHONPYCACHEPREFIX in a temporary directory
+and without PYTHONDONTWRITEBYTECODE, and its src/ and perfbench/ are
+compiled there before the first pair. Otherwise a side whose __pycache__
+is stale (a copied checkout's .py files are newer than it) recompiles
+every module in every worker while the other side reads valid bytecode,
+which biases setup time, call time and peak RSS by the directory rather
+than by the code. The tool writes nothing in either checkout.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -52,11 +61,41 @@ def parse_seeds(text):
     return seeds
 
 
-def run_once(root, workload, seed, seconds, trace):
-    """The JSON result of one perfbench run in the checkout root."""
+def side_env(cache):
+    """The environment of one side's runs: this process's, with bytecode
+    written to and read from the directory cache."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    return env
+
+
+# Compiles the directories named on the command line, then imports numpy so
+# that its bytecode (the bulk of what a worker imports) is cached too.
+_COMPILE = "\n".join([
+    "import compileall, sys",
+    "ok = [compileall.compile_dir(d, quiet=1) for d in sys.argv[1:]]",
+    "import numpy",
+    "sys.exit(not all(ok))",
+])
+
+
+def compile_side(root, env):
+    """Compile the checkout root's src/ and perfbench/, and numpy, into env's cache."""
+    dirs = [d for d in ("src", "perfbench") if (Path(root) / d).is_dir()]
+    if not dirs:
+        return
+    argv = [sys.executable, "-c", _COMPILE, *dirs]
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"compiling {root} exited {proc.returncode}: "
+                           f"{(proc.stdout + proc.stderr).strip()[-2000:]}")
+
+
+def run_once(root, workload, seed, seconds, trace, env):
+    """The JSON result of one perfbench run in the checkout root, under env."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(argv[1:])} in {root} exited {proc.returncode}: "
@@ -148,14 +187,18 @@ def main(argv=None, run=run_once):
              for m in bench["per_layer" if args.trace else "end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
     results = {"parent": [], "change": []}
-    for k, seed in enumerate(args.seeds):
-        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            res = run(sides[side], args.workload, seed, seconds, args.trace)
-            results[side].append(res)
-            shown = ", ".join(f"{name} {res['metrics'][name]['value']:.6g}"
-                              for name, *_ in specs[:5] if name in res["metrics"])
-            print(f"pair {k} seed {seed} {side}: correct {res['correct']}, "
-                  f"failed {res['failed']} of {res['attempted']}; {shown}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab-bench-") as caches:
+        envs = {side: side_env(Path(caches) / side) for side in sides}
+        for side, root in sides.items():
+            compile_side(root, envs[side])
+        for k, seed in enumerate(args.seeds):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                res = run(sides[side], args.workload, seed, seconds, args.trace, envs[side])
+                results[side].append(res)
+                shown = ", ".join(f"{name} {res['metrics'][name]['value']:.6g}"
+                                  for name, *_ in specs[:5] if name in res["metrics"])
+                print(f"pair {k} seed {seed} {side}: correct {res['correct']}, "
+                      f"failed {res['failed']} of {res['attempted']}; {shown}", flush=True)
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {len(args.seeds)} pairs, "
           f"--seconds {seconds:g}, --trace {args.trace}")
     for line in format_rows(summarize(results["parent"], results["change"], specs)):

@@ -86,8 +86,10 @@ BUNDLED_VERBS = (
 # direction comes from the normal frame (no default foot lies there),
 # singular with a finite height cutoff whose square overflows, two family
 # sweeps over more than two offsets, which drive the pair search's
-# multi-offset seed loop, and two sweeps within the band of "g = 0" around
-# t = 0, where the collapse arcs appear and vanish.
+# multi-offset seed loop, two sweeps within the band of "g = 0" around
+# t = 0, where the collapse arcs appear and vanish, and two reports whose
+# pair grid is every 32nd foot of the dense grid and, at 3072 / 1024, not
+# every r-th foot of it, so it evaluates its own feet.
 BUNDLED_EXTRA = (
     {"label": "example2_stadium/fibers-straight-sides",
      "argv": ["fibers", "--scene", "example2_stadium", "--s-values=0.5,3.0,20.0", "--samples", "9"],
@@ -107,6 +109,13 @@ BUNDLED_EXTRA = (
     {"label": "example3_family/sweep-near-zero",
      "argv": ["sweep", "--scene", "example3_family", "--t-values=-4e-9,-1e-9,-1e-12,0,1e-12"],
      "ext": "csv"},
+    {"label": "ellipse_mu1/report-pair-grid-128",
+     "argv": ["report", "--scene", "ellipse_mu1", "--tol-override", "pair_grid=128"],
+     "ext": "json"},
+    {"label": "ellipse_mu1/report-grid-3072-pair-grid-1024",
+     "argv": ["report", "--scene", "ellipse_mu1", "--tol-override", "grid_samples=3072",
+              "--tol-override", "pair_grid=1024"],
+     "ext": "json"},
 )
 
 
