@@ -204,7 +204,9 @@ class _RawCurve(ArclengthCurve):
     so L is the sum of its cells; a 16-node table has L checked by the
     doubling rule of `_length_refined` instead. `_s_of_t` evaluates the
     chosen nodes and t itself in one pass and returns the speed at t with
-    s(t), so a Newton step costs one raw evaluation.
+    s(t), so a full Newton pass costs _cell_n + 1 raw values per foot; the
+    step it gives is checked by one more raw value, read with the jet's
+    orders (`_invert`).
     """
 
     _GL_N = 16
@@ -212,7 +214,8 @@ class _RawCurve(ArclengthCurve):
     _CELL_NS = (4, 6, 8)
     _CHECK_N = 2048  # cells of the first length check, doubled up to 6 times
     _LENGTH_TOL = 1e-10  # relative agreement of two successive length checks
-    _NEWTON_BLOCK = 1 << 15  # most feet one Newton pass of t_of_s inverts at once
+    _NEWTON_BLOCK = 1 << 15  # most feet one `_s_of_t` pass evaluates at once
+    _STEP_GUARD = 2.0**-16  # longest step, in table cells, checked by the trapezoid rule
 
     def __init__(self, series, closed, raw_domain):
         self._series = series
@@ -277,28 +280,64 @@ class _RawCurve(ArclengthCurve):
         return self._s_grid[idx] + _coord_sum(sp[:, :-1] * wts[None, :]) * (t - a), sp[:, -1]
 
     def t_of_s(self, s):
-        # Newton is pushed to the roundoff floor: second differences of
-        # downstream quantities divide by h^2 and would amplify any slack.
-        # Each foot stops on its own residual, so its value does not depend
-        # on the other feet of the call, and blocks of _NEWTON_BLOCK feet
-        # bound the raw pass of `_s_of_t` without changing a bit.
+        """The raw parameters of the arclength feet s (1-D, from the table start)."""
+        return self._invert(s, 0)[0]
+
+    def _invert(self, s, order):
+        """(t, g): the raw parameters of the arclength feet s (1-D, from the
+        table start) and the series' orders 0..max(order, 1) at them.
+
+        Newton is pushed to the roundoff floor: second differences of
+        downstream quantities divide by h^2 and would amplify any slack.
+        Each foot stops on its own residual r = s(t) - s, |r| <= 4e-16 L, so
+        its value does not depend on the other feet of the call, and blocks
+        of _NEWTON_BLOCK feet bound a raw pass of `_s_of_t` without changing
+        a bit. From the PCHIP start, one full pass gives r0 and the speed
+        sp0 at t0, and Newton steps to t1. A step of at most _STEP_GUARD of
+        a cell is checked by the trapezoid rule over it, r1 = r0 + (t1 - t0)
+        (sp0 + sp1) / 2, with sp1 the speed in g: its error, |t1 - t0|^3
+        max|sp''| / 12, lies far below the stop tolerance (the tests bound
+        it on the bundled and seeded series curves), so it accepts the t1
+        that a second full pass would. A longer step, or a foot the check
+        leaves going, takes full passes from t1 as before.
+        """
         t = _pchip_eval(self._s_grid, self._pchip, np.clip(s, 0.0, self.length))
         tol = 4e-16 * self.length
-        for start in range(0, len(t), self._NEWTON_BLOCK):
-            k = np.arange(start, min(start + self._NEWTON_BLOCK, len(t)))
-            for _ in range(6):
-                s_k, speed = self._s_of_t(t[k])
-                resid = s_k - s[k]
+        resid, speed = self._residual(t, s)
+        going = ~(np.abs(resid) <= tol)
+        t1 = t.copy()
+        t1[going] = np.clip(t[going] - resid[going] / speed[going], self._t0, self._t1)
+        orders = range(max(order, 1) + 1)
+        g = self._series.orders(t1, orders)
+        step = t1 - t
+        guard = self._STEP_GUARD * (self._t_grid[1] - self._t_grid[0])
+        checked = (np.abs(step) <= guard) & (np.abs(resid + step * (speed + _coord_norm(g[1])) * 0.5) <= tol)
+        rest = np.flatnonzero(going & ~checked)
+        if len(rest):
+            k = rest
+            for _ in range(5):
+                resid, speed = self._residual(t1[k], s[k])
                 going = ~(np.abs(resid) <= tol)
                 k, resid, speed = k[going], resid[going], speed[going]
                 if not len(k):
                     break
-                t[k] = np.clip(t[k] - resid / speed, self._t0, self._t1)
-        return t
+                t1[k] = np.clip(t1[k] - resid / speed, self._t0, self._t1)
+            for x, y in zip(g, self._series.orders(t1[rest], orders)):
+                x[rest] = y
+        return t1, g
+
+    def _residual(self, t, s):
+        """(s(t) - s, the raw speed at t): one full Newton pass, `_s_of_t`
+        on blocks of at most _NEWTON_BLOCK feet."""
+        resid, speed = np.empty_like(t), np.empty_like(t)
+        for start in range(0, len(t), self._NEWTON_BLOCK):
+            k = slice(start, start + self._NEWTON_BLOCK)
+            s_k, speed[k] = self._s_of_t(t[k])
+            resid[k] = s_k - s[k]
+        return resid, speed
 
     def _jet(self, s, order):
-        t = self.t_of_s(s - self.s_min)
-        g = self._series.orders(t, range(order + 1))
+        _, g = self._invert(s - self.s_min, order)
         out = [g[0]]
         if order >= 1:
             inv = 1.0 / _coord_norm(g[1])  # 1 / speed

@@ -27,6 +27,7 @@ from .errors import NumericError, SceneError, _overflow_raises
 from .expmap import _bound, _f_rows, _rowdot, _rownorm
 from .util import (
     _bracket,
+    _coord_dot,
     _distinct,
     _extrema_indices,
     _grid_local_minima,
@@ -320,12 +321,7 @@ def _search_component_pair(pairs, i, j, ts, tol):
 
     sg1, g1, t1, m1, dm1 = _grid_feet(c1, w1, tol)
     sg2, g2, t2, m2, dm2 = (sg1, g1, t1, m1, dm1) if same else _grid_feet(c2, w2, tol)
-    # Per coordinate: subtracting n-vectors runs an n-element inner loop per cell.
-    diff = np.stack([x[:, None] - cols(y) for x, y in zip(g1.T, g2.T)], axis=-1)
-    e = np.einsum("ijk,ijk->ij", diff, diff)
-    dot1 = 2.0 * np.einsum("ijk,ik->ij", diff, t1)
-    dot2 = -2.0 * np.einsum("ijk,ijk->ij", diff, np.broadcast_to(cols(t2), diff.shape))
-    del diff  # its grid of ambient vectors is not read again; the loop holds e1, e2
+    e, dot1, dot2 = _grid_products(g1, t1, g2, t2, cols)
     e1 = 2.0 * e * dm1[:, None]
     e2 = 2.0 * e * cols(dm2)
     if same:
@@ -359,6 +355,18 @@ def _search_component_pair(pairs, i, j, ts, tol):
     s, t, res, alive = _newton(c1, w1, c2, w2, np.concatenate(seeds), grp, ts, tol)
     k = np.nonzero(alive & ~(res > _TOL_DC))[0]
     return _verify_rows(pairs, i, j, s[k], t[k], ts, grp[k], res[k])
+
+
+def _grid_products(g1, t1, g2, t2, cols):
+    """(e, dot1, dot2) = (|d|^2, 2 d.t1, -2 d.t2) at every pair-grid cell,
+    d = g1 - g2, with g2 and t2 read through cols. One array of differences
+    per coordinate (a whole-array subtraction, where an (n, w, d) stack runs
+    a d-element inner loop per cell), summed by `util._coord_dot`."""
+    diff = [x[:, None] - cols(y) for x, y in zip(g1.T, g2.T)]
+    e = _coord_dot(diff, diff)
+    dot1 = 2.0 * _coord_dot(diff, [x[:, None] for x in t1.T])
+    dot2 = -2.0 * _coord_dot(diff, [cols(x) for x in t2.T])
+    return e, dot1, dot2
 
 
 def _newton(c1, w1, c2, w2, seeds, grp, ts, tol):

@@ -9,7 +9,7 @@ from .errors import NumericError, WeightedTubesError
 from .expmap import exp_mu, g_potential, normal_frames, w_bound
 from .radii import radii_report
 from .util import _coord_norm, as_pairs
-from .weights import OffsetWeight
+from .weights import OffsetWeight, _check_samples
 
 
 # Directions per tube foot above the plane (the plane has two).
@@ -37,18 +37,21 @@ def family_weights(pairs, t):
 def radii_sweep(pairs, t_grid, tol=DEFAULT_TOLERANCES):
     """One radii row of the offset family mu + t per t, in the order of t_grid.
 
-    Every t is validated first; a failure marks its row and the sweep
-    continues. The rows that pass are computed in one batched report, and
-    each row equals the report for its t alone. If the batch fails, its
+    Every t is validated first, as `family_weights` does, from one sample
+    jet of each base weight shifted by t; a failure marks its row and the
+    sweep continues. The rows that pass are computed in one batched report,
+    and each row equals the report for its t alone. If the batch fails, its
     rows are computed one at a time, so each keeps the status it has alone.
     """
     pairs = as_pairs(pairs)
     ts = [float(t) for t in t_grid]
     rows = [None] * len(ts)
     todo = []
+    samples = [w._sample_jet(c) for c, w in pairs]
     for k, t in enumerate(ts):
         try:
-            family_weights(pairs, t)
+            for (c, w), (sg, jet) in zip(pairs, samples):
+                _check_samples(c, sg, OffsetWeight(w, t)._shifted(jet, range(len(jet))))
         except WeightedTubesError as exc:
             rows[k] = _failed_row(t, exc)
         else:

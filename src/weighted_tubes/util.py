@@ -39,6 +39,29 @@ def _coord_norm(x):
     return np.sqrt(_coord_sum(x * x))
 
 
+def _coord_dot(xs, ys):
+    """sum_k xs[k] ys[k] over two sequences of d broadcastable arrays, one per
+    coordinate: the values of `np.einsum("...k,...k->...")` on the arrays
+    stacked along a last axis, bit for bit but for the sign of a nan.
+
+    Below 8 terms einsum's kernel adds the products in two lanes from 0.0,
+    the even coordinates into the first and the odd ones into the second,
+    then the first lane plus the second; here that is whole-array adds, with
+    no (..., d) stack. From 8 terms on its kernel unrolls further, so those
+    keep np.einsum."""
+    if not 2 <= len(xs) < 8:
+        x, y = (np.stack(np.broadcast_arrays(*v), axis=-1) for v in (xs, ys))
+        return np.einsum("...k,...k->...", x, y)
+    lanes = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        p = x * y
+        if k < 2:
+            lanes.append(np.add(0.0, p, out=p))
+        else:
+            lanes[k % 2] += p
+    return lanes[0] + lanes[1]
+
+
 def _offset_array(offsets):
     """The weight offsets as a 1-D float array; None means the weights as given."""
     return np.atleast_1d(np.asarray(0.0 if offsets is None else offsets, dtype=float))

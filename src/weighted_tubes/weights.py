@@ -77,28 +77,37 @@ class WeightFunction:
         where its square underflows. On a closed curve the weight must also be
         periodic: mu, mu' and mu'' at s_min and at s_min + L may differ by
         at most _SEAM_BAND times their order's largest size on the samples."""
+        _check_samples(curve, *self._sample_jet(curve))
+        return self
+
+    def _sample_jet(self, curve):
+        """validate_on's samples: the 4096 grid feet and the jet it checks,
+        orders 0..2 on the feet and s_max of a closed curve, mu alone on the
+        feet of an open arc."""
         sg = curve.grid(4096)
         if curve.closed:
-            jet = self.jet(np.append(sg, curve.s_max), 2)
-            vals = jet[0][:-1]
-        else:
-            jet, vals = (), self.mu(sg)
-        if not np.all(np.isfinite(vals)):
-            raise NonpositiveWeightError("weight is not finite on the domain")
-        k = int(np.argmin(vals))
-        if vals[k] <= 0.0:
-            raise NonpositiveWeightError(f"weight must be positive; min {float(vals[k])} near s={float(sg[k])}")
-        if vals[k] < _MU_FLOOR:
+            return sg, self.jet(np.append(sg, curve.s_max), 2)
+        return sg, (self.mu(sg),)
+
+
+def _check_samples(curve, sg, jet):
+    """validate_on's checks of a weight's sample jet (`_sample_jet`) on curve."""
+    vals = jet[0][:-1] if curve.closed else jet[0]
+    if not np.all(np.isfinite(vals)):
+        raise NonpositiveWeightError("weight is not finite on the domain")
+    k = int(np.argmin(vals))
+    if vals[k] <= 0.0:
+        raise NonpositiveWeightError(f"weight must be positive; min {float(vals[k])} near s={float(sg[k])}")
+    if vals[k] < _MU_FLOOR:
+        raise NonpositiveWeightError(
+            f"weight's square underflows; min {float(vals[k])} near s={float(sg[k])} is below 2^-511"
+        )
+    for name, x in zip(("mu", "mu'", "mu''"), jet if curve.closed else ()):
+        if not abs(x[-1] - x[0]) <= _SEAM_BAND * np.max(np.abs(x[:-1])):
             raise NonpositiveWeightError(
-                f"weight's square underflows; min {float(vals[k])} near s={float(sg[k])} is below 2^-511"
+                f"weight is not periodic on the closed curve: {name} is "
+                f"{float(x[0])} at s={curve.s_min} and {float(x[-1])} at s={curve.s_max}"
             )
-        for name, x in zip(("mu", "mu'", "mu''"), jet):
-            if not abs(x[-1] - x[0]) <= _SEAM_BAND * np.max(np.abs(x[:-1])):
-                raise NonpositiveWeightError(
-                    f"weight is not periodic on the closed curve: {name} is "
-                    f"{float(x[0])} at s={curve.s_min} and {float(x[-1])} at s={curve.s_max}"
-                )
-        return self
 
 
 class ConstantWeight(WeightFunction):
@@ -184,7 +193,11 @@ class OffsetWeight(WeightFunction):
         self.t = float(t)
 
     def _jet(self, s, orders):
-        return tuple(x + self.t if k == 0 else x for k, x in zip(orders, self.base._jet(s, orders)))
+        return self._shifted(self.base._jet(s, orders), orders)
+
+    def _shifted(self, rows, orders):
+        """The base's rows of the given orders as this weight's: mu + t, the rest as they are."""
+        return tuple(x + self.t if k == 0 else x for k, x in zip(orders, rows))
 
 
 class SymmetricPiecewiseWeight(WeightFunction):

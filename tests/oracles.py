@@ -922,6 +922,15 @@ def raw_jet(curve, s, order):
     return tuple(out)
 
 
+def grid_products_by_einsum(g1, t1, g2, t2, cols):
+    """`radii._grid_products` from one (n, w, d) stack of the differences."""
+    diff = np.stack([x[:, None] - cols(y) for x, y in zip(g1.T, g2.T)], axis=-1)
+    e = np.einsum("ijk,ijk->ij", diff, diff)
+    dot1 = 2.0 * np.einsum("ijk,ik->ij", diff, t1)
+    dot2 = -2.0 * np.einsum("ijk,ijk->ij", diff, np.broadcast_to(cols(t2), diff.shape))
+    return e, dot1, dot2
+
+
 def kappa_rate_by_norms(jet, kappa_tol):
     """`curves._kappa_rate`: d(kappa)/ds from a jet of order 3."""
     d2, d3 = jet[2], jet[3]

@@ -293,6 +293,124 @@ class TestArclengthInversionBlocks:
             assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
+def _checked_curve(scenes, name):
+    """The series curves whose checking Newton step the tests pin."""
+    if name == "ellipse_mu1":
+        return scenes["ellipse_mu1"].pairs[0][0]
+    if name == "separation_ellipse":
+        return scenes["example_separation"].pairs[1][0]
+    if name == "wobbly_fourier":
+        return wobbly_fourier()
+    if name == "chebyshev_arc":
+        return ChebyshevCurve([[0.0, 1.0, 0.1, 0.02], [0.0, 0.2, 0.5, 0.03]], (-1.0, 2.0))
+    from weighted_tubes import load_scene
+
+    from test_radii import _seeded_fourier_scene
+
+    kind, seed = name.split("-")
+    return load_scene(_seeded_fourier_scene(kind, int(seed))).pairs[0][0]
+
+
+CHECKED_CURVES = ["ellipse_mu1", "separation_ellipse", "planar-1", "planar-2", "3d-1", "3d-2",
+                  "wobbly_fourier", "chebyshev_arc"]
+
+
+class TestCheckingStep:
+    """The Newton step after the first full `_s_of_t` pass is checked by the
+    trapezoid rule over the step; it gives the t of a second full pass."""
+
+    @staticmethod
+    def feet(curve):
+        # The grid, random feet, feet 1e-13 off the knots (converged by the
+        # first pass) and on an open arc feet at and just past both ends,
+        # which `wrap` clips.
+        rng = np.random.default_rng(23)
+        s = np.concatenate([curve.grid(4096), rng.uniform(curve.s_min, curve.s_max, 1024),
+                            curve.s_min + curve._s_grid[1:-1] * (1.0 + 1e-13)])
+        if not curve.closed:
+            past = 0.5e-9 * curve.length
+            s = np.concatenate([s, [curve.s_min, curve.s_max, curve.s_min - past, curve.s_max + past]])
+        return s
+
+    @staticmethod
+    def assert_two_pass_bits(curve, s):
+        from oracles import raw_jet, raw_t_of_s
+
+        u = curve.wrap(s) - curve.s_min
+        assert curve.t_of_s(u).tobytes() == raw_t_of_s(curve, u).tobytes()
+        for order in range(4):
+            for got, want in zip(curve.jet(s, order), raw_jet(curve, s, order)):
+                assert got.tobytes() == want.tobytes(), order
+
+    @pytest.mark.parametrize("name", CHECKED_CURVES)
+    def test_equals_the_two_pass_inversion(self, scenes, name):
+        curve = _checked_curve(scenes, name)
+        self.assert_two_pass_bits(curve, self.feet(curve))
+
+    @pytest.mark.parametrize("name", ["ellipse_mu1", "chebyshev_arc"])
+    def test_a_start_past_the_guard_takes_full_passes(self, scenes, monkeypatch, name):
+        # Starts pushed 1e-4 of a cell off the PCHIP values step past the
+        # 2^-16 guard, so every moving foot takes the full-pass fallback.
+        from weighted_tubes import curves
+
+        curve = copy.copy(_checked_curve(scenes, name))
+        curve._pchip = curve._pchip.copy()
+        curve._pchip[3] += 1e-4 * (curve._t_grid[1] - curve._t_grid[0])
+        s = self.feet(curve)
+        passes = []
+        residual = curves._RawCurve._residual
+        monkeypatch.setattr(curves._RawCurve, "_residual",
+                            lambda self, t, s: passes.append(len(t)) or residual(self, t, s))
+        curve.t_of_s(curve.wrap(s) - curve.s_min)
+        assert passes[:2] == [len(s), len(s)]  # the first pass, then every foot's second
+        self.assert_two_pass_bits(curve, s)
+
+    def test_a_foot_the_check_leaves_going_takes_full_passes(self, monkeypatch):
+        # Starts 0.9 of the guard off: every step is checked, and on 176 of
+        # the 4,096 grid feet the trapezoid residual stays above the
+        # tolerance, as the full pass's does, so Newton goes on from t1.
+        from weighted_tubes import curves
+
+        curve = wobbly_fourier()
+        curve._pchip = curve._pchip.copy()
+        curve._pchip[3] += 0.9 * curve._STEP_GUARD * (curve._t_grid[1] - curve._t_grid[0])
+        passes = []
+        residual = curves._RawCurve._residual
+        monkeypatch.setattr(curves._RawCurve, "_residual",
+                            lambda self, t, s: passes.append(len(t)) or residual(self, t, s))
+        s = curve.grid(4096)
+        curve.t_of_s(s - curve.s_min)
+        assert passes[:2] == [4096, 176]
+        self.assert_two_pass_bits(curve, s)
+
+    @pytest.mark.parametrize("name", CHECKED_CURVES)
+    def test_trapezoid_error_is_far_below_the_tolerance(self, scenes, name):
+        # The trapezoid rule over a step of at most 2^-16 of a cell h errs by
+        # at most (2^-16 h)^3 max|sp''| / 12; sp'' is sampled 16 times per cell.
+        curve = _checked_curve(scenes, name)
+        t = np.linspace(curve._t0, curve._t1, 16 * curve._TABLE_N + 1)
+        g1, g2, g3 = curve._series.orders(t, (1, 2, 3))
+        sp = np.linalg.norm(g1, axis=-1)
+        sp1 = np.sum(g1 * g2, axis=-1) / sp
+        sp2 = (np.sum(g2 * g2, axis=-1) + np.sum(g1 * g3, axis=-1) - sp1**2) / sp
+        step = curve._STEP_GUARD * (curve._t_grid[1] - curve._t_grid[0])
+        assert step**3 / 12.0 * np.max(np.abs(sp2)) <= 2.0**-10 * 4e-16 * curve.length
+
+    @pytest.mark.parametrize("make", [lambda: EllipseCurve(2.0, 1.0), wobbly_fourier], ids=["ellipse", "wobbly_fourier"])
+    def test_one_full_pass_and_one_series_evaluation_per_jet(self, monkeypatch, make):
+        # A 4,096-foot order-3 jet: one `_s_of_t` pass (whose raw values are
+        # one series evaluation) and one more series evaluation, which the
+        # check and the jet share.
+        curve = make()
+        passes, evaluations = [], []
+        s_of_t, orders = curve._s_of_t, curve._series.orders
+        monkeypatch.setattr(curve, "_s_of_t", lambda t: passes.append(len(t)) or s_of_t(t))
+        monkeypatch.setattr(curve._series, "orders", lambda t, k: evaluations.append(len(t)) or orders(t, k))
+        curve.jet(curve.grid(4096), 3)
+        assert passes == [4096]
+        assert evaluations == [4096 * (curve._cell_n + 1), 4096]
+
+
 def perfbench_style_fourier(seed):
     """A closed planar curve as the benchmark draws them: the unit circle
     plus modes 2-4 of amplitude 0.04 / k^2 at seeded phases."""

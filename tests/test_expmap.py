@@ -834,13 +834,13 @@ class TestNewtonRefinement:
         pairs = self.pairs_named(scenes, name)
         pts = points_near(pairs[0][0], np.random.default_rng(2), 512, 0.3)
         feet = []
-        t_of_s = curves._RawCurve.t_of_s
+        invert = curves._RawCurve._invert
 
-        def counted(self, s):
+        def counted(self, s, order):
             feet.append(np.size(s))
-            return t_of_s(self, s)
+            return invert(self, s, order)
 
-        monkeypatch.setattr(curves._RawCurve, "t_of_s", counted)
+        monkeypatch.setattr(curves._RawCurve, "_invert", counted)
         g_potential(pairs, pts)
         # The grid's 2048 samples make 4 feet per point; a 40-iteration
         # golden section took 42 more.

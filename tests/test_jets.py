@@ -439,7 +439,7 @@ def _spy_on_feet(obj, seen):
             return fn(x, *rest)
         return wrapped
 
-    for name in ("_jet", "_half_jet", "t_of_s", "_s_of_t", "_raw", "orders"):
+    for name in ("_jet", "_half_jet", "t_of_s", "_invert", "_residual", "_s_of_t", "_raw", "orders"):
         if hasattr(obj, name):
             setattr(obj, name, spy(getattr(obj, name)))
     for child in (getattr(obj, "_series", None), getattr(obj, "base", None)):

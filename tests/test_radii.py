@@ -1574,6 +1574,33 @@ class TestPairGridFeet:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+class TestGridProducts:
+    @pytest.mark.parametrize("name", ["fourier_planar-1", "fourier_3d-1", "two_component", "fourier_9d"])
+    def test_products_are_the_einsum_stack_bit_for_bit(self, monkeypatch, name):
+        # Every component pair's grid products, per coordinate, against one
+        # einsum over the (n, w, d) stack; nine coordinates take einsum itself.
+        if name == "fourier_9d":
+            from weighted_tubes import ConstantWeight
+
+            from test_jets import fourier_9d
+
+            pairs = [(fourier_9d(), ConstantWeight(1.0))]
+        else:
+            pairs = TestPairGridFeet.load(name).pairs
+        calls = []
+        products = radii._grid_products
+
+        def checked(g1, t1, g2, t2, cols):
+            got = products(g1, t1, g2, t2, cols)
+            want = oracles.grid_products_by_einsum(g1, t1, g2, t2, cols)
+            calls.append(all(x.tobytes() == y.tobytes() for x, y in zip(got, want)))
+            return got
+
+        monkeypatch.setattr(radii, "_grid_products", checked)
+        find_double_critical_pairs(pairs, DEFAULT_TOLERANCES)
+        assert calls == [True] * (len(pairs) * (len(pairs) + 1) // 2)
+
+
 # The grid seeding before the 3x3 minimum filter: eight rolled copies of the
 # matrix, their wrapped rows and columns set to +inf on open axes (oracle).
 def rolled_grid_local_minima(mat, per_rows, per_cols):

@@ -187,6 +187,55 @@ class TestBatchedSweep:
         assert a is c and _value(a) != _value(b)
 
 
+class TestSweepValidation:
+    """A sweep validates each t from one sample jet of each base weight,
+    shifted by t, with the rows and messages of `family_weights` per t."""
+
+    @staticmethod
+    def pairs(name):
+        if name == "tiny_weight":  # mu = 2^-600 + s on [0, 1]: mu + 0 underflows when squared
+            return [(CircleArcCurve(0.0, 1.0), PolynomialWeight([2.0**-600, 1.0]))], sweeps.DEFAULT_TOLERANCES
+        scene = load_scene(name)
+        return scene.pairs, scene.tolerances
+
+    @pytest.mark.parametrize("name, ts", [
+        ("example6_family", [-0.05, -2.0, 0.0, -0.875, 0.05]),
+        ("example3_family", [-3.0, 0.02, -0.02, -1.0]),
+        ("tiny_weight", [0.0, 0.5, -0.25, 2.0**-600]),
+    ])
+    def test_rows_are_the_per_t_validation(self, monkeypatch, name, ts):
+        from weighted_tubes import weights
+
+        pairs, tol = self.pairs(name)
+        sampled = []
+        sample_jet = weights.WeightFunction._sample_jet
+
+        def spy(weight, curve):
+            sampled.append(weight)
+            return sample_jet(weight, curve)
+
+        monkeypatch.setattr(weights.WeightFunction, "_sample_jet", spy)
+        rows = radii_sweep(pairs, ts, tol)
+        assert sampled == [w for _, w in pairs]
+        monkeypatch.undo()
+        want, passing = {}, []
+        for t in ts:
+            try:
+                family_weights(pairs, t)
+            except NonpositiveWeightError as exc:
+                want[t] = f"failed: {exc}"
+            else:
+                passing.append(t)
+        assert want and passing
+        for t, rep in zip(passing, radii_report(pairs, tol, passing)):
+            want[t] = (rep.dir, rep.tir, rep.air, len(rep.witnesses["collapse_arcs"]), "ok")
+        for row in rows:
+            got = row.status if row.status != "ok" else (row.dir, row.tir, row.air, row.collapse_count, "ok")
+            assert got == want[row.t], row.t
+        messages = " ".join(x for x in want.values() if isinstance(x, str))
+        assert ("below 2^-511" in messages) == (name == "tiny_weight")
+
+
 DYADIC = [2.0**-k for k in range(4, 21)]
 EPS = np.finfo(float).eps
 AIR_AT_ZERO = {"example3_family": 4.140313876743611, "example6_family": 4.0}
@@ -662,7 +711,9 @@ def least_fibre_gap(pairs, n, R):
     return float(np.sqrt(np.min(sq))), float(np.max(np.abs(pts)))
 
 
-@pytest.mark.parametrize("name", ["example1a", "example1b", "example2_stadium", "example4", "example_separation"])
+@pytest.mark.parametrize("name", ["example1a", "example1b", "example2_stadium", "example4", "example_separation"] + [
+    pytest.param(("3d", seed), id=f"seeded_3d_{seed}") for seed in (1, 2)
+])
 def test_tir_measured_from_outside(scenes, name):
     # tir from coincident images, without the paper's formulas: 2,048 rows
     # per scene (1,024 feet with +-normal in the plane, 512 feet with both
@@ -676,8 +727,17 @@ def test_tir_measured_from_outside(scenes, name):
     # example_separation's two components give dir 1.7745 < tir 2 < air
     # 2.3564: its gap is 1.1e-17 at tir (the zero band is 1.8e-12), 2.4e-7
     # at tir (1 +- delta), 2.0e-5 at dir (the ellipse's touching zero) and
-    # at least 5.9e-4 at tir (1 - delta) k/4 for k < 4.
-    scene = scenes[name]
+    # at least 5.9e-4 at tir (1 - delta) k/4 for k < 4. The seeded 3D
+    # Fourier loops have no collapse arc either: a focal radius sets dir =
+    # tir = air, and their least gaps fall from 2.2e-2 at air / 8 to 5.6e-5
+    # (seed 1) and 6.8e-4 (seed 2) at air, where fibres of feet two steps
+    # apart close at the focal foot.
+    if isinstance(name, tuple):
+        from test_radii import _seeded_fourier_scene
+
+        scene = load_scene(_seeded_fourier_scene(*name))
+    else:
+        scene = scenes[name]
     rep = radii_report(scene.pairs, scene.tolerances)
     n = 2048 // (2 * (scene.ambient_dim - 1))
     delta = max(1.0 / (n if curve.closed else n - 1) for curve, _ in scene.pairs)
@@ -686,7 +746,7 @@ def test_tir_measured_from_outside(scenes, name):
         gap, size = least_fibre_gap(scene.pairs, n, R)
         return gap <= 64 * np.spacing(size)
 
-    if name == "example4":
+    if name == "example4" or isinstance(name, tuple):
         assert not rep.witnesses["collapse_arcs"] and rep.tir == rep.air
         assert not any(zero(rep.air * k / 8) for k in range(1, 9))
         return
